@@ -6,6 +6,7 @@ prints the regenerated artifact, and attaches headline numbers to the
 pytest-benchmark record via ``extra_info``.
 """
 
+import os
 from dataclasses import replace
 
 import pytest
@@ -15,6 +16,19 @@ from repro.sim import (adjacent_traffic, braking_lead, empty_road,
                        highway_cruise, lead_vehicle_cutin,
                        occluded_pedestrian, overtake_cutin, queued_traffic,
                        stalled_vehicle, two_lead_reveal)
+
+
+#: Single-round wall-clock gates are opt-in: on a shared host one timed
+#: round is too noisy to fail the tier-1 suite on.  The CI benchmarks
+#: job sets this variable on its timed steps.
+GATES_ENV = "REPRO_BENCH_GATES"
+
+
+def timing_gates(benchmark) -> bool:
+    """Whether to enforce wall-clock gates: the bench is timed (not
+    ``--benchmark-disable``) and ``REPRO_BENCH_GATES=1``.  Record
+    equality and correctness asserts never depend on this."""
+    return not benchmark.disabled and os.environ.get(GATES_ENV) == "1"
 
 
 def bench_scenarios():

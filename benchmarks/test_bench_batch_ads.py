@@ -13,8 +13,9 @@ This bench isolates that single-core win: serial ``batch_sim=16``
 against the serial scalar oracle on the same checkpoint-forked job
 population — no process pool, so the ratio is pure fusion, comparable
 across hosts.  Record agreement is asserted unconditionally; the
-speedup gate (≥1.8x, locally ~2.1x) holds on 1-core CI because neither
-path pools.
+speedup gate (≥1.8x, locally ~2.1x) needs no spare core because neither
+path pools, and like every wall-clock gate it fires only with
+``REPRO_BENCH_GATES=1`` (see ``conftest.timing_gates``).
 """
 
 import time
@@ -27,7 +28,7 @@ from repro.core import Campaign, CampaignConfig
 from repro.core.fault_models import minmax_fault_grid
 from repro.core.parallel import run_experiments
 
-from conftest import bench_scenarios
+from conftest import bench_scenarios, timing_gates
 
 BATCH = 16
 
@@ -121,8 +122,9 @@ def test_bench_batch_ads(benchmark, ads_campaign):
 
     assert strip(batched_records) == strip(scalar_records)
     # ...and serial fusion must pay for itself on any host: both paths
-    # are single-process, so the gate needs no spare cores.
-    if benchmark.disabled:
+    # are single-process, so the gate needs no spare cores.  The
+    # wall-clock gate is opt-in (timing_gates).
+    if not timing_gates(benchmark):
         return
     assert speedup >= 1.8, (
         f"batched ADS pipeline only {speedup:.2f}x faster than the "

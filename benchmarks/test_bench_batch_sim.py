@@ -30,7 +30,7 @@ from repro.core import Campaign, CampaignConfig
 from repro.core.fault_models import minmax_fault_grid
 from repro.core.parallel import run_experiments
 
-from conftest import bench_scenarios
+from conftest import bench_scenarios, timing_gates
 
 WORKERS = 4
 BATCH = 16
@@ -147,9 +147,9 @@ def test_bench_batch_sim(benchmark, batch_campaign):
     # ...and the shipped configuration must pay for itself when there
     # are cores to pool over.  The per-lane ADS pipeline serializes on
     # a single CPU (Amdahl), so with fewer usable CPUs than workers the
-    # ≥3x gate is unreachable and skipped; --benchmark-disable smoke
-    # lanes only check equivalence.
-    if benchmark.disabled:
+    # ≥3x gate is unreachable and skipped; wall-clock gates are
+    # opt-in (timing_gates).
+    if not timing_gates(benchmark):
         return
     if usable_cpus() < WORKERS:
         print(f"only {usable_cpus()} usable CPU(s) for {WORKERS} "

@@ -24,7 +24,7 @@ from repro.analysis import ascii_table
 from repro.core import Campaign, CampaignConfig, ListSink
 from repro.core.persistence import JsonlRecordSink, load_summary_jsonl
 
-from conftest import bench_scenarios
+from conftest import bench_scenarios, timing_gates
 
 WORKERS = 4
 TOP_K = 24
@@ -121,9 +121,9 @@ def test_bench_campaign_throughput(benchmark, tmp_path):
     # ...and sharding must pay for itself when there are cores to shard
     # over.  With fewer usable CPUs than workers a 2x gain is at or
     # above the theoretical ceiling (Amdahl plus pool overhead), so the
-    # gate requires the full worker count; --benchmark-disable smoke
-    # lanes only check equivalence.
-    if benchmark.disabled:
+    # gate requires the full worker count; wall-clock gates are
+    # opt-in (timing_gates).
+    if not timing_gates(benchmark):
         return
     if usable_cpus() < WORKERS:
         print(f"only {usable_cpus()} usable CPU(s) for {WORKERS} "

@@ -11,8 +11,8 @@ This bench runs one deterministic value-fault grid twice through the
 serial engine — degradation enabled vs ``DegradationConfig(enabled=
 False)`` — and pins record-for-record agreement plus the overhead bound
 (enabled within 5% of disabled wall-clock).  The timing gate needs a
-quiet core, so it only applies with at least two usable CPUs;
-equivalence is asserted unconditionally.
+quiet core, so it only applies with at least two usable CPUs and
+``REPRO_BENCH_GATES=1``; equivalence is asserted unconditionally.
 """
 
 import os
@@ -25,6 +25,8 @@ from repro.core import (Campaign, CampaignConfig, DegradationConfig,
 from repro.ads.runtime import ADSConfig
 from repro.sim import (braking_lead, highway_cruise, lead_vehicle_cutin,
                        two_lead_reveal)
+
+from conftest import timing_gates
 
 
 def usable_cpus() -> int:
@@ -112,9 +114,8 @@ def test_bench_interface_degradation_overhead(benchmark):
     assert strip(degraded) == strip(baseline)
     assert not any(r.degraded for r in degraded)
     # ...and must cost at most 5% wall-clock when there is a quiet core
-    # to time it on.  --benchmark-disable smoke lanes only check
-    # equivalence.
-    if benchmark.disabled:
+    # to time it on.  The wall-clock gate is opt-in (timing_gates).
+    if not timing_gates(benchmark):
         return
     if usable_cpus() < 2:
         print(f"only {usable_cpus()} usable CPU(s): overhead gate skipped")

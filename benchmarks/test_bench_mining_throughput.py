@@ -14,6 +14,8 @@ import time
 
 from repro.analysis import ascii_table
 
+from conftest import timing_gates
+
 
 def test_bench_mining_throughput(benchmark, campaign, bayesian_result):
     scenes = list(campaign.scene_rows())
@@ -79,9 +81,8 @@ def test_bench_mining_throughput(benchmark, campaign, bayesian_result):
         assert abs(a.predicted_delta_long - c.predicted_delta_long) <= 1e-9
         assert abs(a.predicted_delta_lat - c.predicted_delta_lat) <= 1e-9
     # ...and batching must pay for itself by a wide margin.  The
-    # timing gate only applies when benchmarks are actually timed —
-    # --benchmark-disable smoke lanes take single noisy samples.
-    if not benchmark.disabled:
+    # wall-clock gate is opt-in (timing_gates).
+    if timing_gates(benchmark):
         assert speedup >= 10.0, (
             f"batched mining only {speedup:.1f}x faster than the "
             f"scalar oracle")

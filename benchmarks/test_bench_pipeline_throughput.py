@@ -26,6 +26,8 @@ from repro.sim import (braking_lead, highway_cruise, lead_vehicle_cutin,
                        overtake_cutin, queued_traffic, stalled_vehicle,
                        two_lead_reveal)
 
+from conftest import timing_gates
+
 WORKERS = 4
 TICK_STRIDE = 16
 VARIABLES = ["brake", "throttle", "steering"]
@@ -117,9 +119,9 @@ def test_bench_pipeline_throughput(benchmark):
         strip(barrier_summary.records)
     assert pipeline_summary.same_aggregates(barrier_summary)
     # ...and the reclaimed barrier idle time must show up as wall-clock
-    # when there are cores to reclaim it on.  --benchmark-disable smoke
-    # lanes only check equivalence.
-    if benchmark.disabled:
+    # when there are cores to reclaim it on.  Wall-clock gates are
+    # opt-in (timing_gates).
+    if not timing_gates(benchmark):
         return
     if usable_cpus() < WORKERS:
         print(f"only {usable_cpus()} usable CPU(s) for {WORKERS} "

@@ -27,6 +27,8 @@ from repro.core.parallel import (_grouped_order, _init_worker,
 from repro.sim import (braking_lead, highway_cruise, lead_vehicle_cutin,
                        queued_traffic, stalled_vehicle, two_lead_reveal)
 
+from conftest import timing_gates
+
 WORKERS = 4
 
 
@@ -125,9 +127,8 @@ def test_bench_resilience_overhead(benchmark):
     assert strip(supervised) == strip(baseline)
     assert all(r.error is None for r in supervised)
     # ...and must cost at most 5% wall-clock when there are real cores
-    # to time it on.  --benchmark-disable smoke lanes only check
-    # equivalence.
-    if benchmark.disabled:
+    # to time it on.  The wall-clock gate is opt-in (timing_gates).
+    if not timing_gates(benchmark):
         return
     if usable_cpus() < WORKERS:
         print(f"only {usable_cpus()} usable CPU(s) for {WORKERS} "

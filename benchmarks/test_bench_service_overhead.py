@@ -12,8 +12,9 @@ overhead bound (service within 10% of the direct run).
 
 Like the resilience bench, the overhead gate needs real cores — on an
 oversubscribed runner the noise floor swamps a 10% bound — so it only
-applies with at least ``WORKERS`` usable CPUs; equivalence and the
-latency gate are asserted unconditionally.
+applies with at least ``WORKERS`` usable CPUs.  Both wall-clock gates
+(overhead and first-record latency) fire only with
+``REPRO_BENCH_GATES=1``; equivalence is asserted unconditionally.
 """
 
 import json
@@ -27,6 +28,8 @@ from repro.service import ServiceConfig, ServiceThread
 from repro.service.client import ServiceClient
 from repro.sim import (braking_lead, highway_cruise, lead_vehicle_cutin,
                        queued_traffic, stalled_vehicle, two_lead_reveal)
+
+from conftest import timing_gates
 
 WORKERS = 4
 N_EXPERIMENTS = 40
@@ -146,9 +149,9 @@ def test_bench_service_overhead(benchmark, tmp_path):
     assert strip_wall(service_records) == strip_wall(direct_records)
 
     # ...and the lifecycle machinery may not dominate when there are
-    # real cores to time it on.  --benchmark-disable smoke lanes only
-    # check equivalence.
-    if benchmark.disabled:
+    # real cores to time it on.  The wall-clock gates are opt-in
+    # (timing_gates).
+    if not timing_gates(benchmark):
         return
     if usable_cpus() < WORKERS:
         print(f"only {usable_cpus()} usable CPU(s) for {WORKERS} "

@@ -40,6 +40,8 @@ from repro.sim import (braking_lead, highway_cruise, lead_vehicle_cutin,
                        overtake_cutin, queued_traffic, stalled_vehicle,
                        two_lead_reveal)
 
+from conftest import timing_gates
+
 WORKERS = 4
 MEMORY_SCENARIOS = 20        # the ≥20-scenario memory population
 MEMORY_SCENARIOS_SMOKE = 6   # --benchmark-disable lanes
@@ -248,8 +250,8 @@ def test_bench_training_overlap_throughput(benchmark):
         strip(barrier_result.summary.records)
     assert pipeline_result.summary.same_aggregates(barrier_result.summary)
     # ...and erasing the train barrier must show up as wall-clock when
-    # there are cores to reclaim it on.
-    if smoke:
+    # there are cores to reclaim it on (an opt-in gate, timing_gates).
+    if not timing_gates(benchmark):
         return
     if usable_cpus() < WORKERS:
         print(f"only {usable_cpus()} usable CPU(s) for {WORKERS} "

@@ -21,6 +21,8 @@ from repro.core.fault_models import minmax_fault_grid
 from repro.core.parallel import run_experiments
 from repro.sim import highway_cruise, stop_and_go
 
+from conftest import timing_gates
+
 
 @pytest.fixture(scope="module")
 def validation_campaign():
@@ -106,13 +108,12 @@ def test_bench_validation_throughput(benchmark, validation_campaign):
 
     assert strip(resumed_records) == strip(full_records)
     # ...and forking from the golden prefix must pay for itself.  The
-    # timing gate only applies when benchmarks are actually timed —
-    # --benchmark-disable smoke lanes take single noisy samples.
+    # wall-clock gate is opt-in (timing_gates).
     # The gate was 3.0x when the scalar ADS tick dominated; the
     # closed-form kernel rewrite roughly halved per-tick cost, so the
     # fixed fork/restore overhead is now a larger fraction of each
     # checkpointed experiment and the structural advantage lands ~2x.
-    if not benchmark.disabled:
+    if timing_gates(benchmark):
         assert speedup >= 1.5, (
             f"checkpoint resume only {speedup:.1f}x faster than full "
             f"replay")

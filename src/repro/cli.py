@@ -41,7 +41,7 @@ from .core.interface_faults import DegradationConfig, interface_fault
 from .core.persistence import (JsonlRecordSink, save_candidates,
                                save_summary)
 from .core.resilience import ResilienceConfig
-from .core.safety import world_safety_potential
+from .core.safety import bulk_safety_potential, world_safety_inputs
 from .core.simulate import FaultSpec
 from .sim.scenegen import SceneGenerator
 
@@ -127,10 +127,11 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--profile-stages", action="store_true",
                           help="collect wall-clock counters per ADS "
                                "stage (sensing/perception/world-model/"
-                               "planning/actuation) and print them with "
-                               "the summary; counters cover this "
-                               "process only, so profile with "
-                               "--workers 1")
+                               "planning/actuation) and for the safety "
+                               "monitor, plus stop-table hits/misses/"
+                               "bulk batches, and print them with the "
+                               "summary; counters cover this process "
+                               "only, so profile with --workers 1")
 
     workers_help = ("processes for golden-run collection and experiment "
                     "validation (default serial)")
@@ -328,6 +329,12 @@ def _print_summary(summary, label: str) -> None:
                       for stage, cell in timings.items()]
         print(ascii_table(["stage", "seconds", "share", "lane-calls"],
                           stage_rows))
+        safety = timings.get("safety", {})
+        if "stop_hits" in safety:
+            hits, misses = safety["stop_hits"], safety["stop_misses"]
+            print(f"  stop table: {hits} hits, {misses} misses "
+                  f"({hits / max(hits + misses, 1):.1%} hit rate), "
+                  f"{safety['stop_batches']} bulk batches")
 
 
 def _split_list(value: str | None) -> tuple[str, ...] | None:
@@ -598,9 +605,9 @@ def main(argv: list[str] | None = None) -> int:
             ["min delta_lat (m)", record.min_delta_lat]]))
     elif args.command == "scenes":
         generator = SceneGenerator(seed=args.seed)
-        deltas = [world_safety_potential(
-            scene.to_world(road=generator.road)).longitudinal
-            for scene in generator.generate(args.n)]
+        deltas, _ = bulk_safety_potential([
+            world_safety_inputs(scene.to_world(road=generator.road))
+            for scene in generator.generate(args.n)])
         import numpy as np
         print(ascii_table(["delta_long bin (m)", "scenes"],
                           delta_distribution(np.array(deltas))))

@@ -34,7 +34,7 @@ from ..sim.collision import SENSOR_RANGE
 from ..sim.trace import Trace
 from ..ads.variables import variable_by_name
 from .safety import (SafetyConfig, SafetyPotential, _canonical_stop,
-                     _excursion_rollout, longitudinal_envelope,
+                     _excursion_rollout, _stop_params, longitudinal_envelope,
                      steering_excursion, stopping_displacement)
 from .simulate import FaultSpec, RunResult
 
@@ -642,22 +642,18 @@ class BayesianFaultInjector:
                                  phi: np.ndarray) -> np.ndarray:
         """Vectorized emergency-stop displacement at heading 0.
 
-        Quantizes exactly like :func:`stopping_displacement` and feeds
-        the unique (v, phi) pairs through the same cached RK4 kernel, so
-        every element matches the scalar call bit for bit.
+        Quantizes exactly like :func:`stopping_displacement` and looks
+        the unique (v, phi) pairs up in the same stop table in one bulk
+        call, so every element matches the scalar call bit for bit.
         """
-        config = self.safety_config
         v_q = np.round(np.maximum(v_hat, 0.0) / 0.05) * 0.05
         phi_q = np.round(phi / 5e-4) * 5e-4
         pairs = np.column_stack([v_q, phi_q])
         unique, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        stops = np.array([
-            _canonical_stop(float(v), float(p), config.a_max,
-                            config.wheelbase, config.integration_dt,
-                            config.lateral_window,
-                            config.max_maneuver_time)[0]
-            for v, p in unique])
-        return stops[np.ravel(inverse)]
+        stops = _canonical_stop.lookup(
+            [(v, p) for v, p in unique.tolist()],
+            _stop_params(self.safety_config))
+        return np.array([stop[0] for stop in stops])[np.ravel(inverse)]
 
     def _batch_excursion(self, v: np.ndarray,
                          phi_fault: np.ndarray) -> np.ndarray:

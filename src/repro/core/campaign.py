@@ -84,8 +84,10 @@ class CampaignConfig:
     #: stepped does not change what they compute.
     batch_sim: int = 0
     #: Collect per-stage wall-clock counters around the five ADS stages
-    #: (:data:`repro.ads.profiling.STAGES`) during validation, surfaced
-    #: as the ``stage_timings`` block of the summary's ``extra_info``.
+    #: and the deferred safety monitor (:data:`repro.ads.profiling.LAYERS`,
+    #: with the stop table's hits, misses and bulk batches on the
+    #: ``safety`` row), surfaced as the ``stage_timings`` block of the
+    #: summary's ``extra_info``.
     #: Observability only — outside the cache fingerprint, and the
     #: counters cover calling-process work (profile with ``workers=1``
     #: to attribute everything; see :mod:`repro.ads.profiling`).

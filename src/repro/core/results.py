@@ -269,11 +269,10 @@ class CampaignSummary:
             timings = summary.extra_info.get("stage_timings")
             if timings:
                 target = merged.extra_info.setdefault("stage_timings", {})
-                for stage, cell in timings.items():
-                    bucket = target.setdefault(stage,
-                                               {"seconds": 0.0, "calls": 0})
-                    bucket["seconds"] += cell["seconds"]
-                    bucket["calls"] += cell["calls"]
+                for layer, cell in timings.items():
+                    bucket = target.setdefault(layer, {})
+                    for name, value in cell.items():
+                        bucket[name] = bucket.get(name, 0) + value
             if merged.keep_records:
                 merged.records.extend(summary.records)
         return merged

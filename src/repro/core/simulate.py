@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 from ..ads.batch import BatchADSState, can_fuse
 from ..ads.messages import ActuationCommand
+from ..ads.profiling import STAGE_TIMER
 from ..ads.runtime import ADSConfig, ADSPipeline
 from ..sim.batch import BatchWorldState
 from ..sim.collision import SENSOR_RANGE
@@ -30,7 +31,10 @@ from ..sim.trace import Trace
 from ..sim.world import World
 from .checkpoint import Checkpoint
 from .results import Hazard
-from .safety import SafetyConfig, safety_potential, world_safety_potential
+from .safety import SafetyConfig, bulk_safety_potential, world_safety_inputs
+# The per-tick evaluators stay bound here: perfbench/tracer.py wraps
+# them as the ``core.safety`` layer of its trace.
+from .safety import safety_potential, world_safety_potential  # noqa: F401
 
 #: Signals recorded at every planner tick of a run.  The Bayesian network
 #: trains on the belief/actuation subset; the ``gt_*`` and ``lat_free*``
@@ -118,6 +122,89 @@ def _fault_schedule(faults: list[FaultSpec],
     return monitor_from, stop_after
 
 
+class _SafetyMonitor:
+    """The deferred safety monitor of one run.
+
+    The potential never feeds back into control, so the tick loop only
+    records each monitored tick's cheap inputs (:meth:`sample`) and the
+    physical outcomes; :meth:`finish` evaluates every potential in one
+    :func:`~repro.core.safety.bulk_safety_potential` call after the
+    loop, folds the pre-fault and minimum deltas in tick order, fills
+    the delta columns of the held trace rows, and classifies the hazard.
+    Both engines use it: :func:`_simulate` and the batched
+    :class:`_BatchLane`.
+    """
+
+    __slots__ = ("monitor_from", "ticks", "inputs", "rows", "collided",
+                 "went_off_road")
+
+    def __init__(self, monitor_from: int):
+        self.monitor_from = monitor_from
+        self.ticks: list[int] = []
+        self.inputs: list[tuple] = []
+        #: (sample index, trace row) pairs awaiting their deltas.
+        self.rows: list[tuple[int, dict]] = []
+        self.collided = False
+        self.went_off_road = False
+
+    def sample(self, tick: int, inputs: tuple) -> None:
+        """Hold one tick's ``(v, theta, phi, gap, lead_speed,
+        lateral_free)`` for :meth:`finish`."""
+        self.ticks.append(tick)
+        self.inputs.append(inputs)
+
+    def hold_row(self, row: dict) -> None:
+        """Hold the trace row of the tick sampled last; :meth:`finish`
+        adds its ``delta_long``/``delta_lat`` and records it."""
+        self.rows.append((len(self.inputs) - 1, row))
+
+    def finish(self, config: SafetyConfig, trace: Trace) -> dict:
+        """Evaluate and fold every sampled potential, and record the
+        held trace rows in ``trace``.  Returns the hazard, outcome, and
+        delta fields of :class:`RunResult`."""
+        timed = STAGE_TIMER.enabled
+        if timed:
+            started = STAGE_TIMER.start()
+        longitudinal, lateral = bulk_safety_potential(self.inputs, config)
+        min_delta_long = min_delta_lat = float("inf")
+        pre_delta_long = pre_delta_lat = float("inf")
+        monitor_from = self.monitor_from
+        for tick, delta_long, delta_lat in zip(self.ticks, longitudinal,
+                                               lateral):
+            if tick < monitor_from:
+                continue     # sampled for the trace recorder only
+            if tick == monitor_from:
+                pre_delta_long, pre_delta_lat = delta_long, delta_lat
+            min_delta_long = min(min_delta_long, delta_long)
+            min_delta_lat = min(min_delta_lat, delta_lat)
+        for index, row in self.rows:
+            row["delta_long"] = longitudinal[index]
+            row["delta_lat"] = lateral[index]
+            trace.record(row)
+        if timed:
+            STAGE_TIMER.stop("safety", started, len(self.inputs))
+        if self.collided:
+            hazard = Hazard.COLLISION
+        elif self.went_off_road:
+            hazard = Hazard.OFF_ROAD
+        elif min_delta_long <= 0.0:
+            # The longitudinal potential is the robust counterfactual
+            # criterion (collision is inevitable if the lead brakes).
+            # The lateral potential is recorded but not a hazard class by
+            # itself: it inherits steering jitter through the
+            # frozen-steering assumption, so lateral hazards are judged
+            # by the physical outcomes above (off-road, collision).
+            hazard = Hazard.SAFETY_VIOLATION
+        else:
+            hazard = Hazard.NONE
+        return {"hazard": hazard, "collided": self.collided,
+                "went_off_road": self.went_off_road,
+                "min_delta_long": min_delta_long,
+                "min_delta_lat": min_delta_lat,
+                "pre_delta_long": pre_delta_long,
+                "pre_delta_lat": pre_delta_lat}
+
+
 def _simulate(scenario: Scenario, world: World, pipeline: ADSPipeline,
               seed: int, faults: list[FaultSpec],
               safety_config: SafetyConfig, n_ticks: int, start_tick: int,
@@ -129,15 +216,12 @@ def _simulate(scenario: Scenario, world: World, pipeline: ADSPipeline,
     resumed run (state must already be restored by the caller).  Safety
     is monitored from ``monitor_from`` onward; the ground-truth potential
     is skipped entirely on earlier ticks unless the trace recorder needs
-    it, which is what makes the fault-free prefix cheap.
+    it, which is what makes the fault-free prefix cheap.  The potentials
+    themselves are evaluated after the loop (:class:`_SafetyMonitor`),
+    inside the run's wall clock.
     """
     trace = Trace()
-    collided = False
-    went_off_road = False
-    min_delta_long = float("inf")
-    min_delta_lat = float("inf")
-    pre_delta_long = float("inf")
-    pre_delta_lat = float("inf")
+    monitor = _SafetyMonitor(monitor_from)
     capture = set(checkpoint_ticks or ())
     checkpoints: dict[int, Checkpoint] | None = (
         {} if checkpoint_ticks is not None else None)
@@ -159,19 +243,12 @@ def _simulate(scenario: Scenario, world: World, pipeline: ADSPipeline,
         # clearance scans are skipped.
         recording = record_trace and is_planning_tick
         if tick >= monitor_from or recording:
-            potential = world_safety_potential(world, safety_config)
-        else:
-            potential = None
-        if tick == monitor_from:
-            pre_delta_long = potential.longitudinal
-            pre_delta_lat = potential.lateral
+            monitor.sample(tick, world_safety_inputs(world))
         if tick >= monitor_from:
-            min_delta_long = min(min_delta_long, potential.longitudinal)
-            min_delta_lat = min(min_delta_lat, potential.lateral)
             if world.in_collision():
-                collided = True
+                monitor.collided = True
             if world.off_road():
-                went_off_road = True
+                monitor.went_off_road = True
 
         if recording:
             plan = pipeline.last_plan
@@ -179,60 +256,17 @@ def _simulate(scenario: Scenario, world: World, pipeline: ADSPipeline,
             gap = plan.gap if plan is not None else SENSOR_RANGE
             closing = plan.closing_speed if plan is not None else 0.0
             lat = model.lane_offset if model is not None else 0.0
-            # A 1 m corridor margin captures impending entrants (a body
-            # mid-cut-in), which a tracker with lateral velocity would
-            # already treat as lead.
-            lead = world.lead_obstacle(extra_margin=1.0)
-            if lead is None:
-                gt_gap, gt_lead_v = SENSOR_RANGE, NO_LEAD
-            else:
-                gt_gap = ((lead.x - world.ego.state.x)
-                          - (world.ego.params.length + lead.length) / 2.0)
-                gt_lead_v = lead.v
-            trace.record({
-                "time": world.time,
-                "tick": float(tick),
-                "x": world.ego.state.x,
-                "v": world.ego.state.v,
-                "gap": gap,
-                "closing": closing,
-                "lat": lat,
-                "lat_free": world.lateral_clearance(),
-                "lat_free_up": world.lateral_clearance_toward(+1),
-                "lat_free_down": world.lateral_clearance_toward(-1),
-                "gt_gap": gt_gap,
-                "gt_lead_v": gt_lead_v,
-                "throttle": command.throttle,
-                "brake": command.brake,
-                "steering": command.steering,
-                "delta_long": potential.longitudinal,
-                "delta_lat": potential.lateral,
-            })
-        if collided:
+            monitor.hold_row(_trace_row(world, tick, command, gap, closing,
+                                        lat))
+        if monitor.collided:
             break
         if stop_after is not None and tick >= stop_after:
             break
 
+    outcome = monitor.finish(safety_config, trace)
     wall_seconds = time.perf_counter() - wall_start
-    if collided:
-        hazard = Hazard.COLLISION
-    elif went_off_road:
-        hazard = Hazard.OFF_ROAD
-    elif min_delta_long <= 0.0:
-        # The longitudinal potential is the robust counterfactual
-        # criterion (collision is inevitable if the lead brakes).  The
-        # lateral potential is recorded but not a hazard class by itself:
-        # it inherits steering jitter through the frozen-steering
-        # assumption, so lateral hazards are judged by the physical
-        # outcomes above (off-road, collision).
-        hazard = Hazard.SAFETY_VIOLATION
-    else:
-        hazard = Hazard.NONE
     return RunResult(
-        scenario=scenario.name, seed=seed, trace=trace, hazard=hazard,
-        collided=collided, went_off_road=went_off_road,
-        min_delta_long=min_delta_long, min_delta_lat=min_delta_lat,
-        pre_delta_long=pre_delta_long, pre_delta_lat=pre_delta_lat,
+        scenario=scenario.name, seed=seed, trace=trace, **outcome,
         landed=pipeline.fault_landed,
         degraded=pipeline.degraded_ticks > 0,
         sim_seconds=world.time, wall_seconds=wall_seconds, faults=faults,
@@ -336,12 +370,7 @@ class _BatchLane:
         self.monitor_from = monitor_from
         self.stop_after = stop_after
         self.trace = Trace()
-        self.collided = False
-        self.went_off_road = False
-        self.min_delta_long = float("inf")
-        self.min_delta_lat = float("inf")
-        self.pre_delta_long = float("inf")
-        self.pre_delta_lat = float("inf")
+        self.monitor = _SafetyMonitor(monitor_from)
         self.wall_start = time.perf_counter()
         self.is_planning = False
         self.command = None
@@ -349,24 +378,12 @@ class _BatchLane:
         #: batched driver from :func:`repro.ads.batch.can_fuse`).
         self.fused = False
 
-    def result(self, scenario_name: str) -> RunResult:
-        if self.collided:
-            hazard = Hazard.COLLISION
-        elif self.went_off_road:
-            hazard = Hazard.OFF_ROAD
-        elif self.min_delta_long <= 0.0:
-            hazard = Hazard.SAFETY_VIOLATION
-        else:
-            hazard = Hazard.NONE
+    def result(self, scenario_name: str,
+               safety_config: SafetyConfig) -> RunResult:
+        outcome = self.monitor.finish(safety_config, self.trace)
         return RunResult(
             scenario=scenario_name, seed=self.seed, trace=self.trace,
-            hazard=hazard, collided=self.collided,
-            went_off_road=self.went_off_road,
-            min_delta_long=self.min_delta_long,
-            min_delta_lat=self.min_delta_lat,
-            pre_delta_long=self.pre_delta_long,
-            pre_delta_lat=self.pre_delta_lat,
-            landed=self.pipeline.fault_landed,
+            **outcome, landed=self.pipeline.fault_landed,
             degraded=self.pipeline.degraded_ticks > 0,
             sim_seconds=self.world.time,
             wall_seconds=time.perf_counter() - self.wall_start,
@@ -462,7 +479,7 @@ def run_experiments_batched(scenario: Scenario, fault_lists,
                                  duration, horizon_after_fault)
             if lane.tick < lane.n_ticks:
                 return lane
-            results[index] = lane.result(scenario.name)
+            results[index] = lane.result(scenario.name, safety_config)
         return None
 
     slots: list[_BatchLane | None] = []
@@ -520,6 +537,7 @@ def run_experiments_batched(scenario: Scenario, fault_lists,
             if lane.fused:
                 lane.is_planning = bool(ads.planned[slot])
             tick = lane.tick
+            monitor = lane.monitor
             recording = record_trace and lane.is_planning
             if tick >= lane.monitor_from or recording:
                 speed = float(lead_speed[slot])
@@ -530,26 +548,15 @@ def run_experiments_batched(scenario: Scenario, fault_lists,
                 else:
                     state = lane.world.ego.state
                     v, theta, phi = state.v, state.theta, state.phi
-                potential = safety_potential(
-                    v=v, theta=theta, phi=phi,
-                    gap=float(gap[slot]),
-                    lead_speed=None if math.isnan(speed) else speed,
-                    lateral_free=float(lateral_free[slot]),
-                    config=safety_config)
-            else:
-                potential = None
-            if tick == lane.monitor_from:
-                lane.pre_delta_long = potential.longitudinal
-                lane.pre_delta_lat = potential.lateral
+                monitor.sample(tick, (
+                    v, theta, phi, float(gap[slot]),
+                    None if math.isnan(speed) else speed,
+                    float(lateral_free[slot])))
             if tick >= lane.monitor_from:
-                lane.min_delta_long = min(lane.min_delta_long,
-                                          potential.longitudinal)
-                lane.min_delta_lat = min(lane.min_delta_lat,
-                                         potential.lateral)
                 if collided[slot]:
-                    lane.collided = True
+                    monitor.collided = True
                 if off_road[slot]:
-                    lane.went_off_road = True
+                    monitor.went_off_road = True
             if recording:
                 if lane.fused:
                     batch.scatter([slot])
@@ -571,16 +578,18 @@ def run_experiments_batched(scenario: Scenario, fault_lists,
                                else 0.0)
                     model = lane.pipeline.last_model
                 lat = model.lane_offset if model is not None else 0.0
-                _record_tick(lane, tick, potential, plan_gap, closing, lat)
+                monitor.hold_row(_trace_row(lane.world, tick, lane.command,
+                                            plan_gap, closing, lat))
             lane.tick = tick + 1
-            if (lane.collided
+            if (monitor.collided
                     or (lane.stop_after is not None
                         and tick >= lane.stop_after)
                     or lane.tick >= lane.n_ticks):
                 if lane.fused:
                     batch.scatter([slot])
                     ads.deactivate(slot)
-                results[lane.index] = lane.result(scenario.name)
+                results[lane.index] = lane.result(scenario.name,
+                                                  safety_config)
                 slots[slot] = next_lane()
                 if slots[slot] is None:
                     batch.deactivate(slot)
@@ -593,14 +602,16 @@ def run_experiments_batched(scenario: Scenario, fault_lists,
     return results
 
 
-def _record_tick(lane: _BatchLane, tick: int, potential, gap: float,
-                 closing: float, lat: float) -> None:
-    """The trace-recording block of ``_simulate``, per batch lane (rare
-    path: validation runs record no traces).  The belief-side columns
-    (``gap``/``closing``/``lat``/``lane.command``) come from the caller,
-    which reads them from the scalar pipeline or the fused arrays."""
-    world = lane.world
-    command = lane.command
+def _trace_row(world: World, tick: int, command: ActuationCommand,
+               gap: float, closing: float, lat: float) -> dict:
+    """One trace row of a recorded tick, shared by both engines.  The
+    belief-side columns (``gap``/``closing``/``lat``/``command``) come
+    from the caller, which reads them from the scalar pipeline or the
+    fused arrays; the delta columns are added by
+    :meth:`_SafetyMonitor.finish`."""
+    # A 1 m corridor margin captures impending entrants (a body
+    # mid-cut-in), which a tracker with lateral velocity would already
+    # treat as lead.
     lead = world.lead_obstacle(extra_margin=1.0)
     if lead is None:
         gt_gap, gt_lead_v = SENSOR_RANGE, NO_LEAD
@@ -608,7 +619,7 @@ def _record_tick(lane: _BatchLane, tick: int, potential, gap: float,
         gt_gap = ((lead.x - world.ego.state.x)
                   - (world.ego.params.length + lead.length) / 2.0)
         gt_lead_v = lead.v
-    lane.trace.record({
+    return {
         "time": world.time,
         "tick": float(tick),
         "x": world.ego.state.x,
@@ -624,6 +635,4 @@ def _record_tick(lane: _BatchLane, tick: int, potential, gap: float,
         "throttle": command.throttle,
         "brake": command.brake,
         "steering": command.steering,
-        "delta_long": potential.longitudinal,
-        "delta_lat": potential.lateral,
-    })
+    }
