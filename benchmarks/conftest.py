@@ -7,7 +7,9 @@ pytest-benchmark record via ``extra_info``.
 """
 
 import os
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,10 @@ from repro.sim import (adjacent_traffic, braking_lead, empty_road,
                        occluded_pedestrian, overtake_cutin, queued_traffic,
                        stalled_vehicle, two_lead_reveal)
 
+
+# The reference loop the record-equality asserts compare against lives
+# with the equivalence suites (tests/reference.py).
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 #: Single-round wall-clock gates are opt-in: on a shared host one timed
 #: round is too noisy to fail the tier-1 suite on.  The CI benchmarks

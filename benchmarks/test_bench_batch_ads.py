@@ -11,8 +11,8 @@ tracker.
 
 This bench isolates that single-core win: serial ``batch_sim=16``
 against the serial scalar oracle on the same checkpoint-forked job
-population — no process pool, so the ratio is pure fusion, comparable
-across hosts.  Record agreement is asserted unconditionally; the
+population, both through :meth:`Campaign.run_jobs` — no process pool,
+so the ratio is pure fusion, comparable across hosts.  Record agreement is asserted unconditionally; the
 speedup gate (≥1.8x, locally ~2.1x) needs no spare core because neither
 path pools, and like every wall-clock gate it fires only with
 ``REPRO_BENCH_GATES=1`` (see ``conftest.timing_gates``).
@@ -26,7 +26,6 @@ import pytest
 from repro.analysis import ascii_table
 from repro.core import Campaign, CampaignConfig
 from repro.core.fault_models import minmax_fault_grid
-from repro.core.parallel import run_experiments
 
 from conftest import bench_scenarios, timing_gates
 
@@ -47,6 +46,15 @@ def ads_campaign():
     return campaign
 
 
+@pytest.fixture(scope="module")
+def batched_campaign(ads_campaign):
+    """The same scenarios validated through ``batch_sim`` fused lanes."""
+    campaign = Campaign(ads_campaign.scenarios,
+                        replace(ads_campaign.config, batch_sim=BATCH))
+    campaign.golden_runs()
+    return campaign
+
+
 def validation_jobs(campaign):
     """A strided brake/throttle grid: long same-scenario runs, so the
     driver cuts them into full ``batch_sim`` chunks plus remainders."""
@@ -60,20 +68,16 @@ def validation_jobs(campaign):
     return jobs
 
 
-def test_bench_batch_ads(benchmark, ads_campaign):
+def test_bench_batch_ads(benchmark, ads_campaign, batched_campaign):
     campaign = ads_campaign
     jobs = validation_jobs(campaign)
     assert len(jobs) >= 40
-    scalar_config = campaign.config
-    batched_config = replace(scalar_config, batch_sim=BATCH)
 
     def validate_scalar():
-        return run_experiments(campaign.scenarios, scalar_config, jobs,
-                               checkpoints=campaign.checkpoints)
+        return campaign.run_jobs(jobs).records
 
     def validate_batched():
-        return run_experiments(campaign.scenarios, batched_config, jobs,
-                               checkpoints=campaign.checkpoints)
+        return batched_campaign.run_jobs(jobs).records
 
     # Warm process-wide caches both paths share (RK4 stop kernels, numpy
     # dispatch, golden traces), then time manually — best-of-two per

@@ -10,8 +10,9 @@ into those batches transparently.
 
 This bench times the *shipped* batched configuration — fused lanes on
 a process pool (``batch_sim=16, workers=4``) — against the serial
-scalar oracle on the same checkpoint-forked job population, and pins
-exact record agreement between the two.  Since the ADS pipeline itself
+scalar oracle on the same checkpoint-forked job population, every path
+through :meth:`Campaign.run_jobs`, and pins exact record agreement
+between them.  Since the ADS pipeline itself
 batches too (:mod:`repro.ads.batch`, PR 10), serial fusion alone is
 ~2x (the ``serial_batched_speedup`` extra_info;
 ``test_bench_batch_ads`` gates it), and the ≥3x gate applies to the
@@ -28,7 +29,6 @@ import pytest
 from repro.analysis import ascii_table
 from repro.core import Campaign, CampaignConfig
 from repro.core.fault_models import minmax_fault_grid
-from repro.core.parallel import run_experiments
 
 from conftest import bench_scenarios, timing_gates
 
@@ -51,6 +51,15 @@ def batch_campaign():
     return campaign
 
 
+@pytest.fixture(scope="module")
+def batched_campaign(batch_campaign):
+    """The same scenarios validated through ``batch_sim`` fused lanes."""
+    campaign = Campaign(batch_campaign.scenarios,
+                        replace(batch_campaign.config, batch_sim=BATCH))
+    campaign.golden_runs()
+    return campaign
+
+
 def validation_jobs(campaign):
     """A strided brake/throttle grid: long same-scenario runs, so the
     drivers cut them into full ``batch_sim`` chunks plus remainders."""
@@ -64,25 +73,19 @@ def validation_jobs(campaign):
     return jobs
 
 
-def test_bench_batch_sim(benchmark, batch_campaign):
+def test_bench_batch_sim(benchmark, batch_campaign, batched_campaign):
     campaign = batch_campaign
     jobs = validation_jobs(campaign)
     assert len(jobs) >= 40
-    scalar_config = campaign.config
-    batched_config = replace(scalar_config, batch_sim=BATCH)
 
     def validate_scalar_serial():
-        return run_experiments(campaign.scenarios, scalar_config, jobs,
-                               checkpoints=campaign.checkpoints)
+        return campaign.run_jobs(jobs).records
 
     def validate_batched_serial():
-        return run_experiments(campaign.scenarios, batched_config, jobs,
-                               checkpoints=campaign.checkpoints)
+        return batched_campaign.run_jobs(jobs).records
 
     def validate_batched_pooled():
-        return run_experiments(campaign.scenarios, batched_config, jobs,
-                               workers=WORKERS,
-                               checkpoints=campaign.checkpoints)
+        return batched_campaign.run_jobs(jobs, workers=WORKERS).records
 
     # Warm process-wide caches all paths share (RK4 stop kernels, numpy
     # dispatch, golden traces) so timing order doesn't bias the

@@ -6,9 +6,12 @@ timeouts, crash respawn, bounded retries — instead of a bare
 ``ProcessPoolExecutor``.  Supervision must be effectively free on the
 fault-free path: the whole point is to leave it on by default, so a
 healthy campaign may not pay for the insurance.  This bench runs the
-same job set through both engines with ``workers=4`` and pins
-record-for-record agreement plus the overhead bound (supervised within
-5% of unsupervised wall-clock).
+same job set with ``workers=4`` through :meth:`Campaign.run_jobs` and
+through a bare pool driving the same worker entry points
+(``_init_pipeline_worker``/``_pipeline_validate_chunk``), both by full
+replay with golden runs warmed beforehand, and pins record-for-record
+agreement plus the overhead bound (supervised within 5% of
+unsupervised wall-clock).
 
 The overhead gate needs real cores (with oversubscribed CPUs the noise
 floor swamps a 5% bound), so it only applies when the runner exposes at
@@ -22,8 +25,9 @@ from dataclasses import replace
 
 from repro.analysis import ascii_table
 from repro.core import Campaign, CampaignConfig, FaultSpec
-from repro.core.parallel import (_grouped_order, _init_worker,
-                                 _pool_context, _run_job, run_experiments)
+from repro.core.parallel import _pool_context
+from repro.core.pipeline import (_init_pipeline_worker,
+                                 _pipeline_validate_chunk)
 from repro.sim import (braking_lead, highway_cruise, lead_vehicle_cutin,
                        queued_traffic, stalled_vehicle, two_lead_reveal)
 
@@ -63,24 +67,30 @@ def bench_jobs(scenarios):
 
 def run_unsupervised(scenarios, config, jobs):
     """The pre-resilience engine: a bare pool, no timeouts, no retries,
-    no crash recovery — the overhead baseline supervision is held to."""
-    order = _grouped_order(jobs)
+    no crash recovery — the overhead baseline supervision is held to.
+    One job per task in job order (``bench_jobs`` is scenario-major):
+    the chunking the driver picks for this job set, nine jobs per
+    scenario over four workers."""
     records = [None] * len(jobs)
     with ProcessPoolExecutor(max_workers=WORKERS,
                              mp_context=_pool_context(None),
-                             initializer=_init_worker,
+                             initializer=_init_pipeline_worker,
                              initargs=(scenarios, config, None)) as pool:
-        futures = {pool.submit(_run_job, jobs[slot]): slot
-                   for slot in order}
+        futures = [pool.submit(_pipeline_validate_chunk,
+                               (name, [(slot, fault)]))
+                   for slot, (name, fault) in enumerate(jobs)]
         for future in as_completed(futures):
-            records[futures[future]] = future.result()
+            for slot, record in future.result():
+                records[slot] = record
     return records
 
 
 def test_bench_resilience_overhead(benchmark):
     scenarios = bench_population()
-    config = CampaignConfig()
+    config = CampaignConfig(use_checkpoints=False)
     jobs = bench_jobs(scenarios)
+    campaign = Campaign(scenarios, config)
+    campaign.golden_runs()      # outside both timings
 
     # Warm the process-wide caches both engines share so timing order
     # doesn't favour the second run.
@@ -94,8 +104,7 @@ def test_bench_resilience_overhead(benchmark):
 
     def timed_supervised():
         start = time.perf_counter()
-        records = run_experiments(scenarios, config, jobs,
-                                  workers=WORKERS)
+        records = campaign.run_jobs(jobs, workers=WORKERS).records
         return records, time.perf_counter() - start
 
     supervised, supervised_seconds = benchmark.pedantic(

@@ -19,7 +19,9 @@ applies with at least ``WORKERS`` usable CPUs.  Both wall-clock gates
 
 import json
 import time
-from dataclasses import asdict, replace
+from dataclasses import replace
+
+from reference import strip_wall
 
 from repro.analysis import ascii_table
 from repro.core import Campaign, CampaignConfig
@@ -65,15 +67,6 @@ def bench_spec():
             "workers": WORKERS,
             "scenarios": [{"name": name, "duration": duration}
                           for name, duration in BENCH_SCENARIOS]}
-
-
-def strip_wall(records):
-    rows = []
-    for record in records:
-        row = asdict(record)
-        row.pop("wall_seconds")
-        rows.append(row)
-    return rows
 
 
 def run_direct(cache_dir, record_path) -> float:

@@ -8,19 +8,21 @@ Two costs used to scale with the *whole* golden-trace population:
   memory-mapped columnar file the moment its scenario completes and the
   streaming trainer folds it into O(parameters) accumulators, so peak
   resident trace memory is O(largest single trace).  The memory probe
-  runs the same campaign both ways in fresh subprocesses and asserts
-  the out-of-core peak is at most half the in-RAM path's on a
-  20-scenario population — traced allocations as the primary gate,
+  runs the same campaign both ways in fresh subprocesses — the in-RAM
+  side fitting the model over the whole golden dataset at once
+  (:meth:`BayesianFaultInjector.train`) — and asserts the out-of-core
+  peak is at most half the in-RAM path's on a 20-scenario population — traced allocations as the primary gate,
   peak-RSS growth as a looser secondary one (the store's resident set
   includes kernel-evictable mmap pages) — and record streams must
   agree experiment for experiment.
 * **Wall-clock** — batch training is a barrier: every golden run must
   land before the fit starts.  Streaming training folds each trace as
   it completes, so on the pipeline driver the fit overlaps golden
-  collection (and mining overlaps validation as before).  The
-  throughput bench runs barrier vs overlapped at ``workers=4`` on a
-  mixed-duration population and gates ≥1.15x on hosts with enough
-  cores (CI runners).
+  collection (and mining overlaps validation).  The throughput bench
+  runs the overlapped campaign at ``workers=4`` on a mixed-duration
+  population, records its wall and train seconds, and pins its records
+  to the reference loop.  There is no second driver to race, so there
+  is no speedup gate.
 
 Both halves export their numbers through the pytest-benchmark JSON
 (tracked as ``BENCH_training.json``), peak RSS included.
@@ -34,13 +36,14 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+from reference import candidate_jobs, reference_records, strip_wall
+
 from repro.analysis import ascii_table
 from repro.core import Campaign, CampaignConfig
 from repro.sim import (braking_lead, highway_cruise, lead_vehicle_cutin,
                        overtake_cutin, queued_traffic, stalled_vehicle,
                        two_lead_reveal)
 
-from conftest import timing_gates
 
 WORKERS = 4
 MEMORY_SCENARIOS = 20        # the ≥20-scenario memory population
@@ -63,7 +66,7 @@ def usable_cpus() -> int:
 _MEMORY_PROBE = """
 import json, resource, sys, tracemalloc
 from dataclasses import replace
-from repro.core import Campaign, CampaignConfig
+from repro.core import BayesianFaultInjector, Campaign, CampaignConfig
 from repro.sim import (adjacent_traffic, braking_lead, empty_road,
                        highway_cruise, lead_vehicle_cutin,
                        occluded_pedestrian, overtake_cutin,
@@ -83,12 +86,18 @@ rss_before_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 tracemalloc.start()
 campaign = Campaign(scenarios, config,
                     trace_store=True if mode == "store" else None)
+# The in-RAM side fits the whole golden dataset at once; the store
+# side streams each trace into the trainer as it lands.
+injector = None
+if mode != "store":
+    injector = BayesianFaultInjector.train(
+        list(campaign.golden_runs().values()),
+        safety_config=config.safety)
 # A two-variable mining subset keeps the probe's scoring scratch (and
 # the process-wide RK4 stop-kernel caches) small relative to the
 # trace population the gate is actually about.
 result = campaign.bayesian_campaign(
-    variables=("brake", "tracked_gap"), top_k=8,
-    streaming_training=mode == "store")
+    injector=injector, variables=("brake", "tracked_gap"), top_k=8)
 _, peak = tracemalloc.get_traced_memory()
 rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(json.dumps({
@@ -179,10 +188,10 @@ def test_bench_training_memory(benchmark):
 def overlap_population(smoke: bool):
     """Mixed durations, the long scenario last — the barrier worst case.
 
-    Identical shape to the pipeline-throughput bench: a barrier driver
-    idles every worker during the long golden run *and* during batch
-    training; the streaming driver folds finished traces while the
-    long scenario still simulates.
+    Identical shape to the pipeline-throughput bench: a phase barrier
+    would idle every worker during the long golden run *and* during
+    batch training; the streaming driver folds finished traces while
+    the long scenario still simulates.
     """
     scale = 0.5 if smoke else 1.0
     return [replace(lead_vehicle_cutin(), duration=14.0 * scale),
@@ -194,69 +203,38 @@ def overlap_population(smoke: bool):
             replace(highway_cruise(), duration=48.0 * scale)]
 
 
-def run_overlap_campaign(pipeline: bool, smoke: bool):
-    campaign = Campaign(overlap_population(smoke),
-                        CampaignConfig(checkpoint_stride=2))
-    # No top_k: a cross-scenario cut would gate eager dispatch and
-    # serialize mining against validation in both drivers.
-    return campaign.bayesian_campaign(
-        top_k=24 if smoke else None, workers=WORKERS, pipeline=pipeline,
-        streaming_training=pipeline)
-
-
 def test_bench_training_overlap_throughput(benchmark):
     smoke = benchmark.disabled
-
-    barrier_start = time.perf_counter()
-    barrier_result = run_overlap_campaign(pipeline=False, smoke=smoke)
-    barrier_seconds = time.perf_counter() - barrier_start
+    campaign = Campaign(overlap_population(smoke),
+                        CampaignConfig(checkpoint_stride=2))
 
     def timed_pipeline():
         start = time.perf_counter()
-        result = run_overlap_campaign(pipeline=True, smoke=smoke)
+        # No top_k: a cross-scenario cut would gate eager dispatch and
+        # serialize mining against validation.
+        result = campaign.bayesian_campaign(
+            top_k=24 if smoke else None, workers=WORKERS)
         return result, time.perf_counter() - start
 
-    pipeline_result, pipeline_seconds = benchmark.pedantic(
-        timed_pipeline, rounds=1, iterations=1)
-    speedup = barrier_seconds / pipeline_seconds
+    result, seconds = benchmark.pedantic(timed_pipeline, rounds=1,
+                                         iterations=1)
 
-    print("\nBayesian campaign: barrier (batch training) vs streaming "
-          "pipeline (overlapped training)")
-    print(ascii_table(["metric", "barrier", "overlapped"], [
-        ["experiments", barrier_result.summary.total,
-         pipeline_result.summary.total],
-        ["train seconds", f"{barrier_result.train_seconds:.2f}",
-         f"{pipeline_result.train_seconds:.2f}"],
-        ["wall seconds", f"{barrier_seconds:.2f}",
-         f"{pipeline_seconds:.2f}"],
-        ["speedup", "1x", f"{speedup:,.2f}x"],
+    print("\nBayesian campaign on the streaming pipeline (overlapped "
+          "training)")
+    print(ascii_table(["metric", "overlapped"], [
+        ["experiments", result.summary.total],
+        ["train seconds", f"{result.train_seconds:.2f}"],
+        ["wall seconds", f"{seconds:.2f}"],
     ]))
-    benchmark.extra_info["barrier_seconds"] = barrier_seconds
-    benchmark.extra_info["pipeline_seconds"] = pipeline_seconds
-    benchmark.extra_info["speedup"] = speedup
-    benchmark.extra_info["experiments"] = barrier_result.summary.total
+    benchmark.extra_info["pipeline_seconds"] = seconds
+    benchmark.extra_info["train_seconds"] = result.train_seconds
+    benchmark.extra_info["experiments"] = result.summary.total
     benchmark.extra_info["workers"] = WORKERS
     benchmark.extra_info["usable_cpus"] = usable_cpus()
 
-    # Overlapped training must agree with the batch-trained barrier
-    # oracle record for record (wall clock aside)...
-    def strip(records):
-        return [(r.scenario, r.injection_tick, r.variable, r.value,
-                 r.duration_ticks, r.seed, r.hazard, r.landed,
-                 r.pre_delta_long, r.pre_delta_lat, r.min_delta_long,
-                 r.min_delta_lat, r.sim_seconds) for r in records]
-
-    assert strip(pipeline_result.summary.records) == \
-        strip(barrier_result.summary.records)
-    assert pipeline_result.summary.same_aggregates(barrier_result.summary)
-    # ...and erasing the train barrier must show up as wall-clock when
-    # there are cores to reclaim it on (an opt-in gate, timing_gates).
-    if not timing_gates(benchmark):
-        return
-    if usable_cpus() < WORKERS:
-        print(f"only {usable_cpus()} usable CPU(s) for {WORKERS} "
-              f"workers: speedup gate skipped")
-        return
-    assert speedup >= 1.15, (
-        f"overlapped training only {speedup:.2f}x faster than the "
-        f"barrier driver with workers={WORKERS}")
+    # Overlapped training, pooled validation and eager dispatch must
+    # agree with the reference loop over the mined candidates, record
+    # for record (wall clock aside).
+    reference = reference_records(
+        campaign, candidate_jobs(campaign, result.candidates))
+    assert strip_wall(result.summary.records) == strip_wall(reference)

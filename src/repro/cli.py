@@ -13,10 +13,9 @@ Commands mirror the paper's campaigns:
 * ``serve``     — always-on campaign service: HTTP/JSON job submission,
   durable job lifecycle, crash-safe restart, graceful drain
 
-Campaign commands run on the streaming per-scenario pipeline by default
-(``--no-pipeline`` keeps the barrier reference path) and shard across
-hosts with ``--shard-index/--shard-count``: each shard validates its
-partition, streams records to its own ``--record-out`` file, and
+Campaign commands run on the streaming per-scenario pipeline and shard
+across hosts with ``--shard-index/--shard-count``: each shard validates
+its partition, streams records to its own ``--record-out`` file, and
 ``repro merge`` folds the shard streams back together.
 
 Campaigns are supervised: a crashed or stuck worker is respawned and
@@ -84,9 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--progress", action="store_true",
                           help="log per-stage progress (golden/mined/"
                                "validated counts) to stderr")
-    campaign.add_argument("--no-pipeline", action="store_true",
-                          help="run the barrier reference path instead "
-                               "of the streaming per-scenario pipeline")
     campaign.add_argument("--strict", action="store_true",
                           help="fail fast on the first experiment error "
                                "instead of retrying and quarantining it "
@@ -191,14 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="validate only the k most critical")
     bayes_cmd.add_argument("--threshold", type=float, default=0.0,
                            help="predicted-delta mining threshold (m)")
-    bayes_cmd.add_argument("--scalar-miner", action="store_true",
-                           help="use the scalar reference miner instead "
-                                "of the batched engine")
-    bayes_cmd.add_argument("--batch-training", action="store_true",
-                           help="fit the BN over the whole golden "
-                                "dataset at once (the reference oracle) "
-                                "instead of streaming per-trace "
-                                "sufficient statistics")
     bayes_cmd.add_argument("--workers", type=int, default=None,
                            help=workers_help)
     bayes_cmd.add_argument("--save", help="write candidates to a JSON file")
@@ -426,11 +414,10 @@ def _progress_printer():
 
 
 def _campaign_kwargs(args) -> dict:
-    """Pipeline/progress keywords shared by the campaign commands."""
-    kwargs = {"pipeline": not getattr(args, "no_pipeline", False)}
+    """The progress keyword shared by the campaign commands."""
     if getattr(args, "progress", False):
-        kwargs["on_progress"] = _progress_printer()
-    return kwargs
+        return {"on_progress": _progress_printer()}
+    return {}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -450,17 +437,10 @@ def main(argv: list[str] | None = None) -> int:
             stall_timeout=args.stall_timeout,
             max_attempts=args.job_max_attempts,
             default_workers=args.workers))
-    if getattr(args, "shard_count", 1) > 1 \
-            and getattr(args, "no_pipeline", False):
-        raise SystemExit("--shard-index/--shard-count need the streaming "
-                         "driver; drop --no-pipeline")
     if getattr(args, "lease", False):
         if getattr(args, "cache_dir", None) is None:
             raise SystemExit("--lease needs --cache-dir (the directory "
                              "the cooperating hosts share)")
-        if getattr(args, "no_pipeline", False):
-            raise SystemExit("--lease needs the streaming driver; drop "
-                             "--no-pipeline")
         if getattr(args, "shard_count", 1) > 1:
             raise SystemExit("--lease replaces static --shard-count "
                              "partitioning; pick one multi-host mode")
@@ -534,8 +514,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             result = campaign.bayesian_campaign(
                 top_k=args.top_k, threshold=args.threshold,
-                use_batched=not args.scalar_miner, workers=args.workers,
-                streaming_training=not args.batch_training,
+                workers=args.workers,
                 interface_probe=_split_list(args.interface_probe) or (),
                 record_sink=sink, **_campaign_kwargs(args))
         except ValueError as error:    # bad --interface-probe kind

@@ -13,7 +13,6 @@ import hashlib
 import tempfile
 import time
 from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -33,8 +32,7 @@ from .interface_faults import (interface_fault, interface_fault_grid,
                                random_interface_fault,
                                validate_interface_channel,
                                validate_interface_kind)
-from .parallel import (ExperimentJob, collect_golden_runs,
-                       execute_experiment, run_experiments)
+from .parallel import ExperimentJob, execute_experiment
 from .resilience import CampaignJournal, ResilienceConfig
 from .results import CampaignSummary, ExperimentRecord
 from .safety import SafetyConfig
@@ -64,9 +62,8 @@ class CampaignConfig:
     checkpoint_stride: int = 1
     #: Cross-host sharding: this process owns every scenario whose index
     #: satisfies ``index % shard_count == shard_index``.  The default
-    #: (0 of 1) is an unsharded campaign.  Sharded campaigns run on the
-    #: pipeline driver; see :mod:`repro.core.pipeline` for the exact
-    #: partition semantics per campaign style.
+    #: (0 of 1) is an unsharded campaign.  See :mod:`repro.core.pipeline`
+    #: for the exact partition semantics per campaign style.
     shard_index: int = 0
     shard_count: int = 1
     #: Supervision, durable resume, and lease knobs
@@ -156,37 +153,26 @@ class Campaign:
     def golden_runs(self, workers: int | None = None) -> dict[str, RunResult]:
         """Fault-free reference runs (cached, warm-started from disk).
 
-        When the campaign simulates them itself it also captures the
-        per-scenario checkpoint ladders validation resumes from, and
-        ``workers`` shards the collection over the process pool — each
-        worker simulates its scenario's golden trace *and* ladder, and
-        the result is scenario-for-scenario identical to the serial loop
-        (``workers=None``, the oracle).  Traces loaded from
-        ``cache_dir`` skip simulation entirely; their checkpoints are
-        then warm-started from the persisted store (or rebuilt lazily)
-        per scenario the first time jobs need them.
+        When the campaign simulates them itself it runs a golden-only
+        plan on the streaming driver, which also captures the checkpoint
+        ladders validation resumes from; ``workers`` shards the
+        collection over the process pool, scenario-for-scenario
+        identical to the serial loop.  The ladders of the scenarios this
+        shard owns are then reloaded from the spool into
+        :attr:`checkpoints`.  Traces loaded from ``cache_dir`` skip
+        simulation entirely; their checkpoints are then warm-started
+        from the persisted store (or rebuilt lazily) per scenario the
+        first time jobs need them.
         """
         if self._golden is None:
-            loaded = self._load_golden_cache()
-            if loaded is not None:
-                self._golden = loaded
-            else:
-                capture: dict[str, list[int] | None] = {}
-                if self.config.use_checkpoints:
-                    capture = {
-                        s.name: self._capture_ticks(s)
-                        for s in self.scenarios
-                        if not self.checkpoints.has_scenario(s.name)}
-                store = self.golden_trace_store()
-                self._golden = collect_golden_runs(
-                    self.scenarios, self.config, capture, workers=workers,
-                    trace_spool=store.root if store is not None else None)
-                for run in self._golden.values():
-                    if run.checkpoints:
-                        self.checkpoints.add_all(run.checkpoints)
-                self._pin_spool(self._golden)
-                self._save_golden_cache()
-                self._save_checkpoint_cache()
+            self._golden = self._load_golden_cache()
+        if self._golden is None:
+            from .pipeline import StagePlan
+            self._run_pipeline(StagePlan(style="golden", golden_scope="all"),
+                               workers)
+            if self.config.use_checkpoints:
+                self._ensure_checkpoints(
+                    s.name for s in self.owned_scenarios())
         return self._golden
 
     def golden_trace_store(self):
@@ -251,12 +237,6 @@ class Campaign:
         return [s for i, s in enumerate(self.scenarios)
                 if self.owns_scenario(i)]
 
-    def _require_unsharded(self, style: str) -> None:
-        if self.config.shard_count > 1:
-            raise ValueError(
-                f"sharded campaigns run on the pipeline driver; call "
-                f"{style} with pipeline=True (or shard_count=1)")
-
     # -- checkpoint ladders ----------------------------------------------------
 
     def schedule_injection_ticks(self, scenario: Scenario) -> list[int]:
@@ -287,25 +267,26 @@ class Campaign:
     def _ensure_checkpoints(self, scenario_names, save: bool = True) -> None:
         """Fill in checkpoint ladders missing from the store.
 
-        Needed when golden traces were warm-started from disk: ladders
-        persisted under ``cache_dir`` by a previous run are loaded
-        directly (per scenario — a campaign validating two scenarios
-        never deserializes the rest); only scenarios absent from the
-        persisted store re-simulate one fault-free prefix run.  Capture
-        ticks derive from the schedule, not the golden trace, so this
-        deliberately does not force ``golden_runs()`` — a single
-        ``run_fault`` costs at most one prefix run, not a full golden
-        sweep.
+        Ladders in the driver's spool (:meth:`_ladder_spool_dir`) are
+        loaded directly, per scenario — a campaign validating two
+        scenarios never deserializes the rest.  That covers both ladders
+        an earlier run on this campaign spilled and, with ``cache_dir``,
+        ladders a previous process persisted (the spool *is* the
+        checkpoint cache then).  Only scenarios absent from the spool
+        re-simulate one fault-free prefix run.  Capture ticks derive
+        from the schedule, not the golden trace, so this deliberately
+        does not force ``golden_runs()`` — a single ``run_fault`` costs
+        at most one prefix run, not a full golden sweep.
         """
         missing = [name for name in sorted(set(scenario_names))
                    if not self.checkpoints.has_scenario(name)]
         if not missing:
             return
-        cache = self._checkpoint_cache_dir()
+        spool = self._ladder_spool_dir()
         recaptured = False
         for name in missing:
-            if cache is not None \
-                    and self.checkpoints.load_scenario(cache, name):
+            if spool is not None \
+                    and self.checkpoints.load_scenario(spool, name):
                 continue
             scenario = self._by_name[name]
             run = run_scenario(
@@ -316,8 +297,7 @@ class Campaign:
                 self.checkpoints.add_all(run.checkpoints)
                 recaptured = True
         if recaptured and save:
-            # The batch path persists once for the whole job set; the
-            # pipeline passes save=False and persists per scenario
+            # The pipeline passes save=False and persists per scenario
             # (CheckpointStore.save_scenario) to keep ensure O(1).
             self._save_checkpoint_cache()
 
@@ -451,7 +431,7 @@ class Campaign:
 
     @staticmethod
     def _jobs_work_key(jobs: list[ExperimentJob]) -> str:
-        """Work key of an explicit job list (the barrier driver's form)."""
+        """Work key of an explicit job list (:meth:`run_jobs`)."""
         return Campaign._work_key(*(
             (name, fault.variable, fault.value, fault.start_tick,
              fault.duration_ticks, fault.kind, fault.channel)
@@ -491,11 +471,10 @@ class Campaign:
                                ) -> dict[str, RunResult] | None:
         """Warm-start ``names`` from the (full-set or sharded) cache.
 
-        The one cache-read protocol both drivers share: read
+        The one cache-read protocol of every golden warm start: read
         (current format, then legacy), require every requested
         scenario, normalize traces to this campaign's trace mode, and
-        rewrite/clean up when anything was migrated.  All-or-nothing,
-        matching the barrier path.
+        rewrite/clean up when anything was migrated.  All-or-nothing.
         """
         path = self._golden_cache_path(sharded=sharded)
         if path is None:
@@ -676,158 +655,65 @@ class Campaign:
         return execute_experiment(self._by_name[scenario_name],
                                   self.config, fault, checkpoints)
 
-    def _run_jobs(self, jobs: list[ExperimentJob],
-                  workers: int | None,
-                  record_sink=None, on_progress=None) -> CampaignSummary:
-        """Execute jobs (serially or pooled) into an incremental summary.
+    def run_jobs(self, jobs: list[ExperimentJob],
+                 workers: int | None = None,
+                 record_sink=None) -> CampaignSummary:
+        """Validate an explicit ``(scenario name, fault)`` job list.
 
-        Records stream back in job order as futures complete; each is
-        folded into the returned :class:`CampaignSummary` and forwarded
-        to ``record_sink`` (any object with ``add(record)``, e.g. a
-        :class:`repro.core.persistence.JsonlRecordSink`).  With a sink
-        the summary does not retain the records themselves — aggregates
-        only — which is the memory bound out-of-core campaigns rely on.
-
-        With checkpoints enabled, the store is materialized first so
-        pool workers inherit it through ``fork`` (or pickle it under
-        ``spawn``) and every job resumes from its scenario's golden
-        prefix.
+        Runs on the streaming driver like every campaign style: golden
+        runs (and checkpoint ladders) of the owned scenarios are
+        collected or warm-started first, then the jobs execute grouped
+        by scenario over ``workers`` processes.  Records reach the
+        summary and ``record_sink`` in job order; the completion journal
+        under ``cache_dir`` is keyed by the job list itself.
         """
-        checkpoints = None
-        if self.config.use_checkpoints and jobs:
-            self._ensure_checkpoints(name for name, _ in jobs)
-            checkpoints = self.checkpoints
-        summary = CampaignSummary(keep_records=record_sink is None)
-        with self._stage_profile(summary):
-            return self._drain_jobs(jobs, workers, checkpoints, summary,
-                                    record_sink, on_progress)
-
-    def _drain_jobs(self, jobs, workers, checkpoints, summary,
-                    record_sink, on_progress) -> CampaignSummary:
-        """The execution half of :meth:`_run_jobs` (profiled caller)."""
-        emitted = 0
-
-        def emit(record: ExperimentRecord) -> None:
-            nonlocal emitted
-            emitted += 1
-            summary.add(record)
-            if record_sink is not None:
-                record_sink.add(record)
-            self._progress(on_progress, "validated", record.scenario,
-                           emitted, len(jobs))
-
-        journal = self._open_journal(self._jobs_work_key(jobs))
-        if journal is None:
-            run_experiments(self.scenarios, self.config, jobs,
-                            workers=workers, checkpoints=checkpoints,
-                            on_record=emit)
-            return summary
-
-        # Resume merge: slots claimed from the journal emit their
-        # original records verbatim; only the remainder executes.
-        # Fresh records arrive in fresh-submission order, so a single
-        # cursor interleaves both sources back into the deterministic
-        # job order — the merged stream is bit-for-bit the
-        # uninterrupted run's.
-        slots: list[ExperimentRecord | None] = []
-        fresh: list[ExperimentJob] = []
-        for name, fault in jobs:
-            hit = journal.claim(name, fault, self.config.seed)
-            slots.append(hit)
-            if hit is None:
-                fresh.append((name, fault))
-        cursor = 0
-
-        def release_journaled() -> None:
-            nonlocal cursor
-            while cursor < len(jobs) and slots[cursor] is not None:
-                emit(slots[cursor])
-                cursor += 1
-
-        def consume(record: ExperimentRecord) -> None:
-            nonlocal cursor
-            journal.append(record)
-            release_journaled()
-            emit(record)
-            cursor += 1
-            release_journaled()
-
-        try:
-            release_journaled()
-            if fresh:
-                run_experiments(self.scenarios, self.config, fresh,
-                                workers=workers, checkpoints=checkpoints,
-                                on_record=consume)
-                release_journaled()
-        finally:
-            journal.close()
-        return summary
+        from .pipeline import StagePlan
+        jobs = list(jobs)
+        plan = StagePlan(style="jobs", global_jobs=lambda ctx: jobs,
+                         work_key=self._jobs_work_key(jobs))
+        return self._run_pipeline(plan, workers, record_sink).summary
 
     # -- campaigns -----------------------------------------------------------------
 
-    def _run_pipeline(self, plan, workers, record_sink, on_progress):
+    def _run_pipeline(self, plan, workers=None, record_sink=None,
+                      on_progress=None, batch_sim: int | None = None):
+        """Run one plan on the streaming driver.
+
+        ``batch_sim`` overrides :attr:`CampaignConfig.batch_sim` for this
+        run only.  It sits outside the cache fingerprint (the engines are
+        bit-for-bit equivalent), so the swapped config keeps every
+        golden/checkpoint/candidate cache, journal, and work key valid.
+
+        With ``config.profile_stages`` the process-global stage timer is
+        reset and armed for the run, always disarmed on exit (including
+        on error), and its report lands in the summary's
+        ``extra_info['stage_timings']``.
+        """
         from .pipeline import CampaignPipeline
-        driver = CampaignPipeline(self, workers=workers,
-                                  record_sink=record_sink,
-                                  on_progress=on_progress)
-        if not self.config.profile_stages:
-            return driver.run(plan)
-        STAGE_TIMER.reset()
-        STAGE_TIMER.enabled = True
+        previous = self.config
+        if batch_sim is not None and batch_sim != previous.batch_sim:
+            self.config = replace(previous, batch_sim=batch_sim)
+        profile = self.config.profile_stages
+        if profile:
+            STAGE_TIMER.reset()
+            STAGE_TIMER.enabled = True
         try:
-            result = driver.run(plan)
+            result = CampaignPipeline(self, workers=workers,
+                                      record_sink=record_sink,
+                                      on_progress=on_progress).run(plan)
         finally:
-            STAGE_TIMER.enabled = False
-        report = STAGE_TIMER.report()
+            self.config = previous
+            if profile:
+                STAGE_TIMER.enabled = False
+        report = STAGE_TIMER.report() if profile else None
         if report:
             result.summary.extra_info["stage_timings"] = report
         return result
-
-    @contextmanager
-    def _stage_profile(self, summary: CampaignSummary):
-        """Arm the process-global stage timer for one campaign run and
-        fold the report into ``summary.extra_info['stage_timings']``.
-
-        A no-op unless ``config.profile_stages`` is set.  The timer is
-        reset on entry, so the block reports this run only, and always
-        disarmed on exit (including on error)."""
-        if not self.config.profile_stages:
-            yield
-            return
-        STAGE_TIMER.reset()
-        STAGE_TIMER.enabled = True
-        try:
-            yield
-        finally:
-            STAGE_TIMER.enabled = False
-            report = STAGE_TIMER.report()
-            if report:
-                summary.extra_info["stage_timings"] = report
-
-    @contextmanager
-    def _batch_override(self, batch_sim: int | None):
-        """Temporarily override ``config.batch_sim`` for one campaign.
-
-        ``batch_sim`` sits outside the cache fingerprint (the engines
-        are bit-for-bit equivalent), so swapping the config keeps every
-        golden/checkpoint/candidate cache, journal, and work key valid.
-        ``None`` means "use the config as-is".
-        """
-        if batch_sim is None or batch_sim == self.config.batch_sim:
-            yield
-            return
-        previous = self.config
-        self.config = replace(previous, batch_sim=batch_sim)
-        try:
-            yield
-        finally:
-            self.config = previous
 
     def random_campaign(self, n_experiments: int,
                         seed: int | None = None,
                         workers: int | None = None,
                         record_sink=None,
-                        pipeline: bool = True,
                         interface_share: float = 0.0,
                         interface_kinds: tuple | None = None,
                         interface_channels: tuple | None = None,
@@ -840,10 +726,7 @@ class Campaign:
         loop, keeping seeded campaigns reproducible) and the resulting
         jobs fanned over ``workers`` processes.  ``record_sink``
         streams records out as they complete instead of retaining them
-        in the summary.  ``pipeline`` (the default) runs on the
-        streaming per-scenario driver — record-for-record identical to
-        the barrier path, which ``pipeline=False`` preserves as the
-        reference oracle.
+        in the summary.
 
         ``interface_share`` mixes interface faults into the draw: each
         experiment becomes an interface fault (uniform over
@@ -857,33 +740,14 @@ class Campaign:
         engine (records bit-for-bit the scalar engine's), 0 forces the
         scalar oracle, ``None`` keeps the config's setting.
         """
-        if batch_sim is not None:
-            with self._batch_override(batch_sim):
-                return self.random_campaign(
-                    n_experiments, seed=seed, workers=workers,
-                    record_sink=record_sink, pipeline=pipeline,
-                    interface_share=interface_share,
-                    interface_kinds=interface_kinds,
-                    interface_channels=interface_channels,
-                    on_progress=on_progress)
         for kind in interface_kinds or ():
             validate_interface_kind(kind)
         for channel in interface_channels or ():
             validate_interface_channel(channel)
-        if pipeline:
-            plan = self._random_plan(n_experiments, seed, interface_share,
-                                     interface_kinds, interface_channels)
-            return self._run_pipeline(plan, workers, record_sink,
-                                      on_progress).summary
-        self._require_unsharded("random_campaign")
-        self.golden_runs(workers=workers)
-        self._progress(on_progress, "golden", None, len(self.scenarios),
-                       len(self.scenarios))
-        jobs = self._random_jobs(n_experiments, seed,
-                                 self._require_injection_ticks,
-                                 interface_share, interface_kinds,
-                                 interface_channels)
-        return self._run_jobs(jobs, workers, record_sink, on_progress)
+        plan = self._random_plan(n_experiments, seed, interface_share,
+                                 interface_kinds, interface_channels)
+        return self._run_pipeline(plan, workers, record_sink, on_progress,
+                                  batch_sim).summary
 
     def _random_jobs(self, n_experiments: int, seed: int | None,
                      ticks_of, interface_share: float = 0.0,
@@ -940,20 +804,6 @@ class Campaign:
         return StagePlan(style="random", global_jobs=global_jobs,
                          work_key=self._work_key(*key_params))
 
-    @staticmethod
-    def _progress(on_progress, stage, scenario, done, total) -> None:
-        if on_progress is not None:
-            from .pipeline import PipelineProgress
-            on_progress(PipelineProgress(stage=stage, scenario=scenario,
-                                         done=done, total=total))
-
-    def _require_injection_ticks(self, scenario_name: str) -> list[int]:
-        """Eligible ticks of a scenario, with a clear error when empty."""
-        ticks = self.injection_ticks(self._by_name[scenario_name])
-        if not ticks:
-            raise self._no_ticks_error(scenario_name)
-        return ticks
-
     def _no_ticks_error(self, scenario_name: str) -> ValueError:
         config = self.config
         return ValueError(
@@ -967,7 +817,6 @@ class Campaign:
                             max_experiments: int | None = None,
                             workers: int | None = None,
                             record_sink=None,
-                            pipeline: bool = True,
                             interface_grid: bool = False,
                             batch_sim: int | None = None,
                             on_progress=None) -> CampaignSummary:
@@ -979,34 +828,10 @@ class Campaign:
         ``batch_sim`` overrides :attr:`CampaignConfig.batch_sim` for
         this campaign (see :meth:`random_campaign`).
         """
-        if batch_sim is not None:
-            with self._batch_override(batch_sim):
-                return self.exhaustive_campaign(
-                    tick_stride=tick_stride,
-                    variable_names=variable_names,
-                    max_experiments=max_experiments, workers=workers,
-                    record_sink=record_sink, pipeline=pipeline,
-                    interface_grid=interface_grid,
-                    on_progress=on_progress)
-        if pipeline:
-            plan = self._exhaustive_plan(tick_stride, variable_names,
-                                         max_experiments, interface_grid)
-            return self._run_pipeline(plan, workers, record_sink,
-                                      on_progress).summary
-        self._require_unsharded("exhaustive_campaign")
-        self.golden_runs(workers=workers)
-        self._progress(on_progress, "golden", None, len(self.scenarios),
-                       len(self.scenarios))
-        jobs: list[ExperimentJob] = []
-        for scenario in self.scenarios:
-            ticks = self.injection_ticks(scenario, stride=tick_stride)
-            grid = self._exhaustive_grid(ticks, variable_names,
-                                         interface_grid)
-            jobs.extend((scenario.name, fault) for fault in grid)
-            if max_experiments is not None and len(jobs) >= max_experiments:
-                jobs = jobs[:max_experiments]
-                break
-        return self._run_jobs(jobs, workers, record_sink, on_progress)
+        plan = self._exhaustive_plan(tick_stride, variable_names,
+                                     max_experiments, interface_grid)
+        return self._run_pipeline(plan, workers, record_sink, on_progress,
+                                  batch_sim).summary
 
     def _exhaustive_grid(self, ticks: list[int],
                          variable_names: list[str] | None,
@@ -1079,7 +904,6 @@ class Campaign:
                                seed: int | None = None,
                                workers: int | None = None,
                                record_sink=None,
-                               pipeline: bool = True,
                                interface_hangs: bool = False,
                                batch_sim: int | None = None,
                                on_progress=None
@@ -1099,28 +923,11 @@ class Campaign:
         ``batch_sim`` overrides :attr:`CampaignConfig.batch_sim` for
         this campaign (see :meth:`random_campaign`).
         """
-        if batch_sim is not None:
-            with self._batch_override(batch_sim):
-                return self.architectural_campaign(
-                    n_experiments, model=model, seed=seed,
-                    workers=workers, record_sink=record_sink,
-                    pipeline=pipeline, interface_hangs=interface_hangs,
-                    on_progress=on_progress)
-        if pipeline:
-            plan = self._architectural_plan(n_experiments, model, seed,
-                                            interface_hangs)
-            outcome = self._run_pipeline(plan, workers, record_sink,
-                                         on_progress)
-            return outcome.summary, outcome.extras["outcome_counts"]
-        self._require_unsharded("architectural_campaign")
-        self.golden_runs(workers=workers)
-        self._progress(on_progress, "golden", None, len(self.scenarios),
-                       len(self.scenarios))
-        jobs, outcome_counts = self._architectural_jobs(
-            n_experiments, model, seed, self._require_injection_ticks,
-            interface_hangs)
-        summary = self._run_jobs(jobs, workers, record_sink, on_progress)
-        return summary, outcome_counts
+        plan = self._architectural_plan(n_experiments, model, seed,
+                                        interface_hangs)
+        outcome = self._run_pipeline(plan, workers, record_sink,
+                                     on_progress, batch_sim)
+        return outcome.summary, outcome.extras["outcome_counts"]
 
     def _architectural_jobs(self, n_experiments: int,
                             model: ArchitecturalFaultModel | None,
@@ -1169,11 +976,8 @@ class Campaign:
                           variables: tuple[str, ...] = MINED_VARIABLES,
                           threshold: float = 0.0,
                           top_k: int | None = None,
-                          use_batched: bool = True,
                           workers: int | None = None,
                           record_sink=None,
-                          pipeline: bool = True,
-                          streaming_training: bool = True,
                           interface_probe: tuple[str, ...] = (),
                           batch_sim: int | None = None,
                           on_progress=None
@@ -1183,27 +987,22 @@ class Campaign:
         Mined faults have a *predicted* non-positive potential
         (``threshold`` relaxes that); validation separates real hazards
         from borderline predictions, which is why the paper's precision
-        is 82% rather than 100%.  Mining uses the batched affine engine
-        by default (``use_batched=False`` falls back to the scalar
-        reference path); golden collection and validation fan over
-        ``workers`` processes, and ``record_sink`` streams validation
-        records out as they complete.
-        With a ``cache_dir``, mined candidates are warm-started from
-        disk when the same mining parameters were run before (only when
-        no explicit ``injector`` is passed — a caller-supplied model
-        invalidates the cache key).
+        is 82% rather than 100%.  Mining uses the batched affine
+        engine; golden collection and validation fan over ``workers``
+        processes, and ``record_sink`` streams validation records out as
+        they complete.  With a ``cache_dir``, mined candidates are
+        warm-started from disk when the same mining parameters were run
+        before (only when no explicit ``injector`` is passed — a
+        caller-supplied model invalidates the cache key).
 
-        ``streaming_training`` (the default) fits the 3-TBN through
+        Without an ``injector`` the 3-TBN is fitted through
         sufficient-statistics accumulators, folding each golden trace
-        in campaign scenario order the moment it is available — on the
-        pipeline driver training *overlaps* golden collection and the
-        training barrier disappears; the folds emit per-trace
-        ``train`` progress events.  ``streaming_training=False`` keeps
-        the whole-dataset batch fit
-        (:meth:`BayesianFaultInjector.train`) as the reference oracle;
-        the streamed CPDs reproduce it exactly for tabular counts and
-        to well under 1e-9 relative for the linear-Gaussian
-        weights/variances (test-enforced).
+        in campaign scenario order the moment it is available, so
+        training *overlaps* golden collection; the folds emit per-trace
+        ``train`` progress events.  The streamed CPDs reproduce the
+        whole-dataset fit (:meth:`BayesianFaultInjector.train`) exactly
+        for tabular counts and to well under 1e-9 relative for the
+        linear-Gaussian weights/variances (test-enforced).
 
         ``interface_probe`` names interface-fault kinds (e.g.
         ``("freeze", "delay")``); each mined candidate is then validated
@@ -1216,75 +1015,18 @@ class Campaign:
         the validation stage (see :meth:`random_campaign`); mining and
         training are unaffected (they have their own batched engines).
         """
-        if batch_sim is not None:
-            with self._batch_override(batch_sim):
-                return self.bayesian_campaign(
-                    injector=injector, variables=variables,
-                    threshold=threshold, top_k=top_k,
-                    use_batched=use_batched, workers=workers,
-                    record_sink=record_sink, pipeline=pipeline,
-                    streaming_training=streaming_training,
-                    interface_probe=interface_probe,
-                    on_progress=on_progress)
         for kind in interface_probe:
             validate_interface_kind(kind)
-        if pipeline:
-            plan = self._bayesian_plan(injector, variables, threshold,
-                                       top_k, use_batched,
-                                       streaming_training,
-                                       interface_probe)
-            outcome = self._run_pipeline(plan, workers, record_sink,
-                                         on_progress)
-            return BayesianCampaignResult(
-                injector=outcome.extras["injector"],
-                candidates=outcome.extras["candidates"],
-                mining=outcome.extras["mining"],
-                summary=outcome.summary,
-                train_seconds=outcome.extras["train_seconds"])
-        self._require_unsharded("bayesian_campaign")
-        train_start = time.perf_counter()
-        caching = injector is None and self.cache_dir is not None
-        if injector is None:
-            golden = self.golden_runs(workers=workers)
-            if streaming_training:
-                injector = self._train_streaming(golden, on_progress)
-            else:
-                injector = BayesianFaultInjector.train(
-                    list(golden.values()),
-                    safety_config=self.config.safety)
-        train_seconds = time.perf_counter() - train_start
-        self._progress(on_progress, "golden", None, len(self.scenarios),
-                       len(self.scenarios))
-        candidates = mining = None
-        cache_path = (self._candidate_cache_path(variables, threshold,
-                                                 top_k) if caching else None)
-        if cache_path is not None and cache_path.exists():
-            from .persistence import try_load_candidates
-            candidates = try_load_candidates(cache_path)
-            if candidates is not None:
-                mining = self._cached_mining_report(candidates, variables)
-        if candidates is None:
-            mine = (injector.mine_critical_faults_batched if use_batched
-                    else injector.mine_critical_faults)
-            candidates, mining = mine(
-                self.scene_rows(), variables=variables, threshold=threshold,
-                top_k=top_k)
-            if cache_path is not None:
-                from .persistence import save_candidates
-                cache_path.parent.mkdir(parents=True, exist_ok=True)
-                save_candidates(candidates, cache_path)
-        self._progress(on_progress, "mined", None, len(self.scenarios),
-                       len(self.scenarios))
-        jobs: list[ExperimentJob] = []
-        for candidate in candidates:
-            jobs.append((candidate.scenario,
-                         candidate.to_fault_spec(
-                             duration_ticks=self.config.fault_duration_ticks)))
-            jobs.extend(self._probe_jobs(candidate, interface_probe))
-        summary = self._run_jobs(jobs, workers, record_sink, on_progress)
+        plan = self._bayesian_plan(injector, variables, threshold, top_k,
+                                   interface_probe)
+        outcome = self._run_pipeline(plan, workers, record_sink,
+                                     on_progress, batch_sim)
         return BayesianCampaignResult(
-            injector=injector, candidates=candidates, mining=mining,
-            summary=summary, train_seconds=train_seconds)
+            injector=outcome.extras["injector"],
+            candidates=outcome.extras["candidates"],
+            mining=outcome.extras["mining"],
+            summary=outcome.summary,
+            train_seconds=outcome.extras["train_seconds"])
 
     def _probe_jobs(self, candidate: CandidateFault,
                     interface_probe: tuple[str, ...]
@@ -1306,22 +1048,6 @@ class Campaign:
                                  duration_ticks=duration))
                 for kind in interface_probe]
 
-    def _train_streaming(self, golden: dict[str, RunResult],
-                         on_progress) -> BayesianFaultInjector:
-        """Fold golden traces into the streaming trainer, in order.
-
-        The barrier path's streaming fit: identical arithmetic (and
-        fold order — campaign scenario order) to the pipeline driver's
-        overlapped folds, so ``pipeline=True`` and ``pipeline=False``
-        stay record-for-record equivalent under streaming training.
-        """
-        trainer = BayesianFaultInjector.streaming_trainer(
-            safety_config=self.config.safety)
-        for done, (name, run) in enumerate(golden.items(), start=1):
-            trainer.add_run(run)
-            self._progress(on_progress, "train", name, done, len(golden))
-        return trainer.finish()
-
     def _cached_mining_report(self, candidates, variables) -> MiningReport:
         """Cost accounting a fresh mining pass over these scenes would
         report: every safe scene is scored once per corruption value of
@@ -1340,8 +1066,7 @@ class Campaign:
 
     def _bayesian_plan(self, injector: BayesianFaultInjector | None,
                        variables: tuple[str, ...], threshold: float,
-                       top_k: int | None, use_batched: bool,
-                       streaming_training: bool = True,
+                       top_k: int | None,
                        interface_probe: tuple[str, ...] = ()):
         from .pipeline import MiningPlan, StagePlan
         caching = injector is None and self.cache_dir is not None
@@ -1368,14 +1093,14 @@ class Campaign:
             return expanded
 
         fold = None
-        if injector is None and streaming_training:
+        if injector is None:
             def fold(ctx, scenario, run):
                 """Fold one completed golden trace into the trainer.
 
                 Called by the driver in campaign scenario order as
                 goldens complete, so training overlaps the rest of
-                golden collection; the accumulation order is the
-                barrier path's, keeping the fit deterministic.
+                golden collection; the fixed accumulation order keeps
+                the fit deterministic.
                 """
                 trainer = ctx.extras.get("trainer")
                 if trainer is None:
@@ -1391,23 +1116,15 @@ class Campaign:
         def prepare(ctx):
             """Finish training, then try the candidate cache.
 
-            Under streaming training the per-trace folds already
-            happened as goldens completed and only the O(parameters)
-            finalization runs here; the batch oracle fits the whole
-            window dataset at this barrier instead.  Returns the ready
-            job entries on a candidate-cache hit, else ``None`` to
-            request per-scenario mining.
+            The per-trace folds already happened as goldens completed,
+            so only the O(parameters) finalization runs here.  Returns
+            the ready job entries on a candidate-cache hit, else
+            ``None`` to request per-scenario mining.
             """
             train_start = time.perf_counter()
             trained = injector
             if trained is None:
-                trainer = ctx.extras.get("trainer")
-                if trainer is not None and trainer.n_folded:
-                    trained = trainer.finish()
-                else:
-                    trained = BayesianFaultInjector.train(
-                        list(ctx.golden.values()),
-                        safety_config=self.config.safety)
+                trained = ctx.extras["trainer"].finish()
             ctx.extras["injector"] = trained
             ctx.extras["train_seconds"] = (
                 ctx.extras.get("train_seconds", 0.0)
@@ -1434,8 +1151,7 @@ class Campaign:
                                                ctx.golden[scenario.name])
             mined, n_scored, n_scenes = ctx.extras["injector"].\
                 mine_scenario_candidates(
-                    scenes, variables=variables, threshold=threshold,
-                    use_batched=use_batched)
+                    scenes, variables=variables, threshold=threshold)
             acc = ctx.extras.setdefault("mining_acc", MiningReport())
             acc.n_scenes += n_scenes
             acc.n_scored += n_scored
@@ -1446,9 +1162,9 @@ class Campaign:
             """Merge per-scenario mines into the global candidate list.
 
             Stable-sorting the scenario-ordered concatenation by
-            ``predicted_minimum`` reproduces the barrier miner's order
-            (its append order is the same concatenation), and ``top_k``
-            truncates the global ranking exactly as the barrier does.
+            ``predicted_minimum`` reproduces the whole-population
+            miner's order (its append order is the same concatenation),
+            and ``top_k`` truncates that global ranking.
             """
             entries = [((s.name, j), candidate)
                        for s in self.scenarios
@@ -1476,8 +1192,10 @@ class Campaign:
         miner = MiningPlan(prepare=prepare, mine_scenario=mine_scenario,
                            finalize=finalize, job_of=job_of,
                            eager_dispatch=top_k is None, fold=fold)
+        # The literal True stands where the retired miner selector
+        # was, so journal and lease directories keep their names.
         key_params = ["bayesian", tuple(variables), float(threshold),
-                      top_k, use_batched, injector is None]
+                      top_k, True, injector is None]
         if interface_probe:
             key_params.append(tuple(interface_probe))
         return StagePlan(style="bayesian", golden_scope="all", miner=miner,

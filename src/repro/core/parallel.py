@@ -1,57 +1,31 @@
-"""Process-parallel execution of fault-injection experiments.
+"""Experiment execution primitives shared by the campaign driver.
 
 Each experiment is an independent closed-loop simulation, so campaign
 validation parallelizes embarrassingly — and so does golden-trace
 collection, where each scenario's fault-free run (and its checkpoint
-ladder) is independent of every other's.  Two fan-out entry points:
+ladder) is independent of every other's.  The streaming driver in
+:mod:`repro.core.pipeline` fans both over one supervised process pool;
+this module holds what every execution path shares:
 
-* :func:`run_experiments` fans (scenario name, fault) jobs over a
-  ``ProcessPoolExecutor`` while preserving the submission order of the
-  returned records, so a parallel campaign is record-for-record
-  identical to a serial one (wall-clock fields aside).  An ``on_record``
-  callback streams records back in submission order *as futures
-  complete*, which is what lets campaigns flush records to disk instead
-  of accumulating them.
-* :func:`collect_golden_runs` shards the golden runs of a scenario set
-  across workers, each worker simulating its scenario's fault-free trace
-  and capturing the requested checkpoint ladder; results return in
-  scenario order, identical to the serial loop.
-
-Both entry points implement the *barrier* orchestration (one pool per
-phase).  The streaming per-scenario driver in :mod:`repro.core.pipeline`
-builds on the same primitives — :func:`execute_experiment` as the single
-source of experiment truth, :func:`_golden_run` for golden simulation,
-:func:`_pool_context`/:func:`_picklable` for start-method fallback — so
-the two orchestrations cannot drift apart experiment-wise.
-
-Jobs are executed grouped by scenario (records still stream in job
-order): grouping keeps a worker's chunk on one scenario's checkpoints,
-which is cache-friendly, and it is free because experiments are
-independent.
+* :func:`execute_experiment` — the single source of experiment truth:
+  one fault, one scalar simulation, one record.  Serial execution, pool
+  workers, :meth:`repro.core.campaign.Campaign.run_fault`, and the
+  reference loop the equivalence tests compare against all call it.
+* :func:`execute_experiment_batch` — its vectorized sibling for
+  same-scenario chunks, bit-for-bit the scalar records.
+* :func:`_golden_run` — one scenario's fault-free trace plus the
+  checkpoint ladder validation forks from.
+* :func:`_pool_context`/:func:`_picklable` — the start-method choice
+  and the spawn-unpicklable serial fallback.
 
 Scenario builders are ``functools.partial`` bindings of module-level
 functions, so scenarios pickle and pools work under any start method:
 ``fork`` is preferred (workers inherit shared state for free), with
-``spawn`` as the fallback on platforms without ``fork``.  A checkpoint
-store may be passed either as a live :class:`CheckpointStore` or as the
-path of a store persisted by :meth:`CheckpointStore.save`; the path form
-is what spawn workers and cross-process warm starts use — each worker
-loads the ladders from disk instead of depending on fork inheritance.
-If the pool's initializer arguments cannot be pickled under a non-fork
-start method (e.g. caller-supplied closure scenarios), execution falls
-back to serial in-process with a one-line ``RuntimeWarning`` naming the
+``spawn`` as the fallback on platforms without ``fork``.  If the pool's
+initializer arguments cannot be pickled under a non-fork start method
+(e.g. caller-supplied closure scenarios), execution falls back to
+serial in-process with a one-line ``RuntimeWarning`` naming the
 unpicklable argument.
-
-Execution is *supervised* (:mod:`repro.core.resilience`): pooled jobs
-run under per-job wall-clock timeouts with bounded seeded-backoff
-retries, a crashed worker (SIGKILL, segfault, OOM) is respawned and its
-in-flight job resubmitted, and a job that keeps failing is quarantined
-as a structured failure record in its deterministic slot instead of
-killing the campaign.  ``CampaignConfig.resilience.strict`` restores
-the fail-fast oracle; serial execution applies the same
-retry/quarantine policy (timeouts aside — a hang cannot be interrupted
-in-process), so serial and pooled campaigns stay record-for-record
-equivalent even when a job fails deterministically.
 """
 
 from __future__ import annotations
@@ -60,13 +34,11 @@ import multiprocessing
 import pickle
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from ..sim.scenario import Scenario
 from .checkpoint import CheckpointStore
-from .resilience import (CampaignExecutionError, ResilienceConfig,
-                         SupervisedExecutor, failure_record,
-                         run_supervised_serial)
+from .resilience import ResilienceConfig
 from .results import ExperimentRecord
 from .simulate import (FaultSpec, RunResult, run_experiments_batched,
                        run_scenario, run_scenario_from_checkpoint)
@@ -76,23 +48,6 @@ if TYPE_CHECKING:  # avoid a circular import with .campaign
 
 #: Job description: (scenario name, fault to inject).
 ExperimentJob = tuple[str, FaultSpec]
-
-#: A checkpoint store argument: a live store, the directory of a
-#: persisted one (``CheckpointStore.save``, loaded worker-side), or None.
-CheckpointSource = CheckpointStore | str | Path | None
-
-#: Worker-process state installed by the pool initializers.
-_WORKER_STATE: tuple[dict[str, Scenario], "CampaignConfig",
-                     CheckpointStore | None] | None = None
-_GOLDEN_STATE: tuple[dict[str, Scenario], "CampaignConfig",
-                     str | None] | None = None
-
-
-def _resolve_checkpoints(checkpoints) -> CheckpointStore | None:
-    """Materialize a checkpoint source (store, path, or None) to a store."""
-    if checkpoints is None or isinstance(checkpoints, CheckpointStore):
-        return checkpoints
-    return CheckpointStore.load(checkpoints)
 
 
 def _to_record(result: RunResult, scenario_name: str, fault: FaultSpec,
@@ -118,10 +73,11 @@ def execute_experiment(scenario: Scenario, config: "CampaignConfig",
                        ) -> ExperimentRecord:
     """Run one injection experiment and record the outcome.
 
-    The single source of truth for experiment execution: both the serial
-    path (:meth:`repro.core.campaign.Campaign.run_fault`) and the pool
-    workers call this, which is what makes parallel and serial campaigns
-    produce identical records.
+    The single source of truth for experiment execution: the driver's
+    serial loop, its pool workers, and
+    :meth:`repro.core.campaign.Campaign.run_fault` all call this, which
+    is what makes parallel and serial campaigns produce identical
+    records.
 
     With a ``checkpoints`` store the run forks from the nearest golden
     snapshot at or before the fault tick, simulating only the fault
@@ -179,69 +135,6 @@ def execute_experiment_batch(scenario: Scenario,
             for result, fault in zip(results, faults)]
 
 
-def _batch_chunks(jobs: list[ExperimentJob], order: list[int],
-                  batch_sim: int) -> list[tuple[str, list[int]]]:
-    """Grouped-order slots cut into same-scenario runs of <= batch_sim.
-
-    ``order`` is :func:`_grouped_order`'s slot permutation, so each run
-    stays on one scenario's checkpoints and fills its lanes from
-    consecutive submission slots — the streaming reorder buffer drains
-    as fast as it does on the scalar path.
-    """
-    chunks: list[tuple[str, list[int]]] = []
-    for slot in order:
-        name = jobs[slot][0]
-        if chunks and chunks[-1][0] == name \
-                and len(chunks[-1][1]) < batch_sim:
-            chunks[-1][1].append(slot)
-        else:
-            chunks.append((name, [slot]))
-    return chunks
-
-
-def _init_worker(scenarios: list[Scenario], config: "CampaignConfig",
-                 checkpoints: CheckpointSource = None) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = ({s.name: s for s in scenarios}, config,
-                     _resolve_checkpoints(checkpoints))
-
-
-def _run_job(job: ExperimentJob) -> ExperimentRecord:
-    assert _WORKER_STATE is not None, "worker pool not initialized"
-    by_name, config, checkpoints = _WORKER_STATE
-    scenario_name, fault = job
-    return execute_experiment(by_name[scenario_name], config, fault,
-                              checkpoints)
-
-
-def _run_job_batch(chunk: tuple[str, tuple[FaultSpec, ...]]
-                   ) -> list[ExperimentRecord]:
-    """One same-scenario batch as a single pool task.
-
-    Falls back to the per-fault scalar path inside the worker if the
-    batched engine raises, so a batch poisoned by one odd experiment
-    degrades to scalar execution instead of quarantining its chunk
-    mates along with it.
-    """
-    assert _WORKER_STATE is not None, "worker pool not initialized"
-    by_name, config, checkpoints = _WORKER_STATE
-    scenario_name, faults = chunk
-    scenario = by_name[scenario_name]
-    try:
-        return execute_experiment_batch(scenario, config, list(faults),
-                                        checkpoints)
-    except Exception:
-        return [execute_experiment(scenario, config, fault, checkpoints)
-                for fault in faults]
-
-
-def _init_golden_worker(scenarios: list[Scenario],
-                        config: "CampaignConfig",
-                        trace_spool: str | None = None) -> None:
-    global _GOLDEN_STATE
-    _GOLDEN_STATE = ({s.name: s for s in scenarios}, config, trace_spool)
-
-
 def _golden_run(scenario: Scenario, config: "CampaignConfig",
                 capture_ticks: list[int] | None,
                 trace_spool: str | Path | None = None) -> RunResult:
@@ -262,15 +155,6 @@ def _golden_run(scenario: Scenario, config: "CampaignConfig",
         result.trace = TraceStore(trace_spool).put(scenario.name,
                                                    result.trace)
     return result
-
-
-def _run_golden_job(job: tuple[str, tuple[int, ...] | None]) -> RunResult:
-    assert _GOLDEN_STATE is not None, "golden pool not initialized"
-    by_name, config, trace_spool = _GOLDEN_STATE
-    scenario_name, capture_ticks = job
-    return _golden_run(by_name[scenario_name], config,
-                       list(capture_ticks) if capture_ticks is not None
-                       else None, trace_spool)
 
 
 def _pool_context(start_method: str | None = None
@@ -321,251 +205,3 @@ def _warn_serial_fallback(method: str, **named) -> None:
         f"{method!r} start method; falling back to serial in-process "
         f"execution (results are identical, just not parallel)",
         RuntimeWarning, stacklevel=3)
-
-
-def _grouped_order(jobs: list[ExperimentJob]) -> list[int]:
-    """Submission indices reordered to group same-scenario jobs.
-
-    Groups are ordered by each scenario's first appearance (stable
-    within a group), so the earliest-submitted jobs complete early and
-    the streaming reorder buffer drains instead of ballooning.
-    """
-    first_seen: dict[str, int] = {}
-    for index, (name, _) in enumerate(jobs):
-        first_seen.setdefault(name, index)
-    return sorted(range(len(jobs)),
-                  key=lambda i: (first_seen[jobs[i][0]], i))
-
-
-def _run_serial_batched(jobs: list[ExperimentJob],
-                        config: "CampaignConfig",
-                        run_one: Callable,
-                        by_name: dict[str, Scenario],
-                        checkpoints: CheckpointStore | None,
-                        on_record) -> list[ExperimentRecord] | None:
-    """The serial path's batched twin: grouped chunks of fused lanes.
-
-    Execution runs in grouped order (each chunk stays on one scenario's
-    checkpoints and fills its lanes from consecutive submission slots);
-    emission stays in submission order through the same reorder buffer
-    the pooled path uses.  A chunk the batched engine rejects degrades
-    to the supervised scalar path job by job, so retry, quarantine, and
-    strict semantics match the scalar campaign's exactly.
-    """
-    order = _grouped_order(jobs)
-    records: list[ExperimentRecord | None] | None = \
-        None if on_record is not None else [None] * len(jobs)
-    pending: dict[int, ExperimentRecord] = {}
-    emit_next = 0
-    for name, slots in _batch_chunks(jobs, order, config.batch_sim):
-        if len(slots) == 1:
-            outputs = [run_one(name, jobs[slots[0]][1])]
-        else:
-            faults = [jobs[slot][1] for slot in slots]
-            try:
-                outputs = execute_experiment_batch(
-                    by_name[name], config, faults, checkpoints)
-            except Exception:
-                outputs = [run_one(name, fault) for fault in faults]
-        for slot, record in zip(slots, outputs):
-            if records is not None:
-                records[slot] = record
-                continue
-            pending[slot] = record
-            while emit_next in pending:
-                on_record(pending.pop(emit_next))
-                emit_next += 1
-    assert not pending, "batched reorder buffer must drain"
-    return records
-
-
-def run_experiments(scenarios: list[Scenario], config: "CampaignConfig",
-                    jobs: list[ExperimentJob],
-                    workers: int | None = None,
-                    checkpoints: CheckpointSource = None,
-                    on_record: Callable[[ExperimentRecord], None]
-                    | None = None,
-                    start_method: str | None = None
-                    ) -> list[ExperimentRecord] | None:
-    """Execute ``jobs``, optionally across ``workers`` processes.
-
-    Records come back in job order regardless of completion order.
-    ``workers`` of ``None``, 0, or 1 runs serially in-process; larger
-    values fan out over a process pool (capped at the job count).
-
-    ``checkpoints`` switches every job to checkpoint resume (see
-    :func:`execute_experiment`); it may be a live
-    :class:`CheckpointStore` (under ``fork``, workers inherit it for
-    free) or the directory of a persisted store, which each worker loads
-    from disk — the spawn-safe, cross-process form.
-
-    ``on_record`` streams each record back in job order as soon as it
-    (and every earlier job) has completed, and the function returns
-    ``None`` — no record list is retained, which is the memory bound
-    out-of-core campaigns rely on.  Without it, the full record list is
-    returned.  ``start_method`` forces a specific multiprocessing start
-    method (tests use ``"spawn"`` to exercise the no-fork path).
-    """
-    if not jobs:
-        return None if on_record is not None else []
-    policy = _policy(config)
-    context = _pool_context(start_method) if workers and workers > 1 \
-        else None
-    if context is not None and context.get_start_method() != "fork" \
-            and not _picklable(scenarios, config, checkpoints):
-        _warn_serial_fallback(context.get_start_method(),
-                              scenarios=scenarios, config=config,
-                              checkpoints=checkpoints)
-        context = None
-
-    if context is None:
-        local_store = _resolve_checkpoints(checkpoints)
-        by_name = {s.name: s for s in scenarios}
-
-        def run_one(name: str, fault: FaultSpec) -> ExperimentRecord:
-            record, failure = run_supervised_serial(
-                lambda: execute_experiment(by_name[name], config, fault,
-                                           local_store),
-                policy, config.seed,
-                (name, fault.start_tick, fault.variable, fault.value))
-            if failure is not None:
-                return failure_record(name, fault, config, failure)
-            return record
-
-        if getattr(config, "batch_sim", 0) > 1 and len(jobs) > 1:
-            return _run_serial_batched(jobs, config, run_one, by_name,
-                                       local_store, on_record)
-        if on_record is not None:
-            # Serial streaming: execute in submission order, flush each
-            # record immediately — nothing is retained here.
-            for name, fault in jobs:
-                on_record(run_one(name, fault))
-            return None
-        order = _grouped_order(jobs)
-        outputs = [run_one(*jobs[i]) for i in order]
-        records: list[ExperimentRecord | None] = [None] * len(jobs)
-        for slot, record in zip(order, outputs):
-            records[slot] = record
-        return records
-
-    order = _grouped_order(jobs)
-    # Batched validation submits same-scenario chunks as single tasks
-    # (the fused lanes live worker-side); a persistently failing chunk
-    # quarantines every job in it — the chunked-execution semantics the
-    # pipeline driver already has, since a crash mid-batch cannot be
-    # attributed to one lane.  Engine-level rejections never get that
-    # far: the worker degrades them to scalar execution in place.
-    if getattr(config, "batch_sim", 0) > 1 and len(jobs) > 1:
-        submissions = [
-            (_run_job_batch,
-             (name, tuple(jobs[slot][1] for slot in slots)), tuple(slots))
-            for name, slots in _batch_chunks(jobs, order,
-                                             config.batch_sim)]
-    else:
-        submissions = [(_run_job, jobs[slot], slot) for slot in order]
-    workers = min(workers, len(submissions))
-    records = None if on_record is not None else [None] * len(jobs)
-    # Stream in submission order while supervised completions arrive in
-    # any order: park out-of-order records in a reorder buffer and
-    # flush every contiguous run as its head completes.  Grouped
-    # submission keeps the buffer small in the common case.  A
-    # KeyboardInterrupt propagates through the context manager, which
-    # kills the pool outright — the contiguous prefix already reached
-    # ``on_record``, and journaled/cached state stays consistent for a
-    # later ``--resume``.
-    pending: dict[int, ExperimentRecord] = {}
-    emit_next = 0
-    with SupervisedExecutor(workers, context, initializer=_init_worker,
-                            initargs=(scenarios, config, checkpoints),
-                            policy=policy, seed=config.seed) as pool:
-        for fn, payload, tag in submissions:
-            timeout = None
-            if isinstance(tag, tuple) and policy.job_timeout is not None:
-                timeout = policy.job_timeout * len(tag)
-            pool.submit(fn, payload, tag=tag, timeout=timeout)
-        for tag, value, failure in pool.drain():
-            slots = list(tag) if isinstance(tag, tuple) else [tag]
-            if failure is None:
-                outputs = list(value) if isinstance(tag, tuple) \
-                    else [value]
-            else:
-                outputs = [failure_record(jobs[slot][0], jobs[slot][1],
-                                          config, failure)
-                           for slot in slots]
-            for slot, record in zip(slots, outputs):
-                if records is not None:
-                    records[slot] = record
-                    continue
-                pending[slot] = record
-                while emit_next in pending:
-                    on_record(pending.pop(emit_next))
-                    emit_next += 1
-    if records is not None:
-        return records
-    assert not pending, "reorder buffer must drain"
-    return None
-
-
-def collect_golden_runs(scenarios: list[Scenario],
-                        config: "CampaignConfig",
-                        capture_ticks: dict[str, list[int] | None]
-                        | None = None,
-                        workers: int | None = None,
-                        start_method: str | None = None,
-                        trace_spool: str | Path | None = None
-                        ) -> dict[str, RunResult]:
-    """Fault-free reference runs of ``scenarios``, optionally sharded.
-
-    Each scenario's golden run is independent, so collection fans over
-    the process pool the same way validation does; results return keyed
-    by scenario name with the mapping's insertion order matching
-    ``scenarios`` — identical to the serial loop.  ``capture_ticks``
-    maps scenario names to the checkpoint ladders to capture during the
-    run (absent/None means capture nothing); the returned
-    :class:`RunResult` objects carry the captured checkpoints, which
-    pickle back to the parent across any start method.  ``trace_spool``
-    switches the results to out-of-core traces: each worker (or the
-    serial loop) spools its trace to the columnar store under that
-    directory and the results carry memory-mapped handles — values
-    bit-for-bit identical to the in-RAM traces.
-    """
-    capture_ticks = capture_ticks or {}
-    spool = str(trace_spool) if trace_spool is not None else None
-    jobs = [(s.name, tuple(capture_ticks[s.name])
-             if capture_ticks.get(s.name) is not None else None)
-            for s in scenarios]
-    context = _pool_context(start_method) \
-        if workers and workers > 1 and len(scenarios) > 1 else None
-    if context is not None and context.get_start_method() != "fork" \
-            and not _picklable(scenarios, config):
-        _warn_serial_fallback(context.get_start_method(),
-                              scenarios=scenarios, config=config)
-        context = None
-    if context is None:
-        runs = [_golden_run(s, config,
-                            list(ticks) if ticks is not None else None,
-                            spool)
-                for s, (_, ticks) in zip(scenarios, jobs)]
-        return {s.name: run for s, run in zip(scenarios, runs)}
-    # Pooled collection is supervised like validation — a worker killed
-    # mid-simulation respawns and its scenario re-runs — but a golden
-    # run that keeps failing raises even in non-strict campaigns: every
-    # downstream stage (ticks, mining, checkpoints) needs the trace, so
-    # there is no slot a failure record could meaningfully occupy.
-    workers = min(workers, len(scenarios))
-    policy = _policy(config)
-    by_name: dict[str, RunResult] = {}
-    with SupervisedExecutor(workers, context,
-                            initializer=_init_golden_worker,
-                            initargs=(scenarios, config, spool),
-                            policy=policy, seed=config.seed) as pool:
-        for job in jobs:
-            pool.submit(_run_golden_job, job, tag=job[0])
-        for name, run, failure in pool.drain():
-            if failure is not None:
-                raise CampaignExecutionError(
-                    f"golden run of {name!r} failed after "
-                    f"{failure.attempts} attempt(s) "
-                    f"({failure.error}: {failure.message})")
-            by_name[name] = run
-    return {s.name: by_name[s.name] for s in scenarios}

@@ -1,11 +1,10 @@
 """Streaming per-scenario campaign pipeline with cross-host sharding.
 
 The paper's workflow is inherently per-scenario — collect a golden run,
-mine its scene rows, validate the mined faults — yet the barrier
-orchestration in :mod:`repro.core.campaign` runs it as three global
-phases (all golden runs, then all mining, then all validation), so one
-slow scenario stalls every other scenario's downstream work.  This
-module replaces the barriers with a dataflow driver:
+mine its scene rows, validate the mined faults.  Run as three global
+phases (all golden runs, then all mining, then all validation), one
+slow scenario would stall every other scenario's downstream work, so
+the campaign driver is a dataflow instead:
 
 * :class:`CampaignPipeline` flows each scenario independently through
   golden -> checkpoint-ladder -> mining -> validation stages over a
@@ -13,20 +12,21 @@ module replaces the barriers with a dataflow driver:
   complete.  Validation of an early scenario overlaps golden collection
   of a late one, and (for Bayesian campaigns) mining of scenario B
   overlaps validation of scenario A.
-* All four campaign styles are expressed as declarative
-  :class:`StagePlan` values built by :class:`~repro.core.campaign
-  .Campaign` — the driver knows stages, not styles.
+* All four campaign styles — plus golden-only collection and explicit
+  job lists — are expressed as declarative :class:`StagePlan` values
+  built by :class:`~repro.core.campaign.Campaign` — the driver knows
+  stages, not styles.
 
 Equivalence guarantee
 ---------------------
-A pipelined campaign emits a record stream **bit-for-bit identical to
-the barrier path** (``pipeline=False``, the reference oracle), order
-included: every record is produced by the same
-:func:`~repro.core.parallel.execute_experiment` call with the same
-fault and checkpoint ladder, and an ordered emitter releases records in
-the barrier path's deterministic job order (scenario-major grid order
-for exhaustive campaigns, seeded draw order for random/architectural,
-sorted-candidate order for Bayesian) no matter when they complete.
+A campaign emits a record stream **bit-for-bit identical to the
+reference loop** — serial :func:`~repro.core.parallel.execute_experiment`
+with full replay, one job after another in the style's job order
+(scenario-major grid order for exhaustive campaigns, seeded draw order
+for random/architectural, sorted-candidate order for Bayesian) — order
+included, wall clock aside.  Checkpoint forks and fused batches are
+test-enforced bit-identical to full replay, and an ordered emitter
+releases records in job order no matter when they complete.
 Execution order is opportunistic; emission order is not.
 
 Two documented barriers remain inside otherwise-streaming plans, both
@@ -87,7 +87,9 @@ if TYPE_CHECKING:  # avoid a circular import with .campaign
 class StagePlan:
     """Declarative description of one campaign style for the driver.
 
-    Exactly one of the three job sources is set:
+    At most one of the three job sources is set (none: a golden-only
+    plan, which collects golden runs and ladders and validates
+    nothing):
 
     * ``per_scenario_jobs(ctx, scenario)`` — jobs derived from one
       scenario's golden run alone; called the moment that run is in,
@@ -104,7 +106,8 @@ class StagePlan:
     ``work_key`` digests the plan parameters that shape the job set;
     together with the config fingerprint it names the resume journal
     and the lease board, so two differently-parameterized campaigns
-    sharing a ``cache_dir`` never cross-talk.
+    sharing a ``cache_dir`` never cross-talk.  An empty ``work_key``
+    (the golden-only plan's) opens neither.
     """
 
     style: str
@@ -244,7 +247,7 @@ def _pipeline_validate_chunk(chunk) -> list:
 # -- driver side ---------------------------------------------------------------
 
 class _OrderedEmitter:
-    """Releases records in the barrier path's deterministic order.
+    """Releases records in job order, the reference loop's order.
 
     Execution completes in any order and some slots are only known
     late (a scenario's slot base resolves when every earlier scenario's
@@ -304,10 +307,10 @@ class PipelineContext:
         """Eligible ticks of a scenario, golden-derived when available.
 
         Scenarios whose golden run this shard collected use the trace's
-        ticks — the barrier path's source.  Foreign scenarios (sharded
-        job generation only) use the schedule-derived list; for every
-        collected scenario under sharding the two are asserted equal,
-        so the shard union provably matches the unsharded draw.
+        ticks.  Foreign scenarios (sharded job generation only) use the
+        schedule-derived list; for every collected scenario under
+        sharding the two are asserted equal, so the shard union provably
+        matches the unsharded draw.
         """
         campaign = self.campaign
         cached = self._ticks.get(name)
@@ -356,7 +359,7 @@ class CampaignPipeline:
     # -- public entry ----------------------------------------------------------
 
     def run(self, plan: StagePlan) -> PipelineResult:
-        if self.config.resilience.lease_mode:
+        if self.config.resilience.lease_mode and plan.work_key:
             return self._run_leased(plan)
         return self._run_once(plan)
 
@@ -460,7 +463,7 @@ class CampaignPipeline:
         self._pool = None
         self._spool = (campaign._ladder_spool_dir()
                        if self.config.use_checkpoints else None)
-        self._journal = (None if board is not None
+        self._journal = (None if board is not None or not plan.work_key
                          else campaign._open_journal(plan.work_key))
         interrupted = False
         try:
@@ -495,8 +498,7 @@ class CampaignPipeline:
         Warm sources, in order: golden runs already on the campaign
         object, then the golden-trace cache under ``cache_dir`` (the
         full-set file, or this shard's subset file when the plan only
-        needs owned scenarios).  The cache is all-or-nothing, matching
-        the barrier path.
+        needs owned scenarios).  The cache is all-or-nothing.
         """
         campaign = self.campaign
         self._fresh_golden = False
@@ -564,9 +566,9 @@ class CampaignPipeline:
                 # instead of O(campaign).  Dispatch reloads from the
                 # spool; when cache_dir is set the spool *is* the
                 # persistent checkpoint cache, so this eager save also
-                # replaces the batch persistence pass.  Ladders the
-                # campaign already held in memory (barrier-collected)
-                # stay resident — they belong to the caller, not us.
+                # replaces a batch persistence pass.  Ladders the
+                # campaign already held in memory (golden_runs() or
+                # run_fault) stay resident — they belong to the caller.
                 store.save_scenario(self._spool, name)
                 self._checkpoints_ready.add(name)
                 if not resident:
@@ -592,8 +594,8 @@ class CampaignPipeline:
         Folds advance through ``self._targets`` in campaign scenario
         order, consuming the longest completed prefix — training work
         happens while later goldens still simulate, yet the
-        accumulation order (and therefore the fitted model) is exactly
-        the barrier path's.  Emits one ``train`` progress event per
+        accumulation order (and therefore the fitted model) is fixed
+        by the scenario list.  Emits one ``train`` progress event per
         folded trace.
         """
         miner = self.plan.miner
@@ -630,7 +632,7 @@ class CampaignPipeline:
                 self._dispatch(name, items)
         elif plan.miner is not None:
             self._run_mining()
-        elif not self._owned_order:
+        elif plan.per_scenario_jobs is None or not self._owned_order:
             self._emitter.set_total(0)
 
     def _persist_golden(self) -> None:
@@ -665,9 +667,9 @@ class CampaignPipeline:
         """Register one scenario's job block; dispatch now, emit in order.
 
         Blocks occupy consecutive slot ranges in owned-scenario order
-        (the barrier path's job order).  Execution starts immediately;
-        slots — and therefore emission — resolve as soon as every
-        earlier block's size is known.
+        (the job order).  Execution starts immediately; slots — and
+        therefore emission — resolve as soon as every earlier block's
+        size is known.
         """
         index = self._owned_order.index(name)
         self._blocks[index] = len(jobs)
@@ -817,8 +819,7 @@ class CampaignPipeline:
         (:meth:`CheckpointStore.save_scenario`): incremental and
         index-preserving, so a campaign touching k of n scenarios costs
         O(k) ladder writes and never drops the other n-k persisted
-        entries — the barrier path's whole-store save stays confined to
-        the batch code.
+        entries.
         """
         if not self.config.use_checkpoints or self._spool is None \
                 or name in self._checkpoints_ready:
@@ -826,10 +827,10 @@ class CampaignPipeline:
         self._checkpoints_ready.add(name)
         campaign = self.campaign
         store = campaign.checkpoints
+        if name in store.saved_scenarios(self._spool):
+            return                  # spilled earlier; workers load lazily
         resident = store.has_scenario(name)
         if not resident:
-            if name in store.saved_scenarios(self._spool):
-                return              # spilled earlier; workers load lazily
             campaign._ensure_checkpoints([name], save=False)
         store.save_scenario(self._spool, name)
         if not resident:

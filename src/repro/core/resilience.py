@@ -4,9 +4,8 @@ A production fault-injection campaign is a long-running distributed
 experiment, and the faults it *suffers* — a worker segfault, a hung
 simulation, a preempted host, a full disk — are not the faults it
 *injects*.  This module separates the two (the AVFI framing) with
-three cooperating mechanisms, threaded through both orchestrators
-(:mod:`repro.core.parallel` barrier driver, :mod:`repro.core.pipeline`
-streaming driver):
+three cooperating mechanisms, threaded through the streaming campaign
+driver (:mod:`repro.core.pipeline`):
 
 * :class:`SupervisedExecutor` — a process pool with per-job wall-clock
   timeouts, bounded retries under seeded exponential backoff, worker

@@ -2,19 +2,21 @@
 
 The acceptance contract of the vectorized batch engine: every campaign
 style run with ``batch_sim=N`` emits a record stream *bit-for-bit*
-identical (wall-clock timing aside) to the scalar
-:class:`~repro.sim.world.World` reference — order included — across
-the serial barrier path, the process pool, and the streaming pipeline
-driver.  The streams here include interface faults (drop / freeze /
-delay / jitter / hang) and graceful-degradation outcomes, so the
-batched path is held to the full PR-8 fault surface, not just value
-corruption.  Checkpoint-forked batched validation must likewise equal
+identical (wall-clock timing aside) to the reference loop — serial
+scalar :class:`~repro.sim.world.World` runs with full replay, in job
+order — both serial and over the process pool, with and without
+checkpoint forks.  The streams here include interface faults (drop /
+freeze / delay / jitter / hang) and graceful-degradation outcomes, so
+the batched path is held to the full interface-fault surface, not
+just value corruption.  Checkpoint-forked batched validation must likewise equal
 the full-replay reference, at both the campaign and engine levels.
 """
 
 from dataclasses import asdict, replace
 
 import pytest
+from reference import (architectural_jobs, candidate_jobs, exhaustive_jobs,
+                       random_jobs, reference_records, strip_wall)
 
 from repro.arch.injector import Outcome
 from repro.core import Campaign, CampaignConfig, ListSink
@@ -37,15 +39,6 @@ def small_scenarios():
             replace(two_lead_reveal(), duration=18.0)]
 
 
-def strip_wall(records):
-    rows = []
-    for record in records:
-        row = asdict(record)
-        row.pop("wall_seconds")   # host timing necessarily differs
-        rows.append(row)
-    return rows
-
-
 class HangingModel:
     """Architectural stub that always hangs, forcing interface faults
     through the batched architectural path (register flips hang too
@@ -62,11 +55,11 @@ class HangingModel:
                                 relative_error=0.0, fault=fault)
 
 
-def run_style(style, *, batch_sim, pipeline, workers):
+def run_style(style, *, batch_sim, workers, use_checkpoints=True):
     sink = ListSink()
-    campaign = Campaign(small_scenarios(), CampaignConfig())
-    kwargs = dict(pipeline=pipeline, workers=workers, record_sink=sink,
-                  batch_sim=batch_sim)
+    campaign = Campaign(small_scenarios(),
+                        CampaignConfig(use_checkpoints=use_checkpoints))
+    kwargs = dict(workers=workers, record_sink=sink, batch_sim=batch_sim)
     if style == "random":
         campaign.random_campaign(12, seed=11, interface_share=0.5,
                                  **kwargs)
@@ -84,32 +77,51 @@ def run_style(style, *, batch_sim, pipeline, workers):
     return strip_wall(sink.records)
 
 
+def reference_jobs(style, campaign):
+    """The jobs ``run_style(style, ...)`` schedules on ``campaign``."""
+    if style == "random":
+        return random_jobs(campaign, 12, seed=11, interface_share=0.5)
+    if style == "exhaustive":
+        return exhaustive_jobs(campaign, tick_stride=40,
+                               variable_names=["brake"],
+                               interface_grid=True)
+    if style == "architectural":
+        jobs, _ = architectural_jobs(campaign, 8, model=HangingModel(),
+                                     seed=3, interface_hangs=True)
+        return jobs
+    result = campaign.bayesian_campaign(top_k=4)
+    return candidate_jobs(campaign, result.candidates,
+                          interface_probe=("freeze", "delay"))
+
+
 @pytest.fixture(scope="module")
 def scalar_reference():
-    """Scalar-oracle record streams, one serial barrier run per style."""
+    """Reference-loop record streams, one per style."""
     cache = {}
 
     def get(style):
         if style not in cache:
-            cache[style] = run_style(style, batch_sim=0, pipeline=False,
-                                     workers=None)
+            campaign = Campaign(small_scenarios(), CampaignConfig())
+            cache[style] = strip_wall(reference_records(
+                campaign, reference_jobs(style, campaign)))
         return cache[style]
 
     return get
 
 
 class TestBatchedDriverEquivalence:
-    """batch_sim=N == batch_sim=0 for every style and every driver."""
+    """batch_sim=N == the reference loop for every style, serial and
+    pooled, forked from checkpoints or replayed from tick 0."""
 
     @pytest.mark.parametrize("style", STYLES)
-    @pytest.mark.parametrize("pipeline", [False, True])
+    @pytest.mark.parametrize("use_checkpoints", [False, True])
     @pytest.mark.parametrize("workers", [None, 2])
     def test_records_equal_scalar_oracle(self, scalar_reference, style,
-                                         pipeline, workers):
+                                         use_checkpoints, workers):
         reference = scalar_reference(style)
         assert reference, "oracle campaign produced no records"
-        batched = run_style(style, batch_sim=BATCH, pipeline=pipeline,
-                            workers=workers)
+        batched = run_style(style, batch_sim=BATCH, workers=workers,
+                            use_checkpoints=use_checkpoints)
         assert batched == reference
 
     def test_streams_cover_the_interface_fault_surface(self,
@@ -123,8 +135,7 @@ class TestBatchedDriverEquivalence:
     def test_single_lane_batch_is_still_batched_code(self,
                                                      scalar_reference):
         """batch_sim=2 with odd job counts runs 1-lane tail chunks."""
-        batched = run_style("random", batch_sim=2, pipeline=True,
-                            workers=None)
+        batched = run_style("random", batch_sim=2, workers=None)
         assert batched == scalar_reference("random")
 
 
@@ -142,7 +153,7 @@ class TestFusedADSPath:
             return original(self, slot, pipeline)
 
         monkeypatch.setattr(BatchADSState, "attach", counting)
-        run_style("random", batch_sim=BATCH, pipeline=False, workers=None)
+        run_style("random", batch_sim=BATCH, workers=None)
         assert attached, "no lane ever took the fused ADS path"
 
     def test_forced_peel_still_matches_scalar(self):
@@ -161,8 +172,7 @@ class TestFusedADSPath:
             campaign = Campaign(small_scenarios(),
                                 CampaignConfig(ads=ads))
             campaign.random_campaign(8, seed=5, interface_share=0.3,
-                                     batch_sim=batch_sim, pipeline=False,
-                                     record_sink=sink)
+                                     batch_sim=batch_sim, record_sink=sink)
             return strip_wall(sink.records)
 
         reference = run(0)
@@ -173,15 +183,16 @@ class TestFusedADSPath:
 class TestCheckpointForkOracle:
     """Checkpoint-forked batched validation == full replay from t=0."""
 
-    @pytest.mark.parametrize("pipeline", [False, True])
-    def test_campaign_fork_equals_full_replay(self, pipeline):
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_campaign_fork_equals_full_replay(self, pooled):
         def run(use_checkpoints):
             sink = ListSink()
             campaign = Campaign(
                 small_scenarios(),
                 CampaignConfig(use_checkpoints=use_checkpoints))
             campaign.random_campaign(10, seed=7, interface_share=0.4,
-                                     batch_sim=BATCH, pipeline=pipeline,
+                                     batch_sim=BATCH,
+                                     workers=2 if pooled else None,
                                      record_sink=sink)
             return strip_wall(sink.records)
 

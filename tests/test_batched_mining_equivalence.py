@@ -6,10 +6,11 @@ performance features — these tests pin down that neither changes any
 result.
 """
 
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from reference import strip_wall
 
 from repro.bayesnet import GaussianInference, LinearGaussianBayesianNetwork
 from repro.bayesnet.cpd import LinearGaussianCPD
@@ -144,28 +145,19 @@ class TestParallelValidation:
                      replace(lead_vehicle_cutin(), duration=15.0)]
         return Campaign(scenarios, CampaignConfig())
 
-    @staticmethod
-    def strip_wall(records):
-        rows = []
-        for record in records:
-            row = asdict(record)
-            row.pop("wall_seconds")  # host timing differs across processes
-            rows.append(row)
-        return rows
-
     def test_random_campaign_worker_parity(self, small_campaign):
         serial = small_campaign.random_campaign(6, seed=7, workers=1)
         parallel = small_campaign.random_campaign(6, seed=7, workers=2)
-        assert self.strip_wall(parallel.records) == \
-            self.strip_wall(serial.records)
+        assert strip_wall(parallel.records) == \
+            strip_wall(serial.records)
 
     def test_exhaustive_campaign_worker_parity(self, small_campaign):
         serial = small_campaign.exhaustive_campaign(
             tick_stride=30, variable_names=["brake"], workers=1)
         parallel = small_campaign.exhaustive_campaign(
             tick_stride=30, variable_names=["brake"], workers=2)
-        assert self.strip_wall(parallel.records) == \
-            self.strip_wall(serial.records)
+        assert strip_wall(parallel.records) == \
+            strip_wall(serial.records)
 
     def test_bayesian_campaign_worker_parity(self, small_campaign):
         serial = small_campaign.bayesian_campaign(top_k=4, workers=1)
@@ -176,5 +168,5 @@ class TestParallelValidation:
             for c in parallel.candidates] == [
             (c.scenario, c.injection_tick, c.variable, c.value)
             for c in serial.candidates]
-        assert self.strip_wall(parallel.summary.records) == \
-            self.strip_wall(serial.summary.records)
+        assert strip_wall(parallel.summary.records) == \
+            strip_wall(serial.summary.records)

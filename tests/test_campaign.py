@@ -4,7 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core import Campaign, CampaignConfig, FaultSpec, Hazard
+from repro.core import (MINED_VARIABLES, Campaign, CampaignConfig,
+                        FaultSpec, Hazard)
 from repro.sim import (empty_road, highway_cruise, lead_vehicle_cutin,
                        stalled_vehicle)
 
@@ -21,6 +22,13 @@ def campaign():
 class TestGolden:
     def test_golden_runs_cached(self, campaign):
         assert campaign.golden_runs() is campaign.golden_runs()
+
+    def test_golden_runs_hold_checkpoint_ladders(self, campaign):
+        """The golden-only pipeline plan spills ladders to its spool;
+        ``golden_runs()`` reloads them into ``campaign.checkpoints``."""
+        campaign.golden_runs()
+        assert campaign.checkpoints.scenarios() == \
+            sorted(s.name for s in campaign.scenarios)
 
     def test_all_golden_safe(self, campaign):
         for name, run in campaign.golden_runs().items():
@@ -156,3 +164,22 @@ class TestBayesianCampaign:
         scenarios = {c.scenario for c in result.candidates}
         # The tight scenarios, not the open road, should dominate.
         assert "empty_road" not in scenarios or len(scenarios) > 1
+
+
+class TestWorkKeys:
+    """Work keys name the journal and lease directories, so a renamed
+    key would make ``--resume`` redo everything after an upgrade."""
+
+    @pytest.mark.parametrize("plan, key", [
+        (lambda c: c._random_plan(48, None), "86e7bbb6094b"),
+        (lambda c: c._random_plan(120, 1, 0.25), "95a1f2dc4ca4"),
+        (lambda c: c._exhaustive_plan(40, None, 120), "cbadc7b710ad"),
+        (lambda c: c._architectural_plan(100, None, None), "2e10eea46e3a"),
+        (lambda c: c._bayesian_plan(None, MINED_VARIABLES, 0.0, 80),
+         "8c1c8a2e662f"),
+        (lambda c: c._bayesian_plan(None, MINED_VARIABLES, 0.0, None),
+         "86d375e401b0"),
+    ], ids=["random", "random-interface", "exhaustive", "architectural",
+            "bayesian-top-80", "bayesian-all"])
+    def test_work_key_is_stable(self, plan, key):
+        assert plan(Campaign()).work_key == key

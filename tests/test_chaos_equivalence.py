@@ -12,13 +12,14 @@ compares against the undisturbed serial reference.
 
 import os
 import time
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import pytest
 
 from chaos_harness import (chaos_worker_kills, corrupt_journal,
                            failing_writes, run_driver_killed,
                            service_spec, start_service)
+from reference import strip_wall
 from repro.core import Campaign, CampaignConfig, ResilienceConfig
 from repro.core.persistence import merge_record_shards
 from repro.sim import highway_cruise, lead_vehicle_cutin, queued_traffic
@@ -33,14 +34,6 @@ def small_scenarios():
             replace(lead_vehicle_cutin(), duration=16.0),
             replace(queued_traffic(), duration=18.0)]
 
-
-def strip_wall(records):
-    rows = []
-    for record in records:
-        row = asdict(record)
-        row.pop("wall_seconds")   # host timing necessarily differs
-        rows.append(row)
-    return rows
 
 
 def run_style(campaign: Campaign, style: str, **kwargs):

@@ -10,9 +10,10 @@ fallback.
 """
 
 import pickle
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import pytest
+from reference import strip_wall
 
 from repro.core import (Campaign, CampaignConfig, CheckpointStore,
                         FaultSpec, run_scenario,
@@ -33,14 +34,6 @@ def make_campaign(use_checkpoints: bool, stride: int = 1,
                             checkpoint_stride=stride)
     return Campaign(small_scenarios(), config, cache_dir=cache_dir)
 
-
-def strip_wall(records):
-    rows = []
-    for record in records:
-        row = asdict(record)
-        row.pop("wall_seconds")   # host timing necessarily differs
-        rows.append(row)
-    return rows
 
 
 @pytest.fixture(scope="module")

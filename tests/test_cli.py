@@ -72,10 +72,27 @@ class TestCLI:
                      "--cache-dir", str(tmp_path)]) == 0
         assert list(tmp_path.glob("traces-*/*.npy"))
 
-    def test_bayesian_batch_training(self, capsys):
-        assert main(["bayesian", "--top-k", "2", "--batch-training"]) == 0
+    def test_bayesian(self, capsys):
+        assert main(["bayesian", "--top-k", "2"]) == 0
         out = capsys.readouterr().out
         assert "precision" in out
+
+    def test_bayesian_batch_training(self, capsys):
+        """The oracle-only --batch-training flag is gone: argparse
+        rejects it (the batch fit stays a test oracle)."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bayesian", "--top-k", "2", "--batch-training"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["random", "-n", "2", "--no-pipeline"],
+        ["bayesian", "--top-k", "2", "--scalar-miner"]])
+    def test_retired_oracle_flags_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestMergeCLI:

@@ -3,9 +3,9 @@
 The interface fault family (drop/freeze/delay/jitter/hang at the typed
 module boundaries) rides the same contract as value faults: a seeded
 schedule is deterministic, and the record stream is bit-for-bit
-identical (wall-clock timing aside) across the serial barrier path,
-the process pool, and the streaming pipeline driver — including
-checkpoint-forked validation versus the full-replay reference oracle.
+identical (wall-clock timing aside) to the reference loop (serial full
+replay in job order), both on the serial driver and over the process
+pool — including checkpoint-forked validation versus full replay.
 
 The degradation half: with the graceful-degradation mode disabled the
 brittle stack turns a frozen control-critical channel into a recorded
@@ -14,10 +14,12 @@ safe-stop fallback and recorded as masked-by-degradation.
 """
 
 import dataclasses
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from reference import (architectural_jobs, candidate_jobs, exhaustive_jobs,
+                       random_jobs, reference_records, strip_wall)
 
 from repro.arch.injector import Outcome
 from repro.core import (Campaign, CampaignConfig, DegradationConfig, Hazard,
@@ -41,15 +43,6 @@ def small_scenarios():
     return [replace(highway_cruise(), duration=24.0),
             replace(lead_vehicle_cutin(), duration=16.0),
             replace(two_lead_reveal(), duration=18.0)]
-
-
-def strip_wall(records):
-    rows = []
-    for record in records:
-        row = asdict(record)
-        row.pop("wall_seconds")
-        rows.append(row)
-    return rows
 
 
 def no_degradation_config(**kwargs):
@@ -102,12 +95,30 @@ class TestSeededSchedules:
 
 
 class TestDriverEquivalence:
-    """Serial barrier == pool workers == streaming pipeline."""
+    """Reference loop == serial driver == pool workers."""
 
-    def records(self, style, pipeline, workers):
+    @staticmethod
+    def reference(style):
+        campaign = Campaign(small_scenarios(), CampaignConfig())
+        if style == "random":
+            jobs = random_jobs(campaign, 12, seed=11, interface_share=0.6)
+        elif style == "exhaustive":
+            jobs = exhaustive_jobs(campaign, tick_stride=40,
+                                   variable_names=["brake"],
+                                   interface_grid=True)
+        elif style == "architectural":
+            jobs, _ = architectural_jobs(campaign, 8, model=HangingModel(),
+                                         seed=3, interface_hangs=True)
+        else:
+            candidates = campaign.bayesian_campaign(top_k=4).candidates
+            jobs = candidate_jobs(campaign, candidates,
+                                  interface_probe=("freeze", "delay"))
+        return strip_wall(reference_records(campaign, jobs))
+
+    def records(self, style, workers):
         sink = ListSink()
         campaign = Campaign(small_scenarios(), CampaignConfig())
-        kwargs = dict(pipeline=pipeline, workers=workers, record_sink=sink)
+        kwargs = dict(workers=workers, record_sink=sink)
         if style == "random":
             campaign.random_campaign(12, seed=11, interface_share=0.6,
                                      **kwargs)
@@ -128,27 +139,30 @@ class TestDriverEquivalence:
     @pytest.mark.parametrize("style", ["random", "exhaustive",
                                        "architectural", "bayesian"])
     def test_serial_pool_pipeline_identical(self, style):
-        serial = self.records(style, pipeline=False, workers=None)
-        assert serial, "campaign produced no records"
-        interface = [r for r in serial if r["kind"] != "value"]
+        reference = self.reference(style)
+        assert reference, "campaign produced no records"
+        interface = [r for r in reference if r["kind"] != "value"]
         assert interface, "campaign exercised no interface faults"
-        assert serial == self.records(style, pipeline=True, workers=None)
-        assert serial == self.records(style, pipeline=True, workers=2)
+        assert reference == self.records(style, workers=None)
+        assert reference == self.records(style, workers=2)
 
     def test_bayesian_eager_dispatch_keeps_probe_order(self):
         # top_k=None enables eager dispatch: value jobs go out as each
         # scenario's mining lands, probes at finalize — the emitted
-        # stream must still equal the barrier path's candidate order.
-        def bay(pipeline, workers):
+        # stream must still follow the sorted candidate order.
+        def bay(workers):
             sink = ListSink()
-            Campaign(small_scenarios(), CampaignConfig()).bayesian_campaign(
-                interface_probe=("hang",), pipeline=pipeline,
-                workers=workers, record_sink=sink)
-            return strip_wall(sink.records)
+            campaign = Campaign(small_scenarios(), CampaignConfig())
+            result = campaign.bayesian_campaign(
+                interface_probe=("hang",), workers=workers,
+                record_sink=sink)
+            return campaign, result.candidates, strip_wall(sink.records)
 
-        serial = bay(False, None)
-        assert serial == bay(True, None)
-        assert serial == bay(True, 2)
+        campaign, candidates, serial = bay(None)
+        assert serial == strip_wall(reference_records(
+            campaign, candidate_jobs(campaign, candidates,
+                                     interface_probe=("hang",))))
+        assert serial == bay(2)[2]
 
     def test_resume_skips_finished_interface_experiments(self, tmp_path):
         def campaign(resume):

@@ -8,14 +8,14 @@ hanging campaign.
 """
 
 import multiprocessing
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import pytest
+from reference import random_jobs, reference_records, strip_wall
 
-from repro.core import (Campaign, CampaignConfig, FaultSpec,
-                        run_experiments)
-from repro.core.parallel import (_picklable, _pool_context,
-                                 collect_golden_runs)
+from repro.core import (Campaign, CampaignConfig, CampaignPipeline,
+                        FaultSpec, ListSink, StagePlan)
+from repro.core.parallel import _picklable, _pool_context
 from repro.sim import Scenario, highway_cruise, lead_vehicle_cutin
 
 
@@ -24,13 +24,21 @@ def small_scenarios():
             replace(lead_vehicle_cutin(), duration=14.0)]
 
 
-def strip_wall(records):
-    rows = []
-    for record in records:
-        row = asdict(record)
-        row.pop("wall_seconds")
-        rows.append(row)
-    return rows
+def run_driver(campaign, jobs, workers, start_method=None):
+    """``jobs`` on the streaming driver under a forced start method."""
+    plan = StagePlan(style="jobs", global_jobs=lambda ctx: jobs)
+    result = CampaignPipeline(campaign, workers=workers,
+                              start_method=start_method).run(plan)
+    return strip_wall(result.summary.records)
+
+
+def collect_goldens(scenarios, workers=None, start_method=None):
+    """Golden runs of a fresh campaign through a golden-only plan."""
+    campaign = Campaign(scenarios, CampaignConfig())
+    CampaignPipeline(campaign, workers=workers,
+                     start_method=start_method).run(
+        StagePlan(style="golden", golden_scope="all"))
+    return campaign._golden
 
 
 @pytest.fixture(scope="module")
@@ -67,14 +75,10 @@ class TestPoolContext:
         assert _pool_context("no_such_start_method") is None
 
     def test_unknown_method_still_runs_experiments(self, campaign, jobs):
-        reference = run_experiments(campaign.scenarios, campaign.config,
-                                    jobs,
-                                    checkpoints=campaign.checkpoints)
-        fallback = run_experiments(campaign.scenarios, campaign.config,
-                                   jobs, workers=2,
-                                   checkpoints=campaign.checkpoints,
-                                   start_method="no_such_start_method")
-        assert strip_wall(fallback) == strip_wall(reference)
+        reference = strip_wall(reference_records(campaign, jobs))
+        fallback = run_driver(campaign, jobs, workers=2,
+                              start_method="no_such_start_method")
+        assert fallback == reference
 
 
 class TestPicklability:
@@ -95,12 +99,11 @@ class TestPicklability:
         tick = campaign.injection_ticks(scenarios[0])[1]
         closure_jobs = [("closure_cruise",
                          FaultSpec("brake", 0.0, tick, 4))]
-        reference = run_experiments(scenarios, campaign.config,
-                                    closure_jobs)
-        spawned = run_experiments(scenarios, campaign.config,
-                                  closure_jobs, workers=2,
-                                  start_method="spawn")
-        assert strip_wall(spawned) == strip_wall(reference)
+        reference = strip_wall(reference_records(campaign, closure_jobs))
+        with pytest.warns(RuntimeWarning, match="scenarios"):
+            spawned = run_driver(campaign, closure_jobs, workers=2,
+                                 start_method="spawn")
+        assert spawned == reference
 
     def test_spawn_golden_collection_with_closures_falls_back(self):
         from repro.sim.world import World
@@ -110,9 +113,9 @@ class TestPicklability:
                      Scenario("closure_b",
                               lambda: World.on_highway(ego_speed=30.0),
                               duration=12.0)]
-        config = CampaignConfig()
-        serial = collect_golden_runs(scenarios, config)
-        spawned = collect_golden_runs(scenarios, config, workers=2,
+        serial = collect_goldens(scenarios)
+        with pytest.warns(RuntimeWarning, match="scenarios"):
+            spawned = collect_goldens(scenarios, workers=2,
                                       start_method="spawn")
         assert list(spawned) == list(serial)
         for name, run in spawned.items():
@@ -125,30 +128,23 @@ class TestSingleWorkerPools:
 
     @pytest.mark.parametrize("workers", [0, 1])
     def test_run_experiments_degenerate(self, campaign, jobs, workers):
-        reference = run_experiments(campaign.scenarios, campaign.config,
-                                    jobs,
-                                    checkpoints=campaign.checkpoints)
-        degenerate = run_experiments(campaign.scenarios, campaign.config,
-                                     jobs, workers=workers,
-                                     checkpoints=campaign.checkpoints)
-        assert strip_wall(degenerate) == strip_wall(reference)
+        """``run_jobs`` with 0 or 1 workers equals the reference loop."""
+        reference = strip_wall(reference_records(campaign, jobs))
+        summary = campaign.run_jobs(jobs, workers=workers)
+        assert strip_wall(summary.records) == reference
 
     def test_run_experiments_streaming_degenerate(self, campaign, jobs):
-        reference = run_experiments(campaign.scenarios, campaign.config,
-                                    jobs,
-                                    checkpoints=campaign.checkpoints)
-        streamed = []
-        returned = run_experiments(campaign.scenarios, campaign.config,
-                                   jobs, workers=1,
-                                   checkpoints=campaign.checkpoints,
-                                   on_record=streamed.append)
-        assert returned is None
-        assert strip_wall(streamed) == strip_wall(reference)
+        reference = strip_wall(reference_records(campaign, jobs))
+        sink = ListSink()
+        summary = campaign.run_jobs(jobs, workers=1, record_sink=sink)
+        assert summary.records == []      # streamed out, not retained
+        assert summary.total == len(jobs)
+        assert strip_wall(sink.records) == reference
 
     def test_collect_golden_runs_single_worker(self, campaign):
+        """Golden collection with one worker equals the serial loop."""
         serial = campaign.golden_runs()
-        collected = collect_golden_runs(campaign.scenarios,
-                                        campaign.config, workers=1)
+        collected = collect_goldens(campaign.scenarios, workers=1)
         assert list(collected) == list(serial)
         for name, run in collected.items():
             reference = serial[name].trace.as_arrays()
@@ -156,17 +152,18 @@ class TestSingleWorkerPools:
                 assert array.tolist() == reference[column].tolist()
 
     def test_single_scenario_pool_stays_serial(self, campaign):
-        """A one-scenario golden fan-out has nothing to shard."""
+        """A one-scenario golden fan-out (nothing to shard) gives the
+        serial run's result."""
         scenario = campaign.scenarios[0]
-        collected = collect_golden_runs([scenario], campaign.config,
-                                        workers=4)
+        collected = collect_goldens([scenario], workers=4)
         reference = campaign.golden_runs()[scenario.name]
         assert collected[scenario.name].min_delta_long == \
             reference.min_delta_long
 
     def test_pipeline_campaign_single_worker(self, campaign):
-        reference = campaign.random_campaign(5, seed=9, pipeline=False)
+        reference = strip_wall(reference_records(
+            campaign, random_jobs(campaign, 5, seed=9)))
         single = Campaign(small_scenarios(),
                           CampaignConfig()).random_campaign(
             5, seed=9, workers=1)
-        assert strip_wall(single.records) == strip_wall(reference.records)
+        assert strip_wall(single.records) == reference

@@ -1,11 +1,12 @@
-"""The streaming pipeline must equal the barrier oracle, shard by shard.
+"""The streaming pipeline must equal the reference loop, shard by shard.
 
 Two guarantees ride the :mod:`repro.core.pipeline` driver:
 
-* **Pipeline equivalence** — every campaign style run with
-  ``pipeline=True`` (the default) emits a record stream bit-for-bit
-  identical to the barrier path (``pipeline=False``), order included,
-  serial and pooled.
+* **Pipeline equivalence** — every campaign style emits a record stream
+  bit-for-bit identical to the reference loop (serial full replay of
+  the style's jobs, in job order), order included, serial and pooled.
+  Bayesian campaigns mine per scenario; their merged ranking must
+  equal the whole-population miner's.
 * **Shard equivalence** — a campaign split across shards produces
   disjoint record streams whose merge (``CampaignSummary.merge`` /
   ``persistence.merge_record_shards``) equals the unsharded run.
@@ -13,9 +14,11 @@ Two guarantees ride the :mod:`repro.core.pipeline` driver:
 
 import gzip
 import math
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import pytest
+from reference import (architectural_jobs, candidate_jobs, exhaustive_jobs,
+                       random_jobs, reference_records, strip_wall)
 
 from repro.core import (Campaign, CampaignConfig, CampaignPipeline,
                         ExperimentRecord, Hazard, ListSink)
@@ -32,13 +35,19 @@ def small_scenarios():
             replace(queued_traffic(), duration=18.0)]
 
 
-def strip_wall(records):
-    rows = []
-    for record in records:
-        row = asdict(record)
-        row.pop("wall_seconds")   # host timing necessarily differs
-        rows.append(row)
-    return rows
+def reference_summary(campaign, jobs):
+    """The reference loop's records of ``jobs``, folded into a summary."""
+    return CampaignSummary(reference_records(campaign, jobs))
+
+
+def reference_mining(campaign, result, top_k=None):
+    """Whole-population mining with ``result``'s fitted model, plus the
+    reference loop's summary of the mined candidates."""
+    candidates, report = result.injector.mine_critical_faults_batched(
+        campaign.scene_rows(), top_k=top_k)
+    summary = reference_summary(campaign,
+                                candidate_jobs(campaign, candidates))
+    return candidates, report, summary
 
 
 def candidate_keys(candidates):
@@ -48,7 +57,7 @@ def candidate_keys(candidates):
 
 @pytest.fixture(scope="module")
 def oracle():
-    """The barrier reference path (pipeline=False), goldens collected."""
+    """The campaign the reference loop draws jobs from, goldens in."""
     campaign = Campaign(small_scenarios(), CampaignConfig())
     campaign.golden_runs()
     return campaign
@@ -61,11 +70,12 @@ def piped():
 
 
 class TestPipelineEquivalence:
-    """pipeline=True == pipeline=False, record for record, in order."""
+    """Driver == reference loop, record for record, in order."""
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_random_campaign(self, oracle, piped, workers):
-        reference = oracle.random_campaign(8, seed=11, pipeline=False)
+        reference = reference_summary(oracle,
+                                      random_jobs(oracle, 8, seed=11))
         streamed = piped.random_campaign(8, seed=11, workers=workers)
         assert strip_wall(streamed.records) == strip_wall(reference.records)
         assert streamed.same_aggregates(reference)
@@ -73,9 +83,8 @@ class TestPipelineEquivalence:
     @pytest.mark.parametrize("workers", [None, 2])
     def test_exhaustive_campaign_streams_per_scenario(self, oracle, piped,
                                                       workers):
-        reference = oracle.exhaustive_campaign(
-            tick_stride=40, variable_names=["brake", "steering"],
-            pipeline=False)
+        reference = reference_summary(oracle, exhaustive_jobs(
+            oracle, tick_stride=40, variable_names=["brake", "steering"]))
         streamed = piped.exhaustive_campaign(
             tick_stride=40, variable_names=["brake", "steering"],
             workers=workers)
@@ -83,9 +92,9 @@ class TestPipelineEquivalence:
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_exhaustive_campaign_with_cap(self, oracle, piped, workers):
-        reference = oracle.exhaustive_campaign(
-            tick_stride=40, variable_names=["brake"], max_experiments=7,
-            pipeline=False)
+        reference = reference_summary(oracle, exhaustive_jobs(
+            oracle, tick_stride=40, variable_names=["brake"],
+            max_experiments=7))
         streamed = piped.exhaustive_campaign(
             tick_stride=40, variable_names=["brake"], max_experiments=7,
             workers=workers)
@@ -94,8 +103,8 @@ class TestPipelineEquivalence:
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_architectural_campaign(self, oracle, piped, workers):
-        reference, ref_outcomes = oracle.architectural_campaign(
-            25, seed=3, pipeline=False)
+        jobs, ref_outcomes = architectural_jobs(oracle, 25, seed=3)
+        reference = reference_summary(oracle, jobs)
         streamed, outcomes = piped.architectural_campaign(
             25, seed=3, workers=workers)
         assert outcomes == ref_outcomes
@@ -103,49 +112,62 @@ class TestPipelineEquivalence:
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_bayesian_campaign_top_k(self, oracle, piped, workers):
-        reference = oracle.bayesian_campaign(top_k=6, pipeline=False)
         streamed = piped.bayesian_campaign(top_k=6, workers=workers)
+        candidates, report, summary = reference_mining(oracle, streamed,
+                                                       top_k=6)
         assert candidate_keys(streamed.candidates) == \
-            candidate_keys(reference.candidates)
-        for mined, ref in zip(streamed.candidates, reference.candidates):
+            candidate_keys(candidates)
+        for mined, ref in zip(streamed.candidates, candidates):
             # Per-scenario mining scores in smaller batches, so the
             # predictions agree to the suite's batched-vs-scalar bound.
             assert mined.predicted_delta_long == pytest.approx(
                 ref.predicted_delta_long, abs=1e-9)
             assert mined.predicted_delta_lat == pytest.approx(
                 ref.predicted_delta_lat, abs=1e-9)
-        assert streamed.mining.n_scored == reference.mining.n_scored
-        assert streamed.mining.n_scenes == reference.mining.n_scenes
+        assert streamed.mining.n_scored == report.n_scored
+        assert streamed.mining.n_scenes == report.n_scenes
         assert strip_wall(streamed.summary.records) == \
-            strip_wall(reference.summary.records)
-        assert streamed.precision == reference.precision
+            strip_wall(summary.records)
+        assert streamed.precision == summary.hazard_rate
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_bayesian_campaign_eager_dispatch(self, oracle, piped,
                                               workers):
         """Without top_k, validation overlaps mining — results unchanged."""
-        reference = oracle.bayesian_campaign(pipeline=False)
         streamed = piped.bayesian_campaign(workers=workers)
+        candidates, _, summary = reference_mining(oracle, streamed)
         assert candidate_keys(streamed.candidates) == \
-            candidate_keys(reference.candidates)
+            candidate_keys(candidates)
         assert strip_wall(streamed.summary.records) == \
-            strip_wall(reference.summary.records)
+            strip_wall(summary.records)
 
     def test_bayesian_scalar_miner(self):
-        """The scalar reference miner rides the pipeline unchanged."""
-        scenarios = [replace(lead_vehicle_cutin(), duration=14.0)]
-        reference = Campaign(scenarios, CampaignConfig()).bayesian_campaign(
-            top_k=3, use_batched=False, pipeline=False)
-        streamed = Campaign(scenarios, CampaignConfig()).bayesian_campaign(
-            top_k=3, use_batched=False)
-        assert candidate_keys(streamed.candidates) == \
-            candidate_keys(reference.candidates)
-        assert strip_wall(streamed.summary.records) == \
-            strip_wall(reference.summary.records)
+        """The scalar reference miner, run per scenario and merged the
+        way the pipeline merges, ranks what the whole-population scalar
+        miner ranks — and what the (batched) campaign validated."""
+        scenarios = [replace(lead_vehicle_cutin(), duration=14.0),
+                     replace(highway_cruise(), duration=16.0)]
+        campaign = Campaign(scenarios, CampaignConfig())
+        result = campaign.bayesian_campaign(top_k=3)
+        injector = result.injector
+        reference, _ = injector.mine_critical_faults(campaign.scene_rows(),
+                                                     top_k=3)
+        merged = []
+        for scenario in scenarios:
+            mined, _, _ = injector.mine_scenario_candidates(
+                campaign._scenario_scene_rows(
+                    scenario, campaign.golden_runs()[scenario.name]),
+                use_batched=False)
+            merged.extend(mined)
+        merged.sort(key=lambda candidate: candidate.predicted_minimum)
+        assert candidate_keys(merged[:3]) == candidate_keys(reference)
+        assert candidate_keys(result.candidates) == \
+            candidate_keys(reference)
 
     def test_spawn_pool_matches_serial(self, oracle, piped):
         """The pipeline's no-fork path: state ships by pickle + spool."""
-        reference = oracle.random_campaign(6, seed=5, pipeline=False)
+        reference = reference_summary(oracle,
+                                      random_jobs(oracle, 6, seed=5))
         outcome = CampaignPipeline(
             piped, workers=2, start_method="spawn").run(
             piped._random_plan(6, 5))
@@ -155,7 +177,8 @@ class TestPipelineEquivalence:
 
 class TestPipelineStreaming:
     def test_sink_receives_records_in_oracle_order(self, oracle, piped):
-        reference = oracle.random_campaign(8, seed=11, pipeline=False)
+        reference = reference_summary(oracle,
+                                      random_jobs(oracle, 8, seed=11))
         sink = ListSink()
         streamed = piped.random_campaign(8, seed=11, workers=2,
                                          record_sink=sink)
@@ -165,7 +188,8 @@ class TestPipelineStreaming:
 
     def test_gzip_record_stream_round_trips(self, tmp_path, oracle,
                                             piped):
-        reference = oracle.random_campaign(6, seed=7, pipeline=False)
+        reference = reference_summary(oracle,
+                                      random_jobs(oracle, 6, seed=7))
         path = tmp_path / "records.jsonl.gz"
         with JsonlRecordSink(path) as sink:
             piped.random_campaign(6, seed=7, record_sink=sink)
@@ -220,12 +244,6 @@ class TestPipelineStreaming:
         assert {e.scenario for e in mined} == \
             {s.name for s in piped.scenarios}
 
-    def test_progress_events_barrier_path(self, oracle):
-        events = []
-        oracle.random_campaign(3, seed=2, pipeline=False,
-                               on_progress=events.append)
-        assert {"golden", "validated"} <= {e.stage for e in events}
-
 
 def shard_config(index, count):
     return CampaignConfig(shard_index=index, shard_count=count)
@@ -249,11 +267,6 @@ class TestSharding:
         assert [s.name for s in owned[0]] == \
             [scenarios[0].name, scenarios[2].name]
 
-    def test_barrier_path_rejects_sharding(self):
-        campaign = Campaign(small_scenarios(), shard_config(0, 2))
-        with pytest.raises(ValueError, match="pipeline"):
-            campaign.random_campaign(4, pipeline=False)
-
     def test_schedule_ticks_match_golden_ticks(self, oracle):
         """The sharded draw's premise, asserted for every library run."""
         for scenario in oracle.scenarios:
@@ -273,7 +286,8 @@ class TestSharding:
         return paths
 
     def test_two_shard_random_merges_to_unsharded(self, tmp_path, oracle):
-        reference = oracle.random_campaign(10, seed=2, pipeline=False)
+        reference = reference_summary(oracle,
+                                      random_jobs(oracle, 10, seed=2))
         paths = self._run_shards(
             tmp_path, 2,
             lambda c, sink: c.random_campaign(10, seed=2,
@@ -287,8 +301,8 @@ class TestSharding:
 
     def test_two_shard_exhaustive_merges_to_unsharded(self, tmp_path,
                                                       oracle):
-        reference = oracle.exhaustive_campaign(
-            tick_stride=40, variable_names=["brake"], pipeline=False)
+        reference = reference_summary(oracle, exhaustive_jobs(
+            oracle, tick_stride=40, variable_names=["brake"]))
         paths = self._run_shards(
             tmp_path, 2,
             lambda c, sink: c.exhaustive_campaign(
@@ -299,8 +313,8 @@ class TestSharding:
 
     def test_two_shard_architectural_counts_are_global(self, tmp_path,
                                                        oracle):
-        reference, ref_outcomes = oracle.architectural_campaign(
-            25, seed=3, pipeline=False)
+        jobs, ref_outcomes = architectural_jobs(oracle, 25, seed=3)
+        reference = reference_summary(oracle, jobs)
         outcome_sets = []
 
         def run(campaign, sink):
@@ -315,19 +329,21 @@ class TestSharding:
 
     def test_two_shard_bayesian_merges_to_unsharded(self, tmp_path,
                                                     oracle):
-        reference = oracle.bayesian_campaign(top_k=8, pipeline=False)
-        candidate_sets = []
+        results = []
 
         def run(campaign, sink):
-            result = campaign.bayesian_campaign(top_k=8, record_sink=sink)
-            candidate_sets.append(candidate_keys(result.candidates))
+            results.append(campaign.bayesian_campaign(top_k=8,
+                                                      record_sink=sink))
 
         paths = self._run_shards(tmp_path, 2, run)
+        candidates, _, summary = reference_mining(oracle, results[0],
+                                                  top_k=8)
         # Mining is global: every shard ranks the same candidate list.
-        assert candidate_sets[0] == candidate_sets[1] == \
-            candidate_keys(reference.candidates)
+        assert candidate_keys(results[0].candidates) == \
+            candidate_keys(results[1].candidates) == \
+            candidate_keys(candidates)
         merged = merge_record_shards(paths)
-        assert merged.same_aggregates(reference.summary)
+        assert merged.same_aggregates(summary)
 
     def test_shard_writes_isolated_caches(self, tmp_path, monkeypatch):
         campaign = Campaign(small_scenarios(), shard_config(1, 2),
@@ -361,19 +377,17 @@ class TestCandidateCacheResilience:
     re-mining.
     """
 
-    @pytest.mark.parametrize("pipeline", [True, False])
-    def test_corrupt_cache_re_mines(self, tmp_path, pipeline):
+    @pytest.mark.parametrize("pooled", [True, False])
+    def test_corrupt_cache_re_mines(self, tmp_path, pooled):
         scenarios = [replace(lead_vehicle_cutin(), duration=14.0)]
-        cold = Campaign(scenarios, CampaignConfig(),
-                        cache_dir=tmp_path / str(pipeline))
-        cold_result = cold.bayesian_campaign(top_k=3, pipeline=pipeline)
-        cache_files = list((tmp_path / str(pipeline))
-                           .glob("candidates-*.json"))
+        workers = 2 if pooled else None
+        cold = Campaign(scenarios, CampaignConfig(), cache_dir=tmp_path)
+        cold_result = cold.bayesian_campaign(top_k=3, workers=workers)
+        cache_files = list(tmp_path.glob("candidates-*.json"))
         assert len(cache_files) == 1
         cache_files[0].write_text("{ torn write")
-        warm = Campaign(scenarios, CampaignConfig(),
-                        cache_dir=tmp_path / str(pipeline))
-        warm_result = warm.bayesian_campaign(top_k=3, pipeline=pipeline)
+        warm = Campaign(scenarios, CampaignConfig(), cache_dir=tmp_path)
+        warm_result = warm.bayesian_campaign(top_k=3, workers=workers)
         assert candidate_keys(warm_result.candidates) == \
             candidate_keys(cold_result.candidates)
         # ...and re-mining healed the cache file.

@@ -15,12 +15,11 @@ import time
 from dataclasses import asdict, replace
 
 import pytest
+from reference import random_jobs, reference_records, strip_wall
 
 from repro.core import (Campaign, CampaignConfig, CampaignSummary,
-                        FaultSpec, Hazard, ResilienceConfig,
-                        run_experiments)
+                        FaultSpec, Hazard, ResilienceConfig)
 from repro.core.checkpoint import CheckpointStore
-from repro.core.parallel import collect_golden_runs
 from repro.core.persistence import (JsonlRecordSink, iter_records_jsonl,
                                     merge_record_shards, record_from_dict,
                                     record_to_dict)
@@ -38,15 +37,6 @@ HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 def small_scenarios():
     return [replace(highway_cruise(), duration=16.0),
             replace(lead_vehicle_cutin(), duration=14.0)]
-
-
-def strip_wall(records):
-    rows = []
-    for record in records:
-        row = asdict(record)
-        row.pop("wall_seconds")
-        rows.append(row)
-    return rows
 
 
 def ok_record(scenario="s", tick=10, variable="brake", value=0.0,
@@ -521,31 +511,30 @@ class TestJournalIntegration:
         assert campaign._last_journal is None
         assert not list(tmp_path.glob("journal-*"))
 
-    def test_barrier_driver_journals_identically(self, tmp_path):
+    def test_run_jobs_journals_identically(self, tmp_path):
         first = Campaign(small_scenarios(), CampaignConfig(),
                          cache_dir=tmp_path)
-        reference = first.random_campaign(6, seed=11, pipeline=False)
+        jobs = random_jobs(first, 6, seed=11)
+        reference = first.run_jobs(jobs)
         assert first._last_journal.appended == 6
         resumed = Campaign(
             small_scenarios(),
             CampaignConfig(resilience=ResilienceConfig(resume=True)),
             cache_dir=tmp_path)
-        again = resumed.random_campaign(6, seed=11, pipeline=False)
+        again = resumed.run_jobs(jobs)
         assert resumed._last_journal.hits == 6
         assert [asdict(r) for r in again.records] == \
             [asdict(r) for r in reference.records]
 
 
 class _InterruptAfter:
-    """Progress hook raising KeyboardInterrupt after N validations."""
+    """Record sink raising KeyboardInterrupt after N validations."""
 
     def __init__(self, after: int):
         self.after = after
         self.seen = 0
 
-    def __call__(self, event):
-        if event.stage != "validated":
-            return
+    def add(self, record):
         self.seen += 1
         if self.seen >= self.after:
             raise KeyboardInterrupt
@@ -555,25 +544,28 @@ class TestKeyboardInterrupt:
     """S2: ^C mid-pooled-campaign leaves a consistent journal behind."""
 
     @pytest.mark.skipif(not HAS_FORK, reason="fork start method required")
-    @pytest.mark.parametrize("pipeline", [True, False],
-                             ids=["pipeline", "barrier"])
+    @pytest.mark.parametrize("entry", ["pipeline", "run_jobs"])
     def test_interrupt_keeps_prefix_and_resume_completes(self, tmp_path,
-                                                         pipeline):
+                                                         entry):
         oracle = Campaign(small_scenarios(), CampaignConfig())
-        reference = oracle.random_campaign(8, seed=11, pipeline=pipeline)
+        jobs = random_jobs(oracle, 8, seed=11)
+        reference = CampaignSummary(reference_records(oracle, jobs))
+
+        def run(campaign, **kwargs):
+            if entry == "pipeline":
+                return campaign.random_campaign(8, seed=11, **kwargs)
+            return campaign.run_jobs(jobs, **kwargs)
 
         interrupted = Campaign(small_scenarios(), CampaignConfig(),
                                cache_dir=tmp_path)
         with pytest.raises(KeyboardInterrupt):
-            interrupted.random_campaign(
-                8, seed=11, workers=2, pipeline=pipeline,
-                on_progress=_InterruptAfter(3))
+            run(interrupted, workers=2, record_sink=_InterruptAfter(3))
 
         resumed = Campaign(
             small_scenarios(),
             CampaignConfig(resilience=ResilienceConfig(resume=True)),
             cache_dir=tmp_path)
-        summary = resumed.random_campaign(8, seed=11, pipeline=pipeline)
+        summary = run(resumed)
         journal = resumed._last_journal
         assert journal.hits >= 3                  # the flushed prefix
         assert journal.hits + journal.appended == 8
@@ -593,29 +585,15 @@ class TestSpawnFallbackWarning:
                          lambda: World.on_highway(ego_speed=31.0),
                          duration=14.0)]
 
-    def test_barrier_driver_warns_naming_scenarios(self):
-        scenarios = self.closure_scenarios()
-        config = CampaignConfig()
-        with pytest.warns(RuntimeWarning, match="scenarios"):
-            collect_golden_runs(scenarios, config, workers=2,
-                                start_method="spawn")
-        campaign = Campaign(scenarios, config)
-        tick = campaign.injection_ticks(scenarios[0])[1]
-        jobs = [("closure_cruise", FaultSpec("brake", 0.0, tick, 4))]
-        with pytest.warns(RuntimeWarning, match="scenarios"):
-            run_experiments(scenarios, config, jobs, workers=2,
-                            start_method="spawn")
-
     def test_pipeline_driver_warns_naming_scenarios(self):
         campaign = Campaign(self.closure_scenarios(), CampaignConfig())
         with pytest.warns(RuntimeWarning, match="scenarios"):
             outcome = CampaignPipeline(
                 campaign, workers=2, start_method="spawn").run(
                 campaign._random_plan(4, 5))
-        reference = Campaign(self.closure_scenarios(), CampaignConfig()) \
-            .random_campaign(4, seed=5, pipeline=False)
-        assert strip_wall(outcome.summary.records) == \
-            strip_wall(reference.records)
+        oracle = Campaign(self.closure_scenarios(), CampaignConfig())
+        reference = reference_records(oracle, random_jobs(oracle, 4, seed=5))
+        assert strip_wall(outcome.summary.records) == strip_wall(reference)
 
 
 class TestLadderSpill:
@@ -646,21 +624,47 @@ class TestLadderSpill:
         assert CheckpointStore.saved_scenarios(spool) >= \
             {s.name for s in campaign.scenarios}
 
+    def test_run_fault_reuses_spilled_ladder(self, monkeypatch):
+        """After a campaign without cache_dir, ``run_fault`` forks from
+        the spilled ladder instead of re-simulating a golden prefix."""
+        campaign = Campaign(small_scenarios(), CampaignConfig())
+        campaign.exhaustive_campaign(tick_stride=40,
+                                     variable_names=["brake"])
+        assert campaign.checkpoints.scenarios() == []
+        scenario = campaign.scenarios[0]
+        fault = FaultSpec("brake", 0.0,
+                          campaign.injection_ticks(scenario)[2], 4)
+        reference = reference_records(campaign, [(scenario.name, fault)])
+
+        import repro.core.campaign as campaign_module
+        prefix_runs = []
+        real = campaign_module.run_scenario
+
+        def counting(*args, **kwargs):
+            prefix_runs.append(args[0].name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(campaign_module, "run_scenario", counting)
+        record = campaign.run_fault(scenario.name, fault)
+        assert prefix_runs == []
+        assert campaign.checkpoints.has_scenario(scenario.name)
+        assert strip_wall([record]) == strip_wall(reference)
+
 
 class TestSerialQuarantine:
     """A deterministically-failing job quarantines in its slot (or
     raises in strict mode) — identically in serial and pooled runs."""
 
     def _flaky_execute(self, monkeypatch, bad_tick):
-        import repro.core.parallel as parallel_mod
-        real = parallel_mod.execute_experiment
+        import repro.core.pipeline as pipeline_mod
+        real = pipeline_mod.execute_experiment
 
         def flaky(scenario, config, fault, checkpoints=None):
             if fault.start_tick == bad_tick:
                 raise RuntimeError("sim exploded")
             return real(scenario, config, fault, checkpoints)
 
-        monkeypatch.setattr(parallel_mod, "execute_experiment", flaky)
+        monkeypatch.setattr(pipeline_mod, "execute_experiment", flaky)
 
     def test_failure_occupies_its_slot(self, monkeypatch):
         scenarios = small_scenarios()
@@ -671,10 +675,10 @@ class TestSerialQuarantine:
         jobs = [(scenarios[0].name, FaultSpec("brake", 0.0, ticks[1], 4)),
                 (scenarios[0].name, FaultSpec("brake", 0.0, ticks[2], 4)),
                 (scenarios[0].name, FaultSpec("brake", 0.0, ticks[3], 4))]
-        reference = run_experiments(scenarios, config, jobs)
+        reference = reference_records(campaign, jobs)
 
         self._flaky_execute(monkeypatch, ticks[2])
-        records = run_experiments(scenarios, config, jobs)
+        records = campaign.run_jobs(jobs).records
         assert [r.failed for r in records] == [False, True, False]
         failed = records[1]
         assert failed.error == "RuntimeError: sim exploded"
@@ -689,6 +693,5 @@ class TestSerialQuarantine:
         tick = campaign.injection_ticks(scenarios[0])[1]
         self._flaky_execute(monkeypatch, tick)
         with pytest.raises(RuntimeError, match="sim exploded"):
-            run_experiments(scenarios, config,
-                            [(scenarios[0].name,
-                              FaultSpec("brake", 0.0, tick, 4))])
+            campaign.run_jobs([(scenarios[0].name,
+                                FaultSpec("brake", 0.0, tick, 4))])

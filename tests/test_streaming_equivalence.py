@@ -13,14 +13,14 @@ equivalent summary — non-finite safety potentials included.
 import json
 import math
 import pickle
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import pytest
+from reference import reference_records, strip_wall
 
-from repro.core import (Campaign, CampaignConfig, CheckpointStore,
-                        ExperimentRecord, FaultSpec, Hazard, ListSink,
-                        run_experiments)
-from repro.core.parallel import collect_golden_runs
+from repro.core import (Campaign, CampaignConfig, CampaignPipeline,
+                        CheckpointStore, ExperimentRecord, FaultSpec,
+                        Hazard, ListSink, StagePlan, execute_experiment)
 from repro.core.persistence import (JsonlRecordSink, iter_records_jsonl,
                                     load_summary_jsonl, record_from_dict,
                                     record_to_dict)
@@ -39,18 +39,9 @@ def make_campaign(cache_dir=None) -> Campaign:
                     cache_dir=cache_dir)
 
 
-def strip_wall(records):
-    rows = []
-    for record in records:
-        row = asdict(record)
-        row.pop("wall_seconds")   # host timing necessarily differs
-        rows.append(row)
-    return rows
-
-
 @pytest.fixture(scope="module")
 def serial_campaign():
-    """Golden runs collected by the serial oracle loop."""
+    """Golden runs collected serially (``workers=None``)."""
     campaign = make_campaign()
     campaign.golden_runs()
     return campaign
@@ -292,12 +283,12 @@ class TestCheckpointStoreDisk:
         scenario = scenarios[0]
         tick = serial_campaign.injection_ticks(scenario)[3]
         jobs = [(scenario.name, FaultSpec("throttle", 1.0, tick, 4))]
-        reference = run_experiments(
-            scenarios, serial_campaign.config, jobs,
-            checkpoints=serial_campaign.checkpoints)
-        via_path = run_experiments(
-            scenarios, serial_campaign.config, jobs,
-            checkpoints=directory)
+        reference = reference_records(serial_campaign, jobs)
+        loaded = CheckpointStore.load(directory)
+        assert loaded.nearest(scenario.name, tick) is not None
+        via_path = [execute_experiment(scenario, serial_campaign.config,
+                                       fault, loaded)
+                    for _, fault in jobs]
         assert strip_wall(via_path) == strip_wall(reference)
 
 
@@ -387,28 +378,28 @@ class TestSpawnStartMethod:
         ticks = serial_campaign.injection_ticks(scenario)
         jobs = [(scenario.name, FaultSpec("brake", 0.0, ticks[2], 4)),
                 (scenario.name, FaultSpec("throttle", 1.0, ticks[-1], 4))]
-        reference = run_experiments(
-            scenarios, serial_campaign.config, jobs,
-            checkpoints=serial_campaign.checkpoints)
-        spawned = run_experiments(
-            scenarios, serial_campaign.config, jobs, workers=2,
-            checkpoints=serial_campaign.checkpoints, start_method="spawn")
-        assert strip_wall(spawned) == strip_wall(reference)
+        reference = reference_records(serial_campaign, jobs)
+        spawned = CampaignPipeline(
+            serial_campaign, workers=2, start_method="spawn").run(
+            StagePlan(style="jobs", global_jobs=lambda ctx: jobs))
+        assert strip_wall(spawned.summary.records) == strip_wall(reference)
 
     def test_spawn_golden_collection_matches_serial(self, serial_campaign):
         scenarios = small_scenarios()[:2]
-        capture = {s.name: serial_campaign._capture_ticks(s)
-                   for s in scenarios}
-        sharded = collect_golden_runs(
-            scenarios, serial_campaign.config, capture, workers=2,
-            start_method="spawn")
+        campaign = Campaign(scenarios, CampaignConfig())
+        CampaignPipeline(campaign, workers=2, start_method="spawn").run(
+            StagePlan(style="golden", golden_scope="all"))
+        # Worker-captured ladders reached the spool; load them from it.
+        assert CheckpointStore.saved_scenarios(
+            campaign._ladder_spool_dir()) == {s.name for s in scenarios}
+        campaign._ensure_checkpoints(s.name for s in scenarios)
         serial = serial_campaign.golden_runs()
-        for name, run in sharded.items():
+        for name, run in campaign._golden.items():
             reference = serial[name]
             assert run.min_delta_long == reference.min_delta_long
             reference_arrays = reference.trace.as_arrays()
             for column, array in run.trace.as_arrays().items():
                 assert array.tolist() == \
                     reference_arrays[column].tolist(), column
-            assert sorted(run.checkpoints) == \
-                sorted(reference.checkpoints or {})
+            assert campaign.checkpoints.ticks(name) == \
+                serial_campaign.checkpoints.ticks(name)

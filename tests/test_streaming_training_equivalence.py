@@ -7,18 +7,20 @@ Two layers of equivalence ride the streaming training stack:
   :class:`LinearGaussianSuffStats` and finalizing reproduces the batch
   ``fit_*`` results: exactly for tabular counts, and to ≤1e-9 relative
   (measured ~1e-12) for linear-Gaussian weights/intercepts/variances.
-* **Campaign equivalence** — Bayesian campaigns trained through the
-  streaming trainer (the default) emit candidate lists and validation
-  records identical to the batch-trained oracle, and every campaign
-  style run with out-of-core ``trace_store`` golden traces is
-  record-for-record the in-RAM path — serial and pooled, cold and
-  warm caches.
+* **Campaign equivalence** — Bayesian campaigns, which train through
+  the streaming trainer, emit candidate lists and validation records
+  identical to the batch-trained oracle (whole-population mining plus
+  the reference loop), and every campaign style run with out-of-core
+  ``trace_store`` golden traces is record-for-record the reference
+  loop — serial and pooled, cold and warm caches.
 """
 
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from reference import (architectural_jobs, candidate_jobs, exhaustive_jobs,
+                       random_jobs, reference_records, strip_wall)
 
 from repro.bayesnet import (DAG, LinearGaussianNetworkSuffStats,
                             LinearGaussianSuffStats, TabularSuffStats,
@@ -37,15 +39,6 @@ def small_scenarios():
     return [replace(highway_cruise(), duration=24.0),
             replace(lead_vehicle_cutin(), duration=16.0),
             replace(queued_traffic(), duration=18.0)]
-
-
-def strip_wall(records):
-    rows = []
-    for record in records:
-        row = asdict(record)
-        row.pop("wall_seconds")   # host timing necessarily differs
-        rows.append(row)
-    return rows
 
 
 def candidate_keys(candidates):
@@ -268,38 +261,42 @@ class TestInjectorTrainerEquivalence:
 
 @pytest.fixture(scope="module")
 def batch_oracle():
-    """Barrier path, batch training, in-RAM traces: the full oracle."""
+    """In-RAM golden traces: the reference loop's campaign."""
     campaign = Campaign(small_scenarios(), CampaignConfig())
     campaign.golden_runs()
     return campaign
 
 
+@pytest.fixture(scope="module")
+def batch_fit(batch_oracle):
+    """The whole-dataset fit and its whole-population top-6 mine."""
+    injector = BayesianFaultInjector.train(
+        list(batch_oracle.golden_runs().values()),
+        safety_config=batch_oracle.config.safety)
+    candidates, _ = injector.mine_critical_faults_batched(
+        batch_oracle.scene_rows(), top_k=6)
+    return injector, candidates
+
+
+def batch_reference(oracle, fit):
+    """The batch oracle's candidate keys and reference-loop records."""
+    _, candidates = fit
+    records = reference_records(oracle, candidate_jobs(oracle, candidates))
+    return candidate_keys(candidates), strip_wall(records)
+
+
 class TestStreamingCampaignEquivalence:
-    """streaming_training=True == the batch oracle, record for record."""
+    """Streamed training == the batch oracle, record for record."""
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_bayesian_streaming_vs_batch_records(self, batch_oracle,
-                                                 workers):
-        reference = batch_oracle.bayesian_campaign(
-            top_k=6, pipeline=False, streaming_training=False)
+                                                 batch_fit, workers):
+        keys, records = batch_reference(batch_oracle, batch_fit)
         streamed = Campaign(small_scenarios(),
                             CampaignConfig()).bayesian_campaign(
             top_k=6, workers=workers)
-        assert candidate_keys(streamed.candidates) == \
-            candidate_keys(reference.candidates)
-        assert strip_wall(streamed.summary.records) == \
-            strip_wall(reference.summary.records)
-
-    def test_barrier_streaming_matches_barrier_batch(self, batch_oracle):
-        """The pipeline=False path honours the flag the same way."""
-        reference = batch_oracle.bayesian_campaign(
-            top_k=6, pipeline=False, streaming_training=False)
-        streamed = batch_oracle.bayesian_campaign(
-            top_k=6, pipeline=False, streaming_training=True)
-        assert candidate_keys(streamed.candidates) == \
-            candidate_keys(reference.candidates)
-        assert strip_wall(streamed.summary.records) == \
-            strip_wall(reference.summary.records)
+        assert candidate_keys(streamed.candidates) == keys
+        assert strip_wall(streamed.summary.records) == records
 
     def test_train_progress_events_tick_per_trace(self):
         events = []
@@ -315,12 +312,14 @@ class TestStreamingCampaignEquivalence:
         assert stages.index("mined") > stages.index("train")
         assert {"golden", "train", "mined", "validated"} <= set(stages)
 
-    def test_batch_training_emits_no_train_ticks(self):
+    def test_batch_training_emits_no_train_ticks(self, batch_fit):
+        """A caller-supplied (batch-fit) model skips the streamed folds."""
         events = []
         campaign = Campaign(small_scenarios(), CampaignConfig())
-        campaign.bayesian_campaign(top_k=4, streaming_training=False,
-                                   on_progress=events.append)
+        campaign.bayesian_campaign(injector=batch_fit[0],
+                                   top_k=4, on_progress=events.append)
         assert not any(e.stage == "train" for e in events)
+        assert "validated" in {e.stage for e in events}
 
 
 class TestTraceStoreCampaignEquivalence:
@@ -333,41 +332,39 @@ class TestTraceStoreCampaignEquivalence:
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_random(self, batch_oracle, store_campaign, workers):
-        reference = batch_oracle.random_campaign(8, seed=11,
-                                                 pipeline=False)
+        reference = reference_records(
+            batch_oracle, random_jobs(batch_oracle, 8, seed=11))
         streamed = store_campaign.random_campaign(8, seed=11,
                                                   workers=workers)
-        assert strip_wall(streamed.records) == strip_wall(reference.records)
+        assert strip_wall(streamed.records) == strip_wall(reference)
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_exhaustive(self, batch_oracle, store_campaign, workers):
-        reference = batch_oracle.exhaustive_campaign(
-            tick_stride=40, variable_names=["brake", "steering"],
-            pipeline=False)
+        reference = reference_records(batch_oracle, exhaustive_jobs(
+            batch_oracle, tick_stride=40,
+            variable_names=["brake", "steering"]))
         streamed = store_campaign.exhaustive_campaign(
             tick_stride=40, variable_names=["brake", "steering"],
             workers=workers)
-        assert strip_wall(streamed.records) == strip_wall(reference.records)
+        assert strip_wall(streamed.records) == strip_wall(reference)
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_architectural(self, batch_oracle, store_campaign, workers):
-        reference, ref_outcomes = batch_oracle.architectural_campaign(
-            25, seed=3, pipeline=False)
+        jobs, ref_outcomes = architectural_jobs(batch_oracle, 25, seed=3)
+        reference = reference_records(batch_oracle, jobs)
         streamed, outcomes = store_campaign.architectural_campaign(
             25, seed=3, workers=workers)
         assert outcomes == ref_outcomes
-        assert strip_wall(streamed.records) == strip_wall(reference.records)
+        assert strip_wall(streamed.records) == strip_wall(reference)
 
     @pytest.mark.parametrize("workers", [None, 2])
-    def test_bayesian(self, batch_oracle, store_campaign, workers):
-        reference = batch_oracle.bayesian_campaign(
-            top_k=6, pipeline=False, streaming_training=False)
+    def test_bayesian(self, batch_oracle, batch_fit, store_campaign,
+                      workers):
+        keys, records = batch_reference(batch_oracle, batch_fit)
         streamed = store_campaign.bayesian_campaign(top_k=6,
                                                     workers=workers)
-        assert candidate_keys(streamed.candidates) == \
-            candidate_keys(reference.candidates)
-        assert strip_wall(streamed.summary.records) == \
-            strip_wall(reference.summary.records)
+        assert candidate_keys(streamed.candidates) == keys
+        assert strip_wall(streamed.summary.records) == records
 
     def test_goldens_are_stored_handles(self, store_campaign):
         store_campaign.bayesian_campaign(top_k=3)
@@ -378,28 +375,26 @@ class TestTraceStoreCampaignEquivalence:
         store = store_campaign.golden_trace_store()
         assert all(store.has(name) for name in golden)
 
-    def test_barrier_path_spools_too(self, batch_oracle):
+    def test_golden_runs_spool_too(self, batch_oracle):
+        """Standalone ``golden_runs()`` spools like a campaign does."""
         campaign = Campaign(small_scenarios(), CampaignConfig(),
                             trace_store=True)
-        reference = batch_oracle.random_campaign(6, seed=5,
-                                                 pipeline=False)
-        streamed = campaign.random_campaign(6, seed=5, pipeline=False)
-        assert strip_wall(streamed.records) == strip_wall(reference.records)
         assert all(isinstance(run.trace, StoredTrace)
                    for run in campaign.golden_runs().values())
+        reference = reference_records(
+            batch_oracle, random_jobs(batch_oracle, 6, seed=5))
+        streamed = campaign.random_campaign(6, seed=5)
+        assert strip_wall(streamed.records) == strip_wall(reference)
 
 
 class TestWarmColdCacheEquivalence:
     """Cold runs spool + persist; warm runs re-map without simulating."""
 
-    @pytest.mark.parametrize("streaming_training", [True, False])
-    def test_warm_start_matches_cold(self, tmp_path, monkeypatch,
-                                     streaming_training):
-        cache = tmp_path / f"cache-{streaming_training}"
+    def test_warm_start_matches_cold(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
         cold = Campaign(small_scenarios(), CampaignConfig(),
                         cache_dir=cache, trace_store=True)
-        cold_result = cold.bayesian_campaign(
-            top_k=6, streaming_training=streaming_training)
+        cold_result = cold.bayesian_campaign(top_k=6)
         assert list(cache.glob("golden-*.json.gz"))
         assert list(cache.glob("traces-*/*.npy"))
 
@@ -415,8 +410,7 @@ class TestWarmColdCacheEquivalence:
                             no_resimulation)
         monkeypatch.setattr(parallel_module, "run_scenario",
                             no_resimulation)
-        warm_result = warm.bayesian_campaign(
-            top_k=6, streaming_training=streaming_training)
+        warm_result = warm.bayesian_campaign(top_k=6)
         assert candidate_keys(warm_result.candidates) == \
             candidate_keys(cold_result.candidates)
         assert strip_wall(warm_result.summary.records) == \
