@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import Campaign, CampaignConfig
+from repro.core import Campaign, CampaignConfig, execute_experiment
 from repro.sim import (adjacent_traffic, braking_lead, empty_road,
                        highway_cruise, lead_vehicle_cutin,
                        occluded_pedestrian, overtake_cutin, queued_traffic,
@@ -35,6 +35,16 @@ def timing_gates(benchmark) -> bool:
     ``--benchmark-disable``) and ``REPRO_BENCH_GATES=1``.  Record
     equality and correctness asserts never depend on this."""
     return not benchmark.disabled and os.environ.get(GATES_ENV) == "1"
+
+
+def scalar_engine_records(campaign, jobs):
+    """The scalar engine on ``jobs``, forked from the campaign's resident
+    checkpoint ladders (warm them with ``golden_runs()``): one
+    :func:`execute_experiment` per job, in job order.  The side fused
+    validation is timed and checked against."""
+    return [execute_experiment(campaign._by_name[name], campaign.config,
+                               fault, campaign.checkpoints)
+            for name, fault in jobs]
 
 
 def bench_scenarios():

@@ -2,34 +2,35 @@
 
 PR 9 vectorized the *physics* of a batch (RK4, collision sweep, safety
 envelope) but still ran each lane's ADS pipeline as scalar pure Python,
-so serial ``batch_sim`` fusion bought only ~1.4x.  This PR batches the
+so serial fusion bought only ~1.4x.  This PR batches the
 pipeline itself (:class:`repro.ads.batch.BatchADSState`): sensing
 geometry, the localizer EKF, the IDM planner, and the PID/slew
 controller advance every fused lane per numpy kernel call, with per-lane
 work reduced to packed RNG draws, camera/radar fusion, and the ragged
 tracker.
 
-This bench isolates that single-core win: serial ``batch_sim=16``
-against the serial scalar oracle on the same checkpoint-forked job
-population, both through :meth:`Campaign.run_jobs` — no process pool,
-so the ratio is pure fusion, comparable across hosts.  Record agreement is asserted unconditionally; the
+This bench isolates that single-core win: serial
+:meth:`Campaign.run_jobs` on same-scenario groups of at least ``LANES``
+jobs (which the driver fuses) against the serial scalar engine on the
+same checkpoint-forked job population
+(``conftest.scalar_engine_records``) — no process pool, so the ratio is
+pure fusion, comparable across hosts.  Record agreement is asserted unconditionally; the
 speedup gate (≥1.8x, locally ~2.1x) needs no spare core because neither
 path pools, and like every wall-clock gate it fires only with
 ``REPRO_BENCH_GATES=1`` (see ``conftest.timing_gates``).
 """
 
 import time
-from dataclasses import replace
 
 import pytest
 
 from repro.analysis import ascii_table
 from repro.core import Campaign, CampaignConfig
 from repro.core.fault_models import minmax_fault_grid
+from repro.core.parallel import LANES
 
-from conftest import bench_scenarios, timing_gates
-
-BATCH = 16
+from conftest import (bench_scenarios, scalar_engine_records,
+                      timing_gates)
 
 
 @pytest.fixture(scope="module")
@@ -46,18 +47,9 @@ def ads_campaign():
     return campaign
 
 
-@pytest.fixture(scope="module")
-def batched_campaign(ads_campaign):
-    """The same scenarios validated through ``batch_sim`` fused lanes."""
-    campaign = Campaign(ads_campaign.scenarios,
-                        replace(ads_campaign.config, batch_sim=BATCH))
-    campaign.golden_runs()
-    return campaign
-
-
 def validation_jobs(campaign):
-    """A strided brake/throttle grid: long same-scenario runs, so the
-    driver cuts them into full ``batch_sim`` chunks plus remainders."""
+    """A strided brake/throttle grid: same-scenario groups of at least
+    ``LANES`` jobs, so the driver fuses every group."""
     jobs = []
     for scenario in campaign.scenarios:
         ticks = campaign.injection_ticks(scenario)
@@ -68,16 +60,18 @@ def validation_jobs(campaign):
     return jobs
 
 
-def test_bench_batch_ads(benchmark, ads_campaign, batched_campaign):
+def test_bench_batch_ads(benchmark, ads_campaign):
     campaign = ads_campaign
     jobs = validation_jobs(campaign)
     assert len(jobs) >= 40
+    for scenario in campaign.scenarios:
+        assert sum(name == scenario.name for name, _ in jobs) >= LANES
 
     def validate_scalar():
-        return campaign.run_jobs(jobs).records
+        return scalar_engine_records(campaign, jobs)
 
     def validate_batched():
-        return batched_campaign.run_jobs(jobs).records
+        return campaign.run_jobs(jobs).records
 
     # Warm process-wide caches both paths share (RK4 stop kernels, numpy
     # dispatch, golden traces), then time manually — best-of-two per
@@ -102,7 +96,7 @@ def test_bench_batch_ads(benchmark, ads_campaign, batched_campaign):
 
     print("\nSerial fusion: batched ADS pipeline vs scalar oracle")
     print(ascii_table(
-        ["metric", "scalar serial", f"batched serial (x{BATCH})"], [
+        ["metric", "scalar serial", f"batched serial (x{LANES})"], [
             ["experiments", len(scalar_records), len(batched_records)],
             ["wall seconds", f"{scalar_seconds:.3f}",
              f"{batched_seconds:.3f}"],
@@ -114,7 +108,7 @@ def test_bench_batch_ads(benchmark, ads_campaign, batched_campaign):
     benchmark.extra_info["batched_serial_seconds"] = batched_seconds
     benchmark.extra_info["serial_fusion_speedup"] = speedup
     benchmark.extra_info["experiments"] = len(jobs)
-    benchmark.extra_info["batch_sim"] = BATCH
+    benchmark.extra_info["lanes"] = LANES
 
     # The batched path must agree with the scalar oracle record for
     # record (wall clock aside) — asserted unconditionally...
@@ -132,4 +126,4 @@ def test_bench_batch_ads(benchmark, ads_campaign, batched_campaign):
         return
     assert speedup >= 1.8, (
         f"batched ADS pipeline only {speedup:.2f}x faster than the "
-        f"serial scalar oracle with batch_sim={BATCH}")
+        f"serial scalar engine with {LANES} lanes")

@@ -4,14 +4,15 @@ PR 2 made validation fork from golden-prefix checkpoints; what still
 cost one Python interpreter pass per experiment was the simulation
 itself — every world stepped its own RK4, collision sweep, and safety
 envelope through scalar numpy calls.  The batch engine
-(:mod:`repro.sim.batch`) steps up to ``batch_sim`` same-scenario
-experiments per fused kernel call, and the campaign drivers chunk jobs
-into those batches transparently.
+(:mod:`repro.sim.batch`) steps up to ``LANES`` same-scenario
+experiments per fused kernel call, and the campaign driver fuses every
+same-scenario group of at least ``LANES`` jobs on its own.
 
 This bench times the *shipped* batched configuration — fused lanes on
-a process pool (``batch_sim=16, workers=4``) — against the serial
-scalar oracle on the same checkpoint-forked job population, every path
-through :meth:`Campaign.run_jobs`, and pins exact record agreement
+a process pool (``workers=4``), through :meth:`Campaign.run_jobs` on
+groups of at least ``LANES`` jobs — against the serial scalar engine
+on the same checkpoint-forked job population
+(``conftest.scalar_engine_records``), and pins exact record agreement
 between them.  Since the ADS pipeline itself
 batches too (:mod:`repro.ads.batch`, PR 10), serial fusion alone is
 ~2x (the ``serial_batched_speedup`` extra_info;
@@ -22,18 +23,18 @@ than workers the gate is skipped and only equivalence is asserted.
 
 import os
 import time
-from dataclasses import replace
 
 import pytest
 
 from repro.analysis import ascii_table
 from repro.core import Campaign, CampaignConfig
 from repro.core.fault_models import minmax_fault_grid
+from repro.core.parallel import LANES
 
-from conftest import bench_scenarios, timing_gates
+from conftest import (bench_scenarios, scalar_engine_records,
+                      timing_gates)
 
 WORKERS = 4
-BATCH = 16
 
 
 def usable_cpus() -> int:
@@ -51,18 +52,9 @@ def batch_campaign():
     return campaign
 
 
-@pytest.fixture(scope="module")
-def batched_campaign(batch_campaign):
-    """The same scenarios validated through ``batch_sim`` fused lanes."""
-    campaign = Campaign(batch_campaign.scenarios,
-                        replace(batch_campaign.config, batch_sim=BATCH))
-    campaign.golden_runs()
-    return campaign
-
-
 def validation_jobs(campaign):
-    """A strided brake/throttle grid: long same-scenario runs, so the
-    drivers cut them into full ``batch_sim`` chunks plus remainders."""
+    """A strided brake/throttle grid: same-scenario groups of at least
+    ``LANES`` jobs, so the driver fuses every group."""
     jobs = []
     for scenario in campaign.scenarios:
         ticks = campaign.injection_ticks(scenario)
@@ -73,19 +65,21 @@ def validation_jobs(campaign):
     return jobs
 
 
-def test_bench_batch_sim(benchmark, batch_campaign, batched_campaign):
+def test_bench_batch_sim(benchmark, batch_campaign):
     campaign = batch_campaign
     jobs = validation_jobs(campaign)
     assert len(jobs) >= 40
+    for scenario in campaign.scenarios:
+        assert sum(name == scenario.name for name, _ in jobs) >= LANES
 
     def validate_scalar_serial():
-        return campaign.run_jobs(jobs).records
+        return scalar_engine_records(campaign, jobs)
 
     def validate_batched_serial():
-        return batched_campaign.run_jobs(jobs).records
+        return campaign.run_jobs(jobs).records
 
     def validate_batched_pooled():
-        return batched_campaign.run_jobs(jobs, workers=WORKERS).records
+        return campaign.run_jobs(jobs, workers=WORKERS).records
 
     # Warm process-wide caches all paths share (RK4 stop kernels, numpy
     # dispatch, golden traces) so timing order doesn't bias the
@@ -132,7 +126,7 @@ def test_bench_batch_sim(benchmark, batch_campaign, batched_campaign):
     benchmark.extra_info["serial_batched_speedup"] = serial_speedup
     benchmark.extra_info["speedup"] = speedup
     benchmark.extra_info["experiments"] = len(jobs)
-    benchmark.extra_info["batch_sim"] = BATCH
+    benchmark.extra_info["lanes"] = LANES
     benchmark.extra_info["workers"] = WORKERS
     benchmark.extra_info["usable_cpus"] = usable_cpus()
 
@@ -160,5 +154,5 @@ def test_bench_batch_sim(benchmark, batch_campaign, batched_campaign):
         return
     assert speedup >= 3.0, (
         f"batched validation only {speedup:.2f}x faster than the "
-        f"scalar serial oracle with batch_sim={BATCH}, "
+        f"scalar serial engine with {LANES} lanes, "
         f"workers={WORKERS}")

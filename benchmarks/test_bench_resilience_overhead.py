@@ -8,8 +8,9 @@ fault-free path: the whole point is to leave it on by default, so a
 healthy campaign may not pay for the insurance.  This bench runs the
 same job set with ``workers=4`` through :meth:`Campaign.run_jobs` and
 through a bare pool driving the same worker entry points
-(``_init_pipeline_worker``/``_pipeline_validate_chunk``), both by full
-replay with golden runs warmed beforehand, and pins record-for-record
+(``_init_pipeline_worker``/``_pipeline_validate_chunk``), both forking
+from the campaign's checkpoint ladders with golden runs warmed
+beforehand, and pins record-for-record
 agreement plus the overhead bound (supervised within 5% of
 unsupervised wall-clock).
 
@@ -65,7 +66,7 @@ def bench_jobs(scenarios):
     return jobs
 
 
-def run_unsupervised(scenarios, config, jobs):
+def run_unsupervised(scenarios, config, spool, jobs):
     """The pre-resilience engine: a bare pool, no timeouts, no retries,
     no crash recovery — the overhead baseline supervision is held to.
     One job per task in job order (``bench_jobs`` is scenario-major):
@@ -75,7 +76,8 @@ def run_unsupervised(scenarios, config, jobs):
     with ProcessPoolExecutor(max_workers=WORKERS,
                              mp_context=_pool_context(None),
                              initializer=_init_pipeline_worker,
-                             initargs=(scenarios, config, None)) as pool:
+                             initargs=(scenarios, config,
+                                       str(spool))) as pool:
         futures = [pool.submit(_pipeline_validate_chunk,
                                (name, [(slot, fault)]))
                    for slot, (name, fault) in enumerate(jobs)]
@@ -87,10 +89,10 @@ def run_unsupervised(scenarios, config, jobs):
 
 def test_bench_resilience_overhead(benchmark):
     scenarios = bench_population()
-    config = CampaignConfig(use_checkpoints=False)
+    config = CampaignConfig()
     jobs = bench_jobs(scenarios)
     campaign = Campaign(scenarios, config)
-    campaign.golden_runs()      # outside both timings
+    campaign.golden_runs()      # outside both timings; spills the ladders
 
     # Warm the process-wide caches both engines share so timing order
     # doesn't favour the second run.
@@ -99,7 +101,8 @@ def test_bench_resilience_overhead(benchmark):
                              workers=WORKERS)
 
     base_start = time.perf_counter()
-    baseline = run_unsupervised(scenarios, config, jobs)
+    baseline = run_unsupervised(scenarios, config,
+                                campaign._ladder_spool_dir(), jobs)
     baseline_seconds = time.perf_counter() - base_start
 
     def timed_supervised():

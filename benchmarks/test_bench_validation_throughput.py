@@ -9,21 +9,23 @@ the post-fault horizon.  Against 40 s scenarios with injections in the
 later half of the window that cuts simulated ticks per experiment by
 3-6x; this bench pins the wall-clock speedup and — more importantly —
 exact record agreement between the two paths.  Both run the same job
-list through :meth:`Campaign.run_jobs`; full replay is a campaign with
-``use_checkpoints=False``.
+list through the scalar engine, so the ratio is the fork alone: the
+checkpointed side forks each job from the campaign's ladders
+(``conftest.scalar_engine_records``), the full-replay side is the
+reference loop (``tests/reference.py``).
 """
 
 import time
-from dataclasses import replace
 
 import pytest
+from reference import reference_records
 
 from repro.analysis import ascii_table
 from repro.core import Campaign, CampaignConfig
 from repro.core.fault_models import minmax_fault_grid
 from repro.sim import highway_cruise, stop_and_go
 
-from conftest import timing_gates
+from conftest import scalar_engine_records, timing_gates
 
 
 @pytest.fixture(scope="module")
@@ -32,16 +34,6 @@ def validation_campaign():
     campaign = Campaign([highway_cruise(), stop_and_go()],
                         CampaignConfig())
     campaign.golden_runs()   # warm golden traces + checkpoint ladders
-    return campaign
-
-
-@pytest.fixture(scope="module")
-def replay_campaign(validation_campaign):
-    """The same scenarios validated by full replay from tick 0."""
-    campaign = Campaign(validation_campaign.scenarios,
-                        replace(validation_campaign.config,
-                                use_checkpoints=False))
-    campaign.golden_runs()
     return campaign
 
 
@@ -65,17 +57,16 @@ def late_window_jobs(campaign):
     return jobs
 
 
-def test_bench_validation_throughput(benchmark, validation_campaign,
-                                     replay_campaign):
+def test_bench_validation_throughput(benchmark, validation_campaign):
     campaign = validation_campaign
     jobs = late_window_jobs(campaign)
     assert len(jobs) >= 20
 
     def validate_checkpointed():
-        return campaign.run_jobs(jobs).records
+        return scalar_engine_records(campaign, jobs)
 
     def validate_full_replay():
-        return replay_campaign.run_jobs(jobs).records
+        return reference_records(campaign, jobs)
 
     # Warm shared caches (RK4 stop kernels) so the comparison isolates
     # per-tick simulation cost, then time both paths manually — the

@@ -56,10 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="directory for incremental-campaign caches "
                             "(golden traces, checkpoint ladders, mined "
                             "candidates)")
-    cache.add_argument("--no-checkpoints", action="store_true",
-                       help="validate by full replay from tick 0 "
-                            "(the reference oracle) instead of "
-                            "checkpoint resume")
     cache.add_argument("--trace-store", action="store_true",
                        help="spool golden traces out-of-core to "
                             "memory-mapped columnar files (under "
@@ -114,12 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           metavar="SECONDS",
                           help="lease lifetime between heartbeats "
                                "(default 30)")
-    campaign.add_argument("--batch-sim", type=int, default=0, metavar="N",
-                          help="validate up to N same-scenario "
-                               "experiments per fused numpy batch "
-                               "(records are bit-for-bit the scalar "
-                               "engine's; default 0 keeps the scalar "
-                               "reference engine)")
     campaign.add_argument("--profile-stages", action="store_true",
                           help="collect wall-clock counters per ADS "
                                "stage (sensing/perception/world-model/"
@@ -466,11 +456,9 @@ def main(argv: list[str] | None = None) -> int:
                 ads, degradation=DegradationConfig(enabled=False))
         config = CampaignConfig(
             ads=ads,
-            use_checkpoints=not getattr(args, "no_checkpoints", False),
             shard_index=getattr(args, "shard_index", 0),
             shard_count=getattr(args, "shard_count", 1),
             resilience=resilience,
-            batch_sim=getattr(args, "batch_sim", 0),
             profile_stages=getattr(args, "profile_stages", False))
     except ValueError as error:     # e.g. shard_index out of range
         raise SystemExit(f"error: {error}")

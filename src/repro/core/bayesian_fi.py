@@ -674,29 +674,19 @@ class BayesianFaultInjector:
     def _score_candidates(self, cols: Mapping[str, np.ndarray],
                           node: str, node_values: np.ndarray,
                           recovery: float,
-                          posterior: tuple[list[str], np.ndarray] | None
-                          = None) -> tuple[np.ndarray, np.ndarray]:
+                          posterior: tuple[list[str], np.ndarray]
+                          ) -> tuple[np.ndarray, np.ndarray]:
         """Batched :meth:`predicted_potential` over aligned candidate arrays.
 
         ``cols`` holds the scene columns (one row per candidate) and
         ``node_values`` the already-transformed BN intervention values.
-        ``posterior`` optionally supplies the actuation-posterior means
-        as ``(query order, estimate matrix)`` — the fused miner computes
-        those for every node with one stacked matmul; when absent the
-        per-node affine map is applied here.  Returns ``(delta_long,
+        ``posterior`` supplies the actuation-posterior means as
+        ``(query order, estimate matrix)`` — the miner computes those for
+        every node with one stacked matmul.  Returns ``(delta_long,
         delta_lat)`` arrays.
         """
         n = len(node_values)
-        if posterior is None:
-            query, gain, offset = self._affine_for(node)
-            evidence = np.empty((n, len(BN_VARIABLES) + 2))
-            for j, name in enumerate(BN_VARIABLES):
-                evidence[:, j] = cols[name]
-            evidence[:, -2] = node_values
-            evidence[:, -1] = node_values
-            estimate = evidence @ gain.T + offset
-        else:
-            query, estimate = posterior
+        query, estimate = posterior
         column_of = {name: i for i, name in enumerate(query)}
 
         actuation: dict[int, dict[str, np.ndarray]] = {1: {}, 2: {}}
@@ -785,27 +775,24 @@ class BayesianFaultInjector:
     def mine_critical_faults_batched(
             self, scenes: Iterable[SceneRow],
             variables: tuple[str, ...] = MINED_VARIABLES,
-            threshold: float = 0.0, top_k: int | None = None,
-            fuse_nodes: bool = True
+            threshold: float = 0.0, top_k: int | None = None
             ) -> tuple[list[CandidateFault], MiningReport]:
         """Vectorized :meth:`mine_critical_faults` (the production path).
 
-        Scores all scenes x corruption values of each BN node with one
-        affine matmul plus a vectorized kinematic rollout, instead of one
-        full Gaussian conditioning per candidate.  ``scenes`` may be any
-        iterable (e.g. the lazy :meth:`Campaign.scene_rows` stream); it
-        is consumed in one pass straight into the columnar batch.  With
-        ``fuse_nodes`` (the default) the per-node matmuls collapse
-        further into a single stacked matmul over every node's
-        scene-gain block (see :meth:`_stacked_affine`); ``False`` keeps
-        one matmul per node.  Both reproduce the scalar oracle's
-        ``F_crit`` and predicted potentials to float round-off (see the
-        equivalence suite), candidate order included.
+        Scores all scenes x corruption values of every mined BN node
+        with one stacked matmul over every node's scene-gain block (see
+        :meth:`_stacked_affine`) plus a vectorized kinematic rollout,
+        instead of one full Gaussian conditioning per candidate.
+        ``scenes`` may be any iterable (e.g. the lazy
+        :meth:`Campaign.scene_rows` stream); it is consumed in one pass
+        straight into the columnar batch.  It reproduces the scalar
+        oracle's ``F_crit`` and predicted potentials to float round-off
+        (see the equivalence suite), candidate order included.
         """
         report = MiningReport()
         start = time.perf_counter()
         critical, report.n_scored, report.n_scenes = self._mine_batched(
-            scenes, variables, threshold, fuse_nodes)
+            scenes, variables, threshold)
         critical.sort(key=lambda c: c.predicted_minimum)
         if top_k is not None:
             critical = critical[:top_k]
@@ -814,8 +801,7 @@ class BayesianFaultInjector:
         return critical, report
 
     def _mine_batched(self, scenes: Iterable[SceneRow],
-                      variables: tuple[str, ...], threshold: float,
-                      fuse_nodes: bool
+                      variables: tuple[str, ...], threshold: float
                       ) -> tuple[list[CandidateFault], int, int]:
         """Unsorted batched ``F_crit``, the scored count, the scene count.
 
@@ -840,18 +826,15 @@ class BayesianFaultInjector:
 
         batch = _SceneBatch(safe_stream())
         if batch.n:
-            per_node = None
-            scene_base = None
-            if fuse_nodes:
-                nodes = tuple(dict.fromkeys(
-                    NODE_MAPPING[v].node for v in variables))
-                stacked_gain, per_node = self._stacked_affine(nodes)
-                scene_matrix = np.column_stack(
-                    [batch.cols[name] for name in BN_VARIABLES])
-                # One matmul covers the scene-dependent posterior term of
-                # every mined node; per-variable scoring below only adds
-                # the rank-1 intervention-value term.
-                scene_base = scene_matrix @ stacked_gain.T
+            nodes = tuple(dict.fromkeys(
+                NODE_MAPPING[v].node for v in variables))
+            stacked_gain, per_node = self._stacked_affine(nodes)
+            scene_matrix = np.column_stack(
+                [batch.cols[name] for name in BN_VARIABLES])
+            # One matmul covers the scene-dependent posterior term of
+            # every mined node; per-variable scoring below only adds the
+            # rank-1 intervention-value term.
+            scene_base = scene_matrix @ stacked_gain.T
             combos: list[tuple[str, float, np.ndarray, np.ndarray]] = []
             for variable in variables:
                 mapping = NODE_MAPPING[variable]
@@ -862,18 +845,13 @@ class BayesianFaultInjector:
                     transform(batch.cols,
                               np.full(batch.n, value, dtype=float))
                     for value in values])
-                posterior = None
-                if per_node is not None:
-                    query, columns, value_gain, offset = \
-                        per_node[mapping.node]
-                    estimate = (np.tile(scene_base[:, columns],
-                                        (len(values), 1))
-                                + node_values[:, None] * value_gain
-                                + offset)
-                    posterior = (query, estimate)
+                query, columns, value_gain, offset = per_node[mapping.node]
+                estimate = (np.tile(scene_base[:, columns],
+                                    (len(values), 1))
+                            + node_values[:, None] * value_gain + offset)
                 delta_long, delta_lat = self._score_candidates(
                     batch.tiled(len(values)), mapping.node, node_values,
-                    mapping.recovery, posterior=posterior)
+                    mapping.recovery, posterior=(query, estimate))
                 for k, value in enumerate(values):
                     block = slice(k * batch.n, (k + 1) * batch.n)
                     combos.append((variable, value, delta_long[block],
@@ -957,8 +935,7 @@ class BayesianFaultInjector:
     def mine_scenario_candidates(
             self, scenes: Iterable[SceneRow],
             variables: tuple[str, ...] = MINED_VARIABLES,
-            threshold: float = 0.0, use_batched: bool = True,
-            fuse_nodes: bool = True
+            threshold: float = 0.0
             ) -> tuple[list[CandidateFault], int, int]:
         """Per-scenario mining entry point for the streaming pipeline.
 
@@ -972,7 +949,4 @@ class BayesianFaultInjector:
         the global miner's candidate list, which is the equivalence the
         pipeline driver relies on.
         """
-        if use_batched:
-            return self._mine_batched(scenes, variables, threshold,
-                                      fuse_nodes)
-        return self._mine_scalar(scenes, variables, threshold)
+        return self._mine_batched(scenes, variables, threshold)

@@ -13,7 +13,7 @@ import hashlib
 import tempfile
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -53,9 +53,7 @@ class CampaignConfig:
     injection_window_start: float = 2.0    # s: skip the startup transient
     injection_window_margin: float = 9.0   # s kept free at scenario end
     seed: int = 0
-    #: Validation forks every experiment from a golden-prefix checkpoint
-    #: (False keeps full replay from tick 0 as the reference oracle).
-    use_checkpoints: bool = True
+    #: Validation forks every experiment from a golden-prefix checkpoint.
     #: Capture a snapshot every Nth eligible injection tick.  Faults at
     #: uncaptured ticks resume from the nearest earlier snapshot and
     #: replay the short fault-free gap.
@@ -71,15 +69,6 @@ class CampaignConfig:
     #: outside the cache fingerprint: how a campaign survives
     #: infrastructure faults does not change what it computes.
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
-    #: Lanes per fused numpy batch during validation: values > 1 step up
-    #: to that many same-scenario experiments per
-    #: :func:`repro.core.simulate.run_experiments_batched` call instead
-    #: of one :class:`~repro.sim.world.World` each.  0 (the default)
-    #: keeps the scalar engine — the bit-for-bit reference oracle — and
-    #: the batched records are test-enforced identical to it, so this
-    #: too sits outside the cache fingerprint: *how* experiments are
-    #: stepped does not change what they compute.
-    batch_sim: int = 0
     #: Collect per-stage wall-clock counters around the five ADS stages
     #: and the deferred safety monitor (:data:`repro.ads.profiling.LAYERS`,
     #: with the stop table's hits, misses and bulk batches on the
@@ -98,9 +87,6 @@ class CampaignConfig:
             raise ValueError(
                 f"shard_index must be in [0, {self.shard_count}), "
                 f"got {self.shard_index}")
-        if self.batch_sim < 0:
-            raise ValueError(f"batch_sim must be >= 0, "
-                             f"got {self.batch_sim}")
 
 
 class Campaign:
@@ -170,9 +156,7 @@ class Campaign:
             from .pipeline import StagePlan
             self._run_pipeline(StagePlan(style="golden", golden_scope="all"),
                                workers)
-            if self.config.use_checkpoints:
-                self._ensure_checkpoints(
-                    s.name for s in self.owned_scenarios())
+            self._ensure_checkpoints(s.name for s in self.owned_scenarios())
         return self._golden
 
     def golden_trace_store(self):
@@ -285,8 +269,7 @@ class Campaign:
         spool = self._ladder_spool_dir()
         recaptured = False
         for name in missing:
-            if spool is not None \
-                    and self.checkpoints.load_scenario(spool, name):
+            if self.checkpoints.load_scenario(spool, name):
                 continue
             scenario = self._by_name[name]
             run = run_scenario(
@@ -381,24 +364,21 @@ class Campaign:
         only the ladders it validates with, and no two shard processes
         write one index.
         """
-        if self.cache_dir is None or not self.config.use_checkpoints:
+        if self.cache_dir is None:
             return None
         return (self.cache_dir / f"checkpoints-{self._fingerprint()}"
                                  f"-s{max(1, self.config.checkpoint_stride)}"
                                  f"{self._shard_suffix()}")
 
-    def _ladder_spool_dir(self) -> Path | None:
+    def _ladder_spool_dir(self) -> Path:
         """Disk spool the pipeline driver spills checkpoint ladders to.
 
         The checkpoint cache directory when the campaign has one (spool
         and cache are then the same files — spilling *is* persisting),
         else a campaign-lifetime temporary directory, so repeated
         pipeline runs on one campaign object reload spilled ladders
-        instead of re-simulating them.  ``None`` when checkpoints are
-        disabled.
+        instead of re-simulating them.
         """
-        if not self.config.use_checkpoints:
-            return None
         cache = self._checkpoint_cache_dir()
         if cache is not None:
             return cache
@@ -648,12 +628,9 @@ class Campaign:
     def run_fault(self, scenario_name: str,
                   fault: FaultSpec) -> ExperimentRecord:
         """Execute one injection experiment and record the outcome."""
-        checkpoints = None
-        if self.config.use_checkpoints:
-            self._ensure_checkpoints([scenario_name])
-            checkpoints = self.checkpoints
+        self._ensure_checkpoints([scenario_name])
         return execute_experiment(self._by_name[scenario_name],
-                                  self.config, fault, checkpoints)
+                                  self.config, fault, self.checkpoints)
 
     def run_jobs(self, jobs: list[ExperimentJob],
                  workers: int | None = None,
@@ -676,13 +653,8 @@ class Campaign:
     # -- campaigns -----------------------------------------------------------------
 
     def _run_pipeline(self, plan, workers=None, record_sink=None,
-                      on_progress=None, batch_sim: int | None = None):
+                      on_progress=None):
         """Run one plan on the streaming driver.
-
-        ``batch_sim`` overrides :attr:`CampaignConfig.batch_sim` for this
-        run only.  It sits outside the cache fingerprint (the engines are
-        bit-for-bit equivalent), so the swapped config keeps every
-        golden/checkpoint/candidate cache, journal, and work key valid.
 
         With ``config.profile_stages`` the process-global stage timer is
         reset and armed for the run, always disarmed on exit (including
@@ -690,9 +662,6 @@ class Campaign:
         ``extra_info['stage_timings']``.
         """
         from .pipeline import CampaignPipeline
-        previous = self.config
-        if batch_sim is not None and batch_sim != previous.batch_sim:
-            self.config = replace(previous, batch_sim=batch_sim)
         profile = self.config.profile_stages
         if profile:
             STAGE_TIMER.reset()
@@ -702,7 +671,6 @@ class Campaign:
                                       record_sink=record_sink,
                                       on_progress=on_progress).run(plan)
         finally:
-            self.config = previous
             if profile:
                 STAGE_TIMER.enabled = False
         report = STAGE_TIMER.report() if profile else None
@@ -717,7 +685,6 @@ class Campaign:
                         interface_share: float = 0.0,
                         interface_kinds: tuple | None = None,
                         interface_channels: tuple | None = None,
-                        batch_sim: int | None = None,
                         on_progress=None) -> CampaignSummary:
         """Fault model (b), uniformly random (the paper's baseline).
 
@@ -734,11 +701,6 @@ class Campaign:
         with that probability.  At the default 0.0 no extra random
         draws are made, so existing seeded campaigns reproduce their
         historical fault sequences bit-for-bit.
-
-        ``batch_sim`` overrides :attr:`CampaignConfig.batch_sim` for
-        this campaign: values > 1 validate through the fused batched
-        engine (records bit-for-bit the scalar engine's), 0 forces the
-        scalar oracle, ``None`` keeps the config's setting.
         """
         for kind in interface_kinds or ():
             validate_interface_kind(kind)
@@ -746,8 +708,8 @@ class Campaign:
             validate_interface_channel(channel)
         plan = self._random_plan(n_experiments, seed, interface_share,
                                  interface_kinds, interface_channels)
-        return self._run_pipeline(plan, workers, record_sink, on_progress,
-                                  batch_sim).summary
+        return self._run_pipeline(plan, workers, record_sink,
+                                  on_progress).summary
 
     def _random_jobs(self, n_experiments: int, seed: int | None,
                      ticks_of, interface_share: float = 0.0,
@@ -818,20 +780,17 @@ class Campaign:
                             workers: int | None = None,
                             record_sink=None,
                             interface_grid: bool = False,
-                            batch_sim: int | None = None,
                             on_progress=None) -> CampaignSummary:
         """Fault model (b) on the min/max grid (strided subsample).
 
         ``interface_grid`` appends the interface-fault grid (every kind
         x channel x strided tick, default parameters) to each
         scenario's value grid, so one sweep covers both fault families.
-        ``batch_sim`` overrides :attr:`CampaignConfig.batch_sim` for
-        this campaign (see :meth:`random_campaign`).
         """
         plan = self._exhaustive_plan(tick_stride, variable_names,
                                      max_experiments, interface_grid)
-        return self._run_pipeline(plan, workers, record_sink, on_progress,
-                                  batch_sim).summary
+        return self._run_pipeline(plan, workers, record_sink,
+                                  on_progress).summary
 
     def _exhaustive_grid(self, ticks: list[int],
                          variable_names: list[str] | None,
@@ -905,7 +864,6 @@ class Campaign:
                                workers: int | None = None,
                                record_sink=None,
                                interface_hangs: bool = False,
-                               batch_sim: int | None = None,
                                on_progress=None
                                ) -> tuple[CampaignSummary, dict[str, int]]:
         """Fault model (a): register flips propagated into the stack.
@@ -920,13 +878,11 @@ class Campaign:
         ``interface_hangs`` drives HANG outcomes into the simulator as
         interface ``hang`` faults on the stuck kernel's channel instead
         of counting them as detectable-and-recoverable only.
-        ``batch_sim`` overrides :attr:`CampaignConfig.batch_sim` for
-        this campaign (see :meth:`random_campaign`).
         """
         plan = self._architectural_plan(n_experiments, model, seed,
                                         interface_hangs)
         outcome = self._run_pipeline(plan, workers, record_sink,
-                                     on_progress, batch_sim)
+                                     on_progress)
         return outcome.summary, outcome.extras["outcome_counts"]
 
     def _architectural_jobs(self, n_experiments: int,
@@ -979,7 +935,6 @@ class Campaign:
                           workers: int | None = None,
                           record_sink=None,
                           interface_probe: tuple[str, ...] = (),
-                          batch_sim: int | None = None,
                           on_progress=None
                           ) -> "BayesianCampaignResult":
         """Fault model (c): mine ``F_crit``, then validate in the simulator.
@@ -1010,17 +965,13 @@ class Campaign:
         candidate variable's channel at the candidate's tick — probing
         whether a *message-level* failure of the same module at the
         same moment is as hazardous as the mined value corruption.
-
-        ``batch_sim`` overrides :attr:`CampaignConfig.batch_sim` for
-        the validation stage (see :meth:`random_campaign`); mining and
-        training are unaffected (they have their own batched engines).
         """
         for kind in interface_probe:
             validate_interface_kind(kind)
         plan = self._bayesian_plan(injector, variables, threshold, top_k,
                                    interface_probe)
         outcome = self._run_pipeline(plan, workers, record_sink,
-                                     on_progress, batch_sim)
+                                     on_progress)
         return BayesianCampaignResult(
             injector=outcome.extras["injector"],
             candidates=outcome.extras["candidates"],

@@ -12,7 +12,8 @@ this module holds what every execution path shares:
   workers, :meth:`repro.core.campaign.Campaign.run_fault`, and the
   reference loop the equivalence tests compare against all call it.
 * :func:`execute_experiment_batch` — its vectorized sibling for
-  same-scenario chunks, bit-for-bit the scalar records.
+  same-scenario groups of at least :data:`LANES` jobs, bit-for-bit the
+  scalar records.
 * :func:`_golden_run` — one scenario's fault-free trace plus the
   checkpoint ladder validation forks from.
 * :func:`_pool_context`/:func:`_picklable` — the start-method choice
@@ -48,6 +49,14 @@ if TYPE_CHECKING:  # avoid a circular import with .campaign
 
 #: Job description: (scenario name, fault to inject).
 ExperimentJob = tuple[str, FaultSpec]
+
+#: Lanes of one fused batch, and the group size at which fusion starts.
+#: The driver validates a same-scenario group of at least ``LANES`` jobs
+#: with :func:`execute_experiment_batch`; smaller groups run the scalar
+#: loop.  On a 2-vCPU host fusion breaks even near 6 lanes and runs
+#: ~2x faster per experiment at 16, but a group must fill its lanes to
+#: pay.  Read through the module at call time, so tests can patch it.
+LANES = 16
 
 
 def _to_record(result: RunResult, scenario_name: str, fault: FaultSpec,
@@ -114,9 +123,10 @@ def execute_experiment_batch(scenario: Scenario,
     :class:`~repro.sim.batch.BatchWorldState` and advance under the
     fused numpy kernels, with each lane forking from the same nearest
     golden checkpoint its scalar twin would pick (full replay when the
-    store has none, or the snapshot's seed does not match).  Records are
-    bit-for-bit the scalar records, in ``faults`` order (wall clock
-    aside).
+    store has none, or the snapshot's seed does not match).  At most
+    :data:`LANES` lanes are live; a retired lane takes the next pending
+    fault.  Records are bit-for-bit the scalar records, in ``faults``
+    order (wall clock aside).
     """
     forks = []
     for fault in faults:
@@ -130,7 +140,7 @@ def execute_experiment_batch(scenario: Scenario,
         ads_config=config.ads, safety_config=config.safety,
         seed=config.seed, checkpoints=forks,
         horizon_after_fault=config.horizon_after_fault,
-        batch_size=max(2, config.batch_sim), record_trace=False)
+        batch_size=LANES, record_trace=False)
     return [_to_record(result, scenario.name, fault, config)
             for result, fault in zip(results, faults)]
 

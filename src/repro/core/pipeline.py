@@ -68,6 +68,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from ..sim.scenario import Scenario
+from . import parallel
 from .checkpoint import CheckpointStore
 from .parallel import (ExperimentJob, _golden_run, _policy, _pool_context,
                        _picklable, _warn_serial_fallback,
@@ -179,17 +180,15 @@ _PIPELINE_STATE: "_WorkerState | None" = None
 
 class _WorkerState:
     def __init__(self, scenarios: list[Scenario], config: "CampaignConfig",
-                 spool: str | None, trace_spool: str | None = None):
+                 spool: str, trace_spool: str | None = None):
         self.by_name = {s.name: s for s in scenarios}
         self.config = config
-        self.spool = Path(spool) if spool is not None else None
+        self.spool = Path(spool)
         self.trace_spool = trace_spool
         self.store = CheckpointStore()
         self.loaded: set[str] = set()
 
     def checkpoints_for(self, scenario: str) -> CheckpointStore | None:
-        if self.spool is None:
-            return None
         if scenario not in self.loaded:
             self.loaded.add(scenario)
             self.store.load_scenario(self.spool, scenario)
@@ -198,7 +197,7 @@ class _WorkerState:
 
 def _init_pipeline_worker(scenarios: list[Scenario],
                           config: "CampaignConfig",
-                          spool: str | None,
+                          spool: str,
                           trace_spool: str | None = None) -> None:
     global _PIPELINE_STATE
     _PIPELINE_STATE = _WorkerState(scenarios, config, spool, trace_spool)
@@ -214,34 +213,52 @@ def _pipeline_golden_job(job: tuple[str, tuple[int, ...] | None]
                        _PIPELINE_STATE.trace_spool)
 
 
-def _pipeline_validate_chunk(chunk) -> list:
-    """Run one scenario's chunk of experiments; returns (key, record)s.
+def _parts(items: list, size: int) -> list[list]:
+    """``items`` in runs of ``size``, the last run taking the remainder.
 
-    With ``config.batch_sim > 1`` the chunk's experiments step as fused
-    lanes of one :class:`~repro.sim.batch.BatchWorldState`
-    (:func:`~repro.core.parallel.execute_experiment_batch`); an
-    engine-level rejection degrades to the scalar loop in place, so the
-    supervised retry/quarantine machinery above never sees the
-    difference.  Records are bit-for-bit the scalar path's.
+    A group of at least ``size`` items yields runs of at least ``size``
+    (a fused run refills its lanes from the remainder instead of
+    leaving it a short batch); a smaller group is one run.
     """
+    count = max(1, len(items) // size)
+    bounds = [i * size for i in range(count)] + [len(items)]
+    return [items[start:stop] for start, stop in zip(bounds, bounds[1:])]
+
+
+def _fused_records(scenario: Scenario, config: "CampaignConfig",
+                   items: list, checkpoints: CheckpointStore | None
+                   ) -> "list[ExperimentRecord] | None":
+    """``items``' records from the fused engine, or ``None`` for scalar.
+
+    A part of at least :data:`~repro.core.parallel.LANES` jobs steps as
+    lanes of one :class:`~repro.sim.batch.BatchWorldState`
+    (:func:`~repro.core.parallel.execute_experiment_batch`); a smaller
+    part, or one the engine rejects, returns ``None`` so the caller runs
+    its scalar loop and the supervised retry/quarantine machinery never
+    sees the difference.  Records are bit-for-bit the scalar path's.
+    """
+    if len(items) < parallel.LANES:
+        return None
+    try:
+        return execute_experiment_batch(
+            scenario, config, [fault for _, fault in items], checkpoints)
+    except Exception:
+        return None
+
+
+def _pipeline_validate_chunk(chunk) -> list:
+    """Run one scenario's chunk of experiments; returns (key, record)s."""
     assert _PIPELINE_STATE is not None, "pipeline pool not initialized"
     name, items = chunk
     state = _PIPELINE_STATE
     scenario = state.by_name[name]
     checkpoints = state.checkpoints_for(name)
-    if getattr(state.config, "batch_sim", 0) > 1 and len(items) > 1:
-        try:
-            records = execute_experiment_batch(
-                scenario, state.config, [fault for _, fault in items],
-                checkpoints)
-        except Exception:
-            pass
-        else:
-            return [(key, record)
-                    for (key, _), record in zip(items, records)]
-    return [(key, execute_experiment(scenario, state.config, fault,
-                                     checkpoints))
-            for key, fault in items]
+    records = _fused_records(scenario, state.config, items, checkpoints)
+    if records is None:
+        records = [execute_experiment(scenario, state.config, fault,
+                                      checkpoints)
+                   for _, fault in items]
+    return [(key, record) for (key, _), record in zip(items, records)]
 
 
 # -- driver side ---------------------------------------------------------------
@@ -461,8 +478,7 @@ class CampaignPipeline:
         self._base = 0
 
         self._pool = None
-        self._spool = (campaign._ladder_spool_dir()
-                       if self.config.use_checkpoints else None)
+        self._spool = campaign._ladder_spool_dir()
         self._journal = (None if board is not None or not plan.work_key
                          else campaign._open_journal(plan.work_key))
         interrupted = False
@@ -519,8 +535,7 @@ class CampaignPipeline:
         to_simulate = []
         for scenario in self._targets:
             capture = None
-            if self.config.use_checkpoints \
-                    and scenario.name in self._owned_names \
+            if scenario.name in self._owned_names \
                     and not campaign.checkpoints.has_scenario(scenario.name):
                 capture = campaign._capture_ticks(scenario)
             to_simulate.append((scenario.name, capture))
@@ -559,21 +574,20 @@ class CampaignPipeline:
             resident = store.has_scenario(name)
             store.add_all(run.checkpoints)
             self._fresh_ladders.add(name)
-            if self._spool is not None:
-                # Spill the fresh ladder the moment it lands and drop
-                # it (plus the RunResult's reference) from memory:
-                # driver-resident ladder state stays O(one scenario)
-                # instead of O(campaign).  Dispatch reloads from the
-                # spool; when cache_dir is set the spool *is* the
-                # persistent checkpoint cache, so this eager save also
-                # replaces a batch persistence pass.  Ladders the
-                # campaign already held in memory (golden_runs() or
-                # run_fault) stay resident — they belong to the caller.
-                store.save_scenario(self._spool, name)
-                self._checkpoints_ready.add(name)
-                if not resident:
-                    store.drop_scenario(name)
-                    run.checkpoints = []
+            # Spill the fresh ladder the moment it lands and drop it
+            # (plus the RunResult's reference) from memory: driver-
+            # resident ladder state stays O(one scenario) instead of
+            # O(campaign).  Dispatch reloads from the spool; when
+            # cache_dir is set the spool *is* the persistent checkpoint
+            # cache, so this eager save also replaces a batch
+            # persistence pass.  Ladders the campaign already held in
+            # memory (golden_runs() or run_fault) stay resident — they
+            # belong to the caller.
+            store.save_scenario(self._spool, name)
+            self._checkpoints_ready.add(name)
+            if not resident:
+                store.drop_scenario(name)
+                run.checkpoints = []
         if self.board is not None:
             self.board.heartbeat()
         self._golden_done += 1
@@ -739,13 +753,12 @@ class CampaignPipeline:
             return
         policy = _policy(self.config)
         chunk = max(1, len(items) // (self.workers * 4))
-        if getattr(self.config, "batch_sim", 0) > 1:
-            # Chunks below the lane count waste the fused kernels;
-            # chunk boundaries don't affect record values or emission
-            # order (keys carry the slots), so rounding up is free.
-            chunk = max(chunk, self.config.batch_sim)
-        for start in range(0, len(items), chunk):
-            part = tuple(items[start:start + chunk])
+        if len(items) >= parallel.LANES:
+            # A chunk below the lane count would run scalar; chunk
+            # boundaries don't affect record values or emission order
+            # (keys carry the slots), so rounding up is free.
+            chunk = max(chunk, parallel.LANES)
+        for part in map(tuple, _parts(items, chunk)):
             timeout = (policy.job_timeout * len(part)
                        if policy.job_timeout is not None else None)
             self._pool.submit(_pipeline_validate_chunk, (name, list(part)),
@@ -756,32 +769,14 @@ class CampaignPipeline:
         campaign = self.campaign
         scenario = campaign._by_name[name]
         store = campaign.checkpoints
-        checkpoints = None
-        loaded_here = False
-        if self.config.use_checkpoints:
-            if not store.has_scenario(name) and self._spool is not None:
-                loaded_here = store.load_scenario(self._spool, name)
-            if store.has_scenario(name):
-                checkpoints = store
+        loaded_here = (not store.has_scenario(name)
+                       and store.load_scenario(self._spool, name))
+        checkpoints = store if store.has_scenario(name) else None
         policy = _policy(self.config)
-        batch_sim = getattr(self.config, "batch_sim", 0)
         try:
-            pending = list(items)
-            while pending:
-                part, pending = (pending[:batch_sim],
-                                 pending[batch_sim:]) \
-                    if batch_sim > 1 else (pending[:1], pending[1:])
-                records = None
-                if len(part) > 1:
-                    try:
-                        records = execute_experiment_batch(
-                            scenario, self.config,
-                            [fault for _, fault in part], checkpoints)
-                    except Exception:
-                        # Degrade to the supervised scalar loop below —
-                        # retry, quarantine, and strict semantics stay
-                        # the scalar path's.
-                        records = None
+            for part in _parts(items, parallel.LANES):
+                records = _fused_records(scenario, self.config, part,
+                                         checkpoints)
                 if records is not None:
                     for (key, _), record in zip(part, records):
                         self._record_done(key, record)
@@ -821,8 +816,7 @@ class CampaignPipeline:
         O(k) ladder writes and never drops the other n-k persisted
         entries.
         """
-        if not self.config.use_checkpoints or self._spool is None \
-                or name in self._checkpoints_ready:
+        if name in self._checkpoints_ready:
             return
         self._checkpoints_ready.add(name)
         campaign = self.campaign
@@ -845,10 +839,8 @@ class CampaignPipeline:
             if workers and workers > 1 else None
         if context is None:
             return
-        if self._spool is not None:
-            self._spool.mkdir(parents=True, exist_ok=True)
-        initargs = (campaign.scenarios, self.config,
-                    str(self._spool) if self._spool is not None else None,
+        self._spool.mkdir(parents=True, exist_ok=True)
+        initargs = (campaign.scenarios, self.config, str(self._spool),
                     str(self._trace_spool)
                     if self._trace_spool is not None else None)
         if context.get_start_method() != "fork" \

@@ -371,7 +371,9 @@ class _BatchLane:
         self.stop_after = stop_after
         self.trace = Trace()
         self.monitor = _SafetyMonitor(monitor_from)
-        self.wall_start = time.perf_counter()
+        #: Wall clock charged to this lane: its preparation, its share
+        #: of every fused tick it is live in, and its monitor fold.
+        self.wall_seconds = 0.0
         self.is_planning = False
         self.command = None
         #: True when this lane runs on the fused ADS path (set by the
@@ -380,13 +382,14 @@ class _BatchLane:
 
     def result(self, scenario_name: str,
                safety_config: SafetyConfig) -> RunResult:
+        fold_start = time.perf_counter()
         outcome = self.monitor.finish(safety_config, self.trace)
+        self.wall_seconds += time.perf_counter() - fold_start
         return RunResult(
             scenario=scenario_name, seed=self.seed, trace=self.trace,
             **outcome, landed=self.pipeline.fault_landed,
             degraded=self.pipeline.degraded_ticks > 0,
-            sim_seconds=self.world.time,
-            wall_seconds=time.perf_counter() - self.wall_start,
+            sim_seconds=self.world.time, wall_seconds=self.wall_seconds,
             faults=self.faults, checkpoints=None)
 
 
@@ -447,6 +450,11 @@ def run_experiments_batched(scenario: Scenario, fault_lists,
     and pending experiments take their place.  Results are bit-for-bit
     the scalar results, in submission order (wall clock aside).
 
+    Lanes share every fused tick, so each result's ``wall_seconds`` is
+    its own preparation and monitor fold plus, per tick it was live in,
+    the tick's elapsed time divided by the live lanes: the results'
+    clocks sum to at most the call's elapsed time.
+
     ``fault_lists`` is one fault list per experiment; ``checkpoints``
     optionally aligns a golden :class:`Checkpoint` (or ``None``) with
     each, forking that lane from the prefix instead of replaying it.
@@ -474,9 +482,11 @@ def run_experiments_batched(scenario: Scenario, fault_lists,
         — same early-exit RunResult)."""
         while pending:
             index = pending.pop(0)
+            prepare_start = time.perf_counter()
             lane = _prepare_lane(scenario, index, fault_lists[index],
                                  checkpoints[index], ads_config, seed,
                                  duration, horizon_after_fault)
+            lane.wall_seconds = time.perf_counter() - prepare_start
             if lane.tick < lane.n_ticks:
                 return lane
             results[index] = lane.result(scenario.name, safety_config)
@@ -502,6 +512,9 @@ def run_experiments_batched(scenario: Scenario, fault_lists,
             ads.attach(slot, lane.pipeline)
 
     while any(lane is not None for lane in slots):
+        tick_start = time.perf_counter()
+        live = [lane for lane in slots if lane is not None]
+        retiring = []
         # 1. ADS: lanes whose armed faults the fused path cannot
         #    represent (interface faults, restored bus residue, tight
         #    degradation TTLs) peel to their scalar pipelines on the
@@ -530,7 +543,8 @@ def run_experiments_batched(scenario: Scenario, fault_lists,
         gap, lead_speed, lateral_free = batch.safety_inputs()
         collided = batch.collided_mask()
         off_road = batch.off_road_mask()
-        # 4. Per-lane monitoring, recording, and retirement.
+        # 4. Per-lane monitoring and recording; retirement follows once
+        #    the tick's cost is shared out.
         for slot, lane in enumerate(slots):
             if lane is None:
                 continue
@@ -585,20 +599,26 @@ def run_experiments_batched(scenario: Scenario, fault_lists,
                     or (lane.stop_after is not None
                         and tick >= lane.stop_after)
                     or lane.tick >= lane.n_ticks):
-                if lane.fused:
-                    batch.scatter([slot])
-                    ads.deactivate(slot)
-                results[lane.index] = lane.result(scenario.name,
-                                                  safety_config)
-                slots[slot] = next_lane()
-                if slots[slot] is None:
-                    batch.deactivate(slot)
-                else:
-                    fresh = slots[slot]
-                    batch.attach(slot, fresh.world)
-                    fresh.fused = can_fuse(fresh.pipeline)
-                    if fresh.fused:
-                        ads.attach(slot, fresh.pipeline)
+                retiring.append(slot)
+        share = (time.perf_counter() - tick_start) / len(live)
+        for lane in live:
+            lane.wall_seconds += share
+        # 5. Retire finished lanes; pending experiments take their slots.
+        for slot in retiring:
+            lane = slots[slot]
+            if lane.fused:
+                batch.scatter([slot])
+                ads.deactivate(slot)
+            results[lane.index] = lane.result(scenario.name, safety_config)
+            slots[slot] = next_lane()
+            if slots[slot] is None:
+                batch.deactivate(slot)
+            else:
+                fresh = slots[slot]
+                batch.attach(slot, fresh.world)
+                fresh.fused = can_fuse(fresh.pipeline)
+                if fresh.fused:
+                    ads.attach(slot, fresh.pipeline)
     return results
 
 

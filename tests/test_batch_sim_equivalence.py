@@ -1,17 +1,21 @@
 """Batched validation equals the scalar oracle, record for record.
 
-The acceptance contract of the vectorized batch engine: every campaign
-style run with ``batch_sim=N`` emits a record stream *bit-for-bit*
-identical (wall-clock timing aside) to the reference loop — serial
-scalar :class:`~repro.sim.world.World` runs with full replay, in job
-order — both serial and over the process pool, with and without
-checkpoint forks.  The streams here include interface faults (drop /
-freeze / delay / jitter / hang) and graceful-degradation outcomes, so
-the batched path is held to the full interface-fault surface, not
-just value corruption.  Checkpoint-forked batched validation must likewise equal
-the full-replay reference, at both the campaign and engine levels.
+The acceptance contract of the vectorized batch engine: a campaign
+fuses every same-scenario group of at least
+:data:`repro.core.parallel.LANES` jobs, and every campaign style emits a
+record stream *bit-for-bit* identical (wall-clock timing aside) to the
+reference loop — serial scalar :class:`~repro.sim.world.World` runs with
+full replay, in job order — both serial and over the process pool.  The
+small streams here fuse because the tests patch ``LANES`` down; one
+test checks the choice at the shipped lane count.  The streams include
+interface faults (drop / freeze / delay / jitter / hang) and
+graceful-degradation outcomes, so the batched path is held to the full
+interface-fault surface, not just value corruption.  Checkpoint-forked
+batched validation must likewise equal full replay, at both the
+campaign and engine levels.
 """
 
+import time
 from dataclasses import asdict, replace
 
 import pytest
@@ -19,16 +23,39 @@ from reference import (architectural_jobs, candidate_jobs, exhaustive_jobs,
                        random_jobs, reference_records, strip_wall)
 
 from repro.arch.injector import Outcome
-from repro.core import Campaign, CampaignConfig, ListSink
+from repro.core import Campaign, CampaignConfig, ListSink, parallel
 from repro.core.fault_models import ArchFaultOutcome
 from repro.core.interface_faults import CHANNELS, interface_fault
 from repro.core.simulate import FaultSpec, run_experiments_batched
 from repro.sim import highway_cruise, lead_vehicle_cutin, two_lead_reveal
 
-#: Lanes per fused batch in every batched run below.  Three splits the
-#: per-scenario job lists into uneven chunks (full + remainder), which
+#: Lanes per fused batch in the patched runs below.  Three cuts the
+#: per-scenario job lists into uneven parts (full + remainder), which
 #: is the shape that catches chunking / reorder bugs.
 BATCH = 3
+
+
+@pytest.fixture
+def lanes(monkeypatch):
+    """Patch the lane count; a forked pool inherits the patch."""
+    def patch(count=BATCH):
+        monkeypatch.setattr(parallel, "LANES", count)
+    patch()
+    return patch
+
+
+def count_fused_attaches(monkeypatch) -> list:
+    """Record the slot of every lane that joins the fused ADS path."""
+    from repro.ads.batch import BatchADSState
+    attached = []
+    original = BatchADSState.attach
+
+    def counting(self, slot, pipeline):
+        attached.append(slot)
+        return original(self, slot, pipeline)
+
+    monkeypatch.setattr(BatchADSState, "attach", counting)
+    return attached
 
 STYLES = ["random", "exhaustive", "architectural", "bayesian"]
 
@@ -55,11 +82,10 @@ class HangingModel:
                                 relative_error=0.0, fault=fault)
 
 
-def run_style(style, *, batch_sim, workers, use_checkpoints=True):
+def run_style(style, *, workers):
     sink = ListSink()
-    campaign = Campaign(small_scenarios(),
-                        CampaignConfig(use_checkpoints=use_checkpoints))
-    kwargs = dict(workers=workers, record_sink=sink, batch_sim=batch_sim)
+    campaign = Campaign(small_scenarios(), CampaignConfig())
+    kwargs = dict(workers=workers, record_sink=sink)
     if style == "random":
         campaign.random_campaign(12, seed=11, interface_share=0.5,
                                  **kwargs)
@@ -110,19 +136,16 @@ def scalar_reference():
 
 
 class TestBatchedDriverEquivalence:
-    """batch_sim=N == the reference loop for every style, serial and
-    pooled, forked from checkpoints or replayed from tick 0."""
+    """Fused groups == the reference loop for every style, serial and
+    pooled."""
 
     @pytest.mark.parametrize("style", STYLES)
-    @pytest.mark.parametrize("use_checkpoints", [False, True])
     @pytest.mark.parametrize("workers", [None, 2])
-    def test_records_equal_scalar_oracle(self, scalar_reference, style,
-                                         use_checkpoints, workers):
+    def test_records_equal_scalar_oracle(self, scalar_reference, lanes,
+                                         style, workers):
         reference = scalar_reference(style)
         assert reference, "oracle campaign produced no records"
-        batched = run_style(style, batch_sim=BATCH, workers=workers,
-                            use_checkpoints=use_checkpoints)
-        assert batched == reference
+        assert run_style(style, workers=workers) == reference
 
     def test_streams_cover_the_interface_fault_surface(self,
                                                        scalar_reference):
@@ -133,30 +156,43 @@ class TestBatchedDriverEquivalence:
         assert kinds - {"value"}, "no interface faults in any stream"
 
     def test_single_lane_batch_is_still_batched_code(self,
-                                                     scalar_reference):
-        """batch_sim=2 with odd job counts runs 1-lane tail chunks."""
-        batched = run_style("random", batch_sim=2, workers=None)
-        assert batched == scalar_reference("random")
+                                                     scalar_reference,
+                                                     lanes):
+        """Two lanes with odd job counts drain to a 1-lane tail."""
+        lanes(2)
+        assert run_style("random", workers=None) == \
+            scalar_reference("random")
 
 
 class TestFusedADSPath:
     """The batched runs above must actually exercise the fused ADS
     engine — and an all-peeled configuration must still match."""
 
-    def test_default_config_fuses_lanes(self, monkeypatch):
-        from repro.ads.batch import BatchADSState
-        attached = []
-        original = BatchADSState.attach
-
-        def counting(self, slot, pipeline):
-            attached.append(slot)
-            return original(self, slot, pipeline)
-
-        monkeypatch.setattr(BatchADSState, "attach", counting)
-        run_style("random", batch_sim=BATCH, workers=None)
+    def test_default_config_fuses_lanes(self, monkeypatch, lanes):
+        attached = count_fused_attaches(monkeypatch)
+        run_style("random", workers=None)
         assert attached, "no lane ever took the fused ADS path"
 
-    def test_forced_peel_still_matches_scalar(self):
+    def test_group_size_picks_the_engine(self, monkeypatch):
+        """At the shipped lane count, a group of ``LANES`` same-scenario
+        jobs fuses and a group of ``LANES - 1`` runs scalar; both equal
+        the reference loop."""
+        campaign = Campaign(small_scenarios()[:1], CampaignConfig())
+        name = campaign.scenarios[0].name
+        ticks = campaign.injection_ticks(campaign.scenarios[0])
+        jobs = [(name, FaultSpec("brake" if i % 2 else "throttle",
+                                 float(i % 2), ticks[(7 * i) % len(ticks)],
+                                 campaign.config.fault_duration_ticks))
+                for i in range(parallel.LANES)]
+        attached = count_fused_attaches(monkeypatch)
+        for group, fused in ((jobs, True), (jobs[:-1], False)):
+            attached.clear()
+            summary = campaign.run_jobs(group)
+            assert bool(attached) == fused
+            assert strip_wall(summary.records) == \
+                strip_wall(reference_records(campaign, group))
+
+    def test_forced_peel_still_matches_scalar(self, lanes):
         """``planner_divisor=6`` leaves plans staler than the default
         degradation TTL, so :func:`can_fuse` rejects every lane and the
         safe-stop fallback engages routinely — the all-peeled batched
@@ -167,16 +203,13 @@ class TestFusedADSPath:
         ads = replace(ADSConfig(), planner_divisor=6)
         assert not can_fuse(ADSPipeline(ads))
 
-        def run(batch_sim):
-            sink = ListSink()
-            campaign = Campaign(small_scenarios(),
-                                CampaignConfig(ads=ads))
-            campaign.random_campaign(8, seed=5, interface_share=0.3,
-                                     batch_sim=batch_sim, record_sink=sink)
-            return strip_wall(sink.records)
-
-        reference = run(0)
-        assert run(BATCH) == reference
+        campaign = Campaign(small_scenarios(), CampaignConfig(ads=ads))
+        sink = ListSink()
+        campaign.random_campaign(8, seed=5, interface_share=0.3,
+                                 record_sink=sink)
+        reference = strip_wall(reference_records(
+            campaign, random_jobs(campaign, 8, seed=5, interface_share=0.3)))
+        assert strip_wall(sink.records) == reference
         assert any(row["degraded"] for row in reference)
 
 
@@ -184,19 +217,16 @@ class TestCheckpointForkOracle:
     """Checkpoint-forked batched validation == full replay from t=0."""
 
     @pytest.mark.parametrize("pooled", [False, True])
-    def test_campaign_fork_equals_full_replay(self, pooled):
-        def run(use_checkpoints):
-            sink = ListSink()
-            campaign = Campaign(
-                small_scenarios(),
-                CampaignConfig(use_checkpoints=use_checkpoints))
-            campaign.random_campaign(10, seed=7, interface_share=0.4,
-                                     batch_sim=BATCH,
-                                     workers=2 if pooled else None,
-                                     record_sink=sink)
-            return strip_wall(sink.records)
-
-        assert run(True) == run(False)
+    def test_campaign_fork_equals_full_replay(self, pooled, lanes):
+        campaign = Campaign(small_scenarios(), CampaignConfig())
+        sink = ListSink()
+        campaign.random_campaign(10, seed=7, interface_share=0.4,
+                                 workers=2 if pooled else None,
+                                 record_sink=sink)
+        replayed = reference_records(
+            campaign, random_jobs(campaign, 10, seed=7,
+                                  interface_share=0.4))
+        assert strip_wall(sink.records) == strip_wall(replayed)
 
     def test_engine_fork_equals_full_replay(self):
         campaign = Campaign(small_scenarios(), CampaignConfig())
@@ -227,3 +257,31 @@ class TestCheckpointForkOracle:
             return rows
 
         assert run(forks) == run(None)
+
+
+class TestFusedWallClock:
+    """Fused lanes share each tick's wall clock instead of each timing
+    the whole batch, so summed record clocks never exceed real time."""
+
+    def test_engine_lane_clocks_sum_within_elapsed(self):
+        campaign = Campaign(small_scenarios()[:1], CampaignConfig())
+        scenario = campaign.scenarios[0]
+        ticks = campaign.injection_ticks(scenario)
+        fault_lists = [[FaultSpec("brake", 0.0, ticks[i], 4)]
+                       for i in range(0, len(ticks), len(ticks) // 12)]
+        start = time.perf_counter()
+        results = run_experiments_batched(scenario, fault_lists,
+                                          batch_size=8)
+        elapsed = time.perf_counter() - start
+        clocks = [result.wall_seconds for result in results]
+        assert all(clock > 0.0 for clock in clocks)
+        assert sum(clocks) <= elapsed
+
+    def test_dense_campaign_wall_within_elapsed(self, monkeypatch):
+        attached = count_fused_attaches(monkeypatch)
+        campaign = Campaign(small_scenarios()[:1], CampaignConfig())
+        start = time.perf_counter()
+        summary = campaign.random_campaign(parallel.LANES + 4, seed=2)
+        elapsed = time.perf_counter() - start
+        assert attached, "the dense group did not fuse"
+        assert 0.0 < summary.wall_seconds <= elapsed

@@ -3,17 +3,18 @@
 The checkpoint engine is a pure performance feature — every experiment
 resumed from a golden-prefix snapshot must produce an
 ``ExperimentRecord`` field-for-field identical (wall clock aside) to the
-full-replay reference oracle, across all four campaign styles, serial
-and process-pooled, including faults at the first and last eligible
-injection ticks and sparse capture strides with nearest-earlier
-fallback.
+full-replay reference loop (``tests/reference.py``), across all four
+campaign styles, serial and process-pooled, including faults at the
+first and last eligible injection ticks and sparse capture strides
+with nearest-earlier fallback.
 """
 
 import pickle
 from dataclasses import replace
 
 import pytest
-from reference import strip_wall
+from reference import (architectural_jobs, candidate_jobs, exhaustive_jobs,
+                       random_jobs, reference_records, strip_wall)
 
 from repro.core import (Campaign, CampaignConfig, CheckpointStore,
                         FaultSpec, run_scenario,
@@ -28,24 +29,20 @@ def small_scenarios():
             replace(lead_vehicle_cutin(), duration=16.0)]
 
 
-def make_campaign(use_checkpoints: bool, stride: int = 1,
-                  cache_dir=None) -> Campaign:
-    config = CampaignConfig(use_checkpoints=use_checkpoints,
-                            checkpoint_stride=stride)
+def make_campaign(stride: int = 1, cache_dir=None) -> Campaign:
+    config = CampaignConfig(checkpoint_stride=stride)
     return Campaign(small_scenarios(), config, cache_dir=cache_dir)
 
 
-
-@pytest.fixture(scope="module")
-def oracle():
-    """Full-replay reference campaign (checkpoints disabled)."""
-    return make_campaign(use_checkpoints=False)
+def replayed(campaign, jobs):
+    """The reference loop's records of ``jobs``: full replay from 0."""
+    return strip_wall(reference_records(campaign, jobs))
 
 
 @pytest.fixture(scope="module")
 def forked():
-    """Checkpoint-resume campaign over the same scenario set."""
-    return make_campaign(use_checkpoints=True)
+    """Checkpoint-resume campaign over the small scenario set."""
+    return make_campaign()
 
 
 class TestSnapshotRoundtrip:
@@ -105,98 +102,91 @@ class TestSingleFaultFidelity:
     @pytest.mark.parametrize("position", ["first", "last"])
     @pytest.mark.parametrize("variable,value", [("brake", 0.0),
                                                 ("throttle", 1.0)])
-    def test_edge_tick_records_identical(self, oracle, forked, position,
+    def test_edge_tick_records_identical(self, forked, position,
                                          variable, value):
         """Faults at the first and last eligible injection ticks."""
-        for scenario in oracle.scenarios:
-            ticks = oracle.injection_ticks(scenario)
+        for scenario in forked.scenarios:
+            ticks = forked.injection_ticks(scenario)
             tick = ticks[0] if position == "first" else ticks[-1]
             fault = FaultSpec(variable, value, tick,
-                              oracle.config.fault_duration_ticks)
-            reference = oracle.run_fault(scenario.name, fault)
+                              forked.config.fault_duration_ticks)
             resumed = forked.run_fault(scenario.name, fault)
-            assert strip_wall([resumed]) == strip_wall([reference])
+            assert strip_wall([resumed]) == \
+                replayed(forked, [(scenario.name, fault)])
 
 
 class TestCampaignStyleFidelity:
     """All four campaign styles, serial and workers=2."""
 
     @pytest.mark.parametrize("workers", [None, 2])
-    def test_random_campaign(self, oracle, forked, workers):
-        reference = oracle.random_campaign(8, seed=11, workers=workers)
+    def test_random_campaign(self, forked, workers):
         resumed = forked.random_campaign(8, seed=11, workers=workers)
-        assert strip_wall(resumed.records) == strip_wall(reference.records)
+        assert strip_wall(resumed.records) == \
+            replayed(forked, random_jobs(forked, 8, seed=11))
 
     @pytest.mark.parametrize("workers", [None, 2])
-    def test_exhaustive_campaign(self, oracle, forked, workers):
-        reference = oracle.exhaustive_campaign(
-            tick_stride=40, variable_names=["brake", "steering"],
-            workers=workers)
+    def test_exhaustive_campaign(self, forked, workers):
         resumed = forked.exhaustive_campaign(
             tick_stride=40, variable_names=["brake", "steering"],
             workers=workers)
-        assert strip_wall(resumed.records) == strip_wall(reference.records)
+        assert strip_wall(resumed.records) == replayed(
+            forked, exhaustive_jobs(forked, tick_stride=40,
+                                    variable_names=["brake", "steering"]))
 
     @pytest.mark.parametrize("workers", [None, 2])
-    def test_architectural_campaign(self, oracle, forked, workers):
-        reference, ref_outcomes = oracle.architectural_campaign(
-            30, seed=3, workers=workers)
+    def test_architectural_campaign(self, forked, workers):
         resumed, res_outcomes = forked.architectural_campaign(
             30, seed=3, workers=workers)
+        jobs, ref_outcomes = architectural_jobs(forked, 30, seed=3)
         assert res_outcomes == ref_outcomes
-        assert strip_wall(resumed.records) == strip_wall(reference.records)
+        assert strip_wall(resumed.records) == replayed(forked, jobs)
 
     @pytest.mark.parametrize("workers", [None, 2])
-    def test_bayesian_campaign(self, oracle, forked, workers):
-        reference = oracle.bayesian_campaign(top_k=6, workers=workers)
+    def test_bayesian_campaign(self, forked, workers):
         resumed = forked.bayesian_campaign(top_k=6, workers=workers)
-        assert [(c.scenario, c.injection_tick, c.variable, c.value)
-                for c in resumed.candidates] == \
-               [(c.scenario, c.injection_tick, c.variable, c.value)
-                for c in reference.candidates]
-        assert strip_wall(resumed.summary.records) == \
-            strip_wall(reference.summary.records)
+        assert strip_wall(resumed.summary.records) == replayed(
+            forked, candidate_jobs(forked, resumed.candidates))
 
 
 class TestStrideFallback:
-    def test_sparse_stride_resumes_from_nearest_earlier(self, oracle):
+    def test_sparse_stride_resumes_from_nearest_earlier(self):
         """With stride 7, most faults land between snapshots."""
-        sparse = make_campaign(use_checkpoints=True, stride=7)
+        sparse = make_campaign(stride=7)
         scenario = sparse.scenarios[0]
         captured = set(sparse._capture_ticks(scenario))
-        ticks = oracle.injection_ticks(scenario)
+        ticks = sparse.injection_ticks(scenario)
         uncaptured = [t for t in ticks if t not in captured]
         assert uncaptured, "stride must leave gaps for this test"
         for tick in (uncaptured[0], uncaptured[-1]):
             fault = FaultSpec("brake", 0.0, tick,
-                              oracle.config.fault_duration_ticks)
-            reference = oracle.run_fault(scenario.name, fault)
+                              sparse.config.fault_duration_ticks)
             resumed = sparse.run_fault(scenario.name, fault)
             nearest = sparse.checkpoints.nearest(scenario.name, tick)
             assert nearest is not None and nearest.tick < tick
-            assert strip_wall([resumed]) == strip_wall([reference])
+            assert strip_wall([resumed]) == \
+                replayed(sparse, [(scenario.name, fault)])
 
-    def test_empty_store_falls_back_to_full_replay(self, oracle):
-        scenario = oracle.scenarios[0]
-        tick = oracle.injection_ticks(scenario)[5]
+    def test_empty_store_falls_back_to_full_replay(self, forked):
+        scenario = forked.scenarios[0]
+        tick = forked.injection_ticks(scenario)[5]
         fault = FaultSpec("brake", 0.0, tick, 4)
         from repro.core.parallel import execute_experiment
-        reference = execute_experiment(scenario, oracle.config, fault)
-        via_empty = execute_experiment(scenario, oracle.config, fault,
+        reference = execute_experiment(scenario, forked.config, fault)
+        via_empty = execute_experiment(scenario, forked.config, fault,
                                        CheckpointStore())
         assert strip_wall([via_empty]) == strip_wall([reference])
 
 
 class TestGoldenTraceCache:
-    def test_roundtrip_preserves_runs_and_mining(self, tmp_path, oracle):
+    def test_roundtrip_preserves_runs_and_mining(self, tmp_path, forked):
         fingerprint = config_fingerprint(
-            oracle.config.ads, oracle.config.safety, oracle.config.seed,
-            ((s.name, s.duration) for s in oracle.scenarios))
+            forked.config.ads, forked.config.safety, forked.config.seed,
+            ((s.name, s.duration) for s in forked.scenarios))
         path = tmp_path / "golden.json"
-        save_golden_traces(oracle.golden_runs(), path, fingerprint)
+        save_golden_traces(forked.golden_runs(), path, fingerprint)
         loaded = load_golden_traces(path, fingerprint)
         assert loaded is not None
-        for name, run in oracle.golden_runs().items():
+        for name, run in forked.golden_runs().items():
             restored = loaded[name]
             assert restored.hazard == run.hazard
             assert restored.min_delta_long == run.min_delta_long
@@ -205,19 +195,19 @@ class TestGoldenTraceCache:
                 assert restored.trace.column(column).tolist() == \
                     run.trace.column(column).tolist()
 
-    def test_stale_fingerprint_is_rejected(self, tmp_path, oracle):
+    def test_stale_fingerprint_is_rejected(self, tmp_path, forked):
         path = tmp_path / "golden.json"
-        save_golden_traces(oracle.golden_runs(), path, "fp-old")
+        save_golden_traces(forked.golden_runs(), path, "fp-old")
         assert load_golden_traces(path, "fp-new") is None
         assert load_golden_traces(tmp_path / "missing.json", "x") is None
 
     def test_campaign_warm_start_matches_fresh(self, tmp_path):
-        cold = make_campaign(use_checkpoints=True, cache_dir=tmp_path)
+        cold = make_campaign(cache_dir=tmp_path)
         cold_result = cold.bayesian_campaign(top_k=4)
         assert any(tmp_path.glob("golden-*.json.gz"))
         assert any(tmp_path.glob("candidates-*.json"))
 
-        warm = make_campaign(use_checkpoints=True, cache_dir=tmp_path)
+        warm = make_campaign(cache_dir=tmp_path)
         warm_result = warm.bayesian_campaign(top_k=4)
         # Warm start loads both golden traces and mined candidates.
         assert warm_result.mining.wall_seconds == 0.0

@@ -87,7 +87,9 @@ class TestCLI:
 
     @pytest.mark.parametrize("argv", [
         ["random", "-n", "2", "--no-pipeline"],
-        ["bayesian", "--top-k", "2", "--scalar-miner"]])
+        ["bayesian", "--top-k", "2", "--scalar-miner"],
+        ["random", "-n", "4", "--batch-sim", "4"],
+        ["random", "-n", "4", "--no-checkpoints"]])
     def test_retired_oracle_flags_are_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)

@@ -189,42 +189,46 @@ class TestDriverEquivalence:
 class TestCheckpointOracle:
     """Checkpoint-forked interface faults equal full replay from 0."""
 
-    def run(self, use_checkpoints, degradation_enabled, **fault_kw):
-        config = (CampaignConfig(use_checkpoints=use_checkpoints)
-                  if degradation_enabled
-                  else no_degradation_config(
-                      use_checkpoints=use_checkpoints))
+    def run(self, replay, degradation_enabled, **fault_kw):
+        """One fault: checkpoint-forked, or the reference loop's replay."""
+        config = (CampaignConfig() if degradation_enabled
+                  else no_degradation_config())
         campaign = Campaign(config=config)
         spec = dict(ORACLE_FAULT)
         spec.update(fault_kw)
-        return campaign.run_fault(ORACLE_SCENARIO, interface_fault(**spec))
+        fault = interface_fault(**spec)
+        if replay:
+            [record] = reference_records(campaign,
+                                         [(ORACLE_SCENARIO, fault)])
+            return record
+        return campaign.run_fault(ORACLE_SCENARIO, fault)
 
     @pytest.mark.parametrize("kind", INTERFACE_KINDS)
     def test_forked_equals_full_replay(self, kind):
         for degradation in (True, False):
-            replayed = self.run(False, degradation, kind=kind)
-            forked = self.run(True, degradation, kind=kind)
+            replayed = self.run(True, degradation, kind=kind)
+            forked = self.run(False, degradation, kind=kind)
             assert strip_wall([replayed]) == strip_wall([forked])
 
     def test_freeze_reproduces_hazard_without_degradation(self):
-        record = self.run(False, degradation_enabled=False)
+        record = self.run(True, degradation_enabled=False)
         assert record.hazard is Hazard.COLLISION
         assert record.landed
         assert not record.degraded
         # the scalar oracle (full replay) and the checkpoint fork agree
         assert strip_wall([record]) == \
-            strip_wall([self.run(True, degradation_enabled=False)])
+            strip_wall([self.run(False, degradation_enabled=False)])
 
     def test_same_freeze_is_masked_with_degradation(self):
-        record = self.run(True, degradation_enabled=True)
+        record = self.run(False, degradation_enabled=True)
         assert record.hazard is Hazard.NONE
         assert record.landed
         assert record.degraded
         assert record.masked_by_degradation
 
     def test_degradation_off_is_recorded_distinctly(self):
-        masked = self.run(True, degradation_enabled=True)
-        hazardous = self.run(True, degradation_enabled=False)
+        masked = self.run(False, degradation_enabled=True)
+        hazardous = self.run(False, degradation_enabled=False)
         assert masked.kind == hazardous.kind == "freeze"
         assert masked.channel == hazardous.channel == "planning"
         assert masked.masked_by_degradation

@@ -20,8 +20,9 @@ import pytest
 from reference import (architectural_jobs, candidate_jobs, exhaustive_jobs,
                        random_jobs, reference_records, strip_wall)
 
-from repro.core import (Campaign, CampaignConfig, CampaignPipeline,
-                        ExperimentRecord, Hazard, ListSink)
+from repro.core import (MINED_VARIABLES, Campaign, CampaignConfig,
+                        CampaignPipeline, ExperimentRecord, Hazard,
+                        ListSink)
 from repro.core.persistence import (JsonlRecordSink, iter_records_jsonl,
                                     load_summary_jsonl,
                                     merge_record_shards)
@@ -154,10 +155,10 @@ class TestPipelineEquivalence:
                                                      top_k=3)
         merged = []
         for scenario in scenarios:
-            mined, _, _ = injector.mine_scenario_candidates(
+            mined, _, _ = injector._mine_scalar(
                 campaign._scenario_scene_rows(
                     scenario, campaign.golden_runs()[scenario.name]),
-                use_batched=False)
+                MINED_VARIABLES, 0.0)
             merged.extend(mined)
         merged.sort(key=lambda candidate: candidate.predicted_minimum)
         assert candidate_keys(merged[:3]) == candidate_keys(reference)
