@@ -7,10 +7,13 @@ pytest-benchmark record via ``extra_info``.
 """
 
 import os
+import platform
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core import Campaign, CampaignConfig, execute_experiment
@@ -35,6 +38,23 @@ def timing_gates(benchmark) -> bool:
     ``--benchmark-disable``) and ``REPRO_BENCH_GATES=1``.  Record
     equality and correctness asserts never depend on this."""
     return not benchmark.disabled and os.environ.get(GATES_ENV) == "1"
+
+
+def host_info() -> dict:
+    """Host metadata for a bench's ``extra_info``: usable CPUs,
+    numpy/Python versions and the checked-out git sha (``-dirty`` when
+    the tree has uncommitted changes)."""
+    try:
+        sha = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            capture_output=True, text=True, check=True,
+            cwd=Path(__file__).resolve().parent).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        sha = "unknown"
+    return {"usable_cpus": len(os.sched_getaffinity(0)),
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "git_sha": sha}
 
 
 def scalar_engine_records(campaign, jobs):

@@ -12,19 +12,20 @@ oracle.  The split of labor per stage:
   the same :mod:`repro.ads.kernels` closed forms the scalar filter
   runs), the IDM planner, the PID/slew controller, the final command
   clip, and the actuation-to-controls mapping.
-* **Per lane, reusing the lane's own scalar objects** — RNG draws (each
-  lane owns an independent ``Generator``, so draws are packed into as
-  few calls per lane as the scalar stream order allows), message
-  construction, camera/radar fusion (the lane's ``Perception``), and
-  the ragged per-object Kalman tracker (the lane's
-  ``MultiObjectTracker``, already closed-form).
+* **Per lane, reusing the lane's own scalar objects** — RNG draws and
+  message construction (each lane owns an independent ``Generator``;
+  the lane runs the scalar engine's own packed-draw helper,
+  :func:`~repro.ads.sensors.noisy_bundle`), camera/radar fusion (the
+  lane's ``Perception``), and the ragged per-object Kalman tracker (the
+  lane's ``MultiObjectTracker``, already closed-form).
 
 Equivalence holds by construction: the vectorized stages evaluate the
-*same* kernel expressions the scalar modules call with floats, RNG
-packing exploits verified bit-identities (``standard_normal(k)``
-equals ``k`` sequential draws; ``normal(0, s)`` equals
-``0.0 + s * standard_normal()``), and fault injection flows through the
-*real* registry setters on real payload objects for the
+*same* kernel expressions the scalar modules call with floats, both
+engines draw sensor noise through the same packed helper (its numpy
+bit-identities — ``standard_normal(k)`` equals ``k`` sequential draws,
+``normal(0, s)`` equals ``0.0 + s * standard_normal()`` — are pinned by
+``tests/test_sensor_equivalence.py``), and fault injection flows
+through the *real* registry setters on real payload objects for the
 sensing/perception/world-model stages — only the planner/actuation
 stages, whose payloads live in structure-of-arrays form, apply value
 faults as masked column writes (their setters are plain field stores).
@@ -52,11 +53,11 @@ from .channels import ChannelBus
 from .control import ControllerSnapshot
 from .kernels import control_step, ekf_correct, ekf_predict, plan_step
 from .localization import LocalizerSnapshot
-from .messages import (ActuationCommand, Detection, EgoEstimate, GpsFix,
-                       ImuSample, PlannerOutput, SensorBundle, WorldModel)
+from .messages import (ActuationCommand, EgoEstimate, PlannerOutput,
+                       SensorBundle, WorldModel)
 from .profiling import STAGE_TIMER
 from .runtime import ADSConfig, ADSPipeline, PipelineSnapshot
-from .sensors import SensorSnapshot
+from .sensors import SensorSnapshot, noisy_bundle
 
 #: Planner-stage fault variables as plan-array column names.
 _PLAN_COLUMNS = {"planned_speed": "plan_target", "raw_throttle":
@@ -347,45 +348,22 @@ class BatchADSState:
         yaw_rates = ego_v * np.tan(ego[:, 4]) / wheelbase
 
         ego_list = ego.tolist()
+        yaw_list = yaw_rates.tolist()
         times = batch.time[rows].tolist()
-        cam_noise = cfg.camera_position_noise
-        rad_noise = cfg.radar_position_noise
         for i, slot in enumerate(rows.tolist()):
-            rng = self.rngs[slot]
-            camera: list[Detection] = []
-            radar: list[Detection] = []
+            visible = ()
             if m:
                 lane_cam = visible_cam[i]
                 lane_rad = visible_rad[i]
                 lane_x = npc_x_list[i]
                 lane_y = npc_y_list[i]
                 lane_v = npc_v_list[i]
-                for j in range(m):
-                    sees_cam = lane_cam[j]
-                    sees_rad = lane_rad[j]
-                    if not (sees_cam or sees_rad):
-                        continue
-                    if sees_cam:
-                        sees_cam = rng.random() >= cfg.camera_dropout
-                    draws = (2 if sees_cam else 0) + (3 if sees_rad else 0)
-                    z = rng.standard_normal(draws) if draws else ()
-                    base = 0
-                    if sees_cam:
-                        camera.append(Detection(
-                            x=lane_x[j] + (0.0 + cam_noise * z[0]),
-                            y=lane_y[j] + (0.0 + cam_noise * z[1]),
-                            v=lane_v[j], sensor="camera"))
-                        base = 2
-                    if sees_rad:
-                        radar.append(Detection(
-                            x=lane_x[j] + (0.0 + rad_noise * z[base]),
-                            y=lane_y[j] + (0.0 + rad_noise * z[base + 1]),
-                            v=lane_v[j] + (0.0 + cfg.radar_speed_noise
-                                           * z[base + 2]),
-                            sensor="radar"))
+                visible = [(lane_x[j], lane_y[j], lane_v[j], lane_cam[j],
+                            lane_rad[j])
+                           for j in range(m) if lane_cam[j] or lane_rad[j]]
 
             time = times[i]
-            speed = ego_list[i][2]
+            x, ego_y, speed, theta = ego_list[i][:4]
             last_time = self.accel_last_t[slot]
             if last_time is None or time <= last_time:
                 acceleration = 0.0
@@ -395,26 +373,10 @@ class BatchADSState:
             self.accel_last_t[slot] = time
             self.accel_last_v[slot] = speed
 
-            ego_y = ego_list[i][1]
-            theta = ego_list[i][3]
             lane_center = road.lane_center(road.lane_of(ego_y))
-            z = rng.standard_normal(6)
-            bundle = SensorBundle(
-                time=time,
-                camera=camera,
-                radar=radar,
-                gps=GpsFix(x=ego_list[i][0] + (0.0 + cfg.gps_noise * z[0]),
-                           y=ego_y + (0.0 + cfg.gps_noise * z[1])),
-                imu=ImuSample(
-                    v=max(0.0, speed + (0.0 + cfg.imu_speed_noise * z[2])),
-                    a=acceleration,
-                    yaw_rate=(float(yaw_rates[i])
-                              + (0.0 + cfg.imu_yaw_noise * z[3])),
-                    heading=theta),
-                lane_offset=(ego_y - lane_center
-                             + (0.0 + cfg.lane_offset_noise * z[4])),
-                lane_heading=theta + (0.0 + cfg.lane_heading_noise * z[5]),
-            )
+            bundle = noisy_bundle(self.rngs[slot], cfg, time, visible, x,
+                                  ego_y, speed, theta, acceleration,
+                                  yaw_list[i], lane_center)
             if slot in self.faulty:
                 self._apply_object_faults(slot, "sensing", bundle)
             self.bundles[slot] = bundle

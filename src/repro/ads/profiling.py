@@ -11,7 +11,10 @@ brackets each stage of its tick, and the batched
 execution).  Beside the stages it times the deferred safety monitor
 (``safety``: one call per tick whose potential was evaluated) and
 counts named events per layer, such as the stop table's hits, misses
-and bulk batches.
+and bulk batches.  The ``collision`` row has no timer, only counts from
+both engines' collision tests: ``checks`` (per-lane tests),
+``prescreen_passes`` (tests whose bounds prescreen let them reach the
+SAT) and ``collisions`` (confirmed overlaps).
 
 The timer is explicitly enabled (``--profile-stages`` /
 ``CampaignConfig.profile_stages``); disabled — the default — the hot
@@ -28,8 +31,9 @@ import time
 
 #: Stage keys in control-cycle order (:data:`repro.ads.channels.CHANNELS`).
 STAGES = ("sensing", "perception", "world_model", "planning", "actuation")
-#: Every timed layer: the stages, then the safety monitor.
-LAYERS = STAGES + ("safety",)
+#: Every reported layer: the stages, the safety monitor, then the
+#: collision counts.
+LAYERS = STAGES + ("safety", "collision")
 
 
 class StageTimer:

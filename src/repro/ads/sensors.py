@@ -78,51 +78,25 @@ class SensorSuite:
         """One synchronized snapshot of every sensor."""
         cfg = self.config
         ego = world.ego.state
-        camera = []
-        radar = []
         obstacles = world.obstacles()
+        visible = []
         for obstacle in obstacles:
             ahead = obstacle.x - ego.x
-            if ahead > 0.0 and self._occluded(obstacle, obstacles, ego.x):
+            if not 0.0 < ahead:
                 continue
-            if 0.0 < ahead <= cfg.camera_range:
-                if self.rng.random() >= cfg.camera_dropout:
-                    camera.append(Detection(
-                        x=obstacle.x + self.rng.normal(
-                            0, cfg.camera_position_noise),
-                        y=obstacle.y + self.rng.normal(
-                            0, cfg.camera_position_noise),
-                        v=obstacle.v,
-                        sensor="camera"))
-            if 0.0 < ahead <= cfg.radar_range:
-                radar.append(Detection(
-                    x=obstacle.x + self.rng.normal(
-                        0, cfg.radar_position_noise),
-                    y=obstacle.y + self.rng.normal(
-                        0, cfg.radar_position_noise),
-                    v=obstacle.v + self.rng.normal(0, cfg.radar_speed_noise),
-                    sensor="radar"))
-
+            camera = ahead <= cfg.camera_range
+            radar = ahead <= cfg.radar_range
+            if ((camera or radar)
+                    and not self._occluded(obstacle, obstacles, ego.x)):
+                visible.append((obstacle.x, obstacle.y, obstacle.v,
+                                camera, radar))
         acceleration = self._estimate_acceleration(world.time, ego.v)
         yaw_rate = (ego.v * np.tan(ego.phi)
                     / world.ego.params.wheelbase)
         lane_center = world.road.lane_center(world.road.lane_of(ego.y))
-        return SensorBundle(
-            time=world.time,
-            camera=camera,
-            radar=radar,
-            gps=GpsFix(x=ego.x + self.rng.normal(0, cfg.gps_noise),
-                       y=ego.y + self.rng.normal(0, cfg.gps_noise)),
-            imu=ImuSample(
-                v=max(0.0, ego.v + self.rng.normal(0, cfg.imu_speed_noise)),
-                a=acceleration,
-                yaw_rate=yaw_rate + self.rng.normal(0, cfg.imu_yaw_noise),
-                heading=ego.theta),
-            lane_offset=(ego.y - lane_center
-                         + self.rng.normal(0, cfg.lane_offset_noise)),
-            lane_heading=(ego.theta
-                          + self.rng.normal(0, cfg.lane_heading_noise)),
-        )
+        return noisy_bundle(self.rng, cfg, world.time, visible, ego.x,
+                            ego.y, ego.v, ego.theta, acceleration,
+                            yaw_rate, lane_center)
 
     def _occluded(self, target, obstacles, ego_x: float) -> bool:
         half_width = self.config.occlusion_half_width
@@ -142,3 +116,59 @@ class SensorSuite:
         self._last_time = time
         self._last_speed = speed
         return accel
+
+
+def noisy_bundle(rng: np.random.Generator, cfg: SensorSuiteConfig,
+                 time: float, visible, x: float, y: float, v: float,
+                 theta: float, acceleration: float, yaw_rate: float,
+                 lane_center: float) -> SensorBundle:
+    """Draw one tick's sensor noise and build the bundle.
+
+    ``visible`` holds ``(x, y, v, camera, radar)`` per obstacle, in
+    world order, for obstacles ahead that are unoccluded and inside at
+    least one range gate (``camera``/``radar`` say which).  The draws
+    are packed: per obstacle one ``random()`` for camera dropout, then
+    one ``standard_normal`` of 2 (camera), 3 (radar) or 5 (both); then
+    one ``standard_normal(6)`` for GPS, IMU and lane.  That stream is
+    bit-for-bit the sequential ``normal(0, sigma)`` calls it replaces,
+    read as ``0.0 + sigma * z`` (pinned by
+    ``tests/test_sensor_equivalence.py``).  Both engines sense through
+    here: :meth:`SensorSuite.measure` and the batched
+    ``BatchADSState._sense``, per lane.
+    """
+    camera: list[Detection] = []
+    radar: list[Detection] = []
+    cam_noise = cfg.camera_position_noise
+    rad_noise = cfg.radar_position_noise
+    for ox, oy, ov, sees_cam, sees_rad in visible:
+        if sees_cam:
+            sees_cam = rng.random() >= cfg.camera_dropout
+        draws = (2 if sees_cam else 0) + (3 if sees_rad else 0)
+        if not draws:
+            continue
+        z = rng.standard_normal(draws).tolist()
+        if sees_cam:
+            camera.append(Detection(x=ox + (0.0 + cam_noise * z[0]),
+                                    y=oy + (0.0 + cam_noise * z[1]),
+                                    v=ov, sensor="camera"))
+            del z[:2]
+        if sees_rad:
+            radar.append(Detection(
+                x=ox + (0.0 + rad_noise * z[0]),
+                y=oy + (0.0 + rad_noise * z[1]),
+                v=ov + (0.0 + cfg.radar_speed_noise * z[2]),
+                sensor="radar"))
+    z = rng.standard_normal(6).tolist()
+    return SensorBundle(
+        time=time,
+        camera=camera,
+        radar=radar,
+        gps=GpsFix(x=x + (0.0 + cfg.gps_noise * z[0]),
+                   y=y + (0.0 + cfg.gps_noise * z[1])),
+        imu=ImuSample(v=max(0.0, v + (0.0 + cfg.imu_speed_noise * z[2])),
+                      a=acceleration,
+                      yaw_rate=yaw_rate + (0.0 + cfg.imu_yaw_noise * z[3]),
+                      heading=theta),
+        lane_offset=y - lane_center + (0.0 + cfg.lane_offset_noise * z[4]),
+        lane_heading=theta + (0.0 + cfg.lane_heading_noise * z[5]),
+    )

@@ -301,10 +301,12 @@ def _print_summary(summary, label: str) -> None:
                           rows))
     timings = getattr(summary, "extra_info", {}).get("stage_timings")
     if timings:
-        total = sum(cell["seconds"] for cell in timings.values()) or 1.0
+        timed = {stage: cell for stage, cell in timings.items()
+                 if cell["calls"]}
+        total = sum(cell["seconds"] for cell in timed.values()) or 1.0
         stage_rows = [[stage, f"{cell['seconds']:.3f}",
                        f"{cell['seconds'] / total:.1%}", cell["calls"]]
-                      for stage, cell in timings.items()]
+                      for stage, cell in timed.items()]
         print(ascii_table(["stage", "seconds", "share", "lane-calls"],
                           stage_rows))
         safety = timings.get("safety", {})
@@ -313,6 +315,13 @@ def _print_summary(summary, label: str) -> None:
             print(f"  stop table: {hits} hits, {misses} misses "
                   f"({hits / max(hits + misses, 1):.1%} hit rate), "
                   f"{safety['stop_batches']} bulk batches")
+        collision = timings.get("collision")
+        if collision:
+            checks = collision["checks"]
+            passes = collision["prescreen_passes"]
+            print(f"  collision: {checks} checks, {passes} past the "
+                  f"prescreen ({passes / max(checks, 1):.1%}), "
+                  f"{collision['collisions']} collisions")
 
 
 def _split_list(value: str | None) -> tuple[str, ...] | None:

@@ -245,7 +245,8 @@ def _simulate(scenario: Scenario, world: World, pipeline: ADSPipeline,
         if tick >= monitor_from or recording:
             monitor.sample(tick, world_safety_inputs(world))
         if tick >= monitor_from:
-            if world.in_collision():
+            if world.in_collision(
+                    STAGE_TIMER if STAGE_TIMER.enabled else None):
                 monitor.collided = True
             if world.off_road():
                 monitor.went_off_road = True
@@ -541,7 +542,8 @@ def run_experiments_batched(scenario: Scenario, fault_lists,
             batch.scatter(peeled)
         # 3. Batched ground-truth signals.
         gap, lead_speed, lateral_free = batch.safety_inputs()
-        collided = batch.collided_mask()
+        collided = batch.collided_mask(
+            STAGE_TIMER if STAGE_TIMER.enabled else None)
         off_road = batch.off_road_mask()
         # 4. Per-lane monitoring and recording; retirement follows once
         #    the tick's cost is shared out.

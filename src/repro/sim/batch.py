@@ -17,8 +17,11 @@ by construction —
 * anything that is *not* elementwise float64 arithmetic stays scalar:
   the actuation-to-controls mapping (quadratic drag uses Python ``**``)
   runs per lane through :meth:`~repro.sim.vehicle.Vehicle.controls_for`,
-  and exact collision confirmation runs the lane's own
-  ``World.in_collision`` behind a conservative vectorized prescreen;
+  and exact collision confirmation runs the scalar engine's confirm
+  (:func:`~repro.sim.collision.box_collides`, the body of
+  ``World.in_collision``) behind a vectorized prescreen.  Both engines
+  prescreen with the same bounds
+  (:func:`~repro.sim.collision.aabb_half_extents`);
 * each lane keeps its authoritative scalar ``World`` object, which the
   engine scatters state back into every step — so sensors, pipelines,
   and snapshots see exactly what they would have seen.
@@ -35,12 +38,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .collision import (Obstacle, batched_ego_collides,
+from .collision import (SENSOR_RANGE, Obstacle, batched_collision_prescreen,
                         batched_lateral_clearance,
                         batched_lateral_safe_distance,
                         batched_longitudinal_safe_distance,
-                        batched_nearest_lead, batched_off_road, obb_overlap,
-                        SENSOR_RANGE)
+                        batched_nearest_lead, batched_off_road, box_collides,
+                        count_collision_checks)
 from .kinematics import BatchKernelWorkspace, VehicleState, batched_rk4_step
 from .npc import LaneChangeCommand
 from .world import World
@@ -366,42 +369,42 @@ class BatchWorldState:
             self.npc_x, self.npc_y, self._npc_lengths, self._npc_widths,
             self.road)
 
-    def collided_mask(self) -> np.ndarray:
-        """Per-lane ``World.in_collision``: vectorized prescreen, exact
-        per-lane SAT confirm.
+    def collided_mask(self, timer=None) -> np.ndarray:
+        """Per-lane ``World.in_collision``: vectorized prescreen, then
+        the scalar confirm (:func:`~repro.sim.collision.box_collides`)
+        on each candidate lane's bodies.
 
-        The confirm runs the same footprint SAT as ``World.in_collision``
-        directly from the batch arrays (``float()`` reads are what a
+        The confirm reads the batch arrays (``float()`` reads are what a
         scatter would have written), so callers that keep lanes
         array-resident — the batched ADS path — need no prior
-        :meth:`scatter` and no world sync at all.
+        :meth:`scatter` and no world sync at all.  ``timer`` counts the
+        live lanes' tests in its ``collision`` row.
         """
         params = self.ego_params
-
-        def confirm(lane: int) -> bool:
-            # Retired slots are zeroed (ego and NPCs collapse onto the
-            # origin) and would otherwise confirm as phantom collisions
-            # every remaining tick of the batch.
-            if not self.active[lane]:
-                return False
-            ego_fp = Obstacle(
-                obstacle_id=-1,
-                x=float(self.ego[lane, 0]), y=float(self.ego[lane, 1]),
-                theta=float(self.ego[lane, 3]), length=params.length,
-                width=params.width).footprint()
-            return any(
-                obb_overlap(ego_fp, Obstacle(
-                    obstacle_id=j,
-                    x=float(self.npc_x[lane, j]),
-                    y=float(self.npc_y[lane, j]),
-                    length=float(self._npc_lengths[j]),
-                    width=float(self._npc_widths[j])).footprint())
-                for j in range(self.n_obstacles))
-
-        return batched_ego_collides(
-            self.ego[:, 0], self.ego[:, 1], params.length, params.width,
-            self.npc_x, self.npc_y, self._npc_lengths, self._npc_widths,
-            confirm, ego_theta=self.ego[:, 3])
+        ego = self.ego
+        # Retired slots are zeroed (ego and NPCs collapse onto the
+        # origin) and would otherwise confirm as phantom collisions
+        # every remaining tick of the batch.
+        candidates = self.active & batched_collision_prescreen(
+            ego[:, 0], ego[:, 1], ego[:, 3], params.length, params.width,
+            self.npc_x, self.npc_y, self._npc_lengths, self._npc_widths)
+        collided = np.zeros(self.n_lanes, dtype=bool)
+        for lane in np.nonzero(candidates)[0].tolist():
+            obstacles = [
+                Obstacle(obstacle_id=j, x=float(self.npc_x[lane, j]),
+                         y=float(self.npc_y[lane, j]),
+                         length=float(self._npc_lengths[j]),
+                         width=float(self._npc_widths[j]))
+                for j in range(self.n_obstacles)]
+            collided[lane] = box_collides(
+                float(ego[lane, 0]), float(ego[lane, 1]),
+                float(ego[lane, 3]), params.length, params.width,
+                obstacles)
+        if timer is not None:
+            count_collision_checks(timer, int(self.active.sum()),
+                                   int(candidates.sum()),
+                                   int(collided.sum()))
+        return collided
 
     def off_road_mask(self) -> np.ndarray:
         """Per-lane ``World.off_road``."""

@@ -10,6 +10,7 @@ as safety violations).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,36 @@ from .road import Road
 #: Objects farther than this are invisible to the safety envelope, matching
 #: a realistic forward sensor range.
 SENSOR_RANGE = 250.0
+
+#: Slack added to summed half-extents by both collision prescreens, so
+#: rounding in the footprint corners can never turn a touching pair
+#: into a rejected one.
+PRESCREEN_SLACK = 1e-6
+
+
+def box_footprint(x: float, y: float, theta: float, length: float,
+                  width: float) -> np.ndarray:
+    """Corners of an oriented ``length`` x ``width`` box centred on
+    ``(x, y)`` at heading ``theta``, shape (4, 2)."""
+    half_l, half_w = length / 2.0, width / 2.0
+    corners = np.array([[half_l, half_w], [half_l, -half_w],
+                        [-half_l, -half_w], [-half_l, half_w]])
+    c, s = np.cos(theta), np.sin(theta)
+    rotation = np.array([[c, -s], [s, c]])
+    return corners @ rotation.T + np.array([x, y])
+
+
+def aabb_half_extents(length, width, cos_theta, sin_theta):
+    """Half-extents ``(along x, along y)`` of the axis-aligned box
+    around an oriented ``length`` x ``width`` box.
+
+    Takes the heading's cosine and sine so the same expression serves
+    Python floats (the scalar prescreen, ``math.cos``) and per-lane
+    arrays (the batched prescreen, ``np.cos``).
+    """
+    c = abs(cos_theta)
+    s = abs(sin_theta)
+    return (length * c + width * s) / 2.0, (length * s + width * c) / 2.0
 
 
 @dataclass(frozen=True)
@@ -35,12 +66,8 @@ class Obstacle:
 
     def footprint(self) -> np.ndarray:
         """Corners of the oriented bounding box, shape (4, 2)."""
-        half_l, half_w = self.length / 2.0, self.width / 2.0
-        corners = np.array([[half_l, half_w], [half_l, -half_w],
-                            [-half_l, -half_w], [-half_l, half_w]])
-        c, s = np.cos(self.theta), np.sin(self.theta)
-        rotation = np.array([[c, -s], [s, c]])
-        return corners @ rotation.T + np.array([self.x, self.y])
+        return box_footprint(self.x, self.y, self.theta, self.length,
+                             self.width)
 
 
 def obb_overlap(corners_a: np.ndarray, corners_b: np.ndarray) -> bool:
@@ -180,9 +207,62 @@ def nearest_lead(ego_x: float, ego_y: float, ego_width: float,
 
 def ego_collides(ego_footprint: np.ndarray,
                  obstacles: list[Obstacle]) -> bool:
-    """True if the ego body overlaps any obstacle body."""
+    """True if the ego body overlaps any obstacle body (exact SAT)."""
     return any(obb_overlap(ego_footprint, obstacle.footprint())
                for obstacle in obstacles)
+
+
+def collision_candidates(x: float, y: float, theta: float, length: float,
+                         width: float,
+                         obstacles: list[Obstacle]) -> list[Obstacle]:
+    """The obstacles whose axis-aligned bounds reach those of the box.
+
+    Conservative: an obstacle left out cannot overlap the box, because
+    disjoint bounding boxes (by more than :data:`PRESCREEN_SLACK`)
+    separate the bodies.  Each obstacle's bounds use its own heading.
+    """
+    half_x, half_y = aabb_half_extents(length, width, math.cos(theta),
+                                       math.sin(theta))
+    candidates = []
+    for obstacle in obstacles:
+        reach_x, reach_y = aabb_half_extents(
+            obstacle.length, obstacle.width, math.cos(obstacle.theta),
+            math.sin(obstacle.theta))
+        if (abs(obstacle.x - x) <= half_x + (reach_x + PRESCREEN_SLACK)
+                and abs(obstacle.y - y)
+                <= half_y + (reach_y + PRESCREEN_SLACK)):
+            candidates.append(obstacle)
+    return candidates
+
+
+def count_collision_checks(timer, checks: int, passes: int,
+                           collisions: int) -> None:
+    """Charge collision tests to the ``collision`` row of a
+    :class:`~repro.ads.profiling.StageTimer`: ``checks`` per-lane tests,
+    ``passes`` of them reaching the SAT, ``collisions`` confirmed."""
+    timer.count("collision", "checks", checks)
+    timer.count("collision", "prescreen_passes", passes)
+    timer.count("collision", "collisions", collisions)
+
+
+def box_collides(x: float, y: float, theta: float, length: float,
+                 width: float, obstacles: list[Obstacle],
+                 timer=None) -> bool:
+    """True if the oriented box overlaps any obstacle.
+
+    The exact answer of :func:`ego_collides` on every obstacle, found
+    by running the SAT only on the :func:`collision_candidates`.  Both
+    engines confirm collisions here: ``World.in_collision`` for the
+    scalar one, the per-lane confirm of
+    ``BatchWorldState.collided_mask`` for the batched one.  With a
+    ``timer`` the test is counted (:func:`count_collision_checks`).
+    """
+    hits = collision_candidates(x, y, theta, length, width, obstacles)
+    collided = bool(hits) and ego_collides(
+        box_footprint(x, y, theta, length, width), hits)
+    if timer is not None:
+        count_collision_checks(timer, 1, int(bool(hits)), int(collided))
+    return collided
 
 
 # -- batched variants --------------------------------------------------------
@@ -319,55 +399,30 @@ def batched_nearest_lead(ego_x: np.ndarray, ego_y: np.ndarray,
 
 
 def batched_collision_prescreen(ego_x: np.ndarray, ego_y: np.ndarray,
-                                ego_length: float, ego_width: float,
-                                obs_x: np.ndarray, obs_y: np.ndarray,
-                                obs_lengths, obs_widths,
-                                ego_theta: np.ndarray | None = None
-                                ) -> np.ndarray:
+                                ego_theta: np.ndarray, ego_length: float,
+                                ego_width: float, obs_x: np.ndarray,
+                                obs_y: np.ndarray, obs_lengths,
+                                obs_widths) -> np.ndarray:
     """Conservative per-lane collision candidate mask.
 
-    Tests axis-aligned bounds of the oriented boxes: the ego box at
-    heading ``theta`` fits inside half-extents
-    ``((L|cos| + W|sin|)/2, (L|sin| + W|cos|)/2)`` and NPC bodies are
-    axis-aligned, so disjoint bounds guarantee :func:`obb_overlap` is
-    False.  Much tighter than bounding circles — traffic one lane over
-    (3.5 m of lateral offset against ~2 m of summed half-widths) no
-    longer passes, which matters because lanes that do pass still need
-    the exact per-lane SAT test.  Without ``ego_theta`` the heading is
-    taken as 0 (pure translation bounds).  The slack absorbs rounding.
+    The per-lane mirror of :func:`collision_candidates` for the batch's
+    axis-aligned NPC bodies: the ego box at heading ``ego_theta`` fits
+    inside :func:`aabb_half_extents`, so disjoint bounds guarantee
+    :func:`obb_overlap` is False.  Much tighter than bounding circles —
+    traffic one lane over (3.5 m of lateral offset against ~2 m of
+    summed half-widths) does not pass, which matters because lanes that
+    do pass still need the exact per-lane SAT test.
     """
     n, m = obs_x.shape
     candidates = np.zeros(n, dtype=bool)
     if m == 0:
         return candidates
-    if ego_theta is None:
-        half_x = np.full(n, ego_length / 2.0)
-        half_y = np.full(n, ego_width / 2.0)
-    else:
-        c = np.abs(np.cos(ego_theta))
-        s = np.abs(np.sin(ego_theta))
-        half_x = (ego_length * c + ego_width * s) / 2.0
-        half_y = (ego_length * s + ego_width * c) / 2.0
+    half_x, half_y = aabb_half_extents(ego_length, ego_width,
+                                       np.cos(ego_theta), np.sin(ego_theta))
     for j in range(m):
-        reach_x = half_x + (float(obs_lengths[j]) / 2.0 + 1e-6)
-        reach_y = half_y + (float(obs_widths[j]) / 2.0 + 1e-6)
+        reach_x = half_x + (float(obs_lengths[j]) / 2.0 + PRESCREEN_SLACK)
+        reach_y = half_y + (float(obs_widths[j]) / 2.0 + PRESCREEN_SLACK)
         candidates |= ((np.abs(obs_x[:, j] - ego_x) <= reach_x)
                        & (np.abs(obs_y[:, j] - ego_y) <= reach_y))
     return candidates
 
-
-def batched_ego_collides(ego_x: np.ndarray, ego_y: np.ndarray,
-                         ego_length: float, ego_width: float,
-                         obs_x: np.ndarray, obs_y: np.ndarray,
-                         obs_lengths, obs_widths, exact,
-                         ego_theta: np.ndarray | None = None) -> np.ndarray:
-    """Per-lane :func:`ego_collides`: vectorized prescreen, then the
-    caller-supplied exact test (``exact(lane) -> bool``, typically the
-    lane's own ``World.in_collision``) only for candidate lanes."""
-    result = batched_collision_prescreen(ego_x, ego_y, ego_length,
-                                         ego_width, obs_x, obs_y,
-                                         obs_lengths, obs_widths,
-                                         ego_theta=ego_theta)
-    for lane in np.nonzero(result)[0]:
-        result[lane] = bool(exact(int(lane)))
-    return result

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .collision import box_footprint
 from .fastmath import clip_scalar
 from .kinematics import VehicleState, rk4_step
 
@@ -98,10 +99,6 @@ class Vehicle:
 
     def footprint(self) -> np.ndarray:
         """Corners of the oriented bounding box, shape (4, 2)."""
-        half_l = self.params.length / 2.0
-        half_w = self.params.width / 2.0
-        corners = np.array([[half_l, half_w], [half_l, -half_w],
-                            [-half_l, -half_w], [-half_l, half_w]])
-        c, s = np.cos(self.state.theta), np.sin(self.state.theta)
-        rotation = np.array([[c, -s], [s, c]])
-        return corners @ rotation.T + np.array([self.state.x, self.state.y])
+        state = self.state
+        return box_footprint(state.x, state.y, state.theta,
+                             self.params.length, self.params.width)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .collision import (Obstacle, ego_collides, lateral_clearance,
+from .collision import (Obstacle, box_collides, lateral_clearance,
                         lateral_clearance_directional, lateral_safe_distance,
                         longitudinal_safe_distance, nearest_lead)
 from .kinematics import VehicleState
@@ -140,9 +140,19 @@ class World:
         return nearest_lead(state.x, state.y, self.ego.params.width,
                             self.obstacles(), extra_margin)
 
-    def in_collision(self) -> bool:
-        """True when the ego body overlaps any obstacle."""
-        return ego_collides(self.ego.footprint(), self.obstacles())
+    def in_collision(self, timer=None) -> bool:
+        """True when the ego body overlaps any obstacle.
+
+        Exact: an axis-aligned bounds prescreen drops the obstacles that
+        cannot touch the ego and the SAT decides the rest
+        (:func:`~repro.sim.collision.box_collides`).  ``timer`` (a
+        :class:`~repro.ads.profiling.StageTimer`, or None) counts the
+        test in its ``collision`` row.
+        """
+        state = self.ego.state
+        params = self.ego.params
+        return box_collides(state.x, state.y, state.theta, params.length,
+                            params.width, self.obstacles(), timer)
 
     def off_road(self) -> bool:
         """True when any part of the ego body leaves the pavement."""

@@ -1,14 +1,19 @@
 """Property-based tests (hypothesis) for the simulator and safety model."""
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import reference_in_collision
 from repro.core import (SafetyConfig, longitudinal_envelope,
                         safety_potential, steering_excursion,
                         stopping_displacement)
-from repro.sim import (Obstacle, VehicleState, obb_overlap, rk4_step,
+from repro.sim import (Obstacle, VehicleState, World,
+                       batched_collision_prescreen, obb_overlap, rk4_step,
                        longitudinal_safe_distance)
+from repro.sim.collision import aabb_half_extents, collision_candidates
 
 speeds = st.floats(0.0, 45.0)
 headings = st.floats(-0.3, 0.3)
@@ -134,3 +139,109 @@ class TestGeometryProperties:
         obstacle = Obstacle(1, x=x, y=y)
         gap = longitudinal_safe_distance(0.0, 5.55, 4.8, 1.9, [obstacle])
         assert gap <= 250.0
+
+
+class TestCollisionPrescreenOracle:
+    """``World.in_collision`` (bounds prescreen, then SAT) against the
+    unscreened SAT over every obstacle (``reference_in_collision``)."""
+
+    ego_headings = st.floats(-np.pi / 2, np.pi / 2)
+    obstacle_headings = st.one_of(st.just(0.0), st.floats(-np.pi, np.pi))
+    sizes = st.tuples(st.floats(0.5, 18.0), st.floats(0.4, 3.5))
+
+    @staticmethod
+    def _world(ego_x, ego_y, ego_theta, obstacles):
+        world = World.on_highway()
+        world.ego.state = VehicleState(x=ego_x, y=ego_y, theta=ego_theta)
+        # The obstacle cache is what in_collision reads; seeding it
+        # directly lets the fuzz use rotated bodies (NPCs are always
+        # axis-aligned).
+        world._obstacle_cache = list(obstacles)
+        return world
+
+    @staticmethod
+    def _touching_distance(ego_fp, obstacle, ux, uy):
+        """Bisect the offset along (ux, uy) at which ``obstacle`` moved
+        from the ego centre stops overlapping the ego."""
+        low, high = 0.0, 40.0
+        for _ in range(80):
+            mid = (low + high) / 2.0
+            moved = replace(obstacle, x=obstacle.x + mid * ux,
+                            y=obstacle.y + mid * uy)
+            if obb_overlap(ego_fp, moved.footprint()):
+                low = mid
+            else:
+                high = mid
+        return low
+
+    def _assert_prescreens_keep_overlaps(self, world):
+        state = world.ego.state
+        params = world.ego.params
+        kept = collision_candidates(state.x, state.y, state.theta,
+                                    params.length, params.width,
+                                    world.obstacles())
+        ego = world.ego.footprint()
+        for obstacle in world.obstacles():
+            if not obb_overlap(ego, obstacle.footprint()):
+                continue
+            assert obstacle in kept
+            if obstacle.theta == 0.0:
+                assert batched_collision_prescreen(
+                    np.array([state.x]), np.array([state.y]),
+                    np.array([state.theta]), params.length, params.width,
+                    np.array([[obstacle.x]]), np.array([[obstacle.y]]),
+                    [obstacle.length], [obstacle.width])[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(-500.0, 500.0), st.floats(-20.0, 20.0), ego_headings,
+           st.lists(st.tuples(st.floats(-12.0, 12.0), st.floats(-8.0, 8.0),
+                              obstacle_headings, sizes), max_size=4))
+    def test_random_placements(self, ego_x, ego_y, theta, bodies):
+        obstacles = [Obstacle(i, x=ego_x + dx, y=ego_y + dy, theta=angle,
+                              length=length, width=width)
+                     for i, (dx, dy, angle, (length, width))
+                     in enumerate(bodies)]
+        world = self._world(ego_x, ego_y, theta, obstacles)
+        assert world.in_collision() == reference_in_collision(world)
+        self._assert_prescreens_keep_overlaps(world)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(-500.0, 500.0), st.floats(-20.0, 20.0), ego_headings,
+           obstacle_headings, sizes, st.floats(-np.pi, np.pi),
+           st.floats(-1e-9, 1e-9))
+    def test_near_touching(self, ego_x, ego_y, theta, angle, size,
+                           direction, nudge):
+        ux, uy = np.cos(direction), np.sin(direction)
+        length, width = size
+        probe = Obstacle(0, x=ego_x, y=ego_y, theta=angle, length=length,
+                         width=width)
+        ego_fp = self._world(ego_x, ego_y, theta, []).ego.footprint()
+        touch = self._touching_distance(ego_fp, probe, ux, uy) + nudge
+        obstacle = replace(probe, x=ego_x + touch * ux,
+                           y=ego_y + touch * uy)
+        world = self._world(ego_x, ego_y, theta, [obstacle])
+        assert world.in_collision() == reference_in_collision(world)
+        self._assert_prescreens_keep_overlaps(world)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-500.0, 500.0), ego_headings,
+           st.sampled_from([0.0, np.pi / 2, -np.pi / 2, np.pi]),
+           st.floats(-1e-9, 1e-9), st.booleans())
+    def test_face_contact_on_the_bounds(self, ego_x, theta, angle, nudge,
+                                        along_x):
+        # Obstacle bounds exactly meet the ego's bounds on one axis: the
+        # prescreen's own decision boundary, where its slack matters.
+        world = self._world(ego_x, 5.0, theta, [])
+        params = world.ego.params
+        half_x, half_y = aabb_half_extents(params.length, params.width,
+                                           np.cos(theta), np.sin(theta))
+        reach_x, reach_y = aabb_half_extents(4.8, 1.9, np.cos(angle),
+                                             np.sin(angle))
+        if along_x:
+            dx, dy = half_x + reach_x + nudge, 0.0
+        else:
+            dx, dy = 0.0, half_y + reach_y + nudge
+        obstacle = Obstacle(0, x=ego_x + dx, y=5.0 + dy, theta=angle)
+        world = self._world(ego_x, 5.0, theta, [obstacle])
+        assert world.in_collision() == reference_in_collision(world)
+        self._assert_prescreens_keep_overlaps(world)

@@ -1,11 +1,15 @@
 """Tests for road geometry, OBB collision, and safe-distance helpers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.sim import (SENSOR_RANGE, Obstacle, Road, ego_collides,
-                       lateral_safe_distance, longitudinal_safe_distance,
-                       obb_overlap)
+from repro.core import (Campaign, CampaignConfig, CampaignSummary, FaultSpec,
+                        Hazard)
+from repro.sim import (SENSOR_RANGE, Obstacle, Road, default_scenarios,
+                       ego_collides, lateral_safe_distance,
+                       longitudinal_safe_distance, obb_overlap)
 
 
 class TestRoad:
@@ -156,3 +160,52 @@ class TestEgoCollides:
         footprint = np.array([[2.4, 0.95], [2.4, -0.95],
                               [-2.4, -0.95], [-2.4, 0.95]])
         assert not ego_collides(footprint, [Obstacle(1, x=10.0, y=0.0)])
+
+
+class TestCollisionCounters:
+    """The ``collision`` row of ``stage_timings``: counts from both
+    engines, no timer."""
+
+    @staticmethod
+    def _scenarios():
+        return [replace(scenario, duration=12.0)
+                for scenario in default_scenarios()]
+
+    @staticmethod
+    def _check_row(summary):
+        row = summary.extra_info["stage_timings"]["collision"]
+        assert row["seconds"] == 0.0 and row["calls"] == 0
+        assert row["checks"] >= row["prescreen_passes"] >= row["collisions"]
+        assert row["collisions"] == sum(
+            record.hazard is Hazard.COLLISION for record in summary.records)
+        return row
+
+    def test_serial_random_campaign(self):
+        campaign = Campaign(self._scenarios(),
+                            CampaignConfig(profile_stages=True))
+        summary = campaign.random_campaign(24, seed=3)
+        row = self._check_row(summary)
+        assert row["collisions"] >= 1
+        # Most ticks have no body near the ego: the prescreen settles them.
+        assert row["prescreen_passes"] * 20 < row["checks"]
+
+        merged = CampaignSummary.merge([summary, summary])
+        assert merged.extra_info["stage_timings"]["collision"] == {
+            name: 2 * value for name, value in row.items()}
+
+    def test_fused_lanes_count_too(self, monkeypatch):
+        from repro.ads.batch import BatchADSState
+        from repro.core import parallel
+        fused = []
+        attach = BatchADSState.attach
+        monkeypatch.setattr(BatchADSState, "attach", lambda self, slot, p:
+                            fused.append(slot) or attach(self, slot, p))
+        monkeypatch.setattr(parallel, "LANES", 4)
+        campaign = Campaign(self._scenarios(),
+                            CampaignConfig(profile_stages=True))
+        jobs = [("adjacent_traffic", FaultSpec("raw_steering", value, 48, 4))
+                for value in (0.42, -0.45, 0.5, 0.05)]
+        summary = campaign.run_jobs(jobs)
+        assert fused
+        row = self._check_row(summary)
+        assert row["collisions"] >= 1
