@@ -43,8 +43,7 @@ def fresh_campaign() -> Campaign:
     Each timed run gets its own instance so both paths pay the full
     golden + train + mine + validate pipeline from scratch.
     """
-    return Campaign(bench_scenarios(),
-                    CampaignConfig(checkpoint_stride=2))
+    return Campaign(bench_scenarios(), CampaignConfig())
 
 
 def test_bench_campaign_throughput(benchmark, tmp_path):
@@ -52,8 +51,7 @@ def test_bench_campaign_throughput(benchmark, tmp_path):
     # conditioning plans, numpy dispatch) on a scaled-down campaign so
     # the serial-first timing order doesn't hand the sharded run warmer
     # caches through fork inheritance.
-    warmup = Campaign(bench_scenarios()[:2],
-                      CampaignConfig(checkpoint_stride=2))
+    warmup = Campaign(bench_scenarios()[:2], CampaignConfig())
     warmup.bayesian_campaign(top_k=4)
 
     def run_serial():

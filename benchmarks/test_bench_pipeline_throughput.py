@@ -56,15 +56,13 @@ def bench_population():
 
 def fresh_campaign() -> Campaign:
     """A cold campaign: no golden traces, no checkpoints, no caches."""
-    return Campaign(bench_population(),
-                    CampaignConfig(checkpoint_stride=2))
+    return Campaign(bench_population(), CampaignConfig())
 
 
 def test_bench_pipeline_throughput(benchmark):
     # Warm process-wide caches (RK4 stop kernels, numpy dispatch) so the
     # timed run measures the campaign, not first-call setup.
-    warm = Campaign(bench_population()[:2],
-                    CampaignConfig(checkpoint_stride=2))
+    warm = Campaign(bench_population()[:2], CampaignConfig())
     warm.exhaustive_campaign(tick_stride=64, variable_names=["brake"],
                              workers=WORKERS)
     campaign = fresh_campaign()
@@ -102,13 +100,11 @@ def test_bench_sharded_pipeline_merge(tmp_path):
     """Two shards cover the campaign and merge back to the whole."""
     from repro.core.persistence import JsonlRecordSink, merge_record_shards
 
-    reference = Campaign(bench_population(),
-                         CampaignConfig(checkpoint_stride=2)) \
+    reference = Campaign(bench_population(), CampaignConfig()) \
         .exhaustive_campaign(tick_stride=64, variable_names=["brake"])
     paths = []
     for shard in range(2):
-        config = CampaignConfig(checkpoint_stride=2, shard_index=shard,
-                                shard_count=2)
+        config = CampaignConfig(shard_index=shard, shard_count=2)
         path = tmp_path / f"shard-{shard}.jsonl.gz"
         with JsonlRecordSink(path) as sink:
             Campaign(bench_population(), config).exhaustive_campaign(

@@ -82,8 +82,12 @@ for i in range(count):
     scenarios.append(replace(base, name=f"{base.name}_v{i}",
                              duration=30.0 + 4.0 * (i % 5)))
 # One snapshot per scenario keeps checkpoint ladders out of both
-# sides' peak: the probe measures trace memory.
-config = CampaignConfig(checkpoint_stride=10**6)
+# sides' peak: the probe measures trace memory.  Golden-only and
+# Bayesian plans snapshot every scheduled injection tick, so the probe
+# cuts the schedule to its first tick.
+schedule = Campaign.schedule_injection_ticks
+Campaign.schedule_injection_ticks = lambda self, s: schedule(self, s)[:1]
+config = CampaignConfig()
 rss_before_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 tracemalloc.start()
 campaign = Campaign(scenarios, config,
@@ -208,7 +212,7 @@ def overlap_population(smoke: bool):
 def test_bench_training_overlap_throughput(benchmark):
     smoke = benchmark.disabled
     campaign = Campaign(overlap_population(smoke),
-                        CampaignConfig(checkpoint_stride=2))
+                        CampaignConfig())
 
     def timed_pipeline():
         start = time.perf_counter()

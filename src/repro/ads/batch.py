@@ -43,8 +43,6 @@ the TTL), so the safe-stop branch needs no batched twin.
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 from ..sim.batch import BatchWorldState
@@ -56,7 +54,8 @@ from .localization import LocalizerSnapshot
 from .messages import (ActuationCommand, EgoEstimate, PlannerOutput,
                        SensorBundle, WorldModel)
 from .profiling import STAGE_TIMER
-from .runtime import ADSConfig, ADSPipeline, PipelineSnapshot
+from .runtime import (ADSConfig, ADSPipeline, PipelineSnapshot,
+                      pack_payloads)
 from .sensors import SensorSnapshot, noisy_bundle
 
 #: Planner-stage fault variables as plan-array column names.
@@ -592,9 +591,9 @@ class BatchADSState:
                 last_time=self.accel_last_t[slot]),
             tracker=self.trackers[slot].snapshot(),
             localizer=LocalizerSnapshot(
-                mean=(np.array(self.loc_mean[:, slot])
+                mean=(tuple(self.loc_mean[:, slot].tolist())
                       if self.loc_has[slot] else None),
-                covariance=(self.loc_cov[:, slot].reshape(4, 4).copy()
+                covariance=(tuple(self.loc_cov[:, slot].tolist())
                             if self.loc_has[slot] else None)),
             controller=ControllerSnapshot(
                 integral=float(self.pid_integral[slot]),
@@ -603,8 +602,6 @@ class BatchADSState:
                 last_command=(float(self.last_throttle[slot]),
                               float(self.last_brake[slot]),
                               float(self.last_steering[slot]))),
-            plan=copy.deepcopy(plan),
-            model=copy.deepcopy(self.models[slot]),
             command=(float(self.cmd_throttle[slot]),
                      float(self.cmd_brake[slot]),
                      float(self.cmd_steering[slot])),
@@ -612,5 +609,5 @@ class BatchADSState:
                           f.duration_ticks, f.landed)
                          for f in pipeline.faults),
             channel_faults=channel_faults,
-            channels=channels,
+            payloads=pack_payloads(plan, self.models[slot], channels),
             degraded_ticks=pipeline._degraded_ticks)

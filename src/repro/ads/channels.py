@@ -53,7 +53,6 @@ outcomes from genuine safety violations.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 
 #: Typed message boundaries, in pipeline order (mirrors
@@ -247,16 +246,13 @@ class ChannelBus:
 
     # -- snapshot / restore --------------------------------------------------
 
-    def snapshot(self) -> tuple[tuple, bytes]:
-        """(faults, channels-blob) state for checkpoint ladders.
+    def snapshot(self) -> tuple[tuple, tuple]:
+        """(faults, channels) state for checkpoint ladders.
 
-        The channel states (held payloads, delay queues, jitter
-        windows) are stored as one pickle blob rather than embedded
-        object graphs: the pickle *is* the deep copy, and a ``bytes``
-        field keeps ``pickle.dumps`` of the enclosing snapshot
-        byte-stable across save/load round trips (numpy scalars inside
-        payloads would otherwise lose dtype sharing with the snapshot's
-        arrays and change the serialized length).
+        ``channels`` holds the live payloads (held payloads, delay
+        queues, jitter windows): :meth:`repro.ads.runtime.ADSPipeline
+        .snapshot` pickles them with its own, and that pickle is the
+        copy.
         """
         faults = tuple((f.kind, f.channel, f.param, f.start_tick,
                         f.duration_ticks, f.landed) for f in self.faults)
@@ -264,17 +260,17 @@ class ChannelBus:
             (name, state.payload, state.origin,
              tuple(state.queue), tuple(state.buffer))
             for name, state in self._states.items())
-        return faults, pickle.dumps(channels,
-                                    protocol=pickle.HIGHEST_PROTOCOL)
+        return faults, channels
 
-    def restore(self, faults: tuple, channels: bytes | None) -> None:
+    def restore(self, faults: tuple, channels: tuple) -> None:
+        """Rebuild from :meth:`snapshot` output (``channels`` already
+        unpickled, so its payloads are private to this bus)."""
         self.faults = [
             ChannelFault(kind=kind, channel=channel, start_tick=start,
                          duration_ticks=duration, param=param, landed=landed)
             for kind, channel, param, start, duration, landed in faults]
         self._states = {name: _ChannelState() for name in CHANNELS}
-        entries = pickle.loads(channels) if channels else ()
-        for name, payload, origin, queue, buffer in entries:
+        for name, payload, origin, queue, buffer in channels:
             state = self._states[name]
             state.payload = payload
             state.origin = origin

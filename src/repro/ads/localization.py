@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .kernels import ekf_correct, ekf_predict, py_where
 from .messages import EgoEstimate, GpsFix, ImuSample
 
@@ -30,10 +28,11 @@ _FIRST_FIX_COV = (2.0, 0.0, 0.0, 0.0,
 
 @dataclass(frozen=True)
 class LocalizerSnapshot:
-    """Frozen copy of the EKF belief (``None`` before the first fix)."""
+    """Frozen copy of the EKF belief in the kernels' flat layout
+    (``None`` before the first fix)."""
 
-    mean: np.ndarray | None
-    covariance: np.ndarray | None
+    mean: tuple | None
+    covariance: tuple | None
 
 
 @dataclass(frozen=True)
@@ -52,8 +51,7 @@ class EgoLocalizer:
     """EKF over ``[x, y, v, theta]``.
 
     The belief is held as a length-4 mean list and a row-major length-16
-    covariance list (the kernels' layout); snapshots keep the historical
-    ndarray format so pickled checkpoints stay readable.
+    covariance list (the kernels' layout).
     """
 
     def __init__(self, config: LocalizerConfig | None = None):
@@ -67,19 +65,19 @@ class EgoLocalizer:
         self._cov = None
 
     def snapshot(self) -> LocalizerSnapshot:
-        """Capture the belief (arrays copied, not aliased)."""
+        """Capture the belief as Python floats (the kernels leave numpy
+        scalars in the lists, which pickle an order slower)."""
         return LocalizerSnapshot(
-            mean=None if self._mean is None else np.array(self._mean),
-            covariance=(None if self._cov is None
-                        else np.array(self._cov).reshape(4, 4)))
+            mean=None if self._mean is None else tuple(map(float, self._mean)),
+            covariance=None if self._cov is None else tuple(map(float,
+                                                                self._cov)))
 
     def restore(self, snapshot: LocalizerSnapshot) -> None:
         """Rewind the belief to a snapshot."""
         self._mean = (None if snapshot.mean is None
-                      else [float(value) for value in snapshot.mean])
+                      else list(snapshot.mean))
         self._cov = (None if snapshot.covariance is None
-                     else [float(value)
-                           for value in np.ravel(snapshot.covariance)])
+                     else list(snapshot.covariance))
 
     def update(self, gps: GpsFix, imu: ImuSample, yaw_rate: float,
                dt: float) -> EgoEstimate:

@@ -14,7 +14,11 @@ counts named events per layer, such as the stop table's hits, misses
 and bulk batches.  The ``collision`` row has no timer, only counts from
 both engines' collision tests: ``checks`` (per-lane tests),
 ``prescreen_passes`` (tests whose bounds prescreen let them reach the
-SAT) and ``collisions`` (confirmed overlaps).
+SAT) and ``collisions`` (confirmed overlaps).  The untimed
+``checkpoint`` row counts ``snapshots``, ``restores`` (forks, both
+engines), ``gap_ticks`` forks replayed before their fault,
+``demanded_ticks`` the driver asked ladders to hold, and the
+``spill_bytes`` it spooled.
 
 The timer is explicitly enabled (``--profile-stages`` /
 ``CampaignConfig.profile_stages``); disabled — the default — the hot
@@ -32,8 +36,8 @@ import time
 #: Stage keys in control-cycle order (:data:`repro.ads.channels.CHANNELS`).
 STAGES = ("sensing", "perception", "world_model", "planning", "actuation")
 #: Every reported layer: the stages, the safety monitor, then the
-#: collision counts.
-LAYERS = STAGES + ("safety", "collision")
+#: collision and checkpoint counts.
+LAYERS = STAGES + ("safety", "collision", "checkpoint")
 
 
 class StageTimer:
@@ -63,7 +67,10 @@ class StageTimer:
         self.calls[stage] += lanes
 
     def count(self, layer: str, event: str, n: int) -> None:
-        """Add ``n`` to the ``event`` counter of ``layer``."""
+        """Add ``n`` to the ``event`` counter of ``layer`` (a no-op
+        while disabled)."""
+        if not self.enabled:
+            return
         events = self.events[layer]
         events[event] = events.get(event, 0) + n
 

@@ -23,7 +23,7 @@ safety violation.
 
 from __future__ import annotations
 
-import copy
+import pickle
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -98,8 +98,12 @@ class PipelineSnapshot:
 
     Faults are stored by variable *name* (the registry objects carry
     setter functions, which pickle by module reference but are cheaper
-    and safer to re-resolve on restore).  Latched planner/model payloads
-    are deep-copied because fault setters corrupt them in place.
+    and safer to re-resolve on restore).  Fault setters corrupt payloads
+    in place, so the latched plan and world model and the bus's held
+    payloads are copied, as one pickle (:func:`pack_payloads`): the bus
+    usually holds the very plan and model the pipeline latched, and a
+    shared-memo pickle stores them once.  As ``bytes`` they also keep a
+    snapshot's pickle byte-stable across save/load round trips.
     """
 
     tick_index: int
@@ -107,17 +111,20 @@ class PipelineSnapshot:
     tracker: TrackerSnapshot
     localizer: LocalizerSnapshot
     controller: ControllerSnapshot
-    plan: PlannerOutput | None
-    model: WorldModel | None
     command: tuple[float, float, float]
     faults: tuple[tuple[str, float, int, int, bool], ...]
-    # Interface-fault state (defaults keep pre-existing pickled
-    # snapshots restorable): armed channel faults, the per-channel bus
-    # delivery state as one pickle blob (see ChannelBus.snapshot), and
-    # the degradation counter.
-    channel_faults: tuple = ()
-    channels: bytes | None = None
-    degraded_ticks: int = 0
+    channel_faults: tuple
+    #: ``pickle`` of ``(plan, model, bus channels)``.
+    payloads: bytes
+    degraded_ticks: int
+
+
+def pack_payloads(plan: PlannerOutput | None, model: WorldModel | None,
+                  channels: tuple) -> bytes:
+    """The :attr:`PipelineSnapshot.payloads` blob: one pickle, so a
+    payload shared by the pipeline and its bus is copied once."""
+    return pickle.dumps((plan, model, channels),
+                        protocol=pickle.HIGHEST_PROTOCOL)
 
 
 class ADSPipeline:
@@ -186,14 +193,12 @@ class ADSPipeline:
             tracker=self.tracker.snapshot(),
             localizer=self.localizer.snapshot(),
             controller=self.controller.snapshot(),
-            plan=copy.deepcopy(self._plan),
-            model=copy.deepcopy(self._model),
             command=(self._command.throttle, self._command.brake,
                      self._command.steering),
             faults=tuple((f.variable.name, f.value, f.start_tick,
                           f.duration_ticks, f.landed) for f in self.faults),
             channel_faults=channel_faults,
-            channels=channels,
+            payloads=pack_payloads(self._plan, self._model, channels),
             degraded_ticks=self._degraded_ticks)
 
     def restore(self, snapshot: PipelineSnapshot) -> None:
@@ -208,8 +213,7 @@ class ADSPipeline:
         self.localizer.restore(snapshot.localizer)
         self.planner.restore(None)
         self.controller.restore(snapshot.controller)
-        self._plan = copy.deepcopy(snapshot.plan)
-        self._model = copy.deepcopy(snapshot.model)
+        self._plan, self._model, channels = pickle.loads(snapshot.payloads)
         self._command = ActuationCommand(*snapshot.command)
         self.faults = []
         for name, value, start_tick, duration_ticks, landed in \
@@ -217,9 +221,8 @@ class ADSPipeline:
             fault = self.arm_fault(name, value, start_tick, duration_ticks)
             fault.landed = landed
         self.bus = ChannelBus()
-        self.bus.restore(getattr(snapshot, "channel_faults", ()),
-                         getattr(snapshot, "channels", None))
-        self._degraded_ticks = int(getattr(snapshot, "degraded_ticks", 0))
+        self.bus.restore(snapshot.channel_faults, channels)
+        self._degraded_ticks = snapshot.degraded_ticks
 
     # -- execution ------------------------------------------------------------
 

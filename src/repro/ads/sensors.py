@@ -91,7 +91,8 @@ class SensorSuite:
                 visible.append((obstacle.x, obstacle.y, obstacle.v,
                                 camera, radar))
         acceleration = self._estimate_acceleration(world.time, ego.v)
-        yaw_rate = (ego.v * np.tan(ego.phi)
+        # A float, as in the fused engine: numpy scalars pickle slowly.
+        yaw_rate = (ego.v * float(np.tan(ego.phi))
                     / world.ego.params.wheelbase)
         lane_center = world.road.lane_center(world.road.lane_of(ego.y))
         return noisy_bundle(self.rng, cfg, world.time, visible, ego.x,

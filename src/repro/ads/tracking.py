@@ -37,9 +37,10 @@ class TrackerConfig:
 
 @dataclass(frozen=True)
 class TrackerSnapshot:
-    """Frozen copy of every live Kalman track plus the id counter."""
+    """Frozen copy of every live Kalman track (filter state in the
+    kernels' flat layout) plus the id counter."""
 
-    tracks: tuple[tuple[int, np.ndarray, np.ndarray, int, int], ...]
+    tracks: tuple[tuple[int, tuple, tuple, int, int], ...]
     next_id: int
 
 
@@ -127,22 +128,18 @@ class MultiObjectTracker:
                 for t in self._tracks if t.age >= self.config.confirm_age]
 
     def snapshot(self) -> TrackerSnapshot:
-        """Capture all filter states (as arrays: the snapshot format
-        predates the flat-list filter layout and stays pickle-stable)."""
+        """Capture all filter states."""
         return TrackerSnapshot(
-            tracks=tuple((t.track_id, np.array(t.mean),
-                          np.array(t.covariance).reshape(4, 4),
+            tracks=tuple((t.track_id, tuple(t.mean), tuple(t.covariance),
                           t.age, t.misses) for t in self._tracks),
             next_id=self._next_id)
 
     def restore(self, snapshot: TrackerSnapshot) -> None:
         """Rewind to a snapshot (tracks rebuilt from copies)."""
         self._tracks = [
-            _KalmanTrack(track_id=track_id,
-                         mean=[float(value) for value in mean],
-                         covariance=[float(value)
-                                     for value in np.ravel(covariance)],
-                         age=age, misses=misses)
+            _KalmanTrack(track_id=track_id, mean=list(mean),
+                         covariance=list(covariance), age=age,
+                         misses=misses)
             for track_id, mean, covariance, age, misses in snapshot.tracks]
         self._next_id = snapshot.next_id
 

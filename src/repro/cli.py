@@ -322,6 +322,15 @@ def _print_summary(summary, label: str) -> None:
             print(f"  collision: {checks} checks, {passes} past the "
                   f"prescreen ({passes / max(checks, 1):.1%}), "
                   f"{collision['collisions']} collisions")
+        checkpoint = timings.get("checkpoint")
+        if checkpoint:
+            snapshots, demanded, restores, gap, spilled = (
+                checkpoint.get(event, 0) for event in (
+                    "snapshots", "demanded_ticks", "restores", "gap_ticks",
+                    "spill_bytes"))
+            print(f"  checkpoint: {snapshots} snapshots for {demanded} "
+                  f"demanded ticks, {restores} restores replaying {gap} "
+                  f"gap ticks, {spilled} bytes spilled")
 
 
 def _split_list(value: str | None) -> tuple[str, ...] | None:

@@ -53,11 +53,6 @@ class CampaignConfig:
     injection_window_start: float = 2.0    # s: skip the startup transient
     injection_window_margin: float = 9.0   # s kept free at scenario end
     seed: int = 0
-    #: Validation forks every experiment from a golden-prefix checkpoint.
-    #: Capture a snapshot every Nth eligible injection tick.  Faults at
-    #: uncaptured ticks resume from the nearest earlier snapshot and
-    #: replay the short fault-free gap.
-    checkpoint_stride: int = 1
     #: Cross-host sharding: this process owns every scenario whose index
     #: satisfies ``index % shard_count == shard_index``.  The default
     #: (0 of 1) is an unsharded campaign.  See :mod:`repro.core.pipeline`
@@ -239,50 +234,47 @@ class Campaign:
         return [t for t in range(0, n_ticks, divisor)
                 if self._in_window(t, scenario.duration)]
 
-    def _capture_ticks(self, scenario: Scenario) -> list[int]:
-        """Planner ticks to snapshot: the eligible injection ticks, strided.
+    def _ensure_checkpoints(self, scenario_names, demand=None) -> None:
+        """Give each scenario a checkpoint ladder in the store.
 
-        Derived from the schedule (not the golden trace, which may not
-        exist yet): a tick the run never reaches is simply not captured.
+        A ladder already in memory is kept; otherwise one in the
+        driver's spool (:meth:`_ladder_spool_dir`) is loaded, per
+        scenario: a ladder an earlier run on this campaign spilled or,
+        with ``cache_dir``, one a previous process persisted (the spool
+        *is* the checkpoint cache then).  A scenario with neither
+        re-simulates one fault-free prefix run that snapshots every
+        eligible injection tick, and spills the ladder.
+
+        ``demand`` (scenario name -> ticks its jobs fork from) names the
+        ticks instead: a missing ladder captures just those, and a held
+        ladder lacking some of them is recaptured in one prefix run as
+        the union of its ticks and the demand.  Capture ticks derive
+        from the schedule or the demand, not the golden trace, so this
+        does not force ``golden_runs()``: a single ``run_fault`` costs
+        at most one prefix run.
         """
-        eligible = self.schedule_injection_ticks(scenario)
-        return eligible[::max(1, self.config.checkpoint_stride)]
-
-    def _ensure_checkpoints(self, scenario_names, save: bool = True) -> None:
-        """Fill in checkpoint ladders missing from the store.
-
-        Ladders in the driver's spool (:meth:`_ladder_spool_dir`) are
-        loaded directly, per scenario — a campaign validating two
-        scenarios never deserializes the rest.  That covers both ladders
-        an earlier run on this campaign spilled and, with ``cache_dir``,
-        ladders a previous process persisted (the spool *is* the
-        checkpoint cache then).  Only scenarios absent from the spool
-        re-simulate one fault-free prefix run.  Capture ticks derive
-        from the schedule, not the golden trace, so this deliberately
-        does not force ``golden_runs()`` — a single ``run_fault`` costs
-        at most one prefix run, not a full golden sweep.
-        """
-        missing = [name for name in sorted(set(scenario_names))
-                   if not self.checkpoints.has_scenario(name)]
-        if not missing:
-            return
+        store = self.checkpoints
         spool = self._ladder_spool_dir()
-        recaptured = False
-        for name in missing:
-            if self.checkpoints.load_scenario(spool, name):
-                continue
-            scenario = self._by_name[name]
+        for name in sorted(set(scenario_names)):
+            if not store.has_scenario(name):
+                store.load_scenario(spool, name)
+            held = store.ticks(name)
+            if demand is None:
+                if held:
+                    continue
+                capture = self.schedule_injection_ticks(self._by_name[name])
+            else:
+                wanted = set(demand[name])
+                if wanted.issubset(held):
+                    continue
+                capture = sorted(wanted.union(held))
             run = run_scenario(
-                scenario, ads_config=self.config.ads, seed=self.config.seed,
-                safety_config=self.config.safety, record_trace=False,
-                checkpoint_ticks=self._capture_ticks(scenario))
+                self._by_name[name], ads_config=self.config.ads,
+                seed=self.config.seed, safety_config=self.config.safety,
+                record_trace=False, checkpoint_ticks=capture)
             if run.checkpoints:
-                self.checkpoints.add_all(run.checkpoints)
-                recaptured = True
-        if recaptured and save:
-            # The pipeline passes save=False and persists per scenario
-            # (CheckpointStore.save_scenario) to keep ensure O(1).
-            self._save_checkpoint_cache()
+                store.add_all(run.checkpoints)
+                store.save_scenario(spool, name)
 
     # -- incremental-campaign cache --------------------------------------------
 
@@ -357,17 +349,17 @@ class Campaign:
     def _checkpoint_cache_dir(self) -> Path | None:
         """Directory of the persisted checkpoint store (None = no cache).
 
-        Keyed by the campaign fingerprint plus the capture stride, so a
-        stride change (a different ladder) rotates the directory the
-        same way any config change rotates the golden cache.  Sharded
-        campaigns get a shard-qualified directory: each shard persists
-        only the ladders it validates with, and no two shard processes
-        write one index.
+        Keyed by the campaign fingerprint, so a config change rotates
+        the directory the same way it rotates the golden cache.  Which
+        ticks a ladder holds is not part of the key: a campaign whose
+        jobs fork elsewhere recaptures the union in place
+        (:meth:`_ensure_checkpoints`).  Sharded campaigns get a
+        shard-qualified directory: each shard persists only the ladders
+        it validates with, and no two shard processes write one index.
         """
         if self.cache_dir is None:
             return None
         return (self.cache_dir / f"checkpoints-{self._fingerprint()}"
-                                 f"-s{max(1, self.config.checkpoint_stride)}"
                                  f"{self._shard_suffix()}")
 
     def _ladder_spool_dir(self) -> Path:
@@ -386,12 +378,6 @@ class Campaign:
             self._ladder_tmp = tempfile.TemporaryDirectory(
                 prefix="repro-ladders-")
         return Path(self._ladder_tmp.name)
-
-    def _save_checkpoint_cache(self) -> None:
-        directory = self._checkpoint_cache_dir()
-        if directory is None or not len(self.checkpoints):
-            return
-        self.checkpoints.save(directory)
 
     # -- resilience: journal and work keys -------------------------------------
 

@@ -10,16 +10,20 @@ use to inject into a *running* stack.
 
 A :class:`Checkpoint` is picklable, so stores survive process-pool fan
 out (workers inherit them through ``fork``) and ship across hosts.
-:class:`CheckpointStore` resolves an injection tick to the nearest
-checkpoint at or before it, which is what makes sparse capture strides
-safe: the resumed run simply replays the short gap fault-free before the
-fault window opens.
+Ladders are sparse: the campaign driver snapshots only the ticks its
+jobs fork from (or every eligible tick when the jobs are not known
+before the golden run, as for Bayesian mining).  :class:`CheckpointStore`
+resolves an injection tick to the nearest checkpoint at or before it,
+which is what makes any ladder safe for any job: a fault at an
+uncaptured tick (a golden run that ended early, a ladder captured for
+another job set) resumes from the nearest earlier snapshot and replays
+the short gap fault-free before the fault window opens.
 
-Stores also persist to disk (:meth:`CheckpointStore.save` /
-:meth:`CheckpointStore.load`): one pickle file per scenario plus a JSON
-index.  That removes the dependence on ``fork`` inheritance — pool
-workers on spawn-only platforms load the store from the shared directory
-instead of receiving it through the forked address space — and lets
+Stores also persist to disk, one ladder at a time
+(:meth:`CheckpointStore.save_scenario` /
+:meth:`CheckpointStore.load_scenario`): one pickle file per scenario
+plus a JSON index.  Pool workers load ladders from the shared directory
+instead of receiving them through a forked address space, and
 warm-started campaigns reuse checkpoint ladders across processes instead
 of re-simulating them.
 """
@@ -33,12 +37,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..ads.profiling import STAGE_TIMER
 from ..ads.runtime import PipelineSnapshot
 from ..sim.world import WorldSnapshot
 from .ioutil import write_bytes_atomic
 
 _INDEX_NAME = "index.json"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -95,9 +100,8 @@ class CheckpointStore:
     def nearest(self, scenario: str, tick: int) -> Checkpoint | None:
         """The latest checkpoint at or before ``tick`` (None if absent).
 
-        This is the stride fallback: a fault at an uncaptured tick
-        resumes from the nearest earlier snapshot and replays the short
-        fault-free gap.
+        A fault at an uncaptured tick resumes from the nearest earlier
+        snapshot and replays the short fault-free gap.
         """
         ticks = self.ticks(scenario)
         index = bisect_right(ticks, tick)
@@ -130,67 +134,33 @@ class CheckpointStore:
         digest = hashlib.sha256(scenario.encode("utf-8")).hexdigest()[:16]
         return f"ckpt-{digest}.pkl"
 
-    def save(self, directory: str | Path) -> Path:
-        """Persist the store: one pickle per scenario plus a JSON index.
-
-        The per-scenario layout lets readers pull exactly the ladders
-        they need (:meth:`load_scenario`) — a validation worker touching
-        two scenarios never deserializes the other fifty.  Returns the
-        directory written.
-        """
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        index = {"version": _FORMAT_VERSION, "scenarios": {}}
-        for scenario in self.scenarios():
-            filename = self._scenario_filename(scenario)
-            ladder = self._by_scenario[scenario]
-            (directory / filename).write_bytes(
-                pickle.dumps(ladder, protocol=pickle.HIGHEST_PROTOCOL))
-            index["scenarios"][scenario] = {
-                "file": filename, "ticks": sorted(ladder)}
-        (directory / _INDEX_NAME).write_text(json.dumps(index, indent=1))
-        return directory
-
     def save_scenario(self, directory: str | Path, scenario: str) -> Path:
         """Persist one scenario's ladder into a saved-store layout.
 
-        The incremental counterpart of :meth:`save`: the streaming
-        campaign pipeline spools each scenario's ladder to disk as its
-        golden run completes, so pool workers (which existed before the
-        ladder did) can pull it with :meth:`load_scenario` instead of
-        depending on ``fork`` inheritance.  Both the pickle and the
-        index are written atomically (temp file + rename), so a reader
-        racing a writer sees either the old or the new state — a failed
-        read falls back to full replay, which is bit-identical anyway.
-        Returns the directory written.
+        The streaming campaign pipeline spools each scenario's ladder to
+        disk as its golden run completes, so pool workers (which existed
+        before the ladder did) can pull it with :meth:`load_scenario`
+        instead of depending on ``fork`` inheritance.  Both the pickle
+        and the index are written atomically (temp file + rename), so a
+        reader racing a writer sees either the old or the new state — a
+        failed read falls back to full replay, which is bit-identical
+        anyway.  Returns the directory written.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         ladder = self._by_scenario.get(scenario, {})
         filename = self._scenario_filename(scenario)
-        write_bytes_atomic(directory / filename,
-                           pickle.dumps(ladder,
-                                        protocol=pickle.HIGHEST_PROTOCOL))
+        blob = pickle.dumps(ladder, protocol=pickle.HIGHEST_PROTOCOL)
+        write_bytes_atomic(directory / filename, blob)
+        STAGE_TIMER.count("checkpoint", "spill_bytes", len(blob))
         index = self._read_index(directory)
         if index is None:
             index = {"version": _FORMAT_VERSION, "scenarios": {}}
         index["scenarios"][scenario] = {"file": filename,
                                         "ticks": sorted(ladder)}
         write_bytes_atomic(directory / _INDEX_NAME,
-                           json.dumps(index, indent=1).encode("utf-8"))
+                           json.dumps(index).encode("utf-8"))
         return directory
-
-    @classmethod
-    def load(cls, directory: str | Path) -> "CheckpointStore | None":
-        """Rebuild a store from :meth:`save` output; ``None`` if unreadable."""
-        index = cls._read_index(directory)
-        if index is None:
-            return None
-        store = cls()
-        for scenario in index["scenarios"]:
-            if not store._load_indexed(directory, index, scenario):
-                return None
-        return store
 
     def load_scenario(self, directory: str | Path, scenario: str) -> bool:
         """Load one scenario's ladder from a saved store into this one.
@@ -200,14 +170,7 @@ class CheckpointStore:
         caller then falls back to re-capturing, the safe direction.
         """
         index = self._read_index(directory)
-        if index is None:
-            return False
-        return self._load_indexed(directory, index, scenario)
-
-    def _load_indexed(self, directory: str | Path, index: dict,
-                      scenario: str) -> bool:
-        """Merge one ladder using an already-parsed index."""
-        entry = index["scenarios"].get(scenario)
+        entry = None if index is None else index["scenarios"].get(scenario)
         if entry is None:
             return False
         path = Path(directory) / entry["file"]
@@ -224,8 +187,18 @@ class CheckpointStore:
     @classmethod
     def saved_scenarios(cls, directory: str | Path) -> set[str]:
         """Scenario names a persisted store covers (empty if unreadable)."""
+        return set(cls.saved_ticks(directory))
+
+    @classmethod
+    def saved_ticks(cls, directory: str | Path) -> dict[str, list[int]]:
+        """Captured ticks per persisted scenario, read from the index
+        alone (empty if unreadable), so a caller can tell whether a
+        spilled ladder covers its jobs without loading it."""
         index = cls._read_index(directory)
-        return set() if index is None else set(index["scenarios"])
+        if index is None:
+            return {}
+        return {name: entry["ticks"]
+                for name, entry in index["scenarios"].items()}
 
     @staticmethod
     def _read_index(directory: str | Path) -> dict | None:

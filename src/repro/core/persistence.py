@@ -377,7 +377,7 @@ def run_result_to_dict(run: RunResult,
     Checkpoints are not part of this payload: they embed live RNG and
     filter state that JSON spells poorly.  They persist separately as
     per-scenario pickles via
-    :meth:`repro.core.checkpoint.CheckpointStore.save`.
+    :meth:`repro.core.checkpoint.CheckpointStore.save_scenario`.
 
     With a ``trace_store`` the trace columns stay in the store's
     columnar ``.npy`` spool (written here if not already spooled) and

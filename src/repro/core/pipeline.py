@@ -67,6 +67,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
+from ..ads.profiling import STAGE_TIMER
 from ..sim.scenario import Scenario
 from . import parallel
 from .checkpoint import CheckpointStore
@@ -532,14 +533,49 @@ class CampaignPipeline:
             self.ctx.golden.update(loaded)
             return names, []
         self._fresh_golden = True
+        demand = self._job_demand()
         to_simulate = []
         for scenario in self._targets:
             capture = None
             if scenario.name in self._owned_names \
                     and not campaign.checkpoints.has_scenario(scenario.name):
-                capture = campaign._capture_ticks(scenario)
+                capture = (campaign.schedule_injection_ticks(scenario)
+                           if demand is None
+                           else demand.get(scenario.name, []))
             to_simulate.append((scenario.name, capture))
         return [], to_simulate
+
+    def _job_demand(self) -> "dict[str, list[int]] | None":
+        """The ticks each owned scenario's jobs fork from, named before
+        any golden run: what its ladder captures.
+
+        Job generators read only tick lists, which fall back to the
+        schedule without golden runs, so the plan's generator runs here
+        on a throwaway context (the real one must memoize only golden
+        ticks, or a golden run that ended early would go unnoticed by
+        the real draw, whose jobs then fork from the nearest earlier
+        snapshot or cold-start, bit-identically).  ``None`` when the
+        jobs are unknown before the golden runs (Bayesian mining) or
+        absent (golden-only): those ladders hold every eligible tick.
+        """
+        plan = self.plan
+        if plan.global_jobs is None and plan.per_scenario_jobs is None:
+            return None
+        scratch = PipelineContext(campaign=self.campaign,
+                                  sharded=self.sharded)
+        if plan.global_jobs is not None:
+            jobs = plan.global_jobs(scratch)
+        else:
+            jobs = [job for scenario in self._targets
+                    if scenario.name in self._owned_names
+                    for job in plan.per_scenario_jobs(scratch, scenario)]
+        demand: dict[str, set[int]] = {}
+        for name, fault in jobs:
+            if name in self._owned_names:
+                demand.setdefault(name, set()).add(fault.start_tick)
+        STAGE_TIMER.count("checkpoint", "demanded_ticks",
+                          sum(map(len, demand.values())))
+        return {name: sorted(ticks) for name, ticks in demand.items()}
 
     def _load_golden_cache(self):
         campaign = self.campaign
@@ -747,7 +783,7 @@ class CampaignPipeline:
             items = fresh
             if not items:
                 return
-        self._ready_checkpoints(name)
+        self._ready_checkpoints(name, items)
         if self._pool is None:
             self._dispatch_serial(name, items)
             return
@@ -804,30 +840,35 @@ class CampaignPipeline:
             self._journal.append(record)
         self._emitter.stage(key, record)
 
-    def _ready_checkpoints(self, name: str) -> None:
+    def _ready_checkpoints(self, name: str, items: list) -> None:
         """Make a scenario's ladder available in the spool before dispatch.
 
         Freshly captured ladders are spilled by :meth:`_handle_golden`;
-        this covers warm-started scenarios, filling the spool from one
-        prefix re-simulation when the persisted cache lacks the ladder.
-        All persistence here is per scenario
-        (:meth:`CheckpointStore.save_scenario`): incremental and
-        index-preserving, so a campaign touching k of n scenarios costs
-        O(k) ladder writes and never drops the other n-k persisted
-        entries.
+        this covers warm-started scenarios.  A spilled ladder holding
+        every tick ``items`` fork from (that the golden run reached) is
+        used as it is; otherwise one prefix run captures it, or the
+        union of its ticks and theirs
+        (:meth:`Campaign._ensure_checkpoints`).  Persistence is per
+        scenario (:meth:`CheckpointStore.save_scenario`), so a campaign
+        touching k of n scenarios costs O(k) ladder writes.
         """
         if name in self._checkpoints_ready:
             return
         self._checkpoints_ready.add(name)
-        campaign = self.campaign
-        store = campaign.checkpoints
-        if name in store.saved_scenarios(self._spool):
-            return                  # spilled earlier; workers load lazily
+        reached = round(self.ctx.golden[name].sim_seconds
+                        / self.config.ads.control_period)
+        wanted = {fault.start_tick for _, fault in items
+                  if 0 <= fault.start_tick < reached}
+        STAGE_TIMER.count("checkpoint", "demanded_ticks", len(wanted))
+        saved = CheckpointStore.saved_ticks(self._spool).get(name)
+        if saved is not None and wanted.issubset(saved):
+            return
+        store = self.campaign.checkpoints
         resident = store.has_scenario(name)
-        if not resident:
-            campaign._ensure_checkpoints([name], save=False)
-        store.save_scenario(self._spool, name)
-        if not resident:
+        self.campaign._ensure_checkpoints([name], {name: wanted})
+        if resident:
+            store.save_scenario(self._spool, name)   # caller's, kept
+        else:
             store.drop_scenario(name)
 
     # -- execution engine ------------------------------------------------------

@@ -232,6 +232,7 @@ def _simulate(scenario: Scenario, world: World, pipeline: ADSPipeline,
             checkpoints[tick] = Checkpoint(
                 scenario=scenario.name, seed=seed, tick=tick,
                 world=world.snapshot(), pipeline=pipeline.snapshot())
+            STAGE_TIMER.count("checkpoint", "snapshots", 1)
         is_planning_tick = pipeline.is_planning_tick
         command = pipeline.tick(world)
         world.step(command.throttle, command.brake, command.steering,
@@ -307,6 +308,33 @@ def run_scenario(scenario: Scenario, ads_config: ADSConfig | None = None,
                      checkpoint_ticks)
 
 
+def _fork(scenario: Scenario, checkpoint: Checkpoint,
+          faults: list[FaultSpec],
+          ads_config: ADSConfig) -> tuple[World, ADSPipeline]:
+    """A fresh world and pipeline restored to ``checkpoint`` with
+    ``faults`` armed: the fork both engines run a resumed experiment
+    from."""
+    if not faults:
+        raise ValueError("checkpoint resume needs at least one fault; "
+                         "use run_scenario for fault-free runs")
+    if checkpoint.scenario != scenario.name:
+        raise ValueError(f"checkpoint is for {checkpoint.scenario!r}, "
+                         f"not {scenario.name!r}")
+    earliest = min(f.start_tick for f in faults)
+    if earliest < checkpoint.tick:
+        raise ValueError(
+            f"fault at tick {earliest} precedes checkpoint tick "
+            f"{checkpoint.tick}; resume cannot rewind")
+    world = scenario.make_world()
+    pipeline = ADSPipeline(ads_config, seed=checkpoint.seed)
+    world.restore(checkpoint.world)
+    pipeline.restore(checkpoint.pipeline)
+    _arm_faults(pipeline, faults)
+    STAGE_TIMER.count("checkpoint", "restores", 1)
+    STAGE_TIMER.count("checkpoint", "gap_ticks", earliest - checkpoint.tick)
+    return world, pipeline
+
+
 def run_scenario_from_checkpoint(
         scenario: Scenario, checkpoint: Checkpoint,
         ads_config: ADSConfig | None = None,
@@ -325,25 +353,9 @@ def run_scenario_from_checkpoint(
     :func:`run_scenario` with the same faults (wall clock aside).
     """
     faults = list(faults or [])
-    if not faults:
-        raise ValueError("checkpoint resume needs at least one fault; "
-                         "use run_scenario for fault-free runs")
-    if checkpoint.scenario != scenario.name:
-        raise ValueError(f"checkpoint is for {checkpoint.scenario!r}, "
-                         f"not {scenario.name!r}")
-    earliest = min(f.start_tick for f in faults)
-    if earliest < checkpoint.tick:
-        raise ValueError(
-            f"fault at tick {earliest} precedes checkpoint tick "
-            f"{checkpoint.tick}; resume cannot rewind")
-
     ads_config = ads_config or ADSConfig()
     safety_config = safety_config or SafetyConfig()
-    world = scenario.make_world()
-    pipeline = ADSPipeline(ads_config, seed=checkpoint.seed)
-    world.restore(checkpoint.world)
-    pipeline.restore(checkpoint.pipeline)
-    _arm_faults(pipeline, faults)
+    world, pipeline = _fork(scenario, checkpoint, faults, ads_config)
 
     dt = ads_config.control_period
     total_seconds = duration if duration is not None else scenario.duration
@@ -400,29 +412,16 @@ def _prepare_lane(scenario: Scenario, index: int, faults: list[FaultSpec],
                   horizon_after_fault: float | None) -> _BatchLane:
     """Build one lane exactly the way the scalar entry points do."""
     faults = list(faults)
-    world = scenario.make_world()
     if checkpoint is not None:
-        if not faults:
-            raise ValueError("checkpoint resume needs at least one fault; "
-                             "use run_scenario for fault-free runs")
-        if checkpoint.scenario != scenario.name:
-            raise ValueError(f"checkpoint is for {checkpoint.scenario!r}, "
-                             f"not {scenario.name!r}")
-        earliest = min(f.start_tick for f in faults)
-        if earliest < checkpoint.tick:
-            raise ValueError(
-                f"fault at tick {earliest} precedes checkpoint tick "
-                f"{checkpoint.tick}; resume cannot rewind")
+        world, pipeline = _fork(scenario, checkpoint, faults, ads_config)
         lane_seed = checkpoint.seed
         start_tick = checkpoint.tick
     else:
+        world = scenario.make_world()
+        pipeline = ADSPipeline(ads_config, seed=seed)
+        _arm_faults(pipeline, faults)
         lane_seed = seed
         start_tick = 0
-    pipeline = ADSPipeline(ads_config, seed=lane_seed)
-    if checkpoint is not None:
-        world.restore(checkpoint.world)
-        pipeline.restore(checkpoint.pipeline)
-    _arm_faults(pipeline, faults)
     dt = ads_config.control_period
     total_seconds = duration if duration is not None else scenario.duration
     n_ticks = int(round(total_seconds / dt))

@@ -5,7 +5,7 @@ resumed from a golden-prefix snapshot must produce an
 ``ExperimentRecord`` field-for-field identical (wall clock aside) to the
 full-replay reference loop (``tests/reference.py``), across all four
 campaign styles, serial and process-pooled, including faults at the
-first and last eligible injection ticks and sparse capture strides
+first and last eligible injection ticks and hand-built sparse ladders
 with nearest-earlier fallback.
 """
 
@@ -19,6 +19,7 @@ from reference import (architectural_jobs, candidate_jobs, exhaustive_jobs,
 from repro.core import (Campaign, CampaignConfig, CheckpointStore,
                         FaultSpec, run_scenario,
                         run_scenario_from_checkpoint)
+from repro.core.parallel import execute_experiment, execute_experiment_batch
 from repro.core.persistence import (config_fingerprint, load_golden_traces,
                                     save_golden_traces)
 from repro.sim import highway_cruise, lead_vehicle_cutin
@@ -29,9 +30,19 @@ def small_scenarios():
             replace(lead_vehicle_cutin(), duration=16.0)]
 
 
-def make_campaign(stride: int = 1, cache_dir=None) -> Campaign:
-    config = CampaignConfig(checkpoint_stride=stride)
-    return Campaign(small_scenarios(), config, cache_dir=cache_dir)
+def make_campaign(cache_dir=None) -> Campaign:
+    return Campaign(small_scenarios(), CampaignConfig(), cache_dir=cache_dir)
+
+
+def sparse_ladder(campaign, scenario, ticks) -> CheckpointStore:
+    """A store holding one golden-prefix ladder captured at ``ticks``."""
+    config = campaign.config
+    run = run_scenario(scenario, ads_config=config.ads, seed=config.seed,
+                       safety_config=config.safety, record_trace=False,
+                       checkpoint_ticks=ticks)
+    store = CheckpointStore()
+    store.add_all(run.checkpoints)
+    return store
 
 
 def replayed(campaign, jobs):
@@ -149,28 +160,48 @@ class TestCampaignStyleFidelity:
 
 
 class TestStrideFallback:
-    def test_sparse_stride_resumes_from_nearest_earlier(self):
-        """With stride 7, most faults land between snapshots."""
-        sparse = make_campaign(stride=7)
-        scenario = sparse.scenarios[0]
-        captured = set(sparse._capture_ticks(scenario))
-        ticks = sparse.injection_ticks(scenario)
-        uncaptured = [t for t in ticks if t not in captured]
-        assert uncaptured, "stride must leave gaps for this test"
-        for tick in (uncaptured[0], uncaptured[-1]):
-            fault = FaultSpec("brake", 0.0, tick,
-                              sparse.config.fault_duration_ticks)
-            resumed = sparse.run_fault(scenario.name, fault)
-            nearest = sparse.checkpoints.nearest(scenario.name, tick)
-            assert nearest is not None and nearest.tick < tick
-            assert strip_wall([resumed]) == \
-                replayed(sparse, [(scenario.name, fault)])
+    def test_sparse_stride_resumes_from_nearest_earlier(self, forked):
+        """A hand-built ladder of every 7th eligible tick: most faults
+        land between snapshots and replay the gap from the nearest
+        earlier one, in both engines."""
+        scenario = forked.scenarios[0]
+        ticks = forked.injection_ticks(scenario)
+        store = sparse_ladder(forked, scenario, ticks[::7])
+        uncaptured = [t for t in ticks if t not in store.ticks(scenario.name)]
+        assert uncaptured, "the ladder must leave gaps for this test"
+        faults = [FaultSpec("brake", 0.0, tick,
+                            forked.config.fault_duration_ticks)
+                  for tick in (uncaptured[0], uncaptured[-1])]
+        for fault in faults:
+            nearest = store.nearest(scenario.name, fault.start_tick)
+            assert nearest is not None and nearest.tick < fault.start_tick
+        expected = replayed(forked, [(scenario.name, f) for f in faults])
+        scalar = [execute_experiment(scenario, forked.config, fault, store)
+                  for fault in faults]
+        assert strip_wall(scalar) == expected
+        fused = execute_experiment_batch(scenario, forked.config, faults,
+                                         store)
+        assert strip_wall(fused) == expected
+
+    @pytest.mark.parametrize("offset", [1, 3, 5])
+    def test_odd_gaps_and_odd_snapshots(self, forked, offset):
+        """Snapshots and faults off the planner ticks: a ladder captured
+        at odd ticks forks faults at, and just past, its snapshots."""
+        scenario = forked.scenarios[1]
+        ticks = [t + offset for t in forked.injection_ticks(scenario)[::9]]
+        store = sparse_ladder(forked, scenario, ticks)
+        assert store.ticks(scenario.name) == ticks
+        faults = [FaultSpec("throttle", 1.0, tick + gap, 4)
+                  for tick in ticks[:3] for gap in (0, 1, 2)]
+        scalar = [execute_experiment(scenario, forked.config, fault, store)
+                  for fault in faults]
+        assert strip_wall(scalar) == replayed(
+            forked, [(scenario.name, fault) for fault in faults])
 
     def test_empty_store_falls_back_to_full_replay(self, forked):
         scenario = forked.scenarios[0]
         tick = forked.injection_ticks(scenario)[5]
         fault = FaultSpec("brake", 0.0, tick, 4)
-        from repro.core.parallel import execute_experiment
         reference = execute_experiment(scenario, forked.config, fault)
         via_empty = execute_experiment(scenario, forked.config, fault,
                                        CheckpointStore())

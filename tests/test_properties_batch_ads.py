@@ -9,6 +9,7 @@ at the :class:`~repro.ads.batch.BatchADSState` engine level (the
 campaign-level equivalence suite covers the full orchestration stack).
 """
 
+import pickle
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -193,7 +194,9 @@ class TestSnapshotRestore:
         assert fused_snap.command == scalar_snap.command
         assert fused_snap.controller == scalar_snap.controller
         assert fused_snap.sensors == scalar_snap.sensors
-        assert fused_snap.plan == scalar_snap.plan
+        # The latched plan is the first entry of the payload pickle.
+        assert pickle.loads(fused_snap.payloads)[0] == \
+            pickle.loads(scalar_snap.payloads)[0]
         assert fused_snap.faults == scalar_snap.faults
         assert fused_snap.degraded_ticks == scalar_snap.degraded_ticks
         for mine, twin in ((fused_snap.localizer.mean,

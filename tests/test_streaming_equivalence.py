@@ -240,15 +240,32 @@ class TestIncrementalSummary:
         assert bounded.hazardous_scenes() == {("s1", 30)}
 
 
+def spill(store, directory):
+    """Persist every ladder of ``store`` under ``directory``, one
+    scenario at a time, as the pipeline driver spills them."""
+    for name in store.scenarios():
+        store.save_scenario(directory, name)
+    return directory
+
+
+def reload(directory):
+    """A store holding every ladder persisted under ``directory``."""
+    store = CheckpointStore()
+    for name in CheckpointStore.saved_scenarios(directory):
+        assert store.load_scenario(directory, name)
+    return store
+
+
 class TestCheckpointStoreDisk:
     def test_save_load_round_trip(self, tmp_path, serial_campaign):
         store = serial_campaign.checkpoints
-        directory = store.save(tmp_path / "ckpt")
-        loaded = CheckpointStore.load(directory)
-        assert loaded is not None
+        directory = spill(store, tmp_path / "ckpt")
+        loaded = reload(directory)
         assert loaded.scenarios() == store.scenarios()
         assert CheckpointStore.saved_scenarios(directory) == \
             set(store.scenarios())
+        assert CheckpointStore.saved_ticks(directory) == {
+            name: store.ticks(name) for name in store.scenarios()}
         for name in store.scenarios():
             assert loaded.ticks(name) == store.ticks(name)
         scenario = small_scenarios()[0]
@@ -259,7 +276,7 @@ class TestCheckpointStoreDisk:
 
     def test_load_scenario_pulls_single_ladder(self, tmp_path,
                                                serial_campaign):
-        directory = serial_campaign.checkpoints.save(tmp_path / "ckpt")
+        directory = spill(serial_campaign.checkpoints, tmp_path / "ckpt")
         name = small_scenarios()[1].name
         partial_store = CheckpointStore()
         assert partial_store.load_scenario(directory, name)
@@ -269,22 +286,25 @@ class TestCheckpointStoreDisk:
         assert not partial_store.load_scenario(directory, "no_such")
 
     def test_unreadable_store_is_none(self, tmp_path):
-        assert CheckpointStore.load(tmp_path / "missing") is None
+        name = small_scenarios()[0].name
+        assert not CheckpointStore().load_scenario(tmp_path / "missing",
+                                                   name)
         bad = tmp_path / "bad"
         bad.mkdir()
         (bad / "index.json").write_text("not json")
-        assert CheckpointStore.load(bad) is None
+        assert not CheckpointStore().load_scenario(bad, name)
         assert CheckpointStore.saved_scenarios(bad) == set()
+        assert CheckpointStore.saved_ticks(bad) == {}
 
     def test_resume_from_loaded_store_matches(self, tmp_path,
                                               serial_campaign):
-        directory = serial_campaign.checkpoints.save(tmp_path / "ckpt")
+        directory = spill(serial_campaign.checkpoints, tmp_path / "ckpt")
         scenarios = small_scenarios()
         scenario = scenarios[0]
         tick = serial_campaign.injection_ticks(scenario)[3]
         jobs = [(scenario.name, FaultSpec("throttle", 1.0, tick, 4))]
         reference = reference_records(serial_campaign, jobs)
-        loaded = CheckpointStore.load(directory)
+        loaded = reload(directory)
         assert loaded.nearest(scenario.name, tick) is not None
         via_path = [execute_experiment(scenario, serial_campaign.config,
                                        fault, loaded)
@@ -316,14 +336,32 @@ class TestWarmStartCheckpoints:
         assert strip_wall(warm_result.summary.records) == \
             strip_wall(cold_result.summary.records)
 
-    def test_stride_rotates_checkpoint_cache(self, tmp_path):
-        dense = Campaign(small_scenarios(), CampaignConfig(),
+    def test_checkpoint_cache_key(self, tmp_path):
+        """One ladder directory per config fingerprint and shard; which
+        ticks a ladder holds is not part of the key, and a ladder of an
+        older format is a clean miss."""
+        campaign = make_campaign(cache_dir=tmp_path)
+        fingerprint = campaign._fingerprint()
+        directory = campaign._checkpoint_cache_dir()
+        assert directory == tmp_path / f"checkpoints-{fingerprint}"
+        reseeded = Campaign(small_scenarios(), CampaignConfig(seed=1),
+                            cache_dir=tmp_path)
+        assert reseeded._checkpoint_cache_dir() != directory
+        shard = Campaign(small_scenarios(),
+                         CampaignConfig(shard_index=1, shard_count=2),
                          cache_dir=tmp_path)
-        sparse = Campaign(small_scenarios(),
-                          CampaignConfig(checkpoint_stride=5),
-                          cache_dir=tmp_path)
-        assert dense._checkpoint_cache_dir() != \
-            sparse._checkpoint_cache_dir()
+        assert shard._checkpoint_cache_dir().name == \
+            f"checkpoints-{fingerprint}-shard1of2"
+
+        scenario = small_scenarios()[0]
+        campaign.run_fault(scenario.name, FaultSpec(
+            "brake", 0.0, campaign.schedule_injection_ticks(scenario)[3], 4))
+        assert CheckpointStore.saved_scenarios(directory) == {scenario.name}
+        index = json.loads((directory / "index.json").read_text())
+        index["version"] -= 1
+        (directory / "index.json").write_text(json.dumps(index))
+        assert CheckpointStore.saved_ticks(directory) == {}
+        assert not CheckpointStore().load_scenario(directory, scenario.name)
 
 
 def _cruise_build_30():
