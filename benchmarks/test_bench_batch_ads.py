@@ -4,10 +4,10 @@ PR 9 vectorized the *physics* of a batch (RK4, collision sweep, safety
 envelope) but still ran each lane's ADS pipeline as scalar pure Python,
 so serial fusion bought only ~1.4x.  This PR batches the
 pipeline itself (:class:`repro.ads.batch.BatchADSState`): sensing
-geometry, the localizer EKF, the IDM planner, and the PID/slew
-controller advance every fused lane per numpy kernel call, with per-lane
-work reduced to packed RNG draws, camera/radar fusion, and the ragged
-tracker.
+geometry, the IDM planner, and the PID/slew controller advance every
+fused lane per numpy kernel call, with per-lane work reduced to packed
+RNG draws, camera/radar fusion, and the world model (each lane's own
+tracker and localizer).
 
 This bench isolates that single-core win: serial
 :meth:`Campaign.run_jobs` on same-scenario groups of at least ``LANES``

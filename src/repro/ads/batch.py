@@ -8,16 +8,16 @@ the scalar :class:`~repro.ads.runtime.ADSPipeline` stays the bit-for-bit
 oracle.  The split of labor per stage:
 
 * **Vectorized across lanes** — sensing geometry (range gates and the
-  occlusion shadow test), the localizer EKF (component arrays through
-  the same :mod:`repro.ads.kernels` closed forms the scalar filter
-  runs), the IDM planner, the PID/slew controller, the final command
-  clip, and the actuation-to-controls mapping.
+  occlusion shadow test), the IDM planner, the PID/slew controller, the
+  final command clip, and the actuation-to-controls mapping.
 * **Per lane, reusing the lane's own scalar objects** — RNG draws and
   message construction (each lane owns an independent ``Generator``;
   the lane runs the scalar engine's own packed-draw helper,
   :func:`~repro.ads.sensors.noisy_bundle`), camera/radar fusion (the
-  lane's ``Perception``), and the ragged per-object Kalman tracker (the
-  lane's ``MultiObjectTracker``, already closed-form).
+  lane's ``Perception``), and the world model: the ragged per-object
+  Kalman tracker (the lane's ``MultiObjectTracker``) and the ego EKF
+  (the lane's ``EgoLocalizer``), both straight-line float kernels that
+  beat component arrays at the lane counts a batch fuses.
 
 Equivalence holds by construction: the vectorized stages evaluate the
 *same* kernel expressions the scalar modules call with floats, both
@@ -49,10 +49,9 @@ from ..sim.batch import BatchWorldState
 from ..sim.collision import SENSOR_RANGE
 from .channels import ChannelBus
 from .control import ControllerSnapshot
-from .kernels import control_step, ekf_correct, ekf_predict, plan_step
-from .localization import LocalizerSnapshot
-from .messages import (ActuationCommand, EgoEstimate, PlannerOutput,
-                       SensorBundle, WorldModel)
+from .kernels import control_step, plan_step
+from .messages import (ActuationCommand, PlannerOutput, SensorBundle,
+                       WorldModel)
 from .profiling import STAGE_TIMER
 from .runtime import (ADSConfig, ADSPipeline, PipelineSnapshot,
                       pack_payloads)
@@ -111,6 +110,7 @@ class BatchADSState:
         self.rngs = [None] * n
         self.perceptions = [None] * n
         self.trackers = [None] * n
+        self.localizers = [None] * n
         self.accel_last_t: list[float | None] = [None] * n
         self.accel_last_v: list[float | None] = [None] * n
         self.bundles: list[SensorBundle | None] = [None] * n
@@ -118,11 +118,6 @@ class BatchADSState:
         self.models: list[WorldModel | None] = [None] * n
         self.stage_faults: list[dict | None] = [None] * n
         self.faulty: set[int] = set()
-
-        # Localizer EKF belief as component arrays (rows = components).
-        self.loc_has = np.zeros(n, dtype=bool)
-        self.loc_mean = np.zeros((4, n))
-        self.loc_cov = np.zeros((16, n))
 
         # Latched planner output (the scalar pipeline's ``_plan``).
         self.plan_valid = np.zeros(n, dtype=bool)
@@ -162,8 +157,8 @@ class BatchADSState:
     def attach(self, slot: int, pipeline: ADSPipeline) -> None:
         """Adopt a fused lane's pipeline state into the batch arrays.
 
-        The pipeline must satisfy :func:`can_fuse`.  Its RNG, perception
-        and tracker objects are shared (not copied): the fused path
+        The pipeline must satisfy :func:`can_fuse`.  Its RNG, perception,
+        tracker and localizer objects are shared (not copied): the fused path
         advances them exactly as the scalar path would, so detaching or
         snapshotting later sees consistent state.
         """
@@ -171,17 +166,10 @@ class BatchADSState:
         self.rngs[slot] = pipeline.sensors.rng
         self.perceptions[slot] = pipeline.perception
         self.trackers[slot] = pipeline.tracker
+        self.localizers[slot] = pipeline.localizer
         self.accel_last_t[slot] = pipeline.sensors._last_time
         self.accel_last_v[slot] = pipeline.sensors._last_speed
         self.tick[slot] = pipeline.tick_index
-
-        loc = pipeline.localizer
-        if loc._mean is None:
-            self.loc_has[slot] = False
-        else:
-            self.loc_has[slot] = True
-            self.loc_mean[:, slot] = loc._mean
-            self.loc_cov[:, slot] = loc._cov
 
         plan = pipeline.last_plan
         if plan is None:
@@ -249,13 +237,13 @@ class BatchADSState:
         self.rngs[slot] = None
         self.perceptions[slot] = None
         self.trackers[slot] = None
+        self.localizers[slot] = None
         self.bundles[slot] = None
         self.detections[slot] = None
         self.models[slot] = None
         self.stage_faults[slot] = None
         self.faulty.discard(slot)
         self.plan_valid[slot] = False
-        self.loc_has[slot] = False
 
     # -- fault application ---------------------------------------------------
 
@@ -402,65 +390,10 @@ class BatchADSState:
         if timer:
             timer.stop("perception", started, k)
 
-        # World-model stage: per-lane tracking, then the vectorized EKF,
-        # then real model payloads (scalar tick's world_model bracket).
+        # World-model stage: per-lane tracking and localization on the
+        # adopted filters, then real model payloads and world-model
+        # fault setters (the scalar tick's world_model bracket).
         started = timer.start() if timer else 0
-        track_lists = [self.trackers[slot].update(self.detections[slot],
-                                                  planning_dt)
-                       for slot in slots]
-
-        # Localization: vectorized EKF over the measurement gathers.
-        gx = np.empty(k)
-        gy = np.empty(k)
-        gv = np.empty(k)
-        gyaw = np.empty(k)
-        headings = np.empty(k)
-        for i, slot in enumerate(slots):
-            bundle = self.bundles[slot]
-            gx[i] = bundle.gps.x
-            gy[i] = bundle.gps.y
-            gv[i] = bundle.imu.v
-            gyaw[i] = bundle.imu.yaw_rate
-            headings[i] = bundle.imu.heading
-        if config.localizer.enabled:
-            known = self.loc_has[rows]
-            if not known.all():
-                fresh = rows[~known]
-                sel = ~known
-                self.loc_mean[0, fresh] = gx[sel]
-                self.loc_mean[1, fresh] = gy[sel]
-                self.loc_mean[2, fresh] = gv[sel]
-                self.loc_mean[3, fresh] = headings[sel]
-                self.loc_cov[:, fresh] = 0.0
-                self.loc_cov[0, fresh] = 2.0
-                self.loc_cov[5, fresh] = 2.0
-                self.loc_cov[10, fresh] = 1.0
-                self.loc_cov[15, fresh] = 0.05
-                self.loc_has[fresh] = True
-            if known.any():
-                old = rows[known]
-                loc = config.localizer
-                mean = [self.loc_mean[c, old] for c in range(4)]
-                cov = [self.loc_cov[c, old] for c in range(16)]
-                ekf_predict(mean, cov, gyaw[known], planning_dt,
-                            loc.position_process_noise,
-                            loc.speed_process_noise,
-                            loc.heading_process_noise)
-                ekf_correct(mean, cov, gx[known], gy[known], gv[known],
-                            loc.gps_noise, loc.imu_speed_noise, np.where)
-                for c in range(4):
-                    self.loc_mean[c, old] = mean[c]
-                for c in range(16):
-                    self.loc_cov[c, old] = cov[c]
-            ex = self.loc_mean[0, rows].tolist()
-            ey = self.loc_mean[1, rows].tolist()
-            ev = self.loc_mean[2, rows].tolist()
-            eth = self.loc_mean[3, rows].tolist()
-        else:
-            ex, ey, ev, eth = (gx.tolist(), gy.tolist(), gv.tolist(),
-                               headings.tolist())
-
-        # World models: real payloads, real world-model fault setters.
         has_lead = np.zeros(k, dtype=bool)
         px = np.empty(k)
         pv = np.empty(k)
@@ -470,10 +403,12 @@ class BatchADSState:
         lane_headings = np.empty(k)
         for i, slot in enumerate(slots):
             bundle = self.bundles[slot]
-            model = WorldModel(time=bundle.time,
-                               ego=EgoEstimate(x=ex[i], y=ey[i], v=ev[i],
-                                               theta=eth[i]),
-                               tracks=track_lists[i],
+            imu = bundle.imu
+            tracks = self.trackers[slot].update(self.detections[slot],
+                                                planning_dt)
+            ego = self.localizers[slot].update(bundle.gps, imu,
+                                               imu.yaw_rate, planning_dt)
+            model = WorldModel(time=bundle.time, ego=ego, tracks=tracks,
                                lane_offset=bundle.lane_offset,
                                lane_heading=bundle.lane_heading)
             if slot in self.faulty:
@@ -494,6 +429,10 @@ class BatchADSState:
         self.model_origin[rows] = self.tick[rows]
         if timer:
             timer.stop("world_model", started, k)
+            timer.count("world_model", "tracks", sum(
+                self.trackers[slot].track_count for slot in slots))
+            timer.count("world_model", "detections", sum(
+                len(self.detections[slot]) for slot in slots))
 
         started = timer.start() if timer else 0
         target, throttle, brake, steering, gap, closing = plan_step(
@@ -590,11 +529,7 @@ class BatchADSState:
                 last_speed=self.accel_last_v[slot],
                 last_time=self.accel_last_t[slot]),
             tracker=self.trackers[slot].snapshot(),
-            localizer=LocalizerSnapshot(
-                mean=(tuple(self.loc_mean[:, slot].tolist())
-                      if self.loc_has[slot] else None),
-                covariance=(tuple(self.loc_cov[:, slot].tolist())
-                            if self.loc_has[slot] else None)),
+            localizer=self.localizers[slot].snapshot(),
             controller=ControllerSnapshot(
                 integral=float(self.pid_integral[slot]),
                 last_error=(float(self.pid_last_error[slot])

@@ -1,10 +1,12 @@
 """Shared closed-form numeric kernels for the ADS stack.
 
-One implementation, two callers: the scalar modules
-(:mod:`repro.ads.tracking`, :mod:`repro.ads.localization`,
-:mod:`repro.ads.planning`, :mod:`repro.ads.control`) call these with
-Python floats, and the batched pipeline (:mod:`repro.ads.batch`) calls
-the polymorphic ones with ``(k,)`` float64 arrays.  Because both paths
+One implementation, two callers.  The world-model filters
+(:mod:`repro.ads.tracking`, :mod:`repro.ads.localization`) run these
+on Python floats in both engines: the batched pipeline
+(:mod:`repro.ads.batch`) drives each lane's own tracker and localizer.
+The planner and controller kernels are polymorphic: the scalar
+:mod:`repro.ads.planning` and :mod:`repro.ads.control` pass floats, the
+batched pipeline passes ``(k,)`` float64 arrays.  Because both paths
 execute the *same* expressions in the *same* order, the batched lanes
 are bit-for-bit the scalar oracle by construction — the repo-wide
 equivalence contract.
@@ -18,14 +20,14 @@ Three rules keep that true:
 * **No ``**`` with float exponents.**  Python's ``float.__pow__``,
   numpy's scalar power, and numpy's array power disagree in the last
   ulp; squares and fourth powers are multiplication chains.
-* **Branches are ``where`` selects.**  Callers pass ``where``/``clip``
-  (:func:`py_where` + ``clip_scalar`` for floats, ``np.where`` +
-  ``np.clip`` for arrays); both operands of every select are safe to
-  evaluate (guarded denominators), and the select mappings mirror the
-  scalar ``max``/``min``/``if`` forms exactly, including signed zeros
-  (``max(a, 0.0)`` keeps ``a`` on ties, hence ``where(0.0 > a, 0.0,
-  a)``; ``max(0.0, b)`` keeps ``0.0`` on ties, hence ``where(b > 0.0,
-  b, 0.0)``).
+* **Branches are ``where`` selects** in the polymorphic kernels.
+  Callers pass ``where``/``clip`` (:func:`py_where` + ``clip_scalar``
+  for floats, ``np.where`` + ``np.clip`` for arrays); both operands of
+  every select are safe to evaluate (guarded denominators), and the
+  select mappings mirror the scalar ``max``/``min``/``if`` forms
+  exactly, including signed zeros (``max(a, 0.0)`` keeps ``a`` on
+  ties, hence ``where(0.0 > a, 0.0, a)``; ``max(0.0, b)`` keeps
+  ``0.0`` on ties, hence ``where(b > 0.0, b, 0.0)``).
 
 Transcendentals go through numpy (``np.cos`` on a Python float and on
 an array agree bitwise element for element; ``math.cos`` does not).
@@ -45,11 +47,11 @@ def py_where(condition, if_true, if_false):
 
 # -- constant-velocity Kalman filter (object tracks, state [x,y,vx,vy]) ----
 #
-# Plain-float closed form shared by the scalar tracker and the batched
-# per-lane trackers (track lists are ragged, so tracks never vectorize
-# across lanes; the win here is dropping BLAS for ~order-of-magnitude
-# less per-track cost).  ``mean`` is a length-4 list, ``cov`` a
-# row-major length-16 list; both are mutated in place.
+# The filter kernels run on Python floats only: ``mean`` is a length-4
+# list, ``cov`` a row-major length-16 list, both mutated in place.  Each
+# is straight-line code on locals (``cov`` unpacked once, written back
+# once); ``tests/reference.py`` keeps the index-loop forms they match
+# bit for bit.
 
 def kf_predict4(mean: list, cov: list, dt: float, q: float) -> None:
     """Constant-velocity predict: F = I + dt*(x<-vx, y<-vy), plus
@@ -57,29 +59,27 @@ def kf_predict4(mean: list, cov: list, dt: float, q: float) -> None:
     structure (a = dt^2/2), exactly the scalar tracker's model."""
     mean[0] = mean[0] + dt * mean[2]
     mean[1] = mean[1] + dt * mean[3]
+    (p00, p01, p02, p03, p10, p11, p12, p13,
+     p20, p21, p22, p23, p30, p31, p32, p33) = cov
     # fP: row0 += dt*row2, row1 += dt*row3.
-    t = cov[:]
-    for j in range(4):
-        t[j] = cov[j] + dt * cov[8 + j]
-        t[4 + j] = cov[4 + j] + dt * cov[12 + j]
-    # (fP)F^T: col0 += dt*col2, col1 += dt*col3.
-    for i in range(0, 16, 4):
-        cov[i] = t[i] + dt * t[i + 2]
-        cov[i + 1] = t[i + 1] + dt * t[i + 3]
-        cov[i + 2] = t[i + 2]
-        cov[i + 3] = t[i + 3]
+    t00 = p00 + dt * p20
+    t01 = p01 + dt * p21
+    t02 = p02 + dt * p22
+    t03 = p03 + dt * p23
+    t10 = p10 + dt * p30
+    t11 = p11 + dt * p31
+    t12 = p12 + dt * p32
+    t13 = p13 + dt * p33
     a = (dt * dt) / 2.0
     qaa = q * (a * a)
     qad = q * (a * dt)
     qdd = q * (dt * dt)
-    cov[0] = cov[0] + qaa
-    cov[2] = cov[2] + qad
-    cov[5] = cov[5] + qaa
-    cov[7] = cov[7] + qad
-    cov[8] = cov[8] + qad
-    cov[10] = cov[10] + qdd
-    cov[13] = cov[13] + qad
-    cov[15] = cov[15] + qdd
+    # (fP)F^T: col0 += dt*col2, col1 += dt*col3 (rows 2-3 of fP are
+    # P's), then the process noise.
+    cov[:] = (t00 + dt * t02 + qaa, t01 + dt * t03, t02 + qad, t03,
+              t10 + dt * t12, t11 + dt * t13 + qaa, t12, t13 + qad,
+              p20 + dt * p22 + qad, p21 + dt * p23, p22 + qdd, p23,
+              p30 + dt * p32, p31 + dt * p33 + qad, p32, p33 + qdd)
 
 
 def _inv3(s00, s01, s02, s10, s11, s12, s20, s21, s22):
@@ -108,24 +108,50 @@ def _update_h012(mean: list, cov: list, z0, z1, z2, r0, r1, r2) -> None:
     """Measurement update with H = rows 0,1,2 of I (shared by the track
     filter and the EKF correct): S = P[:3,:3] + diag(r), K = P[:,:3]
     S^-1, mean += K (z - H mean), P = (I - K H) P."""
+    (p00, p01, p02, p03, p10, p11, p12, p13,
+     p20, p21, p22, p23, p30, p31, p32, p33) = cov
     i00, i01, i02, i10, i11, i12, i20, i21, i22 = _inv3(
-        cov[0] + r0, cov[1], cov[2],
-        cov[4], cov[5] + r1, cov[6],
-        cov[8], cov[9], cov[10] + r2)
-    v0 = z0 - mean[0]
-    v1 = z1 - mean[1]
-    v2 = z2 - mean[2]
-    new_cov = cov[:]
-    for i in range(4):
-        p0, p1, p2 = cov[i * 4], cov[i * 4 + 1], cov[i * 4 + 2]
-        k0 = p0 * i00 + p1 * i10 + p2 * i20
-        k1 = p0 * i01 + p1 * i11 + p2 * i21
-        k2 = p0 * i02 + p1 * i12 + p2 * i22
-        mean[i] = mean[i] + (k0 * v0 + k1 * v1 + k2 * v2)
-        for j in range(4):
-            new_cov[i * 4 + j] = cov[i * 4 + j] - (
-                k0 * cov[j] + k1 * cov[4 + j] + k2 * cov[8 + j])
-    cov[:] = new_cov
+        p00 + r0, p01, p02,
+        p10, p11 + r1, p12,
+        p20, p21, p22 + r2)
+    m0, m1, m2, m3 = mean
+    v0 = z0 - m0
+    v1 = z1 - m1
+    v2 = z2 - m2
+    # K, one row per state component.
+    k00 = p00 * i00 + p01 * i10 + p02 * i20
+    k01 = p00 * i01 + p01 * i11 + p02 * i21
+    k02 = p00 * i02 + p01 * i12 + p02 * i22
+    k10 = p10 * i00 + p11 * i10 + p12 * i20
+    k11 = p10 * i01 + p11 * i11 + p12 * i21
+    k12 = p10 * i02 + p11 * i12 + p12 * i22
+    k20 = p20 * i00 + p21 * i10 + p22 * i20
+    k21 = p20 * i01 + p21 * i11 + p22 * i21
+    k22 = p20 * i02 + p21 * i12 + p22 * i22
+    k30 = p30 * i00 + p31 * i10 + p32 * i20
+    k31 = p30 * i01 + p31 * i11 + p32 * i21
+    k32 = p30 * i02 + p31 * i12 + p32 * i22
+    mean[:] = (m0 + (k00 * v0 + k01 * v1 + k02 * v2),
+               m1 + (k10 * v0 + k11 * v1 + k12 * v2),
+               m2 + (k20 * v0 + k21 * v1 + k22 * v2),
+               m3 + (k30 * v0 + k31 * v1 + k32 * v2))
+    # P - K (H P), where H P is rows 0-2 of P.
+    cov[:] = (p00 - (k00 * p00 + k01 * p10 + k02 * p20),
+              p01 - (k00 * p01 + k01 * p11 + k02 * p21),
+              p02 - (k00 * p02 + k01 * p12 + k02 * p22),
+              p03 - (k00 * p03 + k01 * p13 + k02 * p23),
+              p10 - (k10 * p00 + k11 * p10 + k12 * p20),
+              p11 - (k10 * p01 + k11 * p11 + k12 * p21),
+              p12 - (k10 * p02 + k11 * p12 + k12 * p22),
+              p13 - (k10 * p03 + k11 * p13 + k12 * p23),
+              p20 - (k20 * p00 + k21 * p10 + k22 * p20),
+              p21 - (k20 * p01 + k21 * p11 + k22 * p21),
+              p22 - (k20 * p02 + k21 * p12 + k22 * p22),
+              p23 - (k20 * p03 + k21 * p13 + k22 * p23),
+              p30 - (k30 * p00 + k31 * p10 + k32 * p20),
+              p31 - (k30 * p01 + k31 * p11 + k32 * p21),
+              p32 - (k30 * p02 + k31 * p12 + k32 * p22),
+              p33 - (k30 * p03 + k31 * p13 + k32 * p23))
 
 
 def kf_update4(mean: list, cov: list, zx, zy, zv,
@@ -138,50 +164,57 @@ def kf_update4(mean: list, cov: list, zx, zy, zv,
 
 # -- ego EKF (localization, state [x, y, v, theta]) ------------------------
 #
-# Polymorphic over floats and (k,) arrays: the scalar localizer passes
-# component floats, the batched localizer passes component arrays.
-# ``mean`` and ``cov`` are length-4 / length-16 lists of components,
-# mutated in place.
+# Same layout and style as the track filter.  Both engines run it per
+# lane on the lane's own :class:`~repro.ads.localization.EgoLocalizer`.
 
 def ekf_predict(mean: list, cov: list, yaw_rate, dt: float,
                 q_pos: float, q_speed: float, q_heading: float) -> None:
     """Bicycle-model predict with the heading-linearized Jacobian
-    F = [[1,0,c*dt,-v*s*dt],[0,1,s*dt,v*c*dt],[0,0,1,0],[0,0,0,1]]."""
-    v, theta = mean[2], mean[3]
-    c = np.cos(theta)
-    s = np.sin(theta)
-    mean[0] = mean[0] + v * c * dt
-    mean[1] = mean[1] + v * s * dt
-    mean[3] = mean[3] + yaw_rate * dt
+    F = [[1,0,c*dt,-v*s*dt],[0,1,s*dt,v*c*dt],[0,0,1,0],[0,0,0,1]].
+
+    The trig goes through numpy and back to ``float``, so a float
+    state stays float (numpy scalars would slow every later step)."""
+    m0, m1, v, theta = mean
+    c = float(np.cos(theta))
+    s = float(np.sin(theta))
+    mean[:] = (m0 + v * c * dt, m1 + v * s * dt, v, theta + yaw_rate * dt)
     a02 = c * dt
     a03 = -v * s * dt
     a12 = s * dt
     a13 = v * c * dt
+    (p00, p01, p02, p03, p10, p11, p12, p13,
+     p20, p21, p22, p23, p30, p31, p32, p33) = cov
     # FP: row0 += a02*row2 + a03*row3; row1 += a12*row2 + a13*row3.
-    t = cov[:]
-    for j in range(4):
-        t[j] = cov[j] + (a02 * cov[8 + j] + a03 * cov[12 + j])
-        t[4 + j] = cov[4 + j] + (a12 * cov[8 + j] + a13 * cov[12 + j])
-    # (FP)F^T: col0 += a02*col2 + a03*col3; col1 += a12*col2 + a13*col3.
-    for i in range(0, 16, 4):
-        cov[i] = t[i] + (a02 * t[i + 2] + a03 * t[i + 3])
-        cov[i + 1] = t[i + 1] + (a12 * t[i + 2] + a13 * t[i + 3])
-        cov[i + 2] = t[i + 2]
-        cov[i + 3] = t[i + 3]
-    cov[0] = cov[0] + q_pos * dt
-    cov[5] = cov[5] + q_pos * dt
-    cov[10] = cov[10] + q_speed * dt
-    cov[15] = cov[15] + q_heading * dt
+    t00 = p00 + (a02 * p20 + a03 * p30)
+    t01 = p01 + (a02 * p21 + a03 * p31)
+    t02 = p02 + (a02 * p22 + a03 * p32)
+    t03 = p03 + (a02 * p23 + a03 * p33)
+    t10 = p10 + (a12 * p20 + a13 * p30)
+    t11 = p11 + (a12 * p21 + a13 * p31)
+    t12 = p12 + (a12 * p22 + a13 * p32)
+    t13 = p13 + (a12 * p23 + a13 * p33)
+    # (FP)F^T: col0 += a02*col2 + a03*col3; col1 += a12*col2 + a13*col3
+    # (rows 2-3 of FP are P's), then the process noise.
+    q_xy = q_pos * dt
+    cov[:] = (t00 + (a02 * t02 + a03 * t03) + q_xy,
+              t01 + (a12 * t02 + a13 * t03), t02, t03,
+              t10 + (a02 * t12 + a03 * t13),
+              t11 + (a12 * t12 + a13 * t13) + q_xy, t12, t13,
+              p20 + (a02 * p22 + a03 * p23),
+              p21 + (a12 * p22 + a13 * p23), p22 + q_speed * dt, p23,
+              p30 + (a02 * p32 + a03 * p33),
+              p31 + (a12 * p32 + a13 * p33), p32, p33 + q_heading * dt)
 
 
 def ekf_correct(mean: list, cov: list, zx, zy, zv,
-                gps_noise: float, imu_speed_noise: float, where) -> None:
+                gps_noise: float, imu_speed_noise: float) -> None:
     """GPS + IMU-speed correct (H = rows 0,1,2), then the non-negative
-    speed clamp: scalar ``if v < 0: v = 0`` == ``where(v < 0, 0, v)``."""
+    speed clamp."""
     _update_h012(mean, cov, zx, zy, zv,
                  gps_noise * gps_noise, gps_noise * gps_noise,
                  imu_speed_noise * imu_speed_noise)
-    mean[2] = where(mean[2] < 0.0, 0.0, mean[2])
+    if mean[2] < 0.0:
+        mean[2] = 0.0
 
 
 # -- IDM planner -----------------------------------------------------------

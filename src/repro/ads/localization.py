@@ -7,16 +7,15 @@ mechanism: a single corrupted GPS fix is weighed against the motion
 model instead of teleporting the pose estimate.
 
 The predict/correct math lives in :mod:`repro.ads.kernels` as explicit
-closed-form arithmetic (no BLAS) over the state components — the same
-expressions the batched localizer evaluates over ``(k,)`` component
-arrays, which is what makes batched lanes bit-for-bit this filter.
+closed-form arithmetic (no BLAS) on Python floats.  The batched pipeline
+runs each fused lane's own localizer, so both engines share this filter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernels import ekf_correct, ekf_predict, py_where
+from .kernels import ekf_correct, ekf_predict
 from .messages import EgoEstimate, GpsFix, ImuSample
 
 #: First-fix covariance diag([2, 2, 1, 0.05]) in the flat row-major layout.
@@ -51,7 +50,7 @@ class EgoLocalizer:
     """EKF over ``[x, y, v, theta]``.
 
     The belief is held as a length-4 mean list and a row-major length-16
-    covariance list (the kernels' layout).
+    covariance list of Python floats (the kernels' layout).
     """
 
     def __init__(self, config: LocalizerConfig | None = None):
@@ -65,12 +64,10 @@ class EgoLocalizer:
         self._cov = None
 
     def snapshot(self) -> LocalizerSnapshot:
-        """Capture the belief as Python floats (the kernels leave numpy
-        scalars in the lists, which pickle an order slower)."""
+        """Capture the belief."""
         return LocalizerSnapshot(
-            mean=None if self._mean is None else tuple(map(float, self._mean)),
-            covariance=None if self._cov is None else tuple(map(float,
-                                                                self._cov)))
+            mean=None if self._mean is None else tuple(self._mean),
+            covariance=None if self._cov is None else tuple(self._cov))
 
     def restore(self, snapshot: LocalizerSnapshot) -> None:
         """Rewind the belief to a snapshot."""
@@ -93,9 +90,10 @@ class EgoLocalizer:
                     cfg.position_process_noise, cfg.speed_process_noise,
                     cfg.heading_process_noise)
         ekf_correct(self._mean, self._cov, gps.x, gps.y, imu.v,
-                    cfg.gps_noise, cfg.imu_speed_noise, py_where)
+                    cfg.gps_noise, cfg.imu_speed_noise)
         return self._estimate()
 
     def _estimate(self) -> EgoEstimate:
-        x, y, v, theta = (float(value) for value in self._mean)
-        return EgoEstimate(x=x, y=y, v=v, theta=theta)
+        x, y, v, theta = self._mean
+        return EgoEstimate(x=float(x), y=float(y), v=float(v),
+                           theta=float(theta))

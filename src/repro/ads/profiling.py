@@ -10,9 +10,11 @@ brackets each stage of its tick, and the batched
 ``calls`` stays comparable across engines: one count is one lane-stage
 execution).  Beside the stages it times the deferred safety monitor
 (``safety``: one call per tick whose potential was evaluated) and
-counts named events per layer, such as the stop table's hits, misses
-and bulk batches.  The ``collision`` row has no timer, only counts from
-both engines' collision tests: ``checks`` (per-lane tests),
+counts named events per layer: the stop table's hits, misses and bulk
+batches, and the world model's ``tracks`` (live tracks after each
+tracker update, summed) and ``detections`` (detections folded in).
+The ``collision`` row has no timer, only counts from both engines'
+collision tests: ``checks`` (per-lane tests),
 ``prescreen_passes`` (tests whose bounds prescreen let them reach the
 SAT) and ``collisions`` (confirmed overlaps).  The untimed
 ``checkpoint`` row counts ``snapshots``, ``restores`` (forks, both

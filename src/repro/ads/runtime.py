@@ -277,6 +277,10 @@ class ADSPipeline:
                 model = bus.deliver("world_model", model, tick)
                 if timer:
                     timer.stop("world_model", started)
+                    timer.count("world_model", "tracks",
+                                self.tracker.track_count)
+                    timer.count("world_model", "detections",
+                                len(detections))
             self._model = model
 
             if bus.hung("planning", tick):

@@ -5,7 +5,7 @@ three resilience mechanisms credited for masking random faults: a single
 corrupted detection is averaged against the track's state and prior
 covariance instead of being believed outright.
 
-The filter math lives in :mod:`repro.ads.kernels` as explicit
+The filter math lives in :mod:`repro.ads.kernels` as straight-line
 closed-form arithmetic on plain floats (no BLAS): an order of magnitude
 cheaper per track than 4x4 ``ndarray`` products, deterministic across
 backends, and the exact same code path the batched pipeline runs per
@@ -126,6 +126,11 @@ class MultiObjectTracker:
                               vx=float(t.mean[2]), vy=float(t.mean[3]),
                               age=t.age, misses=t.misses)
                 for t in self._tracks if t.age >= self.config.confirm_age]
+
+    @property
+    def track_count(self) -> int:
+        """Live tracks, confirmed or not."""
+        return len(self._tracks)
 
     def snapshot(self) -> TrackerSnapshot:
         """Capture all filter states."""

@@ -309,6 +309,13 @@ def _print_summary(summary, label: str) -> None:
                       for stage, cell in timed.items()]
         print(ascii_table(["stage", "seconds", "share", "lane-calls"],
                           stage_rows))
+        world = timings.get("world_model", {})
+        if "tracks" in world:
+            updates = max(world["calls"], 1)
+            print(f"  world model: {world['calls']} updates, "
+                  f"{world['tracks'] / updates:.2f} live tracks and "
+                  f"{world['detections'] / updates:.2f} detections "
+                  f"per update")
         safety = timings.get("safety", {})
         if "stop_hits" in safety:
             hits, misses = safety["stop_hits"], safety["stop_misses"]

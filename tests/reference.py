@@ -15,12 +15,21 @@ The scalar tick's two per-tick shortcuts keep their oracles here too:
 :func:`reference_measure`, one ``normal(0, sigma)`` call per noise term
 in stream order (what the packed draws of ``SensorSuite.measure`` must
 reproduce).
+
+So do the world model's filter kernels: :func:`reference_kf_predict4`,
+:func:`reference_update_h012` and :func:`reference_ekf_predict` are the
+index-loop forms the straight-line kernels of :mod:`repro.ads.kernels`
+must match bit for bit, and :func:`reference_kernels` swaps them into
+the tracker and the localizer.
 """
 
+from contextlib import contextmanager
 from dataclasses import asdict
 
 import numpy as np
 
+from repro.ads import localization, tracking
+from repro.ads.kernels import _inv3, py_where
 from repro.ads.messages import Detection, GpsFix, ImuSample, SensorBundle
 from repro.core.parallel import execute_experiment
 from repro.sim import obb_overlap
@@ -139,3 +148,121 @@ def reference_measure(sensors, world):
         lane_offset=ego.y - lane_center + rng.normal(0, cfg.lane_offset_noise),
         lane_heading=ego.theta + rng.normal(0, cfg.lane_heading_noise),
     )
+
+
+def reference_kf_predict4(mean, cov, dt, q):
+    """``kernels.kf_predict4`` as index loops over a ``cov[:]`` copy."""
+    mean[0] = mean[0] + dt * mean[2]
+    mean[1] = mean[1] + dt * mean[3]
+    # fP: row0 += dt*row2, row1 += dt*row3.
+    t = cov[:]
+    for j in range(4):
+        t[j] = cov[j] + dt * cov[8 + j]
+        t[4 + j] = cov[4 + j] + dt * cov[12 + j]
+    # (fP)F^T: col0 += dt*col2, col1 += dt*col3.
+    for i in range(0, 16, 4):
+        cov[i] = t[i] + dt * t[i + 2]
+        cov[i + 1] = t[i + 1] + dt * t[i + 3]
+        cov[i + 2] = t[i + 2]
+        cov[i + 3] = t[i + 3]
+    a = (dt * dt) / 2.0
+    qaa = q * (a * a)
+    qad = q * (a * dt)
+    qdd = q * (dt * dt)
+    cov[0] = cov[0] + qaa
+    cov[2] = cov[2] + qad
+    cov[5] = cov[5] + qaa
+    cov[7] = cov[7] + qad
+    cov[8] = cov[8] + qad
+    cov[10] = cov[10] + qdd
+    cov[13] = cov[13] + qad
+    cov[15] = cov[15] + qdd
+
+
+def reference_update_h012(mean, cov, z0, z1, z2, r0, r1, r2):
+    """``kernels._update_h012`` as index loops into a ``new_cov`` copy."""
+    i00, i01, i02, i10, i11, i12, i20, i21, i22 = _inv3(
+        cov[0] + r0, cov[1], cov[2],
+        cov[4], cov[5] + r1, cov[6],
+        cov[8], cov[9], cov[10] + r2)
+    v0 = z0 - mean[0]
+    v1 = z1 - mean[1]
+    v2 = z2 - mean[2]
+    new_cov = cov[:]
+    for i in range(4):
+        p0, p1, p2 = cov[i * 4], cov[i * 4 + 1], cov[i * 4 + 2]
+        k0 = p0 * i00 + p1 * i10 + p2 * i20
+        k1 = p0 * i01 + p1 * i11 + p2 * i21
+        k2 = p0 * i02 + p1 * i12 + p2 * i22
+        mean[i] = mean[i] + (k0 * v0 + k1 * v1 + k2 * v2)
+        for j in range(4):
+            new_cov[i * 4 + j] = cov[i * 4 + j] - (
+                k0 * cov[j] + k1 * cov[4 + j] + k2 * cov[8 + j])
+    cov[:] = new_cov
+
+
+def reference_kf_update4(mean, cov, zx, zy, zv, r_pos, r_speed):
+    """``kernels.kf_update4`` over :func:`reference_update_h012`."""
+    reference_update_h012(mean, cov, zx, zy, zv,
+                          r_pos * r_pos, r_pos * r_pos, r_speed * r_speed)
+
+
+def reference_ekf_predict(mean, cov, yaw_rate, dt, q_pos, q_speed,
+                          q_heading):
+    """``kernels.ekf_predict`` as index loops, with the trig left as
+    numpy scalars (so a float state turns into ``numpy.float64``)."""
+    v, theta = mean[2], mean[3]
+    c = np.cos(theta)
+    s = np.sin(theta)
+    mean[0] = mean[0] + v * c * dt
+    mean[1] = mean[1] + v * s * dt
+    mean[3] = mean[3] + yaw_rate * dt
+    a02 = c * dt
+    a03 = -v * s * dt
+    a12 = s * dt
+    a13 = v * c * dt
+    # FP: row0 += a02*row2 + a03*row3; row1 += a12*row2 + a13*row3.
+    t = cov[:]
+    for j in range(4):
+        t[j] = cov[j] + (a02 * cov[8 + j] + a03 * cov[12 + j])
+        t[4 + j] = cov[4 + j] + (a12 * cov[8 + j] + a13 * cov[12 + j])
+    # (FP)F^T: col0 += a02*col2 + a03*col3; col1 += a12*col2 + a13*col3.
+    for i in range(0, 16, 4):
+        cov[i] = t[i] + (a02 * t[i + 2] + a03 * t[i + 3])
+        cov[i + 1] = t[i + 1] + (a12 * t[i + 2] + a13 * t[i + 3])
+        cov[i + 2] = t[i + 2]
+        cov[i + 3] = t[i + 3]
+    cov[0] = cov[0] + q_pos * dt
+    cov[5] = cov[5] + q_pos * dt
+    cov[10] = cov[10] + q_speed * dt
+    cov[15] = cov[15] + q_heading * dt
+
+
+def reference_ekf_correct(mean, cov, zx, zy, zv, gps_noise,
+                          imu_speed_noise):
+    """``kernels.ekf_correct`` over :func:`reference_update_h012`, with
+    the speed clamp as the ``where`` select it used to take."""
+    reference_update_h012(mean, cov, zx, zy, zv,
+                          gps_noise * gps_noise, gps_noise * gps_noise,
+                          imu_speed_noise * imu_speed_noise)
+    mean[2] = py_where(mean[2] < 0.0, 0.0, mean[2])
+
+
+@contextmanager
+def reference_kernels():
+    """Run :class:`~repro.ads.tracking.MultiObjectTracker` and
+    :class:`~repro.ads.localization.EgoLocalizer` on the loop kernels
+    above while the block is open."""
+    bindings = ((tracking, "kf_predict4", reference_kf_predict4),
+                (tracking, "kf_update4", reference_kf_update4),
+                (localization, "ekf_predict", reference_ekf_predict),
+                (localization, "ekf_correct", reference_ekf_correct))
+    saved = [(module, name, getattr(module, name))
+             for module, name, _ in bindings]
+    for module, name, oracle in bindings:
+        setattr(module, name, oracle)
+    try:
+        yield
+    finally:
+        for module, name, original in saved:
+            setattr(module, name, original)
