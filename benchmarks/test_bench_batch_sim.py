@@ -13,9 +13,8 @@ a process pool (``workers=4``), through :meth:`Campaign.run_jobs` on
 groups of at least ``LANES`` jobs — against the serial scalar engine
 on the same checkpoint-forked job population
 (``conftest.scalar_engine_records``), and pins exact record agreement
-between them.  Since the ADS pipeline itself
-batches too (:mod:`repro.ads.batch`, PR 10), serial fusion alone is
-~2x (the ``serial_batched_speedup`` extra_info;
+between them.  Serial fusion alone measures 0.92-1.28x on a 2-vCPU
+Xeon VM (the ``serial_batched_speedup`` extra_info; ROADMAP item 4;
 ``test_bench_batch_ads`` gates it), and the ≥3x gate applies to the
 batched+pooled path, which needs real cores; with fewer usable CPUs
 than workers the gate is skipped and only equivalence is asserted.

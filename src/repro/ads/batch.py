@@ -30,15 +30,13 @@ sensing/perception/world-model stages — only the planner/actuation
 stages, whose payloads live in structure-of-arrays form, apply value
 faults as masked column writes (their setters are plain field stores).
 
-Lanes whose configuration or armed faults the fused path cannot
-represent — interface faults on the channel bus, bus residue from a
-restored snapshot, a degradation policy the planner's natural staleness
-could trip, or a non-default IDM exponent — report ``False`` from
-:func:`can_fuse` and *peel*: the driver runs their scalar pipeline per
-lane while the rest of the batch stays fused.  Fused lanes provably
-never degrade (sensing age is 0 every tick and plan age is at most
-``planner_divisor - 1``, which :func:`can_fuse` requires to be within
-the TTL), so the safe-stop branch needs no batched twin.
+The engine is chosen per job before a lane is built: the driver fuses
+only jobs that satisfy :func:`can_fuse` (value faults, the closed-form
+IDM exponent, and a degradation TTL the planner's natural staleness
+cannot trip) and runs every other job on the scalar pipeline.  Fused
+lanes provably never degrade (sensing age is 0 every tick and plan age
+is at most ``planner_divisor - 1``, which :func:`can_fuse` requires to
+be within the TTL), so the safe-stop branch needs no batched twin.
 """
 
 from __future__ import annotations
@@ -47,47 +45,37 @@ import numpy as np
 
 from ..sim.batch import BatchWorldState
 from ..sim.collision import SENSOR_RANGE
-from .channels import ChannelBus
-from .control import ControllerSnapshot
 from .kernels import control_step, plan_step
-from .messages import (ActuationCommand, PlannerOutput, SensorBundle,
-                       WorldModel)
+from .messages import SensorBundle, WorldModel
 from .profiling import STAGE_TIMER
-from .runtime import (ADSConfig, ADSPipeline, PipelineSnapshot,
-                      pack_payloads)
-from .sensors import SensorSnapshot, noisy_bundle
+from .runtime import ADSConfig, ADSPipeline
+from .sensors import noisy_bundle
 
 #: Planner-stage fault variables as plan-array column names.
 _PLAN_COLUMNS = {"planned_speed": "plan_target", "raw_throttle":
                  "plan_throttle", "raw_brake": "plan_brake",
                  "raw_steering": "plan_steering"}
 
-#: Actuation-stage fault variables as actuation-array column names.
-_ACT_COLUMNS = {"throttle": "act_throttle", "brake": "act_brake",
-                "steering": "act_steering"}
+#: Actuation-stage fault variables as command-array column names (the
+#: faults land before the final clip, as on the scalar bus).
+_ACT_COLUMNS = {"throttle": "cmd_throttle", "brake": "cmd_brake",
+                "steering": "cmd_steering"}
 
 
-def can_fuse(pipeline: ADSPipeline) -> bool:
-    """True when a lane's pipeline is representable by the fused path.
+def can_fuse(config: ADSConfig, faults) -> bool:
+    """True when a job with ``faults`` under ``config`` can run fused.
 
-    Peel conditions: armed interface faults or channel residue (delay
-    queues / jitter windows restored from a snapshot), a degradation
-    policy the planner's natural ``divisor - 1`` staleness could trip,
-    or an IDM exponent outside the closed-form kernel's domain.
+    Every fault must be a value fault (interface faults act on the
+    channel bus, which the fused path does not model), the IDM exponent
+    must be the closed-form kernel's, and a degradation policy must not
+    be trippable by the planner's natural ``divisor - 1`` staleness.
     """
-    cfg = pipeline.config
-    if cfg.planner.idm_exponent != 4.0:
+    if config.planner.idm_exponent != 4.0:
         return False
-    if (cfg.degradation.enabled
-            and cfg.planner_divisor - 1 > cfg.degradation.ttl_ticks):
+    if (config.degradation.enabled
+            and config.planner_divisor - 1 > config.degradation.ttl_ticks):
         return False
-    bus = pipeline.bus
-    if bus.faults:
-        return False
-    for state in bus._states.values():
-        if state.queue or state.buffer:
-            return False
-    return True
+    return all(fault.kind == "value" for fault in faults)
 
 
 class BatchADSState:
@@ -101,12 +89,8 @@ class BatchADSState:
         n = batch.n_lanes
         self.active = np.zeros(n, dtype=bool)
         self.tick = np.zeros(n, dtype=np.int64)
-        #: Lanes that hit their modulo planning tick this cycle (the
-        #: scalar ``is_planning_tick``, used by trace recording).
-        self.planned = np.zeros(n, dtype=bool)
 
         # Adopted per-lane scalar objects (ragged / object-shaped state).
-        self.pipelines: list[ADSPipeline | None] = [None] * n
         self.rngs = [None] * n
         self.perceptions = [None] * n
         self.trackers = [None] * n
@@ -115,7 +99,6 @@ class BatchADSState:
         self.accel_last_v: list[float | None] = [None] * n
         self.bundles: list[SensorBundle | None] = [None] * n
         self.detections: list[list | None] = [None] * n
-        self.models: list[WorldModel | None] = [None] * n
         self.stage_faults: list[dict | None] = [None] * n
         self.faulty: set[int] = set()
 
@@ -125,8 +108,6 @@ class BatchADSState:
         self.plan_throttle = np.zeros(n)
         self.plan_brake = np.zeros(n)
         self.plan_steering = np.zeros(n)
-        self.plan_gap = np.zeros(n)
-        self.plan_closing = np.zeros(n)
 
         # Controller memory (PID + slew limiter).
         self.pid_integral = np.zeros(n)
@@ -136,33 +117,32 @@ class BatchADSState:
         self.last_brake = np.zeros(n)
         self.last_steering = np.zeros(n)
 
-        # Actuation payload (post-corruption, pre-final-clip — what the
-        # scalar bus holds) and the executed command (post-clip).
-        self.act_throttle = np.zeros(n)
-        self.act_brake = np.zeros(n)
-        self.act_steering = np.zeros(n)
+        # The executed command: the actuation payload (corrupted in
+        # place, as on the scalar bus), then clipped.
         self.cmd_throttle = np.zeros(n)
         self.cmd_brake = np.zeros(n)
         self.cmd_steering = np.zeros(n)
-
-        # Delivery origins per channel (-1 encodes the bus's ``None``).
-        self.sense_origin = np.full(n, -1, dtype=np.int64)
-        self.percept_origin = np.full(n, -1, dtype=np.int64)
-        self.model_origin = np.full(n, -1, dtype=np.int64)
-        self.plan_origin = np.full(n, -1, dtype=np.int64)
-        self.act_origin = np.full(n, -1, dtype=np.int64)
 
     # -- lane membership ----------------------------------------------------
 
     def attach(self, slot: int, pipeline: ADSPipeline) -> None:
         """Adopt a fused lane's pipeline state into the batch arrays.
 
-        The pipeline must satisfy :func:`can_fuse`.  Its RNG, perception,
-        tracker and localizer objects are shared (not copied): the fused path
-        advances them exactly as the scalar path would, so detaching or
-        snapshotting later sees consistent state.
+        Its RNG, perception, tracker and localizer objects are shared
+        (not copied): the fused path advances them exactly as the scalar
+        path would.  Raises ``ValueError`` for a pipeline the fused path
+        cannot represent: one failing :func:`can_fuse`, or one whose
+        channel bus holds interface faults or residue (delay queues,
+        jitter windows).
         """
-        self.pipelines[slot] = pipeline
+        bus = pipeline.bus
+        if (not can_fuse(pipeline.config, ()) or bus.faults
+                or any(state.queue or state.buffer
+                       for state in bus._states.values())):
+            raise ValueError("pipeline cannot run fused: interface "
+                             "faults, channel residue, a trippable "
+                             "degradation TTL or a non-default IDM "
+                             "exponent")
         self.rngs[slot] = pipeline.sensors.rng
         self.perceptions[slot] = pipeline.perception
         self.trackers[slot] = pipeline.tracker
@@ -180,9 +160,6 @@ class BatchADSState:
             self.plan_throttle[slot] = plan.throttle
             self.plan_brake[slot] = plan.brake
             self.plan_steering[slot] = plan.steering
-            self.plan_gap[slot] = plan.gap
-            self.plan_closing[slot] = plan.closing_speed
-        self.models[slot] = pipeline.last_model
 
         controller = pipeline.controller
         pid = controller._speed_pid
@@ -194,26 +171,6 @@ class BatchADSState:
         self.last_throttle[slot] = last.throttle
         self.last_brake[slot] = last.brake
         self.last_steering[slot] = last.steering
-        command = pipeline.last_command
-        self.cmd_throttle[slot] = command.throttle
-        self.cmd_brake[slot] = command.brake
-        self.cmd_steering[slot] = command.steering
-
-        states = pipeline.bus._states
-        self.bundles[slot] = states["sensing"].payload
-        self.detections[slot] = states["perception"].payload
-        act = states["actuation"].payload
-        if act is not None:
-            self.act_throttle[slot] = act.throttle
-            self.act_brake[slot] = act.brake
-            self.act_steering[slot] = act.steering
-        for name, column in (("sensing", self.sense_origin),
-                             ("perception", self.percept_origin),
-                             ("world_model", self.model_origin),
-                             ("planning", self.plan_origin),
-                             ("actuation", self.act_origin)):
-            origin = states[name].origin
-            column[slot] = -1 if origin is None else origin
 
         stages: dict[str, list] = {}
         for fault in pipeline.faults:
@@ -226,21 +183,14 @@ class BatchADSState:
         self.active[slot] = True
 
     def deactivate(self, slot: int) -> None:
-        """Release a fused lane (syncs the shared scalar objects)."""
-        pipeline = self.pipelines[slot]
-        if pipeline is not None:
-            pipeline.tick_index = int(self.tick[slot])
-            pipeline.sensors._last_time = self.accel_last_t[slot]
-            pipeline.sensors._last_speed = self.accel_last_v[slot]
+        """Release a fused lane."""
         self.active[slot] = False
-        self.pipelines[slot] = None
         self.rngs[slot] = None
         self.perceptions[slot] = None
         self.trackers[slot] = None
         self.localizers[slot] = None
         self.bundles[slot] = None
         self.detections[slot] = None
-        self.models[slot] = None
         self.stage_faults[slot] = None
         self.faulty.discard(slot)
         self.plan_valid[slot] = False
@@ -273,7 +223,6 @@ class BatchADSState:
     def tick_all(self) -> None:
         """One control cycle for every fused lane, ending with the
         executed commands mapped into the batch's kernel controls."""
-        self.planned[:] = False
         rows = np.nonzero(self.active)[0]
         if rows.size == 0:
             return
@@ -283,8 +232,10 @@ class BatchADSState:
         self._sense(rows)
         if timer:
             timer.stop("sensing", started, rows.size)
-        self.planned[rows] = ticks % self.config.planner_divisor == 0
-        planning = self.planned[rows] | ~self.plan_valid[rows]
+            timer.count("engine", "lane_ticks", rows.size)
+            timer.count("engine", "slot_ticks", self.batch.n_lanes)
+        planning = ((ticks % self.config.planner_divisor == 0)
+                    | ~self.plan_valid[rows])
         if planning.any():
             self._plan_stage(rows[planning], timer)
         started = timer.start() if timer else 0
@@ -367,7 +318,6 @@ class BatchADSState:
             if slot in self.faulty:
                 self._apply_object_faults(slot, "sensing", bundle)
             self.bundles[slot] = bundle
-        self.sense_origin[rows] = self.tick[rows]
 
     def _plan_stage(self, rows: np.ndarray,
                     timer: "StageTimer | None" = None) -> None:
@@ -386,7 +336,6 @@ class BatchADSState:
             if slot in self.faulty:
                 self._apply_object_faults(slot, "perception", detections)
             self.detections[slot] = detections
-        self.percept_origin[rows] = self.tick[rows]
         if timer:
             timer.stop("perception", started, k)
 
@@ -413,7 +362,6 @@ class BatchADSState:
                                lane_heading=bundle.lane_heading)
             if slot in self.faulty:
                 self._apply_object_faults(slot, "world_model", model)
-            self.models[slot] = model
             lead = model.lead_track()
             px[i] = model.ego.x
             pv[i] = model.ego.v
@@ -426,7 +374,6 @@ class BatchADSState:
                 lv[i] = lead.vx
             lane_offsets[i] = model.lane_offset
             lane_headings[i] = model.lane_heading
-        self.model_origin[rows] = self.tick[rows]
         if timer:
             timer.stop("world_model", started, k)
             timer.count("world_model", "tracks", sum(
@@ -435,20 +382,17 @@ class BatchADSState:
                 len(self.detections[slot]) for slot in slots))
 
         started = timer.start() if timer else 0
-        target, throttle, brake, steering, gap, closing = plan_step(
+        target, throttle, brake, steering, _, _ = plan_step(
             px, pv, lx, lv, has_lead, lane_offsets, lane_headings,
             SENSOR_RANGE, config.planner, np.where, np.clip)
         self.plan_target[rows] = target
         self.plan_throttle[rows] = throttle
         self.plan_brake[rows] = brake
         self.plan_steering[rows] = steering
-        self.plan_gap[rows] = gap
-        self.plan_closing[rows] = closing
         self.plan_valid[rows] = True
         for slot in slots:
             if slot in self.faulty:
                 self._apply_column_faults(slot, "planning", _PLAN_COLUMNS)
-        self.plan_origin[rows] = self.tick[rows]
         if timer:
             timer.stop("planning", started, k)
 
@@ -477,72 +421,13 @@ class BatchADSState:
         self.last_throttle[rows] = throttle
         self.last_brake[rows] = brake
         self.last_steering[rows] = steering
-        self.act_throttle[rows] = throttle
-        self.act_brake[rows] = brake
-        self.act_steering[rows] = steering
+        self.cmd_throttle[rows] = throttle
+        self.cmd_brake[rows] = brake
+        self.cmd_steering[rows] = steering
         for slot in rows.tolist():
             if slot in self.faulty:
                 self._apply_column_faults(slot, "actuation", _ACT_COLUMNS)
-        self.act_origin[rows] = self.tick[rows]
-        self.cmd_throttle[rows] = np.clip(self.act_throttle[rows], 0.0, 1.0)
-        self.cmd_brake[rows] = np.clip(self.act_brake[rows], 0.0, 1.0)
-        self.cmd_steering[rows] = np.clip(self.act_steering[rows],
+        self.cmd_throttle[rows] = np.clip(self.cmd_throttle[rows], 0.0, 1.0)
+        self.cmd_brake[rows] = np.clip(self.cmd_brake[rows], 0.0, 1.0)
+        self.cmd_steering[rows] = np.clip(self.cmd_steering[rows],
                                           -0.55, 0.55)
-
-    # -- checkpoint support --------------------------------------------------
-
-    def snapshot_lane(self, slot: int) -> PipelineSnapshot:
-        """Materialize a fused lane's state as the scalar pipeline
-        snapshot it would have produced (field-for-field values)."""
-        pipeline = self.pipelines[slot]
-        plan = None
-        if self.plan_valid[slot]:
-            plan = PlannerOutput(
-                target_speed=float(self.plan_target[slot]),
-                throttle=float(self.plan_throttle[slot]),
-                brake=float(self.plan_brake[slot]),
-                steering=float(self.plan_steering[slot]),
-                gap=float(self.plan_gap[slot]),
-                closing_speed=float(self.plan_closing[slot]))
-        act = None
-        if self.act_origin[slot] >= 0:
-            act = ActuationCommand(float(self.act_throttle[slot]),
-                                   float(self.act_brake[slot]),
-                                   float(self.act_steering[slot]))
-        bus = ChannelBus()
-        for name, payload, origin in (
-                ("sensing", self.bundles[slot], self.sense_origin[slot]),
-                ("perception", self.detections[slot],
-                 self.percept_origin[slot]),
-                ("world_model", self.models[slot],
-                 self.model_origin[slot]),
-                ("planning", plan, self.plan_origin[slot]),
-                ("actuation", act, self.act_origin[slot])):
-            state = bus._states[name]
-            state.payload = payload
-            state.origin = None if origin < 0 else int(origin)
-        channel_faults, channels = bus.snapshot()
-        return PipelineSnapshot(
-            tick_index=int(self.tick[slot]),
-            sensors=SensorSnapshot(
-                rng_state=self.rngs[slot].bit_generator.state,
-                last_speed=self.accel_last_v[slot],
-                last_time=self.accel_last_t[slot]),
-            tracker=self.trackers[slot].snapshot(),
-            localizer=self.localizers[slot].snapshot(),
-            controller=ControllerSnapshot(
-                integral=float(self.pid_integral[slot]),
-                last_error=(float(self.pid_last_error[slot])
-                            if self.pid_has_last[slot] else None),
-                last_command=(float(self.last_throttle[slot]),
-                              float(self.last_brake[slot]),
-                              float(self.last_steering[slot]))),
-            command=(float(self.cmd_throttle[slot]),
-                     float(self.cmd_brake[slot]),
-                     float(self.cmd_steering[slot])),
-            faults=tuple((f.variable.name, f.value, f.start_tick,
-                          f.duration_ticks, f.landed)
-                         for f in pipeline.faults),
-            channel_faults=channel_faults,
-            payloads=pack_payloads(plan, self.models[slot], channels),
-            degraded_ticks=pipeline._degraded_ticks)

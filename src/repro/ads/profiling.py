@@ -20,7 +20,10 @@ SAT) and ``collisions`` (confirmed overlaps).  The untimed
 ``checkpoint`` row counts ``snapshots``, ``restores`` (forks, both
 engines), ``gap_ticks`` forks replayed before their fault,
 ``demanded_ticks`` the driver asked ladders to hold, and the
-``spill_bytes`` it spooled.
+``spill_bytes`` it spooled.  The untimed ``engine`` row counts the
+validation jobs each engine ran (``fused_jobs``, ``scalar_jobs``) and,
+per fused tick, the live lanes (``lane_ticks``) against the batch's
+slots (``slot_ticks``): their ratio is the fused lane occupancy.
 
 The timer is explicitly enabled (``--profile-stages`` /
 ``CampaignConfig.profile_stages``); disabled — the default — the hot
@@ -38,8 +41,8 @@ import time
 #: Stage keys in control-cycle order (:data:`repro.ads.channels.CHANNELS`).
 STAGES = ("sensing", "perception", "world_model", "planning", "actuation")
 #: Every reported layer: the stages, the safety monitor, then the
-#: collision and checkpoint counts.
-LAYERS = STAGES + ("safety", "collision", "checkpoint")
+#: collision, checkpoint and engine counts.
+LAYERS = STAGES + ("safety", "collision", "checkpoint", "engine")
 
 
 class StageTimer:

@@ -338,6 +338,14 @@ def _print_summary(summary, label: str) -> None:
             print(f"  checkpoint: {snapshots} snapshots for {demanded} "
                   f"demanded ticks, {restores} restores replaying {gap} "
                   f"gap ticks, {spilled} bytes spilled")
+        engine = timings.get("engine")
+        if engine:
+            fused, scalar, live, slots = (
+                engine.get(event, 0) for event in (
+                    "fused_jobs", "scalar_jobs", "lane_ticks", "slot_ticks"))
+            print(f"  engine: {fused} fused jobs, {scalar} scalar jobs, "
+                  f"lane occupancy {live / max(slots, 1):.1%} ({live} of "
+                  f"{slots} slot-ticks)")
 
 
 def _split_list(value: str | None) -> tuple[str, ...] | None:

@@ -12,8 +12,8 @@ this module holds what every execution path shares:
   workers, :meth:`repro.core.campaign.Campaign.run_fault`, and the
   reference loop the equivalence tests compare against all call it.
 * :func:`execute_experiment_batch` — its vectorized sibling for
-  same-scenario groups of at least :data:`LANES` jobs, bit-for-bit the
-  scalar records.
+  same-scenario groups of at least :data:`LANES` fusable jobs
+  (:func:`repro.ads.batch.can_fuse`), bit-for-bit the scalar records.
 * :func:`_golden_run` — one scenario's fault-free trace plus the
   checkpoint ladder validation forks from.
 * :func:`_pool_context`/:func:`_picklable` — the start-method choice
@@ -37,6 +37,7 @@ import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from ..ads.profiling import STAGE_TIMER
 from ..sim.scenario import Scenario
 from .checkpoint import CheckpointStore
 from .resilience import ResilienceConfig
@@ -51,11 +52,12 @@ if TYPE_CHECKING:  # avoid a circular import with .campaign
 ExperimentJob = tuple[str, FaultSpec]
 
 #: Lanes of one fused batch, and the group size at which fusion starts.
-#: The driver validates a same-scenario group of at least ``LANES`` jobs
-#: with :func:`execute_experiment_batch`; smaller groups run the scalar
-#: loop.  On a 2-vCPU host fusion breaks even near 6 lanes and runs
-#: ~2x faster per experiment at 16, but a group must fill its lanes to
-#: pay.  Read through the module at call time, so tests can patch it.
+#: The driver validates a scenario's fusable jobs with
+#: :func:`execute_experiment_batch` when it has at least ``LANES`` of
+#: them; every other job runs the scalar loop.  On a 2-vCPU host serial
+#: fusion of 16-lane groups measures 0.92-1.28x the scalar engine
+#: (ROADMAP item 4).  Read through the module at call time, so tests
+#: can patch it.
 LANES = 16
 
 
@@ -94,6 +96,7 @@ def execute_experiment(scenario: Scenario, config: "CampaignConfig",
     has no usable snapshot) it falls back to full replay from tick 0 —
     the reference oracle.
     """
+    STAGE_TIMER.count("engine", "scalar_jobs", 1)
     checkpoint = (checkpoints.nearest(scenario.name, fault.start_tick)
                   if checkpoints is not None else None)
     if checkpoint is not None and checkpoint.seed == config.seed:
@@ -125,8 +128,9 @@ def execute_experiment_batch(scenario: Scenario,
     golden checkpoint its scalar twin would pick (full replay when the
     store has none, or the snapshot's seed does not match).  At most
     :data:`LANES` lanes are live; a retired lane takes the next pending
-    fault.  Records are bit-for-bit the scalar records, in ``faults``
-    order (wall clock aside).
+    fault.  Every fault must be fusable
+    (:func:`repro.ads.batch.can_fuse`).  Records are bit-for-bit the
+    scalar records, in ``faults`` order (wall clock aside).
     """
     forks = []
     for fault in faults:
@@ -140,7 +144,8 @@ def execute_experiment_batch(scenario: Scenario,
         ads_config=config.ads, safety_config=config.safety,
         seed=config.seed, checkpoints=forks,
         horizon_after_fault=config.horizon_after_fault,
-        batch_size=LANES, record_trace=False)
+        batch_size=LANES)
+    STAGE_TIMER.count("engine", "fused_jobs", len(faults))
     return [_to_record(result, scenario.name, fault, config)
             for result, fault in zip(results, faults)]
 

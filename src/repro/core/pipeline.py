@@ -67,6 +67,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
+from ..ads.batch import can_fuse
 from ..ads.profiling import STAGE_TIMER
 from ..sim.scenario import Scenario
 from . import parallel
@@ -226,20 +227,31 @@ def _parts(items: list, size: int) -> list[list]:
     return [items[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
+def _split_engines(config: "CampaignConfig", items: list
+                   ) -> tuple[list, list]:
+    """One scenario's ``(key, fault)`` items as ``(fused, scalar)``.
+
+    The engine is picked per job, before any lane is built: the jobs
+    :func:`~repro.ads.batch.can_fuse` accepts run fused when there are
+    at least :data:`~repro.core.parallel.LANES` of them; every other
+    job runs the scalar engine.  Records are bit-for-bit the same
+    either way.
+    """
+    fusable = [can_fuse(config.ads, (fault,)) for _, fault in items]
+    if sum(fusable) < parallel.LANES:
+        return [], list(items)
+    return ([item for item, ok in zip(items, fusable) if ok],
+            [item for item, ok in zip(items, fusable) if not ok])
+
+
 def _fused_records(scenario: Scenario, config: "CampaignConfig",
                    items: list, checkpoints: CheckpointStore | None
                    ) -> "list[ExperimentRecord] | None":
-    """``items``' records from the fused engine, or ``None`` for scalar.
-
-    A part of at least :data:`~repro.core.parallel.LANES` jobs steps as
-    lanes of one :class:`~repro.sim.batch.BatchWorldState`
-    (:func:`~repro.core.parallel.execute_experiment_batch`); a smaller
-    part, or one the engine rejects, returns ``None`` so the caller runs
-    its scalar loop and the supervised retry/quarantine machinery never
-    sees the difference.  Records are bit-for-bit the scalar path's.
+    """``items``' records from the fused engine
+    (:func:`~repro.core.parallel.execute_experiment_batch`), or ``None``
+    if it fails, so the caller reruns them on its scalar path and the
+    supervised retry/quarantine machinery never sees the difference.
     """
-    if len(items) < parallel.LANES:
-        return None
     try:
         return execute_experiment_batch(
             scenario, config, [fault for _, fault in items], checkpoints)
@@ -254,12 +266,18 @@ def _pipeline_validate_chunk(chunk) -> list:
     state = _PIPELINE_STATE
     scenario = state.by_name[name]
     checkpoints = state.checkpoints_for(name)
-    records = _fused_records(scenario, state.config, items, checkpoints)
-    if records is None:
-        records = [execute_experiment(scenario, state.config, fault,
-                                      checkpoints)
-                   for _, fault in items]
-    return [(key, record) for (key, _), record in zip(items, records)]
+    fused, scalar = _split_engines(state.config, items)
+    done = []
+    if fused:
+        records = _fused_records(scenario, state.config, fused, checkpoints)
+        if records is None:
+            scalar = items
+        else:
+            done = [(key, record)
+                    for (key, _), record in zip(fused, records)]
+    return done + [(key, execute_experiment(scenario, state.config, fault,
+                                            checkpoints))
+                   for key, fault in scalar]
 
 
 # -- driver side ---------------------------------------------------------------
@@ -789,12 +807,14 @@ class CampaignPipeline:
             return
         policy = _policy(self.config)
         chunk = max(1, len(items) // (self.workers * 4))
-        if len(items) >= parallel.LANES:
-            # A chunk below the lane count would run scalar; chunk
-            # boundaries don't affect record values or emission order
-            # (keys carry the slots), so rounding up is free.
-            chunk = max(chunk, parallel.LANES)
-        for part in map(tuple, _parts(items, chunk)):
+        fused, scalar = _split_engines(self.config, items)
+        # A fused chunk below the lane count would run scalar; chunk
+        # boundaries don't affect record values or emission order
+        # (keys carry the slots), so rounding up is free.  Each worker
+        # re-splits its chunk and reaches the same engine choice.
+        parts = ((_parts(fused, max(chunk, parallel.LANES)) if fused
+                  else []) + (_parts(scalar, chunk) if scalar else []))
+        for part in map(tuple, parts):
             timeout = (policy.job_timeout * len(part)
                        if policy.job_timeout is not None else None)
             self._pool.submit(_pipeline_validate_chunk, (name, list(part)),
@@ -809,25 +829,26 @@ class CampaignPipeline:
                        and store.load_scenario(self._spool, name))
         checkpoints = store if store.has_scenario(name) else None
         policy = _policy(self.config)
+        fused, scalar = _split_engines(self.config, items)
         try:
-            for part in _parts(items, parallel.LANES):
+            for part in _parts(fused, parallel.LANES) if fused else ():
                 records = _fused_records(scenario, self.config, part,
                                          checkpoints)
-                if records is not None:
-                    for (key, _), record in zip(part, records):
-                        self._record_done(key, record)
+                if records is None:
+                    scalar.extend(part)
                     continue
-                for key, fault in part:
-                    record, failure = run_supervised_serial(
-                        lambda: execute_experiment(scenario, self.config,
-                                                   fault, checkpoints),
-                        policy, self.config.seed,
-                        (name, fault.start_tick, fault.variable,
-                         fault.value))
-                    if failure is not None:
-                        record = failure_record(name, fault, self.config,
-                                                failure)
+                for (key, _), record in zip(part, records):
                     self._record_done(key, record)
+            for key, fault in scalar:
+                record, failure = run_supervised_serial(
+                    lambda: execute_experiment(scenario, self.config,
+                                               fault, checkpoints),
+                    policy, self.config.seed,
+                    (name, fault.start_tick, fault.variable, fault.value))
+                if failure is not None:
+                    record = failure_record(name, fault, self.config,
+                                            failure)
+                self._record_done(key, record)
         finally:
             if loaded_here:
                 # Serial twin of the worker-side spool protocol: the

@@ -20,7 +20,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from ..ads.batch import BatchADSState, can_fuse
+from ..ads.batch import BatchADSState
 from ..ads.messages import ActuationCommand
 from ..ads.profiling import STAGE_TIMER
 from ..ads.runtime import ADSConfig, ADSPipeline
@@ -382,24 +382,19 @@ class _BatchLane:
         self.n_ticks = n_ticks
         self.monitor_from = monitor_from
         self.stop_after = stop_after
-        self.trace = Trace()
         self.monitor = _SafetyMonitor(monitor_from)
         #: Wall clock charged to this lane: its preparation, its share
         #: of every fused tick it is live in, and its monitor fold.
         self.wall_seconds = 0.0
-        self.is_planning = False
-        self.command = None
-        #: True when this lane runs on the fused ADS path (set by the
-        #: batched driver from :func:`repro.ads.batch.can_fuse`).
-        self.fused = False
 
     def result(self, scenario_name: str,
                safety_config: SafetyConfig) -> RunResult:
         fold_start = time.perf_counter()
-        outcome = self.monitor.finish(safety_config, self.trace)
+        trace = Trace()
+        outcome = self.monitor.finish(safety_config, trace)
         self.wall_seconds += time.perf_counter() - fold_start
         return RunResult(
-            scenario=scenario_name, seed=self.seed, trace=self.trace,
+            scenario=scenario_name, seed=self.seed, trace=trace,
             **outcome, landed=self.pipeline.fault_landed,
             degraded=self.pipeline.degraded_ticks > 0,
             sim_seconds=self.world.time, wall_seconds=self.wall_seconds,
@@ -408,7 +403,7 @@ class _BatchLane:
 
 def _prepare_lane(scenario: Scenario, index: int, faults: list[FaultSpec],
                   checkpoint: Checkpoint | None, ads_config: ADSConfig,
-                  seed: int, duration: float | None,
+                  seed: int,
                   horizon_after_fault: float | None) -> _BatchLane:
     """Build one lane exactly the way the scalar entry points do."""
     faults = list(faults)
@@ -423,8 +418,7 @@ def _prepare_lane(scenario: Scenario, index: int, faults: list[FaultSpec],
         lane_seed = seed
         start_tick = 0
     dt = ads_config.control_period
-    total_seconds = duration if duration is not None else scenario.duration
-    n_ticks = int(round(total_seconds / dt))
+    n_ticks = int(round(scenario.duration / dt))
     monitor_from, stop_after = _fault_schedule(faults, horizon_after_fault,
                                                dt)
     return _BatchLane(index, world, pipeline, lane_seed, faults, start_tick,
@@ -435,20 +429,24 @@ def run_experiments_batched(scenario: Scenario, fault_lists,
                             ads_config: ADSConfig | None = None,
                             safety_config: SafetyConfig | None = None,
                             seed: int = 0, checkpoints=None,
-                            duration: float | None = None,
                             horizon_after_fault: float | None = 8.0,
-                            batch_size: int = 8,
-                            record_trace: bool = False) -> list[RunResult]:
+                            batch_size: int = 8) -> list[RunResult]:
     """Run K fault experiments of one scenario over a lane batch.
 
     The vectorized sibling of K calls to :func:`run_scenario` /
-    :func:`run_scenario_from_checkpoint`: up to ``batch_size``
-    experiments occupy lanes of one :class:`BatchWorldState`; physics
-    and ground-truth safety signals advance in fused numpy kernels
-    while each lane's :class:`ADSPipeline` ticks per lane.  Lanes retire
-    as their runs end (collision, post-fault horizon, or scenario end)
-    and pending experiments take their place.  Results are bit-for-bit
-    the scalar results, in submission order (wall clock aside).
+    :func:`run_scenario_from_checkpoint` with ``record_trace=False``:
+    up to ``batch_size`` experiments occupy lanes of one
+    :class:`BatchWorldState` and one :class:`BatchADSState`, so
+    physics, ground-truth safety signals and the ADS advance in fused
+    numpy kernels.  Lanes retire as their runs end (collision,
+    post-fault horizon, or scenario end) and pending experiments take
+    their place.  Results are bit-for-bit the scalar results, in
+    submission order (wall clock aside).
+
+    Every experiment must be fusable
+    (:func:`repro.ads.batch.can_fuse`); attaching one that is not
+    raises ``ValueError``.  The campaign driver sends only fusable jobs
+    here and runs the rest on the scalar path.
 
     Lanes share every fused tick, so each result's ``wall_seconds`` is
     its own preparation and monitor fold plus, per tick it was live in,
@@ -485,7 +483,7 @@ def run_experiments_batched(scenario: Scenario, fault_lists,
             prepare_start = time.perf_counter()
             lane = _prepare_lane(scenario, index, fault_lists[index],
                                  checkpoints[index], ads_config, seed,
-                                 duration, horizon_after_fault)
+                                 horizon_after_fault)
             lane.wall_seconds = time.perf_counter() - prepare_start
             if lane.tick < lane.n_ticks:
                 return lane
@@ -507,94 +505,41 @@ def run_experiments_batched(scenario: Scenario, fault_lists,
         batch.deactivate(extra)
     ads = BatchADSState(batch, ads_config)
     for slot, lane in enumerate(slots):
-        lane.fused = can_fuse(lane.pipeline)
-        if lane.fused:
-            ads.attach(slot, lane.pipeline)
+        ads.attach(slot, lane.pipeline)
 
     while any(lane is not None for lane in slots):
         tick_start = time.perf_counter()
         live = [lane for lane in slots if lane is not None]
         retiring = []
-        # 1. ADS: lanes whose armed faults the fused path cannot
-        #    represent (interface faults, restored bus residue, tight
-        #    degradation TTLs) peel to their scalar pipelines on the
-        #    (synced) scalar worlds; everything else advances through
-        #    one fused BatchADSState tick, which also maps the executed
-        #    commands to kernel control inputs.
-        for slot, lane in enumerate(slots):
-            if lane is None or lane.fused:
-                continue
-            lane.is_planning = lane.pipeline.is_planning_tick
-            lane.command = lane.pipeline.tick(lane.world)
-            batch.set_controls(slot, lane.command.throttle,
-                               lane.command.brake, lane.command.steering,
-                               dt)
+        # 1. One fused ADS tick, which also maps the executed commands
+        #    to kernel control inputs, then one fused physics step.
+        #    Lanes stay array-resident; a lane's world is scattered when
+        #    it retires.
         ads.tick_all()
-        # 2. One fused physics step for every lane.  Only peeled lanes
-        #    scatter back eagerly (their next scalar tick reads the
-        #    World); fused lanes stay array-resident and scatter on
-        #    demand (collision confirm, trace recording, retirement).
         batch.step(dt)
-        peeled = [slot for slot, lane in enumerate(slots)
-                  if lane is not None and not lane.fused]
-        if peeled:
-            batch.scatter(peeled)
-        # 3. Batched ground-truth signals.
+        # 2. Batched ground-truth signals.
         gap, lead_speed, lateral_free = batch.safety_inputs()
         collided = batch.collided_mask(
             STAGE_TIMER if STAGE_TIMER.enabled else None)
         off_road = batch.off_road_mask()
-        # 4. Per-lane monitoring and recording; retirement follows once
-        #    the tick's cost is shared out.
+        # 3. Per-lane monitoring; retirement follows once the tick's
+        #    cost is shared out.
         for slot, lane in enumerate(slots):
             if lane is None:
                 continue
-            if lane.fused:
-                lane.is_planning = bool(ads.planned[slot])
             tick = lane.tick
             monitor = lane.monitor
-            recording = record_trace and lane.is_planning
-            if tick >= lane.monitor_from or recording:
+            if tick >= lane.monitor_from:
                 speed = float(lead_speed[slot])
-                if lane.fused:
-                    v = float(batch.ego[slot, 2])
-                    theta = float(batch.ego[slot, 3])
-                    phi = float(batch.ego[slot, 4])
-                else:
-                    state = lane.world.ego.state
-                    v, theta, phi = state.v, state.theta, state.phi
                 monitor.sample(tick, (
-                    v, theta, phi, float(gap[slot]),
+                    float(batch.ego[slot, 2]), float(batch.ego[slot, 3]),
+                    float(batch.ego[slot, 4]), float(gap[slot]),
                     None if math.isnan(speed) else speed,
                     float(lateral_free[slot])))
-            if tick >= lane.monitor_from:
                 if collided[slot]:
                     monitor.collided = True
                 if off_road[slot]:
                     monitor.went_off_road = True
-            if recording:
-                if lane.fused:
-                    batch.scatter([slot])
-                    lane.command = ActuationCommand(
-                        float(ads.cmd_throttle[slot]),
-                        float(ads.cmd_brake[slot]),
-                        float(ads.cmd_steering[slot]))
-                    if ads.plan_valid[slot]:
-                        plan_gap = float(ads.plan_gap[slot])
-                        closing = float(ads.plan_closing[slot])
-                    else:
-                        plan_gap, closing = SENSOR_RANGE, 0.0
-                    model = ads.models[slot]
-                else:
-                    plan = lane.pipeline.last_plan
-                    plan_gap = (plan.gap if plan is not None
-                                else SENSOR_RANGE)
-                    closing = (plan.closing_speed if plan is not None
-                               else 0.0)
-                    model = lane.pipeline.last_model
-                lat = model.lane_offset if model is not None else 0.0
-                monitor.hold_row(_trace_row(lane.world, tick, lane.command,
-                                            plan_gap, closing, lat))
             lane.tick = tick + 1
             if (monitor.collided
                     or (lane.stop_after is not None
@@ -604,12 +549,11 @@ def run_experiments_batched(scenario: Scenario, fault_lists,
         share = (time.perf_counter() - tick_start) / len(live)
         for lane in live:
             lane.wall_seconds += share
-        # 5. Retire finished lanes; pending experiments take their slots.
+        # 4. Retire finished lanes; pending experiments take their slots.
         for slot in retiring:
             lane = slots[slot]
-            if lane.fused:
-                batch.scatter([slot])
-                ads.deactivate(slot)
+            batch.scatter([slot])
+            ads.deactivate(slot)
             results[lane.index] = lane.result(scenario.name, safety_config)
             slots[slot] = next_lane()
             if slots[slot] is None:
@@ -617,18 +561,15 @@ def run_experiments_batched(scenario: Scenario, fault_lists,
             else:
                 fresh = slots[slot]
                 batch.attach(slot, fresh.world)
-                fresh.fused = can_fuse(fresh.pipeline)
-                if fresh.fused:
-                    ads.attach(slot, fresh.pipeline)
+                ads.attach(slot, fresh.pipeline)
     return results
 
 
 def _trace_row(world: World, tick: int, command: ActuationCommand,
                gap: float, closing: float, lat: float) -> dict:
-    """One trace row of a recorded tick, shared by both engines.  The
-    belief-side columns (``gap``/``closing``/``lat``/``command``) come
-    from the caller, which reads them from the scalar pipeline or the
-    fused arrays; the delta columns are added by
+    """One trace row of a recorded tick.  The belief-side columns
+    (``gap``/``closing``/``lat``/``command``) come from the caller,
+    which reads them from the pipeline; the delta columns are added by
     :meth:`_SafetyMonitor.finish`."""
     # A 1 m corridor margin captures impending entrants (a body
     # mid-cut-in), which a tracker with lateral velocity would already

@@ -22,16 +22,15 @@ by construction —
   ``World.in_collision``) behind a vectorized prescreen.  Both engines
   prescreen with the same bounds
   (:func:`~repro.sim.collision.aabb_half_extents`);
-* each lane keeps its authoritative scalar ``World`` object, which the
-  engine scatters state back into every step — so sensors, pipelines,
-  and snapshots see exactly what they would have seen.
+* each lane keeps its scalar ``World`` object, which :meth:`scatter`
+  writes the batch state back into (the driver scatters a lane when it
+  retires), so a finished run reads exactly the world it would have
+  stepped alone.
 
 Lanes can join (``attach``) and retire (``deactivate``) independently;
 retired lanes are zeroed so the fused kernels never see stale state, and
 a retired lane never perturbs survivors (lanes only interact through
-their own columns).  The ``(N, 5)``/``(N, M)`` layout is deliberately
-the flat dense form a GPU backend (``arch/gpu.py``/``arch/kernels.py``)
-can consume unchanged.
+their own columns).
 """
 
 from __future__ import annotations
@@ -39,34 +38,11 @@ from __future__ import annotations
 import numpy as np
 
 from .collision import (SENSOR_RANGE, Obstacle, batched_collision_prescreen,
-                        batched_lateral_clearance,
-                        batched_lateral_safe_distance,
-                        batched_longitudinal_safe_distance,
-                        batched_nearest_lead, batched_off_road, box_collides,
+                        batched_lateral_clearance, batched_nearest_lead,
+                        batched_off_road, box_collides,
                         count_collision_checks)
 from .kinematics import BatchKernelWorkspace, VehicleState, batched_rk4_step
-from .npc import LaneChangeCommand
 from .world import World
-
-
-def _merge_command_lists(lists) -> list[LaneChangeCommand]:
-    """Order-preserving union of lane-command lists.
-
-    Every per-lane list is a subsequence of the scenario's original
-    script (completed changes are removed), so a greedy positional merge
-    reconstructs a consistent master ordering.
-    """
-    master: list[LaneChangeCommand] = []
-    for commands in lists:
-        position = 0
-        for command in commands:
-            try:
-                index = master.index(command, position)
-            except ValueError:
-                master.insert(position, command)
-                index = position
-            position = index + 1
-    return master
 
 
 def _match_subsequence(commands, master) -> list[bool]:
@@ -80,39 +56,29 @@ def _match_subsequence(commands, master) -> list[bool]:
     return mask
 
 
-class BatchSnapshot:
-    """Opaque capture of a :class:`BatchWorldState` (all lanes)."""
-
-    def __init__(self, worlds, active):
-        self.worlds = worlds
-        self.active = active
-
-
 class BatchWorldState:
-    """N same-scenario worlds advanced in lockstep by fused kernels."""
+    """N same-scenario worlds advanced in lockstep by fused kernels.
 
-    def __init__(self, worlds: list[World], reference: World | None = None):
+    ``reference`` is a fresh world of the scenario build: its road,
+    vehicle parameters and full NPC scripts define the batch, and every
+    lane world must be a state of that build.
+    """
+
+    def __init__(self, worlds: list[World], reference: World):
         if not worlds:
             raise ValueError("batch needs at least one lane")
         self.worlds: list[World] = list(worlds)
         n = len(self.worlds)
-        template = reference if reference is not None else self.worlds[0]
-        self.road = template.road
-        self.ego_params = template.ego.params
-        npcs = template.npcs
+        self.road = reference.road
+        self.ego_params = reference.ego.params
+        npcs = reference.npcs
         m = len(npcs)
         self._npc_ids = [npc.npc_id for npc in npcs]
         self._npc_lengths = np.array([npc.length for npc in npcs])
         self._npc_widths = np.array([npc.width for npc in npcs])
         self._npc_limits = [npc.acceleration_limit for npc in npcs]
         self._speed_commands = [list(npc.speed_commands) for npc in npcs]
-        if reference is not None:
-            self._lane_master = [list(npc.lane_commands) for npc in npcs]
-        else:
-            self._lane_master = [
-                _merge_command_lists([w.npcs[j].lane_commands
-                                      for w in self.worlds])
-                for j in range(m)]
+        self._lane_master = [list(npc.lane_commands) for npc in npcs]
 
         self.ego = np.zeros((n, 5))
         self.time = np.zeros(n)
@@ -188,19 +154,10 @@ class BatchWorldState:
         for remaining in self.lane_remaining:
             remaining[lane, :] = False
 
-    def set_controls(self, lane: int, throttle: float, brake: float,
-                     steering: float, dt: float) -> None:
-        """Map a lane's actuation command to kernel inputs (scalar path:
-        drag and slew depend on the current state)."""
-        accel, rate = self.worlds[lane].ego.controls_for(
-            throttle, brake, steering, dt)
-        self.acceleration[lane] = accel
-        self.steering_rate[lane] = rate
-
     def apply_controls(self, rows: np.ndarray, throttle: np.ndarray,
                        brake: np.ndarray, steering: np.ndarray,
                        dt: float) -> None:
-        """Vectorized :meth:`set_controls` for a set of lanes.
+        """Map the actuation commands of lanes ``rows`` to kernel inputs.
 
         Mirrors ``Vehicle.controls_for`` expression for expression
         (pedal clips, quadratic drag from the *current* batch speed,
@@ -276,7 +233,7 @@ class BatchWorldState:
     def step(self, dt: float) -> None:
         """Advance every lane ``dt`` seconds (scripts, then egos).
 
-        Call :meth:`set_controls` for each live lane first; then
+        Call :meth:`apply_controls` for the live lanes first; then
         :meth:`scatter` to push the results back into the lane worlds.
         Mirrors ``World.step``: NPC scripts read the pre-step clock, the
         ego integrates the commanded controls, and the clock advances
@@ -354,21 +311,6 @@ class BatchWorldState:
             self.npc_y, self._npc_lengths, self._npc_widths, self.road)
         return gap, lead_speed, lateral_free
 
-    def longitudinal_d_safe(self) -> np.ndarray:
-        """Per-lane ``World.longitudinal_d_safe``."""
-        params = self.ego_params
-        return batched_longitudinal_safe_distance(
-            self.ego[:, 0], self.ego[:, 1], params.length, params.width,
-            self.npc_x, self.npc_y, self._npc_lengths, self._npc_widths)
-
-    def lateral_d_safe(self) -> np.ndarray:
-        """Per-lane ``World.lateral_d_safe``."""
-        params = self.ego_params
-        return batched_lateral_safe_distance(
-            self.ego[:, 0], self.ego[:, 1], params.length, params.width,
-            self.npc_x, self.npc_y, self._npc_lengths, self._npc_widths,
-            self.road)
-
     def collided_mask(self, timer=None) -> np.ndarray:
         """Per-lane ``World.in_collision``: vectorized prescreen, then
         the scalar confirm (:func:`~repro.sim.collision.box_collides`)
@@ -410,21 +352,3 @@ class BatchWorldState:
         """Per-lane ``World.off_road``."""
         return batched_off_road(self.ego[:, 1], self.ego_params.width,
                                 self.road)
-
-    # -- checkpoint support --------------------------------------------------
-
-    def snapshot(self) -> BatchSnapshot:
-        """Capture every lane (delegates to each world's snapshot)."""
-        self.scatter()
-        return BatchSnapshot(
-            worlds=tuple(world.snapshot() for world in self.worlds),
-            active=self.active.copy())
-
-    def restore(self, snapshot: BatchSnapshot) -> None:
-        """Rewind all lanes to a snapshot of this batch."""
-        for lane, world_snapshot in enumerate(snapshot.worlds):
-            self.worlds[lane].restore(world_snapshot)
-            self.attach(lane, self.worlds[lane])
-        np.copyto(self.active, snapshot.active)
-        for lane in np.nonzero(~self.active)[0]:
-            self.deactivate(int(lane))

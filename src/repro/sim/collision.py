@@ -278,90 +278,25 @@ def box_collides(x: float, y: float, theta: float, length: float,
 # the scalar answers.
 
 
-def _select_smaller(current: np.ndarray, candidate: np.ndarray,
-                    eligible: np.ndarray) -> None:
-    """In place: ``current[i] = min(current[i], candidate[i])`` where
-    eligible, with Python-``min`` tie semantics (keep ``current``)."""
-    update = eligible & np.less(candidate, current)
-    current[update] = candidate[update]
-
-
-def batched_longitudinal_safe_distance(ego_x: np.ndarray, ego_y: np.ndarray,
-                                       ego_length: float, ego_width: float,
-                                       obs_x: np.ndarray, obs_y: np.ndarray,
-                                       obs_lengths, obs_widths,
-                                       out: np.ndarray | None = None
-                                       ) -> np.ndarray:
-    """Per-lane :func:`longitudinal_safe_distance` over ``(N, M)`` bodies."""
-    n = ego_x.shape[0]
-    if out is None:
-        out = np.empty(n)
-    out[:] = SENSOR_RANGE
-    for j in range(obs_x.shape[1]):
-        corridor_gap = (np.abs(obs_y[:, j] - ego_y)
-                        - (ego_width + float(obs_widths[j])) / 2.0)
-        gap = ((obs_x[:, j] - ego_x)
-               - (ego_length + float(obs_lengths[j])) / 2.0)
-        eligible = (corridor_gap < 0.0) & (obs_x[:, j] >= ego_x)
-        _select_smaller(out, gap, eligible)
-    return out
-
-
-def _batched_flank_margin(margin: np.ndarray, ego_x: np.ndarray,
-                          ego_y: np.ndarray, ego_length: float,
-                          ego_width: float, obs_x: np.ndarray,
-                          obs_y: np.ndarray, obs_lengths,
-                          obs_widths) -> np.ndarray:
-    """Fold side gaps of longitudinally-overlapping bodies into
-    ``margin`` (shared tail of the two lateral envelopes)."""
-    for j in range(obs_x.shape[1]):
-        longitudinal_gap = (np.abs(obs_x[:, j] - ego_x)
-                            - (ego_length + float(obs_lengths[j])) / 2.0)
-        side_gap = (np.abs(obs_y[:, j] - ego_y)
-                    - (ego_width + float(obs_widths[j])) / 2.0)
-        _select_smaller(margin, side_gap, longitudinal_gap < 0.0)
-    return margin
-
-
-def batched_lateral_safe_distance(ego_x: np.ndarray, ego_y: np.ndarray,
-                                  ego_length: float, ego_width: float,
-                                  obs_x: np.ndarray, obs_y: np.ndarray,
-                                  obs_lengths, obs_widths, road: Road,
-                                  out: np.ndarray | None = None
-                                  ) -> np.ndarray:
-    """Per-lane :func:`lateral_safe_distance` over ``(N, M)`` bodies."""
-    half_width = ego_width / 2.0
-    lane = np.floor_divide(ego_y, road.lane_width)
-    np.clip(lane, 0.0, float(road.n_lanes - 1), out=lane)
-    low = lane * road.lane_width
-    high = (lane + 1.0) * road.lane_width
-    a = (ego_y - half_width) - low
-    b = high - (ego_y + half_width)
-    margin = np.where(np.less(b, a), b, a)
-    if out is not None:
-        np.copyto(out, margin)
-        margin = out
-    return _batched_flank_margin(margin, ego_x, ego_y, ego_length,
-                                 ego_width, obs_x, obs_y, obs_lengths,
-                                 obs_widths)
-
-
 def batched_lateral_clearance(ego_x: np.ndarray, ego_y: np.ndarray,
                               ego_length: float, ego_width: float,
                               obs_x: np.ndarray, obs_y: np.ndarray,
-                              obs_lengths, obs_widths, road: Road,
-                              out: np.ndarray | None = None) -> np.ndarray:
+                              obs_lengths, obs_widths,
+                              road: Road) -> np.ndarray:
     """Per-lane :func:`lateral_clearance` over ``(N, M)`` bodies."""
     half_width = ego_width / 2.0
     a = ego_y - half_width - 0.0
     b = road.width - (ego_y + half_width)
     margin = np.where(np.less(b, a), b, a)
-    if out is not None:
-        np.copyto(out, margin)
-        margin = out
-    return _batched_flank_margin(margin, ego_x, ego_y, ego_length,
-                                 ego_width, obs_x, obs_y, obs_lengths,
-                                 obs_widths)
+    for j in range(obs_x.shape[1]):
+        longitudinal_gap = (np.abs(obs_x[:, j] - ego_x)
+                            - (ego_length + float(obs_lengths[j])) / 2.0)
+        side_gap = (np.abs(obs_y[:, j] - ego_y)
+                    - (ego_width + float(obs_widths[j])) / 2.0)
+        # min(margin, side_gap) with Python-``min`` ties (keep margin).
+        update = (longitudinal_gap < 0.0) & np.less(side_gap, margin)
+        margin[update] = side_gap[update]
+    return margin
 
 
 def batched_off_road(ego_y: np.ndarray, ego_width: float,

@@ -1,15 +1,16 @@
 """Batched validation equals the scalar oracle, record for record.
 
 The acceptance contract of the vectorized batch engine: a campaign
-fuses every same-scenario group of at least
-:data:`repro.core.parallel.LANES` jobs, and every campaign style emits a
+fuses a scenario's value-fault jobs when it has at least
+:data:`repro.core.parallel.LANES` of them, runs every other job scalar,
+and every campaign style emits a
 record stream *bit-for-bit* identical (wall-clock timing aside) to the
 reference loop — serial scalar :class:`~repro.sim.world.World` runs with
 full replay, in job order — both serial and over the process pool.  The
 small streams here fuse because the tests patch ``LANES`` down; one
 test checks the choice at the shipped lane count.  The streams include
 interface faults (drop / freeze / delay / jitter / hang) and
-graceful-degradation outcomes, so the batched path is held to the full
+graceful-degradation outcomes, so the engine choice is held to the full
 interface-fault surface, not just value corruption.  Checkpoint-forked
 batched validation must likewise equal full replay, at both the
 campaign and engine levels.
@@ -23,7 +24,9 @@ from reference import (architectural_jobs, candidate_jobs, exhaustive_jobs,
                        random_jobs, reference_records, strip_wall)
 
 from repro.arch.injector import Outcome
-from repro.core import Campaign, CampaignConfig, ListSink, parallel
+from repro.cli import _print_summary
+from repro.core import (Campaign, CampaignConfig, CampaignSummary, ListSink,
+                        parallel)
 from repro.core.fault_models import ArchFaultOutcome
 from repro.core.interface_faults import CHANNELS, interface_fault
 from repro.core.simulate import FaultSpec, run_experiments_batched
@@ -56,6 +59,39 @@ def count_fused_attaches(monkeypatch) -> list:
 
     monkeypatch.setattr(BatchADSState, "attach", counting)
     return attached
+
+
+def log_fused_attaches(monkeypatch, path) -> None:
+    """Append one line per fused attach to ``path``: the pipeline's
+    armed value faults and interface faults.  A file, so attaches in
+    forked pool workers are seen too."""
+    from repro.ads.batch import BatchADSState
+    original = BatchADSState.attach
+
+    def logging(self, slot, pipeline):
+        with open(path, "a") as log:
+            log.write(f"{len(pipeline.faults)} {len(pipeline.bus.faults)}\n")
+        return original(self, slot, pipeline)
+
+    monkeypatch.setattr(BatchADSState, "attach", logging)
+
+
+def mixed_group(campaign):
+    """``LANES`` value faults of the campaign's first scenario with three
+    interface faults interleaved."""
+    scenario = campaign.scenarios[0]
+    ticks = campaign.injection_ticks(scenario)
+    duration = campaign.config.fault_duration_ticks
+    jobs = [(scenario.name, FaultSpec("brake" if i % 2 else "throttle",
+                                      float(i % 2),
+                                      ticks[(7 * i) % len(ticks)], duration))
+            for i in range(parallel.LANES)]
+    for i, channel in enumerate(CHANNELS[:3]):
+        jobs.insert(5 * i, (scenario.name, interface_fault(
+            "freeze", channel, ticks[(11 * i) % len(ticks)],
+            duration_ticks=duration)))
+    return jobs
+
 
 STYLES = ["random", "exhaustive", "architectural", "bayesian"]
 
@@ -158,19 +194,23 @@ class TestBatchedDriverEquivalence:
     def test_single_lane_batch_is_still_batched_code(self,
                                                      scalar_reference,
                                                      lanes):
-        """Two lanes with odd job counts drain to a 1-lane tail."""
+        """Two-lane batches drain to a 1-lane tail whenever one lane
+        retires first.  The exhaustive stream fuses its value faults;
+        the random one has too few per scenario."""
         lanes(2)
-        assert run_style("random", workers=None) == \
-            scalar_reference("random")
+        assert run_style("exhaustive", workers=None) == \
+            scalar_reference("exhaustive")
 
 
 class TestFusedADSPath:
     """The batched runs above must actually exercise the fused ADS
-    engine — and an all-peeled configuration must still match."""
+    engine, which must see only the jobs it can represent."""
 
     def test_default_config_fuses_lanes(self, monkeypatch, lanes):
+        """The exhaustive stream has at least ``BATCH`` value faults per
+        scenario, so its value faults fuse."""
         attached = count_fused_attaches(monkeypatch)
-        run_style("random", workers=None)
+        run_style("exhaustive", workers=None)
         assert attached, "no lane ever took the fused ADS path"
 
     def test_group_size_picks_the_engine(self, monkeypatch):
@@ -192,17 +232,33 @@ class TestFusedADSPath:
             assert strip_wall(summary.records) == \
                 strip_wall(reference_records(campaign, group))
 
-    def test_forced_peel_still_matches_scalar(self, lanes):
-        """``planner_divisor=6`` leaves plans staler than the default
-        degradation TTL, so :func:`can_fuse` rejects every lane and the
-        safe-stop fallback engages routinely — the all-peeled batched
-        driver must still equal the scalar oracle, degradation
-        included."""
-        from repro.ads.batch import can_fuse
-        from repro.ads.runtime import ADSConfig, ADSPipeline
-        ads = replace(ADSConfig(), planner_divisor=6)
-        assert not can_fuse(ADSPipeline(ads))
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_mixed_group_fuses_only_value_faults(self, monkeypatch,
+                                                 tmp_path, workers):
+        """A scenario with ``LANES`` value faults and some interface
+        faults fuses exactly the value faults, runs the interface faults
+        scalar, and equals the reference loop, serial and pooled."""
+        campaign = Campaign(small_scenarios()[:1], CampaignConfig())
+        jobs = mixed_group(campaign)
+        log = tmp_path / "attaches.txt"
+        log_fused_attaches(monkeypatch, log)
+        summary = campaign.run_jobs(jobs, workers=workers)
+        assert strip_wall(summary.records) == \
+            strip_wall(reference_records(campaign, jobs))
+        attaches = log.read_text().split("\n")[:-1]
+        assert attaches == ["1 0"] * parallel.LANES
 
+    def test_ttl_config_runs_every_job_scalar(self, monkeypatch, lanes):
+        """``planner_divisor=6`` leaves plans staler than the default
+        degradation TTL, so :func:`can_fuse` rejects every job: nothing
+        fuses, the safe-stop fallback engages routinely, and the records
+        still equal the scalar oracle, degradation included."""
+        from repro.ads.batch import can_fuse
+        from repro.ads.runtime import ADSConfig
+        ads = replace(ADSConfig(), planner_divisor=6)
+        assert not can_fuse(ads, ())
+
+        attached = count_fused_attaches(monkeypatch)
         campaign = Campaign(small_scenarios(), CampaignConfig(ads=ads))
         sink = ListSink()
         campaign.random_campaign(8, seed=5, interface_share=0.3,
@@ -211,6 +267,7 @@ class TestFusedADSPath:
             campaign, random_jobs(campaign, 8, seed=5, interface_share=0.3)))
         assert strip_wall(sink.records) == reference
         assert any(row["degraded"] for row in reference)
+        assert not attached
 
 
 class TestCheckpointForkOracle:
@@ -247,12 +304,12 @@ class TestCheckpointForkOracle:
                 safety_config=config.safety, seed=config.seed,
                 checkpoints=checkpoints,
                 horizon_after_fault=config.horizon_after_fault,
-                batch_size=BATCH, record_trace=False)
+                batch_size=BATCH)
             rows = []
             for result in results:
                 row = asdict(result)
                 row.pop("wall_seconds")
-                row.pop("trace")     # None with record_trace=False
+                row.pop("trace")     # empty: batched runs record none
                 rows.append(row)
             return rows
 
@@ -285,3 +342,32 @@ class TestFusedWallClock:
         elapsed = time.perf_counter() - start
         assert attached, "the dense group did not fuse"
         assert 0.0 < summary.wall_seconds <= elapsed
+
+
+class TestEngineCounters:
+    """The ``engine`` row of ``stage_timings``: jobs per engine, and
+    live lane-ticks against slot-ticks (fused lane occupancy)."""
+
+    def test_job_counts_sum_to_jobs_run(self):
+        campaign = Campaign(small_scenarios()[:1],
+                            CampaignConfig(profile_stages=True))
+        summary = campaign.run_jobs(mixed_group(campaign))
+        engine = summary.extra_info["stage_timings"]["engine"]
+        assert engine["fused_jobs"] + engine["scalar_jobs"] == summary.total
+        assert (engine["fused_jobs"], engine["scalar_jobs"]) == \
+            (parallel.LANES, 3)
+        assert 0.0 < engine["lane_ticks"] / engine["slot_ticks"] <= 1.0
+
+    def test_rows_merge_and_print(self, capsys):
+        summary = CampaignSummary()
+        summary.extra_info["stage_timings"] = {
+            "engine": {"seconds": 0.0, "calls": 0, "fused_jobs": 16,
+                       "scalar_jobs": 4, "lane_ticks": 300,
+                       "slot_ticks": 400}}
+        merged = CampaignSummary.merge([summary, summary])
+        assert merged.extra_info["stage_timings"]["engine"] == {
+            "seconds": 0.0, "calls": 0, "fused_jobs": 32,
+            "scalar_jobs": 8, "lane_ticks": 600, "slot_ticks": 800}
+        _print_summary(merged, "random")
+        assert ("engine: 32 fused jobs, 8 scalar jobs, lane occupancy "
+                "75.0% (600 of 800 slot-ticks)") in capsys.readouterr().out

@@ -2,8 +2,8 @@
 
 The batched engine's contract is *bitwise* equality with the scalar
 :class:`~repro.sim.world.World` oracle, lane for lane, under any lane
-count, lane order, retirement pattern, or snapshot/restore cut.  These
-properties fuzz that contract directly at the
+count, lane order, or retirement pattern.  These properties fuzz that
+contract directly at the
 :class:`~repro.sim.batch.BatchWorldState` level (the campaign-level
 equivalence suite covers the full driver stack).
 """
@@ -48,17 +48,20 @@ def _run_scalar(name, controls, n_steps):
 
 def _run_batched(name, controls, n_steps, retire_at=None, retired=()):
     worlds = _worlds(name, len(controls))
-    batch = BatchWorldState(worlds)
+    batch = BatchWorldState(worlds,
+                            reference=scenario_by_name(name).make_world())
+    throttle, brake, steering = (np.array(column)
+                                 for column in zip(*controls))
     for step in range(n_steps):
         if retire_at is not None and step == retire_at:
             for lane in retired:
                 batch.deactivate(lane)
-        for lane, (throttle, brake, steering) in enumerate(controls):
-            if batch.active[lane]:
-                batch.set_controls(lane, throttle, brake, steering, DT)
+        rows = np.nonzero(batch.active)[0]
+        batch.apply_controls(rows, throttle[rows], brake[rows],
+                             steering[rows], DT)
         batch.step(DT)
-        # The driver scatters every tick so controllers read fresh state;
-        # ``set_controls`` derives actuation from the lane world's ego.
+        # Scattered every step, as at retirement: a world written back
+        # mid-run must hold the same floats as its scalar twin.
         batch.scatter()
     return [_state_tuple(world) for world in batch.worlds]
 
@@ -103,38 +106,3 @@ class TestLaneRetirement:
                              before + after)
         for position, lane in enumerate(survivors):
             assert full[lane] == alone[position]
-
-
-class TestSnapshotRestore:
-    @settings(max_examples=20, deadline=None)
-    @given(scenario_names, batches, st.integers(0, 30),
-           st.integers(1, 30))
-    def test_round_trip_replays_bitwise(self, name, controls, prefix,
-                                        suffix):
-        worlds = _worlds(name, len(controls))
-        batch = BatchWorldState(worlds)
-
-        def advance(n_steps):
-            for _ in range(n_steps):
-                for lane, (throttle, brake, steering) \
-                        in enumerate(controls):
-                    batch.set_controls(lane, throttle, brake, steering,
-                                       DT)
-                batch.step(DT)
-                batch.scatter()
-
-        advance(prefix)
-        snapshot = batch.snapshot()
-        at_cut = [_state_tuple(world) for world in batch.worlds]
-        advance(suffix)
-        batch.scatter()
-        first = [_state_tuple(world) for world in batch.worlds]
-
-        batch.restore(snapshot)
-        batch.scatter()
-        assert [_state_tuple(world) for world in batch.worlds] == at_cut
-        advance(suffix)
-        batch.scatter()
-        second = [_state_tuple(world) for world in batch.worlds]
-        assert second == first
-        assert np.array_equal(batch.active, snapshot.active)
