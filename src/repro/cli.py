@@ -317,11 +317,13 @@ def _print_summary(summary, label: str) -> None:
                   f"{world['detections'] / updates:.2f} detections "
                   f"per update")
         safety = timings.get("safety", {})
-        if "stop_hits" in safety:
-            hits, misses = safety["stop_hits"], safety["stop_misses"]
-            print(f"  stop table: {hits} hits, {misses} misses "
-                  f"({hits / max(hits + misses, 1):.1%} hit rate), "
-                  f"{safety['stop_batches']} bulk batches")
+        for table in ("stop", "excursion"):
+            if f"{table}_hits" in safety:
+                hits, misses, batches = (safety[f"{table}_{event}"] for event
+                                         in ("hits", "misses", "batches"))
+                print(f"  {table} table: {hits} hits, {misses} misses "
+                      f"({hits / max(hits + misses, 1):.1%} hit rate), "
+                      f"{batches} bulk batches")
         collision = timings.get("collision")
         if collision:
             checks = collision["checks"]

@@ -33,9 +33,10 @@ from ..bayesnet.network import LinearGaussianBayesianNetwork
 from ..sim.collision import SENSOR_RANGE
 from ..sim.trace import Trace
 from ..ads.variables import variable_by_name
-from .safety import (SafetyConfig, SafetyPotential, _canonical_stop,
-                     _excursion_rollout, _stop_params, longitudinal_envelope,
-                     steering_excursion, stopping_displacement)
+from .safety import (SafetyConfig, SafetyPotential, _canonical_excursion,
+                     _canonical_stop, _excursion_params, _stop_params,
+                     longitudinal_envelope, steering_excursion,
+                     stopping_displacement)
 from .simulate import FaultSpec, RunResult
 
 #: Nodes of the per-slice BN: kinematic state + actuation commands.
@@ -657,33 +658,38 @@ class BayesianFaultInjector:
 
     def _batch_excursion(self, v: np.ndarray,
                          phi_fault: np.ndarray) -> np.ndarray:
-        """Vectorized :func:`steering_excursion` over the candidate batch."""
-        config = self.safety_config
-        window = 2.0 * self.slice_dt
-        window_q = round(window / 0.05) * 0.05
+        """Vectorized :func:`steering_excursion` over the candidate batch.
+
+        Quantizes exactly like the scalar call and looks the unique
+        (v, phi) pairs up in the same excursion table in one bulk call.
+        """
         v_q = np.round(np.maximum(v, 0.0) / 0.1) * 0.1
         phi_q = np.round(phi_fault / 1e-3) * 1e-3
         pairs = np.column_stack([v_q, phi_q])
         unique, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        peaks = np.array([
-            _excursion_rollout(float(v_i), float(p_i), window_q, 0.6, 0.08,
-                               config.wheelbase, 0.01, 5.0)
-            for v_i, p_i in unique])
-        return peaks[np.ravel(inverse)]
+        peaks = _canonical_excursion.lookup(
+            [(v, p) for v, p in unique.tolist()],
+            _excursion_params(2.0 * self.slice_dt, self.safety_config))
+        return np.array(peaks)[np.ravel(inverse)]
 
     def _score_candidates(self, cols: Mapping[str, np.ndarray],
                           node: str, node_values: np.ndarray,
                           recovery: float,
                           posterior: tuple[list[str], np.ndarray]
-                          ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`predicted_potential` over aligned candidate arrays.
+                          ) -> tuple[np.ndarray, ...]:
+        """Batched :meth:`predicted_potential` over aligned candidate
+        arrays, short of the stop and excursion lookups.
 
         ``cols`` holds the scene columns (one row per candidate) and
         ``node_values`` the already-transformed BN intervention values.
         ``posterior`` supplies the actuation-posterior means as
         ``(query order, estimate matrix)`` — the miner computes those for
-        every node with one stacked matmul.  Returns ``(delta_long,
-        delta_lat)`` arrays.
+        every node with one stacked matmul.  Returns the unsummed parts
+        ``(envelope, v_hat, phi, clearance, v, phi_fault, drift)``:
+        ``delta_long = envelope - stop(v_hat, phi)`` and ``delta_lat =
+        clearance - excursion(v, phi_fault) - |drift|``, so the miner
+        resolves a whole scenario's stops and excursions in one table
+        lookup each (see :meth:`_resolve_potentials`).
         """
         n = len(node_values)
         query, estimate = posterior
@@ -756,12 +762,9 @@ class BayesianFaultInjector:
         envelope = np.where(far, SENSOR_RANGE,
                             gap_hat + np.maximum(lead_speed, 0.0) ** 2
                             / denom)
-        stop_long = self._batch_stop_longitudinal(v_hat, cols["steering"])
-        delta_long = envelope - stop_long
 
         # Lateral potential.
         phi_fault = actuation[2]["steering"]
-        excursion = self._batch_excursion(cols["v"], phi_fault)
         if node == "steering":
             drift = np.zeros(n)
         else:
@@ -769,7 +772,19 @@ class BayesianFaultInjector:
         direction = np.where(np.abs(phi_fault) > 1e-3, phi_fault, drift)
         clearance = np.where(direction >= 0.0, cols["lat_free_up"],
                              cols["lat_free_down"])
-        delta_lat = clearance - excursion - np.abs(drift)
+        return (envelope, v_hat, cols["steering"], clearance, cols["v"],
+                phi_fault, drift)
+
+    def _resolve_potentials(self, parts: list[tuple[np.ndarray, ...]]
+                            ) -> tuple[np.ndarray, np.ndarray]:
+        """``(delta_long, delta_lat)`` of :meth:`_score_candidates`
+        parts, concatenated in order, with one stop-table and one
+        excursion-table lookup for all of them."""
+        envelope, v_hat, phi, clearance, v, phi_fault, drift = (
+            np.concatenate(column) for column in zip(*parts))
+        delta_long = envelope - self._batch_stop_longitudinal(v_hat, phi)
+        delta_lat = (clearance - self._batch_excursion(v, phi_fault)
+                     - np.abs(drift))
         return delta_long, delta_lat
 
     def mine_critical_faults_batched(
@@ -835,7 +850,8 @@ class BayesianFaultInjector:
             # every mined node; per-variable scoring below only adds the
             # rank-1 intervention-value term.
             scene_base = scene_matrix @ stacked_gain.T
-            combos: list[tuple[str, float, np.ndarray, np.ndarray]] = []
+            combos: list[tuple[str, float]] = []
+            parts = []
             for variable in variables:
                 mapping = NODE_MAPPING[variable]
                 transform = _BATCH_TRANSFORMS[mapping.transform]
@@ -849,22 +865,23 @@ class BayesianFaultInjector:
                 estimate = (np.tile(scene_base[:, columns],
                                     (len(values), 1))
                             + node_values[:, None] * value_gain + offset)
-                delta_long, delta_lat = self._score_candidates(
+                parts.append(self._score_candidates(
                     batch.tiled(len(values)), mapping.node, node_values,
-                    mapping.recovery, posterior=(query, estimate))
-                for k, value in enumerate(values):
-                    block = slice(k * batch.n, (k + 1) * batch.n)
-                    combos.append((variable, value, delta_long[block],
-                                   delta_lat[block]))
-                    n_scored += batch.n
-            minima = np.stack([np.minimum(d_long, d_lat)
-                               for _, _, d_long, d_lat in combos])
+                    mapping.recovery, posterior=(query, estimate)))
+                combos.extend((variable, value) for value in values)
+            n_scored += len(combos) * batch.n
+            # Rows run combo-major, one block of batch.n scenes per
+            # (variable, value).
+            delta_long, delta_lat = (
+                delta.reshape(len(combos), batch.n)
+                for delta in self._resolve_potentials(parts))
+            minima = np.minimum(delta_long, delta_lat)
             # nonzero on the transpose walks scene-major, combo-minor —
             # the scalar loop's iteration order, so sort ties resolve
             # identically.
             scene_hits, combo_hits = np.nonzero(minima.T <= threshold)
             for s_i, c_i in zip(scene_hits.tolist(), combo_hits.tolist()):
-                variable, value, d_long, d_lat = combos[c_i]
+                variable, value = combos[c_i]
                 scenario, injection_tick, obs_long, obs_lat = \
                     batch.identities[s_i]
                 critical.append(CandidateFault(
@@ -872,8 +889,8 @@ class BayesianFaultInjector:
                     injection_tick=injection_tick,
                     variable=variable,
                     value=value,
-                    predicted_delta_long=float(d_long[s_i]),
-                    predicted_delta_lat=float(d_lat[s_i]),
+                    predicted_delta_long=float(delta_long[c_i, s_i]),
+                    predicted_delta_lat=float(delta_lat[c_i, s_i]),
                     observed_delta_long=obs_long,
                     observed_delta_lat=obs_lat))
         return critical, n_scored, n_scenes

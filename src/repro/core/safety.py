@@ -21,6 +21,17 @@ Laterally, the free distance is the clearance to the road edge and any
 flanking vehicle (see :func:`repro.sim.collision.lateral_clearance`);
 DESIGN.md records why the ego-lane line is not used for the lateral
 *envelope* (steering noise would flag every highway scene).
+
+Two process-wide :class:`StopTable` instances memoize the kinematic
+rollouts by quantized ``(v, phi)`` key: the emergency stops
+(``_canonical_stop``) and the steering-fault excursions the Bayesian
+miner scores lateral potential with (``_canonical_excursion``).  Each
+integrates the keys a lookup misses in one call to its bulk kernel,
+:func:`_bulk_chunk` or :func:`_excursion_kernel`, both bit-identical to
+their scalar oracles :func:`_rk4_stop` and :func:`_excursion_rollout`.
+The oracles stay as the fallback when :func:`_numpy_trig_exact` finds
+numpy's trig differing from :mod:`math`, and serve excursion miss sets
+too small for the kernel to pay.
 """
 
 from __future__ import annotations
@@ -28,8 +39,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -258,49 +269,67 @@ StopTableInfo = namedtuple("StopTableInfo", "hits misses batches currsize")
 
 
 class StopTable:
-    """The process's canonical emergency stops, one table per
-    :class:`SafetyConfig`.
+    """A process's canonical kinematic rollouts, one table per parameter
+    tuple: emergency stops by default, or whatever ``bulk`` integrates.
 
     A lookup takes many quantized ``(v, phi)`` keys at once; the keys
-    the table lacks are integrated together by the bulk kernel and
-    stored.  Each table keeps at most ``maxsize`` entries, dropping the
-    oldest first.  :meth:`cache_info` counts ``hits`` and ``misses``
-    per key looked up, as the ``functools.lru_cache`` this replaces
-    did, plus the bulk ``batches`` integrated.
+    the table lacks are integrated together by ``bulk(keys, params)``
+    and stored.  Each table keeps at most ``maxsize`` entries, dropping
+    the oldest first.  :meth:`cache_info` counts ``hits`` and ``misses``
+    per key looked up, as a ``functools.lru_cache`` would, plus the
+    bulk ``batches`` integrated; with the stage timer on, the same
+    counts land on its ``safety`` row as ``<name>_hits``,
+    ``<name>_misses`` and ``<name>_batches``.
     """
 
-    def __init__(self, maxsize: int = 65536):
+    def __init__(self, bulk: Callable[[list, tuple], list] | None = None,
+                 name: str = "stop", maxsize: int = 65536):
+        self.bulk = bulk or _bulk_stops
         self.maxsize = maxsize
-        self._tables: dict[tuple, dict[tuple[float, float], tuple]] = {}
+        self._events = tuple(f"{name}_{event}"
+                             for event in ("hits", "misses", "batches"))
+        self._tables: dict[tuple, dict[tuple[float, float], object]] = {}
         self.hits = self.misses = self.batches = 0
 
     def lookup(self, keys: list[tuple[float, float]], params: tuple
-               ) -> list[tuple[float, float, float, float, float]]:
-        """Stops ``(x_stop, y_stop, x_window, y_window, t_stop)`` of
-        quantized ``(v, phi)`` keys, in key order, under the
-        :func:`_stop_params` tuple ``params``."""
+               ) -> list:
+        """The rollouts of quantized ``(v, phi)`` keys, in key order,
+        under the parameter tuple ``params``."""
         table = self._tables.setdefault(params, {})
         found = [table.get(key) for key in keys]
         missing = list(dict.fromkeys(
-            key for key, stop in zip(keys, found) if stop is None))
+            key for key, value in zip(keys, found) if value is None))
         hits = len(keys) - len(missing)
         self.hits += hits
         self.misses += len(missing)
         if STAGE_TIMER.enabled:
-            STAGE_TIMER.count("safety", "stop_hits", hits)
-            STAGE_TIMER.count("safety", "stop_misses", len(missing))
-            STAGE_TIMER.count("safety", "stop_batches", int(bool(missing)))
+            for event, n in zip(self._events,
+                                (hits, len(missing), int(bool(missing)))):
+                STAGE_TIMER.count("safety", event, n)
         if not missing:
             return found
         self.batches += 1
-        fresh = dict(zip(missing, _bulk_stops(missing, params)))
+        fresh = dict(zip(missing, self.bulk(missing, params)))
         table.update(fresh)
         overflow = len(table) - self.maxsize
         if overflow > 0:
             for key in list(itertools.islice(table, overflow)):
                 del table[key]
-        return [fresh[key] if stop is None else stop
-                for key, stop in zip(keys, found)]
+        return [fresh[key] if value is None else value
+                for key, value in zip(keys, found)]
+
+    def lookup_one(self, key: tuple[float, float], params: tuple):
+        """:meth:`lookup` of one key, without the batch bookkeeping on a
+        hit."""
+        table = self._tables.get(params)
+        value = table.get(key) if table else None
+        if value is None:
+            return self.lookup([key], params)[0]
+        self.hits += 1
+        if STAGE_TIMER.enabled:
+            for event, n in zip(self._events, (1, 0, 0)):
+                STAGE_TIMER.count("safety", event, n)
+        return value
 
     def cache_info(self) -> StopTableInfo:
         """Lookup counters and entries held, across every table."""
@@ -337,8 +366,8 @@ def stopping_displacement(v: float, theta: float, phi: float,
     heading then rotates that stop rigidly.
     """
     config = config or SafetyConfig()
-    x_stop, y_stop, x_window, y_window, t_stop = _canonical_stop.lookup(
-        [_quantize(v, phi)], _stop_params(config))[0]
+    x_stop, y_stop, x_window, y_window, t_stop = _canonical_stop.lookup_one(
+        _quantize(v, phi), _stop_params(config))
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     longitudinal = x_stop * cos_t - y_stop * sin_t
     lateral = x_window * sin_t + y_window * cos_t
@@ -346,7 +375,6 @@ def stopping_displacement(v: float, theta: float, phi: float,
                                 stop_time=t_stop)
 
 
-@lru_cache(maxsize=65536)
 def _excursion_rollout(v: float, phi_fault: float, window: float,
                        slew_rate: float, recovery_phi: float,
                        wheelbase: float, dt: float,
@@ -357,6 +385,8 @@ def _excursion_rollout(v: float, phi_fault: float, window: float,
     (the corruption persists at the actuation interface), then the lane
     keeper counters with its ``recovery_phi`` authority until the heading
     re-crosses zero.  Speed is held constant — the episode is short.
+    This is the scalar reference of the excursion table's bulk kernel
+    (:func:`_excursion_kernel`), and its path for small miss sets.
     """
     y = theta = phi = 0.0
     t = 0.0
@@ -377,20 +407,110 @@ def _excursion_rollout(v: float, phi_fault: float, window: float,
     return peak
 
 
+def _excursion_kernel(v0: list[float], phi_faults: list[float],
+                      window: float, slew_rate: float, recovery_phi: float,
+                      wheelbase: float, dt: float, max_time: float
+                      ) -> list[float]:
+    """:func:`_excursion_rollout` for many keys at once, bit for bit.
+
+    Every key steps through time together on ``(y, theta, phi, peak)``
+    arrays; a key that meets the early exit leaves the active arrays
+    with its peak.  Each element sees the scalar loop's float
+    operations in the same order: ``min``/``max`` become ``where`` on
+    the same comparisons, and ``tan`` stays :func:`math.tan`, which
+    ``np.tan`` does not match bit for bit.
+    """
+    peaks = [0.0] * len(v0)
+    rows = np.arange(len(v0))
+    v = np.array(v0, dtype=float)
+    fault = np.array(phi_faults, dtype=float)
+    y = np.zeros(len(v0))
+    theta = np.zeros(len(v0))
+    phi = np.zeros(len(v0))
+    peak = np.zeros(len(v0))
+    high, low = slew_rate * dt, -slew_rate * dt
+    t = 0.0
+    while t < max_time:
+        if t < window:
+            # No key has left yet, so ``fault`` needs no filtering.
+            target = fault
+        else:
+            done = (np.abs(theta) < 1e-4) & (np.abs(y) <= peak)
+            if done.any():
+                for row, value in zip(rows[done].tolist(),
+                                      peak[done].tolist()):
+                    peaks[row] = value
+                live = ~done
+                rows, v, y, theta, phi, peak = (
+                    rows[live], v[live], y[live], theta[live], phi[live],
+                    peak[live])
+                if not len(rows):
+                    return peaks
+            target = np.where(theta > 0, -recovery_phi, recovery_phi)
+        step = target - phi
+        step = np.where(high < step, high, step)
+        phi = phi + np.where(low > step, low, step)
+        tan_phi = np.fromiter(map(math.tan, phi.tolist()), float, len(phi))
+        theta = theta + v * tan_phi / wheelbase * dt
+        y = y + v * np.sin(theta) * dt
+        drift = np.abs(y)
+        peak = np.where(drift > peak, drift, peak)
+        t += dt
+    for row, value in zip(rows.tolist(), peak.tolist()):
+        peaks[row] = value
+    return peaks
+
+
+#: Miss sets smaller than this run through the scalar
+#: :func:`_excursion_rollout`: the kernel's fixed cost of one numpy step
+#: per time step outweighs its per-key saving below about this size.
+_EXCURSION_BREAK_EVEN = 30
+
+
+def _bulk_excursions(keys: list[tuple[float, float]], params: tuple
+                     ) -> list[float]:
+    """Peak excursions of many ``(v, phi_fault)`` keys, in key order.
+
+    Miss sets of at least :data:`_EXCURSION_BREAK_EVEN` keys run through
+    :func:`_excursion_kernel`; smaller ones, and every set on hosts that
+    fail :func:`_numpy_trig_exact`, run key by key through the scalar
+    :func:`_excursion_rollout`.
+    """
+    if len(keys) < _EXCURSION_BREAK_EVEN or not _numpy_trig_exact():
+        return [_excursion_rollout(v, phi, *params) for v, phi in keys]
+    return _excursion_kernel([v for v, _ in keys], [phi for _, phi in keys],
+                             *params)
+
+
+#: The excursion table every caller in this process shares.
+_canonical_excursion = StopTable(_bulk_excursions, "excursion")
+
+
+def _excursion_params(window: float, config: SafetyConfig,
+                      slew_rate: float = 0.6, recovery_phi: float = 0.08
+                      ) -> tuple[float, float, float, float, float, float]:
+    """The :func:`_excursion_rollout` arguments after ``(v, phi_fault)``,
+    with the window quantized; each distinct tuple has its own
+    excursion table."""
+    return (round(window / 0.05) * 0.05, slew_rate, recovery_phi,
+            config.wheelbase, 0.01, 5.0)
+
+
 def steering_excursion(v: float, phi_fault: float, window: float,
                        slew_rate: float = 0.6, recovery_phi: float = 0.08,
                        config: SafetyConfig | None = None) -> float:
     """Predicted lateral excursion of a steering fault (see above).
 
     Used by the Bayesian engine to predict physical lane/road departure;
-    inputs are quantized so repeated queries hit a cache.
+    inputs are quantized and the peak is read from the process's
+    excursion table, which the batched miner fills in bulk.
     """
     config = config or SafetyConfig()
     v_q = round(max(v, 0.0) / 0.1) * 0.1
     phi_q = round(phi_fault / 1e-3) * 1e-3
-    window_q = round(window / 0.05) * 0.05
-    return _excursion_rollout(v_q, phi_q, window_q, slew_rate,
-                              recovery_phi, config.wheelbase, 0.01, 5.0)
+    return _canonical_excursion.lookup_one(
+        (v_q, phi_q),
+        _excursion_params(window, config, slew_rate, recovery_phi))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Tests for the kinematic safety model (d_stop, d_safe, delta), its
-bulk stop table, and the deferred safety monitor of the tick loop."""
+bulk stop and excursion tables, and the deferred safety monitor of the
+tick loop."""
 
 from dataclasses import replace
 
@@ -9,14 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ads.runtime import ADSConfig, ADSPipeline
-from repro.core import (Campaign, CampaignConfig, CampaignSummary, FaultSpec,
-                        Hazard, SafetyConfig, SafetyPotential,
-                        bulk_safety_potential, longitudinal_envelope,
-                        run_scenario, run_scenario_from_checkpoint,
-                        safety_potential, stopping_displacement,
+from repro.cli import _print_summary
+from repro.core import (BayesianFaultInjector, Campaign, CampaignConfig,
+                        CampaignSummary, FaultSpec, Hazard, SafetyConfig,
+                        SafetyPotential, bulk_safety_potential,
+                        longitudinal_envelope, run_scenario,
+                        run_scenario_from_checkpoint, safety_potential,
+                        steering_excursion, stopping_displacement,
                         world_safety_inputs, world_safety_potential)
 from repro.core import safety
-from repro.core.safety import (StopTable, _bulk_chunk, _bulk_stops,
+from repro.core.safety import (StopTable, _bulk_chunk, _bulk_excursions,
+                               _bulk_stops, _excursion_kernel,
+                               _excursion_params, _excursion_rollout,
                                _rk4_stop, _stop_params)
 from repro.core.simulate import _arm_faults, _fault_schedule, _SafetyMonitor
 from repro.sim import (SENSOR_RANGE, NPCVehicle, World, highway_cruise,
@@ -233,6 +238,11 @@ class TestStopTable:
         assert (info.hits, info.misses, info.batches) == (1, 2, 1)
         table.lookup([(20.0, 0.0)], params)
         assert table.cache_info()[:3] == (2, 2, 1)
+        assert table.lookup_one((10.0, 0.0), params) == stops[0]
+        assert table.cache_info()[:3] == (3, 2, 1)
+        assert _bits([table.lookup_one((5.0, 0.1), params)]) == _bits(
+            _scalar([(5.0, 0.1)], params))
+        assert table.cache_info()[:3] == (3, 3, 2)
         assert _bits(stops[:2]) == _bits(
             _scalar([(10.0, 0.0), (20.0, 0.0)], params))
 
@@ -311,6 +321,147 @@ class TestBulkSafetyPotential:
         potential = world_safety_potential(world)
         assert (longitudinal[0], lateral[0]) == (potential.longitudinal,
                                                  potential.lateral)
+
+
+# -- the excursion table and its bulk kernel ----------------------------------
+
+def _hex(peaks):
+    """Peaks as exact bit patterns."""
+    return [peak.hex() for peak in peaks]
+
+
+def _rollouts(keys, params):
+    return [_excursion_rollout(v, phi, *params) for v, phi in keys]
+
+
+def _kernel(keys, params):
+    return _excursion_kernel([v for v, _ in keys], [phi for _, phi in keys],
+                             *params)
+
+
+#: (window, slew rate, recovery authority, wheelbase, dt, horizon).  A
+#: 6 s window outlasts every horizon; zero recovery authority never
+#: brings the heading back, so those keys run to the horizon.
+excursion_params = st.tuples(
+    st.sampled_from([0.0, 0.05, 0.2, 0.5, 6.0]), st.sampled_from([0.6, 2.0]),
+    st.sampled_from([0.0, 0.02, 0.08]), st.sampled_from([2.8, 3.5]),
+    st.sampled_from([0.01, 0.02]), st.sampled_from([0.3, 1.0, 5.0]))
+excursion_keys = st.tuples(
+    st.one_of(st.just(0.0), st.floats(0.0, 45.0)),
+    st.one_of(st.sampled_from([0.0, -0.0, 0.6, -0.6]),
+              st.floats(-0.6, 0.6)))
+BREAK_EVEN = safety._EXCURSION_BREAK_EVEN
+
+
+@needs_exact_trig
+class TestExcursionKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(keys=st.lists(excursion_keys, min_size=1,
+                         max_size=2 * BREAK_EVEN),
+           params=excursion_params)
+    def test_kernel_equals_rollout_bitwise(self, keys, params):
+        # Duplicates ride along; the sizes straddle the break-even, so
+        # _bulk_excursions takes both of its paths.
+        keys = keys + keys[:3]
+        expected = _hex(_rollouts(keys, params))
+        assert _hex(_kernel(keys, params)) == expected
+        assert _hex(_bulk_excursions(keys, params)) == expected
+
+    @pytest.mark.parametrize("params, keys", [
+        # v = 0, signed zero and the extreme faults, duplicated.
+        (_excursion_params(0.2, SafetyConfig()),
+         [(0.0, 0.3), (0.0, -0.0), (20.0, 0.0), (20.0, -0.0), (20.0, 0.6),
+          (20.0, -0.6), (20.0, 0.6), (33.3, -0.6)]),
+        # Window 0: recovery from the first step.
+        ((0.0, 0.6, 0.08, 2.8, 0.01, 5.0), [(0.0, 0.1), (25.0, 0.2)]),
+        # The window outlasts the horizon: no early exit at all.
+        ((6.0, 0.6, 0.08, 2.8, 0.01, 5.0), [(10.0, 0.05), (30.0, -0.4)]),
+        # No recovery authority: the heading never re-crosses zero.
+        ((0.2, 0.6, 0.0, 2.8, 0.01, 5.0), [(10.0, 0.05), (30.0, -0.4),
+                                           (0.0, 0.2)]),
+    ])
+    def test_edge_cases(self, params, keys):
+        assert _hex(_kernel(keys, params)) == _hex(_rollouts(keys, params))
+
+    def test_never_recrossing_keys_run_to_the_horizon(self):
+        keys = [(30.0, 0.3)]
+        short = (0.2, 0.6, 0.0, 2.8, 0.01, 1.0)
+        long = (0.2, 0.6, 0.0, 2.8, 0.01, 2.0)
+        assert _kernel(keys, long)[0] > _kernel(keys, short)[0] > 0.0
+
+    @pytest.mark.parametrize("size", [BREAK_EVEN - 1, BREAK_EVEN,
+                                      BREAK_EVEN + 1])
+    def test_break_even_picks_the_path(self, size, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _excursion_rollout(*args)
+
+        keys = [(0.5 * i, (i % 13 - 6) * 0.05) for i in range(size)]
+        params = _excursion_params(0.2, SafetyConfig())
+        expected = _hex(_rollouts(keys, params))
+        monkeypatch.setattr(safety, "_excursion_rollout", counted)
+        assert _hex(_bulk_excursions(keys, params)) == expected
+        assert len(calls) == (size if size < BREAK_EVEN else 0)
+
+
+class TestExcursionTable:
+    def test_trig_self_check_failure_falls_back_to_scalar(self,
+                                                          monkeypatch):
+        keys = [(0.5 * i, (i % 7 - 3) * 0.1) for i in range(2 * BREAK_EVEN)]
+        params = _excursion_params(0.2, SafetyConfig())
+        expected = _hex(_rollouts(keys, params))
+
+        real_sin = np.sin
+        monkeypatch.setattr(safety, "_TRIG_EXACT", None)
+        monkeypatch.setattr(safety.np, "sin",
+                            lambda a: np.nextafter(real_sin(a), np.inf))
+        assert not safety._numpy_trig_exact()
+        monkeypatch.setattr(safety.np, "sin", real_sin)
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _excursion_rollout(*args)
+
+        monkeypatch.setattr(safety, "_excursion_rollout", counted)
+        table = StopTable(_bulk_excursions, "excursion")
+        assert _hex(table.lookup(keys + keys[:2], params)) == \
+            expected + expected[:2]
+        assert len(calls) == len(keys)              # distinct keys
+        assert table.cache_info()[:3] == (2, len(keys), 1)
+
+    def test_steering_excursion_matches_the_batched_miner(self,
+                                                          monkeypatch):
+        scenarios = [replace(highway_cruise(), duration=12.0),
+                     replace(lead_vehicle_cutin(), duration=12.0)]
+        campaign = Campaign(scenarios, CampaignConfig())
+        injector = BayesianFaultInjector.train(
+            list(campaign.golden_runs().values()),
+            safety_config=campaign.config.safety)
+        table = safety._canonical_excursion
+        table.cache_clear()
+        seen = {}
+        real_lookup = table.lookup
+
+        def recording(keys, params):
+            peaks = real_lookup(keys, params)
+            seen.update(((params, key), peak)
+                        for key, peak in zip(keys, peaks))
+            return peaks
+
+        monkeypatch.setattr(table, "lookup", recording)
+        injector.mine_critical_faults_batched(campaign.scene_rows())
+        monkeypatch.undo()
+        assert len(seen) >= BREAK_EVEN
+        # A cold table serves each one-key call from the scalar rollout.
+        table.cache_clear()
+        config = campaign.config.safety
+        for ((window, slew, recovery, *_), (v, phi)), peak in seen.items():
+            assert steering_excursion(
+                v, phi, window, slew, recovery, config).hex() == peak.hex()
 
 
 # -- the deferred monitor of the tick loop ------------------------------------
@@ -434,3 +585,59 @@ class TestSafetyProfile:
         doubled = merged.extra_info["stage_timings"]["safety"]
         assert doubled == {name: 2 * value
                            for name, value in safety_row.items()}
+
+    def test_excursion_table_counts_in_a_bayesian_campaign(self,
+                                                           monkeypatch):
+        # The cut-in mines enough distinct keys for the kernel.
+        scenarios = [replace(highway_cruise(), duration=12.0),
+                     replace(lead_vehicle_cutin(), duration=20.0)]
+        campaign = Campaign(scenarios, CampaignConfig(profile_stages=True))
+        table = safety._canonical_excursion
+        table.cache_clear()
+        scored, miss_sets, rollouts = [], [], []
+        real_lookup, real_bulk = table.lookup, table.bulk
+
+        def recording_lookup(keys, params):
+            scored.extend((params, key) for key in keys)
+            return real_lookup(keys, params)
+
+        def recording_bulk(keys, params):
+            miss_sets.append(len(keys))
+            return real_bulk(keys, params)
+
+        def counted(*args):
+            rollouts.append(args)
+            return _excursion_rollout(*args)
+
+        monkeypatch.setattr(table, "lookup", recording_lookup)
+        monkeypatch.setattr(table, "bulk", recording_bulk)
+        monkeypatch.setattr(safety, "_excursion_rollout", counted)
+        result = campaign.bayesian_campaign(top_k=2)
+        row = result.summary.extra_info["stage_timings"]["safety"]
+        assert row["excursion_misses"] == len(set(scored))
+        assert row["excursion_hits"] == len(scored) - len(set(scored))
+        assert row["excursion_batches"] == len(miss_sets)
+        assert sum(miss_sets) == len(set(scored))
+        if safety._numpy_trig_exact():
+            # The kernel serves every miss set from the break-even up;
+            # the scalar rollout runs only below it.
+            assert max(miss_sets) >= BREAK_EVEN
+            assert len(rollouts) == sum(n for n in miss_sets
+                                        if n < BREAK_EVEN)
+
+        merged = CampaignSummary.merge([result.summary, result.summary])
+        doubled = merged.extra_info["stage_timings"]["safety"]
+        assert doubled == {name: 2 * value for name, value in row.items()}
+
+    def test_cli_prints_both_tables(self, capsys):
+        summary = CampaignSummary()
+        summary.extra_info["stage_timings"] = {"safety": {
+            "seconds": 0.1, "calls": 40, "stop_hits": 30, "stop_misses": 10,
+            "stop_batches": 2, "excursion_hits": 5, "excursion_misses": 15,
+            "excursion_batches": 3}}
+        _print_summary(CampaignSummary.merge([summary, summary]), "mined")
+        out = capsys.readouterr().out
+        assert ("stop table: 60 hits, 20 misses (75.0% hit rate), 4 bulk "
+                "batches") in out
+        assert ("excursion table: 10 hits, 30 misses (25.0% hit rate), 6 "
+                "bulk batches") in out
