@@ -24,14 +24,18 @@ engines), ``gap_ticks`` forks replayed before their fault,
 validation jobs each engine ran (``fused_jobs``, ``scalar_jobs``) and,
 per fused tick, the live lanes (``lane_ticks``) against the batch's
 slots (``slot_ticks``): their ratio is the fused lane occupancy.
+The untimed ``golden`` row counts golden ``runs``, the ``ticks`` they
+simulated, and the ``cut_ticks`` a run stopped at its last forkable
+tick left unsimulated.
 
 The timer is explicitly enabled (``--profile-stages`` /
 ``CampaignConfig.profile_stages``); disabled — the default — the hot
 paths pay one attribute check per stage boundary and nothing else.
-Being process-global, the counters cover work executed in the calling
-process: serial campaigns are captured exactly, while pool/pipeline
-workers accumulate into their own (uncollected) timers — profile with
-``workers=1`` to attribute everything.
+Being process-global, the counters cover work executed in one process:
+each pool worker ships its counts for a job back with the job's result
+(:meth:`StageTimer.counts`), and the driver adds them to its own timer
+(:meth:`StageTimer.absorb`), so pooled campaigns are attributed like
+serial ones.
 """
 
 from __future__ import annotations
@@ -41,8 +45,9 @@ import time
 #: Stage keys in control-cycle order (:data:`repro.ads.channels.CHANNELS`).
 STAGES = ("sensing", "perception", "world_model", "planning", "actuation")
 #: Every reported layer: the stages, the safety monitor, then the
-#: collision, checkpoint and engine counts.
-LAYERS = STAGES + ("safety", "collision", "checkpoint", "engine")
+#: collision, checkpoint, engine and golden counts.
+LAYERS = STAGES + ("safety", "collision", "checkpoint", "engine",
+                   "golden")
 
 
 class StageTimer:
@@ -78,6 +83,20 @@ class StageTimer:
             return
         events = self.events[layer]
         events[event] = events.get(event, 0) + n
+
+    def counts(self) -> tuple:
+        """Every counter, as a picklable ``(nanos, calls, events)``."""
+        return self.nanos, self.calls, self.events
+
+    def absorb(self, counts: tuple) -> None:
+        """Add another timer's :meth:`counts` to this one's."""
+        nanos, calls, events = counts
+        for layer in LAYERS:
+            self.nanos[layer] += nanos[layer]
+            self.calls[layer] += calls[layer]
+            mine = self.events[layer]
+            for event, n in events[layer].items():
+                mine[event] = mine.get(event, 0) + n
 
     def report(self) -> dict:
         """``{layer: {"seconds": ..., "calls": ..., **events}}`` for

@@ -116,8 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                "planning/actuation) and for the safety "
                                "monitor, plus stop-table hits/misses/"
                                "bulk batches, and print them with the "
-                               "summary; counters cover this process "
-                               "only, so profile with --workers 1")
+                               "summary; pool workers' counters are "
+                               "merged in")
 
     workers_help = ("processes for golden-run collection and experiment "
                     "validation (default serial)")
@@ -348,6 +348,12 @@ def _print_summary(summary, label: str) -> None:
             print(f"  engine: {fused} fused jobs, {scalar} scalar jobs, "
                   f"lane occupancy {live / max(slots, 1):.1%} ({live} of "
                   f"{slots} slot-ticks)")
+        golden = timings.get("golden")
+        if golden:
+            print(f"  golden: {golden.get('runs', 0)} runs, "
+                  f"{golden.get('ticks', 0)} ticks simulated, "
+                  f"{golden.get('cut_ticks', 0)} cut after the last "
+                  f"forkable tick")
 
 
 def _split_list(value: str | None) -> tuple[str, ...] | None:

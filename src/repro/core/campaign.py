@@ -51,7 +51,12 @@ class CampaignConfig:
     fault_duration_ticks: int = 4
     horizon_after_fault: float = 8.0       # s of post-fault monitoring
     injection_window_start: float = 2.0    # s: skip the startup transient
-    injection_window_margin: float = 9.0   # s kept free at scenario end
+    #: Seconds kept free at the scenario's end, so every experiment keeps
+    #: its post-fault horizon.  It also bounds golden runs of campaigns
+    #: whose jobs are known before them (random, exhaustive,
+    #: architectural, ``run_jobs``): those stop at the last tick a job
+    #: can fork from, which is the window's end unless a job lies past it.
+    injection_window_margin: float = 9.0
     seed: int = 0
     #: Cross-host sharding: this process owns every scenario whose index
     #: satisfies ``index % shard_count == shard_index``.  The default
@@ -69,9 +74,9 @@ class CampaignConfig:
     #: with the stop table's hits, misses and bulk batches on the
     #: ``safety`` row), surfaced as the ``stage_timings`` block of the
     #: summary's ``extra_info``.
-    #: Observability only — outside the cache fingerprint, and the
-    #: counters cover calling-process work (profile with ``workers=1``
-    #: to attribute everything; see :mod:`repro.ads.profiling`).
+    #: Observability only — outside the cache fingerprint; pool workers
+    #: ship their counts back with each job (see
+    #: :mod:`repro.ads.profiling`).
     profile_stages: bool = False
 
     def __post_init__(self):
@@ -144,14 +149,22 @@ class Campaign:
         simulation entirely; their checkpoints are then warm-started
         from the persisted store (or rebuilt lazily) per scenario the
         first time jobs need them.
+
+        Always complete runs: a run an earlier campaign cut at its last
+        forkable tick (``RunResult.cut_tick``) is simulated again in
+        full.
         """
         if self._golden is None:
             self._golden = self._load_golden_cache()
-        if self._golden is None:
+        fresh = self._golden is None
+        if fresh or any(run.cut_tick is not None
+                        for run in self._golden.values()):
             from .pipeline import StagePlan
             self._run_pipeline(StagePlan(style="golden", golden_scope="all"),
                                workers)
-            self._ensure_checkpoints(s.name for s in self.owned_scenarios())
+            if fresh:   # completing cut runs leaves their ladders be
+                self._ensure_checkpoints(
+                    s.name for s in self.owned_scenarios())
         return self._golden
 
     def golden_trace_store(self):
@@ -243,7 +256,8 @@ class Campaign:
         with ``cache_dir``, one a previous process persisted (the spool
         *is* the checkpoint cache then).  A scenario with neither
         re-simulates one fault-free prefix run that snapshots every
-        eligible injection tick, and spills the ladder.
+        eligible injection tick, and spills the ladder.  A prefix run
+        stops after its last capture tick.
 
         ``demand`` (scenario name -> ticks its jobs fork from) names the
         ticks instead: a missing ladder captures just those, and a held
@@ -271,7 +285,8 @@ class Campaign:
             run = run_scenario(
                 self._by_name[name], ads_config=self.config.ads,
                 seed=self.config.seed, safety_config=self.config.safety,
-                record_trace=False, checkpoint_ticks=capture)
+                record_trace=False, checkpoint_ticks=capture,
+                end_tick=max(capture, default=-1) + 1)
             if run.checkpoints:
                 store.add_all(run.checkpoints)
                 store.save_scenario(spool, name)
@@ -534,7 +549,7 @@ class Campaign:
         adopted = False
         for name, run in runs.items():
             if not isinstance(run.trace, StoredTrace):
-                run.trace = store.put(name, run.trace)
+                run.trace = store.put(run.trace_name, run.trace)
                 adopted = True
         return adopted
 

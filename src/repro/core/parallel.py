@@ -152,10 +152,14 @@ def execute_experiment_batch(scenario: Scenario,
 
 def _golden_run(scenario: Scenario, config: "CampaignConfig",
                 capture_ticks: list[int] | None,
-                trace_spool: str | Path | None = None) -> RunResult:
+                trace_spool: str | Path | None = None,
+                end_tick: int | None = None) -> RunResult:
     """One scenario's fault-free reference run (+ checkpoint ladder).
 
-    With a ``trace_spool`` directory the trace is written to the
+    ``end_tick`` stops the run there (one past its last forkable tick,
+    when the campaign's jobs are known in advance); the result is then
+    marked cut (``RunResult.cut_tick``) unless it ended sooner.  With a
+    ``trace_spool`` directory the trace is written to the
     columnar :class:`repro.sim.TraceStore` spool *worker-side* and the
     returned result carries a memory-mapped handle instead of the
     samples — what keeps the parent's golden set O(file handles) and
@@ -164,10 +168,17 @@ def _golden_run(scenario: Scenario, config: "CampaignConfig",
     result = run_scenario(
         scenario, ads_config=config.ads, seed=config.seed,
         safety_config=config.safety, record_trace=True,
-        checkpoint_ticks=capture_ticks)
+        checkpoint_ticks=capture_ticks, end_tick=end_tick)
+    dt = config.ads.control_period
+    ticks = round(result.sim_seconds / dt)
+    STAGE_TIMER.count("golden", "runs", 1)
+    STAGE_TIMER.count("golden", "ticks", ticks)
+    STAGE_TIMER.count("golden", "cut_ticks",
+                      round(scenario.duration / dt) - ticks
+                      if result.cut_tick is not None else 0)
     if trace_spool is not None:
         from ..sim.trace import TraceStore
-        result.trace = TraceStore(trace_spool).put(scenario.name,
+        result.trace = TraceStore(trace_spool).put(result.trace_name,
                                                    result.trace)
     return result
 

@@ -382,7 +382,9 @@ def run_result_to_dict(run: RunResult,
     With a ``trace_store`` the trace columns stay in the store's
     columnar ``.npy`` spool (written here if not already spooled) and
     the payload carries only a reference — the bounded-memory cache
-    format of out-of-core campaigns.
+    format of out-of-core campaigns.  ``cut_tick`` keeps a cut run
+    (:attr:`RunResult.cut_tick`) from passing for a complete one; a
+    payload without it (written before runs were cut) is complete.
     """
     payload = {
         "scenario": run.scenario,
@@ -397,12 +399,13 @@ def run_result_to_dict(run: RunResult,
         "landed": run.landed,
         "sim_seconds": run.sim_seconds,
         "wall_seconds": run.wall_seconds,
+        "cut_tick": run.cut_tick,
     }
     if trace_store is not None:
         if not (isinstance(run.trace, StoredTrace)
-                and trace_store.has(run.scenario)):
-            trace_store.put(run.scenario, run.trace)
-        payload["trace_ref"] = run.scenario
+                and trace_store.has(run.trace_name)):
+            trace_store.put(run.trace_name, run.trace)
+        payload["trace_ref"] = run.trace_name
     else:
         arrays = run.trace.as_arrays()
         payload["trace"] = {name: array.tolist()

@@ -203,16 +203,34 @@ def _init_pipeline_worker(scenarios: list[Scenario],
                           trace_spool: str | None = None) -> None:
     global _PIPELINE_STATE
     _PIPELINE_STATE = _WorkerState(scenarios, config, spool, trace_spool)
+    STAGE_TIMER.enabled = config.profile_stages
 
 
-def _pipeline_golden_job(job: tuple[str, tuple[int, ...] | None]
-                         ) -> "RunResult":
+def _profiled(job: tuple[Callable, object]) -> tuple:
+    """``fn(payload)`` in a pool worker, with the job's stage counts.
+
+    Returns ``(value, counts)``: ``counts`` is this worker's
+    :meth:`~repro.ads.profiling.StageTimer.counts` for the job alone
+    (the timer is zeroed first, dropping whatever a fork inherited or
+    a failed job left), or ``None`` when profiling is off.  The driver
+    adds them to its own timer.
+    """
+    fn, payload = job
+    if not STAGE_TIMER.enabled:
+        return fn(payload), None
+    STAGE_TIMER.reset()
+    value = fn(payload)
+    return value, STAGE_TIMER.counts()
+
+
+def _pipeline_golden_job(job: tuple[str, tuple[int, ...] | None,
+                                    int | None]) -> "RunResult":
     assert _PIPELINE_STATE is not None, "pipeline pool not initialized"
-    name, capture = job
+    name, capture, end_tick = job
     return _golden_run(_PIPELINE_STATE.by_name[name],
                        _PIPELINE_STATE.config,
                        list(capture) if capture is not None else None,
-                       _PIPELINE_STATE.trace_spool)
+                       _PIPELINE_STATE.trace_spool, end_tick)
 
 
 def _parts(items: list, size: int) -> list[list]:
@@ -508,8 +526,8 @@ class CampaignPipeline:
                 self._on_goldens_complete()
             for name in warm:                      # scenario order
                 self._handle_golden(name, self.ctx.golden[name])
-            for name, capture in to_simulate:
-                self._submit_golden(name, capture)
+            for name, capture, end_tick in to_simulate:
+                self._submit_golden(name, capture, end_tick)
             self._event_loop()
         except BaseException:
             # On interrupt or failure, kill workers rather than wait
@@ -533,37 +551,80 @@ class CampaignPipeline:
         Warm sources, in order: golden runs already on the campaign
         object, then the golden-trace cache under ``cache_dir`` (the
         full-set file, or this shard's subset file when the plan only
-        needs owned scenarios).  The cache is all-or-nothing.
+        needs owned scenarios; the file is all-or-nothing).  A plan
+        whose jobs are known before its golden runs reuses cut runs
+        too; a plan that reads whole traces (Bayesian training,
+        golden-only collection) treats a cut run as a miss and
+        simulates that scenario again in full.
+
+        Returns ``(warm names, [(name, capture ticks, end tick)])``.
+        Job-known plans end each fresh run at its last forkable tick
+        (:meth:`_golden_end`); the others run to the scenario's end.
         """
         campaign = self.campaign
-        self._fresh_golden = False
+        jobs_known = (self.plan.global_jobs is not None
+                      or self.plan.per_scenario_jobs is not None)
         names = [s.name for s in self._targets]
-        if campaign._golden is not None:
-            self.ctx.golden.update(
-                {name: campaign._golden[name] for name in names})
-            return names, []
-        memo = campaign._golden_shard
-        if memo is not None and all(name in memo for name in names):
-            self.ctx.golden.update({name: memo[name] for name in names})
-            return names, []
-        loaded = self._load_golden_cache()
-        if loaded is not None:
-            self.ctx.golden.update(loaded)
-            return names, []
-        self._fresh_golden = True
-        demand = self._job_demand()
+        golden = self.ctx.golden
+        cut: set[str] = set()
+
+        def take(runs) -> None:
+            for name in names:
+                run = runs.get(name)
+                if name in golden or run is None:
+                    continue
+                if jobs_known or run.cut_tick is None:
+                    golden[name] = run
+                else:
+                    cut.add(name)
+
+        take(campaign._golden or {})
+        take(campaign._golden_shard or {})
+        if len(golden) < len(names):
+            take(self._load_golden_cache() or {})
+        warm = [name for name in names if name in golden]
+        self._fresh_golden = len(warm) < len(names)
+        if not self._fresh_golden:
+            return warm, []
+        demand = self._job_demand() if jobs_known else None
         to_simulate = []
         for scenario in self._targets:
-            capture = None
-            if scenario.name in self._owned_names \
-                    and not campaign.checkpoints.has_scenario(scenario.name):
+            name = scenario.name
+            if name in golden:
+                continue
+            capturing = (name in self._owned_names
+                         and not campaign.checkpoints.has_scenario(name))
+            if demand is None:
+                # Completing a cut run captures nothing: the campaign
+                # that cut it made its ladder, and dispatch recaptures
+                # that if jobs need more.
                 capture = (campaign.schedule_injection_ticks(scenario)
-                           if demand is None
-                           else demand.get(scenario.name, []))
-            to_simulate.append((scenario.name, capture))
-        return [], to_simulate
+                           if capturing and name not in cut else None)
+                to_simulate.append((name, capture, None))
+                continue
+            ticks = demand.get(name, [])
+            if capturing:
+                STAGE_TIMER.count("checkpoint", "demanded_ticks",
+                                  len(ticks))
+            to_simulate.append((name, ticks if capturing else None,
+                                self._golden_end(scenario, ticks)))
+        return warm, to_simulate
 
-    def _job_demand(self) -> "dict[str, list[int]] | None":
+    def _golden_end(self, scenario: Scenario, ticks: list[int]
+                    ) -> int | None:
+        """One past the last tick a job-known golden run must reach.
+
+        That is the later of the last schedule tick and the last tick a
+        job forks from (``ticks``, sorted; a ``run_jobs`` job may lie
+        past the window): every trace row, eligible tick and snapshot
+        the campaign reads comes before it.  ``None`` (run to the end)
+        when neither exists.
+        """
+        last = self.campaign.schedule_injection_ticks(scenario)[-1:] \
+            + ticks[-1:]
+        return max(last) + 1 if last else None
+
+    def _job_demand(self) -> dict[str, list[int]]:
         """The ticks each owned scenario's jobs fork from, named before
         any golden run: what its ladder captures.
 
@@ -572,13 +633,12 @@ class CampaignPipeline:
         on a throwaway context (the real one must memoize only golden
         ticks, or a golden run that ended early would go unnoticed by
         the real draw, whose jobs then fork from the nearest earlier
-        snapshot or cold-start, bit-identically).  ``None`` when the
-        jobs are unknown before the golden runs (Bayesian mining) or
-        absent (golden-only): those ladders hold every eligible tick.
+        snapshot or cold-start, bit-identically).  Called only for
+        plans with a job source: Bayesian mining names its jobs after
+        the golden runs, and golden-only plans have none, so their
+        ladders hold every eligible tick.
         """
         plan = self.plan
-        if plan.global_jobs is None and plan.per_scenario_jobs is None:
-            return None
         scratch = PipelineContext(campaign=self.campaign,
                                   sharded=self.sharded)
         if plan.global_jobs is not None:
@@ -591,8 +651,6 @@ class CampaignPipeline:
         for name, fault in jobs:
             if name in self._owned_names:
                 demand.setdefault(name, set()).add(fault.start_tick)
-        STAGE_TIMER.count("checkpoint", "demanded_ticks",
-                          sum(map(len, demand.values())))
         return {name: sorted(ticks) for name, ticks in demand.items()}
 
     def _load_golden_cache(self):
@@ -602,12 +660,13 @@ class CampaignPipeline:
         return campaign._load_golden_cache_for(
             [s.name for s in self._targets], sharded=True)
 
-    def _submit_golden(self, name: str, capture: list[int] | None) -> None:
+    def _submit_golden(self, name: str, capture: list[int] | None,
+                       end_tick: int | None) -> None:
         if self._pool is None:
             run, failure = run_supervised_serial(
                 lambda: _golden_run(self.campaign._by_name[name],
                                     self.config, capture,
-                                    self._trace_spool),
+                                    self._trace_spool, end_tick),
                 _policy(self.config), self.config.seed, ("golden", name))
             if failure is not None:
                 raise CampaignExecutionError(
@@ -616,8 +675,9 @@ class CampaignPipeline:
                     f"{failure.message}")
             self._handle_golden(name, run)
         else:
-            job = (name, tuple(capture) if capture is not None else None)
-            self._pool.submit(_pipeline_golden_job, job,
+            job = (name, tuple(capture) if capture is not None else None,
+                   end_tick)
+            self._pool.submit(_profiled, (_pipeline_golden_job, job),
                               tag=("golden", name))
 
     def _handle_golden(self, name: str, run: "RunResult") -> None:
@@ -707,10 +767,11 @@ class CampaignPipeline:
         campaign = self.campaign
         campaign._pin_spool(self.ctx.golden)
         if self._targets_all:
-            if campaign._golden is None:
-                campaign._golden = dict(self.ctx.golden)
-                if self._fresh_golden:
-                    campaign._save_golden_cache()
+            # At least as complete as any earlier memo: a run is only
+            # re-simulated when the memo lacked it or held it cut.
+            campaign._golden = dict(self.ctx.golden)
+            if self._fresh_golden:
+                campaign._save_golden_cache()
             return
         merged = dict(campaign._golden_shard or {})
         merged.update(self.ctx.golden)
@@ -817,7 +878,8 @@ class CampaignPipeline:
         for part in map(tuple, parts):
             timeout = (policy.job_timeout * len(part)
                        if policy.job_timeout is not None else None)
-            self._pool.submit(_pipeline_validate_chunk, (name, list(part)),
+            self._pool.submit(_profiled,
+                              (_pipeline_validate_chunk, (name, list(part))),
                               tag=("validate", name, part),
                               timeout=timeout)
 
@@ -876,7 +938,11 @@ class CampaignPipeline:
         if name in self._checkpoints_ready:
             return
         self._checkpoints_ready.add(name)
-        reached = round(self.ctx.golden[name].sim_seconds
+        run = self.ctx.golden[name]
+        # A cut run stopped short of ticks a complete run goes on to
+        # reach, so only its scenario's end bounds the capture.
+        reached = round((self.campaign._by_name[name].duration
+                         if run.cut_tick is not None else run.sim_seconds)
                         / self.config.ads.control_period)
         wanted = {fault.start_tick for _, fault in items
                   if 0 <= fault.start_tick < reached}
@@ -924,6 +990,10 @@ class CampaignPipeline:
             if self.board is not None:
                 self.board.heartbeat()
             for tag, value, failure in events:
+                if failure is None:
+                    value, counts = value
+                    if counts is not None:
+                        STAGE_TIMER.absorb(counts)
                 if tag[0] == "golden":
                     name = tag[1]
                     if failure is not None:

@@ -93,6 +93,23 @@ class RunResult:
     #: Snapshots captured during the run (``checkpoint_ticks`` requests),
     #: keyed by tick.  ``None`` when capture was not requested.
     checkpoints: dict[int, Checkpoint] | None = None
+    #: The tick a cut run stopped at (``end_tick`` reached before the
+    #: scenario's end, so ticks from here on were never simulated), or
+    #: ``None`` for a complete run.  A cut run's trace rows, eligible
+    #: ticks and snapshots are the complete run's prefix; its outcome
+    #: fields (minimum deltas, hazard) cover the prefix only.
+    cut_tick: int | None = None
+
+    @property
+    def trace_name(self) -> str:
+        """The run's file-set name in a :class:`~repro.sim.TraceStore`.
+
+        A cut run spools apart from its scenario's complete run, so
+        neither ever overwrites the other's files.
+        """
+        if self.cut_tick is None:
+            return self.scenario
+        return f"{self.scenario}.cut{self.cut_tick}"
 
 
 def _arm_faults(pipeline: ADSPipeline, faults: list[FaultSpec]) -> None:
@@ -209,7 +226,8 @@ def _simulate(scenario: Scenario, world: World, pipeline: ADSPipeline,
               seed: int, faults: list[FaultSpec],
               safety_config: SafetyConfig, n_ticks: int, start_tick: int,
               monitor_from: int, stop_after: int | None, record_trace: bool,
-              checkpoint_ticks=None) -> RunResult:
+              checkpoint_ticks=None, end_tick: int | None = None
+              ) -> RunResult:
     """The tick loop shared by cold-start and checkpoint-resumed runs.
 
     ``start_tick`` is 0 for a cold start, or the checkpoint's tick for a
@@ -218,7 +236,8 @@ def _simulate(scenario: Scenario, world: World, pipeline: ADSPipeline,
     is skipped entirely on earlier ticks unless the trace recorder needs
     it, which is what makes the fault-free prefix cheap.  The potentials
     themselves are evaluated after the loop (:class:`_SafetyMonitor`),
-    inside the run's wall clock.
+    inside the run's wall clock.  An ``end_tick`` below ``n_ticks``
+    stops the loop there; a run that gets that far is marked cut.
     """
     trace = Trace()
     monitor = _SafetyMonitor(monitor_from)
@@ -226,8 +245,10 @@ def _simulate(scenario: Scenario, world: World, pipeline: ADSPipeline,
     checkpoints: dict[int, Checkpoint] | None = (
         {} if checkpoint_ticks is not None else None)
     wall_start = time.perf_counter()
+    stop = n_ticks if end_tick is None else min(n_ticks, end_tick)
+    cut_tick = None
 
-    for tick in range(start_tick, n_ticks):
+    for tick in range(start_tick, stop):
         if tick in capture:
             checkpoints[tick] = Checkpoint(
                 scenario=scenario.name, seed=seed, tick=tick,
@@ -264,6 +285,9 @@ def _simulate(scenario: Scenario, world: World, pipeline: ADSPipeline,
             break
         if stop_after is not None and tick >= stop_after:
             break
+    else:
+        if stop < n_ticks:
+            cut_tick = stop
 
     outcome = monitor.finish(safety_config, trace)
     wall_seconds = time.perf_counter() - wall_start
@@ -272,7 +296,7 @@ def _simulate(scenario: Scenario, world: World, pipeline: ADSPipeline,
         landed=pipeline.fault_landed,
         degraded=pipeline.degraded_ticks > 0,
         sim_seconds=world.time, wall_seconds=wall_seconds, faults=faults,
-        checkpoints=checkpoints)
+        checkpoints=checkpoints, cut_tick=cut_tick)
 
 
 def run_scenario(scenario: Scenario, ads_config: ADSConfig | None = None,
@@ -281,7 +305,8 @@ def run_scenario(scenario: Scenario, ads_config: ADSConfig | None = None,
                  duration: float | None = None,
                  horizon_after_fault: float | None = 8.0,
                  record_trace: bool = True,
-                 checkpoint_ticks=None) -> RunResult:
+                 checkpoint_ticks=None,
+                 end_tick: int | None = None) -> RunResult:
     """Run one scenario under ADS control, with optional fault injection.
 
     Safety is monitored from the first fault tick onward (or the whole
@@ -289,7 +314,10 @@ def run_scenario(scenario: Scenario, ads_config: ADSConfig | None = None,
     ``horizon_after_fault`` seconds past the last fault window, or at the
     scenario duration.  ``checkpoint_ticks`` requests state snapshots at
     those ticks (taken just before the tick executes), returned on
-    ``RunResult.checkpoints``.
+    ``RunResult.checkpoints``.  ``end_tick`` simulates only ticks before
+    it; the tick loop is causal, so everything the run records is the
+    full run's prefix, and a run that reaches ``end_tick`` before the
+    scenario's end carries it as ``RunResult.cut_tick``.
     """
     ads_config = ads_config or ADSConfig()
     safety_config = safety_config or SafetyConfig()
@@ -305,7 +333,7 @@ def run_scenario(scenario: Scenario, ads_config: ADSConfig | None = None,
                                                dt)
     return _simulate(scenario, world, pipeline, seed, faults, safety_config,
                      n_ticks, 0, monitor_from, stop_after, record_trace,
-                     checkpoint_ticks)
+                     checkpoint_ticks, end_tick)
 
 
 def _fork(scenario: Scenario, checkpoint: Checkpoint,

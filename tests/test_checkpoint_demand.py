@@ -14,7 +14,10 @@ whatever its ladder holds:
 * Bayesian plans, whose jobs exist only after mining, keep the full
   ladder;
 * a checkpoint never changes after capture: it pickles to the same
-  bytes at capture and at the end of the run.
+  bytes at capture and at the end of the run;
+* the same plans stop golden runs at their last forkable tick; a cut
+  run serves later job-known campaigns, while ``golden_runs()`` and
+  Bayesian campaigns simulate it again in full.
 """
 
 import pickle
@@ -243,3 +246,204 @@ class TestCheckpointRow:
         assert (f"checkpoint: {row['snapshots']} snapshots for "
                 f"{row['demanded_ticks']} demanded ticks") \
             in capsys.readouterr().out
+
+
+def full_ticks(campaign, scenario) -> int:
+    """Control ticks of a scenario run to its end."""
+    return int(round(scenario.duration / campaign.config.ads.control_period))
+
+
+def full_golden(campaign, scenario):
+    """A fresh fault-free run of ``scenario`` to its end."""
+    config = campaign.config
+    return run_scenario(scenario, ads_config=config.ads, seed=config.seed,
+                        safety_config=config.safety)
+
+
+class TestGoldenCut:
+    """Job-known plans stop golden runs at their last forkable tick.
+
+    Records must stay the reference loop's (which runs full goldens
+    through ``golden_runs()``), whatever the cut skipped.
+    """
+
+    @pytest.mark.parametrize("trace_store", [False, True])
+    @pytest.mark.parametrize("workers", [None, 2])
+    @pytest.mark.parametrize("style", sorted(STYLES))
+    def test_records_match_reference(self, style, workers, trace_store):
+        run, jobs_of = STYLES[style]
+        campaign = Campaign(small_scenarios(), CampaignConfig(),
+                            trace_store=trace_store)
+        summary = run(campaign, workers)
+        cut = {name: golden.cut_tick
+               for name, golden in campaign._golden.items()}
+        for scenario in campaign.scenarios:
+            assert cut[scenario.name] is not None
+            assert cut[scenario.name] < full_ticks(campaign, scenario)
+        jobs = jobs_of(campaign)
+        assert strip_wall(summary.records) == \
+            strip_wall(reference_records(campaign, jobs))
+
+    def test_job_past_the_window_forks_without_gap(self):
+        campaign = Campaign(small_scenarios(),
+                            CampaignConfig(profile_stages=True))
+        cruise = campaign.scenarios[0]
+        last_window = campaign.schedule_injection_ticks(cruise)[-1]
+        late = last_window + 101
+        assert late < full_ticks(campaign, cruise)
+        jobs = [(cruise.name, FaultSpec("brake", 1.0, late, 4)),
+                (cruise.name, FaultSpec("throttle", 1.0, 60, 4))]
+        summary = campaign.run_jobs(jobs)
+        assert campaign._golden[cruise.name].cut_tick == late + 1
+        row = summary.extra_info["stage_timings"]["checkpoint"]
+        assert row["restores"] == len(jobs)
+        assert row["gap_ticks"] == 0
+        assert late in spooled_ticks(campaign)[cruise.name]
+        assert strip_wall(summary.records) == \
+            strip_wall(reference_records(campaign, jobs))
+
+    def test_collision_inside_the_window_ends_the_run(self):
+        campaign = Campaign(TestGoldenEndsEarly.scenarios(),
+                            CampaignConfig())
+        summary = campaign.random_campaign(16, seed=5)
+        early, cruise = campaign.scenarios
+        collided = campaign._golden[early.name]
+        assert collided.collided and collided.cut_tick is None
+        last_window = round((early.duration
+                             - campaign.config.injection_window_margin)
+                            / campaign.config.ads.control_period)
+        assert round(collided.sim_seconds
+                     / campaign.config.ads.control_period) < last_window
+        assert campaign._golden[cruise.name].cut_tick is not None
+        # Complete already: golden_runs() keeps it, the same object.
+        assert campaign.golden_runs()[early.name] is collided
+        jobs = random_jobs(campaign, 16, seed=5)
+        assert strip_wall(summary.records) == \
+            strip_wall(reference_records(campaign, jobs))
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_no_window_ticks_raises(self, workers):
+        short = replace(highway_cruise(), name="short", duration=10.0)
+        campaign = Campaign([short], CampaignConfig())
+        assert campaign.schedule_injection_ticks(short) == []
+        with pytest.raises(ValueError) as raised:
+            campaign.random_campaign(4, seed=0, workers=workers)
+        assert str(raised.value) == str(campaign._no_ticks_error("short"))
+
+
+class TestGoldenCutMemo:
+    """Cut runs in the memo and the golden cache: complete-run readers
+    re-simulate them, job-known plans reuse them."""
+
+    @staticmethod
+    def forbid_simulation(monkeypatch):
+        def no_resimulation(*args, **kwargs):
+            raise AssertionError("must not re-simulate")
+
+        import repro.core.parallel as parallel_module
+        monkeypatch.setattr(campaign_module, "run_scenario",
+                            no_resimulation)
+        monkeypatch.setattr(parallel_module, "run_scenario",
+                            no_resimulation)
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_golden_runs_are_complete(self, tmp_path, cached):
+        cache_dir = tmp_path if cached else None
+        first = Campaign(small_scenarios(), CampaignConfig(),
+                         cache_dir=cache_dir)
+        first.random_campaign(8, seed=1)
+        readers = [first]
+        if cached:
+            readers.append(Campaign(small_scenarios(), CampaignConfig(),
+                                    cache_dir=cache_dir))
+        for campaign in readers:
+            golden = campaign.golden_runs()
+            for scenario in campaign.scenarios:
+                run = golden[scenario.name]
+                fresh = full_golden(campaign, scenario)
+                assert run.cut_tick is None
+                assert run.sim_seconds == fresh.sim_seconds
+                assert len(run.trace) == len(fresh.trace)
+                assert run.min_delta_long == fresh.min_delta_long
+        if cached:
+            # The complete runs replaced the cut ones in the cache.
+            third = Campaign(small_scenarios(), CampaignConfig(),
+                             cache_dir=cache_dir)
+            assert all(run.cut_tick is None
+                       for run in third._load_golden_cache().values())
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_bayesian_after_random_matches_fresh(self, tmp_path, cached):
+        cache_dir = tmp_path / "shared" if cached else None
+        campaign = Campaign(small_scenarios(), CampaignConfig(),
+                            cache_dir=cache_dir)
+        campaign.random_campaign(8, seed=1)
+        after = campaign.bayesian_campaign(top_k=4)
+        fresh = Campaign(small_scenarios(), CampaignConfig(),
+                         cache_dir=tmp_path / "fresh" if cached else None)
+        expected = fresh.bayesian_campaign(top_k=4)
+        assert after.candidates == expected.candidates
+        assert strip_wall(after.summary.records) == \
+            strip_wall(expected.summary.records)
+        assert all(run.cut_tick is None
+                   for run in campaign._golden.values())
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_second_random_campaign_reuses_cut_runs(self, tmp_path,
+                                                    cached, monkeypatch):
+        cache_dir = tmp_path if cached else None
+        first = Campaign(small_scenarios(), CampaignConfig(),
+                         cache_dir=cache_dir)
+        reference = first.random_campaign(8, seed=1)
+        second = (Campaign(small_scenarios(), CampaignConfig(),
+                           cache_dir=cache_dir)
+                  if cached else first)
+        self.forbid_simulation(monkeypatch)
+        again = second.random_campaign(8, seed=1)
+        assert strip_wall(again.records) == strip_wall(reference.records)
+        assert all(run.cut_tick is not None
+                   for run in second._golden.values())
+
+
+class TestGoldenRow:
+    def test_ticks_plus_cut_ticks_are_the_full_runs(self, capsys):
+        from repro.cli import _print_summary
+        campaign = Campaign(small_scenarios(),
+                            CampaignConfig(profile_stages=True))
+        summary = campaign.random_campaign(8, seed=1)
+        row = summary.extra_info["stage_timings"]["golden"]
+        assert row["seconds"] == 0.0 and row["calls"] == 0
+        assert row["runs"] == len(campaign.scenarios)
+        assert row["cut_ticks"] > 0
+        assert row["ticks"] + row["cut_ticks"] == sum(
+            full_ticks(campaign, s) for s in campaign.scenarios)
+        merged = CampaignSummary.merge([summary, summary])
+        assert merged.extra_info["stage_timings"]["golden"] == {
+            name: 2 * value for name, value in row.items()}
+        _print_summary(summary, "random")
+        assert (f"golden: {row['runs']} runs, {row['ticks']} ticks "
+                f"simulated, {row['cut_ticks']} cut after the last "
+                f"forkable tick") in capsys.readouterr().out
+
+    @pytest.mark.parametrize("style", ["random", "exhaustive-capped"])
+    def test_pooled_counts_match_serial(self, style):
+        """Pool workers ship their counters back: the per-job counts of
+        ``workers=2`` equal ``workers=1``.  The stop table's hits and
+        misses are process-local caches, so they are left out."""
+        run, _ = STYLES[style]
+        rows = []
+        for workers in (1, 2):
+            campaign = Campaign(small_scenarios(),
+                                CampaignConfig(profile_stages=True))
+            rows.append(run(campaign, workers)
+                        .extra_info["stage_timings"])
+        serial, pooled = rows
+        from repro.ads.profiling import STAGES
+        for layer in STAGES + ("safety",):
+            assert pooled[layer]["calls"] == serial[layer]["calls"], layer
+        for layer in ("collision", "engine", "golden"):
+            assert pooled[layer] == serial[layer], layer
+        for event in ("restores", "snapshots", "gap_ticks",
+                      "demanded_ticks"):
+            assert pooled["checkpoint"][event] == \
+                serial["checkpoint"][event], event
