@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.campaign import BayesianCampaignResult
+from ..core.plans import BayesianCampaignResult
 from ..core.results import CampaignSummary
 
 

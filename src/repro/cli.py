@@ -546,7 +546,7 @@ def main(argv: list[str] | None = None) -> int:
                 workers=args.workers,
                 interface_probe=_split_list(args.interface_probe) or (),
                 record_sink=sink, **_campaign_kwargs(args))
-        except ValueError as error:    # bad --interface-probe kind
+        except ValueError as error:    # bad --interface-probe, --top-k
             raise SystemExit(f"error: {error}")
         print(f"scored {result.mining.n_scored} candidate faults over "
               f"{result.mining.n_scenes} scenes in "
@@ -560,11 +560,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"candidates written to {args.save}")
     elif args.command == "exhaustive":
         sink = _open_sink(args)
-        summary = campaign.exhaustive_campaign(
-            tick_stride=args.stride, max_experiments=args.max,
-            workers=args.workers, record_sink=sink,
-            interface_grid=args.interface_grid,
-            **_campaign_kwargs(args))
+        try:
+            summary = campaign.exhaustive_campaign(
+                tick_stride=args.stride, max_experiments=args.max,
+                workers=args.workers, record_sink=sink,
+                interface_grid=args.interface_grid,
+                **_campaign_kwargs(args))
+        except ValueError as error:    # bad --stride or --max
+            raise SystemExit(f"error: {error}")
         _print_summary(summary, "grid sample")
         if config.shard_count == 1:
             # grid_size needs every golden trace; a shard only has its

@@ -3,7 +3,8 @@
 A *scene* is a (scenario, planner tick) pair drawn from the golden runs.
 All four campaign styles inject into the same scene population with the
 same transient-fault duration, so their hazard yields are comparable —
-that comparison *is* the paper's headline result.
+that comparison *is* the paper's headline result.  Each style is a
+plan in :mod:`repro.core.plans`; a campaign method runs one.
 """
 
 from __future__ import annotations
@@ -11,28 +12,20 @@ from __future__ import annotations
 import functools
 import hashlib
 import tempfile
-import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from ..ads.profiling import STAGE_TIMER
 from ..ads.runtime import ADSConfig
-from ..arch.injector import Outcome
 from ..sim.scenario import Scenario, default_scenarios
-from .bayesian_fi import (MINED_VARIABLES, BayesianFaultInjector,
-                          CandidateFault, MiningReport, SceneRow,
+from .bayesian_fi import (MINED_VARIABLES, BayesianFaultInjector, SceneRow,
                           scene_rows_from_trace)
 from .checkpoint import CheckpointStore
-from .fault_models import (DEFAULT_VARIABLES, ArchitecturalFaultModel,
-                           minmax_fault_grid, random_fault)
-from .interface_faults import (interface_fault, interface_fault_grid,
-                               random_interface_fault,
-                               validate_interface_channel,
-                               validate_interface_kind)
+from .fault_models import DEFAULT_VARIABLES, ArchitecturalFaultModel
 from .parallel import ExperimentJob, execute_experiment
+from .plans import (ArchitecturalPlan, BayesianCampaignResult,
+                    BayesianPlan, ExhaustivePlan, JobsPlan, Plan,
+                    RandomPlan)
 from .resilience import CampaignJournal, ResilienceConfig
 from .results import CampaignSummary, ExperimentRecord
 from .safety import SafetyConfig
@@ -159,9 +152,7 @@ class Campaign:
         fresh = self._golden is None
         if fresh or any(run.cut_tick is not None
                         for run in self._golden.values()):
-            from .pipeline import StagePlan
-            self._run_pipeline(StagePlan(style="golden", golden_scope="all"),
-                               workers)
+            self._run_pipeline(Plan(self), workers)
             if fresh:   # completing cut runs leaves their ladders be
                 self._ensure_checkpoints(
                     s.name for s in self.owned_scenarios())
@@ -238,8 +229,9 @@ class Campaign:
         golden trace: a golden run that completes (no collision) records
         exactly these ticks, which is what lets a shard reproduce the
         global seeded fault draw without simulating foreign scenarios'
-        golden runs.  The pipeline driver asserts the equality for every
-        scenario a shard does simulate.
+        golden runs.  A sharded plan asserts the equality for every
+        scenario its shard does simulate (:meth:`repro.core.plans.Plan
+        .ticks`).
         """
         dt = self.config.ads.control_period
         divisor = self.config.ads.planner_divisor
@@ -395,28 +387,6 @@ class Campaign:
         return Path(self._ladder_tmp.name)
 
     # -- resilience: journal and work keys -------------------------------------
-
-    @staticmethod
-    def _work_key(*params) -> str:
-        """Digest identifying one campaign invocation's work.
-
-        Keys the journal (and lease board) directory so two different
-        campaigns sharing a ``cache_dir`` never read each other's
-        progress.  Precision is an efficiency concern only: the journal
-        itself matches entries by full experiment identity, and the
-        deterministic simulator means identical identities always carry
-        identical outcomes.
-        """
-        return hashlib.sha256(
-            repr(params).encode("utf-8")).hexdigest()[:12]
-
-    @staticmethod
-    def _jobs_work_key(jobs: list[ExperimentJob]) -> str:
-        """Work key of an explicit job list (:meth:`run_jobs`)."""
-        return Campaign._work_key(*(
-            (name, fault.variable, fault.value, fault.start_tick,
-             fault.duration_ticks, fault.kind, fault.channel)
-            for name, fault in jobs))
 
     def _open_journal(self, work_key: str) -> CampaignJournal | None:
         """The completion journal of this invocation, started (or None).
@@ -645,39 +615,18 @@ class Campaign:
         summary and ``record_sink`` in job order; the completion journal
         under ``cache_dir`` is keyed by the job list itself.
         """
-        from .pipeline import StagePlan
-        jobs = list(jobs)
-        plan = StagePlan(style="jobs", global_jobs=lambda ctx: jobs,
-                         work_key=self._jobs_work_key(jobs))
-        return self._run_pipeline(plan, workers, record_sink).summary
+        return self._run_pipeline(JobsPlan(self, jobs), workers,
+                                  record_sink)
 
     # -- campaigns -----------------------------------------------------------------
 
     def _run_pipeline(self, plan, workers=None, record_sink=None,
                       on_progress=None):
-        """Run one plan on the streaming driver.
-
-        With ``config.profile_stages`` the process-global stage timer is
-        reset and armed for the run, always disarmed on exit (including
-        on error), and its report lands in the summary's
-        ``extra_info['stage_timings']``.
-        """
+        """Run one plan on the streaming driver; the plan's result."""
         from .pipeline import CampaignPipeline
-        profile = self.config.profile_stages
-        if profile:
-            STAGE_TIMER.reset()
-            STAGE_TIMER.enabled = True
-        try:
-            result = CampaignPipeline(self, workers=workers,
-                                      record_sink=record_sink,
-                                      on_progress=on_progress).run(plan)
-        finally:
-            if profile:
-                STAGE_TIMER.enabled = False
-        report = STAGE_TIMER.report() if profile else None
-        if report:
-            result.summary.extra_info["stage_timings"] = report
-        return result
+        return CampaignPipeline(self, workers=workers,
+                                record_sink=record_sink,
+                                on_progress=on_progress).run(plan)
 
     def random_campaign(self, n_experiments: int,
                         seed: int | None = None,
@@ -703,69 +652,9 @@ class Campaign:
         draws are made, so existing seeded campaigns reproduce their
         historical fault sequences bit-for-bit.
         """
-        for kind in interface_kinds or ():
-            validate_interface_kind(kind)
-        for channel in interface_channels or ():
-            validate_interface_channel(channel)
-        plan = self._random_plan(n_experiments, seed, interface_share,
-                                 interface_kinds, interface_channels)
-        return self._run_pipeline(plan, workers, record_sink,
-                                  on_progress).summary
-
-    def _random_jobs(self, n_experiments: int, seed: int | None,
-                     ticks_of, interface_share: float = 0.0,
-                     interface_kinds: tuple | None = None,
-                     interface_channels: tuple | None = None
-                     ) -> list[ExperimentJob]:
-        """The seeded random draw, parametrized over the tick source.
-
-        ``ticks_of(name)`` supplies each scenario's eligible ticks; the
-        draw sequence itself (scenario choice, value, tick index) is
-        identical for any source that returns the same lists, which is
-        how a shard reproduces the global draw from schedule-derived
-        ticks without simulating foreign golden runs.  The
-        interface-fault coin flip is guarded so a zero share adds no
-        draw — the historical stream is untouched.
-        """
-        rng = np.random.default_rng(self.config.seed if seed is None
-                                    else seed)
-        names = [s.name for s in self.scenarios]
-        duration = self.config.fault_duration_ticks
-        jobs: list[ExperimentJob] = []
-        for _ in range(n_experiments):
-            scenario_name = names[int(rng.integers(len(names)))]
-            if interface_share > 0.0 and float(rng.random()) \
-                    < interface_share:
-                fault = random_interface_fault(
-                    rng, ticks_of(scenario_name), kinds=interface_kinds,
-                    channels=interface_channels, duration_ticks=duration)
-            else:
-                fault = random_fault(rng, ticks_of(scenario_name),
-                                     duration_ticks=duration)
-            jobs.append((scenario_name, fault))
-        return jobs
-
-    def _random_plan(self, n_experiments: int, seed: int | None,
-                     interface_share: float = 0.0,
-                     interface_kinds: tuple | None = None,
-                     interface_channels: tuple | None = None):
-        from .pipeline import StagePlan
-
-        def global_jobs(ctx):
-            return self._random_jobs(
-                n_experiments, seed,
-                lambda name: ctx.injection_ticks(name, require=True),
-                interface_share, interface_kinds, interface_channels)
-
-        key_params = ["random", n_experiments, seed]
-        if interface_share > 0.0:
-            # Conditional so the journal/lease directories of existing
-            # interface-free campaigns keep their names.
-            key_params += [interface_share,
-                           tuple(interface_kinds or ()),
-                           tuple(interface_channels or ())]
-        return StagePlan(style="random", global_jobs=global_jobs,
-                         work_key=self._work_key(*key_params))
+        plan = RandomPlan(self, n_experiments, seed, interface_share,
+                          interface_kinds, interface_channels)
+        return self._run_pipeline(plan, workers, record_sink, on_progress)
 
     def _no_ticks_error(self, scenario_name: str) -> ValueError:
         config = self.config
@@ -788,67 +677,9 @@ class Campaign:
         x channel x strided tick, default parameters) to each
         scenario's value grid, so one sweep covers both fault families.
         """
-        plan = self._exhaustive_plan(tick_stride, variable_names,
-                                     max_experiments, interface_grid)
-        return self._run_pipeline(plan, workers, record_sink,
-                                  on_progress).summary
-
-    def _exhaustive_grid(self, ticks: list[int],
-                         variable_names: list[str] | None,
-                         interface_grid: bool) -> list[FaultSpec]:
-        """One scenario's exhaustive grid: values, then interface faults."""
-        duration = self.config.fault_duration_ticks
-        grid = minmax_fault_grid(ticks, variable_names,
-                                 duration_ticks=duration)
-        if interface_grid:
-            grid.extend(interface_fault_grid(ticks,
-                                             duration_ticks=duration))
-        return grid
-
-    def _exhaustive_plan(self, tick_stride: int,
-                         variable_names: list[str] | None,
-                         max_experiments: int | None,
-                         interface_grid: bool = False):
-        from .pipeline import StagePlan
-        key_params = ["exhaustive", tick_stride,
-                      tuple(variable_names) if variable_names else None,
-                      max_experiments]
-        if interface_grid:
-            key_params.append("interface-grid")
-        work_key = self._work_key(*key_params)
-
-        if max_experiments is None:
-            # Truly per-scenario: a scenario's grid depends only on its
-            # own golden ticks, so validation of an early scenario
-            # overlaps golden collection of a late one.
-            def per_scenario(ctx, scenario):
-                ticks = ctx.injection_ticks(scenario.name,
-                                            stride=tick_stride)
-                grid = self._exhaustive_grid(ticks, variable_names,
-                                             interface_grid)
-                return [(scenario.name, fault) for fault in grid]
-
-            return StagePlan(style="exhaustive",
-                             per_scenario_jobs=per_scenario,
-                             work_key=work_key)
-
-        # A global experiment cap consumes budget in scenario order, so
-        # job generation is a (documented) barrier on the tick lists.
-        def global_jobs(ctx):
-            jobs: list[ExperimentJob] = []
-            for scenario in self.scenarios:
-                ticks = ctx.injection_ticks(scenario.name,
-                                            stride=tick_stride)
-                grid = self._exhaustive_grid(ticks, variable_names,
-                                             interface_grid)
-                jobs.extend((scenario.name, fault) for fault in grid)
-                if len(jobs) >= max_experiments:
-                    jobs = jobs[:max_experiments]
-                    break
-            return jobs
-
-        return StagePlan(style="exhaustive", global_jobs=global_jobs,
-                         work_key=work_key)
+        plan = ExhaustivePlan(self, tick_stride, variable_names,
+                              max_experiments, interface_grid)
+        return self._run_pipeline(plan, workers, record_sink, on_progress)
 
     def grid_size(self, variable_names: list[str] | None = None,
                   tick_stride: int = 1) -> int:
@@ -880,54 +711,9 @@ class Campaign:
         interface ``hang`` faults on the stuck kernel's channel instead
         of counting them as detectable-and-recoverable only.
         """
-        plan = self._architectural_plan(n_experiments, model, seed,
-                                        interface_hangs)
-        outcome = self._run_pipeline(plan, workers, record_sink,
-                                     on_progress)
-        return outcome.summary, outcome.extras["outcome_counts"]
-
-    def _architectural_jobs(self, n_experiments: int,
-                            model: ArchitecturalFaultModel | None,
-                            seed: int | None, ticks_of,
-                            interface_hangs: bool = False
-                            ) -> tuple[list[ExperimentJob], dict[str, int]]:
-        """The seeded architectural draw, parametrized over tick source."""
-        rng = np.random.default_rng(self.config.seed if seed is None
-                                    else seed)
-        model = model or ArchitecturalFaultModel()
-        outcome_counts = {outcome.value: 0 for outcome in Outcome}
-        names = [s.name for s in self.scenarios]
-        jobs: list[ExperimentJob] = []
-        for _ in range(n_experiments):
-            scenario_name = names[int(rng.integers(len(names)))]
-            arch = model.sample(
-                rng, ticks_of(scenario_name),
-                duration_ticks=self.config.fault_duration_ticks,
-                interface_hangs=interface_hangs)
-            outcome_counts[arch.outcome.value] += 1
-            if arch.fault is not None:
-                jobs.append((scenario_name, arch.fault))
-        return jobs, outcome_counts
-
-    def _architectural_plan(self, n_experiments: int,
-                            model: ArchitecturalFaultModel | None,
-                            seed: int | None,
-                            interface_hangs: bool = False):
-        from .pipeline import StagePlan
-
-        def global_jobs(ctx):
-            jobs, outcome_counts = self._architectural_jobs(
-                n_experiments, model, seed,
-                lambda name: ctx.injection_ticks(name, require=True),
-                interface_hangs)
-            ctx.extras["outcome_counts"] = outcome_counts
-            return jobs
-
-        key_params = ["architectural", n_experiments, seed, model is None]
-        if interface_hangs:
-            key_params.append("interface-hangs")
-        return StagePlan(style="architectural", global_jobs=global_jobs,
-                         work_key=self._work_key(*key_params))
+        plan = ArchitecturalPlan(self, n_experiments, model, seed,
+                                 interface_hangs)
+        return self._run_pipeline(plan, workers, record_sink, on_progress)
 
     def bayesian_campaign(self, injector: BayesianFaultInjector | None = None,
                           variables: tuple[str, ...] = MINED_VARIABLES,
@@ -967,226 +753,6 @@ class Campaign:
         whether a *message-level* failure of the same module at the
         same moment is as hazardous as the mined value corruption.
         """
-        for kind in interface_probe:
-            validate_interface_kind(kind)
-        plan = self._bayesian_plan(injector, variables, threshold, top_k,
-                                   interface_probe)
-        outcome = self._run_pipeline(plan, workers, record_sink,
-                                     on_progress)
-        return BayesianCampaignResult(
-            injector=outcome.extras["injector"],
-            candidates=outcome.extras["candidates"],
-            mining=outcome.extras["mining"],
-            summary=outcome.summary,
-            train_seconds=outcome.extras["train_seconds"])
-
-    def _probe_jobs(self, candidate: CandidateFault,
-                    interface_probe: tuple[str, ...]
-                    ) -> list[ExperimentJob]:
-        """A candidate's interface-fault companions, in probe order.
-
-        Each probe kind hits the channel of the module that publishes
-        the candidate's variable, at the candidate's injection tick,
-        with the kind's default parameter.
-        """
-        if not interface_probe:
-            return []
-        from ..ads.variables import variable_by_name
-        channel = variable_by_name(candidate.variable).stage
-        duration = self.config.fault_duration_ticks
-        return [(candidate.scenario,
-                 interface_fault(kind, channel,
-                                 int(candidate.injection_tick),
-                                 duration_ticks=duration))
-                for kind in interface_probe]
-
-    def _cached_mining_report(self, candidates, variables) -> MiningReport:
-        """Cost accounting a fresh mining pass over these scenes would
-        report: every safe scene is scored once per corruption value of
-        every variable.  Only ``wall_seconds`` stays 0 — the honest cost
-        of a candidate-cache hit.
-        """
-        from ..ads.variables import variable_by_name
-        n_scenes = safe = 0
-        for scene in self.scene_rows():   # streamed: count, don't hold
-            n_scenes += 1
-            safe += scene.observed_safe
-        per_scene = sum(len(variable_by_name(v).corruption_values())
-                        for v in variables)
-        return MiningReport(n_scenes=n_scenes, n_scored=safe * per_scene,
-                            n_critical=len(candidates))
-
-    def _bayesian_plan(self, injector: BayesianFaultInjector | None,
-                       variables: tuple[str, ...], threshold: float,
-                       top_k: int | None,
-                       interface_probe: tuple[str, ...] = ()):
-        from .pipeline import MiningPlan, StagePlan
-        caching = injector is None and self.cache_dir is not None
-        duration = self.config.fault_duration_ticks
-
-        def job_of(candidate: CandidateFault) -> ExperimentJob:
-            return (candidate.scenario,
-                    candidate.to_fault_spec(duration_ticks=duration))
-
-        def expand(entries):
-            """``(identity, candidate)`` entries -> ``(identity, job)``
-            entries, interleaving each candidate's probe jobs after its
-            value job.  The value job keeps the candidate's own
-            identity (eager dispatch already used it, so it dedups);
-            probes get derived identities, dispatched at finalize and
-            deduplicated on resume like any other entry.
-            """
-            expanded = []
-            for identity, candidate in entries:
-                expanded.append((identity, job_of(candidate)))
-                for k, probe in enumerate(
-                        self._probe_jobs(candidate, interface_probe)):
-                    expanded.append((identity + ("probe", k), probe))
-            return expanded
-
-        fold = None
-        if injector is None:
-            def fold(ctx, scenario, run):
-                """Fold one completed golden trace into the trainer.
-
-                Called by the driver in campaign scenario order as
-                goldens complete, so training overlaps the rest of
-                golden collection; the fixed accumulation order keeps
-                the fit deterministic.
-                """
-                trainer = ctx.extras.get("trainer")
-                if trainer is None:
-                    trainer = BayesianFaultInjector.streaming_trainer(
-                        safety_config=self.config.safety)
-                    ctx.extras["trainer"] = trainer
-                    ctx.extras["train_seconds"] = 0.0
-                start = time.perf_counter()
-                trainer.add_run(run)
-                ctx.extras["train_seconds"] += (time.perf_counter()
-                                                - start)
-
-        def prepare(ctx):
-            """Finish training, then try the candidate cache.
-
-            The per-trace folds already happened as goldens completed,
-            so only the O(parameters) finalization runs here.  Returns
-            the ready job entries on a candidate-cache hit, else
-            ``None`` to request per-scenario mining.
-            """
-            train_start = time.perf_counter()
-            trained = injector
-            if trained is None:
-                trained = ctx.extras["trainer"].finish()
-            ctx.extras["injector"] = trained
-            ctx.extras["train_seconds"] = (
-                ctx.extras.get("train_seconds", 0.0)
-                + time.perf_counter() - train_start)
-            if not caching:
-                return None
-            cache_path = self._candidate_cache_path(variables, threshold,
-                                                    top_k)
-            if cache_path is None or not cache_path.exists():
-                return None
-            from .persistence import try_load_candidates
-            candidates = try_load_candidates(cache_path)
-            if candidates is None:
-                return None                       # unreadable -> re-mine
-            ctx.extras["candidates"] = candidates
-            ctx.extras["mining"] = self._cached_mining_report(candidates,
-                                                              variables)
-            return expand([(("cache", i), c)
-                           for i, c in enumerate(candidates)])
-
-        def mine_scenario(ctx, scenario):
-            start = time.perf_counter()
-            scenes = self._scenario_scene_rows(scenario,
-                                               ctx.golden[scenario.name])
-            mined, n_scored, n_scenes = ctx.extras["injector"].\
-                mine_scenario_candidates(
-                    scenes, variables=variables, threshold=threshold)
-            acc = ctx.extras.setdefault("mining_acc", MiningReport())
-            acc.n_scenes += n_scenes
-            acc.n_scored += n_scored
-            acc.wall_seconds += time.perf_counter() - start
-            return mined
-
-        def finalize(ctx):
-            """Merge per-scenario mines into the global candidate list.
-
-            Stable-sorting the scenario-ordered concatenation by
-            ``predicted_minimum`` reproduces the whole-population
-            miner's order (its append order is the same concatenation),
-            and ``top_k`` truncates that global ranking.
-            """
-            entries = [((s.name, j), candidate)
-                       for s in self.scenarios
-                       for j, candidate in enumerate(ctx.mined[s.name])]
-            entries.sort(key=lambda entry: entry[1].predicted_minimum)
-            if top_k is not None:
-                entries = entries[:top_k]
-            candidates = [candidate for _, candidate in entries]
-            ctx.extras["candidates"] = candidates
-            acc = ctx.extras.setdefault("mining_acc", MiningReport())
-            acc.n_critical = len(candidates)
-            ctx.extras["mining"] = acc
-            if caching:
-                cache_path = self._candidate_cache_path(variables,
-                                                        threshold, top_k)
-                if cache_path is not None:
-                    from .persistence import save_candidates
-                    cache_path.parent.mkdir(parents=True, exist_ok=True)
-                    save_candidates(candidates, cache_path)
-            return expand(entries)
-
-        # Validation of an already-mined scenario may only start before
-        # the global merge when nothing global gates the job set: a
-        # top_k cut keeps only the best candidates *across* scenarios.
-        miner = MiningPlan(prepare=prepare, mine_scenario=mine_scenario,
-                           finalize=finalize, job_of=job_of,
-                           eager_dispatch=top_k is None, fold=fold)
-        # The literal True stands where the retired miner selector
-        # was, so journal and lease directories keep their names.
-        key_params = ["bayesian", tuple(variables), float(threshold),
-                      top_k, True, injector is None]
-        if interface_probe:
-            key_params.append(tuple(interface_probe))
-        return StagePlan(style="bayesian", golden_scope="all", miner=miner,
-                         work_key=self._work_key(*key_params))
-
-    def _candidate_cache_path(self, variables, threshold,
-                              top_k) -> Path | None:
-        """Cache file for mined candidates under these mining parameters."""
-        if self.cache_dir is None:
-            return None
-        key = hashlib.sha256(repr(
-            (tuple(variables), float(threshold), top_k)
-        ).encode("utf-8")).hexdigest()[:12]
-        return (self.cache_dir
-                / f"candidates-{self._fingerprint()}-{key}.json")
-
-
-@dataclass
-class BayesianCampaignResult:
-    """Everything produced by one Bayesian FI campaign."""
-
-    injector: BayesianFaultInjector
-    candidates: list[CandidateFault]
-    mining: MiningReport
-    summary: CampaignSummary
-    train_seconds: float
-
-    @property
-    def precision(self) -> float:
-        """Fraction of mined faults that manifested as real hazards.
-
-        The paper's analogue: 460 of 561 mined faults (82%) manifested.
-        Reads the incremental aggregates, so it is also correct for
-        streamed campaigns whose summaries retain no records.
-        """
-        return self.summary.hazard_rate
-
-    @property
-    def total_wall_seconds(self) -> float:
-        """Train + mine + validate cost (the paper's "< 4 hours" side)."""
-        return (self.train_seconds + self.mining.wall_seconds
-                + self.summary.wall_seconds)
+        plan = BayesianPlan(self, injector, variables, threshold, top_k,
+                            interface_probe)
+        return self._run_pipeline(plan, workers, record_sink, on_progress)

@@ -12,10 +12,10 @@ the campaign driver is a dataflow instead:
   complete.  Validation of an early scenario overlaps golden collection
   of a late one, and (for Bayesian campaigns) mining of scenario B
   overlaps validation of scenario A.
-* All four campaign styles — plus golden-only collection and explicit
-  job lists — are expressed as declarative :class:`StagePlan` values
-  built by :class:`~repro.core.campaign.Campaign` — the driver knows
-  stages, not styles.
+* What to run comes from a plan (:mod:`repro.core.plans`).  Every
+  style answers the same hooks, and the driver dispatches whatever
+  entries they return in one path, never asking which kind of job
+  source a plan has.
 
 Equivalence guarantee
 ---------------------
@@ -50,7 +50,7 @@ summary equal to the unsharded run.  Per style:
   only for the scenarios it owns and validates only its own jobs.  The
   global seeded draw is reproduced locally from *schedule-derived* tick
   lists (:meth:`Campaign.schedule_injection_ticks`); for every scenario
-  a shard does simulate, the driver asserts the golden trace reached
+  a shard does simulate, the plan asserts the golden trace reached
   exactly the scheduled ticks, so the shard union provably equals the
   unsharded job set.
 * bayesian — training needs every golden trace, so each shard collects
@@ -63,7 +63,7 @@ summary equal to the unsharded run.  Per style:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -72,100 +72,28 @@ from ..ads.profiling import STAGE_TIMER
 from ..sim.scenario import Scenario
 from . import parallel
 from .checkpoint import CheckpointStore
-from .parallel import (ExperimentJob, _golden_run, _policy, _pool_context,
-                       _picklable, _warn_serial_fallback,
-                       execute_experiment, execute_experiment_batch)
+from .parallel import (_golden_run, _picklable, _policy, _pool_context,
+                       _warn_serial_fallback, execute_experiment,
+                       execute_experiment_batch)
 from .resilience import (CampaignExecutionError, LeaseBoard,
                          SupervisedExecutor, failure_record,
                          run_supervised_serial)
 from .results import CampaignSummary, ExperimentRecord
 
 if TYPE_CHECKING:  # avoid a circular import with .campaign
-    from .bayesian_fi import CandidateFault
     from .campaign import Campaign, CampaignConfig
+    from .plans import Plan
     from .simulate import RunResult
 
 
 @dataclass(frozen=True)
-class StagePlan:
-    """Declarative description of one campaign style for the driver.
-
-    At most one of the three job sources is set (none: a golden-only
-    plan, which collects golden runs and ladders and validates
-    nothing):
-
-    * ``per_scenario_jobs(ctx, scenario)`` — jobs derived from one
-      scenario's golden run alone; called the moment that run is in,
-      so validation streams scenario by scenario.
-    * ``global_jobs(ctx)`` — jobs whose generation needs every tick
-      list (seeded draws, capped grids); called once the golden stage
-      completes.
-    * ``miner`` — the Bayesian train/mine/merge flow.
-
-    ``golden_scope`` is ``"owned"`` when a shard only needs its own
-    scenarios' golden runs, ``"all"`` when the plan reads every trace
-    (Bayesian training).
-
-    ``work_key`` digests the plan parameters that shape the job set;
-    together with the config fingerprint it names the resume journal
-    and the lease board, so two differently-parameterized campaigns
-    sharing a ``cache_dir`` never cross-talk.  An empty ``work_key``
-    (the golden-only plan's) opens neither.
-    """
-
-    style: str
-    golden_scope: str = "owned"
-    per_scenario_jobs: Callable | None = None
-    global_jobs: Callable | None = None
-    miner: "MiningPlan | None" = None
-    work_key: str = ""
-
-
-@dataclass(frozen=True)
-class MiningPlan:
-    """The Bayesian stages, expressed as driver hooks.
-
-    ``prepare(ctx)`` runs once all goldens are in and returns ready job
-    entries on a candidate-cache hit, else ``None``;
-    ``mine_scenario(ctx, scenario)`` returns one scenario's unsorted
-    candidates; ``finalize(ctx)`` merges, ranks, and returns the
-    ordered ``(identity, job)`` entries; ``job_of`` maps a candidate to
-    its validation job.  ``eager_dispatch`` allows validation of a
-    scenario's candidates before the global merge (sound only without a
-    cross-scenario ``top_k`` cut).
-
-    ``fold(ctx, scenario, run)``, when set, streams *training* over
-    golden collection: the driver calls it in campaign scenario order
-    as each scenario's golden run lands (an out-of-order completion
-    waits for its predecessors, keeping the accumulation
-    deterministic), so by the time ``prepare`` runs, training is a
-    finalization instead of a whole-dataset barrier.
-    """
-
-    prepare: Callable
-    mine_scenario: Callable
-    finalize: Callable
-    job_of: Callable
-    eager_dispatch: bool = True
-    fold: Callable | None = None
-
-
-@dataclass(frozen=True)
 class PipelineProgress:
-    """One progress event: ``stage`` is golden/mined/validated."""
+    """One progress event: ``stage`` is golden/train/mined/validated."""
 
     stage: str
     scenario: str | None
     done: int
     total: int | None
-
-
-@dataclass
-class PipelineResult:
-    """What one pipeline run produced: the summary plus style extras."""
-
-    summary: CampaignSummary
-    extras: dict
 
 
 # -- worker-process side -------------------------------------------------------
@@ -332,9 +260,6 @@ class _OrderedEmitter:
             self._ready[slot] = record
             self._drain()
 
-    def set_total(self, total: int) -> None:
-        self.total = total
-
     @property
     def complete(self) -> bool:
         return self.total is not None and self._next == self.total
@@ -343,51 +268,6 @@ class _OrderedEmitter:
         while self._next in self._ready:
             self._consume(self._ready.pop(self._next))
             self._next += 1
-
-
-@dataclass
-class PipelineContext:
-    """What plan hooks see: collected goldens, mined candidates, extras."""
-
-    campaign: "Campaign"
-    sharded: bool
-    golden: dict[str, "RunResult"] = field(default_factory=dict)
-    mined: dict[str, "list[CandidateFault]"] = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
-    _ticks: dict = field(default_factory=dict)
-
-    def injection_ticks(self, name: str, stride: int = 1,
-                        require: bool = False) -> list[int]:
-        """Eligible ticks of a scenario, golden-derived when available.
-
-        Scenarios whose golden run this shard collected use the trace's
-        ticks.  Foreign scenarios (sharded job generation only) use the
-        schedule-derived list; for every collected scenario under
-        sharding the two are asserted equal, so the shard union provably
-        matches the unsharded draw.
-        """
-        campaign = self.campaign
-        cached = self._ticks.get(name)
-        if cached is None:
-            scenario = campaign._by_name[name]
-            run = self.golden.get(name)
-            if run is not None:
-                cached = campaign.eligible_ticks_from_trace(
-                    run, scenario.duration)
-                if self.sharded:
-                    schedule = campaign.schedule_injection_ticks(scenario)
-                    if cached != schedule:
-                        raise RuntimeError(
-                            f"golden run of {name!r} ended early: its "
-                            f"trace ticks differ from the schedule, so "
-                            f"shards cannot reproduce the global fault "
-                            f"draw; run this campaign unsharded")
-            else:
-                cached = campaign.schedule_injection_ticks(scenario)
-            self._ticks[name] = cached
-        if require and not cached:
-            raise campaign._no_ticks_error(name)
-        return cached[::stride] if stride != 1 else cached
 
 
 class CampaignPipeline:
@@ -412,12 +292,32 @@ class CampaignPipeline:
 
     # -- public entry ----------------------------------------------------------
 
-    def run(self, plan: StagePlan) -> PipelineResult:
-        if self.config.resilience.lease_mode and plan.work_key:
-            return self._run_leased(plan)
-        return self._run_once(plan)
+    def run(self, plan: "Plan"):
+        """Drive ``plan`` to completion; returns ``plan.finish(summary)``.
 
-    def _run_leased(self, plan: StagePlan) -> PipelineResult:
+        With ``config.profile_stages`` the process-global stage timer is
+        reset and armed for the run, always disarmed on exit (including
+        on error), and its report lands in the summary's
+        ``extra_info['stage_timings']``.
+        """
+        profile = self.config.profile_stages
+        if profile:
+            STAGE_TIMER.reset()
+            STAGE_TIMER.enabled = True
+        try:
+            if self.config.resilience.lease_mode and plan.work_key:
+                summary = self._run_leased(plan)
+            else:
+                summary = self._run_once(plan)
+        finally:
+            if profile:
+                STAGE_TIMER.enabled = False
+        report = STAGE_TIMER.report() if profile else None
+        if report:
+            summary.extra_info["stage_timings"] = report
+        return plan.finish(summary)
+
+    def _run_leased(self, plan: "Plan") -> CampaignSummary:
         """Dynamic multi-host mode: claim scenarios via TTL leases.
 
         Every cooperating host runs the same campaign against a shared
@@ -446,19 +346,17 @@ class CampaignPipeline:
         board = LeaseBoard(campaign._lease_board_dir(plan.work_key),
                            style=plan.style, ttl=res.lease_ttl)
         names = [s.name for s in campaign.scenarios]
-        extras: dict = {}
         rounds = 0
         while True:
             claimable = [name for name in names if board.try_claim(name)]
             if claimable:
                 owned = [campaign._by_name[name] for name in claimable]
                 try:
-                    result = self._run_once(plan, owned=owned, board=board)
+                    self._run_once(plan, owned=owned, board=board)
                 except BaseException:
                     board.release_all()
                     raise
                 rounds += 1
-                extras = result.extras
                 for name in claimable:
                     board.publish(name, self._lease_records.get(name, []))
                     board.release(name)
@@ -466,22 +364,21 @@ class CampaignPipeline:
                 break
             else:
                 time.sleep(res.lease_poll)
-        if rounds == 0 and (plan.miner is not None
-                            or plan.global_jobs is not None):
-            # This host claimed nothing, but style extras (fitted
-            # injector, outcome counts) are derived from the golden
-            # set, not from owned validation work — run an empty-owned
-            # round to reproduce them.
-            extras = self._run_once(plan, owned=[], board=board).extras
+        if rounds == 0:
+            # This host claimed nothing, but a plan's result (fitted
+            # injector, outcome counts) derives from the golden set, not
+            # from owned validation work — run an empty-owned round to
+            # reproduce it.
+            self._run_once(plan, owned=[], board=board)
         summary = CampaignSummary(keep_records=False)
         for path in board.record_paths(names):
             for record in iter_records_jsonl(path):
                 summary.add(record)
-        return PipelineResult(summary=summary, extras=extras)
+        return summary
 
-    def _run_once(self, plan: StagePlan,
+    def _run_once(self, plan: "Plan",
                   owned: "list[Scenario] | None" = None,
-                  board: LeaseBoard | None = None) -> PipelineResult:
+                  board: LeaseBoard | None = None) -> CampaignSummary:
         campaign = self.campaign
         self.plan = plan
         self.board = board
@@ -495,22 +392,21 @@ class CampaignPipeline:
         else:
             self._targets = owned
         self._targets_all = len(self._targets) == len(campaign.scenarios)
-        self.ctx = PipelineContext(campaign=campaign, sharded=self.sharded)
+        self.golden: dict[str, RunResult] = {}
+        plan.start(self)
 
         self._summary = CampaignSummary(
             keep_records=self.record_sink is None)
         self._emitter = _OrderedEmitter(self._consume)
         self._emitted = 0
         self._golden_done = 0
-        self._fold_next = 0
         store = campaign.golden_trace_store()
         self._trace_spool = store.root if store is not None else None
         self._checkpoints_ready: set[str] = set()
         self._dispatched_keys: set = set()
-        self._fresh_ladders: set[str] = set()
         self._lease_records: dict[str, list[ExperimentRecord]] = {}
         # per-scenario block -> slot-base bookkeeping
-        self._blocks: dict[int, int] = {}
+        self._blocks: dict[int, list] = {}
         self._next_block = 0
         self._base = 0
 
@@ -525,7 +421,7 @@ class CampaignPipeline:
             if not self._targets:
                 self._on_goldens_complete()
             for name in warm:                      # scenario order
-                self._handle_golden(name, self.ctx.golden[name])
+                self._handle_golden(name, self.golden[name])
             for name, capture, end_tick in to_simulate:
                 self._submit_golden(name, capture, end_tick)
             self._event_loop()
@@ -540,8 +436,11 @@ class CampaignPipeline:
                 self._pool.shutdown(kill=interrupted)
             if self._journal is not None:
                 self._journal.close()
-        self._finish()
-        return PipelineResult(summary=self._summary, extras=self.ctx.extras)
+        if not self._emitter.complete:
+            raise RuntimeError(
+                f"pipeline emitted {self._emitted} of "
+                f"{self._emitter.total} records — driver bug")
+        return self._summary
 
     # -- golden stage ----------------------------------------------------------
 
@@ -552,20 +451,24 @@ class CampaignPipeline:
         object, then the golden-trace cache under ``cache_dir`` (the
         full-set file, or this shard's subset file when the plan only
         needs owned scenarios; the file is all-or-nothing).  A plan
-        whose jobs are known before its golden runs reuses cut runs
-        too; a plan that reads whole traces (Bayesian training,
-        golden-only collection) treats a cut run as a miss and
-        simulates that scenario again in full.
+        whose jobs are known before its golden runs (its ``demand()``
+        is not ``None``) reuses cut runs too; a plan that reads whole
+        traces (Bayesian training, golden-only collection) treats a cut
+        run as a miss and simulates that scenario again in full.
 
         Returns ``(warm names, [(name, capture ticks, end tick)])``.
         Job-known plans end each fresh run at its last forkable tick
-        (:meth:`_golden_end`); the others run to the scenario's end.
+        (:meth:`_golden_end`) and capture only the ticks their jobs
+        fork from; the others run to the scenario's end.
         """
         campaign = self.campaign
-        jobs_known = (self.plan.global_jobs is not None
-                      or self.plan.per_scenario_jobs is not None)
+        jobs = self.plan.demand()
+        demand = None if jobs is None else {}    # name -> fork ticks
+        for name, fault in jobs or ():
+            if name in self._owned_names:
+                demand.setdefault(name, set()).add(fault.start_tick)
         names = [s.name for s in self._targets]
-        golden = self.ctx.golden
+        golden = self.golden
         cut: set[str] = set()
 
         def take(runs) -> None:
@@ -573,7 +476,7 @@ class CampaignPipeline:
                 run = runs.get(name)
                 if name in golden or run is None:
                     continue
-                if jobs_known or run.cut_tick is None:
+                if demand is not None or run.cut_tick is None:
                     golden[name] = run
                 else:
                     cut.add(name)
@@ -586,7 +489,6 @@ class CampaignPipeline:
         self._fresh_golden = len(warm) < len(names)
         if not self._fresh_golden:
             return warm, []
-        demand = self._job_demand() if jobs_known else None
         to_simulate = []
         for scenario in self._targets:
             name = scenario.name
@@ -602,7 +504,7 @@ class CampaignPipeline:
                            if capturing and name not in cut else None)
                 to_simulate.append((name, capture, None))
                 continue
-            ticks = demand.get(name, [])
+            ticks = sorted(demand.get(name, ()))
             if capturing:
                 STAGE_TIMER.count("checkpoint", "demanded_ticks",
                                   len(ticks))
@@ -623,35 +525,6 @@ class CampaignPipeline:
         last = self.campaign.schedule_injection_ticks(scenario)[-1:] \
             + ticks[-1:]
         return max(last) + 1 if last else None
-
-    def _job_demand(self) -> dict[str, list[int]]:
-        """The ticks each owned scenario's jobs fork from, named before
-        any golden run: what its ladder captures.
-
-        Job generators read only tick lists, which fall back to the
-        schedule without golden runs, so the plan's generator runs here
-        on a throwaway context (the real one must memoize only golden
-        ticks, or a golden run that ended early would go unnoticed by
-        the real draw, whose jobs then fork from the nearest earlier
-        snapshot or cold-start, bit-identically).  Called only for
-        plans with a job source: Bayesian mining names its jobs after
-        the golden runs, and golden-only plans have none, so their
-        ladders hold every eligible tick.
-        """
-        plan = self.plan
-        scratch = PipelineContext(campaign=self.campaign,
-                                  sharded=self.sharded)
-        if plan.global_jobs is not None:
-            jobs = plan.global_jobs(scratch)
-        else:
-            jobs = [job for scenario in self._targets
-                    if scenario.name in self._owned_names
-                    for job in plan.per_scenario_jobs(scratch, scenario)]
-        demand: dict[str, set[int]] = {}
-        for name, fault in jobs:
-            if name in self._owned_names:
-                demand.setdefault(name, set()).add(fault.start_tick)
-        return {name: sorted(ticks) for name, ticks in demand.items()}
 
     def _load_golden_cache(self):
         campaign = self.campaign
@@ -682,12 +555,11 @@ class CampaignPipeline:
 
     def _handle_golden(self, name: str, run: "RunResult") -> None:
         campaign = self.campaign
-        self.ctx.golden[name] = run
+        self.golden[name] = run
         if run.checkpoints:
             store = campaign.checkpoints
             resident = store.has_scenario(name)
             store.add_all(run.checkpoints)
-            self._fresh_ladders.add(name)
             # Spill the fresh ladder the moment it lands and drop it
             # (plus the RunResult's reference) from memory: driver-
             # resident ladder state stays O(one scenario) instead of
@@ -705,76 +577,39 @@ class CampaignPipeline:
         if self.board is not None:
             self.board.heartbeat()
         self._golden_done += 1
-        self._progress("golden", name, self._golden_done,
-                       len(self._targets))
-        self._fold_completed()
-        if self.plan.per_scenario_jobs is not None \
-                and name in self._owned_names:
-            jobs = self.plan.per_scenario_jobs(self.ctx,
-                                               campaign._by_name[name])
-            self._add_block(name, jobs)
+        self.progress("golden", name, self._golden_done,
+                      len(self._targets))
+        entries = self.plan.on_golden(campaign._by_name[name], run)
+        if name in self._owned_names:
+            self._add_block(name, entries)
         if self._golden_done == len(self._targets):
             self._on_goldens_complete()
 
-    def _fold_completed(self) -> None:
-        """Stream completed goldens into the miner's training fold.
-
-        Folds advance through ``self._targets`` in campaign scenario
-        order, consuming the longest completed prefix — training work
-        happens while later goldens still simulate, yet the
-        accumulation order (and therefore the fitted model) is fixed
-        by the scenario list.  Emits one ``train`` progress event per
-        folded trace.
-        """
-        miner = self.plan.miner
-        if miner is None or miner.fold is None:
-            return
-        total = len(self._targets)
-        while self._fold_next < total:
-            scenario = self._targets[self._fold_next]
-            run = self.ctx.golden.get(scenario.name)
-            if run is None:
-                return
-            miner.fold(self.ctx, scenario, run)
-            self._fold_next += 1
-            self._progress("train", scenario.name, self._fold_next,
-                           total)
-
     def _on_goldens_complete(self) -> None:
+        """Take the plan's remaining entries, ordered after every block."""
         # Reinstate campaign scenario order (completion order is not
-        # deterministic) before any hook that iterates the dict.
-        ordered = {s.name: self.ctx.golden[s.name] for s in self._targets}
-        self.ctx.golden = ordered
+        # deterministic) before anything iterates the dict.
+        self.golden = {s.name: self.golden[s.name] for s in self._targets}
         self._persist_golden()
-        plan = self.plan
-        if plan.global_jobs is not None:
-            jobs = plan.global_jobs(self.ctx)
-            owned_jobs = [(name, fault) for name, fault in jobs
-                          if name in self._owned_names]
-            self._emitter.set_total(len(owned_jobs))
-            groups: dict[str, list] = {}
-            for slot, (name, fault) in enumerate(owned_jobs):
-                self._emitter.assign(slot, slot)
-                groups.setdefault(name, []).append((slot, fault))
-            for name, items in groups.items():
-                self._dispatch(name, items)
-        elif plan.miner is not None:
-            self._run_mining()
-        elif plan.per_scenario_jobs is None or not self._owned_order:
-            self._emitter.set_total(0)
+        owned = [(identity, job) for identity, job in self.plan.jobs_ready()
+                 if job[0] in self._owned_names]
+        self._emitter.total = self._base + len(owned)
+        for slot, (identity, _) in enumerate(owned, start=self._base):
+            self._emitter.assign(identity, slot)
+        self.dispatch(owned)
 
     def _persist_golden(self) -> None:
         campaign = self.campaign
-        campaign._pin_spool(self.ctx.golden)
+        campaign._pin_spool(self.golden)
         if self._targets_all:
             # At least as complete as any earlier memo: a run is only
             # re-simulated when the memo lacked it or held it cut.
-            campaign._golden = dict(self.ctx.golden)
+            campaign._golden = dict(self.golden)
             if self._fresh_golden:
                 campaign._save_golden_cache()
             return
         merged = dict(campaign._golden_shard or {})
-        merged.update(self.ctx.golden)
+        merged.update(self.golden)
         campaign._golden_shard = merged
         if not self._fresh_golden or self.board is not None:
             # Lease rounds own a different subset each time, so the
@@ -786,60 +621,37 @@ class CampaignPipeline:
         if path is not None:
             from .persistence import save_golden_traces
             path.parent.mkdir(parents=True, exist_ok=True)
-            save_golden_traces(self.ctx.golden, path,
+            save_golden_traces(self.golden, path,
                                campaign._fingerprint(),
                                trace_store=campaign.golden_trace_store())
 
-    # -- per-scenario job streaming --------------------------------------------
+    # -- job streaming ---------------------------------------------------------
 
-    def _add_block(self, name: str, jobs: list[ExperimentJob]) -> None:
-        """Register one scenario's job block; dispatch now, emit in order.
+    def _add_block(self, name: str, entries: list) -> None:
+        """Register one owned scenario's ``on_golden`` entries; dispatch
+        now, emit in order.
 
-        Blocks occupy consecutive slot ranges in owned-scenario order
-        (the job order).  Execution starts immediately; slots — and
-        therefore emission — resolve as soon as every earlier block's
-        size is known.
+        Blocks occupy consecutive slot ranges in owned-scenario order,
+        ahead of the ``jobs_ready`` entries.  Execution starts
+        immediately; slots — and therefore emission — resolve as soon
+        as every earlier block's size is known.
         """
-        index = self._owned_order.index(name)
-        self._blocks[index] = len(jobs)
-        self._dispatch(name, [((index, j), fault)
-                              for j, (_, fault) in enumerate(jobs)])
+        self._blocks[self._owned_order.index(name)] = [
+            identity for identity, _ in entries]
+        self.dispatch(entries)
         while self._next_block in self._blocks:
-            size = self._blocks[self._next_block]
-            for j in range(size):
-                self._emitter.assign((self._next_block, j), self._base + j)
-            self._base += size
+            for identity in self._blocks.pop(self._next_block):
+                self._emitter.assign(identity, self._base)
+                self._base += 1
             self._next_block += 1
-        if self._next_block == len(self._owned_order):
-            self._emitter.set_total(self._base)
 
-    # -- mining stage ----------------------------------------------------------
-
-    def _run_mining(self) -> None:
-        plan = self.plan
-        campaign = self.campaign
-        entries = plan.miner.prepare(self.ctx)
-        if entries is None:
-            total = len(campaign.scenarios)
-            for done, scenario in enumerate(campaign.scenarios, start=1):
-                mined = plan.miner.mine_scenario(self.ctx, scenario)
-                self.ctx.mined[scenario.name] = mined
-                self._progress("mined", scenario.name, done, total)
-                if plan.miner.eager_dispatch:
-                    items = [((scenario.name, j), plan.miner.job_of(c)[1])
-                             for j, c in enumerate(mined)
-                             if c.scenario in self._owned_names]
-                    if items:
-                        self._dispatch(scenario.name, items)
-            entries = plan.miner.finalize(self.ctx)
-        owned = [(identity, job) for identity, job in entries
-                 if job[0] in self._owned_names]
-        self._emitter.set_total(len(owned))
-        for slot, (identity, _) in enumerate(owned):
-            self._emitter.assign(identity, slot)
+    def dispatch(self, entries: list) -> None:
+        """Execute the owned, not yet dispatched ``(identity, job)``
+        entries, one group per scenario in order of appearance."""
         groups: dict[str, list] = {}
-        for identity, (name, fault) in owned:
-            if identity not in self._dispatched_keys:
+        for identity, (name, fault) in entries:
+            if name in self._owned_names \
+                    and identity not in self._dispatched_keys:
                 groups.setdefault(name, []).append((identity, fault))
         for name, items in groups.items():
             self._dispatch(name, items)
@@ -938,7 +750,7 @@ class CampaignPipeline:
         if name in self._checkpoints_ready:
             return
         self._checkpoints_ready.add(name)
-        run = self.ctx.golden[name]
+        run = self.golden[name]
         # A cut run stopped short of ticks a complete run goes on to
         # reach, so only its scenario's end bounds the capture.
         reached = round((self.campaign._by_name[name].duration
@@ -1025,21 +837,11 @@ class CampaignPipeline:
                                            []).append(record)
         if self.record_sink is not None:
             self.record_sink.add(record)
-        self._progress("validated", record.scenario, self._emitted,
-                       self._emitter.total)
+        self.progress("validated", record.scenario, self._emitted,
+                      self._emitter.total)
 
-    def _progress(self, stage, scenario, done, total) -> None:
+    def progress(self, stage, scenario, done, total) -> None:
         if self.on_progress is not None:
             self.on_progress(PipelineProgress(stage=stage,
                                               scenario=scenario,
                                               done=done, total=total))
-
-    def _finish(self) -> None:
-        # Freshly captured ladders were already persisted scenario by
-        # scenario (the eager spill in _handle_golden writes straight
-        # into the checkpoint cache when cache_dir is set), so the only
-        # job left is the completeness invariant.
-        if not self._emitter.complete:
-            raise RuntimeError(
-                f"pipeline emitted {self._emitted} of "
-                f"{self._emitter.total} records — driver bug")

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..core.ioutil import write_bytes_atomic
+from ..core.plans import check_counts
 
 STYLES = ("random", "exhaustive", "arch", "bayesian")
 
@@ -96,6 +97,12 @@ class JobSpec:
         if not isinstance(params, dict):
             raise SpecError("spec.params must be an object")
         cls._validate_interface_params(params)
+        try:    # the plans' own check, on the numeric counts given
+            check_counts(**{name: params[name] for name in
+                            ("top_k", "max_experiments", "tick_stride")
+                            if isinstance(params.get(name), (int, float))})
+        except ValueError as error:
+            raise SpecError(f"spec.params.{error}") from None
         scenarios = payload.get("scenarios")
         if scenarios is not None:
             if not isinstance(scenarios, list) or not scenarios:

@@ -6,8 +6,8 @@ from tick 0 (no checkpoint store), one job after another in job order.
 It is simpler than any driver — no pool, no checkpoint fork, no fused
 lanes, no reorder buffer, no journal — so each driver feature is
 checked against code that has none of them.  Job lists come from the
-campaign's own draw helpers, so the reference executes exactly the
-experiments the campaign scheduled.
+campaign plans' own draws (:mod:`repro.core.plans`), so the reference
+executes exactly the experiments the campaign scheduled.
 
 The scalar tick's two per-tick shortcuts keep their oracles here too:
 :func:`reference_in_collision`, the SAT against every obstacle (what
@@ -32,6 +32,8 @@ from repro.ads import localization, tracking
 from repro.ads.kernels import _inv3, py_where
 from repro.ads.messages import Detection, GpsFix, ImuSample, SensorBundle
 from repro.core.parallel import execute_experiment
+from repro.core.plans import (ArchitecturalPlan, BayesianPlan,
+                              ExhaustivePlan, RandomPlan)
 from repro.sim import obb_overlap
 
 
@@ -53,43 +55,42 @@ def reference_records(campaign, jobs):
 
 
 def ticks_of(campaign):
-    """The golden-derived tick source the draw helpers expect."""
-    return lambda name: campaign.injection_ticks(campaign._by_name[name])
+    """The golden-derived tick source the plans' draws expect."""
+    return lambda name, stride=1: campaign.injection_ticks(
+        campaign._by_name[name], stride=stride)
 
 
 def random_jobs(campaign, n_experiments, seed=None, **interface):
     """The jobs ``campaign.random_campaign(n, seed, **interface)`` runs."""
-    return campaign._random_jobs(n_experiments, seed, ticks_of(campaign),
-                                 **interface)
+    return RandomPlan(campaign, n_experiments, seed, **interface).draw(
+        ticks_of(campaign))
 
 
 def exhaustive_jobs(campaign, tick_stride=10, variable_names=None,
                     max_experiments=None, interface_grid=False):
     """The jobs ``campaign.exhaustive_campaign(...)`` runs."""
-    jobs = []
-    for scenario in campaign.scenarios:
-        ticks = campaign.injection_ticks(scenario, stride=tick_stride)
-        grid = campaign._exhaustive_grid(ticks, variable_names,
-                                         interface_grid)
-        jobs.extend((scenario.name, fault) for fault in grid)
-    return jobs if max_experiments is None else jobs[:max_experiments]
+    return ExhaustivePlan(campaign, tick_stride, variable_names,
+                          max_experiments, interface_grid).draw(
+        ticks_of(campaign))
 
 
 def architectural_jobs(campaign, n_experiments, model=None, seed=None,
                        interface_hangs=False):
     """``(jobs, outcome_counts)`` of ``architectural_campaign(...)``."""
-    return campaign._architectural_jobs(n_experiments, model, seed,
-                                        ticks_of(campaign), interface_hangs)
+    plan = ArchitecturalPlan(campaign, n_experiments, model, seed,
+                             interface_hangs)
+    return plan.draw(ticks_of(campaign)), plan.outcome_counts
 
 
 def candidate_jobs(campaign, candidates, interface_probe=()):
     """Validation jobs of mined candidates, probes after each value job."""
+    plan = BayesianPlan(campaign, interface_probe=interface_probe)
     duration = campaign.config.fault_duration_ticks
     jobs = []
     for candidate in candidates:
         jobs.append((candidate.scenario,
                      candidate.to_fault_spec(duration_ticks=duration)))
-        jobs.extend(campaign._probe_jobs(candidate, interface_probe))
+        jobs.extend(plan.probe_jobs(candidate))
     return jobs
 
 

@@ -6,6 +6,8 @@ import pytest
 
 from repro.core import (MINED_VARIABLES, Campaign, CampaignConfig,
                         FaultSpec, Hazard)
+from repro.core.plans import (ArchitecturalPlan, BayesianPlan,
+                              ExhaustivePlan, RandomPlan)
 from repro.sim import (empty_road, highway_cruise, lead_vehicle_cutin,
                        stalled_vehicle)
 
@@ -171,13 +173,13 @@ class TestWorkKeys:
     key would make ``--resume`` redo everything after an upgrade."""
 
     @pytest.mark.parametrize("plan, key", [
-        (lambda c: c._random_plan(48, None), "86e7bbb6094b"),
-        (lambda c: c._random_plan(120, 1, 0.25), "95a1f2dc4ca4"),
-        (lambda c: c._exhaustive_plan(40, None, 120), "cbadc7b710ad"),
-        (lambda c: c._architectural_plan(100, None, None), "2e10eea46e3a"),
-        (lambda c: c._bayesian_plan(None, MINED_VARIABLES, 0.0, 80),
+        (lambda c: RandomPlan(c, 48, None), "86e7bbb6094b"),
+        (lambda c: RandomPlan(c, 120, 1, 0.25), "95a1f2dc4ca4"),
+        (lambda c: ExhaustivePlan(c, 40, None, 120), "cbadc7b710ad"),
+        (lambda c: ArchitecturalPlan(c, 100, None, None), "2e10eea46e3a"),
+        (lambda c: BayesianPlan(c, None, MINED_VARIABLES, 0.0, 80),
          "8c1c8a2e662f"),
-        (lambda c: c._bayesian_plan(None, MINED_VARIABLES, 0.0, None),
+        (lambda c: BayesianPlan(c, None, MINED_VARIABLES, 0.0, None),
          "86d375e401b0"),
     ], ids=["random", "random-interface", "exhaustive", "architectural",
             "bayesian-top-80", "bayesian-all"])

@@ -35,6 +35,10 @@ def small_scenarios():
             replace(queued_traffic(), duration=18.0)]
 
 
+def candidate_keys(candidates):
+    return [(c.scenario, c.injection_tick, c.variable, c.value)
+            for c in candidates]
+
 
 def run_style(campaign: Campaign, style: str, **kwargs):
     """One scaled-down campaign of the given style; returns its summary."""
@@ -310,6 +314,39 @@ class TestLeaseEquivalence:
         assert merged.same_aggregates(oracle["random"])
         assert sorted(map(repr, strip_wall(merged.records))) == \
             sorted(map(repr, strip_wall(oracle["random"].records)))
+
+    def test_bayesian_lease_hosts_match_unleased(self, tmp_path):
+        """A leased host, then a late host that claims nothing and
+        reproduces the mined candidates in an empty round (mining
+        again, its candidate cache deleted), both equal the unleased
+        run."""
+        unleased = Campaign(small_scenarios(), CampaignConfig()) \
+            .bayesian_campaign(top_k=6)
+        cache = tmp_path / "cache"
+        for host in range(2):
+            if host == 1:
+                for path in cache.glob("candidates-*.json"):
+                    path.unlink()
+            leased = Campaign(small_scenarios(), self.lease_config(),
+                              cache_dir=cache).bayesian_campaign(top_k=6)
+            assert candidate_keys(leased.candidates) == \
+                candidate_keys(unleased.candidates)
+            assert leased.mining.n_scored == unleased.mining.n_scored
+            assert leased.summary.same_aggregates(unleased.summary)
+
+    def test_architectural_lease_hosts_match_unleased(self, tmp_path):
+        """The global outcome counts survive lease rounds, including a
+        late host's empty round."""
+        summary, outcomes = Campaign(
+            small_scenarios(), CampaignConfig()).architectural_campaign(
+            60, seed=3)
+        cache = tmp_path / "cache"
+        for _ in range(2):
+            leased, leased_outcomes = Campaign(
+                small_scenarios(), self.lease_config(),
+                cache_dir=cache).architectural_campaign(60, seed=3)
+            assert leased_outcomes == outcomes
+            assert leased.same_aggregates(summary)
 
     def test_lease_requires_cache_dir(self):
         campaign = Campaign(small_scenarios(), self.lease_config())

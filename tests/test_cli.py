@@ -96,6 +96,19 @@ class TestCLI:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["random", "-n", "2", "--interface-kinds", "explode"],
+         "explode"),
+        (["exhaustive", "--max", "-1"], "max_experiments must be >= 0"),
+        (["exhaustive", "--stride", "0"], "tick_stride must be >= 1"),
+        (["exhaustive", "--stride", "-25"], "tick_stride must be >= 1"),
+        (["bayesian", "--top-k", "-1"], "top_k must be >= 0")])
+    def test_bad_campaign_parameters_are_clean_errors(self, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert str(excinfo.value).startswith("error: ")
+        assert message in str(excinfo.value)
+
 
 class TestMergeCLI:
     def _shard(self, path, style, n=2, base=0):

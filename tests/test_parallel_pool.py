@@ -14,8 +14,9 @@ import pytest
 from reference import random_jobs, reference_records, strip_wall
 
 from repro.core import (Campaign, CampaignConfig, CampaignPipeline,
-                        FaultSpec, ListSink, StagePlan)
+                        FaultSpec, ListSink)
 from repro.core.parallel import _picklable, _pool_context
+from repro.core.plans import JobsPlan, Plan
 from repro.sim import Scenario, highway_cruise, lead_vehicle_cutin
 
 
@@ -26,10 +27,10 @@ def small_scenarios():
 
 def run_driver(campaign, jobs, workers, start_method=None):
     """``jobs`` on the streaming driver under a forced start method."""
-    plan = StagePlan(style="jobs", global_jobs=lambda ctx: jobs)
-    result = CampaignPipeline(campaign, workers=workers,
-                              start_method=start_method).run(plan)
-    return strip_wall(result.summary.records)
+    summary = CampaignPipeline(campaign, workers=workers,
+                               start_method=start_method).run(
+        JobsPlan(campaign, jobs))
+    return strip_wall(summary.records)
 
 
 def collect_goldens(scenarios, workers=None, start_method=None):
@@ -37,7 +38,7 @@ def collect_goldens(scenarios, workers=None, start_method=None):
     campaign = Campaign(scenarios, CampaignConfig())
     CampaignPipeline(campaign, workers=workers,
                      start_method=start_method).run(
-        StagePlan(style="golden", golden_scope="all"))
+        Plan(campaign))
     return campaign._golden
 
 

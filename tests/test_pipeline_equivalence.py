@@ -13,6 +13,7 @@ Two guarantees ride the :mod:`repro.core.pipeline` driver:
 """
 
 import gzip
+import hashlib
 import math
 from dataclasses import replace
 
@@ -21,11 +22,12 @@ from reference import (architectural_jobs, candidate_jobs, exhaustive_jobs,
                        random_jobs, reference_records, strip_wall)
 
 from repro.core import (MINED_VARIABLES, Campaign, CampaignConfig,
-                        CampaignPipeline, ExperimentRecord, Hazard,
-                        ListSink)
+                        CampaignPipeline, ExperimentRecord, FaultSpec,
+                        Hazard, ListSink)
 from repro.core.persistence import (JsonlRecordSink, iter_records_jsonl,
                                     load_summary_jsonl,
                                     merge_record_shards)
+from repro.core.plans import JobsPlan, Plan, RandomPlan
 from repro.core.results import CampaignSummary
 from repro.sim import highway_cruise, lead_vehicle_cutin, queued_traffic
 
@@ -49,6 +51,27 @@ def reference_mining(campaign, result, top_k=None):
     summary = reference_summary(campaign,
                                 candidate_jobs(campaign, candidates))
     return candidates, report, summary
+
+
+def events_digest(events):
+    """sha256 of a progress stream's ``(stage, scenario, done, total)``."""
+    rows = [(e.stage, e.scenario, e.done, e.total) for e in events]
+    return hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()[:12]
+
+
+def run_golden_plan(campaign, on_progress):
+    """The golden-only plan ``golden_runs()`` drives, with progress."""
+    campaign._run_pipeline(Plan(campaign), on_progress=on_progress)
+
+
+def run_jobs_plan(campaign, on_progress):
+    """The ``run_jobs`` plan over a fixed job list, with progress."""
+    names = [s.name for s in campaign.scenarios]
+    jobs = [(names[1], FaultSpec("brake", 0.0, 60, 4)),
+            (names[0], FaultSpec("throttle", 1.0, 90, 4)),
+            (names[1], FaultSpec("steering", 0.55, 120, 4))]
+    campaign._run_pipeline(JobsPlan(campaign, jobs),
+                           on_progress=on_progress)
 
 
 def candidate_keys(candidates):
@@ -169,11 +192,10 @@ class TestPipelineEquivalence:
         """The pipeline's no-fork path: state ships by pickle + spool."""
         reference = reference_summary(oracle,
                                       random_jobs(oracle, 6, seed=5))
-        outcome = CampaignPipeline(
+        summary = CampaignPipeline(
             piped, workers=2, start_method="spawn").run(
-            piped._random_plan(6, 5))
-        assert strip_wall(outcome.summary.records) == \
-            strip_wall(reference.records)
+            RandomPlan(piped, 6, 5))
+        assert strip_wall(summary.records) == strip_wall(reference.records)
 
 
 class TestPipelineStreaming:
@@ -228,14 +250,47 @@ class TestPipelineStreaming:
         with pytest.raises(ValueError, match="sink"):
             save_summary(streamed, tmp_path / "empty.json")
 
-    def test_progress_events(self, piped):
+    @pytest.mark.parametrize("run, digest", [
+        (lambda c, on: c.random_campaign(4, seed=1, on_progress=on),
+         "b0e5d06b3167"),
+        (lambda c, on: c.random_campaign(6, seed=2, interface_share=0.5,
+                                         on_progress=on),
+         "53623ce08312"),
+        (lambda c, on: c.architectural_campaign(60, seed=3,
+                                                on_progress=on),
+         "9fbcc69cde03"),
+        (lambda c, on: c.exhaustive_campaign(
+            tick_stride=40, variable_names=["brake"], on_progress=on),
+         "89ea1b3f7149"),
+        (lambda c, on: c.exhaustive_campaign(
+            tick_stride=40, variable_names=["brake"], max_experiments=5,
+            on_progress=on),
+         "ee84e12d17fe"),
+        (lambda c, on: c.bayesian_campaign(top_k=4, on_progress=on),
+         "8147351702e2"),
+        (lambda c, on: c.bayesian_campaign(on_progress=on),
+         "49606496c358"),
+        (lambda c, on: run_golden_plan(c, on), "8e54759f5fb3"),
+        (lambda c, on: run_jobs_plan(c, on), "52a47a0ef002"),
+    ], ids=["random", "random-interface", "architectural", "exhaustive",
+            "exhaustive-capped", "bayesian-top-k", "bayesian-all",
+            "golden", "jobs"])
+    def test_progress_events(self, run, digest):
+        """Each serial plan's full ``(stage, scenario, done, total)``
+        event stream, pinned."""
         events = []
-        piped.random_campaign(4, seed=1, on_progress=events.append)
-        stages = {event.stage for event in events}
-        assert {"golden", "validated"} <= stages
-        validated = [e for e in events if e.stage == "validated"]
-        assert [e.done for e in validated] == [1, 2, 3, 4]
-        assert all(e.total == 4 for e in validated)
+        run(Campaign(small_scenarios(), CampaignConfig()), events.append)
+        assert events_digest(events) == digest
+
+    def test_progress_events_candidate_cache_hit(self, tmp_path):
+        Campaign(small_scenarios(), CampaignConfig(),
+                 cache_dir=tmp_path).bayesian_campaign(top_k=4)
+        events = []
+        Campaign(small_scenarios(), CampaignConfig(),
+                 cache_dir=tmp_path).bayesian_campaign(
+            top_k=4, on_progress=events.append)
+        assert not [e for e in events if e.stage == "mined"]
+        assert events_digest(events) == "b2b0aae5c821"
 
     def test_progress_events_bayesian_mining(self, piped):
         events = []

@@ -24,6 +24,7 @@ from repro.core.persistence import (JsonlRecordSink, iter_records_jsonl,
                                     merge_record_shards, record_from_dict,
                                     record_to_dict)
 from repro.core.pipeline import CampaignPipeline
+from repro.core.plans import RandomPlan
 from repro.core.resilience import (CampaignExecutionError, CampaignJournal,
                                    JobFailure, LeaseBoard,
                                    SupervisedExecutor, _backoff_delay,
@@ -588,12 +589,12 @@ class TestSpawnFallbackWarning:
     def test_pipeline_driver_warns_naming_scenarios(self):
         campaign = Campaign(self.closure_scenarios(), CampaignConfig())
         with pytest.warns(RuntimeWarning, match="scenarios"):
-            outcome = CampaignPipeline(
+            summary = CampaignPipeline(
                 campaign, workers=2, start_method="spawn").run(
-                campaign._random_plan(4, 5))
+                RandomPlan(campaign, 4, 5))
         oracle = Campaign(self.closure_scenarios(), CampaignConfig())
         reference = reference_records(oracle, random_jobs(oracle, 4, seed=5))
-        assert strip_wall(outcome.summary.records) == strip_wall(reference)
+        assert strip_wall(summary.records) == strip_wall(reference)
 
 
 class TestLadderSpill:

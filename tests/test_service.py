@@ -54,6 +54,10 @@ class TestJobSpec:
         {"style": "random", "params": []},
         {"style": "random", "scenarios": []},
         {"style": "random", "scenarios": [{"duration": 5.0}]},
+        {"style": "bayesian", "params": {"top_k": -1}},
+        {"style": "exhaustive", "params": {"max_experiments": -1}},
+        {"style": "exhaustive", "params": {"tick_stride": 0}},
+        {"style": "exhaustive", "params": {"tick_stride": -25}},
     ])
     def test_rejects_malformed_payloads(self, payload):
         with pytest.raises(SpecError):

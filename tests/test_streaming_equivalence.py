@@ -20,10 +20,11 @@ from reference import reference_records, strip_wall
 
 from repro.core import (Campaign, CampaignConfig, CampaignPipeline,
                         CheckpointStore, ExperimentRecord, FaultSpec,
-                        Hazard, ListSink, StagePlan, execute_experiment)
+                        Hazard, ListSink, execute_experiment)
 from repro.core.persistence import (JsonlRecordSink, iter_records_jsonl,
                                     load_summary_jsonl, record_from_dict,
                                     record_to_dict)
+from repro.core.plans import JobsPlan, Plan
 from repro.core.results import CampaignSummary
 from repro.sim import highway_cruise, lead_vehicle_cutin, queued_traffic
 
@@ -419,14 +420,14 @@ class TestSpawnStartMethod:
         reference = reference_records(serial_campaign, jobs)
         spawned = CampaignPipeline(
             serial_campaign, workers=2, start_method="spawn").run(
-            StagePlan(style="jobs", global_jobs=lambda ctx: jobs))
-        assert strip_wall(spawned.summary.records) == strip_wall(reference)
+            JobsPlan(serial_campaign, jobs))
+        assert strip_wall(spawned.records) == strip_wall(reference)
 
     def test_spawn_golden_collection_matches_serial(self, serial_campaign):
         scenarios = small_scenarios()[:2]
         campaign = Campaign(scenarios, CampaignConfig())
         CampaignPipeline(campaign, workers=2, start_method="spawn").run(
-            StagePlan(style="golden", golden_scope="all"))
+            Plan(campaign))
         # Worker-captured ladders reached the spool; load them from it.
         assert CheckpointStore.saved_scenarios(
             campaign._ladder_spool_dir()) == {s.name for s in scenarios}
