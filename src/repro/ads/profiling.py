@@ -19,11 +19,13 @@ collision tests: ``checks`` (per-lane tests),
 SAT) and ``collisions`` (confirmed overlaps).  The untimed
 ``checkpoint`` row counts ``snapshots``, ``restores`` (forks, both
 engines), ``gap_ticks`` forks replayed before their fault,
-``demanded_ticks`` the driver asked ladders to hold, and the
-``spill_bytes`` it spooled.  The untimed ``engine`` row counts the
-validation jobs each engine ran (``fused_jobs``, ``scalar_jobs``) and,
-per fused tick, the live lanes (``lane_ticks``) against the batch's
-slots (``slot_ticks``): their ratio is the fused lane occupancy.
+``demanded_ticks`` the driver asked ladders to hold, the
+``replay_ticks`` fault-free prefix runs simulated to capture ladders
+outside the golden runs, and the ``spill_bytes`` it spooled.  The
+untimed ``engine`` row counts the validation jobs each engine ran
+(``fused_jobs``, ``scalar_jobs``) and, per fused tick, the live lanes
+(``lane_ticks``) against the batch's slots (``slot_ticks``): their
+ratio is the fused lane occupancy.
 The untimed ``golden`` row counts golden ``runs``, the ``ticks`` they
 simulated, and the ``cut_ticks`` a run stopped at its last forkable
 tick left unsimulated.

@@ -333,13 +333,14 @@ def _print_summary(summary, label: str) -> None:
                   f"{collision['collisions']} collisions")
         checkpoint = timings.get("checkpoint")
         if checkpoint:
-            snapshots, demanded, restores, gap, spilled = (
+            snapshots, demanded, replayed, restores, gap, spilled = (
                 checkpoint.get(event, 0) for event in (
-                    "snapshots", "demanded_ticks", "restores", "gap_ticks",
-                    "spill_bytes"))
+                    "snapshots", "demanded_ticks", "replay_ticks",
+                    "restores", "gap_ticks", "spill_bytes"))
             print(f"  checkpoint: {snapshots} snapshots for {demanded} "
-                  f"demanded ticks, {restores} restores replaying {gap} "
-                  f"gap ticks, {spilled} bytes spilled")
+                  f"demanded ticks ({replayed} prefix ticks replayed), "
+                  f"{restores} restores replaying {gap} gap ticks, "
+                  f"{spilled} bytes spilled")
         engine = timings.get("engine")
         if engine:
             fused, scalar, live, slots = (

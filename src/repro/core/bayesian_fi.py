@@ -325,6 +325,28 @@ class InjectorTrainer:
                                   self.n_slices, self._slice_dt)
 
 
+def _quantized_keys(v: np.ndarray, phi: np.ndarray, v_step: float,
+                    phi_step: float) -> tuple[list, np.ndarray]:
+    """A batch's distinct quantized ``(v, phi)`` table keys and, per
+    element, the index of its key.
+
+    Quantizes like the scalar lookups (``round(max(v, 0) / v_step) *
+    v_step``, and ``phi`` likewise), but deduplicates the integer codes
+    packed into one int64 instead of sorting float pairs.  Each key is
+    rebuilt from its codes, so the keys are the scalar path's floats
+    (``+0.0`` for a zero code) in lexicographic ``(v, phi)`` order.
+    """
+    iv = np.round(np.maximum(v, 0.0) / v_step).astype(np.int64)
+    iphi = np.round(phi / phi_step).astype(np.int64)
+    low = iphi.min(initial=0)
+    width = iphi.max(initial=0) - low + 1
+    _, first, inverse = np.unique(iv * width + (iphi - low),
+                                  return_index=True, return_inverse=True)
+    keys = list(zip((iv[first] * v_step).tolist(),
+                    (iphi[first] * phi_step).tolist()))
+    return keys, inverse
+
+
 class BayesianFaultInjector:
     """Trains the 3-TBN and mines ``F_crit`` by do-calculus scoring."""
 
@@ -644,33 +666,24 @@ class BayesianFaultInjector:
         """Vectorized emergency-stop displacement at heading 0.
 
         Quantizes exactly like :func:`stopping_displacement` and looks
-        the unique (v, phi) pairs up in the same stop table in one bulk
+        the distinct (v, phi) keys up in the same stop table in one bulk
         call, so every element matches the scalar call bit for bit.
         """
-        v_q = np.round(np.maximum(v_hat, 0.0) / 0.05) * 0.05
-        phi_q = np.round(phi / 5e-4) * 5e-4
-        pairs = np.column_stack([v_q, phi_q])
-        unique, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        stops = _canonical_stop.lookup(
-            [(v, p) for v, p in unique.tolist()],
-            _stop_params(self.safety_config))
-        return np.array([stop[0] for stop in stops])[np.ravel(inverse)]
+        keys, inverse = _quantized_keys(v_hat, phi, 0.05, 5e-4)
+        stops = _canonical_stop.lookup(keys, _stop_params(self.safety_config))
+        return np.array([stop[0] for stop in stops])[inverse]
 
     def _batch_excursion(self, v: np.ndarray,
                          phi_fault: np.ndarray) -> np.ndarray:
         """Vectorized :func:`steering_excursion` over the candidate batch.
 
-        Quantizes exactly like the scalar call and looks the unique
-        (v, phi) pairs up in the same excursion table in one bulk call.
+        Quantizes exactly like the scalar call and looks the distinct
+        (v, phi) keys up in the same excursion table in one bulk call.
         """
-        v_q = np.round(np.maximum(v, 0.0) / 0.1) * 0.1
-        phi_q = np.round(phi_fault / 1e-3) * 1e-3
-        pairs = np.column_stack([v_q, phi_q])
-        unique, inverse = np.unique(pairs, axis=0, return_inverse=True)
+        keys, inverse = _quantized_keys(v, phi_fault, 0.1, 1e-3)
         peaks = _canonical_excursion.lookup(
-            [(v, p) for v, p in unique.tolist()],
-            _excursion_params(2.0 * self.slice_dt, self.safety_config))
-        return np.array(peaks)[np.ravel(inverse)]
+            keys, _excursion_params(2.0 * self.slice_dt, self.safety_config))
+        return np.array(peaks)[inverse]
 
     def _score_candidates(self, cols: Mapping[str, np.ndarray],
                           node: str, node_values: np.ndarray,

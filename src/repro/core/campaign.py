@@ -16,6 +16,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..ads.profiling import STAGE_TIMER
 from ..ads.runtime import ADSConfig
 from ..sim.scenario import Scenario, default_scenarios
 from .bayesian_fi import (MINED_VARIABLES, BayesianFaultInjector, SceneRow,
@@ -257,7 +258,8 @@ class Campaign:
         the union of its ticks and the demand.  Capture ticks derive
         from the schedule or the demand, not the golden trace, so this
         does not force ``golden_runs()``: a single ``run_fault`` costs
-        at most one prefix run.
+        at most one prefix run.  The ticks prefix runs simulate count
+        as the ``checkpoint`` row's ``replay_ticks``.
         """
         store = self.checkpoints
         spool = self._ladder_spool_dir()
@@ -279,6 +281,8 @@ class Campaign:
                 seed=self.config.seed, safety_config=self.config.safety,
                 record_trace=False, checkpoint_ticks=capture,
                 end_tick=max(capture, default=-1) + 1)
+            STAGE_TIMER.count("checkpoint", "replay_ticks", round(
+                run.sim_seconds / self.config.ads.control_period))
             if run.checkpoints:
                 store.add_all(run.checkpoints)
                 store.save_scenario(spool, name)

@@ -11,13 +11,15 @@ use to inject into a *running* stack.
 A :class:`Checkpoint` is picklable, so stores survive process-pool fan
 out (workers inherit them through ``fork``) and ship across hosts.
 Ladders are sparse: the campaign driver snapshots only the ticks its
-jobs fork from (or every eligible tick when the jobs are not known
-before the golden run, as for Bayesian mining).  :class:`CheckpointStore`
-resolves an injection tick to the nearest checkpoint at or before it,
-which is what makes any ladder safe for any job: a fault at an
-uncaptured tick (a golden run that ended early, a ladder captured for
-another job set) resumes from the nearest earlier snapshot and replays
-the short gap fault-free before the fault window opens.
+jobs fork from, in the golden run when the jobs are known before it,
+else (Bayesian mining) in one fault-free prefix replay when they are
+dispatched.  Only golden-only collection keeps every eligible tick.
+:class:`CheckpointStore` resolves an injection tick to the nearest
+checkpoint at or before it, which is what makes any ladder safe for
+any job: a fault at an uncaptured tick (a golden run that ended early,
+a ladder captured for another job set) resumes from the nearest
+earlier snapshot and replays the short gap fault-free before the fault
+window opens.
 
 Stores also persist to disk, one ladder at a time
 (:meth:`CheckpointStore.save_scenario` /

@@ -459,7 +459,10 @@ class CampaignPipeline:
         Returns ``(warm names, [(name, capture ticks, end tick)])``.
         Job-known plans end each fresh run at its last forkable tick
         (:meth:`_golden_end`) and capture only the ticks their jobs
-        fork from; the others run to the scenario's end.
+        fork from; the others run to the scenario's end and capture
+        the schedule ladder only if the plan keeps one
+        (``Plan.schedule_ladder``).  Every other ladder is captured
+        on demand at dispatch (:meth:`_ready_checkpoints`).
         """
         campaign = self.campaign
         jobs = self.plan.demand()
@@ -501,7 +504,8 @@ class CampaignPipeline:
                 # that cut it made its ladder, and dispatch recaptures
                 # that if jobs need more.
                 capture = (campaign.schedule_injection_ticks(scenario)
-                           if capturing and name not in cut else None)
+                           if capturing and name not in cut
+                           and self.plan.schedule_ladder else None)
                 to_simulate.append((name, capture, None))
                 continue
             ticks = sorted(demand.get(name, ()))
@@ -739,10 +743,12 @@ class CampaignPipeline:
         """Make a scenario's ladder available in the spool before dispatch.
 
         Freshly captured ladders are spilled by :meth:`_handle_golden`;
-        this covers warm-started scenarios.  A spilled ladder holding
-        every tick ``items`` fork from (that the golden run reached) is
-        used as it is; otherwise one prefix run captures it, or the
-        union of its ticks and theirs
+        this covers warm-started scenarios and golden runs that
+        captured nothing (a Bayesian plan's, whose jobs exist only
+        after mining).  A spilled ladder holding every tick ``items``
+        fork from (that the golden run reached) is used as it is;
+        otherwise one prefix run that stops after the last of them
+        captures them, or the union of its ticks and theirs
         (:meth:`Campaign._ensure_checkpoints`).  Persistence is per
         scenario (:meth:`CheckpointStore.save_scenario`), so a campaign
         touching k of n scenarios costs O(k) ladder writes.

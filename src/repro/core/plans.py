@@ -8,8 +8,12 @@ hooks, so the driver never asks which kind of job source it has:
 * ``demand()`` — the jobs known before any golden run, drawn on
   schedule-derived ticks, or ``None``.  The driver derives each owned
   scenario's ladder ticks and golden end tick from it.  Bayesian
-  mining names its jobs only after the golden runs, and golden-only
-  collection has none, so their ladders hold every eligible tick.
+  mining names its jobs only after the golden runs, so its golden runs
+  capture nothing: when a scenario's candidates are dispatched, one
+  fault-free prefix replay snapshots just the ticks they fork from.
+  Golden-only collection has no jobs; its golden runs capture every
+  eligible tick (``schedule_ladder``), the ladder
+  :meth:`Campaign.golden_runs` hands back.
 * ``on_golden(scenario, run)`` — called as each golden run lands.
   Returns the entries to dispatch at once (an uncapped exhaustive grid
   streams scenario by scenario), and folds the run into training in
@@ -111,6 +115,9 @@ class Plan:
     style = "golden"
     golden_scope = "all"
     work_key = ""
+    #: Whether a golden run of a plan without ``demand()`` captures
+    #: every eligible tick (plans with a demand capture just theirs).
+    schedule_ladder = True
 
     campaign: "Campaign"
 
@@ -408,6 +415,7 @@ class BayesianPlan(Plan):
     """
 
     style = "bayesian"
+    schedule_ladder = False
 
     #: A caller-fitted model; ``None`` fits one from the golden runs.
     given_injector: BayesianFaultInjector | None = None

@@ -97,10 +97,11 @@ class JobSpec:
         if not isinstance(params, dict):
             raise SpecError("spec.params must be an object")
         cls._validate_interface_params(params)
-        try:    # the plans' own check, on the numeric counts given
+        params = cls._integral_counts(params)
+        try:    # the plans' own check, on the counts given
             check_counts(**{name: params[name] for name in
                             ("top_k", "max_experiments", "tick_stride")
-                            if isinstance(params.get(name), (int, float))})
+                            if params.get(name) is not None})
         except ValueError as error:
             raise SpecError(f"spec.params.{error}") from None
         scenarios = payload.get("scenarios")
@@ -122,6 +123,30 @@ class JobSpec:
         return cls(style=style, params=dict(params), scenarios=scenarios,
                    workers=workers, lease=bool(payload.get("lease", False)),
                    tenant=tenant)
+
+    @staticmethod
+    def _integral_counts(params: dict) -> dict:
+        """``params`` with its counts as ints, or a :class:`SpecError`.
+
+        ``top_k`` and ``max_experiments`` may be ``None`` (no cap); a
+        given count must be an integer, and an integral float (JSON
+        ``5.0``) becomes one.  A string, a bool or a fraction would
+        otherwise pass submission and fail the job mid-run.
+        """
+        params = dict(params)
+        for name in ("top_k", "max_experiments", "tick_stride"):
+            if name not in params:
+                continue
+            value = params[name]
+            if value is None and name != "tick_stride":
+                continue
+            if isinstance(value, float) and value.is_integer():
+                value = int(value)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise SpecError(f"spec.params.{name} must be an integer, "
+                                f"got {params[name]!r}")
+            params[name] = value
+        return params
 
     @staticmethod
     def _validate_interface_params(params: dict) -> None:

@@ -11,8 +11,10 @@ whatever its ladder holds:
   schedule-based demand, so jobs fork from uncaptured ticks;
 * a warm or spilled ladder lacking a new campaign's ticks is
   recaptured as the union, in one prefix run per scenario;
-* Bayesian plans, whose jobs exist only after mining, keep the full
-  ladder;
+* Bayesian plans, whose jobs exist only after mining, capture nothing
+  in their golden runs; dispatch replays one fault-free prefix per
+  scenario with candidates, which snapshots exactly the distinct
+  candidate ticks;
 * a checkpoint never changes after capture: it pickles to the same
   bytes at capture and at the end of the run;
 * the same plans stop golden runs at their last forkable tick; a cut
@@ -32,12 +34,22 @@ import repro.core.simulate as simulate_module
 from repro.core import (Campaign, CampaignConfig, CampaignSummary,
                         CheckpointStore, FaultSpec, run_scenario)
 from repro.core.checkpoint import Checkpoint
-from repro.sim import default_scenarios, highway_cruise, lead_vehicle_cutin
+from repro.sim import (adjacent_traffic, braking_lead, default_scenarios,
+                       highway_cruise, lead_vehicle_cutin)
 
 
 def small_scenarios():
     return [replace(highway_cruise(), duration=24.0),
             replace(lead_vehicle_cutin(), duration=16.0)]
+
+
+def mining_scenarios():
+    """Scenarios whose Bayesian campaign mines candidates in two of
+    three: at seed 0, 92 in ``adjacent_traffic``, 11 in
+    ``lead_vehicle_cutin`` and none in ``braking_lead``."""
+    return [replace(adjacent_traffic(), duration=16.0),
+            lead_vehicle_cutin(),
+            replace(braking_lead(), duration=16.0)]
 
 
 def spooled_ticks(campaign) -> dict[str, list[int]]:
@@ -117,15 +129,53 @@ class TestDemandLadders:
             assert row["gap_ticks"] == 0
             assert row["spill_bytes"] > 0
 
-    def test_bayesian_keeps_the_full_ladder(self):
-        campaign = Campaign(small_scenarios(), CampaignConfig())
-        result = campaign.bayesian_campaign(top_k=4)
-        assert strip_wall(result.summary.records) == strip_wall(
-            reference_records(campaign,
-                              candidate_jobs(campaign, result.candidates)))
-        assert spooled_ticks(campaign) == {
-            s.name: campaign.schedule_injection_ticks(s)
-            for s in campaign.scenarios}
+
+class TestBayesianLadder:
+    """Bayesian golden runs capture nothing; each scenario's ladder is
+    captured when its candidates are dispatched, and holds just the
+    distinct ticks they fork from."""
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    @pytest.mark.parametrize("top_k", [12, None])
+    def test_ladder_holds_exactly_the_candidate_ticks(self, top_k, workers):
+        campaign = Campaign(mining_scenarios(),
+                            CampaignConfig(profile_stages=True))
+        result = campaign.bayesian_campaign(top_k=top_k, workers=workers)
+        jobs = candidate_jobs(campaign, result.candidates)
+        demand = demand_of(jobs)
+        assert len(demand) == 2, "candidates must span two scenarios"
+        if top_k is not None:
+            assert len(jobs) == top_k
+        assert strip_wall(result.summary.records) == \
+            strip_wall(reference_records(campaign, jobs))
+        assert spooled_ticks(campaign) == demand
+        # The driver replays and snapshots; pool workers ship their
+        # restore counts back, so the row reads the same either way.
+        row = result.summary.extra_info["stage_timings"]["checkpoint"]
+        assert row["snapshots"] == row["demanded_ticks"] == \
+            sum(map(len, demand.values()))
+        assert row["replay_ticks"] == sum(ticks[-1] + 1
+                                          for ticks in demand.values())
+        assert row["restores"] == len(jobs)
+        assert row["gap_ticks"] == 0
+
+    def test_replay_ticks_count_the_prefix_runs(self, capsys):
+        """The prefix ticks one serial run replays (its two candidate
+        scenarios' last candidate ticks + 1), on the row and the CLI
+        line; golden runs stay complete."""
+        from repro.cli import _print_summary
+        campaign = Campaign(mining_scenarios(),
+                            CampaignConfig(profile_stages=True))
+        result = campaign.bayesian_campaign(top_k=12)
+        timings = result.summary.extra_info["stage_timings"]
+        row = timings["checkpoint"]
+        assert row["replay_ticks"] == 150
+        assert timings["golden"]["cut_ticks"] == 0
+        _print_summary(result.summary, "bayesian")
+        assert (f"checkpoint: {row['snapshots']} snapshots for "
+                f"{row['demanded_ticks']} demanded ticks "
+                f"({row['replay_ticks']} prefix ticks replayed)") \
+            in capsys.readouterr().out
 
 
 class TestGoldenEndsEarly:

@@ -64,6 +64,32 @@ class TestJobSpec:
             JobSpec.from_dict(payload)
 
     @pytest.mark.parametrize("field,value", [
+        ("top_k", "5"), ("top_k", True), ("top_k", 2.5), ("top_k", [5]),
+        ("max_experiments", "40"), ("max_experiments", False),
+        ("max_experiments", 0.5), ("tick_stride", "10"),
+        ("tick_stride", True), ("tick_stride", 12.5),
+        ("tick_stride", None),
+    ])
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(SpecError,
+                           match=rf"spec\.params\.{field} must be an integer"):
+            JobSpec.from_dict({"style": "exhaustive",
+                               "params": {field: value}})
+
+    @pytest.mark.parametrize("field", ["top_k", "max_experiments",
+                                       "tick_stride"])
+    def test_integral_float_counts_become_ints(self, field):
+        spec = JobSpec.from_dict({"style": "exhaustive",
+                                  "params": {field: 5.0}})
+        assert spec.params[field] == 5
+        assert type(spec.params[field]) is int
+
+    def test_uncapped_counts_stay_none(self):
+        spec = JobSpec.from_dict({"style": "bayesian",
+                                  "params": {"top_k": None}})
+        assert spec.params == {"top_k": None}
+
+    @pytest.mark.parametrize("field,value", [
         ("interface_kinds", ["freeze", "explode"]),
         ("interface_probe", ["teleport"]),
         ("interface_channels", ["planning", "warp_drive"]),
@@ -388,6 +414,13 @@ class TestServiceHTTP:
                               "interface_channels": ["warp_drive"]}}))
         assert excinfo.value.status == 400
         assert "spec.params.interface_channels" in str(excinfo.value)
+
+    def test_string_top_k_is_400_naming_field(self, idle_service):
+        client, _ = idle_service
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit({"style": "bayesian", "params": {"top_k": "5"}})
+        assert excinfo.value.status == 400
+        assert "spec.params.top_k" in str(excinfo.value)
 
     def test_idempotency_key_header(self, idle_service):
         client, _ = idle_service
