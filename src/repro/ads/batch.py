@@ -12,7 +12,7 @@ oracle.  The split of labor per stage:
   final command clip, and the actuation-to-controls mapping.
 * **Per lane, reusing the lane's own scalar objects** — RNG draws and
   message construction (each lane owns an independent ``Generator``;
-  the lane runs the scalar engine's own packed-draw helper,
+  the lane runs the scalar engine's own merged-draw helper,
   :func:`~repro.ads.sensors.noisy_bundle`), camera/radar fusion (the
   lane's ``Perception``), and the world model: the ragged per-object
   Kalman tracker (the lane's ``MultiObjectTracker``) and the ego EKF
@@ -21,9 +21,11 @@ oracle.  The split of labor per stage:
 
 Equivalence holds by construction: the vectorized stages evaluate the
 *same* kernel expressions the scalar modules call with floats, both
-engines draw sensor noise through the same packed helper (its numpy
-bit-identities — ``standard_normal(k)`` equals ``k`` sequential draws,
-``normal(0, s)`` equals ``0.0 + s * standard_normal()`` — are pinned by
+engines draw sensor noise through the same helper, which merges each
+run of normals between two camera-dropout ``random()`` calls into one
+``standard_normal(k)`` (its numpy bit-identities — ``standard_normal(k)``
+equals ``k`` sequential draws, ``normal(0, s)`` equals ``0.0 + s *
+standard_normal()`` — are pinned by
 ``tests/test_sensor_equivalence.py``), and fault injection flows
 through the *real* registry setters on real payload objects for the
 sensing/perception/world-model stages — only the planner/actuation

@@ -180,21 +180,32 @@ class ChannelBus:
         """The last-good payload a hung module's consumer reads."""
         return self._states[channel].payload
 
+    def pass_through(self, channel: str, payload, tick: int):
+        """The fault-free hand-off: ``payload`` becomes the channel's
+        last-good message, produced at ``tick``, and is returned as is.
+
+        :meth:`deliver` takes this branch whenever no fault is active on
+        the channel; the pipeline calls it directly on ticks outside
+        every fault window.
+        """
+        state = self._states[channel]
+        state.payload = payload
+        state.origin = tick
+        if state.queue:
+            state.queue.clear()
+        if state.buffer:
+            state.buffer.clear()
+        return payload
+
     def deliver(self, channel: str, payload, tick: int):
         """Route one message through the boundary; returns what the
         consumer sees and records staleness."""
-        state = self._states[channel]
         fault = self._active(channel, tick)
         if fault is None or fault.kind == "hang":
             # Fault-free (or hang, which never reaches deliver for an
-            # active window): pass through and refresh last-good.
-            state.payload = payload
-            state.origin = tick
-            if state.queue:
-                state.queue.clear()
-            if state.buffer:
-                state.buffer.clear()
-            return payload
+            # active window).
+            return self.pass_through(channel, payload, tick)
+        state = self._states[channel]
         if fault.kind in ("drop", "freeze"):
             if state.payload is None:
                 state.payload = payload

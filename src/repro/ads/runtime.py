@@ -11,6 +11,15 @@ stage computes its payload and before the payload is handed downstream,
 every active fault targeting that stage corrupts the payload in place —
 precisely "modifying the software state of the ADS" as DriveFI does.
 
+Most ticks lie outside every fault window (all of a golden run's, and
+all but a few of an experiment's).  ``tick`` checks that once: on such a
+*quiet* tick the per-stage hooks — the bus's hang check, value
+corruption and faulty delivery — would all be no-ops, so each stage
+skips them and hands its payload to
+:meth:`~repro.ads.channels.ChannelBus.pass_through`, the fault-free
+branch of ``deliver``.  Stage timers and the degradation check run on
+every tick alike.
+
 Interface faults ride the :class:`~repro.ads.channels.ChannelBus` sitting
 at each stage boundary: payloads are *delivered* through the bus, which
 can drop, freeze, delay, or reorder them, or hang the producing module
@@ -175,12 +184,31 @@ class ADSPipeline:
         """Ticks the safe-stop fallback was in command."""
         return self._degraded_ticks
 
+    def _hooks_live(self, tick: int) -> bool:
+        """Whether any armed value or interface fault is active at
+        ``tick``.  When none is, every stage hook (hang check, value
+        corruption, faulty delivery) is a no-op, and the tick hands its
+        payloads straight to :meth:`ChannelBus.pass_through`."""
+        for fault in self.faults:
+            if fault.active(tick):
+                return True
+        for fault in self.bus.faults:
+            if fault.active(tick):
+                return True
+        return False
+
     def _corrupt(self, stage: str, payload: object) -> None:
         for fault in self.faults:
             if fault.variable.stage == stage and fault.active(
                     self.tick_index):
                 if fault.variable.setter(payload, fault.value):
                     fault.landed = True
+
+    def _deliver(self, stage: str, payload, tick: int):
+        """A stage's hand-off on a tick with live hooks: the active value
+        faults corrupt ``payload``, then the bus delivers it."""
+        self._corrupt(stage, payload)
+        return self.bus.deliver(stage, payload, tick)
 
     # -- checkpoint support ---------------------------------------------------
 
@@ -240,30 +268,32 @@ class ADSPipeline:
         tick = self.tick_index
         bus = self.bus
         timer = STAGE_TIMER if STAGE_TIMER.enabled else None
+        hooks = self._hooks_live(tick)
 
-        if bus.hung("sensing", tick):
+        if hooks and bus.hung("sensing", tick):
             bundle = bus.held("sensing")
         else:
             started = timer.start() if timer else 0
             bundle = self.sensors.measure(world)
-            self._corrupt("sensing", bundle)
-            bundle = bus.deliver("sensing", bundle, tick)
+            bundle = (self._deliver("sensing", bundle, tick) if hooks
+                      else bus.pass_through("sensing", bundle, tick))
             if timer:
                 timer.stop("sensing", started)
 
         if self.is_planning_tick or self._plan is None:
-            if bus.hung("perception", tick):
+            if hooks and bus.hung("perception", tick):
                 detections = bus.held("perception")
             else:
                 started = timer.start() if timer else 0
                 detections = self.perception.process(bundle)
-                self._corrupt("perception", detections)
-                detections = bus.deliver("perception", detections, tick)
+                detections = (
+                    self._deliver("perception", detections, tick) if hooks
+                    else bus.pass_through("perception", detections, tick))
                 if timer:
                     timer.stop("perception", started)
 
             planning_dt = self.config.planner_period
-            if bus.hung("world_model", tick):
+            if hooks and bus.hung("world_model", tick):
                 model = bus.held("world_model")
             else:
                 started = timer.start() if timer else 0
@@ -273,8 +303,8 @@ class ADSPipeline:
                 model = WorldModel(time=bundle.time, ego=ego, tracks=tracks,
                                    lane_offset=bundle.lane_offset,
                                    lane_heading=bundle.lane_heading)
-                self._corrupt("world_model", model)
-                model = bus.deliver("world_model", model, tick)
+                model = (self._deliver("world_model", model, tick) if hooks
+                         else bus.pass_through("world_model", model, tick))
                 if timer:
                     timer.stop("world_model", started)
                     timer.count("world_model", "tracks",
@@ -283,13 +313,13 @@ class ADSPipeline:
                                 len(detections))
             self._model = model
 
-            if bus.hung("planning", tick):
+            if hooks and bus.hung("planning", tick):
                 plan = bus.held("planning")
             else:
                 started = timer.start() if timer else 0
                 plan = self.planner.plan(model, planning_dt)
-                self._corrupt("planning", plan)
-                plan = bus.deliver("planning", plan, tick)
+                plan = (self._deliver("planning", plan, tick) if hooks
+                        else bus.pass_through("planning", plan, tick))
                 if timer:
                     timer.stop("planning", started)
             self._plan = plan
@@ -302,7 +332,7 @@ class ADSPipeline:
                     degraded = True
                     break
 
-        if bus.hung("actuation", tick):
+        if hooks and bus.hung("actuation", tick):
             command = bus.held("actuation")
         else:
             started = timer.start() if timer else 0
@@ -313,8 +343,8 @@ class ADSPipeline:
             else:
                 command = self.controller.actuate(self._plan, bundle.imu.v,
                                                   dt)
-            self._corrupt("actuation", command)
-            command = bus.deliver("actuation", command, tick)
+            command = (self._deliver("actuation", command, tick) if hooks
+                       else bus.pass_through("actuation", command, tick))
             if timer:
                 timer.stop("actuation", started)
         command = command.clipped()

@@ -127,49 +127,70 @@ def noisy_bundle(rng: np.random.Generator, cfg: SensorSuiteConfig,
 
     ``visible`` holds ``(x, y, v, camera, radar)`` per obstacle, in
     world order, for obstacles ahead that are unoccluded and inside at
-    least one range gate (``camera``/``radar`` say which).  The draws
-    are packed: per obstacle one ``random()`` for camera dropout, then
-    one ``standard_normal`` of 2 (camera), 3 (radar) or 5 (both); then
-    one ``standard_normal(6)`` for GPS, IMU and lane.  That stream is
-    bit-for-bit the sequential ``normal(0, sigma)`` calls it replaces,
-    read as ``0.0 + sigma * z`` (pinned by
-    ``tests/test_sensor_equivalence.py``).  Both engines sense through
-    here: :meth:`SensorSuite.measure` and the batched
+    least one range gate (``camera``/``radar`` say which).  The stream
+    is, per obstacle, one ``random()`` for camera dropout if the camera
+    sees it, then 2 normals (camera, unless dropped) and 3 (radar); then
+    6 normals for GPS, IMU and lane.  Consecutive normals are merged
+    into one ``standard_normal(k)`` call: a run ends only at the next
+    camera-dropout ``random()``, and the 6 ego terms join the last run,
+    so a tick with no camera-visible obstacle draws once.  That stream
+    is bit-for-bit the sequential ``normal(0, sigma)`` calls it
+    replaces, read as ``0.0 + sigma * z``, and leaves the generator in
+    the same state (pinned by ``tests/test_sensor_equivalence.py``
+    against the per-term and the per-obstacle draws of
+    ``tests/reference.py``).  Both engines sense through here:
+    :meth:`SensorSuite.measure` and the batched
     ``BatchADSState._sense``, per lane.
     """
+    normal = rng.standard_normal
+    dropout = cfg.camera_dropout
+    seen = []       # (x, y, v, camera, radar) after camera dropout
+    z: list[float] = []
+    run = 0         # normals owed since the last random()
+    for ox, oy, ov, sees_cam, sees_rad in visible:
+        if sees_cam:
+            if run:
+                z += normal(run).tolist()
+                run = 0
+            sees_cam = rng.random() >= dropout
+            if sees_cam:
+                run += 2
+        if sees_rad:
+            run += 3
+        if sees_cam or sees_rad:
+            seen.append((ox, oy, ov, sees_cam, sees_rad))
+    z += normal(run + 6).tolist()
+
     camera: list[Detection] = []
     radar: list[Detection] = []
     cam_noise = cfg.camera_position_noise
     rad_noise = cfg.radar_position_noise
-    for ox, oy, ov, sees_cam, sees_rad in visible:
+    k = 0
+    for ox, oy, ov, sees_cam, sees_rad in seen:
         if sees_cam:
-            sees_cam = rng.random() >= cfg.camera_dropout
-        draws = (2 if sees_cam else 0) + (3 if sees_rad else 0)
-        if not draws:
-            continue
-        z = rng.standard_normal(draws).tolist()
-        if sees_cam:
-            camera.append(Detection(x=ox + (0.0 + cam_noise * z[0]),
-                                    y=oy + (0.0 + cam_noise * z[1]),
+            camera.append(Detection(x=ox + (0.0 + cam_noise * z[k]),
+                                    y=oy + (0.0 + cam_noise * z[k + 1]),
                                     v=ov, sensor="camera"))
-            del z[:2]
+            k += 2
         if sees_rad:
             radar.append(Detection(
-                x=ox + (0.0 + rad_noise * z[0]),
-                y=oy + (0.0 + rad_noise * z[1]),
-                v=ov + (0.0 + cfg.radar_speed_noise * z[2]),
+                x=ox + (0.0 + rad_noise * z[k]),
+                y=oy + (0.0 + rad_noise * z[k + 1]),
+                v=ov + (0.0 + cfg.radar_speed_noise * z[k + 2]),
                 sensor="radar"))
-    z = rng.standard_normal(6).tolist()
+            k += 3
     return SensorBundle(
         time=time,
         camera=camera,
         radar=radar,
-        gps=GpsFix(x=x + (0.0 + cfg.gps_noise * z[0]),
-                   y=y + (0.0 + cfg.gps_noise * z[1])),
-        imu=ImuSample(v=max(0.0, v + (0.0 + cfg.imu_speed_noise * z[2])),
+        gps=GpsFix(x=x + (0.0 + cfg.gps_noise * z[k]),
+                   y=y + (0.0 + cfg.gps_noise * z[k + 1])),
+        imu=ImuSample(v=max(0.0, v + (0.0 + cfg.imu_speed_noise * z[k + 2])),
                       a=acceleration,
-                      yaw_rate=yaw_rate + (0.0 + cfg.imu_yaw_noise * z[3]),
+                      yaw_rate=yaw_rate + (0.0 + cfg.imu_yaw_noise
+                                           * z[k + 3]),
                       heading=theta),
-        lane_offset=y - lane_center + (0.0 + cfg.lane_offset_noise * z[4]),
-        lane_heading=theta + (0.0 + cfg.lane_heading_noise * z[5]),
+        lane_offset=y - lane_center + (0.0 + cfg.lane_offset_noise
+                                       * z[k + 4]),
+        lane_heading=theta + (0.0 + cfg.lane_heading_noise * z[k + 5]),
     )

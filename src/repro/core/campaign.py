@@ -144,17 +144,18 @@ class Campaign:
         from the persisted store (or rebuilt lazily) per scenario the
         first time jobs need them.
 
-        Always complete runs: a run an earlier campaign cut at its last
-        forkable tick (``RunResult.cut_tick``) is simulated again in
-        full.
+        Always complete runs of every scenario: a run an earlier
+        campaign cut at its last forkable tick (``RunResult.cut_tick``)
+        is simulated again in full, and so is each scenario a job-known
+        campaign skipped because it had no job there.
         """
         if self._golden is None:
             self._golden = self._load_golden_cache()
         fresh = self._golden is None
-        if fresh or any(run.cut_tick is not None
-                        for run in self._golden.values()):
+        if fresh or len(self._golden) < len(self.scenarios) or any(
+                run.cut_tick is not None for run in self._golden.values()):
             self._run_pipeline(Plan(self), workers)
-            if fresh:   # completing cut runs leaves their ladders be
+            if fresh:   # completing cut or skipped runs leaves ladders be
                 self._ensure_checkpoints(
                     s.name for s in self.owned_scenarios())
         return self._golden
@@ -422,20 +423,28 @@ class Campaign:
             [s.name for s in self.scenarios])
 
     def _load_golden_cache_for(self, names: list[str],
-                               sharded: bool = False
+                               sharded: bool = False,
+                               partial: bool = False
                                ) -> dict[str, RunResult] | None:
         """Warm-start ``names`` from the (full-set or sharded) cache.
 
         The one cache-read protocol of every golden warm start: read
         (current format, then legacy), require every requested
         scenario, normalize traces to this campaign's trace mode, and
-        rewrite/clean up when anything was migrated.  All-or-nothing.
+        rewrite/clean up when anything was migrated.  All-or-nothing,
+        unless ``partial``: then it returns the requested runs the file
+        holds (a job-known campaign writes only the scenarios it had
+        jobs in).
         """
         path = self._golden_cache_path(sharded=sharded)
         if path is None:
             return None
         runs, migrate = self._load_golden_cache_file(path)
-        if runs is None or any(name not in runs for name in names):
+        if runs is None:
+            return None
+        if partial:
+            names = [name for name in names if name in runs]
+        elif any(name not in runs for name in names):
             return None
         runs = {name: runs[name] for name in names}
         try:

@@ -450,17 +450,20 @@ class CampaignPipeline:
         Warm sources, in order: golden runs already on the campaign
         object, then the golden-trace cache under ``cache_dir`` (the
         full-set file, or this shard's subset file when the plan only
-        needs owned scenarios; the file is all-or-nothing).  A plan
+        needs owned scenarios), whose runs of the plan's whole golden
+        scope are kept so that a save writes them back.  A plan
         whose jobs are known before its golden runs (its ``demand()``
         is not ``None``) reuses cut runs too; a plan that reads whole
         traces (Bayesian training, golden-only collection) treats a cut
         run as a miss and simulates that scenario again in full.
 
         Returns ``(warm names, [(name, capture ticks, end tick)])``.
-        Job-known plans end each fresh run at its last forkable tick
-        (:meth:`_golden_end`) and capture only the ticks their jobs
-        fork from; the others run to the scenario's end and capture
-        the schedule ladder only if the plan keeps one
+        Job-known plans simulate no golden run for a scenario they have
+        no job in (nothing reads it: their jobs, ladders and tick lists
+        name only scenarios with jobs), end each fresh run at its last
+        forkable tick (:meth:`_golden_end`) and capture only the ticks
+        their jobs fork from; the others run to the scenario's end and
+        capture the schedule ladder only if the plan keeps one
         (``Plan.schedule_ladder``).  Every other ladder is captured
         on demand at dispatch (:meth:`_ready_checkpoints`).
         """
@@ -470,6 +473,11 @@ class CampaignPipeline:
         for name, fault in jobs or ():
             if name in self._owned_names:
                 demand.setdefault(name, set()).add(fault.start_tick)
+        scope = [s.name for s in self._targets]
+        if demand is not None:
+            self._targets = [s for s in self._targets if s.name in demand]
+            self._owned_order = [name for name in self._owned_order
+                                 if name in demand]
         names = [s.name for s in self._targets]
         golden = self.golden
         cut: set[str] = set()
@@ -486,8 +494,11 @@ class CampaignPipeline:
 
         take(campaign._golden or {})
         take(campaign._golden_shard or {})
+        self._cached = {}
         if len(golden) < len(names):
-            take(self._load_golden_cache() or {})
+            self._cached = campaign._load_golden_cache_for(
+                scope, sharded=not self._targets_all, partial=True) or {}
+            take(self._cached)
         warm = [name for name in names if name in golden]
         self._fresh_golden = len(warm) < len(names)
         if not self._fresh_golden:
@@ -500,11 +511,15 @@ class CampaignPipeline:
             capturing = (name in self._owned_names
                          and not campaign.checkpoints.has_scenario(name))
             if demand is None:
-                # Completing a cut run captures nothing: the campaign
-                # that cut it made its ladder, and dispatch recaptures
-                # that if jobs need more.
+                # Completing a cut run, or one a job-known plan skipped
+                # (the only way a memo lacks a scenario), captures
+                # nothing: that campaign made the ladders its jobs
+                # needed, and dispatch recaptures what later jobs need.
+                completing = name in cut or (
+                    campaign._golden is not None
+                    and name not in campaign._golden)
                 capture = (campaign.schedule_injection_ticks(scenario)
-                           if capturing and name not in cut
+                           if capturing and not completing
                            and self.plan.schedule_ladder else None)
                 to_simulate.append((name, capture, None))
                 continue
@@ -529,13 +544,6 @@ class CampaignPipeline:
         last = self.campaign.schedule_injection_ticks(scenario)[-1:] \
             + ticks[-1:]
         return max(last) + 1 if last else None
-
-    def _load_golden_cache(self):
-        campaign = self.campaign
-        if self._targets_all:
-            return campaign._load_golden_cache()
-        return campaign._load_golden_cache_for(
-            [s.name for s in self._targets], sharded=True)
 
     def _submit_golden(self, name: str, capture: list[int] | None,
                        end_tick: int | None) -> None:
@@ -584,7 +592,7 @@ class CampaignPipeline:
         self.progress("golden", name, self._golden_done,
                       len(self._targets))
         entries = self.plan.on_golden(campaign._by_name[name], run)
-        if name in self._owned_names:
+        if name in self._owned_order:
             self._add_block(name, entries)
         if self._golden_done == len(self._targets):
             self._on_goldens_complete()
@@ -597,6 +605,25 @@ class CampaignPipeline:
         self._persist_golden()
         owned = [(identity, job) for identity, job in self.plan.jobs_ready()
                  if job[0] in self._owned_names]
+        drawn = {job[0] for _, job in owned}
+        late = [s for s in self.campaign.scenarios
+                if s.name in drawn and s.name not in self.golden]
+        if late:
+            # A golden run that ended early changed the real draw, and
+            # it now has jobs in a scenario the schedule-based demand
+            # gave none.  Run those golden runs in full, then draw
+            # again: this method runs once more when they are in.
+            # Their ``on_golden`` entries are empty (only an uncapped
+            # exhaustive grid streams any, and its demand covers every
+            # scenario with ticks), so they add no block.
+            self._fresh_golden = True
+            late_names = {s.name for s in late}
+            self._targets = [s for s in self.campaign.scenarios
+                             if s.name in late_names
+                             or s.name in self.golden]
+            for scenario in late:
+                self._submit_golden(scenario.name, None, None)
+            return
         self._emitter.total = self._base + len(owned)
         for slot, (identity, _) in enumerate(owned, start=self._base):
             self._emitter.assign(identity, slot)
@@ -607,14 +634,17 @@ class CampaignPipeline:
         campaign._pin_spool(self.golden)
         if self._targets_all:
             # At least as complete as any earlier memo: a run is only
-            # re-simulated when the memo lacked it or held it cut.
-            campaign._golden = dict(self.golden)
+            # re-simulated when the memo lacked it or held it cut.  A
+            # job-known plan collects only the scenarios it has jobs
+            # in, so the memo can hold fewer runs than scenarios;
+            # ``golden_runs()`` completes it.
+            campaign._golden = self._in_scenario_order(
+                self._cached, campaign._golden or {}, self.golden)
             if self._fresh_golden:
                 campaign._save_golden_cache()
             return
-        merged = dict(campaign._golden_shard or {})
-        merged.update(self.golden)
-        campaign._golden_shard = merged
+        campaign._golden_shard = self._in_scenario_order(
+            self._cached, campaign._golden_shard or {}, self.golden)
         if not self._fresh_golden or self.board is not None:
             # Lease rounds own a different subset each time, so the
             # statically-partitioned per-shard cache file would go
@@ -625,9 +655,19 @@ class CampaignPipeline:
         if path is not None:
             from .persistence import save_golden_traces
             path.parent.mkdir(parents=True, exist_ok=True)
-            save_golden_traces(self.golden, path,
-                               campaign._fingerprint(),
-                               trace_store=campaign.golden_trace_store())
+            save_golden_traces(
+                self._in_scenario_order(self._cached, self.golden), path,
+                campaign._fingerprint(),
+                trace_store=campaign.golden_trace_store())
+
+    def _in_scenario_order(self, *layers: dict) -> dict:
+        """The union of run dicts, later layers winning, in campaign
+        scenario order."""
+        merged = {}
+        for layer in layers:
+            merged.update(layer)
+        return {s.name: merged[s.name] for s in self.campaign.scenarios
+                if s.name in merged}
 
     # -- job streaming ---------------------------------------------------------
 

@@ -29,9 +29,10 @@ miner scores lateral potential with (``_canonical_excursion``).  Each
 integrates the keys a lookup misses in one call to its bulk kernel,
 :func:`_bulk_chunk` or :func:`_excursion_kernel`, both bit-identical to
 their scalar oracles :func:`_rk4_stop` and :func:`_excursion_rollout`.
-The oracles stay as the fallback when :func:`_numpy_trig_exact` finds
-numpy's trig differing from :mod:`math`, and serve excursion miss sets
-too small for the kernel to pay.
+The oracles stay as the fallback when the trig gate
+(:func:`~repro.sim.fastmath.numpy_trig_exact`) finds numpy's trig
+differing from :mod:`math`, and serve excursion miss sets too small
+for the kernel to pay.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ import numpy as np
 
 from ..ads.profiling import STAGE_TIMER
 from ..sim.collision import SENSOR_RANGE
+from ..sim.fastmath import numpy_trig_exact
 from ..sim.world import World
 
 
@@ -206,44 +208,15 @@ def _bulk_chunk(v0: list[float], phis: list[float], a_max: float,
     return stops
 
 
-_TRIG_EXACT: bool | None = None
-
-
-def _numpy_trig_exact() -> bool:
-    """Whether ``np.sin``/``np.cos`` match ``math.sin``/``math.cos`` bit
-    for bit on this host, checked once on first use.
-
-    Some numpy builds evaluate trig with SIMD approximations that differ
-    from the C library in the last ulp; on those hosts the stop table
-    integrates with the scalar :func:`_rk4_stop` instead.  The sample
-    spans the headings a stop maneuver reaches, near zero and far out,
-    as contiguous arrays like the kernel's.
-    """
-    global _TRIG_EXACT
-    if _TRIG_EXACT is None:
-        rng = np.random.default_rng(0)
-        magnitudes = np.geomspace(1e-12, 1.0, 64)
-        sample = np.concatenate([
-            rng.uniform(-0.05, 0.05, 1024), rng.uniform(-2.0, 2.0, 1024),
-            rng.uniform(-64.0, 64.0, 1024), magnitudes, -magnitudes,
-            [0.0, -0.0, math.pi]])
-        _TRIG_EXACT = all(
-            np.array_equal(fast(sample).view(np.int64),
-                           np.array([exact(a) for a in sample.tolist()]
-                                    ).view(np.int64))
-            for fast, exact in ((np.sin, math.sin), (np.cos, math.cos)))
-    return _TRIG_EXACT
-
-
 def _bulk_stops(keys: list[tuple[float, float]], params: tuple
                 ) -> list[tuple[float, float, float, float, float]]:
     """Canonical stops of many ``(v, phi)`` keys, in key order.
 
     Keys are sorted by speed and integrated :data:`_CHUNK` at a time by
-    :func:`_bulk_chunk`; on hosts that fail :func:`_numpy_trig_exact`
+    :func:`_bulk_chunk`; on hosts that fail :func:`numpy_trig_exact`
     each key runs through the scalar :func:`_rk4_stop` instead.
     """
-    if not _numpy_trig_exact():
+    if not numpy_trig_exact():
         return [_rk4_stop(v, phi, *params) for v, phi in keys]
     order = sorted(range(len(keys)), key=lambda i: keys[i][0])
     stops: list = [None] * len(keys)
@@ -473,10 +446,10 @@ def _bulk_excursions(keys: list[tuple[float, float]], params: tuple
 
     Miss sets of at least :data:`_EXCURSION_BREAK_EVEN` keys run through
     :func:`_excursion_kernel`; smaller ones, and every set on hosts that
-    fail :func:`_numpy_trig_exact`, run key by key through the scalar
+    fail :func:`numpy_trig_exact`, run key by key through the scalar
     :func:`_excursion_rollout`.
     """
-    if len(keys) < _EXCURSION_BREAK_EVEN or not _numpy_trig_exact():
+    if len(keys) < _EXCURSION_BREAK_EVEN or not numpy_trig_exact():
         return [_excursion_rollout(v, phi, *params) for v, phi in keys]
     return _excursion_kernel([v for v, _ in keys], [phi for _, phi in keys],
                              *params)

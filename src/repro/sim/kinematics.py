@@ -13,8 +13,9 @@ the ego vehicle and the emergency-stop maneuver integrate forward.
 
 Two implementations share the exact same floating-point contract:
 
-* the scalar path (:func:`rk4_step`) integrates one vehicle with plain
-  float arithmetic — no per-call array allocations — and is the
+* the scalar path (:func:`rk4_step`, :func:`rk4_components`) integrates
+  one vehicle as straight-line float code — no per-call array
+  allocations, one ``tan`` per distinct steering angle — and is the
   bit-for-bit oracle;
 * the batched path (:func:`batched_rk4_step`) integrates N vehicles per
   call over an ``(N, 5)`` structure-of-arrays matrix with one set of
@@ -23,19 +24,27 @@ Two implementations share the exact same floating-point contract:
   trajectories lane for lane.
 
 Bitwise equivalence holds because both paths perform the same IEEE-754
-double operations in the same order: transcendentals go through the same
-numpy ufuncs (``np.cos``/``np.sin``/``np.tan`` are elementwise-identical
-between scalar and array calls), add/mul/div are correctly rounded
-everywhere, and clamps are expressed as the same compare-and-select
-(numpy's ``maximum``/``minimum`` are deliberately avoided — their
-signed-zero semantics differ from Python's ``max``/``min``).
+double operations in the same order.  The batched path's trig is numpy's
+ufuncs; the scalar path takes ``cos``/``sin`` from :mod:`math` where the
+trig gate (:func:`~repro.sim.fastmath.numpy_trig_exact`) finds them
+equal to numpy's bit for bit, and from numpy elsewhere.  ``tan`` stays
+``np.tan`` on both paths: :mod:`math`'s differs from it in the last ulp
+on some steering angles.  Add/mul/div are correctly rounded everywhere,
+and clamps are expressed as the same compare-and-select (numpy's
+``maximum``/``minimum`` are deliberately avoided — their signed-zero
+semantics differ from Python's ``max``/``min``).  The four-call
+derivative form the scalar path replaced is kept as its oracle in
+``tests/reference.py`` (``reference_rk4_step``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .fastmath import numpy_trig_exact
 
 
 @dataclass(frozen=True)
@@ -63,16 +72,6 @@ class VehicleState:
         return replace(self, v=float(v))
 
 
-def _scalar_derivatives(v: float, theta: float, phi: float,
-                        acceleration: float, steering_rate: float,
-                        wheelbase: float) -> tuple:
-    """Derivative components as plain scalars (no array round-trip)."""
-    if v < 0.0:
-        v = 0.0
-    return (v * np.cos(theta), v * np.sin(theta), acceleration,
-            v * np.tan(phi) / wheelbase, steering_rate)
-
-
 def bicycle_derivatives(state: np.ndarray, acceleration: float,
                         steering_rate: float,
                         wheelbase: float) -> np.ndarray:
@@ -82,9 +81,80 @@ def bicycle_derivatives(state: np.ndarray, acceleration: float,
     not reverse), so the derivative uses the non-negative part of ``v``.
     """
     _, _, v, theta, phi = state
-    dx, dy, dv, dtheta, dphi = _scalar_derivatives(
-        v, theta, phi, acceleration, steering_rate, wheelbase)
-    return np.array([dx, dy, dv, dtheta, dphi])
+    if v < 0.0:
+        v = 0.0
+    return np.array([v * np.cos(theta), v * np.sin(theta), acceleration,
+                     v * np.tan(phi) / wheelbase, steering_rate])
+
+
+def _np_cos(angle: float) -> float:
+    return float(np.cos(angle))
+
+
+def _np_sin(angle: float) -> float:
+    return float(np.sin(angle))
+
+
+def rk4_components(state: VehicleState, acceleration: float,
+                   steering_rate: float, wheelbase: float, dt: float
+                   ) -> tuple[float, float, float, float, float]:
+    """:func:`rk4_step` as a bare ``(x, y, v, theta, phi)`` tuple, for
+    callers that clamp the result before building a state.
+
+    Straight-line float code.  The controls are constant over the step,
+    so every stage's ``dv`` is ``acceleration`` and every stage's
+    ``dphi`` is ``steering_rate``: stages 2 and 3 share their speed and
+    steering angle, hence one clamp and one ``dtheta``.  The operation
+    order mirrors the textbook ``y1 = y0 + (dt/6) * (k1 + 2*k2 + 2*k3 +
+    k4)`` exactly, so results stay bit-for-bit stable across refactors.
+    """
+    if numpy_trig_exact():
+        cos, sin = math.cos, math.sin
+    else:
+        cos, sin = _np_cos, _np_sin
+    tan = np.tan
+    x0 = state.x
+    y0 = state.y
+    v0 = state.v
+    t0 = state.theta
+    p0 = state.phi
+    half = 0.5 * dt
+
+    v = 0.0 if v0 < 0.0 else v0
+    k1x = v * cos(t0)
+    k1y = v * sin(t0)
+    k1t = v * float(tan(p0)) / wheelbase
+
+    v = v0 + half * acceleration
+    if v < 0.0:
+        v = 0.0
+    t = t0 + half * k1t
+    k2x = v * cos(t)
+    k2y = v * sin(t)
+    k2t = k3t = v * float(tan(p0 + half * steering_rate)) / wheelbase
+    t = t0 + half * k2t
+    k3x = v * cos(t)
+    k3y = v * sin(t)
+
+    v = v0 + dt * acceleration
+    if v < 0.0:
+        v = 0.0
+    t = t0 + dt * k3t
+    k4x = v * cos(t)
+    k4y = v * sin(t)
+    k4t = v * float(tan(p0 + dt * steering_rate)) / wheelbase
+
+    sixth = dt / 6.0
+    v1 = v0 + sixth * (acceleration + 2 * acceleration + 2 * acceleration
+                       + acceleration)
+    if v1 < 0.0:
+        v1 = 0.0
+    return (float(x0 + sixth * (k1x + 2 * k2x + 2 * k3x + k4x)),
+            float(y0 + sixth * (k1y + 2 * k2y + 2 * k3y + k4y)),
+            float(v1),
+            float(t0 + sixth * (k1t + 2 * k2t + 2 * k3t + k4t)),
+            float(p0 + sixth * (steering_rate + 2 * steering_rate
+                                + 2 * steering_rate + steering_rate)))
 
 
 def rk4_step(state: VehicleState, acceleration: float, steering_rate: float,
@@ -92,39 +162,11 @@ def rk4_step(state: VehicleState, acceleration: float, steering_rate: float,
     """One classical Runge-Kutta step of the bicycle model.
 
     The returned state has ``v`` clamped to be non-negative: the model
-    covers forward driving and braking to a halt, not reversing.
-
-    Plain-float arithmetic throughout — the hot path allocates no
-    intermediate arrays.  The operation order mirrors the textbook
-    ``y1 = y0 + (dt/6) * (k1 + 2*k2 + 2*k3 + k4)`` expression exactly so
-    results stay bit-for-bit stable across refactors.
+    covers forward driving and braking to a halt, not reversing.  See
+    :func:`rk4_components` for the arithmetic.
     """
-    x0, y0 = state.x, state.y
-    v0, t0, p0 = state.v, state.theta, state.phi
-
-    k1x, k1y, k1v, k1t, k1p = _scalar_derivatives(
-        v0, t0, p0, acceleration, steering_rate, wheelbase)
-    half = 0.5 * dt
-    k2x, k2y, k2v, k2t, k2p = _scalar_derivatives(
-        v0 + half * k1v, t0 + half * k1t, p0 + half * k1p,
-        acceleration, steering_rate, wheelbase)
-    k3x, k3y, k3v, k3t, k3p = _scalar_derivatives(
-        v0 + half * k2v, t0 + half * k2t, p0 + half * k2p,
-        acceleration, steering_rate, wheelbase)
-    k4x, k4y, k4v, k4t, k4p = _scalar_derivatives(
-        v0 + dt * k3v, t0 + dt * k3t, p0 + dt * k3p,
-        acceleration, steering_rate, wheelbase)
-
-    sixth = dt / 6.0
-    x1 = x0 + sixth * (k1x + 2 * k2x + 2 * k3x + k4x)
-    y1 = y0 + sixth * (k1y + 2 * k2y + 2 * k3y + k4y)
-    v1 = v0 + sixth * (k1v + 2 * k2v + 2 * k3v + k4v)
-    t1 = t0 + sixth * (k1t + 2 * k2t + 2 * k3t + k4t)
-    p1 = p0 + sixth * (k1p + 2 * k2p + 2 * k3p + k4p)
-    if v1 < 0.0:
-        v1 = 0.0
-    return VehicleState(x=float(x1), y=float(y1), v=float(v1),
-                        theta=float(t1), phi=float(p1))
+    return VehicleState(*rk4_components(state, acceleration, steering_rate,
+                                        wheelbase, dt))
 
 
 # -- batched kernels ---------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 
 from .collision import box_footprint
 from .fastmath import clip_scalar
-from .kinematics import VehicleState, rk4_step
+from .kinematics import VehicleState, rk4_components
 
 
 @dataclass(frozen=True)
@@ -86,15 +86,16 @@ class Vehicle:
         """
         accel, steering_rate = self.controls_for(throttle, brake, steering,
                                                  dt)
-        new_state = rk4_step(self.state, accel, steering_rate,
-                             self.params.wheelbase, dt)
-        if new_state.v > self.params.max_speed:
-            new_state = new_state.with_speed(self.params.max_speed)
-        phi = clip_scalar(new_state.phi,
-                          -self.params.max_steering_angle,
-                          self.params.max_steering_angle)
-        self.state = VehicleState(new_state.x, new_state.y, new_state.v,
-                                  new_state.theta, phi)
+        params = self.params
+        x, y, v, theta, phi = rk4_components(self.state, accel,
+                                             steering_rate, params.wheelbase,
+                                             dt)
+        if v > params.max_speed:
+            v = float(params.max_speed)
+        self.state = VehicleState(x, y, v, theta,
+                                  clip_scalar(phi,
+                                              -params.max_steering_angle,
+                                              params.max_steering_angle))
         return self.state
 
     def footprint(self) -> np.ndarray:

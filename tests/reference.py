@@ -16,6 +16,16 @@ The scalar tick's two per-tick shortcuts keep their oracles here too:
 in stream order (what the packed draws of ``SensorSuite.measure`` must
 reproduce).
 
+The scalar tick's float kernels keep theirs as well:
+:func:`reference_rk4_step`, the bicycle-model RK4 as four derivative
+calls with numpy trig (what ``sim.kinematics.rk4_step`` must equal on
+any host, whichever trig the gate picks); :func:`reference_packed_bundle`,
+one ``standard_normal`` call per obstacle plus one for the ego terms
+(what the merged runs of ``ads.sensors.noisy_bundle`` must reproduce,
+values and generator state); and :func:`hooks_always`, which makes
+every ``ADSPipeline.tick`` run its fault hooks (what quiet ticks must
+equal).
+
 So do the world model's filter kernels: :func:`reference_kf_predict4`,
 :func:`reference_update_h012` and :func:`reference_ekf_predict` are the
 index-loop forms the straight-line kernels of :mod:`repro.ads.kernels`
@@ -31,10 +41,11 @@ import numpy as np
 from repro.ads import localization, tracking
 from repro.ads.kernels import _inv3, py_where
 from repro.ads.messages import Detection, GpsFix, ImuSample, SensorBundle
+from repro.ads.runtime import ADSPipeline
 from repro.core.parallel import execute_experiment
 from repro.core.plans import (ArchitecturalPlan, BayesianPlan,
                               ExhaustivePlan, RandomPlan)
-from repro.sim import obb_overlap
+from repro.sim import VehicleState, obb_overlap
 
 
 def strip_wall(records):
@@ -149,6 +160,101 @@ def reference_measure(sensors, world):
         lane_offset=ego.y - lane_center + rng.normal(0, cfg.lane_offset_noise),
         lane_heading=ego.theta + rng.normal(0, cfg.lane_heading_noise),
     )
+
+
+def reference_packed_bundle(rng, cfg, time, visible, x, y, v, theta,
+                            acceleration, yaw_rate, lane_center):
+    """``noisy_bundle`` with one ``standard_normal`` call per visible
+    obstacle (2, 3 or 5 draws after its camera-dropout ``random()``) and
+    one ``standard_normal(6)`` for the ego terms."""
+    camera = []
+    radar = []
+    cam_noise = cfg.camera_position_noise
+    rad_noise = cfg.radar_position_noise
+    for ox, oy, ov, sees_cam, sees_rad in visible:
+        if sees_cam:
+            sees_cam = rng.random() >= cfg.camera_dropout
+        draws = (2 if sees_cam else 0) + (3 if sees_rad else 0)
+        if not draws:
+            continue
+        z = rng.standard_normal(draws).tolist()
+        if sees_cam:
+            camera.append(Detection(x=ox + (0.0 + cam_noise * z[0]),
+                                    y=oy + (0.0 + cam_noise * z[1]),
+                                    v=ov, sensor="camera"))
+            del z[:2]
+        if sees_rad:
+            radar.append(Detection(
+                x=ox + (0.0 + rad_noise * z[0]),
+                y=oy + (0.0 + rad_noise * z[1]),
+                v=ov + (0.0 + cfg.radar_speed_noise * z[2]),
+                sensor="radar"))
+    z = rng.standard_normal(6).tolist()
+    return SensorBundle(
+        time=time,
+        camera=camera,
+        radar=radar,
+        gps=GpsFix(x=x + (0.0 + cfg.gps_noise * z[0]),
+                   y=y + (0.0 + cfg.gps_noise * z[1])),
+        imu=ImuSample(v=max(0.0, v + (0.0 + cfg.imu_speed_noise * z[2])),
+                      a=acceleration,
+                      yaw_rate=yaw_rate + (0.0 + cfg.imu_yaw_noise * z[3]),
+                      heading=theta),
+        lane_offset=y - lane_center + (0.0 + cfg.lane_offset_noise * z[4]),
+        lane_heading=theta + (0.0 + cfg.lane_heading_noise * z[5]),
+    )
+
+
+def _reference_derivatives(v, theta, phi, acceleration, steering_rate,
+                           wheelbase):
+    """Bicycle-model derivative components with numpy trig."""
+    if v < 0.0:
+        v = 0.0
+    return (v * np.cos(theta), v * np.sin(theta), acceleration,
+            v * np.tan(phi) / wheelbase, steering_rate)
+
+
+def reference_rk4_step(state, acceleration, steering_rate, wheelbase, dt):
+    """``sim.kinematics.rk4_step`` as four full derivative calls."""
+    x0, y0 = state.x, state.y
+    v0, t0, p0 = state.v, state.theta, state.phi
+
+    k1x, k1y, k1v, k1t, k1p = _reference_derivatives(
+        v0, t0, p0, acceleration, steering_rate, wheelbase)
+    half = 0.5 * dt
+    k2x, k2y, k2v, k2t, k2p = _reference_derivatives(
+        v0 + half * k1v, t0 + half * k1t, p0 + half * k1p,
+        acceleration, steering_rate, wheelbase)
+    k3x, k3y, k3v, k3t, k3p = _reference_derivatives(
+        v0 + half * k2v, t0 + half * k2t, p0 + half * k2p,
+        acceleration, steering_rate, wheelbase)
+    k4x, k4y, k4v, k4t, k4p = _reference_derivatives(
+        v0 + dt * k3v, t0 + dt * k3t, p0 + dt * k3p,
+        acceleration, steering_rate, wheelbase)
+
+    sixth = dt / 6.0
+    x1 = x0 + sixth * (k1x + 2 * k2x + 2 * k3x + k4x)
+    y1 = y0 + sixth * (k1y + 2 * k2y + 2 * k3y + k4y)
+    v1 = v0 + sixth * (k1v + 2 * k2v + 2 * k3v + k4v)
+    t1 = t0 + sixth * (k1t + 2 * k2t + 2 * k3t + k4t)
+    p1 = p0 + sixth * (k1p + 2 * k2p + 2 * k3p + k4p)
+    if v1 < 0.0:
+        v1 = 0.0
+    return VehicleState(x=float(x1), y=float(y1), v=float(v1),
+                        theta=float(t1), phi=float(p1))
+
+
+@contextmanager
+def hooks_always():
+    """Run every ``ADSPipeline.tick`` through its fault hooks (hang
+    check, value corruption, ``ChannelBus.deliver``) while the block is
+    open, as if a fault were active on every tick."""
+    original = ADSPipeline._hooks_live
+    ADSPipeline._hooks_live = lambda self, tick: True
+    try:
+        yield
+    finally:
+        ADSPipeline._hooks_live = original
 
 
 def reference_kf_predict4(mean, cov, dt, q):

@@ -19,7 +19,9 @@ whatever its ladder holds:
   bytes at capture and at the end of the run;
 * the same plans stop golden runs at their last forkable tick; a cut
   run serves later job-known campaigns, while ``golden_runs()`` and
-  Bayesian campaigns simulate it again in full.
+  Bayesian campaigns simulate it again in full;
+* they simulate no golden run at all for a scenario they have no job
+  in, unless a golden run that ends early moves the real draw there.
 """
 
 import pickle
@@ -34,6 +36,7 @@ import repro.core.simulate as simulate_module
 from repro.core import (Campaign, CampaignConfig, CampaignSummary,
                         CheckpointStore, FaultSpec, run_scenario)
 from repro.core.checkpoint import Checkpoint
+from repro.core.plans import ExhaustivePlan
 from repro.sim import (adjacent_traffic, braking_lead, default_scenarios,
                        highway_cruise, lead_vehicle_cutin)
 
@@ -327,10 +330,13 @@ class TestGoldenCut:
         summary = run(campaign, workers)
         cut = {name: golden.cut_tick
                for name, golden in campaign._golden.items()}
-        for scenario in campaign.scenarios:
-            assert cut[scenario.name] is not None
-            assert cut[scenario.name] < full_ticks(campaign, scenario)
         jobs = jobs_of(campaign)
+        # A scenario without jobs simulates no golden run at all.
+        assert set(cut) == {name for name, _ in jobs}
+        for name in cut:
+            assert cut[name] is not None
+            assert cut[name] < full_ticks(campaign,
+                                          campaign._by_name[name])
         assert strip_wall(summary.records) == \
             strip_wall(reference_records(campaign, jobs))
 
@@ -497,3 +503,137 @@ class TestGoldenRow:
                       "demanded_ticks"):
             assert pooled["checkpoint"][event] == \
                 serial["checkpoint"][event], event
+
+
+def three_scenarios():
+    return small_scenarios() + [replace(braking_lead(), duration=16.0)]
+
+
+def two_scenario_jobs(campaign):
+    """Jobs in the first two of :func:`three_scenarios` only."""
+    cruise, cutin, _ = (s.name for s in campaign.scenarios)
+    return [(cruise, FaultSpec("brake", 1.0, 60, 4)),
+            (cutin, FaultSpec("steering", 0.3, 90, 4)),
+            (cruise, FaultSpec("throttle", 1.0, 200, 4))]
+
+
+#: Job-known styles that leave at least one of three scenarios jobless.
+JOBLESS_STYLES = {
+    "random": (
+        lambda c, w: c.random_campaign(2, seed=4, workers=w),
+        lambda c: random_jobs(c, 2, seed=4)),
+    "exhaustive-capped": (
+        lambda c, w: c.exhaustive_campaign(
+            tick_stride=40, variable_names=["brake"], max_experiments=4,
+            workers=w),
+        lambda c: exhaustive_jobs(c, tick_stride=40,
+                                  variable_names=["brake"],
+                                  max_experiments=4)),
+    "jobs": (
+        lambda c, w: c.run_jobs(two_scenario_jobs(c), workers=w),
+        two_scenario_jobs),
+}
+
+
+class TestJoblessScenarios:
+    """A job-known plan simulates golden runs only where it has jobs."""
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    @pytest.mark.parametrize("style", sorted(JOBLESS_STYLES))
+    def test_records_and_golden_row(self, style, workers):
+        run, jobs_of = JOBLESS_STYLES[style]
+        campaign = Campaign(three_scenarios(),
+                            CampaignConfig(profile_stages=True))
+        summary = run(campaign, workers)
+        simulated = set(campaign._golden)
+        jobs = jobs_of(campaign)
+        drawn = {name for name, _ in jobs}
+        assert drawn < {s.name for s in campaign.scenarios}, \
+            "the style must leave a scenario without jobs"
+        assert simulated == drawn
+        assert strip_wall(summary.records) == \
+            strip_wall(reference_records(campaign, jobs))
+        row = summary.extra_info["stage_timings"]["golden"]
+        assert row["runs"] == len(drawn)
+        assert row["ticks"] + row["cut_ticks"] == sum(
+            full_ticks(campaign, campaign._by_name[name]) for name in drawn)
+        assert set(spooled_ticks(campaign)) <= drawn
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_early_end_draws_into_a_skipped_scenario(self, workers):
+        """The schedule's capped grid fills in ``early_cutin``, so the
+        demand names no job in ``highway_cruise``; the golden run of
+        ``early_cutin`` collides, its real grid is shorter, and the cap
+        then reaches ``highway_cruise``, whose golden run the driver
+        simulates before dispatching."""
+        campaign = Campaign(TestGoldenEndsEarly.scenarios(),
+                            CampaignConfig(profile_stages=True))
+        early, cruise = campaign.scenarios
+        params = dict(tick_stride=20, variable_names=["brake"],
+                      max_experiments=8)
+        schedule_grid = ExhaustivePlan(campaign, **params).grid(
+            campaign.schedule_injection_ticks(early)[::20])
+        assert len(schedule_grid) >= params["max_experiments"]
+        summary = campaign.exhaustive_campaign(workers=workers, **params)
+        jobs = exhaustive_jobs(campaign, **params)
+        assert cruise.name in {name for name, _ in jobs}
+        assert strip_wall(summary.records) == \
+            strip_wall(reference_records(campaign, jobs))
+        assert summary.extra_info["stage_timings"]["golden"]["runs"] == 2
+
+    def test_cache_and_golden_runs(self, tmp_path, monkeypatch):
+        """The cache file holds the runs the campaign simulated and
+        serves the same campaign again; ``golden_runs()`` then
+        simulates every scenario in full."""
+        first = Campaign(three_scenarios(), CampaignConfig(),
+                         cache_dir=tmp_path)
+        reference = first.run_jobs(two_scenario_jobs(first))
+        second = Campaign(three_scenarios(), CampaignConfig(),
+                          cache_dir=tmp_path)
+        TestGoldenCutMemo.forbid_simulation(monkeypatch)
+        again = second.run_jobs(two_scenario_jobs(second))
+        monkeypatch.undo()
+        assert strip_wall(again.records) == strip_wall(reference.records)
+        assert len(second._golden) == 2
+        golden = second.golden_runs()
+        assert list(golden) == [s.name for s in second.scenarios]
+        for scenario in second.scenarios:
+            run = golden[scenario.name]
+            fresh = full_golden(second, scenario)
+            assert run.cut_tick is None
+            assert run.sim_seconds == fresh.sim_seconds
+            assert run.min_delta_long == fresh.min_delta_long
+        third = Campaign(three_scenarios(), CampaignConfig(),
+                         cache_dir=tmp_path)
+        assert len(third._load_golden_cache()) == 3
+
+    def test_cache_keeps_the_union(self, tmp_path, monkeypatch):
+        """A second job-known campaign on the same cache simulates only
+        the scenario the file lacks, and the file then holds the runs
+        of both campaigns."""
+        import repro.core.parallel as parallel_module
+        first = Campaign(three_scenarios(), CampaignConfig(),
+                         cache_dir=tmp_path)
+        first.run_jobs(two_scenario_jobs(first))    # cruise and cut-in
+        second = Campaign(three_scenarios(), CampaignConfig(),
+                          cache_dir=tmp_path)
+        cutin, braking = (s.name for s in second.scenarios[1:])
+        jobs = [(cutin, FaultSpec("brake", 1.0, 80, 4)),
+                (braking, FaultSpec("throttle", 1.0, 70, 4))]
+        simulated = []
+        real = parallel_module.run_scenario
+
+        def counting(scenario, *args, **kwargs):
+            simulated.append(scenario.name)
+            return real(scenario, *args, **kwargs)
+
+        monkeypatch.setattr(parallel_module, "run_scenario", counting)
+        summary = second.run_jobs(jobs)
+        monkeypatch.undo()
+        assert simulated == [braking]
+        assert strip_wall(summary.records) == \
+            strip_wall(reference_records(second, jobs))
+        third = Campaign(three_scenarios(), CampaignConfig(),
+                         cache_dir=tmp_path)
+        assert list(third._load_golden_cache()) == \
+            [s.name for s in third.scenarios]

@@ -4,8 +4,10 @@ import struct
 
 import numpy as np
 import pytest
+from reference import reference_rk4_step
 
-from repro.sim import (VehicleState, bicycle_derivatives, rk4_step,
+from repro.sim import (Vehicle, VehicleParameters, VehicleState,
+                       bicycle_derivatives, fastmath, rk4_step,
                        simulate_constant_controls)
 from repro.sim.fastmath import clip_scalar
 
@@ -160,6 +162,99 @@ class TestScalarPathRegression:
             ref = self._reference_rk4_step(ref, accel, 0.01,
                                            WHEELBASE, 0.02)
             assert fast == ref
+
+
+def _bits(state: VehicleState) -> bytes:
+    """A state's five doubles as bytes: signed zeros and NaNs count."""
+    return struct.pack("<5d", state.x, state.y, state.v, state.theta,
+                       state.phi)
+
+
+def _oracle_cases(n, seed):
+    """``n`` seeded ``(state, acceleration, steering_rate, dt)`` cases.
+
+    Besides broad random draws they cover the corners of the
+    straight-line form: speeds that cross 0 inside the step (one, two
+    or all stages clamped), ``v`` of exactly ``+0.0``/``-0.0``,
+    steering pinned at the ±0.55 rad mechanical limit, zero and
+    negative-zero steering rates, and large headings.
+    """
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(-1.0, 45.0, n)
+    kind = rng.integers(0, 5, n)
+    v[kind == 1] = rng.uniform(0.0, 0.3, (kind == 1).sum())
+    v[kind == 2] = rng.choice([0.0, -0.0], (kind == 2).sum())
+    accel = rng.uniform(-8.0, 4.0, n)
+    accel[kind == 1] = rng.uniform(-8.0, -1.0, (kind == 1).sum())
+    phi = rng.uniform(-0.6, 0.6, n)
+    pinned = rng.random(n) < 0.2
+    phi[pinned] = rng.choice([0.55, -0.55, 0.0, -0.0], pinned.sum())
+    rate = rng.uniform(-0.6, 0.6, n)
+    still = rng.random(n) < 0.2
+    rate[still] = rng.choice([0.0, -0.0], still.sum())
+    theta = rng.normal(0.0, 0.5, n)
+    theta[kind == 3] = rng.uniform(-40.0, 40.0, (kind == 3).sum())
+    x = rng.normal(0.0, 500.0, n)
+    y = rng.normal(0.0, 5.0, n)
+    dt = rng.choice([0.05, 0.01, 0.1, 0.5], n)
+    for row in zip(x.tolist(), y.tolist(), v.tolist(), theta.tolist(),
+                   phi.tolist(), accel.tolist(), rate.tolist(),
+                   dt.tolist()):
+        yield VehicleState(*row[:5]), row[5], row[6], row[7]
+
+
+class TestRk4Oracle:
+    """The straight-line :func:`rk4_step` against the four-call
+    :func:`reference.reference_rk4_step`, bit for bit."""
+
+    def test_seeded_states(self):
+        clamped = crossing = 0
+        for state, accel, rate, dt in _oracle_cases(100_000, seed=23):
+            fast = rk4_step(state, accel, rate, WHEELBASE, dt)
+            assert _bits(fast) == _bits(reference_rk4_step(
+                state, accel, rate, WHEELBASE, dt)), (state, accel, rate,
+                                                      dt)
+            clamped += fast.v == 0.0
+            crossing += state.v > 0.0 and state.v + dt * accel < 0.0
+        assert clamped > 1000 and crossing > 1000
+
+    def test_numpy_trig_when_the_gate_fails(self, monkeypatch):
+        monkeypatch.setattr(fastmath, "_TRIG_EXACT", False)
+        assert not fastmath.numpy_trig_exact()
+        for state, accel, rate, dt in _oracle_cases(10_000, seed=5):
+            assert _bits(rk4_step(state, accel, rate, WHEELBASE, dt)) == \
+                _bits(reference_rk4_step(state, accel, rate, WHEELBASE, dt))
+
+    def test_apply_actuation_clamps(self):
+        """One state per step, with the ``max_speed`` and steering-angle
+        clamps of the old build-then-replace sequence."""
+        params = VehicleParameters(max_speed=20.0)
+        rng = np.random.default_rng(3)
+        capped = 0
+        for _ in range(3000):
+            state = VehicleState(x=float(rng.normal(0.0, 50.0)),
+                                 y=float(rng.normal(0.0, 2.0)),
+                                 v=float(rng.uniform(10.0, 20.0)),
+                                 theta=float(rng.normal(0.0, 0.2)),
+                                 phi=float(rng.uniform(-0.55, 0.55)))
+            throttle, brake = (float(p) for p in rng.uniform(-0.2, 1.2, 2))
+            steering = float(rng.uniform(-0.8, 0.8))
+            dt = float(rng.choice([0.05, 0.5, 1.0]))
+            vehicle = Vehicle(state=state, params=params)
+            accel, rate = vehicle.controls_for(throttle, brake, steering,
+                                               dt)
+            ref = reference_rk4_step(state, accel, rate, params.wheelbase,
+                                     dt)
+            if ref.v > params.max_speed:
+                ref = ref.with_speed(params.max_speed)
+                capped += 1
+            ref = VehicleState(ref.x, ref.y, ref.v, ref.theta, clip_scalar(
+                ref.phi, -params.max_steering_angle,
+                params.max_steering_angle))
+            assert _bits(vehicle.apply_actuation(throttle, brake, steering,
+                                                 dt)) == _bits(ref)
+            assert vehicle.state is not state
+        assert capped > 50
 
 
 class TestClipScalar:

@@ -258,26 +258,28 @@ class TestPipelineStreaming:
          "53623ce08312"),
         (lambda c, on: c.architectural_campaign(60, seed=3,
                                                 on_progress=on),
-         "9fbcc69cde03"),
+         "b63bb4f5e019"),
         (lambda c, on: c.exhaustive_campaign(
             tick_stride=40, variable_names=["brake"], on_progress=on),
          "89ea1b3f7149"),
         (lambda c, on: c.exhaustive_campaign(
             tick_stride=40, variable_names=["brake"], max_experiments=5,
             on_progress=on),
-         "ee84e12d17fe"),
+         "2a3735d310f9"),
         (lambda c, on: c.bayesian_campaign(top_k=4, on_progress=on),
          "8147351702e2"),
         (lambda c, on: c.bayesian_campaign(on_progress=on),
          "49606496c358"),
         (lambda c, on: run_golden_plan(c, on), "8e54759f5fb3"),
-        (lambda c, on: run_jobs_plan(c, on), "52a47a0ef002"),
+        (lambda c, on: run_jobs_plan(c, on), "72cc173a861d"),
     ], ids=["random", "random-interface", "architectural", "exhaustive",
             "exhaustive-capped", "bayesian-top-k", "bayesian-all",
             "golden", "jobs"])
     def test_progress_events(self, run, digest):
         """Each serial plan's full ``(stage, scenario, done, total)``
-        event stream, pinned."""
+        event stream, pinned.  Job-known plans report golden events
+        only for the scenarios they have jobs in (architectural and
+        jobs: 2 of 3, exhaustive-capped: 1)."""
         events = []
         run(Campaign(small_scenarios(), CampaignConfig()), events.append)
         assert events_digest(events) == digest

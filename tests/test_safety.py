@@ -24,8 +24,8 @@ from repro.core.safety import (StopTable, _bulk_chunk, _bulk_excursions,
                                _excursion_params, _excursion_rollout,
                                _rk4_stop, _stop_params)
 from repro.core.simulate import _arm_faults, _fault_schedule, _SafetyMonitor
-from repro.sim import (SENSOR_RANGE, NPCVehicle, World, highway_cruise,
-                       lead_vehicle_cutin)
+from repro.sim import (SENSOR_RANGE, NPCVehicle, World, fastmath,
+                       highway_cruise, lead_vehicle_cutin)
 from repro.sim.trace import Trace
 
 
@@ -170,7 +170,7 @@ def _scalar(keys, params):
 
 
 needs_exact_trig = pytest.mark.skipif(
-    not safety._numpy_trig_exact(),
+    not fastmath.numpy_trig_exact(),
     reason="numpy trig differs from math here; the table runs scalar")
 
 speeds = st.one_of(st.just(0.0), st.floats(0.0, 0.4),   # < one step
@@ -278,10 +278,10 @@ class TestStopTable:
         expected = [safety_potential(*sample) for sample in samples]
 
         real_sin = np.sin
-        monkeypatch.setattr(safety, "_TRIG_EXACT", None)
+        monkeypatch.setattr(fastmath, "_TRIG_EXACT", None)
         monkeypatch.setattr(safety.np, "sin",
                             lambda a: np.nextafter(real_sin(a), np.inf))
-        assert not safety._numpy_trig_exact()
+        assert not fastmath.numpy_trig_exact()
         monkeypatch.setattr(safety.np, "sin", real_sin)
 
         scalar_calls = []
@@ -414,10 +414,10 @@ class TestExcursionTable:
         expected = _hex(_rollouts(keys, params))
 
         real_sin = np.sin
-        monkeypatch.setattr(safety, "_TRIG_EXACT", None)
+        monkeypatch.setattr(fastmath, "_TRIG_EXACT", None)
         monkeypatch.setattr(safety.np, "sin",
                             lambda a: np.nextafter(real_sin(a), np.inf))
-        assert not safety._numpy_trig_exact()
+        assert not fastmath.numpy_trig_exact()
         monkeypatch.setattr(safety.np, "sin", real_sin)
 
         calls = []
@@ -618,7 +618,7 @@ class TestSafetyProfile:
         assert row["excursion_hits"] == len(scored) - len(set(scored))
         assert row["excursion_batches"] == len(miss_sets)
         assert sum(miss_sets) == len(set(scored))
-        if safety._numpy_trig_exact():
+        if fastmath.numpy_trig_exact():
             # The kernel serves every miss set from the break-even up;
             # the scalar rollout runs only below it.
             assert max(miss_sets) >= BREAK_EVEN

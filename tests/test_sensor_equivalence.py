@@ -1,12 +1,13 @@
-"""The packed sensor draws against the per-draw reference read.
+"""The merged sensor draws against the per-draw and per-obstacle reads.
 
 ``SensorSuite.measure`` (and, per lane, the batched engine's sensing)
-draws one ``random()`` per camera-visible obstacle, one
-``standard_normal(2|3|5)`` per visible obstacle and one
-``standard_normal(6)`` for the ego terms.  These tests pin that this is
+draws one ``random()`` per camera-visible obstacle and merges every run
+of normals between two of them into one ``standard_normal(k)`` call,
+the 6 ego terms joining the last run.  These tests pin that this is
 bit-for-bit the one-``normal()``-per-term stream of
-:func:`reference.reference_measure`, and pin the numpy identities the
-packing rests on.
+:func:`reference.reference_measure` and the one-call-per-obstacle
+stream of :func:`reference.reference_packed_bundle`, generator state
+included, and pin the numpy identities the merging rests on.
 """
 
 from dataclasses import replace
@@ -16,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import reference_measure
-from repro.ads.sensors import SensorSuite, SensorSuiteConfig
+from reference import reference_measure, reference_packed_bundle
+from repro.ads.sensors import SensorSuite, SensorSuiteConfig, noisy_bundle
 from repro.sim import NPCVehicle, World, default_scenarios
 
 SIGMAS = (0.35, 0.6, 0.25, 0.8, 0.08, 0.004, 0.02, 0.002, 1e-300, 7.5)
@@ -189,3 +190,69 @@ class TestMeasureMatchesReference:
             world.step(0.2 if tick % 40 < 25 else 0.0,
                        0.0 if tick % 40 < 25 else 0.4,
                        0.002 * ((tick % 7) - 3), 0.05)
+
+
+# -- noisy_bundle against the per-obstacle draws ------------------------------
+
+def _visible(rng, n, radar_only_share):
+    """``n`` visible-obstacle tuples, camera+radar or radar only."""
+    rows = []
+    for _ in range(n):
+        camera = bool(rng.random() >= radar_only_share)
+        rows.append((float(rng.uniform(1.0, 220.0)),
+                     float(rng.uniform(-6.0, 6.0)),
+                     float(rng.uniform(0.0, 35.0)), camera, True))
+    return rows
+
+
+class TestMergedRuns:
+    """:func:`noisy_bundle` merges normal draws across obstacles; the
+    bundle and the generator's end state must equal one
+    ``standard_normal`` call per obstacle."""
+
+    @staticmethod
+    def _assert_same(visible, cfg, seed):
+        merged = np.random.default_rng(seed)
+        packed = np.random.default_rng(seed)
+        args = (1.5, visible, 100.0, 3.5, 25.0, 0.01, -0.4, 0.002, 1.75)
+        bundle = noisy_bundle(merged, cfg, *args)
+        assert bundle == reference_packed_bundle(packed, cfg, *args)
+        assert merged.bit_generator.state == packed.bit_generator.state
+        return bundle
+
+    def test_zero_obstacles(self):
+        bundle = self._assert_same([], SensorSuiteConfig(), seed=1)
+        assert bundle.camera == [] and bundle.radar == []
+
+    @pytest.mark.parametrize("pattern", [
+        "C", "R", "RR", "CRC", "RCR", "CRRC", "RRCRR", "CCCC"])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5, 1.0])
+    def test_radar_only_between_camera_obstacles(self, pattern, dropout):
+        cfg = SensorSuiteConfig(camera_dropout=dropout)
+        for seed in range(20):
+            visible = [(10.0 * i + 5.0, 0.5 * i, 20.0 + i, kind == "C",
+                        True) for i, kind in enumerate(pattern)]
+            bundle = self._assert_same(visible, cfg, seed)
+            assert len(bundle.radar) == len(pattern)
+            if dropout == 1.0:      # every camera read dropped
+                assert bundle.camera == []
+
+    def test_camera_only_obstacles(self):
+        # Past the radar gate nothing is camera-only (camera range <
+        # radar range), but noisy_bundle takes any flags.
+        visible = [(5.0, 0.0, 10.0, True, False),
+                   (15.0, 1.0, 11.0, False, True),
+                   (25.0, 2.0, 12.0, True, False)]
+        for dropout in (0.0, 0.5, 1.0):
+            for seed in range(20):
+                self._assert_same(
+                    visible, SensorSuiteConfig(camera_dropout=dropout), seed)
+
+    @pytest.mark.parametrize("dropout", [0.02, 0.4, 1.0])
+    def test_random_mixes(self, dropout):
+        cfg = SensorSuiteConfig(camera_dropout=dropout)
+        layout = np.random.default_rng(17)
+        for seed in range(300):
+            visible = _visible(layout, int(layout.integers(0, 7)),
+                               radar_only_share=0.4)
+            self._assert_same(visible, cfg, seed)
