@@ -11,14 +11,17 @@ tracker and localizer).
 
 This bench isolates that single-core win: serial
 :meth:`Campaign.run_jobs` on same-scenario groups of at least ``LANES``
-jobs (which the driver fuses) against the serial scalar engine on the
-same checkpoint-forked job population
-(``conftest.scalar_engine_records``) — no process pool, so the ratio is
-pure fusion, comparable across hosts.  Record agreement is asserted unconditionally; the
-speedup gate (≥1.8x; a 2-vCPU Xeon VM measures 0.92-1.28x, so it fails
-there, see ROADMAP item 4) needs no spare core because neither
-path pools, and like every wall-clock gate it fires only with
-``REPRO_BENCH_GATES=1`` (see ``conftest.timing_gates``).
+jobs (which the driver fuses, each group as one batch of up to
+``MAX_LANES`` live lanes) against the serial scalar engine on the same
+checkpoint-forked job population (``conftest.scalar_engine_records``)
+— no process pool, so the ratio is pure fusion, comparable across
+hosts.  Record agreement is asserted unconditionally; the speedup gate
+(≥1.8x) needs no spare core because neither path pools, and like every
+wall-clock gate it fires only with ``REPRO_BENCH_GATES=1`` (see
+``conftest.timing_gates``).  With whole-group batches a 2-vCPU Xeon VM
+measured 1.41-2.04x over seven runs (median 1.81x), so the gate passes
+there only just, about half the time; 16-lane batches measured
+0.75-1.28x.
 """
 
 import time
@@ -28,9 +31,9 @@ import pytest
 from repro.analysis import ascii_table
 from repro.core import Campaign, CampaignConfig
 from repro.core.fault_models import minmax_fault_grid
-from repro.core.parallel import LANES
+from repro.core.parallel import LANES, MAX_LANES
 
-from conftest import (bench_scenarios, scalar_engine_records,
+from conftest import (bench_scenarios, host_info, scalar_engine_records,
                       timing_gates)
 
 
@@ -97,7 +100,8 @@ def test_bench_batch_ads(benchmark, ads_campaign):
 
     print("\nSerial fusion: batched ADS pipeline vs scalar oracle")
     print(ascii_table(
-        ["metric", "scalar serial", f"batched serial (x{LANES})"], [
+        ["metric", "scalar serial",
+         f"batched serial (<= {MAX_LANES} lanes)"], [
             ["experiments", len(scalar_records), len(batched_records)],
             ["wall seconds", f"{scalar_seconds:.3f}",
              f"{batched_seconds:.3f}"],
@@ -110,6 +114,8 @@ def test_bench_batch_ads(benchmark, ads_campaign):
     benchmark.extra_info["serial_fusion_speedup"] = speedup
     benchmark.extra_info["experiments"] = len(jobs)
     benchmark.extra_info["lanes"] = LANES
+    benchmark.extra_info["max_lanes"] = MAX_LANES
+    benchmark.extra_info.update(host_info())
 
     # The batched path must agree with the scalar oracle record for
     # record (wall clock aside) — asserted unconditionally...
@@ -127,4 +133,4 @@ def test_bench_batch_ads(benchmark, ads_campaign):
         return
     assert speedup >= 1.8, (
         f"batched ADS pipeline only {speedup:.2f}x faster than the "
-        f"serial scalar engine with {LANES} lanes")
+        f"serial scalar engine with up to {MAX_LANES} lanes")

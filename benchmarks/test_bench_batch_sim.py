@@ -1,39 +1,70 @@
 """Validation throughput: fused batched lanes vs the scalar oracle.
 
-PR 2 made validation fork from golden-prefix checkpoints; what still
-cost one Python interpreter pass per experiment was the simulation
-itself — every world stepped its own RK4, collision sweep, and safety
-envelope through scalar numpy calls.  The batch engine
-(:mod:`repro.sim.batch`) steps up to ``LANES`` same-scenario
+Validation forks from golden-prefix checkpoints; what still costs
+one Python interpreter pass per experiment is the simulation itself —
+every world steps its own RK4, collision sweep, and safety envelope
+through scalar numpy calls.  The batch engine
+(:mod:`repro.sim.batch`) steps up to ``MAX_LANES`` same-scenario
 experiments per fused kernel call, and the campaign driver fuses every
-same-scenario group of at least ``LANES`` jobs on its own.
+same-scenario group of at least ``LANES`` jobs on its own, as one wide
+batch.
 
-This bench times the *shipped* batched configuration — fused lanes on
-a process pool (``workers=4``), through :meth:`Campaign.run_jobs` on
-groups of at least ``LANES`` jobs — against the serial scalar engine
-on the same checkpoint-forked job population
-(``conftest.scalar_engine_records``), and pins exact record agreement
-between them.  Serial fusion alone measures 0.92-1.28x on a 2-vCPU
-Xeon VM (the ``serial_batched_speedup`` extra_info; ROADMAP item 4;
-``test_bench_batch_ads`` gates it), and the ≥3x gate applies to the
-batched+pooled path, which needs real cores; with fewer usable CPUs
-than workers the gate is skipped and only equivalence is asserted.
+``test_bench_batch_sim`` times the *shipped* batched configuration —
+fused lanes on a process pool (``workers=4``), through
+:meth:`Campaign.run_jobs` on groups of at least ``LANES`` jobs —
+against the serial scalar engine on the same checkpoint-forked job
+population (``conftest.scalar_engine_records``), and pins exact record
+agreement between them.  Serial fusion alone is the
+``serial_batched_speedup`` extra_info (``test_bench_batch_ads`` gates
+it), and the ≥3x gate applies to the batched+pooled path, which needs
+real cores; with fewer usable CPUs than workers the gate is skipped and
+only equivalence is asserted.
+
+``test_bench_batch_width`` is the width round: one group of
+``2 * MAX_LANES`` jobs of one scenario, run at 16 live lanes (the
+width before batches spanned whole groups) and at ``MAX_LANES``, in
+interleaved rounds, with the records checked equal.  Its extra_info
+holds both widths' seconds and the tracemalloc peak per extra live
+lane: the peak's growth from 16 to ``MAX_LANES`` lanes over the
+``MAX_LANES - 16`` lanes added.  A lane cost about 55 KB by that
+measure (61 KB by peak RSS) when each held its safety samples as
+per-tick tuples; with columnar samples and retired lanes released it
+measures about 16 KB on a 2-vCPU Xeon VM.  Its gates fire only under
+``REPRO_BENCH_GATES=1``.
 """
 
 import os
+import statistics
 import time
+import tracemalloc
+from dataclasses import asdict
 
 import pytest
+from reference import random_jobs
 
 from repro.analysis import ascii_table
 from repro.core import Campaign, CampaignConfig
 from repro.core.fault_models import minmax_fault_grid
-from repro.core.parallel import LANES
+from repro.core.parallel import LANES, MAX_LANES
+from repro.core.simulate import run_experiments_batched
+from repro.sim import lead_vehicle_cutin
 
-from conftest import (bench_scenarios, scalar_engine_records,
+from conftest import (bench_scenarios, host_info, scalar_engine_records,
                       timing_gates)
 
 WORKERS = 4
+
+#: The narrow side of the width round: the lanes a batch held when the
+#: driver cut groups into ``LANES``-job parts.
+NARROW = 16
+#: Interleaved narrow/wide rounds of the width round.
+WIDTH_ROUNDS = 3
+#: Width-round gates (``REPRO_BENCH_GATES=1`` only): the wide batch's
+#: speedup over the narrow one, as a ratio of median seconds (measured
+#: 1.55-1.7x), and the tracemalloc peak per extra live lane, half of
+#: the 61 KB a live lane cost by peak RSS before samples went columnar.
+MIN_WIDTH_SPEEDUP = 1.25
+MAX_LANE_KB = 30.0
 
 
 def usable_cpus() -> int:
@@ -126,8 +157,9 @@ def test_bench_batch_sim(benchmark, batch_campaign):
     benchmark.extra_info["speedup"] = speedup
     benchmark.extra_info["experiments"] = len(jobs)
     benchmark.extra_info["lanes"] = LANES
+    benchmark.extra_info["max_lanes"] = MAX_LANES
     benchmark.extra_info["workers"] = WORKERS
-    benchmark.extra_info["usable_cpus"] = usable_cpus()
+    benchmark.extra_info.update(host_info())
 
     # The batched paths must agree with the scalar oracle record for
     # record (wall clock aside) — asserted unconditionally...
@@ -155,3 +187,91 @@ def test_bench_batch_sim(benchmark, batch_campaign):
         f"batched validation only {speedup:.2f}x faster than the "
         f"scalar serial engine with {LANES} lanes, "
         f"workers={WORKERS}")
+
+
+@pytest.fixture(scope="module")
+def width_group():
+    """``2 * MAX_LANES`` random value faults of one scenario, with the
+    golden checkpoint each forks from."""
+    campaign = Campaign([lead_vehicle_cutin()], CampaignConfig(seed=1))
+    campaign.golden_runs()   # golden trace + its schedule ladder
+    scenario = campaign.scenarios[0]
+    faults = [fault for _, fault in
+              random_jobs(campaign, 2 * MAX_LANES, seed=1)]
+    forks = [campaign.checkpoints.nearest(scenario.name, fault.start_tick)
+             for fault in faults]
+    assert all(forks), "the golden ladder misses a job tick"
+    return campaign, scenario, faults, forks
+
+
+def test_bench_batch_width(benchmark, width_group):
+    campaign, scenario, faults, forks = width_group
+    config = campaign.config
+    assert MAX_LANES > NARROW
+
+    def run(width):
+        return run_experiments_batched(
+            scenario, [[fault] for fault in faults], ads_config=config.ads,
+            safety_config=config.safety, seed=config.seed,
+            checkpoints=forks,
+            horizon_after_fault=config.horizon_after_fault,
+            batch_size=width)
+
+    def strip(results):
+        rows = []
+        for result in results:
+            row = asdict(result)
+            for name in ("wall_seconds", "trace", "checkpoints"):
+                row.pop(name)
+            rows.append(row)
+        return rows
+
+    expected = strip(run(NARROW))   # also warms the stop table
+    seconds = {NARROW: [], MAX_LANES: []}
+    for index in range(WIDTH_ROUNDS):
+        order = (NARROW, MAX_LANES) if index % 2 == 0 else (MAX_LANES,
+                                                            NARROW)
+        for width in order:
+            start = time.perf_counter()
+            results = run(width)
+            seconds[width].append(time.perf_counter() - start)
+            assert strip(results) == expected, width
+
+    peaks = {}
+    for width in (NARROW, MAX_LANES):
+        tracemalloc.start()
+        run(width)
+        peaks[width] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    lane_kb = (peaks[MAX_LANES] - peaks[NARROW]) / (MAX_LANES - NARROW) / 1e3
+
+    benchmark.pedantic(run, args=(MAX_LANES,), rounds=1, iterations=1)
+
+    medians = {width: statistics.median(times)
+               for width, times in seconds.items()}
+    speedup = medians[NARROW] / medians[MAX_LANES]
+    print(f"\nFused batch width: {len(faults)} jobs of {scenario.name}, "
+          f"median of {WIDTH_ROUNDS} interleaved rounds")
+    print(ascii_table(
+        ["width", "seconds", "tracemalloc peak MB"],
+        [[width, f"{medians[width]:.3f}", f"{peaks[width] / 1e6:.2f}"]
+         for width in (NARROW, MAX_LANES)]))
+    print(f"speedup {speedup:.2f}x, {lane_kb:.1f} KB per extra live lane")
+    benchmark.extra_info["jobs"] = len(faults)
+    benchmark.extra_info["narrow_lanes"] = NARROW
+    benchmark.extra_info["max_lanes"] = MAX_LANES
+    for width, name in ((NARROW, "narrow"), (MAX_LANES, "wide")):
+        benchmark.extra_info[f"{name}_seconds"] = seconds[width]
+        benchmark.extra_info[f"{name}_median_seconds"] = medians[width]
+        benchmark.extra_info[f"{name}_peak_bytes"] = peaks[width]
+    benchmark.extra_info["width_speedup"] = speedup
+    benchmark.extra_info["kb_per_live_lane"] = lane_kb
+    benchmark.extra_info.update(host_info())
+
+    if not timing_gates(benchmark):
+        return
+    assert speedup >= MIN_WIDTH_SPEEDUP, (
+        f"{MAX_LANES}-lane batches only {speedup:.2f}x faster than "
+        f"{NARROW}-lane ones")
+    assert lane_kb <= MAX_LANE_KB, (
+        f"a live fused lane costs {lane_kb:.1f} KB of peak memory")

@@ -16,8 +16,11 @@ oracle.  The split of labor per stage:
   :func:`~repro.ads.sensors.noisy_bundle`), camera/radar fusion (the
   lane's ``Perception``), and the world model: the ragged per-object
   Kalman tracker (the lane's ``MultiObjectTracker``) and the ego EKF
-  (the lane's ``EgoLocalizer``), both straight-line float kernels that
-  beat component arrays at the lane counts a batch fuses.
+  (the lane's ``EgoLocalizer``), both straight-line float kernels.
+  This per-lane residue is what a fused tick still pays per lane;
+  everything vectorized is paid once per fused tick, so a batch runs
+  as wide as the driver allows (:data:`repro.core.parallel.MAX_LANES`)
+  and a retired slot that nothing refills costs only its idle rows.
 
 Equivalence holds by construction: the vectorized stages evaluate the
 *same* kernel expressions the scalar modules call with floats, both
@@ -31,6 +34,10 @@ through the *real* registry setters on real payload objects for the
 sensing/perception/world-model stages — only the planner/actuation
 stages, whose payloads live in structure-of-arrays form, apply value
 faults as masked column writes (their setters are plain field stores).
+As in the scalar tick, quiet lanes skip the fault hooks: each lane's
+fault windows are bounded in arrays, and only lanes inside their
+bounds on a tick call the hooks, whose per-fault ``active`` checks
+decide what lands.
 
 The engine is chosen per job before a lane is built: the driver fuses
 only jobs that satisfy :func:`can_fuse` (value faults, the closed-form
@@ -102,7 +109,13 @@ class BatchADSState:
         self.bundles: list[SensorBundle | None] = [None] * n
         self.detections: list[list | None] = [None] * n
         self.stage_faults: list[dict | None] = [None] * n
-        self.faulty: set[int] = set()
+        # Each lane's fault windows, bounded: the first armed tick and
+        # one past the last (both 0 for a fault-free lane).  Only lanes
+        # inside their bounds call the fault hooks on a tick
+        # (``_hot``, the fused twin of the scalar ``_hooks_live``).
+        self.fault_from = np.zeros(n, dtype=np.int64)
+        self.fault_until = np.zeros(n, dtype=np.int64)
+        self._hot: set[int] = set()
 
         # Latched planner output (the scalar pipeline's ``_plan``).
         self.plan_valid = np.zeros(n, dtype=bool)
@@ -178,10 +191,12 @@ class BatchADSState:
         for fault in pipeline.faults:
             stages.setdefault(fault.variable.stage, []).append(fault)
         self.stage_faults[slot] = stages
-        if stages:
-            self.faulty.add(slot)
-        else:
-            self.faulty.discard(slot)
+        faults = pipeline.faults
+        self.fault_from[slot] = min((fault.start_tick for fault in faults),
+                                    default=0)
+        self.fault_until[slot] = max(
+            (fault.start_tick + fault.duration_ticks for fault in faults),
+            default=0)
         self.active[slot] = True
 
     def deactivate(self, slot: int) -> None:
@@ -194,7 +209,7 @@ class BatchADSState:
         self.bundles[slot] = None
         self.detections[slot] = None
         self.stage_faults[slot] = None
-        self.faulty.discard(slot)
+        self.fault_from[slot] = self.fault_until[slot] = 0
         self.plan_valid[slot] = False
 
     # -- fault application ---------------------------------------------------
@@ -230,10 +245,14 @@ class BatchADSState:
             return
         timer = STAGE_TIMER if STAGE_TIMER.enabled else None
         ticks = self.tick[rows]
+        hot = ((ticks >= self.fault_from[rows])
+               & (ticks < self.fault_until[rows]))
+        self._hot = set(rows[hot].tolist()) if hot.any() else set()
         started = timer.start() if timer else 0
         self._sense(rows)
         if timer:
             timer.stop("sensing", started, rows.size)
+            timer.count("engine", "fused_ticks", 1)
             timer.count("engine", "lane_ticks", rows.size)
             timer.count("engine", "slot_ticks", self.batch.n_lanes)
         planning = ((ticks % self.config.planner_divisor == 0)
@@ -254,6 +273,7 @@ class BatchADSState:
         packed RNG draws, real ``SensorBundle`` payloads."""
         cfg = self.config.sensors
         batch = self.batch
+        hot = self._hot
         road = batch.road
         wheelbase = batch.ego_params.wheelbase
         ego = batch.ego[rows]
@@ -317,7 +337,7 @@ class BatchADSState:
             bundle = noisy_bundle(self.rngs[slot], cfg, time, visible, x,
                                   ego_y, speed, theta, acceleration,
                                   yaw_list[i], lane_center)
-            if slot in self.faulty:
+            if slot in hot:
                 self._apply_object_faults(slot, "sensing", bundle)
             self.bundles[slot] = bundle
 
@@ -327,6 +347,7 @@ class BatchADSState:
         the lanes re-planning this tick."""
         config = self.config
         planning_dt = self._planning_dt
+        hot = self._hot
         slots = rows.tolist()
         k = len(slots)
 
@@ -335,7 +356,7 @@ class BatchADSState:
         for slot in slots:
             bundle = self.bundles[slot]
             detections = self.perceptions[slot].process(bundle)
-            if slot in self.faulty:
+            if slot in hot:
                 self._apply_object_faults(slot, "perception", detections)
             self.detections[slot] = detections
         if timer:
@@ -362,7 +383,7 @@ class BatchADSState:
             model = WorldModel(time=bundle.time, ego=ego, tracks=tracks,
                                lane_offset=bundle.lane_offset,
                                lane_heading=bundle.lane_heading)
-            if slot in self.faulty:
+            if slot in hot:
                 self._apply_object_faults(slot, "world_model", model)
             lead = model.lead_track()
             px[i] = model.ego.x
@@ -392,9 +413,8 @@ class BatchADSState:
         self.plan_brake[rows] = brake
         self.plan_steering[rows] = steering
         self.plan_valid[rows] = True
-        for slot in slots:
-            if slot in self.faulty:
-                self._apply_column_faults(slot, "planning", _PLAN_COLUMNS)
+        for slot in hot.intersection(slots):
+            self._apply_column_faults(slot, "planning", _PLAN_COLUMNS)
         if timer:
             timer.stop("planning", started, k)
 
@@ -426,9 +446,8 @@ class BatchADSState:
         self.cmd_throttle[rows] = throttle
         self.cmd_brake[rows] = brake
         self.cmd_steering[rows] = steering
-        for slot in rows.tolist():
-            if slot in self.faulty:
-                self._apply_column_faults(slot, "actuation", _ACT_COLUMNS)
+        for slot in self._hot:
+            self._apply_column_faults(slot, "actuation", _ACT_COLUMNS)
         self.cmd_throttle[rows] = np.clip(self.cmd_throttle[rows], 0.0, 1.0)
         self.cmd_brake[rows] = np.clip(self.cmd_brake[rows], 0.0, 1.0)
         self.cmd_steering[rows] = np.clip(self.cmd_steering[rows],

@@ -23,9 +23,13 @@ engines), ``gap_ticks`` forks replayed before their fault,
 ``replay_ticks`` fault-free prefix runs simulated to capture ladders
 outside the golden runs, and the ``spill_bytes`` it spooled.  The
 untimed ``engine`` row counts the validation jobs each engine ran
-(``fused_jobs``, ``scalar_jobs``) and, per fused tick, the live lanes
-(``lane_ticks``) against the batch's slots (``slot_ticks``): their
-ratio is the fused lane occupancy.
+(``fused_jobs``, ``scalar_jobs``), the ``fused_ticks`` and, per fused
+tick, the live lanes (``lane_ticks``) against the batch's slots
+(``slot_ticks``).  A fused tick's vectorized work is paid once however
+many lanes it carries, so its cost follows ``fused_ticks`` and the
+lanes per tick (``lane_ticks`` over ``fused_ticks``); lane occupancy
+(``lane_ticks`` over ``slot_ticks``) no longer drives it, since a wide
+batch leaves its retired slots idle rather than start another batch.
 The untimed ``golden`` row counts golden ``runs``, the ``ticks`` they
 simulated, and the ``cut_ticks`` a run stopped at its last forkable
 tick left unsimulated.

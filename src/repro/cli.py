@@ -343,12 +343,14 @@ def _print_summary(summary, label: str) -> None:
                   f"{spilled} bytes spilled")
         engine = timings.get("engine")
         if engine:
-            fused, scalar, live, slots = (
+            fused, scalar, live, slots, ticks = (
                 engine.get(event, 0) for event in (
-                    "fused_jobs", "scalar_jobs", "lane_ticks", "slot_ticks"))
+                    "fused_jobs", "scalar_jobs", "lane_ticks", "slot_ticks",
+                    "fused_ticks"))
             print(f"  engine: {fused} fused jobs, {scalar} scalar jobs, "
                   f"lane occupancy {live / max(slots, 1):.1%} ({live} of "
-                  f"{slots} slot-ticks)")
+                  f"{slots} slot-ticks) in {ticks} fused ticks "
+                  f"({live / max(ticks, 1):.1f} lanes per tick)")
         golden = timings.get("golden")
         if golden:
             print(f"  golden: {golden.get('runs', 0)} runs, "

@@ -13,7 +13,8 @@ this module holds what every execution path shares:
   reference loop the equivalence tests compare against all call it.
 * :func:`execute_experiment_batch` — its vectorized sibling for
   same-scenario groups of at least :data:`LANES` fusable jobs
-  (:func:`repro.ads.batch.can_fuse`), bit-for-bit the scalar records.
+  (:func:`repro.ads.batch.can_fuse`), up to :data:`MAX_LANES` of them
+  live at once, bit-for-bit the scalar records.
 * :func:`_golden_run` — one scenario's fault-free trace plus the
   checkpoint ladder validation forks from.
 * :func:`_pool_context`/:func:`_picklable` — the start-method choice
@@ -51,14 +52,21 @@ if TYPE_CHECKING:  # avoid a circular import with .campaign
 #: Job description: (scenario name, fault to inject).
 ExperimentJob = tuple[str, FaultSpec]
 
-#: Lanes of one fused batch, and the group size at which fusion starts.
-#: The driver validates a scenario's fusable jobs with
-#: :func:`execute_experiment_batch` when it has at least ``LANES`` of
-#: them; every other job runs the scalar loop.  On a 2-vCPU host serial
-#: fusion of 16-lane groups measures 0.92-1.28x the scalar engine
-#: (ROADMAP item 4).  Read through the module at call time, so tests
+#: The group size at which fusion starts.  The driver validates a
+#: scenario's fusable jobs with :func:`execute_experiment_batch` when it
+#: has at least ``LANES`` of them, as one wide batch; every other job
+#: runs the scalar loop.  Read through the module at call time, so tests
 #: can patch it.
 LANES = 16
+
+#: Most live lanes of one fused batch; a larger group refills retired
+#: slots from its pending jobs.  The smallest width within 5% of the
+#: fastest in a sweep of one 256-job ``lead_vehicle_cutin`` group over
+#: widths 16-256 (two sweeps of 6 and 8 interleaved rounds on a 2-vCPU
+#: Xeon VM: 128 fastest in both, 96 at +3% and +7%, 64 at +9% and +11%,
+#: 16 at +82%); ``benchmarks/test_bench_batch_sim.py`` re-times 16
+#: against this width.  Read through the module at call time.
+MAX_LANES = 128
 
 
 def _to_record(result: RunResult, scenario_name: str, fault: FaultSpec,
@@ -127,8 +135,8 @@ def execute_experiment_batch(scenario: Scenario,
     fused numpy kernels, with each lane forking from the same nearest
     golden checkpoint its scalar twin would pick (full replay when the
     store has none, or the snapshot's seed does not match).  At most
-    :data:`LANES` lanes are live; a retired lane takes the next pending
-    fault.  Every fault must be fusable
+    :data:`MAX_LANES` lanes are live; a retired lane's slot takes the
+    next pending fault.  Every fault must be fusable
     (:func:`repro.ads.batch.can_fuse`).  Records are bit-for-bit the
     scalar records, in ``faults`` order (wall clock aside).
     """
@@ -144,7 +152,7 @@ def execute_experiment_batch(scenario: Scenario,
         ads_config=config.ads, safety_config=config.safety,
         seed=config.seed, checkpoints=forks,
         horizon_after_fault=config.horizon_after_fault,
-        batch_size=LANES)
+        batch_size=MAX_LANES)
     STAGE_TIMER.count("engine", "fused_jobs", len(faults))
     return [_to_record(result, scenario.name, fault, config)
             for result, fault in zip(results, faults)]

@@ -725,12 +725,14 @@ class CampaignPipeline:
         policy = _policy(self.config)
         chunk = max(1, len(items) // (self.workers * 4))
         fused, scalar = _split_engines(self.config, items)
-        # A fused chunk below the lane count would run scalar; chunk
+        # The fused jobs go out as one wide part per worker, none below
+        # the lane count (a smaller part would run scalar); part
         # boundaries don't affect record values or emission order
-        # (keys carry the slots), so rounding up is free.  Each worker
-        # re-splits its chunk and reaches the same engine choice.
-        parts = ((_parts(fused, max(chunk, parallel.LANES)) if fused
-                  else []) + (_parts(scalar, chunk) if scalar else []))
+        # (keys carry the slots).  Each worker re-splits its part and
+        # reaches the same engine choice.
+        wide = max(parallel.LANES, len(fused) // self.workers)
+        parts = ((_parts(fused, wide) if fused else [])
+                 + (_parts(scalar, chunk) if scalar else []))
         for part in map(tuple, parts):
             timeout = (policy.job_timeout * len(part)
                        if policy.job_timeout is not None else None)
@@ -749,14 +751,13 @@ class CampaignPipeline:
         policy = _policy(self.config)
         fused, scalar = _split_engines(self.config, items)
         try:
-            for part in _parts(fused, parallel.LANES) if fused else ():
-                records = _fused_records(scenario, self.config, part,
-                                         checkpoints)
-                if records is None:
-                    scalar.extend(part)
-                    continue
-                for (key, _), record in zip(part, records):
-                    self._record_done(key, record)
+            records = (_fused_records(scenario, self.config, fused,
+                                      checkpoints) if fused else [])
+            if records is None:
+                scalar.extend(fused)
+                records = []
+            for (key, _), record in zip(fused, records):
+                self._record_done(key, record)
             for key, fault in scalar:
                 record, failure = run_supervised_serial(
                     lambda: execute_experiment(scenario, self.config,

@@ -16,9 +16,11 @@ entry points share one tick loop:
 
 from __future__ import annotations
 
-import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from ..ads.batch import BatchADSState
 from ..ads.messages import ActuationCommand
@@ -139,8 +141,59 @@ def _fault_schedule(faults: list[FaultSpec],
     return monitor_from, stop_after
 
 
+def _potentials(samples: list, config: SafetyConfig
+                ) -> tuple[list[float], list[float]]:
+    """:func:`~repro.core.safety.bulk_safety_potential` of a run's
+    held samples, charged to the ``safety`` row of the stage table."""
+    if not STAGE_TIMER.enabled:
+        return bulk_safety_potential(samples, config)
+    started = STAGE_TIMER.start()
+    potentials = bulk_safety_potential(samples, config)
+    STAGE_TIMER.stop("safety", started, len(samples))
+    return potentials
+
+
+def _outcome(longitudinal: list[float], lateral: list[float], pre: bool,
+             collided: bool, went_off_road: bool) -> dict:
+    """The hazard, outcome and delta fields of :class:`RunResult`.
+
+    ``longitudinal`` and ``lateral`` are the run's monitored potentials
+    in tick order; ``pre`` says whether the first of them is the first
+    fault tick's, the pre-fault delta.  Both engines fold through here.
+    """
+    inf = float("inf")
+    # min((inf, *values)) is the running fold m = min(m, v) from inf,
+    # NaNs and all.
+    min_delta_long = min((inf, *longitudinal))
+    min_delta_lat = min((inf, *lateral))
+    if pre and longitudinal:
+        pre_delta_long, pre_delta_lat = longitudinal[0], lateral[0]
+    else:
+        pre_delta_long = pre_delta_lat = inf
+    if collided:
+        hazard = Hazard.COLLISION
+    elif went_off_road:
+        hazard = Hazard.OFF_ROAD
+    elif min_delta_long <= 0.0:
+        # The longitudinal potential is the robust counterfactual
+        # criterion (collision is inevitable if the lead brakes).
+        # The lateral potential is recorded but not a hazard class by
+        # itself: it inherits steering jitter through the
+        # frozen-steering assumption, so lateral hazards are judged
+        # by the physical outcomes above (off-road, collision).
+        hazard = Hazard.SAFETY_VIOLATION
+    else:
+        hazard = Hazard.NONE
+    return {"hazard": hazard, "collided": collided,
+            "went_off_road": went_off_road,
+            "min_delta_long": min_delta_long,
+            "min_delta_lat": min_delta_lat,
+            "pre_delta_long": pre_delta_long,
+            "pre_delta_lat": pre_delta_lat}
+
+
 class _SafetyMonitor:
-    """The deferred safety monitor of one run.
+    """The deferred safety monitor of one scalar run.
 
     The potential never feeds back into control, so the tick loop only
     records each monitored tick's cheap inputs (:meth:`sample`) and the
@@ -148,8 +201,9 @@ class _SafetyMonitor:
     :func:`~repro.core.safety.bulk_safety_potential` call after the
     loop, folds the pre-fault and minimum deltas in tick order, fills
     the delta columns of the held trace rows, and classifies the hazard.
-    Both engines use it: :func:`_simulate` and the batched
-    :class:`_BatchLane`.
+    The fused engine holds its samples in columns instead
+    (:class:`_SafetyColumns`) and folds through the same
+    :func:`_outcome`.
     """
 
     __slots__ = ("monitor_from", "ticks", "inputs", "rows", "collided",
@@ -179,47 +233,18 @@ class _SafetyMonitor:
         """Evaluate and fold every sampled potential, and record the
         held trace rows in ``trace``.  Returns the hazard, outcome, and
         delta fields of :class:`RunResult`."""
-        timed = STAGE_TIMER.enabled
-        if timed:
-            started = STAGE_TIMER.start()
-        longitudinal, lateral = bulk_safety_potential(self.inputs, config)
-        min_delta_long = min_delta_lat = float("inf")
-        pre_delta_long = pre_delta_lat = float("inf")
-        monitor_from = self.monitor_from
-        for tick, delta_long, delta_lat in zip(self.ticks, longitudinal,
-                                               lateral):
-            if tick < monitor_from:
-                continue     # sampled for the trace recorder only
-            if tick == monitor_from:
-                pre_delta_long, pre_delta_lat = delta_long, delta_lat
-            min_delta_long = min(min_delta_long, delta_long)
-            min_delta_lat = min(min_delta_lat, delta_lat)
+        longitudinal, lateral = _potentials(self.inputs, config)
+        # Ticks sampled before ``monitor_from`` (for the trace recorder
+        # only) are a prefix: the tick loop samples in tick order.
+        first = bisect_left(self.ticks, self.monitor_from)
+        pre = (first < len(self.ticks)
+               and self.ticks[first] == self.monitor_from)
         for index, row in self.rows:
             row["delta_long"] = longitudinal[index]
             row["delta_lat"] = lateral[index]
             trace.record(row)
-        if timed:
-            STAGE_TIMER.stop("safety", started, len(self.inputs))
-        if self.collided:
-            hazard = Hazard.COLLISION
-        elif self.went_off_road:
-            hazard = Hazard.OFF_ROAD
-        elif min_delta_long <= 0.0:
-            # The longitudinal potential is the robust counterfactual
-            # criterion (collision is inevitable if the lead brakes).
-            # The lateral potential is recorded but not a hazard class by
-            # itself: it inherits steering jitter through the
-            # frozen-steering assumption, so lateral hazards are judged
-            # by the physical outcomes above (off-road, collision).
-            hazard = Hazard.SAFETY_VIOLATION
-        else:
-            hazard = Hazard.NONE
-        return {"hazard": hazard, "collided": self.collided,
-                "went_off_road": self.went_off_road,
-                "min_delta_long": min_delta_long,
-                "min_delta_lat": min_delta_lat,
-                "pre_delta_long": pre_delta_long,
-                "pre_delta_lat": pre_delta_lat}
+        return _outcome(longitudinal[first:], lateral[first:], pre,
+                        self.collided, self.went_off_road)
 
 
 def _simulate(scenario: Scenario, world: World, pipeline: ADSPipeline,
@@ -395,38 +420,153 @@ def run_scenario_from_checkpoint(
                      stop_after, record_trace)
 
 
+class _SafetyColumns:
+    """The safety samples of a fused batch, in columns.
+
+    Each fused tick appends one ``(n_lanes, 6)`` block of ``(v, theta,
+    phi, gap, lead_speed, lateral_free)``, built from arrays the tick
+    already has; retired slots write rows nobody reads.  A lane keeps
+    only the absolute index of its first monitored block: its samples
+    are its slot's rows from there to the latest block, read once when
+    it retires (:meth:`samples`).  Blocks are stored in chunks of
+    :attr:`CHUNK`; a chunk is dropped as soon as no live lane needs any
+    of its blocks (:meth:`keep_from`), so storage never holds more than
+    the live lanes' samples plus one chunk.
+    """
+
+    #: Blocks per chunk.
+    CHUNK = 32
+
+    __slots__ = ("_n_lanes", "_chunks", "_spare", "_base", "_count")
+
+    def __init__(self, n_lanes: int):
+        self._n_lanes = n_lanes
+        self._chunks: list[np.ndarray] = []
+        self._spare: np.ndarray | None = None   # a dropped chunk, reused
+        self._base = 0       # absolute index of the first held block
+        self._count = 0      # blocks held
+
+    @property
+    def next_block(self) -> int:
+        """The absolute index the next appended block gets."""
+        return self._base + self._count
+
+    def append(self, ego: np.ndarray, gap: np.ndarray,
+               lead_speed: np.ndarray, lateral_free: np.ndarray) -> int:
+        """Append one fused tick's block; returns its absolute index."""
+        row = self._count % self.CHUNK
+        if row == 0:
+            chunk, self._spare = self._spare, None
+            if chunk is None:
+                chunk = np.empty((self.CHUNK, self._n_lanes, 6))
+            self._chunks.append(chunk)
+        block = self._chunks[-1][row]
+        block[:, :3] = ego[:, 2:5]
+        block[:, 3] = gap
+        block[:, 4] = lead_speed
+        block[:, 5] = lateral_free
+        self._count += 1
+        return self._base + self._count - 1
+
+    def keep_from(self, block: int) -> None:
+        """Drop the chunks wholly before ``block``: no live lane needs
+        them any more."""
+        dropped = min((block - self._base) // self.CHUNK,
+                      len(self._chunks))
+        if dropped > 0:
+            self._spare = self._chunks[dropped - 1]
+            del self._chunks[:dropped]
+            self._base += dropped * self.CHUNK
+            self._count -= dropped * self.CHUNK
+
+    def samples(self, slot: int, first: int) -> list:
+        """``slot``'s samples from block ``first`` to the latest, as
+        :func:`~repro.core.safety.bulk_safety_potential` inputs (a NaN
+        lead speed, a clear corridor, becomes ``None``)."""
+        size = self.CHUNK
+        start = first - self._base
+        stop = self._count
+        parts = [self._chunks[index][max(start - index * size, 0):
+                                     min(stop - index * size, size), slot]
+                 for index in range(start // size, (stop - 1) // size + 1)]
+        rows = np.concatenate(parts).tolist()
+        return [(v, theta, phi, gap, None if lead != lead else lead, free)
+                for v, theta, phi, gap, lead, free in rows]
+
+
 class _BatchLane:
-    """Book-keeping for one experiment occupying one batch lane."""
+    """One experiment of a fused batch: what its result needs beyond
+    the batch arrays.
+
+    While the lane is live, its tick, outcome flags and monitoring
+    state live in the batch's per-slot arrays, its safety samples in
+    the batch's :class:`_SafetyColumns`, and its ADS state in the
+    :class:`BatchADSState` that adopted its pipeline
+    (:meth:`drop_pipeline`).  When it retires the driver copies back
+    its slot's flags, its first monitored block and that block's tick,
+    and :meth:`result` folds the samples and then drops the world and
+    the block reference.
+    """
+
+    __slots__ = ("index", "world", "pipeline", "armed", "degraded", "seed",
+                 "faults", "tick", "n_ticks", "monitor_from", "stop_after",
+                 "first_block", "first_tick", "collided", "went_off_road",
+                 "wall_seconds")
 
     def __init__(self, index: int, world: World, pipeline: ADSPipeline,
                  seed: int, faults: list[FaultSpec], tick: int, n_ticks: int,
                  monitor_from: int, stop_after: int | None):
         self.index = index
         self.world = world
-        self.pipeline = pipeline
+        self.pipeline: ADSPipeline | None = pipeline
+        self.armed: list | None = None
+        self.degraded = False
         self.seed = seed
         self.faults = faults
         self.tick = tick
         self.n_ticks = n_ticks
         self.monitor_from = monitor_from
         self.stop_after = stop_after
-        self.monitor = _SafetyMonitor(monitor_from)
+        #: The absolute block of the first monitored tick (``None``
+        #: until the lane is monitored), and that tick.
+        self.first_block: int | None = None
+        self.first_tick: int | None = None
+        self.collided = False
+        self.went_off_road = False
         #: Wall clock charged to this lane: its preparation, its share
         #: of every fused tick it is live in, and its monitor fold.
         self.wall_seconds = 0.0
 
-    def result(self, scenario_name: str,
-               safety_config: SafetyConfig) -> RunResult:
+    def drop_pipeline(self) -> None:
+        """Keep only what the result reads of the pipeline: its armed
+        value faults, whose ``landed`` flags the fused hooks set, and
+        whether it had degraded (a fused lane never degrades, and holds
+        no interface fault whose landing would count).  The rest of it
+        is either adopted by the batch or never read again."""
+        self.armed = self.pipeline.faults
+        self.degraded = self.pipeline.degraded_ticks > 0
+        self.pipeline = None
+
+    def result(self, scenario_name: str, safety_config: SafetyConfig,
+               columns: _SafetyColumns | None, slot: int) -> RunResult:
+        """The lane's :class:`RunResult`; the lane lets go of its world
+        and samples.  Call :meth:`drop_pipeline` first."""
         fold_start = time.perf_counter()
-        trace = Trace()
-        outcome = self.monitor.finish(safety_config, trace)
+        samples = ([] if self.first_block is None
+                   else columns.samples(slot, self.first_block))
+        longitudinal, lateral = _potentials(samples, safety_config)
+        outcome = _outcome(longitudinal, lateral,
+                           self.first_tick == self.monitor_from,
+                           self.collided, self.went_off_road)
         self.wall_seconds += time.perf_counter() - fold_start
-        return RunResult(
-            scenario=scenario_name, seed=self.seed, trace=trace,
-            **outcome, landed=self.pipeline.fault_landed,
-            degraded=self.pipeline.degraded_ticks > 0,
-            sim_seconds=self.world.time, wall_seconds=self.wall_seconds,
-            faults=self.faults, checkpoints=None)
+        result = RunResult(
+            scenario=scenario_name, seed=self.seed, trace=Trace(),
+            **outcome, landed=any(fault.landed for fault in self.armed),
+            degraded=self.degraded, sim_seconds=self.world.time,
+            wall_seconds=self.wall_seconds, faults=self.faults,
+            checkpoints=None)
+        self.world = self.armed = self.first_block = None
+        return result
 
 
 def _prepare_lane(scenario: Scenario, index: int, faults: list[FaultSpec],
@@ -458,18 +598,28 @@ def run_experiments_batched(scenario: Scenario, fault_lists,
                             safety_config: SafetyConfig | None = None,
                             seed: int = 0, checkpoints=None,
                             horizon_after_fault: float | None = 8.0,
-                            batch_size: int = 8) -> list[RunResult]:
+                            batch_size: int | None = None
+                            ) -> list[RunResult]:
     """Run K fault experiments of one scenario over a lane batch.
 
     The vectorized sibling of K calls to :func:`run_scenario` /
     :func:`run_scenario_from_checkpoint` with ``record_trace=False``:
-    up to ``batch_size`` experiments occupy lanes of one
-    :class:`BatchWorldState` and one :class:`BatchADSState`, so
-    physics, ground-truth safety signals and the ADS advance in fused
-    numpy kernels.  Lanes retire as their runs end (collision,
-    post-fault horizon, or scenario end) and pending experiments take
-    their place.  Results are bit-for-bit the scalar results, in
-    submission order (wall clock aside).
+    up to ``batch_size`` experiments (default
+    :data:`repro.core.parallel.MAX_LANES`, the driver's width) occupy
+    lanes of one :class:`BatchWorldState` and one
+    :class:`BatchADSState`, so physics, ground-truth safety signals and
+    the ADS advance in fused numpy kernels.  Lanes retire as their runs
+    end (collision, post-fault horizon, or scenario end) and pending
+    experiments take their place.  Results are bit-for-bit the scalar
+    results, in submission order (wall clock aside).
+
+    Monitoring is columnar: each fused tick appends one block of every
+    slot's safety inputs (:class:`_SafetyColumns`), and collision,
+    off-road and retirement are array masks, so a tick does no
+    per-lane Python work here.  A lane lets go of its pipeline once the
+    batch adopts it, and of its samples and world once its result is
+    built, so a live lane costs little memory and a wide batch little
+    more than a narrow one.
 
     Every experiment must be fusable
     (:func:`repro.ads.batch.can_fuse`); attaching one that is not
@@ -487,6 +637,8 @@ def run_experiments_batched(scenario: Scenario, fault_lists,
     Checkpoint capture is not supported here — golden collection stays
     on the scalar path.
     """
+    if batch_size is None:
+        from .parallel import MAX_LANES as batch_size
     ads_config = ads_config or ADSConfig()
     safety_config = safety_config or SafetyConfig()
     fault_lists = [list(faults) for faults in fault_lists]
@@ -498,7 +650,7 @@ def run_experiments_batched(scenario: Scenario, fault_lists,
         return []
 
     results: list[RunResult | None] = [None] * len(fault_lists)
-    pending = list(range(len(fault_lists)))
+    pending = iter(range(len(fault_lists)))
     dt = ads_config.control_period
     n_lanes = max(1, min(int(batch_size), len(fault_lists)))
 
@@ -506,8 +658,7 @@ def run_experiments_batched(scenario: Scenario, fault_lists,
         """Prepare the next pending experiment, finalizing any run whose
         window is already over (zero loop iterations in the scalar path
         — same early-exit RunResult)."""
-        while pending:
-            index = pending.pop(0)
+        for index in pending:
             prepare_start = time.perf_counter()
             lane = _prepare_lane(scenario, index, fault_lists[index],
                                  checkpoints[index], ads_config, seed,
@@ -515,81 +666,98 @@ def run_experiments_batched(scenario: Scenario, fault_lists,
             lane.wall_seconds = time.perf_counter() - prepare_start
             if lane.tick < lane.n_ticks:
                 return lane
-            results[index] = lane.result(scenario.name, safety_config)
+            lane.drop_pipeline()
+            results[index] = lane.result(scenario.name, safety_config,
+                                         None, -1)
         return None
 
-    slots: list[_BatchLane | None] = []
-    for _ in range(n_lanes):
-        slots.append(next_lane())
-    live = [lane for lane in slots if lane is not None]
-    if not live:
+    slots = [lane for lane in (next_lane() for _ in range(n_lanes))
+             if lane is not None]
+    if not slots:
         return results
-    batch = BatchWorldState([lane.world for lane in live],
+    batch = BatchWorldState([lane.world for lane in slots],
                             reference=scenario.make_world())
-    # Re-map: slot s of the batch holds slots[s]; trailing empty slots
-    # (fewer experiments than lanes) start deactivated.
-    slots = live
-    for extra in range(len(slots), batch.n_lanes):
-        batch.deactivate(extra)
     ads = BatchADSState(batch, ads_config)
-    for slot, lane in enumerate(slots):
-        ads.attach(slot, lane.pipeline)
+    columns = _SafetyColumns(batch.n_lanes)
 
-    while any(lane is not None for lane in slots):
+    # Per-slot lane state.  A lane is monitored from the first tick at
+    # or past its first fault tick, and retires after a monitored
+    # collision or its last tick (the post-fault horizon's end or the
+    # scenario's last tick, whichever comes first).
+    n = batch.n_lanes
+    active = batch.active
+    tick = np.zeros(n, dtype=np.int64)
+    monitor_from = np.zeros(n, dtype=np.int64)
+    last_tick = np.zeros(n, dtype=np.int64)
+    first_block = np.full(n, -1, dtype=np.int64)
+    first_tick = np.zeros(n, dtype=np.int64)
+    collided_any = np.zeros(n, dtype=bool)
+    off_road_any = np.zeros(n, dtype=bool)
+    wall = np.zeros(n)
+
+    def place(slot: int, lane: _BatchLane) -> None:
+        ads.attach(slot, lane.pipeline)
+        lane.drop_pipeline()
+        tick[slot] = lane.tick
+        monitor_from[slot] = lane.monitor_from
+        last_tick[slot] = (lane.n_ticks - 1 if lane.stop_after is None
+                           else min(lane.stop_after, lane.n_ticks - 1))
+        first_block[slot] = -1
+        collided_any[slot] = off_road_any[slot] = False
+        wall[slot] = 0.0
+
+    for slot, lane in enumerate(slots):
+        place(slot, lane)
+
+    timer = STAGE_TIMER if STAGE_TIMER.enabled else None
+    while active.any():
         tick_start = time.perf_counter()
-        live = [lane for lane in slots if lane is not None]
-        retiring = []
         # 1. One fused ADS tick, which also maps the executed commands
         #    to kernel control inputs, then one fused physics step.
         #    Lanes stay array-resident; a lane's world is scattered when
         #    it retires.
         ads.tick_all()
         batch.step(dt)
-        # 2. Batched ground-truth signals.
+        # 2. Batched ground-truth signals, appended as one block.
         gap, lead_speed, lateral_free = batch.safety_inputs()
-        collided = batch.collided_mask(
-            STAGE_TIMER if STAGE_TIMER.enabled else None)
+        collided = batch.collided_mask(timer)
         off_road = batch.off_road_mask()
-        # 3. Per-lane monitoring; retirement follows once the tick's
-        #    cost is shared out.
-        for slot, lane in enumerate(slots):
-            if lane is None:
-                continue
-            tick = lane.tick
-            monitor = lane.monitor
-            if tick >= lane.monitor_from:
-                speed = float(lead_speed[slot])
-                monitor.sample(tick, (
-                    float(batch.ego[slot, 2]), float(batch.ego[slot, 3]),
-                    float(batch.ego[slot, 4]), float(gap[slot]),
-                    None if math.isnan(speed) else speed,
-                    float(lateral_free[slot])))
-                if collided[slot]:
-                    monitor.collided = True
-                if off_road[slot]:
-                    monitor.went_off_road = True
-            lane.tick = tick + 1
-            if (monitor.collided
-                    or (lane.stop_after is not None
-                        and tick >= lane.stop_after)
-                    or lane.tick >= lane.n_ticks):
-                retiring.append(slot)
-        share = (time.perf_counter() - tick_start) / len(live)
-        for lane in live:
-            lane.wall_seconds += share
+        block = columns.append(batch.ego, gap, lead_speed, lateral_free)
+        # 3. Monitoring and retirement as masks over the slots.
+        monitored = active & (tick >= monitor_from)
+        starting = monitored & (first_block < 0)
+        first_block[starting] = block
+        first_tick[starting] = tick[starting]
+        collided_any |= collided & monitored
+        off_road_any |= off_road & monitored
+        retiring = np.flatnonzero(active & (collided_any
+                                            | (tick >= last_tick)))
+        tick += active
+        wall += active * ((time.perf_counter() - tick_start)
+                          / np.count_nonzero(active))
+        if not retiring.size:
+            continue
         # 4. Retire finished lanes; pending experiments take their slots.
-        for slot in retiring:
+        for slot in retiring.tolist():
             lane = slots[slot]
             batch.scatter([slot])
             ads.deactivate(slot)
-            results[lane.index] = lane.result(scenario.name, safety_config)
-            slots[slot] = next_lane()
-            if slots[slot] is None:
-                batch.deactivate(slot)
-            else:
-                fresh = slots[slot]
+            batch.release(slot)
+            if first_block[slot] >= 0:
+                lane.first_block = int(first_block[slot])
+                lane.first_tick = int(first_tick[slot])
+            lane.collided = bool(collided_any[slot])
+            lane.went_off_road = bool(off_road_any[slot])
+            lane.wall_seconds += float(wall[slot])
+            results[lane.index] = lane.result(scenario.name, safety_config,
+                                              columns, slot)
+            slots[slot] = fresh = next_lane()
+            if fresh is not None:
                 batch.attach(slot, fresh.world)
-                ads.attach(slot, fresh.pipeline)
+                place(slot, fresh)
+        needed = first_block[active & (first_block >= 0)]
+        columns.keep_from(int(needed.min()) if needed.size
+                          else columns.next_block)
     return results
 
 

@@ -28,9 +28,13 @@ by construction —
   stepped alone.
 
 Lanes can join (``attach``) and retire (``deactivate``) independently;
-retired lanes are zeroed so the fused kernels never see stale state, and
-a retired lane never perturbs survivors (lanes only interact through
-their own columns).
+retired lanes are zeroed so the fused kernels never see stale state, a
+retired lane never perturbs survivors (lanes only interact through
+their own columns), and a released slot (``release``) holds no
+``World`` until the next lane attaches.  A batch is as wide as the
+driver makes it (:data:`repro.core.parallel.MAX_LANES`): a retired slot
+that no pending lane refills idles to the end of the batch, zeroed, for
+the price of its rows in the fused kernels.
 """
 
 from __future__ import annotations
@@ -67,7 +71,8 @@ class BatchWorldState:
     def __init__(self, worlds: list[World], reference: World):
         if not worlds:
             raise ValueError("batch needs at least one lane")
-        self.worlds: list[World] = list(worlds)
+        #: Each lane's scalar world; ``None`` for a released slot.
+        self.worlds: list[World | None] = list(worlds)
         n = len(self.worlds)
         self.road = reference.road
         self.ego_params = reference.ego.params
@@ -153,6 +158,12 @@ class BatchWorldState:
         self.lane_start[lane, :] = np.nan
         for remaining in self.lane_remaining:
             remaining[lane, :] = False
+
+    def release(self, lane: int) -> None:
+        """Retire a lane for good: :meth:`deactivate` it and let go of
+        its ``World`` (scatter first if the world is read)."""
+        self.deactivate(lane)
+        self.worlds[lane] = None
 
     def apply_controls(self, rows: np.ndarray, throttle: np.ndarray,
                        brake: np.ndarray, steering: np.ndarray,

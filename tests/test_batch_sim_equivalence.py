@@ -345,8 +345,9 @@ class TestFusedWallClock:
 
 
 class TestEngineCounters:
-    """The ``engine`` row of ``stage_timings``: jobs per engine, and
-    live lane-ticks against slot-ticks (fused lane occupancy)."""
+    """The ``engine`` row of ``stage_timings``: jobs per engine, fused
+    ticks, and live lane-ticks against slot-ticks (fused lane
+    occupancy)."""
 
     def test_job_counts_sum_to_jobs_run(self):
         campaign = Campaign(small_scenarios()[:1],
@@ -362,12 +363,14 @@ class TestEngineCounters:
         summary = CampaignSummary()
         summary.extra_info["stage_timings"] = {
             "engine": {"seconds": 0.0, "calls": 0, "fused_jobs": 16,
-                       "scalar_jobs": 4, "lane_ticks": 300,
-                       "slot_ticks": 400}}
+                       "scalar_jobs": 4, "fused_ticks": 25,
+                       "lane_ticks": 300, "slot_ticks": 400}}
         merged = CampaignSummary.merge([summary, summary])
         assert merged.extra_info["stage_timings"]["engine"] == {
             "seconds": 0.0, "calls": 0, "fused_jobs": 32,
-            "scalar_jobs": 8, "lane_ticks": 600, "slot_ticks": 800}
+            "scalar_jobs": 8, "fused_ticks": 50, "lane_ticks": 600,
+            "slot_ticks": 800}
         _print_summary(merged, "random")
         assert ("engine: 32 fused jobs, 8 scalar jobs, lane occupancy "
-                "75.0% (600 of 800 slot-ticks)") in capsys.readouterr().out
+                "75.0% (600 of 800 slot-ticks) in 50 fused ticks "
+                "(12.0 lanes per tick)") in capsys.readouterr().out

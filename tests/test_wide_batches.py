@@ -1,0 +1,315 @@
+"""Wide fused batches: one batch per scenario group, columnar samples.
+
+The driver validates a scenario's fusable jobs as one
+:func:`~repro.core.parallel.execute_experiment_batch` call of up to
+:data:`~repro.core.parallel.MAX_LANES` live lanes, refilling retired
+slots from the rest of the group.  Fused lanes keep their safety
+samples in the batch's columns, decide collision, off-road and
+retirement as array masks, skip the fault hooks outside their fault
+windows, and let go of their samples, world and pipeline once their
+result is built.  Every record still equals the scalar engine's.
+"""
+
+from dataclasses import asdict, replace
+
+import numpy as np
+import pytest
+from reference import random_jobs, reference_records, strip_wall
+
+from repro.ads.batch import BatchADSState
+from repro.core import Campaign, CampaignConfig, parallel
+from repro.core import pipeline as pipeline_module
+from repro.core import simulate
+from repro.core.simulate import (FaultSpec, _SafetyColumns,
+                                 run_experiments_batched, run_scenario)
+from repro.sim import highway_cruise, lead_vehicle_cutin
+
+DT = 0.05
+
+
+def overlap_scenario():
+    """The lead starts on top of the ego at the ego's speed: a fault
+    before the ADS has braked clear collides at its first monitored
+    tick, and a later one runs to the scenario's end."""
+    return replace(highway_cruise(ego_speed=30.0, lead_gap=0.0,
+                                  lead_speed=30.0, name="overlap"),
+                   duration=6.0)
+
+
+def overlap_jobs(count=40):
+    variables = ("tracked_gap", "throttle", "brake", "gps_y")
+    values = {"tracked_gap": 80.0, "throttle": 1.0, "brake": 0.0,
+              "gps_y": 2.0}
+    jobs = []
+    for i in range(count):
+        variable = variables[i % len(variables)]
+        jobs.append(("overlap", FaultSpec(variable, values[variable],
+                                          3 * i, 4)))
+    return jobs
+
+
+def strip(result):
+    row = asdict(result)
+    for name in ("wall_seconds", "trace", "checkpoints"):
+        row.pop(name)
+    return row
+
+
+@pytest.fixture
+def count_batch_calls(monkeypatch):
+    """The size of every fused batch the serial driver starts."""
+    sizes = []
+    original = pipeline_module.execute_experiment_batch
+
+    def counting(scenario, config, faults, checkpoints=None):
+        sizes.append(len(faults))
+        return original(scenario, config, faults, checkpoints)
+
+    monkeypatch.setattr(pipeline_module, "execute_experiment_batch",
+                        counting)
+    return sizes
+
+
+class TestRefill:
+    """A group wider than ``MAX_LANES`` refills retired slots."""
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_narrow_batches_refill(self, monkeypatch, workers):
+        monkeypatch.setattr(parallel, "LANES", 4)
+        monkeypatch.setattr(parallel, "MAX_LANES", 4)
+        attached = []
+        original = BatchADSState.attach
+
+        def counting(self, slot, pipeline):
+            attached.append(slot)
+            return original(self, slot, pipeline)
+
+        monkeypatch.setattr(BatchADSState, "attach", counting)
+        campaign = Campaign([replace(lead_vehicle_cutin(), duration=14.0)],
+                            CampaignConfig())
+        jobs = [(name, fault)
+                for name, fault in random_jobs(campaign, 11, seed=3)]
+        assert len(jobs) == 11
+        summary = campaign.run_jobs(jobs, workers=workers)
+        assert strip_wall(summary.records) == \
+            strip_wall(reference_records(campaign, jobs))
+        if workers is None:
+            # Four slots, eleven lanes: seven joined retired slots.
+            assert len(attached) == 11
+            assert set(attached) == {0, 1, 2, 3}
+
+
+class TestOneWideBatch:
+    """At the shipped width, a 40-job group is one batch call."""
+
+    def test_group_runs_as_one_batch(self, count_batch_calls):
+        assert parallel.MAX_LANES >= 40
+        campaign = Campaign([overlap_scenario()], CampaignConfig())
+        jobs = overlap_jobs()
+        summary = campaign.run_jobs(jobs)
+        assert count_batch_calls == [40]
+        reference = reference_records(campaign, jobs)
+        assert strip_wall(summary.records) == strip_wall(reference)
+        for fused, scalar in zip(summary.records, reference):
+            for field in ("min_delta_long", "min_delta_lat",
+                          "pre_delta_long", "pre_delta_lat"):
+                assert getattr(fused, field) == getattr(scalar, field)
+
+    def test_group_covers_both_lane_ends(self):
+        """The equality above covers lanes that collide at their first
+        monitored tick and lanes that run to the scenario's end."""
+        scenario = overlap_scenario()
+        n_ticks = round(scenario.duration / DT)
+        ends = []
+        for _, fault in overlap_jobs():
+            result = run_scenario(scenario, faults=[fault],
+                                  record_trace=False)
+            ticks = round(result.sim_seconds / DT)
+            if result.collided and ticks == fault.start_tick + 1:
+                ends.append("first")
+            elif ticks == n_ticks:
+                ends.append("end")
+        assert ends.count("first") >= 5
+        assert ends.count("end") >= 5
+
+    def test_small_group_stays_scalar(self, count_batch_calls):
+        campaign = Campaign([overlap_scenario()], CampaignConfig())
+        campaign.run_jobs(overlap_jobs(parallel.LANES - 1))
+        assert count_batch_calls == []
+
+
+class TestNoTicks:
+    """A run with no tick to simulate folds no samples, in both
+    engines."""
+
+    def test_zero_tick_runs(self):
+        scenario = replace(highway_cruise(), duration=0.0)
+        faults = [[FaultSpec("brake", 0.0, 0, 2)]] * 2
+        fused = run_experiments_batched(scenario, faults)
+        scalar = [run_scenario(scenario, faults=lane, record_trace=False)
+                  for lane in faults]
+        assert [strip(result) for result in fused] == \
+            [strip(result) for result in scalar]
+        assert fused[0].min_delta_long == float("inf")
+
+
+class TestRelease:
+    """A retired lane holds no samples, world or pipeline."""
+
+    def test_retired_lanes_let_go(self, monkeypatch):
+        lanes = []
+        original = simulate._BatchLane.result
+
+        def keeping(self, *args):
+            result = original(self, *args)
+            lanes.append(self)
+            return result
+
+        monkeypatch.setattr(simulate._BatchLane, "result", keeping)
+        batches = set()
+        original_release = simulate.BatchWorldState.release
+
+        def release(self, lane):
+            batches.add(self)
+            original_release(self, lane)
+
+        monkeypatch.setattr(simulate.BatchWorldState, "release", release)
+        scenario = overlap_scenario()
+        faults = [[fault] for _, fault in overlap_jobs(12)]
+        results = run_experiments_batched(scenario, faults, batch_size=5)
+        assert len(lanes) == len(results) == 12
+        for lane in lanes:
+            assert lane.first_block is None
+            assert lane.world is None and lane.pipeline is None
+        (batch,) = batches
+        assert batch.worlds == [None] * 5
+
+    def test_columns_drop_unneeded_chunks(self):
+        columns = _SafetyColumns(2)
+        zeros = np.zeros((2, 5)), np.zeros(2), np.zeros(2), np.zeros(2)
+        for _ in range(3 * _SafetyColumns.CHUNK + 1):
+            columns.append(*zeros)
+        assert len(columns._chunks) == 4
+        columns.keep_from(2 * _SafetyColumns.CHUNK + 1)
+        assert len(columns._chunks) == 2
+        columns.keep_from(columns.next_block)
+        assert len(columns._chunks) == 1     # the open chunk stays
+
+
+class TestColumns:
+    """A slot's samples are exactly what was appended for it."""
+
+    def test_samples_round_trip(self):
+        rng = np.random.default_rng(0)
+        n = 3
+        columns = _SafetyColumns(n)
+        history, firsts = [], {}
+        for tick in range(5 * _SafetyColumns.CHUNK + 7):
+            ego = rng.normal(size=(n, 5))
+            gap, free = rng.normal(size=n), rng.normal(size=n)
+            lead = np.where(rng.random(n) < 0.3, np.nan,
+                            rng.normal(size=n))
+            assert columns.append(ego, gap, lead, free) == tick
+            history.append([(*ego[i, 2:5].tolist(), gap[i],
+                             None if np.isnan(lead[i]) else lead[i],
+                             free[i]) for i in range(n)])
+            slot = tick % n
+            if slot not in firsts:
+                firsts[slot] = tick
+            elif tick % 11 == 0:
+                first = firsts.pop(slot)
+                want = [row[slot] for row in history[first:]]
+                assert [tuple(row) for row in
+                        columns.samples(slot, first)] == want
+            columns.keep_from(min(firsts.values(), default=tick + 1))
+
+
+class TestQuietLanes:
+    """Fused lanes call the fault hooks only inside their windows, and
+    still equal the scalar engine, ``landed`` included."""
+
+    #: Windows straddling a planning tick (odd starts, planner divisor
+    #: 2), lanes with several faults across stages, and one lane whose
+    #: windows are far apart.
+    FAULTS = [
+        [FaultSpec("tracked_gap", 5.0, 41, 2)],
+        [FaultSpec("detection_x", 40.0, 43, 3),
+         FaultSpec("raw_throttle", 1.0, 44, 2)],
+        [FaultSpec("imu_speed", 0.0, 45, 4),
+         FaultSpec("brake", 0.0, 47, 1), FaultSpec("planned_speed",
+                                                   45.0, 49, 3)],
+        [FaultSpec("gps_y", 3.0, 20, 1), FaultSpec("steering", 0.2, 90,
+                                                   3)],
+        [FaultSpec("throttle", 1.0, 61, 4)],
+    ]
+
+    def test_records_equal_scalar(self):
+        scenario = replace(lead_vehicle_cutin(), duration=12.0)
+        fused = run_experiments_batched(scenario, self.FAULTS,
+                                        horizon_after_fault=2.0)
+        scalar = [run_scenario(scenario, faults=faults,
+                               horizon_after_fault=2.0, record_trace=False)
+                  for faults in self.FAULTS]
+        assert [strip(result) for result in fused] == \
+            [strip(result) for result in scalar]
+        assert any(result.landed for result in fused)
+
+    def test_hooks_run_only_inside_windows(self, monkeypatch):
+        calls = []
+        for name in ("_apply_object_faults", "_apply_column_faults"):
+            original = getattr(BatchADSState, name)
+
+            def hook(self, slot, stage, payload, original=original):
+                calls.append((int(self.fault_from[slot]),
+                              int(self.tick[slot]),
+                              int(self.fault_until[slot])))
+                return original(self, slot, stage, payload)
+
+            monkeypatch.setattr(BatchADSState, name, hook)
+        scenario = replace(lead_vehicle_cutin(), duration=12.0)
+        run_experiments_batched(scenario, self.FAULTS,
+                                horizon_after_fault=2.0)
+        assert calls
+        assert all(start <= tick < until for start, tick, until in calls)
+
+
+class TestPoolParts:
+    """Pooled dispatch sends one wide fused part per worker."""
+
+    def test_part_sizes(self, monkeypatch):
+        sizes = []
+        original = pipeline_module._parts
+
+        def recording(items, size):
+            parts = original(items, size)
+            sizes.append([len(part) for part in parts])
+            return parts
+
+        monkeypatch.setattr(pipeline_module, "_parts", recording)
+        campaign = Campaign([overlap_scenario()], CampaignConfig())
+        jobs = overlap_jobs()
+        summary = campaign.run_jobs(jobs, workers=2)
+        assert sizes == [[20, 20]]
+        assert strip_wall(summary.records) == \
+            strip_wall(reference_records(campaign, jobs))
+
+
+class TestFusedTicks:
+    """The ``engine`` row counts fused ticks."""
+
+    def test_counts_and_merge(self):
+        campaign = Campaign([overlap_scenario()],
+                            CampaignConfig(profile_stages=True))
+        summary = campaign.run_jobs(overlap_jobs())
+        engine = summary.extra_info["stage_timings"]["engine"]
+        assert engine["fused_jobs"] == 40
+        # One batch of 40 slots: every fused tick spans all of them.
+        assert engine["slot_ticks"] == 40 * engine["fused_ticks"]
+        assert 0 < engine["fused_ticks"] < engine["lane_ticks"]
+        pooled = Campaign([overlap_scenario()],
+                          CampaignConfig(profile_stages=True)).run_jobs(
+            overlap_jobs(), workers=2)
+        pooled_engine = pooled.extra_info["stage_timings"]["engine"]
+        assert pooled_engine["fused_jobs"] == 40
+        assert pooled_engine["lane_ticks"] == engine["lane_ticks"]
+        assert pooled_engine["fused_ticks"] >= engine["fused_ticks"]
