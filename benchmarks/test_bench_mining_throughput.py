@@ -1,12 +1,13 @@
 """Mining throughput: the batched affine engine vs the scalar oracle.
 
-The batched engine precomputes one affine posterior-mean map per
-mutilated graph and scores all scenes x corruption values of a node in
-a single matmul (plus a vectorized kinematic rollout), stacking every
-node's scene-gain block so all mined variables ride one matmul; the
-scalar path runs one full Gaussian conditioning per candidate.  This
-bench reports candidates-scored-per-second for both and pins the
-speedup the paper's "minutes instead of weeks" claim rides on.
+The miner (``mine_critical_faults``) precomputes one affine
+posterior-mean map per mutilated graph and scores all scenes x
+corruption values of a node in a single matmul (plus a vectorized
+kinematic rollout), stacking every node's scene-gain block so all mined
+variables ride one matmul; the scalar oracle in ``tests/reference.py``
+runs one full Gaussian conditioning per candidate.  This bench reports
+candidates-scored-per-second for both and pins the speedup the paper's
+"minutes instead of weeks" claim rides on.
 
 The timed comparison runs on warm stop and excursion tables, so it
 isolates per-candidate cost.  A campaign process starts with both
@@ -15,6 +16,8 @@ tables cleared first, and reports it in ``extra_info``.
 """
 
 import time
+
+from reference import reference_mine
 
 from repro.analysis import ascii_table
 from repro.core import safety
@@ -30,27 +33,27 @@ def test_bench_mining_throughput(benchmark, campaign, bayesian_result):
     safety._canonical_stop.cache_clear()
     safety._canonical_excursion.cache_clear()
     cold_start = time.perf_counter()
-    cold_candidates, _ = injector.mine_critical_faults_batched(scenes)
+    cold_candidates, _ = injector.mine_critical_faults(scenes)
     cold_seconds = time.perf_counter() - cold_start
 
     # Warm every cache all paths share (affine maps, stacked gain
     # blocks, conditioning plans, RK4 kernels) so the comparison
     # isolates per-candidate cost.
-    injector.mine_critical_faults_batched(scenes)
-    scalar_candidates, scalar_report = injector.mine_critical_faults(scenes)
+    injector.mine_critical_faults(scenes)
+    scalar_candidates, scalar_report = reference_mine(injector, scenes)
 
     def mine_batched():
-        return injector.mine_critical_faults_batched(scenes)
+        return injector.mine_critical_faults(scenes)
 
     batched_candidates, batched_report = benchmark(mine_batched)
 
     # Timed manually (not via benchmark.stats) so the comparison also
     # works under --benchmark-disable smoke runs.
     scalar_start = time.perf_counter()
-    injector.mine_critical_faults(scenes)
+    reference_mine(injector, scenes)
     scalar_seconds = time.perf_counter() - scalar_start
     batched_start = time.perf_counter()
-    injector.mine_critical_faults_batched(scenes)
+    injector.mine_critical_faults(scenes)
     batched_seconds = time.perf_counter() - batched_start
 
     scalar_cps = scalar_report.n_scored / scalar_seconds

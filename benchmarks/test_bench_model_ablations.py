@@ -13,6 +13,8 @@ Three design choices DESIGN.md calls out:
    corruption across the second planner frame.
 """
 
+from reference import reference_infer_actuation
+
 from repro.analysis import ascii_table
 from repro.core import (BayesianFaultInjector, ConditioningFaultInjector,
                         DiscreteBayesianFaultInjector)
@@ -52,7 +54,7 @@ def test_bench_model_ablations(benchmark, campaign):
     sample = scenes[:: max(len(scenes) // 40, 1)]
     disagreements = 0
     for scene in sample:
-        lg = do_engine._infer_actuation(scene, "gap", 0.01)[1]
+        lg = reference_infer_actuation(do_engine, scene, "gap", 0.01)[1]
         disc = discrete_engine.infer_actuation(scene, "gap", 0.01)
         if abs(lg["brake"] - disc["brake"]) > 0.15:
             disagreements += 1

@@ -24,7 +24,6 @@ from ..bayesnet.inference import VariableElimination
 from ..bayesnet.network import DiscreteBayesianNetwork
 from .bayesian_fi import (BN_VARIABLES, BayesianFaultInjector, SceneRow,
                           ads_dbn_template)
-from .safety import SafetyConfig
 from .simulate import RunResult
 
 
@@ -48,26 +47,21 @@ class DiscreteBayesianFaultInjector:
 
     The per-slice variables are quantile-discretized; actuation response
     inference runs variable elimination on the unrolled, mutilated
-    network.  Physical propagation reuses the continuous engine's logic
-    through a delegate :class:`BayesianFaultInjector`, so only the
-    counterfactual actuation step differs.
+    network.  It answers the counterfactual actuation step only
+    (:meth:`infer_actuation`), the step in which it differs from the
+    continuous engine; it has no kinematic rollout and does not mine.
     """
 
     def __init__(self, network: DiscreteBayesianNetwork,
-                 discretizer: Discretizer,
-                 delegate: BayesianFaultInjector):
+                 discretizer: Discretizer):
         self.network = network
         self.discretizer = discretizer
-        self.delegate = delegate
         self._engines: dict[str, VariableElimination] = {}
 
     @classmethod
     def train(cls, golden_runs: list[RunResult], n_bins: int = 7,
-              safety_config: SafetyConfig | None = None,
               n_slices: int = 3) -> "DiscreteBayesianFaultInjector":
-        """Fit both the tabular model and the continuous delegate."""
-        delegate = BayesianFaultInjector.train(golden_runs, safety_config,
-                                               n_slices)
+        """Fit the tabular model on quantile-binned golden traces."""
         template = ads_dbn_template()
         columns: dict[str, list[np.ndarray]] = {v: [] for v in BN_VARIABLES}
         traces = []
@@ -83,7 +77,7 @@ class DiscreteBayesianFaultInjector:
         cardinalities = discretizer.cardinalities()
         network = template.fit_discrete(binned_traces, cardinalities,
                                         n_slices=n_slices)
-        return cls(network, discretizer, delegate)
+        return cls(network, discretizer)
 
     def _engine_for(self, node: str) -> VariableElimination:
         if node not in self._engines:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import time
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -33,10 +34,8 @@ from ..bayesnet.network import LinearGaussianBayesianNetwork
 from ..sim.collision import SENSOR_RANGE
 from ..sim.trace import Trace
 from ..ads.variables import variable_by_name
-from .safety import (SafetyConfig, SafetyPotential, _canonical_excursion,
-                     _canonical_stop, _excursion_params, _stop_params,
-                     longitudinal_envelope, steering_excursion,
-                     stopping_displacement)
+from .safety import (SafetyConfig, _canonical_excursion, _canonical_stop,
+                     _excursion_params, _stop_params)
 from .simulate import FaultSpec, RunResult
 
 #: Nodes of the per-slice BN: kinematic state + actuation commands.
@@ -45,6 +44,10 @@ BN_VARIABLES = ("v", "gap", "closing", "lat", "throttle", "brake",
 
 #: Kinematic nodes whose slice-2 MLE feeds the safety re-evaluation.
 KINEMATIC_NODES = ("v", "gap", "closing", "lat")
+
+#: ``(scene column arrays, corruption values) -> BN intervention values``,
+#: element for element over a batch of scenes.
+_Transform = Callable[[Mapping[str, np.ndarray], np.ndarray], np.ndarray]
 
 
 def ads_dbn_template() -> DynamicBayesianNetwork:
@@ -68,18 +71,20 @@ def ads_dbn_template() -> DynamicBayesianNetwork:
 
 # -- mapping from injectable ADS variables to BN interventions --------------
 
-def _gap_from_detection(scene: Mapping[str, float], value: float) -> float:
+def _unchanged(cols: Mapping[str, np.ndarray],
+               values: np.ndarray) -> np.ndarray:
+    return values
+
+
+def _detection_gap(cols: Mapping[str, np.ndarray],
+                   values: np.ndarray) -> np.ndarray:
     # detection_x is a world coordinate; the BN node is a bumper gap.
-    return max(value - scene["x"] - 4.8, 0.01)
+    return np.maximum(values - cols["x"] - 4.8, 0.01)
 
 
-def _closing_from_lead_speed(scene: Mapping[str, float],
-                             value: float) -> float:
-    return scene["v"] - value
-
-
-def _identity(scene: Mapping[str, float], value: float) -> float:
-    return value
+def _lead_closing(cols: Mapping[str, np.ndarray],
+                  values: np.ndarray) -> np.ndarray:
+    return cols["v"] - values
 
 
 #: Pedal positions can move at most this far within the corruption
@@ -87,71 +92,46 @@ def _identity(scene: Mapping[str, float], value: float) -> float:
 _PEDAL_SLEW_WINDOW = 0.5
 
 
-def _slewed_throttle(scene: Mapping[str, float], value: float) -> float:
+def _slewed(pedal: str, cols: Mapping[str, np.ndarray],
+            values: np.ndarray) -> np.ndarray:
     # A planner-stage (U_A) pedal corruption reaches the vehicle through
     # the PID/slew stage, so its effective magnitude is rate-limited.
-    current = scene["throttle"]
-    delta = min(max(value - current, -_PEDAL_SLEW_WINDOW),
-                _PEDAL_SLEW_WINDOW)
-    return current + delta
-
-
-def _slewed_brake(scene: Mapping[str, float], value: float) -> float:
-    current = scene["brake"]
-    delta = min(max(value - current, -_PEDAL_SLEW_WINDOW),
-                _PEDAL_SLEW_WINDOW)
-    return current + delta
+    current = cols[pedal]
+    return current + np.clip(values - current, -_PEDAL_SLEW_WINDOW,
+                             _PEDAL_SLEW_WINDOW)
 
 
 @dataclass(frozen=True)
 class MinedVariable:
     """How one injectable ADS variable maps into the 3-TBN.
 
-    ``recovery`` is the stack's latency to unwind the corruption once
-    the window closes: actuation-stage (A_t) corruptions are overwritten
-    by the controller on the next frame; planner-stage (U_A) corruptions
-    persist through the pedal slew; belief-stage (W_t / I_t / M_t)
-    corruptions persist until the filters re-converge.
+    ``transform`` turns corruption values into the BN node's
+    intervention values over a batch of scenes.  ``recovery`` is the
+    stack's latency to unwind the corruption once the window closes:
+    actuation-stage (A_t) corruptions are overwritten by the controller
+    on the next frame; planner-stage (U_A) corruptions persist through
+    the pedal slew; belief-stage (W_t / I_t / M_t) corruptions persist
+    until the filters re-converge.
     """
 
     node: str
-    transform: Callable[[Mapping[str, float], float], float] = _identity
+    transform: _Transform = _unchanged
     recovery: float = 0.25
-
-
-#: Vectorized twins of the scalar transforms above, keyed by the scalar
-#: function.  Each maps (scene column arrays, candidate value array) ->
-#: BN node value array, element-for-element identical to the scalar
-#: transform so the batched miner reproduces the scalar oracle.
-_BATCH_TRANSFORMS: dict[Callable, Callable] = {
-    _identity: lambda cols, values: values,
-    _gap_from_detection:
-        lambda cols, values: np.maximum(values - cols["x"] - 4.8, 0.01),
-    _closing_from_lead_speed: lambda cols, values: cols["v"] - values,
-    _slewed_throttle:
-        lambda cols, values: cols["throttle"] + np.clip(
-            values - cols["throttle"], -_PEDAL_SLEW_WINDOW,
-            _PEDAL_SLEW_WINDOW),
-    _slewed_brake:
-        lambda cols, values: cols["brake"] + np.clip(
-            values - cols["brake"], -_PEDAL_SLEW_WINDOW,
-            _PEDAL_SLEW_WINDOW),
-}
 
 
 #: ADS variable -> BN intervention description.
 NODE_MAPPING: dict[str, MinedVariable] = {
     "throttle": MinedVariable("throttle", recovery=0.2),
-    "raw_throttle": MinedVariable("throttle", _slewed_throttle,
+    "raw_throttle": MinedVariable("throttle", partial(_slewed, "throttle"),
                                   recovery=0.4),
     "brake": MinedVariable("brake", recovery=0.2),
-    "raw_brake": MinedVariable("brake", _slewed_brake, recovery=0.4),
+    "raw_brake": MinedVariable("brake", partial(_slewed, "brake"),
+                               recovery=0.4),
     "steering": MinedVariable("steering", recovery=0.1),
     "raw_steering": MinedVariable("steering", recovery=0.4),
     "tracked_gap": MinedVariable("gap", recovery=0.25),
-    "detection_x": MinedVariable("gap", _gap_from_detection,
-                                 recovery=0.25),
-    "tracked_speed": MinedVariable("closing", _closing_from_lead_speed,
+    "detection_x": MinedVariable("gap", _detection_gap, recovery=0.25),
+    "tracked_speed": MinedVariable("closing", _lead_closing,
                                    recovery=0.25),
     "imu_speed": MinedVariable("v", recovery=0.25),
     "ego_speed_estimate": MinedVariable("v", recovery=0.25),
@@ -271,6 +251,24 @@ class MiningReport:
     n_scored: int = 0
     n_critical: int = 0
     wall_seconds: float = 0.0
+
+
+def check_counts(top_k: int | None = None,
+                 max_experiments: int | None = None,
+                 tick_stride: int = 1) -> None:
+    """Refuse a negative cap or a non-positive tick stride.
+
+    Slicing would accept them and silently change what is selected (a
+    cap of -1 drops the last job or mined candidate; a negative stride
+    walks ticks backwards).  The campaign plans, the service and the
+    miner all check their counts here.
+    """
+    for name, value in (("top_k", top_k),
+                        ("max_experiments", max_experiments)):
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+    if tick_stride < 1:
+        raise ValueError(f"tick_stride must be >= 1, got {tick_stride}")
 
 
 class InjectorTrainer:
@@ -406,6 +404,16 @@ class BayesianFaultInjector:
     # coincide without faults), so intervening on a belief node must not
     # be allowed to rewrite physics directly — a corrupted "lead speed"
     # does not move the real lead vehicle.
+    #
+    # For a linear-Gaussian network the posterior mean is affine in the
+    # evidence vector, and the evidence *set* of the counterfactual is
+    # fixed per mutilated graph (all slice-0 nodes plus the intervened
+    # node at slices 1 and 2).  Precomputing that affine map turns one
+    # O(n^3) Gaussian conditioning per candidate into one matmul over all
+    # (scene, value) candidates of a node; the kinematic rollout and
+    # safety re-evaluation vectorize the same way.  The per-candidate
+    # form is the scalar oracle in ``tests/reference.py``; the miner must
+    # reproduce it to within float round-off.
 
     #: Actuation nodes inferred from the mutilated network.
     _ACTUATION = ("throttle", "brake", "steering")
@@ -436,169 +444,9 @@ class BayesianFaultInjector:
             self._engines[node] = GaussianInference(mutilated)
         return self._engines[node]
 
-    def _infer_actuation(self, scene: SceneRow, node: str,
-                         node_value: float) -> dict[int, dict[str, float]]:
-        """MLE of (throttle, brake, steering) at slices 1 and 2."""
-        engine = self._engine_for(node)
-        evidence = {slice_node(name, 0): scene.values[name]
-                    for name in BN_VARIABLES}
-        evidence[slice_node(node, 1)] = node_value
-        evidence[slice_node(node, 2)] = node_value
-        query = [slice_node(name, t)
-                 for t in (1, 2) for name in self._ACTUATION
-                 if name != node]
-        estimate = engine.map_query(query, evidence) if query else {}
-        result: dict[int, dict[str, float]] = {1: {}, 2: {}}
-        for t in (1, 2):
-            for name in self._ACTUATION:
-                if name == node:
-                    raw = node_value
-                    low, high = self._ACTUATION_BOUNDS[name]
-                else:
-                    raw = estimate[slice_node(name, t)]
-                    low, high = self._ACTUATION_BOUNDS[name]
-                    if name == "steering":
-                        low = -self._STEERING_AUTHORITY
-                        high = self._STEERING_AUTHORITY
-                result[t][name] = float(min(max(raw, low), high))
-        return result
-
     def _dynamics(self, target: str) -> "LinearGaussianCPD":
         """The learned physical one-step dynamics CPD of ``target``."""
         return self.model.cpds[slice_node(target, 1)]
-
-    def _step(self, cpd, values: Mapping[str, float]) -> float:
-        """Evaluate a slice-1 CPD's mean with slice-0 parent values."""
-        parents = {parent: values[parent.rsplit(SLICE_SEPARATOR, 1)[0]]
-                   for parent in cpd.parents}
-        return cpd.mean(parents)
-
-    def predict_after_fault(self, scene: SceneRow, node: str,
-                            node_value: float,
-                            recovery: float = 0.25) -> dict[str, float]:
-        """Physical kinematic state after ``do(f)`` plus recovery.
-
-        The BN infers the actuation response; the kinematic model then
-        propagates ``v`` through the corruption window *and* the
-        controller's recovery latency, while the environment (gap to the
-        real lead) evolves by the sensed ground truth — the paper's
-        Eq. 2 -> Eq. 7 pipeline.  Returns the MLE of
-        ``{v, gap, closing, lat, steering}`` at the worst rollout instant.
-        """
-        values = scene.values
-        actuation = self._infer_actuation(scene, node, node_value)
-        v_dynamics = self._dynamics("v")
-        lat_dynamics = self._dynamics("lat")
-
-        # Slice 1 physics follows the *observed* slice-0 actuation (the
-        # fault fires at slice 1, whose commands act between 1 and 2).
-        state0 = {name: values[name] for name in BN_VARIABLES}
-        v_path = [values["v"], max(self._step(v_dynamics, state0), 0.0)]
-        state1 = dict(state0)
-        state1.update(actuation[1])
-        state1["v"] = v_path[1]
-        state1["lat"] = self._step(lat_dynamics, state0)
-        v_path.append(max(self._step(v_dynamics, state1), 0.0))
-        lat2 = self._step(lat_dynamics, state1)
-
-        # Recovery phase: the stack unwinds the corruption over the
-        # variable's recovery latency, so the rollout decays the faulted
-        # commands linearly back to the scene's golden commands.
-        extra_steps = max(int(round(recovery / self.slice_dt)), 0)
-        for step in range(extra_steps):
-            blend = (step + 1) / (extra_steps + 1)
-            state = dict(state1)
-            for name in self._ACTUATION:
-                golden = scene.values[name]
-                state[name] = ((1.0 - blend) * actuation[2][name]
-                               + blend * golden)
-            state["v"] = v_path[-1]
-            v_path.append(max(self._step(v_dynamics, state), 0.0))
-
-        # Environment: sensed ground truth, lead at constant speed.
-        gt_gap = values["gt_gap"]
-        lead_v = values["gt_lead_v"]
-        if gt_gap >= 0.98 * SENSOR_RANGE or lead_v < 0.0:
-            return {"v": v_path[2], "v_end": v_path[-1],
-                    "gap": SENSOR_RANGE, "closing": 0.0,
-                    "lat": lat2, "steering": actuation[2]["steering"]}
-        gap = gt_gap
-        gap_path = [gap]
-        for i in range(1, len(v_path)):
-            closing_step = ((v_path[i - 1] - lead_v)
-                            + (v_path[i] - lead_v)) / 2.0
-            gap -= closing_step * self.slice_dt
-            gap_path.append(gap)
-        # Report the rollout instant with the worst safety margin.
-        worst = min(
-            range(len(v_path)),
-            key=lambda i: (gap_path[i] + lead_v ** 2
-                           / (2.0 * self.safety_config.a_max)
-                           - v_path[i] ** 2
-                           / (2.0 * self.safety_config.a_max)))
-        return {"v": v_path[worst], "v_end": v_path[-1],
-                "gap": gap_path[worst],
-                "closing": v_path[worst] - lead_v, "lat": lat2,
-                "steering": actuation[2]["steering"]}
-
-    def predicted_potential(self, scene: SceneRow, variable: str,
-                            value: float) -> SafetyPotential:
-        """``delta_hat_do(f)``: safety potential after the counterfactual.
-
-        Longitudinal: BN-inferred actuation + kinematic propagation (the
-        paper's pipeline).  Lateral: hazards are physical (off-road or
-        side collision), so steering-type faults are scored by the
-        predicted excursion of the corruption-and-recovery episode
-        against the scene's lateral clearance.
-        """
-        mapping = NODE_MAPPING[variable]
-        node = mapping.node
-        node_value = mapping.transform(scene.values, value)
-        estimate = self.predict_after_fault(scene, node, node_value,
-                                            recovery=mapping.recovery)
-        v_hat = max(estimate["v"], 0.0)
-        gap_hat = max(estimate["gap"], 0.0)
-        if gap_hat >= 0.98 * SENSOR_RANGE:
-            gap_hat, lead_speed = SENSOR_RANGE, None
-        else:
-            lead_speed = max(v_hat - estimate["closing"], 0.0)
-        stop = stopping_displacement(v_hat, 0.0, scene.values["steering"],
-                                     self.safety_config)
-        delta_long = (longitudinal_envelope(gap_hat, lead_speed,
-                                            self.safety_config)
-                      - stop.longitudinal)
-
-        # Lateral hazards are physical (side collision or road
-        # departure): score the corruption-and-recovery excursion against
-        # the clearance on the drift side.  For steering-type faults the
-        # excursion is the whole effect; for belief faults the excursion
-        # of the (authority-clipped) inferred response plus the predicted
-        # physical drift.
-        phi_fault = estimate["steering"]
-        excursion = steering_excursion(
-            v=scene.values["v"], phi_fault=phi_fault,
-            window=2.0 * self.slice_dt, config=self.safety_config)
-        drift = (0.0 if node == "steering"
-                 else estimate["lat"] - scene.values["lat"])
-        direction = phi_fault if abs(phi_fault) > 1e-3 else drift
-        if direction >= 0.0:
-            clearance = scene.values["lat_free_up"]
-        else:
-            clearance = scene.values["lat_free_down"]
-        delta_lat = clearance - excursion - abs(drift)
-        return SafetyPotential(longitudinal=delta_long, lateral=delta_lat)
-
-    # -- batched inference ----------------------------------------------------
-    #
-    # For a linear-Gaussian network the posterior mean is affine in the
-    # evidence vector, and the evidence *set* of the counterfactual is
-    # fixed per mutilated graph (all slice-0 nodes plus the intervened
-    # node at slices 1 and 2).  Precomputing that affine map turns the
-    # per-candidate O(n^3) conditioning of the scalar path into one
-    # matmul over all (scene, value) candidates of a node; the kinematic
-    # rollout and safety re-evaluation vectorize the same way.  The
-    # scalar methods above remain the reference oracle — the batched
-    # path must reproduce them to within float round-off.
 
     def _affine_for(self, node: str) -> tuple[list[str], np.ndarray,
                                               np.ndarray]:
@@ -654,7 +502,7 @@ class BayesianFaultInjector:
 
     def _step_batch(self, cpd, columns: Mapping[str, np.ndarray]
                     ) -> np.ndarray:
-        """Vectorized :meth:`_step`: a slice-1 CPD mean over column arrays."""
+        """A slice-1 CPD's mean over slice-0 parent column arrays."""
         total = np.full(len(columns["v"]), cpd.intercept)
         for parent, weight in zip(cpd.parents, cpd.weights):
             base = parent.rsplit(SLICE_SEPARATOR, 1)[0]
@@ -690,8 +538,19 @@ class BayesianFaultInjector:
                           recovery: float,
                           posterior: tuple[list[str], np.ndarray]
                           ) -> tuple[np.ndarray, ...]:
-        """Batched :meth:`predicted_potential` over aligned candidate
-        arrays, short of the stop and excursion lookups.
+        """``delta_hat_do(f)``, the safety potential after the
+        counterfactual, over aligned candidate arrays, short of the stop
+        and excursion lookups.
+
+        Longitudinal: BN-inferred actuation + kinematic propagation (the
+        paper's Eq. 2 -> Eq. 7 pipeline).  The rollout carries ``v``
+        through the corruption window *and* the controller's recovery
+        latency, while the gap to the real lead evolves by the sensed
+        ground truth; the rollout instant with the worst margin is
+        scored.  Lateral: hazards are physical (off-road or side
+        collision), so the predicted excursion of the
+        corruption-and-recovery episode is scored against the scene's
+        lateral clearance.
 
         ``cols`` holds the scene columns (one row per candidate) and
         ``node_values`` the already-transformed BN intervention values.
@@ -721,7 +580,9 @@ class BayesianFaultInjector:
                         high = self._STEERING_AUTHORITY
                 actuation[t][name] = np.clip(raw, low, high)
 
-        # Kinematic rollout (the vectorized twin of predict_after_fault).
+        # Kinematic rollout.  Slice 1 physics follows the *observed*
+        # slice-0 actuation (the fault fires at slice 1, whose commands
+        # act between 1 and 2).
         v_dynamics = self._dynamics("v")
         lat_dynamics = self._dynamics("lat")
         state0 = {name: cols[name] for name in BN_VARIABLES}
@@ -734,6 +595,9 @@ class BayesianFaultInjector:
         v_path.append(np.maximum(self._step_batch(v_dynamics, state1), 0.0))
         lat2 = self._step_batch(lat_dynamics, state1)
 
+        # Recovery phase: the stack unwinds the corruption over the
+        # variable's recovery latency, so the rollout decays the faulted
+        # commands linearly back to the scene's golden commands.
         extra_steps = max(int(round(recovery / self.slice_dt)), 0)
         for step in range(extra_steps):
             blend = (step + 1) / (extra_steps + 1)
@@ -745,6 +609,7 @@ class BayesianFaultInjector:
             v_path.append(np.maximum(self._step_batch(v_dynamics, state),
                                      0.0))
 
+        # Environment: sensed ground truth, lead at constant speed.
         gt_gap = cols["gt_gap"]
         lead_v = cols["gt_lead_v"]
         clear = (gt_gap >= 0.98 * SENSOR_RANGE) | (lead_v < 0.0)
@@ -767,7 +632,7 @@ class BayesianFaultInjector:
         gap_sel = np.where(clear, SENSOR_RANGE, gap_worst)
         closing_sel = np.where(clear, 0.0, v_worst - lead_v)
 
-        # Longitudinal potential (vectorized predicted_potential).
+        # Longitudinal potential.
         v_hat = np.maximum(v_sel, 0.0)
         gap_hat = np.maximum(gap_sel, 0.0)
         far = gap_hat >= 0.98 * SENSOR_RANGE
@@ -776,7 +641,11 @@ class BayesianFaultInjector:
                             gap_hat + np.maximum(lead_speed, 0.0) ** 2
                             / denom)
 
-        # Lateral potential.
+        # Lateral potential: the excursion against the clearance on the
+        # drift side.  For steering-type faults the excursion is the
+        # whole effect; for belief faults the excursion of the
+        # (authority-clipped) inferred response plus the predicted
+        # physical drift.
         phi_fault = actuation[2]["steering"]
         if node == "steering":
             drift = np.zeros(n)
@@ -800,27 +669,28 @@ class BayesianFaultInjector:
                      - np.abs(drift))
         return delta_long, delta_lat
 
-    def mine_critical_faults_batched(
-            self, scenes: Iterable[SceneRow],
-            variables: tuple[str, ...] = MINED_VARIABLES,
-            threshold: float = 0.0, top_k: int | None = None
-            ) -> tuple[list[CandidateFault], MiningReport]:
-        """Vectorized :meth:`mine_critical_faults` (the production path).
+    # -- mining ---------------------------------------------------------------
 
-        Scores all scenes x corruption values of every mined BN node
-        with one stacked matmul over every node's scene-gain block (see
-        :meth:`_stacked_affine`) plus a vectorized kinematic rollout,
-        instead of one full Gaussian conditioning per candidate.
-        ``scenes`` may be any iterable (e.g. the lazy
-        :meth:`Campaign.scene_rows` stream); it is consumed in one pass
-        straight into the columnar batch.  It reproduces the scalar
-        oracle's ``F_crit`` and predicted potentials to float round-off
-        (see the equivalence suite), candidate order included.
+    def mine_critical_faults(self, scenes: Iterable[SceneRow],
+                             variables: tuple[str, ...] = MINED_VARIABLES,
+                             threshold: float = 0.0,
+                             top_k: int | None = None
+                             ) -> tuple[list[CandidateFault], MiningReport]:
+        """Score every (scene, variable, min/max value); return ``F_crit``.
+
+        A candidate is critical when the scene was safe (``delta > 0``)
+        and the predicted potential after ``do(f)`` is at or below
+        ``threshold``.  ``scenes`` may be any iterable (e.g. the lazy
+        :meth:`Campaign.scene_rows` stream); it is consumed in one pass.
+        Results are sorted most-critical first, ties in scene-major,
+        (variable, value)-minor order, and cut to the first ``top_k``
+        (which must be ``>= 0``).
         """
+        check_counts(top_k=top_k)
         report = MiningReport()
         start = time.perf_counter()
-        critical, report.n_scored, report.n_scenes = self._mine_batched(
-            scenes, variables, threshold)
+        critical, report.n_scored, report.n_scenes = \
+            self.mine_scenario_candidates(scenes, variables, threshold)
         critical.sort(key=lambda c: c.predicted_minimum)
         if top_k is not None:
             critical = critical[:top_k]
@@ -828,18 +698,27 @@ class BayesianFaultInjector:
         report.wall_seconds = time.perf_counter() - start
         return critical, report
 
-    def _mine_batched(self, scenes: Iterable[SceneRow],
-                      variables: tuple[str, ...], threshold: float
-                      ) -> tuple[list[CandidateFault], int, int]:
-        """Unsorted batched ``F_crit``, the scored count, the scene count.
+    def mine_scenario_candidates(
+            self, scenes: Iterable[SceneRow],
+            variables: tuple[str, ...] = MINED_VARIABLES,
+            threshold: float = 0.0
+            ) -> tuple[list[CandidateFault], int, int]:
+        """Unsorted ``F_crit``, the scored count and the scene count.
 
-        Candidates append scene-major, (variable, value)-minor — the
-        scalar loop's iteration order — so callers that concatenate
-        per-scenario results in scenario order and stable-sort by
-        ``predicted_minimum`` reproduce the global miner's output.
-        The scene stream is consumed exactly once: safe scenes flow
-        straight into the columnar batch, unsafe ones are counted and
-        dropped.
+        The streaming pipeline mines each scenario's scene-row *stream*
+        through this entry point in isolation — no global golden dict
+        required, no per-scenario row list materialized.  Candidates
+        append scene-major, (variable, value)-minor, so concatenating
+        per-scenario results in campaign scenario order and
+        stable-sorting the union by ``predicted_minimum`` reproduces
+        :meth:`mine_critical_faults`, which is the equivalence the
+        pipeline driver relies on.  The scene stream is consumed exactly
+        once: safe scenes flow straight into the columnar batch, unsafe
+        ones are counted and dropped.
+
+        Scores all scenes x corruption values of every mined BN node
+        with one stacked matmul over every node's scene-gain block (see
+        :meth:`_stacked_affine`) plus a vectorized kinematic rollout.
         """
         critical: list[CandidateFault] = []
         n_scored = 0
@@ -867,12 +746,11 @@ class BayesianFaultInjector:
             parts = []
             for variable in variables:
                 mapping = NODE_MAPPING[variable]
-                transform = _BATCH_TRANSFORMS[mapping.transform]
                 values = [float(v) for v in
                           variable_by_name(variable).corruption_values()]
                 node_values = np.concatenate([
-                    transform(batch.cols,
-                              np.full(batch.n, value, dtype=float))
+                    mapping.transform(batch.cols,
+                                      np.full(batch.n, value, dtype=float))
                     for value in values])
                 query, columns, value_gain, offset = per_node[mapping.node]
                 estimate = (np.tile(scene_base[:, columns],
@@ -889,9 +767,8 @@ class BayesianFaultInjector:
                 delta.reshape(len(combos), batch.n)
                 for delta in self._resolve_potentials(parts))
             minima = np.minimum(delta_long, delta_lat)
-            # nonzero on the transpose walks scene-major, combo-minor —
-            # the scalar loop's iteration order, so sort ties resolve
-            # identically.
+            # nonzero on the transpose walks scene-major, combo-minor, so
+            # sort ties resolve in that order.
             scene_hits, combo_hits = np.nonzero(minima.T <= threshold)
             for s_i, c_i in zip(scene_hits.tolist(), combo_hits.tolist()):
                 variable, value = combos[c_i]
@@ -907,76 +784,3 @@ class BayesianFaultInjector:
                     observed_delta_long=obs_long,
                     observed_delta_lat=obs_lat))
         return critical, n_scored, n_scenes
-
-    # -- mining ---------------------------------------------------------------
-
-    def mine_critical_faults(self, scenes: Iterable[SceneRow],
-                             variables: tuple[str, ...] = MINED_VARIABLES,
-                             threshold: float = 0.0,
-                             top_k: int | None = None
-                             ) -> tuple[list[CandidateFault], MiningReport]:
-        """Score every (scene, variable, min/max value); return ``F_crit``.
-
-        A candidate is critical when the scene was safe
-        (``delta > 0``) and the predicted potential after ``do(f)`` is at
-        or below ``threshold``.  ``scenes`` may be any iterable; it is
-        consumed once, one row at a time.  Results are sorted
-        most-critical first.
-        """
-        report = MiningReport()
-        start = time.perf_counter()
-        critical, report.n_scored, report.n_scenes = self._mine_scalar(
-            scenes, variables, threshold)
-        critical.sort(key=lambda c: c.predicted_minimum)
-        if top_k is not None:
-            critical = critical[:top_k]
-        report.n_critical = len(critical)
-        report.wall_seconds = time.perf_counter() - start
-        return critical, report
-
-    def _mine_scalar(self, scenes: Iterable[SceneRow],
-                     variables: tuple[str, ...], threshold: float
-                     ) -> tuple[list[CandidateFault], int, int]:
-        """Unsorted scalar-oracle ``F_crit``, scored count, scene count."""
-        critical: list[CandidateFault] = []
-        n_scored = 0
-        n_scenes = 0
-        for scene in scenes:
-            n_scenes += 1
-            if not scene.observed_safe:
-                continue
-            for variable in variables:
-                for value in variable_by_name(variable).corruption_values():
-                    n_scored += 1
-                    potential = self.predicted_potential(scene, variable,
-                                                         float(value))
-                    if potential.minimum <= threshold:
-                        critical.append(CandidateFault(
-                            scenario=scene.scenario,
-                            injection_tick=scene.injection_tick,
-                            variable=variable,
-                            value=float(value),
-                            predicted_delta_long=potential.longitudinal,
-                            predicted_delta_lat=potential.lateral,
-                            observed_delta_long=scene.observed_delta_long,
-                            observed_delta_lat=scene.observed_delta_lat))
-        return critical, n_scored, n_scenes
-
-    def mine_scenario_candidates(
-            self, scenes: Iterable[SceneRow],
-            variables: tuple[str, ...] = MINED_VARIABLES,
-            threshold: float = 0.0
-            ) -> tuple[list[CandidateFault], int, int]:
-        """Per-scenario mining entry point for the streaming pipeline.
-
-        Mines one scenario's scene-row *stream* in isolation — no global
-        golden dict required, no per-scenario row list materialized —
-        returning the *unsorted* (scene-major append order) critical
-        candidates plus the number of (scene, variable, value)
-        combinations scored and the number of scenes consumed.
-        Concatenating per-scenario results in campaign scenario order
-        and stable-sorting the union by ``predicted_minimum`` reproduces
-        the global miner's candidate list, which is the equivalence the
-        pipeline driver relies on.
-        """
-        return self._mine_batched(scenes, variables, threshold)

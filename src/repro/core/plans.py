@@ -54,7 +54,7 @@ import numpy as np
 
 from ..arch.injector import Outcome
 from .bayesian_fi import (MINED_VARIABLES, BayesianFaultInjector,
-                          CandidateFault, MiningReport)
+                          CandidateFault, MiningReport, check_counts)
 from .fault_models import (ArchitecturalFaultModel, minmax_fault_grid,
                            random_fault)
 from .interface_faults import (interface_fault, interface_fault_grid,
@@ -86,22 +86,6 @@ def work_key(*params) -> str:
     outcomes.
     """
     return hashlib.sha256(repr(params).encode("utf-8")).hexdigest()[:12]
-
-
-def check_counts(top_k: int | None = None,
-                 max_experiments: int | None = None,
-                 tick_stride: int = 1) -> None:
-    """Refuse a negative cap or a non-positive tick stride.
-
-    Slicing would accept them and silently change the job set (a cap
-    of -1 drops the last job; a negative stride walks ticks backwards).
-    """
-    for name, value in (("top_k", top_k),
-                        ("max_experiments", max_experiments)):
-        if value is not None and value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
-    if tick_stride < 1:
-        raise ValueError(f"tick_stride must be >= 1, got {tick_stride}")
 
 
 @dataclass

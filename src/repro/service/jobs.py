@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..core.ioutil import write_bytes_atomic
-from ..core.plans import check_counts
+from ..core.bayesian_fi import check_counts
 
 STYLES = ("random", "exhaustive", "arch", "bayesian")
 

@@ -31,6 +31,21 @@ So do the world model's filter kernels: :func:`reference_kf_predict4`,
 index-loop forms the straight-line kernels of :mod:`repro.ads.kernels`
 must match bit for bit, and :func:`reference_kernels` swaps them into
 the tracker and the localizer.
+
+The Bayesian miner keeps its oracle here as well: counterfactual
+scoring one candidate at a time.  :func:`reference_infer_actuation`
+runs one full Gaussian conditioning per candidate on the injector's
+mutilated graph (``injector._engine_for(node)``, so
+``ConditioningFaultInjector``'s unmutilated graph applies too);
+:func:`reference_predict_after_fault` rolls the kinematic state out in
+floats and :func:`reference_potential` re-evaluates the safety
+potential through the scalar stop and excursion calls.  Its scalar
+transforms (:data:`SCALAR_TRANSFORMS`) are written independently of the
+miner's array transforms.  :func:`reference_mine` and
+:func:`reference_scenario_candidates` are what
+``BayesianFaultInjector.mine_critical_faults`` and
+``mine_scenario_candidates`` must reproduce, to float round-off, in the
+same candidate order.
 """
 
 from contextlib import contextmanager
@@ -42,10 +57,18 @@ from repro.ads import localization, tracking
 from repro.ads.kernels import _inv3, py_where
 from repro.ads.messages import Detection, GpsFix, ImuSample, SensorBundle
 from repro.ads.runtime import ADSPipeline
+from repro.ads.variables import variable_by_name
+from repro.bayesnet.dynamic import SLICE_SEPARATOR, slice_node
+from repro.core.bayesian_fi import (BN_VARIABLES, MINED_VARIABLES,
+                                    NODE_MAPPING, CandidateFault,
+                                    MiningReport)
 from repro.core.parallel import execute_experiment
 from repro.core.plans import (ArchitecturalPlan, BayesianPlan,
                               ExhaustivePlan, RandomPlan)
+from repro.core.safety import (SafetyPotential, longitudinal_envelope,
+                               steering_excursion, stopping_displacement)
 from repro.sim import VehicleState, obb_overlap
+from repro.sim.collision import SENSOR_RANGE
 
 
 def strip_wall(records):
@@ -373,3 +396,186 @@ def reference_kernels():
     finally:
         for module, name, original in saved:
             setattr(module, name, original)
+
+
+def _slewed(current, value):
+    """A pedal corruption through the slew stage: at most 0.5 from the
+    current position (slew rate 2.5/s x the 0.2 s window)."""
+    return current + min(max(value - current, -0.5), 0.5)
+
+
+#: Scalar ``(scene values, corruption value) -> BN intervention value``
+#: by mined variable; any other variable intervenes with its value.
+SCALAR_TRANSFORMS = {
+    "raw_throttle": lambda scene, value: _slewed(scene["throttle"], value),
+    "raw_brake": lambda scene, value: _slewed(scene["brake"], value),
+    # detection_x is a world coordinate; the BN node is a bumper gap.
+    "detection_x": lambda scene, value: max(value - scene["x"] - 4.8, 0.01),
+    "tracked_speed": lambda scene, value: scene["v"] - value,
+}
+
+
+def reference_infer_actuation(injector, scene, node, node_value):
+    """MLE of (throttle, brake, steering) at slices 1 and 2 under
+    ``do(node@1, node@2 = node_value)``: one ``map_query`` per call."""
+    engine = injector._engine_for(node)
+    evidence = {slice_node(name, 0): scene.values[name]
+                for name in BN_VARIABLES}
+    evidence[slice_node(node, 1)] = node_value
+    evidence[slice_node(node, 2)] = node_value
+    query = [slice_node(name, t)
+             for t in (1, 2) for name in injector._ACTUATION
+             if name != node]
+    estimate = engine.map_query(query, evidence) if query else {}
+    result = {1: {}, 2: {}}
+    for t in (1, 2):
+        for name in injector._ACTUATION:
+            low, high = injector._ACTUATION_BOUNDS[name]
+            if name == node:
+                raw = node_value
+            else:
+                raw = estimate[slice_node(name, t)]
+                if name == "steering":
+                    low = -injector._STEERING_AUTHORITY
+                    high = injector._STEERING_AUTHORITY
+            result[t][name] = float(min(max(raw, low), high))
+    return result
+
+
+def _cpd_step(cpd, values):
+    """A slice-1 CPD's mean with slice-0 parent values."""
+    parents = {parent: values[parent.rsplit(SLICE_SEPARATOR, 1)[0]]
+               for parent in cpd.parents}
+    return cpd.mean(parents)
+
+
+def reference_predict_after_fault(injector, scene, node, node_value,
+                                  recovery=0.25):
+    """Physical kinematic state after ``do(f)`` plus recovery.
+
+    Returns the MLE of ``{v, v_end, gap, closing, lat, steering}`` at
+    the rollout instant with the worst longitudinal margin.
+    """
+    values = scene.values
+    actuation = reference_infer_actuation(injector, scene, node, node_value)
+    v_dynamics = injector._dynamics("v")
+    lat_dynamics = injector._dynamics("lat")
+
+    state0 = {name: values[name] for name in BN_VARIABLES}
+    v_path = [values["v"], max(_cpd_step(v_dynamics, state0), 0.0)]
+    state1 = dict(state0)
+    state1.update(actuation[1])
+    state1["v"] = v_path[1]
+    state1["lat"] = _cpd_step(lat_dynamics, state0)
+    v_path.append(max(_cpd_step(v_dynamics, state1), 0.0))
+    lat2 = _cpd_step(lat_dynamics, state1)
+
+    extra_steps = max(int(round(recovery / injector.slice_dt)), 0)
+    for step in range(extra_steps):
+        blend = (step + 1) / (extra_steps + 1)
+        state = dict(state1)
+        for name in injector._ACTUATION:
+            state[name] = ((1.0 - blend) * actuation[2][name]
+                           + blend * values[name])
+        state["v"] = v_path[-1]
+        v_path.append(max(_cpd_step(v_dynamics, state), 0.0))
+
+    gt_gap = values["gt_gap"]
+    lead_v = values["gt_lead_v"]
+    if gt_gap >= 0.98 * SENSOR_RANGE or lead_v < 0.0:
+        return {"v": v_path[2], "v_end": v_path[-1],
+                "gap": SENSOR_RANGE, "closing": 0.0,
+                "lat": lat2, "steering": actuation[2]["steering"]}
+    gap = gt_gap
+    gap_path = [gap]
+    for i in range(1, len(v_path)):
+        closing_step = ((v_path[i - 1] - lead_v)
+                        + (v_path[i] - lead_v)) / 2.0
+        gap -= closing_step * injector.slice_dt
+        gap_path.append(gap)
+    a_max = injector.safety_config.a_max
+    worst = min(range(len(v_path)),
+                key=lambda i: (gap_path[i] + lead_v ** 2 / (2.0 * a_max)
+                               - v_path[i] ** 2 / (2.0 * a_max)))
+    return {"v": v_path[worst], "v_end": v_path[-1],
+            "gap": gap_path[worst],
+            "closing": v_path[worst] - lead_v, "lat": lat2,
+            "steering": actuation[2]["steering"]}
+
+
+def reference_potential(injector, scene, variable, value):
+    """``delta_hat_do(f)`` of one candidate, as a :class:`SafetyPotential`."""
+    mapping = NODE_MAPPING[variable]
+    node = mapping.node
+    transform = SCALAR_TRANSFORMS.get(variable)
+    node_value = transform(scene.values, value) if transform else value
+    estimate = reference_predict_after_fault(injector, scene, node,
+                                             node_value, mapping.recovery)
+    config = injector.safety_config
+    v_hat = max(estimate["v"], 0.0)
+    gap_hat = max(estimate["gap"], 0.0)
+    if gap_hat >= 0.98 * SENSOR_RANGE:
+        gap_hat, lead_speed = SENSOR_RANGE, None
+    else:
+        lead_speed = max(v_hat - estimate["closing"], 0.0)
+    stop = stopping_displacement(v_hat, 0.0, scene.values["steering"],
+                                 config)
+    delta_long = (longitudinal_envelope(gap_hat, lead_speed, config)
+                  - stop.longitudinal)
+
+    phi_fault = estimate["steering"]
+    excursion = steering_excursion(v=scene.values["v"], phi_fault=phi_fault,
+                                   window=2.0 * injector.slice_dt,
+                                   config=config)
+    drift = (0.0 if node == "steering"
+             else estimate["lat"] - scene.values["lat"])
+    direction = phi_fault if abs(phi_fault) > 1e-3 else drift
+    if direction >= 0.0:
+        clearance = scene.values["lat_free_up"]
+    else:
+        clearance = scene.values["lat_free_down"]
+    delta_lat = clearance - excursion - abs(drift)
+    return SafetyPotential(longitudinal=delta_long, lateral=delta_lat)
+
+
+def reference_scenario_candidates(injector, scenes,
+                                  variables=MINED_VARIABLES, threshold=0.0):
+    """Unsorted ``F_crit`` in scene-major, (variable, value)-minor order,
+    the scored count and the scene count, one candidate at a time."""
+    critical = []
+    n_scored = 0
+    n_scenes = 0
+    for scene in scenes:
+        n_scenes += 1
+        if not scene.observed_safe:
+            continue
+        for variable in variables:
+            for value in variable_by_name(variable).corruption_values():
+                n_scored += 1
+                potential = reference_potential(injector, scene, variable,
+                                                float(value))
+                if potential.minimum <= threshold:
+                    critical.append(CandidateFault(
+                        scenario=scene.scenario,
+                        injection_tick=scene.injection_tick,
+                        variable=variable,
+                        value=float(value),
+                        predicted_delta_long=potential.longitudinal,
+                        predicted_delta_lat=potential.lateral,
+                        observed_delta_long=scene.observed_delta_long,
+                        observed_delta_lat=scene.observed_delta_lat))
+    return critical, n_scored, n_scenes
+
+
+def reference_mine(injector, scenes, variables=MINED_VARIABLES,
+                   threshold=0.0, top_k=None):
+    """``(F_crit, report)``: the scenario candidates stable-sorted most
+    critical first and cut to ``top_k``."""
+    report = MiningReport()
+    critical, report.n_scored, report.n_scenes = \
+        reference_scenario_candidates(injector, scenes, variables, threshold)
+    critical.sort(key=lambda c: c.predicted_minimum)
+    if top_k is not None:
+        critical = critical[:top_k]
+    report.n_critical = len(critical)
+    return critical, report

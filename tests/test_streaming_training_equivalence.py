@@ -249,8 +249,8 @@ class TestInjectorTrainerEquivalence:
             trainer.add_run(run)
         streamed = trainer.finish()
         scenes = list(golden_campaign.scene_rows())
-        mined_batch, _ = batch.mine_critical_faults_batched(scenes)
-        mined_streamed, _ = streamed.mine_critical_faults_batched(scenes)
+        mined_batch, _ = batch.mine_critical_faults(scenes)
+        mined_streamed, _ = streamed.mine_critical_faults(scenes)
         assert candidate_keys(mined_streamed) == candidate_keys(mined_batch)
         for streamed_c, batch_c in zip(mined_streamed, mined_batch):
             assert streamed_c.predicted_delta_long == pytest.approx(
@@ -273,7 +273,7 @@ def batch_fit(batch_oracle):
     injector = BayesianFaultInjector.train(
         list(batch_oracle.golden_runs().values()),
         safety_config=batch_oracle.config.safety)
-    candidates, _ = injector.mine_critical_faults_batched(
+    candidates, _ = injector.mine_critical_faults(
         batch_oracle.scene_rows(), top_k=6)
     return injector, candidates
 
