@@ -8,8 +8,10 @@ pytest-benchmark record via ``extra_info``.
 
 import os
 import platform
+import statistics
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -55,6 +57,32 @@ def host_info() -> dict:
             "numpy": np.__version__,
             "python": platform.python_version(),
             "git_sha": sha}
+
+
+def round_summary(seconds) -> dict:
+    """Median and quartiles of round seconds."""
+    q1, median, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "rounds": len(seconds)}
+
+
+def interleaved_ratio(oracle, shortcut, check, rounds: int):
+    """Time ``rounds`` rounds of both sides, alternating which goes
+    first (the oracle on even rounds), and check every result with
+    ``check(side, result)``.  Returns the ratio of median seconds
+    (oracle / shortcut) and each side's :func:`round_summary`, keyed
+    ``"oracle"`` and ``"shortcut"``.  The gate pattern of every
+    wall-clock bench: a ratio of medians over interleaved rounds, with
+    the spread recorded beside it."""
+    seconds = {"oracle": [], "shortcut": []}
+    sides = [("oracle", oracle), ("shortcut", shortcut)]
+    for index in range(rounds):
+        for side, run in (sides if index % 2 == 0 else sides[::-1]):
+            start = time.perf_counter()
+            result = run()
+            seconds[side].append(time.perf_counter() - start)
+            check(side, result)
+    stats = {side: round_summary(times) for side, times in seconds.items()}
+    return stats["oracle"]["median"] / stats["shortcut"]["median"], stats
 
 
 def scalar_engine_records(campaign, jobs):

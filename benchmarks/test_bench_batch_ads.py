@@ -10,21 +10,19 @@ RNG draws, camera/radar fusion, and the world model (each lane's own
 tracker and localizer).
 
 This bench isolates that single-core win: serial
-:meth:`Campaign.run_jobs` on same-scenario groups of at least ``LANES``
-jobs (which the driver fuses, each group as one batch of up to
-``MAX_LANES`` live lanes) against the serial scalar engine on the same
-checkpoint-forked job population (``conftest.scalar_engine_records``)
-— no process pool, so the ratio is pure fusion, comparable across
-hosts.  Record agreement is asserted unconditionally; the speedup gate
-(≥1.8x) needs no spare core because neither path pools, and like every
-wall-clock gate it fires only with ``REPRO_BENCH_GATES=1`` (see
-``conftest.timing_gates``).  With whole-group batches a 2-vCPU Xeon VM
-measured 1.41-2.04x over seven runs (median 1.81x), so the gate passes
-there only just, about half the time; 16-lane batches measured
-0.75-1.28x.
+:meth:`Campaign.run_jobs` on a job set with at least ``LANES`` fusable
+jobs (which the driver fuses as one batch of up to ``MAX_LANES`` live
+lanes, across its scenarios) against the serial scalar engine on the
+same checkpoint-forked job population
+(``conftest.scalar_engine_records``) — no process pool, so the ratio is
+pure fusion, comparable across hosts.  Timings interleave scalar and
+fused rounds (``conftest.interleaved_ratio``); the speedup is the ratio
+of the median round times, and both sides' medians and quartiles go to
+``extra_info``.  Record agreement is asserted on every round; the
+speedup gate (≥1.8x) needs no spare core because neither path pools,
+and like every wall-clock gate it fires only with
+``REPRO_BENCH_GATES=1`` (see ``conftest.timing_gates``).
 """
-
-import time
 
 import pytest
 
@@ -33,8 +31,13 @@ from repro.core import Campaign, CampaignConfig
 from repro.core.fault_models import minmax_fault_grid
 from repro.core.parallel import LANES, MAX_LANES
 
-from conftest import (bench_scenarios, host_info, scalar_engine_records,
-                      timing_gates)
+from conftest import (bench_scenarios, host_info, interleaved_ratio,
+                      scalar_engine_records, timing_gates)
+
+#: Interleaved scalar/fused rounds of the timed comparison.
+ROUNDS = 5
+#: Gate on the ratio of median round times (scalar / fused).
+MIN_SPEEDUP = 1.8
 
 
 @pytest.fixture(scope="module")
@@ -77,38 +80,46 @@ def test_bench_batch_ads(benchmark, ads_campaign):
     def validate_batched():
         return campaign.run_jobs(jobs).records
 
+    # The batched path must agree with the scalar oracle record for
+    # record (wall clock aside) — asserted on every round.
+    def strip(records):
+        return [(r.scenario, r.injection_tick, r.variable, r.value,
+                 r.duration_ticks, r.seed, r.hazard, r.landed,
+                 r.pre_delta_long, r.pre_delta_lat, r.min_delta_long,
+                 r.min_delta_lat, r.sim_seconds) for r in records]
+
     # Warm process-wide caches both paths share (RK4 stop kernels, numpy
-    # dispatch, golden traces), then time manually — best-of-two per
-    # path keeps the gate robust against scheduler noise, and the
-    # manual numbers also work under --benchmark-disable smoke runs.
-    validate_batched()
+    # dispatch, golden traces) so round order doesn't bias the
+    # comparison; the manual rounds also work under --benchmark-disable
+    # smoke runs.
+    expected = strip(validate_scalar())
+
+    def check(side, records):
+        assert strip(records) == expected, side
 
     batched_records = benchmark(validate_batched)
+    check("fused", batched_records)
+    speedup, stats = interleaved_ratio(validate_scalar, validate_batched,
+                                       check, ROUNDS)
+    scalar_seconds = stats["oracle"]["median"]
+    batched_seconds = stats["shortcut"]["median"]
 
-    def best_of_two(run):
-        result, seconds = None, float("inf")
-        for _ in range(2):
-            start = time.perf_counter()
-            result = run()
-            seconds = min(seconds, time.perf_counter() - start)
-        return result, seconds
-
-    scalar_records, scalar_seconds = best_of_two(validate_scalar)
-    _, batched_seconds = best_of_two(validate_batched)
-
-    speedup = scalar_seconds / batched_seconds
-
-    print("\nSerial fusion: batched ADS pipeline vs scalar oracle")
+    print(f"\nSerial fusion: batched ADS pipeline vs scalar oracle "
+          f"(median of {ROUNDS} interleaved rounds)")
     print(ascii_table(
         ["metric", "scalar serial",
          f"batched serial (<= {MAX_LANES} lanes)"], [
-            ["experiments", len(scalar_records), len(batched_records)],
+            ["experiments", len(expected), len(batched_records)],
             ["wall seconds", f"{scalar_seconds:.3f}",
              f"{batched_seconds:.3f}"],
             ["experiments / s", f"{len(jobs) / scalar_seconds:,.1f}",
              f"{len(jobs) / batched_seconds:,.1f}"],
             ["speedup", "1x", f"{speedup:,.2f}x"],
         ]))
+    for side, name in (("oracle", "scalar_serial"),
+                       ("shortcut", "batched_serial")):
+        for key, value in stats[side].items():
+            benchmark.extra_info[f"{name}_{key}"] = value
     benchmark.extra_info["scalar_serial_seconds"] = scalar_seconds
     benchmark.extra_info["batched_serial_seconds"] = batched_seconds
     benchmark.extra_info["serial_fusion_speedup"] = speedup
@@ -117,20 +128,12 @@ def test_bench_batch_ads(benchmark, ads_campaign):
     benchmark.extra_info["max_lanes"] = MAX_LANES
     benchmark.extra_info.update(host_info())
 
-    # The batched path must agree with the scalar oracle record for
-    # record (wall clock aside) — asserted unconditionally...
-    def strip(records):
-        return [(r.scenario, r.injection_tick, r.variable, r.value,
-                 r.duration_ticks, r.seed, r.hazard, r.landed,
-                 r.pre_delta_long, r.pre_delta_lat, r.min_delta_long,
-                 r.min_delta_lat, r.sim_seconds) for r in records]
-
-    assert strip(batched_records) == strip(scalar_records)
-    # ...and serial fusion must pay for itself on any host: both paths
-    # are single-process, so the gate needs no spare cores.  The
-    # wall-clock gate is opt-in (timing_gates).
+    # Serial fusion must pay for itself on any host: both paths are
+    # single-process, so the gate needs no spare cores.  The wall-clock
+    # gate is opt-in (timing_gates).
     if not timing_gates(benchmark):
         return
-    assert speedup >= 1.8, (
+    assert speedup >= MIN_SPEEDUP, (
         f"batched ADS pipeline only {speedup:.2f}x faster than the "
-        f"serial scalar engine with up to {MAX_LANES} lanes")
+        f"serial scalar engine with up to {MAX_LANES} lanes (median of "
+        f"{ROUNDS} interleaved rounds)")

@@ -4,10 +4,10 @@ Validation forks from golden-prefix checkpoints; what still costs
 one Python interpreter pass per experiment is the simulation itself —
 every world steps its own RK4, collision sweep, and safety envelope
 through scalar numpy calls.  The batch engine
-(:mod:`repro.sim.batch`) steps up to ``MAX_LANES`` same-scenario
-experiments per fused kernel call, and the campaign driver fuses every
-same-scenario group of at least ``LANES`` jobs on its own, as one wide
-batch.
+(:mod:`repro.sim.batch`) steps up to ``MAX_LANES`` experiments of any
+mix of scenarios per fused kernel call, and the campaign driver fuses
+the fusable jobs of a dispatch, whatever their scenarios, when there
+are at least ``LANES`` of them, as one wide batch.
 
 ``test_bench_batch_sim`` times the *shipped* batched configuration —
 fused lanes on a process pool (``workers=4``), through
@@ -31,13 +31,22 @@ measure (61 KB by peak RSS) when each held its safety samples as
 per-tick tuples; with columnar samples and retired lanes released it
 measures about 16 KB on a 2-vCPU Xeon VM.  Its gates fire only under
 ``REPRO_BENCH_GATES=1``.
+
+``test_bench_mixed_batch`` is the sparse-campaign round: about three
+random value faults per scenario over a seeded library of public-factory
+variants, so no scenario reaches ``LANES`` alone.  The driver
+(:meth:`Campaign.run_jobs`) runs them as one mixed batch; the scalar
+engine on the same forks is the other side.  Rounds interleave
+(``conftest.interleaved_ratio``), records are checked equal on every
+round, and the opt-in gate is on the ratio of median round times.
 """
 
 import os
+import random
 import statistics
 import time
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 from reference import random_jobs
@@ -47,10 +56,12 @@ from repro.core import Campaign, CampaignConfig
 from repro.core.fault_models import minmax_fault_grid
 from repro.core.parallel import LANES, MAX_LANES
 from repro.core.simulate import run_experiments_batched
-from repro.sim import lead_vehicle_cutin
+from repro.sim import (adjacent_traffic, braking_lead, empty_road,
+                       highway_cruise, lead_vehicle_cutin, stalled_vehicle,
+                       stop_and_go, two_lead_reveal)
 
-from conftest import (bench_scenarios, host_info, scalar_engine_records,
-                      timing_gates)
+from conftest import (bench_scenarios, host_info, interleaved_ratio,
+                      scalar_engine_records, timing_gates)
 
 WORKERS = 4
 
@@ -211,7 +222,8 @@ def test_bench_batch_width(benchmark, width_group):
 
     def run(width):
         return run_experiments_batched(
-            scenario, [[fault] for fault in faults], ads_config=config.ads,
+            [scenario] * len(faults), [[fault] for fault in faults],
+            ads_config=config.ads,
             safety_config=config.safety, seed=config.seed,
             checkpoints=forks,
             horizon_after_fault=config.horizon_after_fault,
@@ -275,3 +287,106 @@ def test_bench_batch_width(benchmark, width_group):
         f"{NARROW}-lane ones")
     assert lane_kb <= MAX_LANE_KB, (
         f"a live fused lane costs {lane_kb:.1f} KB of peak memory")
+
+
+#: Scenario variants and jobs of the mixed round: three jobs per
+#: scenario on average.
+MIXED_SCENARIOS = 24
+MIXED_JOBS = 72
+#: Interleaved scalar/fused rounds of the mixed round.
+MIXED_ROUNDS = 5
+#: Mixed-round gate (``REPRO_BENCH_GATES=1`` only): the fused driver's
+#: speedup over the scalar engine, as a ratio of median round times.
+MIN_MIXED_SPEEDUP = 1.3
+
+#: Public scenario factories and the parameter ranges the mixed library
+#: draws from (each moves away from the default's danger, so every
+#: golden run keeps its injection window).
+MIXED_FACTORIES = (
+    (empty_road, {"ego_speed": (25.0, 32.0)}),
+    (highway_cruise, {"ego_speed": (28.0, 32.0), "lead_gap": (60.0, 80.0)}),
+    (lead_vehicle_cutin, {"ego_speed": (29.0, 31.0),
+                          "cutin_gap": (9.0, 14.0)}),
+    (two_lead_reveal, {"ego_speed": (30.0, 33.5),
+                       "second_gap": (210.0, 240.0)}),
+    (braking_lead, {"lead_gap": (55.0, 70.0), "final_speed": (8.0, 12.0)}),
+    (stop_and_go, {"lead_gap": (35.0, 45.0)}),
+    (stalled_vehicle, {"gap": (160.0, 200.0)}),
+    (adjacent_traffic, {"ego_speed": (27.0, 30.0)}),
+)
+
+
+def mixed_library(seed=1, count=MIXED_SCENARIOS):
+    """``count`` seeded variants of the public factories, round-robin,
+    each with a unique name and a 12-14 s duration."""
+    rng = random.Random(seed)
+    library = []
+    for index in range(count):
+        factory, ranges = MIXED_FACTORIES[index % len(MIXED_FACTORIES)]
+        params = {key: round(rng.uniform(low, high), 2)
+                  for key, (low, high) in ranges.items()}
+        base = factory(**params)
+        library.append(replace(base, name=f"{base.name}-{index:02d}",
+                               duration=12.0 + 0.5 * rng.randrange(5)))
+    return library
+
+
+@pytest.fixture(scope="module")
+def mixed_campaign():
+    """Golden-warmed campaign over the mixed library, with its jobs."""
+    campaign = Campaign(mixed_library(), CampaignConfig(seed=1))
+    campaign.golden_runs()   # warm golden traces + checkpoint ladders
+    return campaign, random_jobs(campaign, MIXED_JOBS, seed=1)
+
+
+def test_bench_mixed_batch(benchmark, mixed_campaign):
+    campaign, jobs = mixed_campaign
+    per_scenario = [sum(name == scenario.name for name, _ in jobs)
+                    for scenario in campaign.scenarios]
+    assert max(per_scenario) < LANES <= len(jobs)
+
+    def strip(records):
+        rows = []
+        for record in records:
+            row = asdict(record)
+            row.pop("wall_seconds")
+            rows.append(row)
+        return rows
+
+    expected = strip(scalar_engine_records(campaign, jobs))
+
+    def check(side, records):
+        assert strip(records) == expected, side
+
+    def fused():
+        return campaign.run_jobs(jobs).records
+
+    check("fused", benchmark.pedantic(fused, rounds=1, iterations=1))
+    speedup, stats = interleaved_ratio(
+        lambda: scalar_engine_records(campaign, jobs), fused, check,
+        MIXED_ROUNDS)
+
+    print(f"\nMixed batch: {len(jobs)} jobs over {len(per_scenario)} "
+          f"scenarios (at most {max(per_scenario)} per scenario), median "
+          f"of {MIXED_ROUNDS} interleaved rounds")
+    print(ascii_table(
+        ["engine", "median s", "q1 s", "q3 s"],
+        [[name, f"{stats[side]['median']:.3f}", f"{stats[side]['q1']:.3f}",
+          f"{stats[side]['q3']:.3f}"]
+         for side, name in (("oracle", "scalar"),
+                            ("shortcut", "fused (one batch)"))]))
+    print(f"speedup {speedup:.2f}x")
+    for side, name in (("oracle", "scalar"), ("shortcut", "fused")):
+        for key, value in stats[side].items():
+            benchmark.extra_info[f"{name}_{key}"] = value
+    benchmark.extra_info["mixed_speedup"] = speedup
+    benchmark.extra_info["jobs"] = len(jobs)
+    benchmark.extra_info["scenarios"] = len(per_scenario)
+    benchmark.extra_info["max_jobs_per_scenario"] = max(per_scenario)
+    benchmark.extra_info.update(host_info())
+
+    if not timing_gates(benchmark):
+        return
+    assert speedup >= MIN_MIXED_SPEEDUP, (
+        f"a mixed batch only {speedup:.2f}x faster than the scalar "
+        f"engine (median of {MIXED_ROUNDS} interleaved rounds)")

@@ -28,7 +28,7 @@ from repro.analysis import ascii_table
 from repro.core import Campaign, CampaignConfig, FaultSpec
 from repro.core.parallel import _pool_context
 from repro.core.pipeline import (_init_pipeline_worker,
-                                 _pipeline_validate_chunk)
+                                 _pipeline_validate_chunk, _validation_parts)
 from repro.sim import (braking_lead, highway_cruise, lead_vehicle_cutin,
                        queued_traffic, stalled_vehicle, two_lead_reveal)
 
@@ -69,18 +69,17 @@ def bench_jobs(scenarios):
 def run_unsupervised(scenarios, config, spool, jobs):
     """The pre-resilience engine: a bare pool, no timeouts, no retries,
     no crash recovery — the overhead baseline supervision is held to.
-    One job per task in job order (``bench_jobs`` is scenario-major):
-    the chunking the driver picks for this job set, nine jobs per
-    scenario over four workers."""
+    The tasks are the parts the driver cuts this job set into
+    (``_validation_parts``: one wide fused part per worker)."""
     records = [None] * len(jobs)
+    items = [(slot, name, fault) for slot, (name, fault) in enumerate(jobs)]
     with ProcessPoolExecutor(max_workers=WORKERS,
                              mp_context=_pool_context(None),
                              initializer=_init_pipeline_worker,
                              initargs=(scenarios, config,
                                        str(spool))) as pool:
-        futures = [pool.submit(_pipeline_validate_chunk,
-                               (name, [(slot, fault)]))
-                   for slot, (name, fault) in enumerate(jobs)]
+        futures = [pool.submit(_pipeline_validate_chunk, list(part))
+                   for part in _validation_parts(config, items, WORKERS)]
         for future in as_completed(futures):
             for slot, record in future.result():
                 records[slot] = record

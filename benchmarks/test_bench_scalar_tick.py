@@ -1,8 +1,9 @@
 """Scalar tick shortcuts against their oracles in ``tests/reference.py``.
 
-Small same-scenario groups (the random-sparse campaign mix: about three
-jobs per scenario) never reach ``LANES`` and run every tick on the
-scalar engine.  Its per-tick shortcuts, each timed against its oracle:
+Every job the fused engine cannot take runs every tick on the scalar
+engine: interface faults (a quarter of the random-sparse campaign mix),
+golden runs, and any dispatch with fewer than ``LANES`` fusable jobs.
+Its per-tick shortcuts, each timed against its oracle:
 
 * ``World.in_collision`` prescreens each obstacle by axis-aligned bounds
   and runs the SAT only on the survivors
@@ -33,8 +34,6 @@ goes to ``extra_info``, and, like every wall-clock gate, they fire only
 with ``REPRO_BENCH_GATES=1`` (``conftest.timing_gates``).
 """
 
-import statistics
-import time
 from contextlib import contextmanager
 
 import numpy as np
@@ -51,7 +50,7 @@ from repro.sim import (NPCVehicle, Vehicle, World, adjacent_traffic,
 from repro.sim import vehicle as vehicle_module
 from repro.sim.kinematics import rk4_step
 
-from conftest import host_info, timing_gates
+from conftest import host_info, interleaved_ratio, timing_gates
 from reference import (hooks_always, reference_in_collision,
                        reference_measure, reference_packed_bundle,
                        reference_rk4_step)
@@ -166,28 +165,6 @@ def rk4_inputs(frames):
     return inputs
 
 
-def _summary(seconds):
-    """Median and quartiles of round seconds."""
-    q1, median, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3, "rounds": len(seconds)}
-
-
-def _compare(oracle, shortcut, check, rounds=ROUNDS):
-    """Alternate timed rounds of both sides (oracle first on even
-    rounds), checking every result with ``check``; return the ratio of
-    median seconds (oracle / shortcut) and each side's summary."""
-    seconds = {"oracle": [], "shortcut": []}
-    sides = [("oracle", oracle), ("shortcut", shortcut)]
-    for index in range(rounds):
-        for side, run in (sides if index % 2 == 0 else sides[::-1]):
-            start = time.perf_counter()
-            result = run()
-            seconds[side].append(time.perf_counter() - start)
-            check(side, result)
-    stats = {side: _summary(times) for side, times in seconds.items()}
-    return stats["oracle"]["median"] / stats["shortcut"]["median"], stats
-
-
 def test_bench_scalar_tick(benchmark, tick_stream):
     frames = tick_stream
     assert len(frames) >= 2000
@@ -199,10 +176,10 @@ def test_bench_scalar_tick(benchmark, tick_stream):
     def check_collisions(side, hits):
         assert hits == expected_hits, side
 
-    collision_speedup, collision_stats = _compare(
+    collision_speedup, collision_stats = interleaved_ratio(
         lambda: [reference_in_collision(w) for w in frames],
         lambda: [w.in_collision() for w in frames],
-        check_collisions)
+        check_collisions, ROUNDS)
 
     # -- sensing -------------------------------------------------------
     def read_stream(measure):
@@ -216,10 +193,10 @@ def test_bench_scalar_tick(benchmark, tick_stream):
     def check_reads(side, read):
         assert read == expected_read, side
 
-    sensing_speedup, sensing_stats = _compare(
+    sensing_speedup, sensing_stats = interleaved_ratio(
         lambda: read_stream(reference_measure),
         lambda: read_stream(SensorSuite.measure),
-        check_reads)
+        check_reads, ROUNDS)
 
     # -- RK4 ---------------------------------------------------------
     inputs = rk4_inputs(frames)
@@ -228,10 +205,10 @@ def test_bench_scalar_tick(benchmark, tick_stream):
     def check_states(side, states):
         assert states == expected_states, side
 
-    rk4_speedup, rk4_stats = _compare(
+    rk4_speedup, rk4_stats = interleaved_ratio(
         lambda: [reference_rk4_step(*args) for args in inputs],
         lambda: [rk4_step(*args) for args in inputs],
-        check_states)
+        check_states, ROUNDS)
 
     # -- whole tick ----------------------------------------------------
     with reference_tick():
@@ -244,8 +221,8 @@ def test_bench_scalar_tick(benchmark, tick_stream):
         with reference_tick():
             return drive_scenarios()
 
-    tick_speedup, tick_stats = _compare(reference_drive, drive_scenarios,
-                                        check_drive)
+    tick_speedup, tick_stats = interleaved_ratio(
+        reference_drive, drive_scenarios, check_drive, ROUNDS)
     drive_ticks = len(expected_drive)
 
     # The pytest-benchmark record times the shortcut tick pair.

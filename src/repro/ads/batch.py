@@ -1,15 +1,20 @@
-"""Batched ADS pipeline: N same-scenario lanes per fused kernel tick.
+"""Batched ADS pipeline: N lanes per fused kernel tick.
 
 :class:`BatchADSState` is the ADS-side twin of
 :class:`~repro.sim.batch.BatchWorldState`: it advances every *fused*
 lane of a batch through the full sense → perceive → track → localize →
 plan → actuate cycle with one set of numpy kernel calls per tick, while
 the scalar :class:`~repro.ads.runtime.ADSPipeline` stays the bit-for-bit
-oracle.  The split of labor per stage:
+oracle.  The lanes of a batch may come from different scenarios; they
+share only the ADS configuration, the road and the ego vehicle build.
+The split of labor per stage:
 
 * **Vectorized across lanes** — sensing geometry (range gates and the
-  occlusion shadow test), the IDM planner, the PID/slew controller, the
-  final command clip, and the actuation-to-controls mapping.
+  occlusion shadow test, over each lane's NPC columns; a padded column
+  of a lane with a smaller roster has NaN positions, so it fails every
+  range gate and never occludes), the IDM planner, the PID/slew
+  controller, the final command clip, and the actuation-to-controls
+  mapping.
 * **Per lane, reusing the lane's own scalar objects** — RNG draws and
   message construction (each lane owns an independent ``Generator``;
   the lane runs the scalar engine's own merged-draw helper,
@@ -311,6 +316,8 @@ class BatchADSState:
         yaw_list = yaw_rates.tolist()
         times = batch.time[rows].tolist()
         for i, slot in enumerate(rows.tolist()):
+            # Real columns lead, in ``world.npcs`` order; padded ones
+            # pass no range gate, so they never reach ``visible``.
             visible = ()
             if m:
                 lane_cam = visible_cam[i]

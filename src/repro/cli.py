@@ -343,14 +343,16 @@ def _print_summary(summary, label: str) -> None:
                   f"{spilled} bytes spilled")
         engine = timings.get("engine")
         if engine:
-            fused, scalar, live, slots, ticks = (
+            fused, scalar, live, slots, ticks, batches, mixed = (
                 engine.get(event, 0) for event in (
                     "fused_jobs", "scalar_jobs", "lane_ticks", "slot_ticks",
-                    "fused_ticks"))
+                    "fused_ticks", "fused_batches", "batch_scenarios"))
             print(f"  engine: {fused} fused jobs, {scalar} scalar jobs, "
                   f"lane occupancy {live / max(slots, 1):.1%} ({live} of "
                   f"{slots} slot-ticks) in {ticks} fused ticks "
-                  f"({live / max(ticks, 1):.1f} lanes per tick)")
+                  f"({live / max(ticks, 1):.1f} lanes per tick), "
+                  f"{batches} fused batches "
+                  f"({mixed / max(batches, 1):.1f} scenarios per batch)")
         golden = timings.get("golden")
         if golden:
             print(f"  golden: {golden.get('runs', 0)} runs, "

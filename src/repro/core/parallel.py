@@ -11,10 +11,10 @@ this module holds what every execution path shares:
   one fault, one scalar simulation, one record.  Serial execution, pool
   workers, :meth:`repro.core.campaign.Campaign.run_fault`, and the
   reference loop the equivalence tests compare against all call it.
-* :func:`execute_experiment_batch` — its vectorized sibling for
-  same-scenario groups of at least :data:`LANES` fusable jobs
-  (:func:`repro.ads.batch.can_fuse`), up to :data:`MAX_LANES` of them
-  live at once, bit-for-bit the scalar records.
+* :func:`execute_experiment_batch` — its vectorized sibling for sets of
+  at least :data:`LANES` fusable jobs (:func:`repro.ads.batch.can_fuse`)
+  of any mix of scenarios, up to :data:`MAX_LANES` of them live at once,
+  bit-for-bit the scalar records.
 * :func:`_golden_run` — one scenario's fault-free trace plus the
   checkpoint ladder validation forks from.
 * :func:`_pool_context`/:func:`_picklable` — the start-method choice
@@ -52,14 +52,14 @@ if TYPE_CHECKING:  # avoid a circular import with .campaign
 #: Job description: (scenario name, fault to inject).
 ExperimentJob = tuple[str, FaultSpec]
 
-#: The group size at which fusion starts.  The driver validates a
-#: scenario's fusable jobs with :func:`execute_experiment_batch` when it
-#: has at least ``LANES`` of them, as one wide batch; every other job
-#: runs the scalar loop.  Read through the module at call time, so tests
-#: can patch it.
+#: The job count at which fusion starts.  The driver validates the
+#: fusable jobs of one dispatch, whatever their scenarios, with
+#: :func:`execute_experiment_batch` when there are at least ``LANES`` of
+#: them, as one wide batch; every other job runs the scalar loop.  Read
+#: through the module at call time, so tests can patch it.
 LANES = 16
 
-#: Most live lanes of one fused batch; a larger group refills retired
+#: Most live lanes of one fused batch; a larger job set refills retired
 #: slots from its pending jobs.  The smallest width within 5% of the
 #: fastest in a sweep of one 256-job ``lead_vehicle_cutin`` group over
 #: widths 16-256 (two sweeps of 6 and 8 interleaved rounds on a 2-vCPU
@@ -122,40 +122,41 @@ def execute_experiment(scenario: Scenario, config: "CampaignConfig",
     return _to_record(result, scenario.name, fault, config)
 
 
-def execute_experiment_batch(scenario: Scenario,
+def execute_experiment_batch(jobs: list[tuple[Scenario, FaultSpec]],
                              config: "CampaignConfig",
-                             faults: list[FaultSpec],
                              checkpoints: CheckpointStore | None = None
                              ) -> list[ExperimentRecord]:
-    """Run several same-scenario experiments through the batched engine.
+    """Run several experiments, one ``(scenario, fault)`` job each,
+    through the batched engine.
 
-    The vectorized sibling of ``len(faults)`` calls to
-    :func:`execute_experiment`: lanes share one
+    The vectorized sibling of ``len(jobs)`` calls to
+    :func:`execute_experiment`: lanes of any scenarios share one
     :class:`~repro.sim.batch.BatchWorldState` and advance under the
     fused numpy kernels, with each lane forking from the same nearest
-    golden checkpoint its scalar twin would pick (full replay when the
-    store has none, or the snapshot's seed does not match).  At most
-    :data:`MAX_LANES` lanes are live; a retired lane's slot takes the
-    next pending fault.  Every fault must be fusable
-    (:func:`repro.ads.batch.can_fuse`).  Records are bit-for-bit the
-    scalar records, in ``faults`` order (wall clock aside).
+    golden checkpoint its scalar twin would pick, chosen up front
+    (full replay when the store has none, or the snapshot's seed does
+    not match).  At most :data:`MAX_LANES` lanes are live; a retired
+    lane's slot takes the next pending job.  Every fault must be
+    fusable (:func:`repro.ads.batch.can_fuse`).  Records are bit-for-bit
+    the scalar records, in ``jobs`` order (wall clock aside).
     """
     forks = []
-    for fault in faults:
+    for scenario, fault in jobs:
         checkpoint = (checkpoints.nearest(scenario.name, fault.start_tick)
                       if checkpoints is not None else None)
         if checkpoint is not None and checkpoint.seed != config.seed:
             checkpoint = None
         forks.append(checkpoint)
     results = run_experiments_batched(
-        scenario, [[fault] for fault in faults],
+        [scenario for scenario, _ in jobs],
+        [[fault] for _, fault in jobs],
         ads_config=config.ads, safety_config=config.safety,
         seed=config.seed, checkpoints=forks,
         horizon_after_fault=config.horizon_after_fault,
         batch_size=MAX_LANES)
-    STAGE_TIMER.count("engine", "fused_jobs", len(faults))
+    STAGE_TIMER.count("engine", "fused_jobs", len(jobs))
     return [_to_record(result, scenario.name, fault, config)
-            for result, fault in zip(results, faults)]
+            for result, (scenario, fault) in zip(results, jobs)]
 
 
 def _golden_run(scenario: Scenario, config: "CampaignConfig",

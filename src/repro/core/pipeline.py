@@ -118,11 +118,14 @@ class _WorkerState:
         self.store = CheckpointStore()
         self.loaded: set[str] = set()
 
-    def checkpoints_for(self, scenario: str) -> CheckpointStore | None:
-        if scenario not in self.loaded:
-            self.loaded.add(scenario)
-            self.store.load_scenario(self.spool, scenario)
-        return self.store if self.store.has_scenario(scenario) else None
+    def checkpoints_for(self, items: list) -> CheckpointStore:
+        """The worker's store, holding the ladder of every scenario
+        ``items`` name (each loaded once per worker)."""
+        for _, name, _ in items:
+            if name not in self.loaded:
+                self.loaded.add(name)
+                self.store.load_scenario(self.spool, name)
+        return self.store
 
 
 def _init_pipeline_worker(scenarios: list[Scenario],
@@ -175,22 +178,41 @@ def _parts(items: list, size: int) -> list[list]:
 
 def _split_engines(config: "CampaignConfig", items: list
                    ) -> tuple[list, list]:
-    """One scenario's ``(key, fault)`` items as ``(fused, scalar)``.
+    """``(key, scenario name, fault)`` items as ``(fused, scalar)``.
 
     The engine is picked per job, before any lane is built: the jobs
     :func:`~repro.ads.batch.can_fuse` accepts run fused when there are
-    at least :data:`~repro.core.parallel.LANES` of them; every other
-    job runs the scalar engine.  Records are bit-for-bit the same
-    either way.
+    at least :data:`~repro.core.parallel.LANES` of them, whatever their
+    scenarios; every other job runs the scalar engine.  Records are
+    bit-for-bit the same either way.
     """
-    fusable = [can_fuse(config.ads, (fault,)) for _, fault in items]
+    fusable = [can_fuse(config.ads, (fault,)) for _, _, fault in items]
     if sum(fusable) < parallel.LANES:
         return [], list(items)
     return ([item for item, ok in zip(items, fusable) if ok],
             [item for item, ok in zip(items, fusable) if not ok])
 
 
-def _fused_records(scenario: Scenario, config: "CampaignConfig",
+def _validation_parts(config: "CampaignConfig", items: list,
+                      workers: int) -> list[tuple]:
+    """A pooled dispatch's items as parts, one pool task each.
+
+    The fused jobs go out as one wide part per worker, none below the
+    lane count (a smaller part would run scalar), and the scalar jobs
+    in about four chunks per worker.  Part
+    boundaries don't affect record values or emission order (keys
+    carry the slots); each worker re-splits its part and reaches the
+    same engine choice.
+    """
+    fused, scalar = _split_engines(config, items)
+    wide = max(parallel.LANES, len(fused) // workers)
+    chunk = max(1, len(scalar) // (workers * 4))
+    return [tuple(part) for part in
+            ((_parts(fused, wide) if fused else [])
+             + (_parts(scalar, chunk) if scalar else []))]
+
+
+def _fused_records(by_name: dict[str, Scenario], config: "CampaignConfig",
                    items: list, checkpoints: CheckpointStore | None
                    ) -> "list[ExperimentRecord] | None":
     """``items``' records from the fused engine
@@ -200,30 +222,32 @@ def _fused_records(scenario: Scenario, config: "CampaignConfig",
     """
     try:
         return execute_experiment_batch(
-            scenario, config, [fault for _, fault in items], checkpoints)
+            [(by_name[name], fault) for _, name, fault in items], config,
+            checkpoints)
     except Exception:
         return None
 
 
-def _pipeline_validate_chunk(chunk) -> list:
-    """Run one scenario's chunk of experiments; returns (key, record)s."""
+def _pipeline_validate_chunk(items) -> list:
+    """Run one part of ``(key, scenario name, fault)`` experiments;
+    returns ``(key, record)`` pairs."""
     assert _PIPELINE_STATE is not None, "pipeline pool not initialized"
-    name, items = chunk
     state = _PIPELINE_STATE
-    scenario = state.by_name[name]
-    checkpoints = state.checkpoints_for(name)
+    checkpoints = state.checkpoints_for(items)
     fused, scalar = _split_engines(state.config, items)
     done = []
     if fused:
-        records = _fused_records(scenario, state.config, fused, checkpoints)
+        records = _fused_records(state.by_name, state.config, fused,
+                                 checkpoints)
         if records is None:
             scalar = items
         else:
             done = [(key, record)
-                    for (key, _), record in zip(fused, records)]
-    return done + [(key, execute_experiment(scenario, state.config, fault,
+                    for (key, _, _), record in zip(fused, records)]
+    return done + [(key, execute_experiment(state.by_name[name],
+                                            state.config, fault,
                                             checkpoints))
-                   for key, fault in scalar]
+                   for key, name, fault in scalar]
 
 
 # -- driver side ---------------------------------------------------------------
@@ -691,89 +715,106 @@ class CampaignPipeline:
 
     def dispatch(self, entries: list) -> None:
         """Execute the owned, not yet dispatched ``(identity, job)``
-        entries, one group per scenario in order of appearance."""
+        entries.
+
+        Per scenario, in order of appearance, journal hits are claimed
+        and the ladder is readied; then the engines are split once over
+        every remaining item, so the fusable jobs of all the scenarios
+        run together (one wide batch when serial, one wide part per
+        worker when pooled).
+        """
         groups: dict[str, list] = {}
         for identity, (name, fault) in entries:
             if name in self._owned_names \
                     and identity not in self._dispatched_keys:
                 groups.setdefault(name, []).append((identity, fault))
-        for name, items in groups.items():
-            self._dispatch(name, items)
+        items = []
+        for name, group in groups.items():
+            self._dispatched_keys.update(key for key, _ in group)
+            fresh = self._claim_journaled(name, group)
+            if fresh:
+                self._ready_checkpoints(name, fresh)
+                items.extend((key, name, fault) for key, fault in fresh)
+        if not items:
+            return
+        if self._pool is None:
+            self._dispatch_serial(items)
+            return
+        policy = _policy(self.config)
+        for part in _validation_parts(self.config, items, self.workers):
+            timeout = (policy.job_timeout * len(part)
+                       if policy.job_timeout is not None else None)
+            self._pool.submit(_profiled, (_pipeline_validate_chunk,
+                                          list(part)),
+                              tag=("validate", part), timeout=timeout)
 
     # -- validation stage ------------------------------------------------------
 
-    def _dispatch(self, name: str, items: list) -> None:
-        """Execute ``items`` (``(key, fault)`` pairs) of one scenario."""
-        if not items:
-            return
-        self._dispatched_keys.update(key for key, _ in items)
-        if self._journal is not None:
-            fresh = []
-            for key, fault in items:
-                hit = self._journal.claim(name, fault, self.config.seed)
-                if hit is not None:
-                    self._emitter.stage(key, hit)
-                else:
-                    fresh.append((key, fault))
-            items = fresh
-            if not items:
-                return
-        self._ready_checkpoints(name, items)
-        if self._pool is None:
-            self._dispatch_serial(name, items)
-            return
-        policy = _policy(self.config)
-        chunk = max(1, len(items) // (self.workers * 4))
-        fused, scalar = _split_engines(self.config, items)
-        # The fused jobs go out as one wide part per worker, none below
-        # the lane count (a smaller part would run scalar); part
-        # boundaries don't affect record values or emission order
-        # (keys carry the slots).  Each worker re-splits its part and
-        # reaches the same engine choice.
-        wide = max(parallel.LANES, len(fused) // self.workers)
-        parts = ((_parts(fused, wide) if fused else [])
-                 + (_parts(scalar, chunk) if scalar else []))
-        for part in map(tuple, parts):
-            timeout = (policy.job_timeout * len(part)
-                       if policy.job_timeout is not None else None)
-            self._pool.submit(_profiled,
-                              (_pipeline_validate_chunk, (name, list(part))),
-                              tag=("validate", name, part),
-                              timeout=timeout)
+    def _claim_journaled(self, name: str, items: list) -> list:
+        """Emit the journal's records for ``items`` (``(key, fault)``
+        pairs of one scenario); returns the items still to run."""
+        if self._journal is None:
+            return items
+        fresh = []
+        for key, fault in items:
+            hit = self._journal.claim(name, fault, self.config.seed)
+            if hit is not None:
+                self._emitter.stage(key, hit)
+            else:
+                fresh.append((key, fault))
+        return fresh
 
-    def _dispatch_serial(self, name: str, items: list) -> None:
-        campaign = self.campaign
-        scenario = campaign._by_name[name]
-        store = campaign.checkpoints
-        loaded_here = (not store.has_scenario(name)
-                       and store.load_scenario(self._spool, name))
-        checkpoints = store if store.has_scenario(name) else None
+    def _dispatch_serial(self, items: list) -> None:
+        """Run ``(key, scenario name, fault)`` items in-process: the
+        fusable ones as one batch, the rest on the supervised scalar
+        path."""
+        by_name = self.campaign._by_name
+        checkpoints = self._fork_checkpoints(items)
         policy = _policy(self.config)
         fused, scalar = _split_engines(self.config, items)
-        try:
-            records = (_fused_records(scenario, self.config, fused,
-                                      checkpoints) if fused else [])
-            if records is None:
-                scalar.extend(fused)
-                records = []
-            for (key, _), record in zip(fused, records):
-                self._record_done(key, record)
-            for key, fault in scalar:
-                record, failure = run_supervised_serial(
-                    lambda: execute_experiment(scenario, self.config,
-                                               fault, checkpoints),
-                    policy, self.config.seed,
-                    (name, fault.start_tick, fault.variable, fault.value))
-                if failure is not None:
-                    record = failure_record(name, fault, self.config,
-                                            failure)
-                self._record_done(key, record)
-        finally:
+        records = (_fused_records(by_name, self.config, fused, checkpoints)
+                   if fused else [])
+        if records is None:
+            scalar.extend(fused)
+            records = []
+        for (key, _, _), record in zip(fused, records):
+            self._record_done(key, record)
+        for key, name, fault in scalar:
+            record, failure = run_supervised_serial(
+                lambda: execute_experiment(by_name[name], self.config,
+                                           fault, checkpoints),
+                policy, self.config.seed,
+                (name, fault.start_tick, fault.variable, fault.value))
+            if failure is not None:
+                record = failure_record(name, fault, self.config, failure)
+            self._record_done(key, record)
+
+    def _fork_checkpoints(self, items: list) -> CheckpointStore:
+        """The checkpoints ``items`` fork from, and no others.
+
+        Serial twin of the worker-side spool protocol: each scenario's
+        ladder is reloaded from the spool (unless the campaign holds it
+        resident), the checkpoint nearest each item's fault tick is
+        kept, and the ladder is evicted again, so at most one ladder is
+        resident at a time.  The nearest checkpoint of a tick in this
+        store is the one in the full ladder: every kept snapshot at or
+        before the tick is at or before that tick's own choice.
+        """
+        store = self.campaign.checkpoints
+        forks = CheckpointStore()
+        ticks: dict[str, list[int]] = {}
+        for _, name, fault in items:
+            ticks.setdefault(name, []).append(fault.start_tick)
+        for name, starts in ticks.items():
+            loaded_here = (not store.has_scenario(name)
+                           and store.load_scenario(self._spool, name))
+            for tick in starts:
+                checkpoint = store.nearest(name, tick)
+                if checkpoint is not None:
+                    forks.add(checkpoint)
             if loaded_here:
-                # Serial twin of the worker-side spool protocol: the
-                # ladder was reloaded for this dispatch; evict it again
-                # so memory stays O(one scenario).
                 store.drop_scenario(name)
+        return forks
 
     def _record_done(self, key, record: ExperimentRecord) -> None:
         if self._journal is not None:
@@ -866,9 +907,9 @@ class CampaignPipeline:
                             f"{failure.error}: {failure.message}")
                     self._handle_golden(name, value)
                 else:
-                    _, name, part = tag
+                    _, part = tag
                     if failure is not None:
-                        for key, fault in part:
+                        for key, name, fault in part:
                             self._record_done(
                                 key, failure_record(name, fault,
                                                     self.config, failure))

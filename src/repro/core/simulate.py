@@ -508,15 +508,17 @@ class _BatchLane:
     the block reference.
     """
 
-    __slots__ = ("index", "world", "pipeline", "armed", "degraded", "seed",
-                 "faults", "tick", "n_ticks", "monitor_from", "stop_after",
-                 "first_block", "first_tick", "collided", "went_off_road",
-                 "wall_seconds")
+    __slots__ = ("index", "scenario", "world", "pipeline", "armed",
+                 "degraded", "seed", "faults", "tick", "n_ticks",
+                 "monitor_from", "stop_after", "first_block", "first_tick",
+                 "collided", "went_off_road", "wall_seconds")
 
-    def __init__(self, index: int, world: World, pipeline: ADSPipeline,
-                 seed: int, faults: list[FaultSpec], tick: int, n_ticks: int,
-                 monitor_from: int, stop_after: int | None):
+    def __init__(self, index: int, scenario: str, world: World,
+                 pipeline: ADSPipeline, seed: int, faults: list[FaultSpec],
+                 tick: int, n_ticks: int, monitor_from: int,
+                 stop_after: int | None):
         self.index = index
+        self.scenario = scenario
         self.world = world
         self.pipeline: ADSPipeline | None = pipeline
         self.armed: list | None = None
@@ -547,7 +549,7 @@ class _BatchLane:
         self.degraded = self.pipeline.degraded_ticks > 0
         self.pipeline = None
 
-    def result(self, scenario_name: str, safety_config: SafetyConfig,
+    def result(self, safety_config: SafetyConfig,
                columns: _SafetyColumns | None, slot: int) -> RunResult:
         """The lane's :class:`RunResult`; the lane lets go of its world
         and samples.  Call :meth:`drop_pipeline` first."""
@@ -560,7 +562,7 @@ class _BatchLane:
                            self.collided, self.went_off_road)
         self.wall_seconds += time.perf_counter() - fold_start
         result = RunResult(
-            scenario=scenario_name, seed=self.seed, trace=Trace(),
+            scenario=self.scenario, seed=self.seed, trace=Trace(),
             **outcome, landed=any(fault.landed for fault in self.armed),
             degraded=self.degraded, sim_seconds=self.world.time,
             wall_seconds=self.wall_seconds, faults=self.faults,
@@ -589,29 +591,33 @@ def _prepare_lane(scenario: Scenario, index: int, faults: list[FaultSpec],
     n_ticks = int(round(scenario.duration / dt))
     monitor_from, stop_after = _fault_schedule(faults, horizon_after_fault,
                                                dt)
-    return _BatchLane(index, world, pipeline, lane_seed, faults, start_tick,
-                      n_ticks, monitor_from, stop_after)
+    return _BatchLane(index, scenario.name, world, pipeline, lane_seed,
+                      faults, start_tick, n_ticks, monitor_from, stop_after)
 
 
-def run_experiments_batched(scenario: Scenario, fault_lists,
+def run_experiments_batched(scenarios, fault_lists,
                             ads_config: ADSConfig | None = None,
                             safety_config: SafetyConfig | None = None,
                             seed: int = 0, checkpoints=None,
                             horizon_after_fault: float | None = 8.0,
                             batch_size: int | None = None
                             ) -> list[RunResult]:
-    """Run K fault experiments of one scenario over a lane batch.
+    """Run K fault experiments, one scenario each, over lane batches.
 
     The vectorized sibling of K calls to :func:`run_scenario` /
     :func:`run_scenario_from_checkpoint` with ``record_trace=False``:
-    up to ``batch_size`` experiments (default
+    ``scenarios`` aligns one :class:`Scenario` with each fault list, and
+    the experiments of any scenarios that share a road and an ego
+    vehicle build (every library scenario does) run as one batch.  Up
+    to ``batch_size`` of them (default
     :data:`repro.core.parallel.MAX_LANES`, the driver's width) occupy
     lanes of one :class:`BatchWorldState` and one
     :class:`BatchADSState`, so physics, ground-truth safety signals and
     the ADS advance in fused numpy kernels.  Lanes retire as their runs
     end (collision, post-fault horizon, or scenario end) and pending
-    experiments take their place.  Results are bit-for-bit the scalar
-    results, in submission order (wall clock aside).
+    experiments take their place, whatever their scenario.  Results
+    are bit-for-bit the scalar results, in submission order (wall clock
+    aside).
 
     Monitoring is columnar: each fused tick appends one block of every
     slot's safety inputs (:class:`_SafetyColumns`), and collision,
@@ -641,44 +647,73 @@ def run_experiments_batched(scenario: Scenario, fault_lists,
         from .parallel import MAX_LANES as batch_size
     ads_config = ads_config or ADSConfig()
     safety_config = safety_config or SafetyConfig()
+    scenarios = list(scenarios)
     fault_lists = [list(faults) for faults in fault_lists]
+    if len(scenarios) != len(fault_lists):
+        raise ValueError("scenarios must align with fault_lists")
     if checkpoints is None:
         checkpoints = [None] * len(fault_lists)
     if len(checkpoints) != len(fault_lists):
         raise ValueError("checkpoints must align with fault_lists")
-    if not fault_lists:
-        return []
+
+    # One fresh build per scenario name: its road and ego vehicle group
+    # the experiments into batches, and it sizes its batch's NPC
+    # columns and script arrays.
+    references: dict[str, World] = {}
+    groups: dict[tuple, list[int]] = {}
+    for index, scenario in enumerate(scenarios):
+        world = references.get(scenario.name)
+        if world is None:
+            world = references[scenario.name] = scenario.make_world()
+        groups.setdefault((world.road, world.ego.params), []).append(index)
 
     results: list[RunResult | None] = [None] * len(fault_lists)
-    pending = iter(range(len(fault_lists)))
+    for indices in groups.values():
+        names = dict.fromkeys(scenarios[i].name for i in indices)
+        _run_batch([(i, scenarios[i], fault_lists[i], checkpoints[i])
+                    for i in indices],
+                   [references[name] for name in names], results,
+                   ads_config, safety_config, seed, horizon_after_fault,
+                   int(batch_size))
+    return results
+
+
+def _run_batch(jobs: list, references: list[World], results: list,
+               ads_config: ADSConfig, safety_config: SafetyConfig,
+               seed: int, horizon_after_fault: float | None,
+               batch_size: int) -> None:
+    """Run ``jobs`` (``(index, scenario, faults, checkpoint)``) as one
+    batch of up to ``batch_size`` live lanes, storing each result at
+    its index; ``references`` holds one fresh build per scenario."""
+    pending = iter(jobs)
     dt = ads_config.control_period
-    n_lanes = max(1, min(int(batch_size), len(fault_lists)))
+    n_lanes = max(1, min(batch_size, len(jobs)))
 
     def next_lane() -> _BatchLane | None:
         """Prepare the next pending experiment, finalizing any run whose
         window is already over (zero loop iterations in the scalar path
         — same early-exit RunResult)."""
-        for index in pending:
+        for index, scenario, faults, checkpoint in pending:
             prepare_start = time.perf_counter()
-            lane = _prepare_lane(scenario, index, fault_lists[index],
-                                 checkpoints[index], ads_config, seed,
-                                 horizon_after_fault)
+            lane = _prepare_lane(scenario, index, faults, checkpoint,
+                                 ads_config, seed, horizon_after_fault)
             lane.wall_seconds = time.perf_counter() - prepare_start
             if lane.tick < lane.n_ticks:
                 return lane
             lane.drop_pipeline()
-            results[index] = lane.result(scenario.name, safety_config,
-                                         None, -1)
+            results[index] = lane.result(safety_config, None, -1)
         return None
 
     slots = [lane for lane in (next_lane() for _ in range(n_lanes))
              if lane is not None]
     if not slots:
-        return results
+        return
     batch = BatchWorldState([lane.world for lane in slots],
-                            reference=scenario.make_world())
+                            references=references)
     ads = BatchADSState(batch, ads_config)
     columns = _SafetyColumns(batch.n_lanes)
+    STAGE_TIMER.count("engine", "fused_batches", 1)
+    STAGE_TIMER.count("engine", "batch_scenarios", len(references))
 
     # Per-slot lane state.  A lane is monitored from the first tick at
     # or past its first fault tick, and retires after a monitored
@@ -749,8 +784,8 @@ def run_experiments_batched(scenario: Scenario, fault_lists,
             lane.collided = bool(collided_any[slot])
             lane.went_off_road = bool(off_road_any[slot])
             lane.wall_seconds += float(wall[slot])
-            results[lane.index] = lane.result(scenario.name, safety_config,
-                                              columns, slot)
+            results[lane.index] = lane.result(safety_config, columns,
+                                              slot)
             slots[slot] = fresh = next_lane()
             if fresh is not None:
                 batch.attach(slot, fresh.world)
@@ -758,7 +793,6 @@ def run_experiments_batched(scenario: Scenario, fault_lists,
         needed = first_block[active & (first_block >= 0)]
         columns.keep_from(int(needed.min()) if needed.size
                           else columns.next_block)
-    return results
 
 
 def _trace_row(world: World, tick: int, command: ActuationCommand,

@@ -1,12 +1,16 @@
 """Structure-of-arrays batch simulation: N worlds per fused numpy kernel.
 
-:class:`BatchWorldState` holds N lanes of the *same scenario build* —
-per-lane ego states as an ``(N, 5)`` float64 matrix, per-lane NPC
-positions as ``(N, M)`` matrices, and vectorized NPC script state — and
+:class:`BatchWorldState` holds N lanes that share one road and one ego
+vehicle build — per-lane ego states as an ``(N, 5)`` float64 matrix,
+per-lane NPC positions, body sizes and acceleration limits as ``(N, M)``
+matrices, and per-lane NPC scripts as ``(N, M, K)`` arrays — and
 advances all of them with one set of elementwise ufunc calls per tick
 (:func:`~repro.sim.kinematics.batched_rk4_step` for the egos, masked
-array updates for the scripts).  Ground-truth safety signals come from
-the batched variants in :mod:`repro.sim.collision`.
+array updates for the scripts).  Lanes may come from different
+scenarios: each lane's columns hold its own roster, in ``world.npcs``
+order, and a lane with fewer NPCs than the widest roster of the batch
+has padded columns.  Ground-truth safety signals come from the batched
+variants in :mod:`repro.sim.collision`.
 
 The contract is the repo-wide one: every lane is bit-for-bit the scalar
 :class:`~repro.sim.world.World` stepped alone.  The engine achieves that
@@ -22,19 +26,25 @@ by construction —
   ``World.in_collision``) behind a vectorized prescreen.  Both engines
   prescreen with the same bounds
   (:func:`~repro.sim.collision.aabb_half_extents`);
+* padded NPC columns are inert: their positions are NaN, which fails
+  every comparison the kernels and the fused sensing make (range gates,
+  corridor and flank tests, occluders, the collision prescreen), their
+  speed is 0 under a zero acceleration limit, and their scripts never
+  fire (speed and lane-change times of ``+inf``).  ``present`` marks
+  the real columns;
 * each lane keeps its scalar ``World`` object, which :meth:`scatter`
   writes the batch state back into (the driver scatters a lane when it
   retires), so a finished run reads exactly the world it would have
   stepped alone.
 
 Lanes can join (``attach``) and retire (``deactivate``) independently;
-retired lanes are zeroed so the fused kernels never see stale state, a
+retired lanes are cleared so the fused kernels never see stale state, a
 retired lane never perturbs survivors (lanes only interact through
-their own columns), and a released slot (``release``) holds no
-``World`` until the next lane attaches.  A batch is as wide as the
-driver makes it (:data:`repro.core.parallel.MAX_LANES`): a retired slot
-that no pending lane refills idles to the end of the batch, zeroed, for
-the price of its rows in the fused kernels.
+their own rows), and a released slot (``release``) holds no ``World``
+until the next lane attaches, which may be of another scenario.  A batch
+is as wide as the driver makes it (:data:`repro.core.parallel.MAX_LANES`):
+a retired slot that no pending lane refills idles to the end of the
+batch, cleared, for the price of its rows in the fused kernels.
 """
 
 from __future__ import annotations
@@ -49,58 +59,60 @@ from .kinematics import BatchKernelWorkspace, VehicleState, batched_rk4_step
 from .world import World
 
 
-def _match_subsequence(commands, master) -> list[bool]:
-    """Remaining-mask of ``commands`` against the master script."""
-    mask = [False] * len(master)
-    position = 0
-    for command in commands:
-        index = master.index(command, position)
-        mask[index] = True
-        position = index + 1
-    return mask
-
-
 class BatchWorldState:
-    """N same-scenario worlds advanced in lockstep by fused kernels.
+    """N worlds on one road with one ego build, advanced in lockstep.
 
-    ``reference`` is a fresh world of the scenario build: its road,
-    vehicle parameters and full NPC scripts define the batch, and every
-    lane world must be a state of that build.
+    ``references`` are fresh builds of every scenario whose lanes may
+    attach during the batch's life (default: ``worlds``): the NPC
+    columns are as wide as the largest roster among them, and the
+    script arrays as deep as their longest speed and lane-change
+    scripts.  Every lane world must share the first world's road and
+    ego vehicle parameters.
     """
 
-    def __init__(self, worlds: list[World], reference: World):
+    def __init__(self, worlds: list[World],
+                 references: list[World] | None = None):
         if not worlds:
             raise ValueError("batch needs at least one lane")
         #: Each lane's scalar world; ``None`` for a released slot.
         self.worlds: list[World | None] = list(worlds)
         n = len(self.worlds)
-        self.road = reference.road
-        self.ego_params = reference.ego.params
-        npcs = reference.npcs
-        m = len(npcs)
-        self._npc_ids = [npc.npc_id for npc in npcs]
-        self._npc_lengths = np.array([npc.length for npc in npcs])
-        self._npc_widths = np.array([npc.width for npc in npcs])
-        self._npc_limits = [npc.acceleration_limit for npc in npcs]
-        self._speed_commands = [list(npc.speed_commands) for npc in npcs]
-        self._lane_master = [list(npc.lane_commands) for npc in npcs]
+        self.road = worlds[0].road
+        self.ego_params = worlds[0].ego.params
+        builds = self.worlds + list(references or ())
+        m = max(len(world.npcs) for world in builds)
+        k = max((len(npc.speed_commands) for world in builds
+                 for npc in world.npcs), default=0)
+        depth = max((len(npc.lane_commands) for world in builds
+                     for npc in world.npcs), default=0)
 
         self.ego = np.zeros((n, 5))
         self.time = np.zeros(n)
         self.acceleration = np.zeros(n)
         self.steering_rate = np.zeros(n)
-        self.npc_x = np.zeros((n, m))
-        self.npc_y = np.zeros((n, m))
+        #: Real (not padded) NPC columns.
+        self.present = np.zeros((n, m), dtype=bool)
+        self.npc_x = np.full((n, m), np.nan)
+        self.npc_y = np.full((n, m), np.nan)
         self.npc_v = np.zeros((n, m))
+        self.npc_length = np.zeros((n, m))
+        self.npc_width = np.zeros((n, m))
+        self.npc_limit = np.zeros((n, m))
+        self.speed_t = np.full((n, m, k), np.inf)
+        self.speed_target = np.zeros((n, m, k))
+        self.lane_t = np.full((n, m, depth), np.inf)
+        self.lane_target_y = np.zeros((n, m, depth))
+        self.lane_duration = np.ones((n, m, depth))
+        self.lane_remaining = np.zeros((n, m, depth), dtype=bool)
         self.lane_start = np.full((n, m), np.nan)
-        self.lane_remaining = [
-            np.zeros((n, len(self._lane_master[j])), dtype=bool)
-            for j in range(m)]
+        #: Per lane and NPC, the lane-change commands it attached with:
+        #: what ``lane_remaining`` indexes and :meth:`scatter` rebuilds
+        #: ``lane_commands`` from.
+        self._lane_scripts: list[list[list] | None] = [None] * n
         self.active = np.zeros(n, dtype=bool)
 
         self._workspace = BatchKernelWorkspace(n)
         self._ego_out = np.empty((n, 5))
-        self._target = np.empty(n)
         self._mask = np.empty(n, dtype=bool)
         for lane, world in enumerate(self.worlds):
             self.attach(lane, world)
@@ -113,51 +125,75 @@ class BatchWorldState:
 
     @property
     def n_obstacles(self) -> int:
-        return len(self._npc_ids)
+        """NPC columns per lane (the widest roster the batch holds)."""
+        return self.npc_x.shape[1]
 
     def attach(self, lane: int, world: World) -> None:
-        """Load ``world`` (same scenario build) into ``lane``."""
-        if len(world.npcs) != self.n_obstacles:
-            raise ValueError(
-                f"lane world has {len(world.npcs)} NPCs, batch has "
-                f"{self.n_obstacles}; batches hold one scenario build")
+        """Load ``world`` into ``lane`` (its own NPCs and scripts)."""
+        npcs = world.npcs
+        if (len(npcs) > self.n_obstacles
+                or any(len(npc.speed_commands) > self.speed_t.shape[2]
+                       or len(npc.lane_commands) > self.lane_t.shape[2]
+                       for npc in npcs)):
+            raise ValueError("lane world has more NPCs or longer scripts "
+                             "than the batch was sized for; pass its "
+                             "scenario build in references")
+        if world.road != self.road or world.ego.params != self.ego_params:
+            raise ValueError("batches hold one road and one ego vehicle "
+                             "build")
         self.worlds[lane] = world
         state = world.ego.state
-        self.ego[lane, 0] = state.x
-        self.ego[lane, 1] = state.y
-        self.ego[lane, 2] = state.v
-        self.ego[lane, 3] = state.theta
-        self.ego[lane, 4] = state.phi
+        self.ego[lane] = (state.x, state.y, state.v, state.theta, state.phi)
         self.time[lane] = world.time
         self.acceleration[lane] = 0.0
         self.steering_rate[lane] = 0.0
-        for j, npc in enumerate(world.npcs):
-            if npc.npc_id != self._npc_ids[j]:
-                raise ValueError("lane world NPC roster does not match "
-                                 "the batch scenario build")
+        scripts = []
+        for j, npc in enumerate(npcs):
+            self.present[lane, j] = True
             self.npc_x[lane, j] = npc.x
             self.npc_y[lane, j] = npc.y
             self.npc_v[lane, j] = npc.v
+            self.npc_length[lane, j] = npc.length
+            self.npc_width[lane, j] = npc.width
+            self.npc_limit[lane, j] = npc.acceleration_limit
+            for i, command in enumerate(npc.speed_commands):
+                self.speed_t[lane, j, i] = command.t
+                self.speed_target[lane, j, i] = command.target
+            script = list(npc.lane_commands)
+            for i, command in enumerate(script):
+                self.lane_t[lane, j, i] = command.t
+                self.lane_target_y[lane, j, i] = command.target_y
+                self.lane_duration[lane, j, i] = command.duration
+                self.lane_remaining[lane, j, i] = True
+            scripts.append(script)
             start = npc._lane_start_y
             self.lane_start[lane, j] = (np.nan if start is None
                                         else float(start))
-            self.lane_remaining[j][lane, :] = _match_subsequence(
-                npc.lane_commands, self._lane_master[j])
+        self._lane_scripts[lane] = scripts
         self.active[lane] = True
 
     def deactivate(self, lane: int) -> None:
-        """Retire a lane: zero its state so kernels never see residue."""
+        """Retire a lane: clear its rows so kernels never see residue."""
         self.active[lane] = False
         self.ego[lane, :] = 0.0
         self.time[lane] = 0.0
         self.acceleration[lane] = 0.0
         self.steering_rate[lane] = 0.0
-        self.npc_x[lane, :] = 0.0
-        self.npc_y[lane, :] = 0.0
-        self.npc_v[lane, :] = 0.0
-        self.lane_start[lane, :] = np.nan
-        for remaining in self.lane_remaining:
-            remaining[lane, :] = False
+        self.present[lane] = False
+        self.npc_x[lane] = np.nan
+        self.npc_y[lane] = np.nan
+        self.npc_v[lane] = 0.0
+        self.npc_length[lane] = 0.0
+        self.npc_width[lane] = 0.0
+        self.npc_limit[lane] = 0.0
+        self.speed_t[lane] = np.inf
+        self.speed_target[lane] = 0.0
+        self.lane_t[lane] = np.inf
+        self.lane_target_y[lane] = 0.0
+        self.lane_duration[lane] = 1.0
+        self.lane_remaining[lane] = False
+        self.lane_start[lane] = np.nan
+        self._lane_scripts[lane] = None
 
     def release(self, lane: int) -> None:
         """Retire a lane for good: :meth:`deactivate` it and let go of
@@ -196,50 +232,53 @@ class BatchWorldState:
     # -- stepping -----------------------------------------------------------
 
     def _step_npcs(self, dt: float) -> None:
-        time = self.time
-        for j in range(self.n_obstacles):
-            x = self.npc_x[:, j]
-            y = self.npc_y[:, j]
-            v = self.npc_v[:, j]
-            target = self._target
-            np.copyto(target, v)
-            for command in self._speed_commands[j]:
-                np.greater_equal(time, command.t, out=self._mask)
-                np.copyto(target, command.target, where=self._mask)
-            limit = self._npc_limits[j] * dt
-            delta_v = np.clip(target - v, -limit, limit)
-            # max(0.0, v + delta_v): select mirrors the scalar operand
-            # order (z if z > 0.0 else 0.0).
-            z = v + delta_v
-            np.copyto(v, np.where(z > 0.0, z, 0.0))
-            x += v * dt
+        """``NPCVehicle.step`` for every (lane, NPC) cell at once."""
+        time = self.time[:, None]
+        v = self.npc_v
+        # The last speed command due wins (scalar ``_active_speed_target``
+        # scans the script in order).
+        target = v.copy()
+        for i in range(self.speed_t.shape[2]):
+            np.copyto(target, self.speed_target[:, :, i],
+                      where=time >= self.speed_t[:, :, i])
+        limit = self.npc_limit * dt
+        delta_v = np.clip(target - v, -limit, limit)
+        # max(0.0, v + delta_v): select mirrors the scalar operand
+        # order (z if z > 0.0 else 0.0).
+        z = v + delta_v
+        np.copyto(v, np.where(z > 0.0, z, 0.0))
+        self.npc_x += v * dt
 
-            master = self._lane_master[j]
-            if not master:
-                continue
-            remaining = self.lane_remaining[j]
-            active_cmd = np.full(self.n_lanes, -1, dtype=np.intp)
-            for k, command in enumerate(master):
-                sel = remaining[:, k] & (time >= command.t)
-                active_cmd[sel] = k
-            start_col = self.lane_start[:, j]
-            needs_start = (active_cmd >= 0) & np.isnan(start_col)
-            start_col[needs_start] = y[needs_start]
-            for k, command in enumerate(master):
-                group = active_cmd == k
-                if not group.any():
-                    continue
-                progress = np.clip(
-                    (time[group] + dt - command.t) / command.duration,
-                    0.0, 1.0)
-                blend = 0.5 * (1.0 - np.cos(np.pi * progress))
-                start = start_col[group]
-                y[group] = start + (command.target_y - start) * blend
-                finished = progress >= 1.0
-                if finished.any():
-                    rows = np.nonzero(group)[0][finished]
-                    start_col[rows] = np.nan
-                    remaining[rows, k] = False
+        remaining = self.lane_remaining
+        if not remaining.any():
+            return
+        # The last remaining lane change due is the active one.
+        active = np.full(v.shape, -1, dtype=np.intp)
+        for i in range(remaining.shape[2]):
+            active[remaining[:, :, i]
+                   & (time >= self.lane_t[:, :, i])] = i
+        moving = active >= 0
+        if not moving.any():
+            return
+        y = self.npc_y
+        starting = moving & np.isnan(self.lane_start)
+        self.lane_start[starting] = y[starting]
+        rows, cols = np.nonzero(moving)
+        index = active[rows, cols]
+        command_t = self.lane_t[rows, cols, index]
+        progress = np.clip(
+            (self.time[rows] + dt - command_t)
+            / self.lane_duration[rows, cols, index], 0.0, 1.0)
+        blend = 0.5 * (1.0 - np.cos(np.pi * progress))
+        start = self.lane_start[rows, cols]
+        y[rows, cols] = (start + (self.lane_target_y[rows, cols, index]
+                                  - start) * blend)
+        finished = progress >= 1.0
+        if finished.any():
+            rows, cols, index = rows[finished], cols[finished], \
+                index[finished]
+            self.lane_start[rows, cols] = np.nan
+            remaining[rows, cols, index] = False
 
     def step(self, dt: float) -> None:
         """Advance every lane ``dt`` seconds (scripts, then egos).
@@ -280,19 +319,19 @@ class BatchWorldState:
                 v=float(self.ego[lane, 2]), theta=float(self.ego[lane, 3]),
                 phi=float(self.ego[lane, 4]))
             world.time = float(self.time[lane])
-            for j, npc in enumerate(world.npcs):
+            for j, (npc, script) in enumerate(zip(
+                    world.npcs, self._lane_scripts[lane])):
                 npc.x = float(self.npc_x[lane, j])
                 npc.y = float(self.npc_y[lane, j])
                 npc.v = float(self.npc_v[lane, j])
                 start = self.lane_start[lane, j]
                 npc._lane_start_y = (None if np.isnan(start)
                                      else float(start))
-                master = self._lane_master[j]
-                remaining = self.lane_remaining[j][lane]
+                remaining = self.lane_remaining[lane, j]
                 if len(npc.lane_commands) != int(remaining.sum()):
-                    npc.lane_commands = [
-                        command for k, command in enumerate(master)
-                        if remaining[k]]
+                    npc.lane_commands = [command for i, command
+                                         in enumerate(script)
+                                         if remaining[i]]
             world.invalidate_obstacles()
 
     # -- batched ground-truth signals ---------------------------------------
@@ -306,7 +345,7 @@ class BatchWorldState:
         ego_y = self.ego[:, 1]
         lead_index, has_lead = batched_nearest_lead(
             ego_x, ego_y, params.width, self.npc_x, self.npc_y,
-            self._npc_widths)
+            self.npc_width)
         n = self.n_lanes
         gap = np.full(n, SENSOR_RANGE)
         lead_speed = np.full(n, np.nan)
@@ -315,17 +354,17 @@ class BatchWorldState:
             cols = lead_index[rows]
             gap[rows] = ((self.npc_x[rows, cols] - ego_x[rows])
                          - (params.length
-                            + self._npc_lengths[cols]) / 2.0)
+                            + self.npc_length[rows, cols]) / 2.0)
             lead_speed[rows] = self.npc_v[rows, cols]
         lateral_free = batched_lateral_clearance(
             ego_x, ego_y, params.length, params.width, self.npc_x,
-            self.npc_y, self._npc_lengths, self._npc_widths, self.road)
+            self.npc_y, self.npc_length, self.npc_width, self.road)
         return gap, lead_speed, lateral_free
 
     def collided_mask(self, timer=None) -> np.ndarray:
         """Per-lane ``World.in_collision``: vectorized prescreen, then
         the scalar confirm (:func:`~repro.sim.collision.box_collides`)
-        on each candidate lane's bodies.
+        on each candidate lane's real bodies.
 
         The confirm reads the batch arrays (``float()`` reads are what a
         scatter would have written), so callers that keep lanes
@@ -335,20 +374,17 @@ class BatchWorldState:
         """
         params = self.ego_params
         ego = self.ego
-        # Retired slots are zeroed (ego and NPCs collapse onto the
-        # origin) and would otherwise confirm as phantom collisions
-        # every remaining tick of the batch.
         candidates = self.active & batched_collision_prescreen(
             ego[:, 0], ego[:, 1], ego[:, 3], params.length, params.width,
-            self.npc_x, self.npc_y, self._npc_lengths, self._npc_widths)
+            self.npc_x, self.npc_y, self.npc_length, self.npc_width)
         collided = np.zeros(self.n_lanes, dtype=bool)
         for lane in np.nonzero(candidates)[0].tolist():
             obstacles = [
                 Obstacle(obstacle_id=j, x=float(self.npc_x[lane, j]),
                          y=float(self.npc_y[lane, j]),
-                         length=float(self._npc_lengths[j]),
-                         width=float(self._npc_widths[j]))
-                for j in range(self.n_obstacles)]
+                         length=float(self.npc_length[lane, j]),
+                         width=float(self.npc_width[lane, j]))
+                for j in np.flatnonzero(self.present[lane]).tolist()]
             collided[lane] = box_collides(
                 float(ego[lane, 0]), float(ego[lane, 1]),
                 float(ego[lane, 3]), params.length, params.width,

@@ -267,12 +267,16 @@ def box_collides(x: float, y: float, theta: float, length: float,
 
 # -- batched variants --------------------------------------------------------
 #
-# The batch simulation engine keeps N lanes of the same scenario in a
-# structure-of-arrays layout: per-lane ego positions as ``(N,)`` vectors
-# and per-lane obstacle positions as ``(N, M)`` matrices (M obstacles,
-# shared static dimensions).  Each function below is the elementwise
-# mirror of its scalar sibling above: identical operation order,
-# identical compare-and-select clamps (``min`` is written as
+# The batch simulation engine keeps N lanes in a structure-of-arrays
+# layout: per-lane ego positions as ``(N,)`` vectors and per-lane
+# obstacle positions as ``(N, M)`` matrices.  Obstacle sizes are
+# ``(N, M)`` too (lanes of different scenarios carry different bodies),
+# or an ``(M,)`` row shared by every lane (``sizes[..., j]`` is a lane
+# column of the one and a scalar of the other).  A padded
+# column (a lane with fewer than M obstacles) holds NaN positions, which
+# fail every comparison below, so it never counts.  Each function is the
+# elementwise mirror of its scalar sibling above: identical operation
+# order, identical compare-and-select clamps (``min`` is written as
 # ``where(b < a, b, a)``, never ``np.minimum``, so signed-zero and tie
 # behaviour match Python's), so per lane the results are bit-for-bit
 # the scalar answers.
@@ -288,11 +292,13 @@ def batched_lateral_clearance(ego_x: np.ndarray, ego_y: np.ndarray,
     a = ego_y - half_width - 0.0
     b = road.width - (ego_y + half_width)
     margin = np.where(np.less(b, a), b, a)
+    lengths = np.asarray(obs_lengths, dtype=float)
+    widths = np.asarray(obs_widths, dtype=float)
     for j in range(obs_x.shape[1]):
         longitudinal_gap = (np.abs(obs_x[:, j] - ego_x)
-                            - (ego_length + float(obs_lengths[j])) / 2.0)
+                            - (ego_length + lengths[..., j]) / 2.0)
         side_gap = (np.abs(obs_y[:, j] - ego_y)
-                    - (ego_width + float(obs_widths[j])) / 2.0)
+                    - (ego_width + widths[..., j]) / 2.0)
         # min(margin, side_gap) with Python-``min`` ties (keep margin).
         update = (longitudinal_gap < 0.0) & np.less(side_gap, margin)
         margin[update] = side_gap[update]
@@ -323,9 +329,10 @@ def batched_nearest_lead(ego_x: np.ndarray, ego_y: np.ndarray,
     if m == 0:
         return (np.zeros(n, dtype=np.intp), np.zeros(n, dtype=bool))
     eligible = np.empty((n, m), dtype=bool)
+    widths = np.asarray(obs_widths, dtype=float)
     for j in range(m):
         gap = (np.abs(obs_y[:, j] - ego_y)
-               - (ego_width + float(obs_widths[j])) / 2.0 - extra_margin)
+               - (ego_width + widths[..., j]) / 2.0 - extra_margin)
         eligible[:, j] = ((obs_x[:, j] >= ego_x) & (gap < 0.0)
                           & ((obs_x[:, j] - ego_x) <= SENSOR_RANGE))
     masked_x = np.where(eligible, obs_x, np.inf)
@@ -354,9 +361,11 @@ def batched_collision_prescreen(ego_x: np.ndarray, ego_y: np.ndarray,
         return candidates
     half_x, half_y = aabb_half_extents(ego_length, ego_width,
                                        np.cos(ego_theta), np.sin(ego_theta))
+    lengths = np.asarray(obs_lengths, dtype=float)
+    widths = np.asarray(obs_widths, dtype=float)
     for j in range(m):
-        reach_x = half_x + (float(obs_lengths[j]) / 2.0 + PRESCREEN_SLACK)
-        reach_y = half_y + (float(obs_widths[j]) / 2.0 + PRESCREEN_SLACK)
+        reach_x = half_x + (lengths[..., j] / 2.0 + PRESCREEN_SLACK)
+        reach_y = half_y + (widths[..., j] / 2.0 + PRESCREEN_SLACK)
         candidates |= ((np.abs(obs_x[:, j] - ego_x) <= reach_x)
                        & (np.abs(obs_y[:, j] - ego_y) <= reach_y))
     return candidates

@@ -1,8 +1,9 @@
 """Batched validation equals the scalar oracle, record for record.
 
 The acceptance contract of the vectorized batch engine: a campaign
-fuses a scenario's value-fault jobs when it has at least
-:data:`repro.core.parallel.LANES` of them, runs every other job scalar,
+fuses the value-fault jobs of one dispatch, across scenarios, when
+there are at least :data:`repro.core.parallel.LANES` of them, runs
+every other job scalar,
 and every campaign style emits a
 record stream *bit-for-bit* identical (wall-clock timing aside) to the
 reference loop — serial scalar :class:`~repro.sim.world.World` runs with
@@ -195,8 +196,8 @@ class TestBatchedDriverEquivalence:
                                                      scalar_reference,
                                                      lanes):
         """Two-lane batches drain to a 1-lane tail whenever one lane
-        retires first.  The exhaustive stream fuses its value faults;
-        the random one has too few per scenario."""
+        retires first.  The exhaustive stream fuses its value
+        faults."""
         lanes(2)
         assert run_style("exhaustive", workers=None) == \
             scalar_reference("exhaustive")
@@ -300,7 +301,8 @@ class TestCheckpointForkOracle:
 
         def run(checkpoints):
             results = run_experiments_batched(
-                scenario, fault_lists, ads_config=config.ads,
+                [scenario] * len(fault_lists), fault_lists,
+                ads_config=config.ads,
                 safety_config=config.safety, seed=config.seed,
                 checkpoints=checkpoints,
                 horizon_after_fault=config.horizon_after_fault,
@@ -327,8 +329,8 @@ class TestFusedWallClock:
         fault_lists = [[FaultSpec("brake", 0.0, ticks[i], 4)]
                        for i in range(0, len(ticks), len(ticks) // 12)]
         start = time.perf_counter()
-        results = run_experiments_batched(scenario, fault_lists,
-                                          batch_size=8)
+        results = run_experiments_batched([scenario] * len(fault_lists),
+                                          fault_lists, batch_size=8)
         elapsed = time.perf_counter() - start
         clocks = [result.wall_seconds for result in results]
         assert all(clock > 0.0 for clock in clocks)
@@ -358,19 +360,38 @@ class TestEngineCounters:
         assert (engine["fused_jobs"], engine["scalar_jobs"]) == \
             (parallel.LANES, 3)
         assert 0.0 < engine["lane_ticks"] / engine["slot_ticks"] <= 1.0
+        assert (engine["fused_batches"], engine["batch_scenarios"]) == \
+            (1, 1)
+
+    def test_batches_count_their_scenarios(self, lanes):
+        """Groups of two scenarios that only reach ``LANES`` together
+        run as one batch of both."""
+        lanes(4)
+        campaign = Campaign(small_scenarios()[:2],
+                            CampaignConfig(profile_stages=True))
+        jobs = [(scenario.name, FaultSpec("brake", 0.0, tick, 4))
+                for scenario in campaign.scenarios for tick in (30, 60)]
+        summary = campaign.run_jobs(jobs)
+        engine = summary.extra_info["stage_timings"]["engine"]
+        assert (engine["fused_jobs"], engine["fused_batches"],
+                engine["batch_scenarios"]) == (4, 1, 2)
+        assert strip_wall(summary.records) == \
+            strip_wall(reference_records(campaign, jobs))
 
     def test_rows_merge_and_print(self, capsys):
         summary = CampaignSummary()
         summary.extra_info["stage_timings"] = {
             "engine": {"seconds": 0.0, "calls": 0, "fused_jobs": 16,
                        "scalar_jobs": 4, "fused_ticks": 25,
-                       "lane_ticks": 300, "slot_ticks": 400}}
+                       "lane_ticks": 300, "slot_ticks": 400,
+                       "fused_batches": 2, "batch_scenarios": 5}}
         merged = CampaignSummary.merge([summary, summary])
         assert merged.extra_info["stage_timings"]["engine"] == {
             "seconds": 0.0, "calls": 0, "fused_jobs": 32,
             "scalar_jobs": 8, "fused_ticks": 50, "lane_ticks": 600,
-            "slot_ticks": 800}
+            "slot_ticks": 800, "fused_batches": 4, "batch_scenarios": 10}
         _print_summary(merged, "random")
         assert ("engine: 32 fused jobs, 8 scalar jobs, lane occupancy "
                 "75.0% (600 of 800 slot-ticks) in 50 fused ticks "
-                "(12.0 lanes per tick)") in capsys.readouterr().out
+                "(12.0 lanes per tick), 4 fused batches "
+                "(2.5 scenarios per batch)") in capsys.readouterr().out

@@ -179,8 +179,8 @@ class TestStrideFallback:
         scalar = [execute_experiment(scenario, forked.config, fault, store)
                   for fault in faults]
         assert strip_wall(scalar) == expected
-        fused = execute_experiment_batch(scenario, forked.config, faults,
-                                         store)
+        fused = execute_experiment_batch(
+            [(scenario, fault) for fault in faults], forked.config, store)
         assert strip_wall(fused) == expected
 
     @pytest.mark.parametrize("offset", [1, 3, 5])

@@ -13,6 +13,7 @@ raises on an interface-fault pipeline.
 
 from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,9 @@ from repro.ads.runtime import ADSConfig, ADSPipeline
 from repro.core.interface_faults import CHANNELS, INTERFACE_KINDS
 from repro.core.simulate import (FaultSpec, _arm_faults,
                                  run_experiments_batched, run_scenario)
-from repro.sim import BatchWorldState, highway_cruise
+from repro.sim import (BatchWorldState, adjacent_traffic, empty_road,
+                       highway_cruise, lead_vehicle_cutin, stop_and_go,
+                       two_lead_reveal)
 
 SCENARIO = replace(highway_cruise(), duration=10.0)
 HORIZON = 3.0
@@ -69,8 +72,8 @@ def _strip(result):
 
 def _run_batched(lists, seed, batch_size):
     return [_strip(result) for result in run_experiments_batched(
-        SCENARIO, lists, seed=seed, horizon_after_fault=HORIZON,
-        batch_size=batch_size)]
+        [SCENARIO] * len(lists), lists, seed=seed,
+        horizon_after_fault=HORIZON, batch_size=batch_size)]
 
 
 def _run_scalar(lists, seed):
@@ -114,6 +117,60 @@ class TestRetirement:
         assert together == alone
 
 
+#: Scenarios of 0 to 3 NPCs for mixed batches, each named apart.
+MIXED = [replace(factory(), name=f"{factory.__name__}-mixed", duration=8.0)
+         for factory in (empty_road, highway_cruise, lead_vehicle_cutin,
+                         two_lead_reveal, stop_and_go, adjacent_traffic)]
+
+mixed_lanes = st.lists(st.tuples(st.integers(0, len(MIXED) - 1),
+                                 fused_lane), min_size=1, max_size=6)
+
+
+class TestMixedScenarios:
+    """Lanes of different scenarios share one batch, lane for lane
+    equal to the scalar pipeline."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(mixed_lanes, seeds, batch_sizes)
+    def test_mixed_lanes_match_scalar_pipelines(self, lanes, seed,
+                                                batch_size):
+        scenarios = [MIXED[index] for index, _ in lanes]
+        lists = [faults for _, faults in lanes]
+        fused = run_experiments_batched(
+            scenarios, lists, seed=seed, horizon_after_fault=HORIZON,
+            batch_size=batch_size)
+        scalar = [run_scenario(scenario, seed=seed, faults=faults,
+                               horizon_after_fault=HORIZON,
+                               record_trace=False)
+                  for scenario, faults in zip(scenarios, lists)]
+        assert [_strip(result) for result in fused] == \
+            [_strip(result) for result in scalar]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, len(MIXED) - 1),
+                              st.floats(-8.0, 8.0), st.floats(-1.5, 12.5)),
+                    min_size=1, max_size=6), seeds)
+    def test_sensing_sees_only_real_columns(self, lanes, seed):
+        """Egos anywhere near the origin, where a padded column would
+        sit if padding were a position: the fused sensing's bundles
+        equal the scalar sensor suite's, range gates, occluders and
+        the visible list included."""
+        worlds = []
+        for index, x, y in lanes:
+            world = MIXED[index].make_world()
+            world.ego.state = replace(world.ego.state, x=x, y=y)
+            worlds.append(world)
+        batch = BatchWorldState(worlds)
+        ads = BatchADSState(batch, CONFIG)
+        expected = []
+        for slot, world in enumerate(worlds):
+            ads.attach(slot, ADSPipeline(CONFIG, seed=seed + slot))
+            expected.append(ADSPipeline(CONFIG, seed=seed + slot)
+                            .sensors.measure(world))
+        ads._sense(np.arange(len(worlds)))
+        assert ads.bundles == expected
+
+
 class TestFusability:
     @settings(max_examples=12, deadline=None)
     @given(st.lists(value_faults, max_size=2),
@@ -126,8 +183,7 @@ class TestFusability:
         faults = values + interfaces
         assert can_fuse(CONFIG, values)
         assert not can_fuse(CONFIG, faults)
-        batch = BatchWorldState([SCENARIO.make_world()],
-                                reference=SCENARIO.make_world())
+        batch = BatchWorldState([SCENARIO.make_world()])
         ads = BatchADSState(batch, CONFIG)
         pipeline = ADSPipeline(CONFIG, seed=0)
         _arm_faults(pipeline, faults)
@@ -135,5 +191,5 @@ class TestFusability:
             ads.attach(0, pipeline)
         assert not ads.active.any()
         with pytest.raises(ValueError):
-            run_experiments_batched(SCENARIO, [faults],
+            run_experiments_batched([SCENARIO], [faults],
                                     horizon_after_fault=HORIZON)

@@ -1,11 +1,11 @@
-"""Wide fused batches: one batch per scenario group, columnar samples.
+"""Wide fused batches: one batch per dispatch, columnar samples.
 
-The driver validates a scenario's fusable jobs as one
-:func:`~repro.core.parallel.execute_experiment_batch` call of up to
-:data:`~repro.core.parallel.MAX_LANES` live lanes, refilling retired
-slots from the rest of the group.  Fused lanes keep their safety
-samples in the batch's columns, decide collision, off-road and
-retirement as array masks, skip the fault hooks outside their fault
+The driver validates the fusable jobs of one dispatch, whatever their
+scenarios, as one :func:`~repro.core.parallel.execute_experiment_batch`
+call of up to :data:`~repro.core.parallel.MAX_LANES` live lanes,
+refilling retired slots from the rest of the jobs.  Fused lanes keep
+their safety samples in the batch's columns, decide collision, off-road
+and retirement as array masks, skip the fault hooks outside their fault
 windows, and let go of their samples, world and pipeline once their
 result is built.  Every record still equals the scalar engine's.
 """
@@ -20,9 +20,12 @@ from repro.ads.batch import BatchADSState
 from repro.core import Campaign, CampaignConfig, parallel
 from repro.core import pipeline as pipeline_module
 from repro.core import simulate
+from repro.core.interface_faults import interface_fault
+from repro.core.resilience import ResilienceConfig
 from repro.core.simulate import (FaultSpec, _SafetyColumns,
                                  run_experiments_batched, run_scenario)
-from repro.sim import highway_cruise, lead_vehicle_cutin
+from repro.sim import (adjacent_traffic, empty_road, highway_cruise,
+                       lead_vehicle_cutin, stop_and_go, two_lead_reveal)
 
 DT = 0.05
 
@@ -61,9 +64,9 @@ def count_batch_calls(monkeypatch):
     sizes = []
     original = pipeline_module.execute_experiment_batch
 
-    def counting(scenario, config, faults, checkpoints=None):
-        sizes.append(len(faults))
-        return original(scenario, config, faults, checkpoints)
+    def counting(jobs, config, checkpoints=None):
+        sizes.append(len(jobs))
+        return original(jobs, config, checkpoints)
 
     monkeypatch.setattr(pipeline_module, "execute_experiment_batch",
                         counting)
@@ -145,7 +148,7 @@ class TestNoTicks:
     def test_zero_tick_runs(self):
         scenario = replace(highway_cruise(), duration=0.0)
         faults = [[FaultSpec("brake", 0.0, 0, 2)]] * 2
-        fused = run_experiments_batched(scenario, faults)
+        fused = run_experiments_batched([scenario] * 2, faults)
         scalar = [run_scenario(scenario, faults=lane, record_trace=False)
                   for lane in faults]
         assert [strip(result) for result in fused] == \
@@ -176,7 +179,8 @@ class TestRelease:
         monkeypatch.setattr(simulate.BatchWorldState, "release", release)
         scenario = overlap_scenario()
         faults = [[fault] for _, fault in overlap_jobs(12)]
-        results = run_experiments_batched(scenario, faults, batch_size=5)
+        results = run_experiments_batched([scenario] * len(faults), faults,
+                                          batch_size=5)
         assert len(lanes) == len(results) == 12
         for lane in lanes:
             assert lane.first_block is None
@@ -245,8 +249,8 @@ class TestQuietLanes:
 
     def test_records_equal_scalar(self):
         scenario = replace(lead_vehicle_cutin(), duration=12.0)
-        fused = run_experiments_batched(scenario, self.FAULTS,
-                                        horizon_after_fault=2.0)
+        fused = run_experiments_batched([scenario] * len(self.FAULTS),
+                                        self.FAULTS, horizon_after_fault=2.0)
         scalar = [run_scenario(scenario, faults=faults,
                                horizon_after_fault=2.0, record_trace=False)
                   for faults in self.FAULTS]
@@ -267,7 +271,7 @@ class TestQuietLanes:
 
             monkeypatch.setattr(BatchADSState, name, hook)
         scenario = replace(lead_vehicle_cutin(), duration=12.0)
-        run_experiments_batched(scenario, self.FAULTS,
+        run_experiments_batched([scenario] * len(self.FAULTS), self.FAULTS,
                                 horizon_after_fault=2.0)
         assert calls
         assert all(start <= tick < until for start, tick, until in calls)
@@ -295,7 +299,7 @@ class TestPoolParts:
 
 
 class TestFusedTicks:
-    """The ``engine`` row counts fused ticks."""
+    """The ``engine`` row counts fused ticks and batches."""
 
     def test_counts_and_merge(self):
         campaign = Campaign([overlap_scenario()],
@@ -306,6 +310,8 @@ class TestFusedTicks:
         # One batch of 40 slots: every fused tick spans all of them.
         assert engine["slot_ticks"] == 40 * engine["fused_ticks"]
         assert 0 < engine["fused_ticks"] < engine["lane_ticks"]
+        assert (engine["fused_batches"], engine["batch_scenarios"]) == \
+            (1, 1)
         pooled = Campaign([overlap_scenario()],
                           CampaignConfig(profile_stages=True)).run_jobs(
             overlap_jobs(), workers=2)
@@ -313,3 +319,135 @@ class TestFusedTicks:
         assert pooled_engine["fused_jobs"] == 40
         assert pooled_engine["lane_ticks"] == engine["lane_ticks"]
         assert pooled_engine["fused_ticks"] >= engine["fused_ticks"]
+        # Two wide parts of 20, one per worker, merged.
+        assert (pooled_engine["fused_batches"],
+                pooled_engine["batch_scenarios"]) == (2, 2)
+
+
+def small_library():
+    """Six scenarios of 0 to 3 NPCs, none with ``LANES`` jobs alone."""
+    return [replace(factory(), name=f"{factory.__name__}-lib",
+                    duration=9.0)
+            for factory in (empty_road, highway_cruise, lead_vehicle_cutin,
+                            two_lead_reveal, stop_and_go, adjacent_traffic)]
+
+
+def library_jobs(library):
+    """Three value faults per scenario (18 fusable jobs in all), then
+    two interface faults, which run scalar."""
+    variables = (("brake", 0.0), ("throttle", 1.0), ("tracked_gap", 80.0),
+                 ("gps_y", 2.0), ("steering", 0.3))
+    jobs = []
+    for i, scenario in enumerate(library):
+        for k in range(3):
+            variable, value = variables[(i + k) % len(variables)]
+            jobs.append((scenario.name,
+                         FaultSpec(variable, value, 20 + 25 * k + 3 * i, 4)))
+    jobs.append((library[2].name, interface_fault("freeze", "planning", 40,
+                                                  duration_ticks=4)))
+    jobs.append((library[4].name, interface_fault("drop", "sensing", 55,
+                                                  duration_ticks=4)))
+    return jobs
+
+
+class TestMixedBatches:
+    """Small per-scenario groups that add up to ``LANES`` fuse as one
+    batch of lanes from different scenarios."""
+
+    def test_library_runs_as_one_batch(self, count_batch_calls):
+        library = small_library()
+        jobs = library_jobs(library)
+        assert all(sum(name == scenario.name for name, _ in jobs)
+                   < parallel.LANES for scenario in library)
+        campaign = Campaign(library, CampaignConfig(profile_stages=True))
+        summary = campaign.run_jobs(jobs)
+        assert count_batch_calls == [18]
+        engine = summary.extra_info["stage_timings"]["engine"]
+        assert (engine["fused_batches"], engine["batch_scenarios"],
+                engine["fused_jobs"], engine["scalar_jobs"]) == (1, 6, 18, 2)
+        reference = reference_records(campaign, jobs)
+        assert strip_wall(summary.records) == strip_wall(reference)
+        for fused, scalar in zip(summary.records, reference):
+            for field in ("min_delta_long", "min_delta_lat",
+                          "pre_delta_long", "pre_delta_lat", "landed",
+                          "sim_seconds"):
+                assert getattr(fused, field) == getattr(scalar, field)
+
+    def test_pooled_library_runs_as_one_batch(self):
+        """With two workers, 18 fusable jobs are one wide part (a part
+        is never narrower than ``LANES``), so one worker runs them as
+        one mixed batch."""
+        library = small_library()
+        jobs = library_jobs(library)
+        campaign = Campaign(library, CampaignConfig(profile_stages=True))
+        summary = campaign.run_jobs(jobs, workers=2)
+        engine = summary.extra_info["stage_timings"]["engine"]
+        assert (engine["fused_batches"], engine["batch_scenarios"],
+                engine["fused_jobs"]) == (1, 6, 18)
+        assert strip_wall(summary.records) == \
+            strip_wall(reference_records(campaign, jobs))
+
+    @pytest.mark.parametrize("kill", ["mid_batch", "after_records"])
+    def test_resume_replays_the_remainder(self, tmp_path, monkeypatch,
+                                          kill):
+        """A campaign killed inside a mixed batch (no record of it
+        journaled) or while emitting its records (some journaled)
+        resumes to the reference records bit for bit; the remainder
+        fuses again (``LANES`` patched to 4)."""
+        monkeypatch.setattr(parallel, "LANES", 4)
+        library = small_library()
+        jobs = library_jobs(library)
+        reference = strip_wall(reference_records(
+            Campaign(library, CampaignConfig()), jobs))
+
+        sink = None
+        if kill == "mid_batch":
+            calls = []
+            original = BatchADSState.tick_all
+
+            def dying(self):
+                calls.append(1)
+                if len(calls) == 30:
+                    raise KeyboardInterrupt
+                return original(self)
+
+            monkeypatch.setattr(BatchADSState, "tick_all", dying)
+        else:
+            sink = InterruptAfter(5)
+        killed = Campaign(library, CampaignConfig(), cache_dir=tmp_path)
+        with pytest.raises(KeyboardInterrupt):
+            killed.run_jobs(jobs, record_sink=sink)
+        monkeypatch.undo()
+        monkeypatch.setattr(parallel, "LANES", 4)
+
+        attached = []
+        original_attach = BatchADSState.attach
+
+        def counting(self, slot, pipeline):
+            attached.append(slot)
+            return original_attach(self, slot, pipeline)
+
+        monkeypatch.setattr(BatchADSState, "attach", counting)
+        resumed = Campaign(
+            library, CampaignConfig(resilience=ResilienceConfig(resume=True)),
+            cache_dir=tmp_path)
+        summary = resumed.run_jobs(jobs)
+        journal = resumed._last_journal
+        journaled = 0 if kill == "mid_batch" else 5
+        assert (journal.hits, journal.appended) == \
+            (journaled, len(jobs) - journaled)
+        assert len(attached) == 18 - journaled
+        assert strip_wall(summary.records) == reference
+
+
+class InterruptAfter:
+    """Record sink raising KeyboardInterrupt at its Nth record."""
+
+    def __init__(self, after: int):
+        self.after = after
+        self.seen = 0
+
+    def add(self, record):
+        self.seen += 1
+        if self.seen >= self.after:
+            raise KeyboardInterrupt

@@ -201,7 +201,7 @@ class TestWorldModelCounters:
 
     def test_fused_and_scalar_engines_count_alike(self):
         fused = self._world_model_row(lambda: run_experiments_batched(
-            self.SCENARIO, self.LANES, seed=1))
+            [self.SCENARIO] * len(self.LANES), self.LANES, seed=1))
         scalar = self._world_model_row(lambda: [
             run_scenario(self.SCENARIO, seed=1, faults=faults,
                          record_trace=False)
