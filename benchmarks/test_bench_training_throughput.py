@@ -4,7 +4,7 @@ Two costs used to scale with the *whole* golden-trace population:
 
 * **Memory** — every golden trace stayed resident (plus the batch
   window dataset stacked over all of them) for the lifetime of a
-  Bayesian campaign.  With ``trace_store=True`` each trace spools to a
+  Bayesian campaign.  With a ``cache_dir`` each trace spools to a
   memory-mapped columnar file the moment its scenario completes and the
   streaming trainer folds it into O(parameters) accumulators, so peak
   resident trace memory is O(largest single trace).  The memory probe
@@ -72,7 +72,7 @@ from repro.sim import (adjacent_traffic, braking_lead, empty_road,
                        occluded_pedestrian, overtake_cutin,
                        queued_traffic, stalled_vehicle, two_lead_reveal)
 
-mode, count = sys.argv[1], int(sys.argv[2])
+mode, count, cache_dir = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 bases = [highway_cruise, lead_vehicle_cutin, two_lead_reveal,
          braking_lead, stalled_vehicle, adjacent_traffic, overtake_cutin,
          queued_traffic, occluded_pedestrian]
@@ -91,7 +91,7 @@ config = CampaignConfig()
 rss_before_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 tracemalloc.start()
 campaign = Campaign(scenarios, config,
-                    trace_store=True if mode == "store" else None)
+                    cache_dir=cache_dir if mode == "store" else None)
 # The in-RAM side fits the whole golden dataset at once; the store
 # side streams each trace into the trainer as it lands.
 injector = None
@@ -120,24 +120,25 @@ print(json.dumps({
 """
 
 
-def run_memory_probe(mode: str, count: int) -> dict:
+def run_memory_probe(mode: str, count: int, cache_dir: Path) -> dict:
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = f"{src}{os.pathsep}" \
         + env.get("PYTHONPATH", "")
     output = subprocess.run(
-        [sys.executable, "-c", _MEMORY_PROBE, mode, str(count)],
+        [sys.executable, "-c", _MEMORY_PROBE, mode, str(count),
+         str(cache_dir)],
         check=True, capture_output=True, text=True, env=env)
     return json.loads(output.stdout.strip().splitlines()[-1])
 
 
-def test_bench_training_memory(benchmark):
+def test_bench_training_memory(benchmark, tmp_path):
     count = MEMORY_SCENARIOS_SMOKE if benchmark.disabled \
         else MEMORY_SCENARIOS
-    in_ram = run_memory_probe("inram", count)
+    in_ram = run_memory_probe("inram", count, tmp_path / "unused")
 
     def timed_store():
-        return run_memory_probe("store", count)
+        return run_memory_probe("store", count, tmp_path / "cache")
 
     stored = benchmark.pedantic(timed_store, rounds=1, iterations=1)
 

@@ -139,11 +139,6 @@ class VehicleController:
         self._last = ActuationCommand(command.throttle, command.brake,
                                       command.steering)
 
-    @staticmethod
-    def _slew(previous: float, target: float, max_delta: float) -> float:
-        return previous + clip_scalar(target - previous,
-                                      -max_delta, max_delta)
-
 
 def safe_stop_command(last_command: ActuationCommand | None,
                       brake_level: float) -> ActuationCommand:

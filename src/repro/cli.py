@@ -54,14 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cache = argparse.ArgumentParser(add_help=False)
     cache.add_argument("--cache-dir", default=None,
                        help="directory for incremental-campaign caches "
-                            "(golden traces, checkpoint ladders, mined "
+                            "(golden traces, spooled to memory-mapped "
+                            "columnar files, checkpoint ladders, mined "
                             "candidates)")
-    cache.add_argument("--trace-store", action="store_true",
-                       help="spool golden traces out-of-core to "
-                            "memory-mapped columnar files (under "
-                            "--cache-dir when given, else a temporary "
-                            "directory); peak trace memory becomes "
-                            "O(largest trace) instead of O(all traces)")
     cache.add_argument("--no-degradation", action="store_true",
                        help="disable the ADS graceful-degradation mode "
                             "(stale-channel detection and safe-stop "
@@ -509,9 +504,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as error:     # e.g. shard_index out of range
         raise SystemExit(f"error: {error}")
     campaign = Campaign(config=config,
-                        cache_dir=getattr(args, "cache_dir", None),
-                        trace_store=getattr(args, "trace_store", False)
-                        or None)
+                        cache_dir=getattr(args, "cache_dir", None))
 
     if args.command == "golden":
         campaign.golden_runs(workers=args.workers)

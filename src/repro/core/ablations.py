@@ -117,8 +117,3 @@ class DiscreteBayesianFaultInjector:
                 bin_index = assignment[slice_node(name, 1)]
                 result[name] = self.discretizer.midpoint(name, bin_index)
         return result
-
-    def predicted_throttle_response(self, scene: SceneRow, node: str,
-                                    node_value: float) -> float:
-        """Convenience for tests/benches: the MAP throttle response."""
-        return self.infer_actuation(scene, node, node_value)["throttle"]

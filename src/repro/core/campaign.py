@@ -19,6 +19,7 @@ from pathlib import Path
 from ..ads.profiling import STAGE_TIMER
 from ..ads.runtime import ADSConfig
 from ..sim.scenario import Scenario, default_scenarios
+from ..sim.trace import TraceStore
 from .bayesian_fi import (MINED_VARIABLES, BayesianFaultInjector, SceneRow,
                           scene_rows_from_trace)
 from .checkpoint import CheckpointStore
@@ -94,27 +95,22 @@ class Campaign:
     and ``record_sink=`` (streaming records out-of-core instead of
     accumulating them in memory).
 
-    ``trace_store`` bounds golden-trace memory: ``True`` spools every
-    completed golden trace to memory-mappable columnar files (under
-    ``cache_dir`` when set, else a temporary directory) and the
-    campaign holds read-only :class:`repro.sim.StoredTrace` handles
-    instead of in-RAM traces — peak resident trace memory becomes
-    O(largest single trace) rather than O(total traces), with every
-    downstream number bit-for-bit unchanged.  A path spools under that
-    directory instead.  ``None``/``False`` (the default) keeps the
-    in-RAM :class:`repro.sim.Trace` path as the reference oracle.
+    ``cache_dir`` also decides where golden traces live.  With one,
+    every completed golden trace is spooled to memory-mappable columnar
+    files under it (:meth:`golden_trace_store`) and the campaign holds
+    read-only :class:`repro.sim.StoredTrace` handles — peak resident
+    trace memory is O(largest single trace) rather than O(total
+    traces), with every downstream number bit-for-bit unchanged.
+    Without one, golden traces stay in-RAM :class:`repro.sim.Trace`
+    objects, the reference representation.
     """
 
     def __init__(self, scenarios: list[Scenario] | None = None,
                  config: CampaignConfig | None = None,
-                 cache_dir: str | Path | None = None,
-                 trace_store: bool | str | Path | None = None):
+                 cache_dir: str | Path | None = None):
         self.scenarios = scenarios or default_scenarios()
         self.config = config or CampaignConfig()
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self._trace_store_arg = trace_store
-        self._trace_store = None
-        self._trace_tmp = None
         self.checkpoints = CheckpointStore()
         self._by_name = {s.name: s for s in self.scenarios}
         self._golden: dict[str, RunResult] | None = None
@@ -160,50 +156,18 @@ class Campaign:
                     s.name for s in self.owned_scenarios())
         return self._golden
 
-    def golden_trace_store(self):
-        """The out-of-core golden-trace spool (``None`` = in-RAM oracle).
+    def golden_trace_store(self) -> TraceStore | None:
+        """The golden-trace spool: ``cache_dir/traces-<fingerprint>``.
 
-        Resolved lazily from the ``trace_store`` constructor argument:
-        ``True`` keys a ``traces-<fingerprint>`` directory under
-        ``cache_dir`` (persistent — warm starts re-map the same files)
-        or a temporary directory without one; an explicit path keys the
-        same fingerprinted directory under it.  The fingerprint key
-        means a config or scenario change can never re-attach stale
-        spool files, and concurrent shards may share the directory —
-        writes are atomic and content-identical per scenario.
+        ``None`` without a ``cache_dir`` (traces stay in RAM).  Warm
+        starts re-map the same files; the fingerprint key means a
+        config or scenario change can never re-attach stale spool
+        files, and concurrent shards may share the directory — writes
+        are atomic and content-identical per scenario.
         """
-        if not self._trace_store_arg:
+        if self.cache_dir is None:
             return None
-        if self._trace_store is None:
-            from ..sim.trace import TraceStore
-            arg = self._trace_store_arg
-            if arg is True:
-                if self.cache_dir is not None:
-                    root = self.cache_dir / f"traces-{self._fingerprint()}"
-                else:
-                    self._trace_tmp = tempfile.TemporaryDirectory(
-                        prefix="repro-traces-")
-                    root = Path(self._trace_tmp.name)
-            else:
-                root = Path(arg) / f"traces-{self._fingerprint()}"
-            self._trace_store = TraceStore(root,
-                                           keepalive=self._trace_tmp)
-        return self._trace_store
-
-    def _pin_spool(self, runs: dict[str, RunResult]) -> None:
-        """Pin the temporary spool to handles that may outlive us.
-
-        Worker-spooled handles come back from the pool without a
-        keepalive (they pickle as bare paths), so golden results a
-        caller retains after dropping the campaign would otherwise
-        lose their files when the spool tempdir finalizes.
-        """
-        if self._trace_tmp is None:
-            return
-        from ..sim.trace import StoredTrace
-        for run in runs.values():
-            if isinstance(run.trace, StoredTrace):
-                run.trace._keepalive = self._trace_tmp
+        return TraceStore(self.cache_dir / f"traces-{self._fingerprint()}")
 
     # -- sharding --------------------------------------------------------------
 
@@ -407,8 +371,7 @@ class Campaign:
                      / f"journal-{self._fingerprint()}-{work_key}"
                        f"{self._shard_suffix()}")
         journal = CampaignJournal(
-            directory, campaign_key=f"{self._fingerprint()}:{work_key}",
-            batch=res.journal_batch)
+            directory, campaign_key=f"{self._fingerprint()}:{work_key}")
         journal.start(resume=res.resume)
         self._last_journal = journal
         return journal
@@ -429,112 +392,25 @@ class Campaign:
         """Warm-start ``names`` from the (full-set or sharded) cache.
 
         The one cache-read protocol of every golden warm start: read
-        (current format, then legacy), require every requested
-        scenario, normalize traces to this campaign's trace mode, and
-        rewrite/clean up when anything was migrated.  All-or-nothing,
-        unless ``partial``: then it returns the requested runs the file
-        holds (a job-known campaign writes only the scenarios it had
-        jobs in).
+        the file (any unreadable, stale or inline-column payload is a
+        miss the caller re-simulates and rewrites) and require every
+        requested scenario.  All-or-nothing, unless ``partial``: then
+        it returns the requested runs the file holds (a job-known
+        campaign writes only the scenarios it had jobs in).
         """
         path = self._golden_cache_path(sharded=sharded)
         if path is None:
             return None
-        runs, migrate = self._load_golden_cache_file(path)
+        from .persistence import load_golden_traces
+        runs = load_golden_traces(path, self._fingerprint(),
+                                  self.golden_trace_store())
         if runs is None:
             return None
         if partial:
             names = [name for name in names if name in runs]
         elif any(name not in runs for name in names):
             return None
-        runs = {name: runs[name] for name in names}
-        try:
-            if self._normalize_loaded_traces(runs) or migrate:
-                from .persistence import save_golden_traces
-                save_golden_traces(runs, path, self._fingerprint(),
-                                   trace_store=self.golden_trace_store())
-            if migrate:
-                self._drop_legacy_cache(path)
-        except OSError:
-            # The rewrite/adoption is an optimization for the *next*
-            # warm start; a read-only shared cache dir must not fail a
-            # campaign whose data loaded completely.  (Traces that
-            # could not be spooled simply stay in RAM — both
-            # representations serve the same read API.)
-            pass
-        return runs
-
-    @staticmethod
-    def _drop_legacy_cache(path: Path) -> None:
-        """Remove a migrated pre-gzip cache file (inline columns can be
-        many MB; leaving it would double cache disk per fingerprint)."""
-        path.with_name(path.name.removesuffix(".gz")).unlink(
-            missing_ok=True)
-
-    def _load_golden_cache_file(self, path: Path
-                                ) -> tuple[dict[str, RunResult] | None,
-                                           bool]:
-        """Read one golden cache file, accepting the legacy name.
-
-        Caches written before the gzip switch live at the same path
-        without the ``.gz`` suffix; returns ``(runs, migrate)`` where
-        ``migrate`` asks the caller to rewrite the current-format file
-        (so the one-time legacy parse never repeats).
-        """
-        from .persistence import load_golden_traces
-        store = self._cache_read_store()
-        runs = load_golden_traces(path, self._fingerprint(),
-                                  trace_store=store)
-        if runs is not None:
-            return runs, False
-        legacy = path.with_name(path.name.removesuffix(".gz"))
-        if legacy == path:
-            return None, False
-        runs = load_golden_traces(legacy, self._fingerprint(),
-                                  trace_store=store)
-        return runs, runs is not None
-
-    def _cache_read_store(self):
-        """The store to resolve cache trace references against.
-
-        A campaign run *without* ``trace_store`` must still be able to
-        read a cache that a store-enabled run rewrote to references —
-        the spool lives at a fingerprint-derived path under
-        ``cache_dir``, so it can be found without the flag.  Falling
-        back to re-simulation just because the flag toggled would
-        discard hours of cached golden work.
-        """
-        store = self.golden_trace_store()
-        if store is not None or self.cache_dir is None:
-            return store
-        from ..sim.trace import TraceStore
-        root = self.cache_dir / f"traces-{self._fingerprint()}"
-        return TraceStore(root) if root.is_dir() else None
-
-    def _normalize_loaded_traces(self, runs: dict[str, RunResult]) -> bool:
-        """Align warm-started traces with this campaign's trace mode.
-
-        With a store configured, in-RAM traces from a pre-store cache
-        are adopted into the spool (one-time migration; the caller
-        rewrites the cache with references so the next warm start
-        re-maps files).  Without one, reference-resolved handles are
-        materialized back to in-RAM :class:`Trace` so the oracle path
-        keeps its representation — no rewrite, which also stops the
-        cache format ping-ponging as the flag toggles.  Returns
-        whether the cache should be rewritten.
-        """
-        from ..sim.trace import StoredTrace
-        store = self.golden_trace_store()
-        if store is None:
-            for run in runs.values():
-                if isinstance(run.trace, StoredTrace):
-                    run.trace = run.trace.to_trace()
-            return False
-        adopted = False
-        for name, run in runs.items():
-            if not isinstance(run.trace, StoredTrace):
-                run.trace = store.put(run.trace_name, run.trace)
-                adopted = True
-        return adopted
+        return {name: runs[name] for name in names}
 
     def _save_golden_cache(self) -> None:
         # Reached only when the cache missed (or was corrupt/stale), so
@@ -545,7 +421,7 @@ class Campaign:
         from .persistence import save_golden_traces
         path.parent.mkdir(parents=True, exist_ok=True)
         save_golden_traces(self._golden, path, self._fingerprint(),
-                           trace_store=self.golden_trace_store())
+                           self.golden_trace_store())
 
     def scene_rows(self) -> "Iterator[SceneRow]":
         """Scene population for mining: all golden planner instants.

@@ -10,10 +10,10 @@ configuration, seed, and the scenario set — so incremental campaigns can
 warm-start training and mining from disk instead of re-simulating.
 Cache paths ending in ``.gz`` are gzip-compressed transparently
 (deterministic output, so concurrent shard writers stay byte-identical
-and atomic).  With a :class:`repro.sim.TraceStore` attached, the JSON
-carries per-scenario *references* into the store's memory-mapped
-``.npy`` spool instead of inline sample columns — the warm-start path
-of out-of-core campaigns, which never materializes a full trace set.
+and atomic).  The JSON carries per-scenario *references* into a
+:class:`repro.sim.TraceStore`'s memory-mapped ``.npy`` spool, never
+inline sample columns, so a warm start never materializes a full
+trace set.
 
 For out-of-core campaigns :class:`JsonlRecordSink` streams one record
 per line as futures complete; :func:`iter_records_jsonl` /
@@ -33,7 +33,7 @@ import math
 import zlib
 from pathlib import Path
 
-from ..sim.trace import StoredTrace, Trace, TraceStore
+from ..sim.trace import StoredTrace, TraceStore
 from .bayesian_fi import CandidateFault
 from .ioutil import write_bytes_atomic, write_text_atomic
 from .results import CampaignSummary, ExperimentRecord, Hazard
@@ -370,19 +370,17 @@ def config_fingerprint(ads_config, safety_config, seed: int,
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def run_result_to_dict(run: RunResult,
-                       trace_store: TraceStore | None = None) -> dict:
-    """Flatten one golden run (trace included) to JSON-safe types.
+def run_result_to_dict(run: RunResult, trace_store: TraceStore) -> dict:
+    """Flatten one golden run to JSON-safe types.
 
     Checkpoints are not part of this payload: they embed live RNG and
     filter state that JSON spells poorly.  They persist separately as
     per-scenario pickles via
     :meth:`repro.core.checkpoint.CheckpointStore.save_scenario`.
 
-    With a ``trace_store`` the trace columns stay in the store's
-    columnar ``.npy`` spool (written here if not already spooled) and
-    the payload carries only a reference — the bounded-memory cache
-    format of out-of-core campaigns.  ``cut_tick`` keeps a cut run
+    The trace columns stay in ``trace_store``'s columnar ``.npy``
+    spool (written here if not already spooled) and the payload
+    carries only a reference.  ``cut_tick`` keeps a cut run
     (:attr:`RunResult.cut_tick`) from passing for a complete one; a
     payload without it (written before runs were cut) is complete.
     """
@@ -401,34 +399,22 @@ def run_result_to_dict(run: RunResult,
         "wall_seconds": run.wall_seconds,
         "cut_tick": run.cut_tick,
     }
-    if trace_store is not None:
-        if not (isinstance(run.trace, StoredTrace)
-                and trace_store.has(run.trace_name)):
-            trace_store.put(run.trace_name, run.trace)
-        payload["trace_ref"] = run.trace_name
-    else:
-        arrays = run.trace.as_arrays()
-        payload["trace"] = {name: array.tolist()
-                            for name, array in arrays.items()}
+    if not (isinstance(run.trace, StoredTrace)
+            and trace_store.has(run.trace_name)):
+        trace_store.put(run.trace_name, run.trace)
+    payload["trace_ref"] = run.trace_name
     return payload
 
 
-def run_result_from_dict(data: dict,
-                         trace_store: TraceStore | None = None
-                         ) -> RunResult:
+def run_result_from_dict(data: dict, trace_store: TraceStore) -> RunResult:
     """Inverse of :func:`run_result_to_dict`."""
     fields = dict(data)
     fields["hazard"] = Hazard(fields["hazard"])
-    ref = fields.pop("trace_ref", None)
-    if ref is not None:
-        stored = trace_store.get(ref) if trace_store is not None else None
-        if stored is None:
-            raise ValueError(
-                f"golden cache references stored trace {ref!r} but no "
-                f"trace store holds it")
-        fields["trace"] = stored
-    else:
-        fields["trace"] = Trace.from_columns(fields["trace"])
+    ref = fields.pop("trace_ref")
+    fields["trace"] = trace_store.get(ref)
+    if fields["trace"] is None:
+        raise ValueError(f"golden cache references stored trace {ref!r} "
+                         f"but {trace_store.root} does not hold it")
     return RunResult(**fields)
 
 
@@ -453,15 +439,14 @@ def _read_json_maybe_gz(path: Path) -> str:
 
 
 def save_golden_traces(golden: dict[str, RunResult], path: str | Path,
-                       fingerprint: str,
-                       trace_store: TraceStore | None = None) -> None:
-    """Write a campaign's golden runs (with traces) to a JSON file.
+                       fingerprint: str, trace_store: TraceStore) -> None:
+    """Write a campaign's golden runs to a JSON file.
 
     Atomic (write + rename): Bayesian shards sharing a ``cache_dir``
     each write the full-set file concurrently.  A path ending in
-    ``.gz`` is gzip-compressed transparently; with a ``trace_store``
-    the traces live in the store's spool and the JSON holds references
-    (see :func:`run_result_to_dict`).
+    ``.gz`` is gzip-compressed transparently; the traces live in
+    ``trace_store``'s spool and the JSON holds references (see
+    :func:`run_result_to_dict`).
     """
     payload = {
         "fingerprint": fingerprint,
@@ -472,14 +457,15 @@ def save_golden_traces(golden: dict[str, RunResult], path: str | Path,
 
 
 def load_golden_traces(path: str | Path, fingerprint: str,
-                       trace_store: TraceStore | None = None
+                       trace_store: TraceStore
                        ) -> dict[str, RunResult] | None:
     """Read golden runs back; ``None`` on a missing file or stale key.
 
-    Any unreadable payload — torn gzip, stale schema, a trace
-    reference whose spool files are gone or were written by a
-    different configuration — is a cache miss, never an error: the
-    caller re-simulates and self-heals the cache.
+    Any unreadable payload — torn gzip, stale schema, inline trace
+    columns (an older cache format), a trace reference whose spool
+    files are gone or were written by a different configuration — is a
+    cache miss, never an error: the caller re-simulates and self-heals
+    the cache.
     """
     path = Path(path)
     if not path.exists():

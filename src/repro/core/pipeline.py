@@ -655,7 +655,6 @@ class CampaignPipeline:
 
     def _persist_golden(self) -> None:
         campaign = self.campaign
-        campaign._pin_spool(self.golden)
         if self._targets_all:
             # At least as complete as any earlier memo: a run is only
             # re-simulated when the memo lacked it or held it cut.  A
@@ -681,8 +680,7 @@ class CampaignPipeline:
             path.parent.mkdir(parents=True, exist_ok=True)
             save_golden_traces(
                 self._in_scenario_order(self._cached, self.golden), path,
-                campaign._fingerprint(),
-                trace_store=campaign.golden_trace_store())
+                campaign._fingerprint(), campaign.golden_trace_store())
 
     def _in_scenario_order(self, *layers: dict) -> dict:
         """The union of run dicts, later layers winning, in campaign

@@ -96,10 +96,6 @@ class ResilienceConfig:
     journal: bool = True
     #: Resume from an existing journal instead of starting it fresh.
     resume: bool = False
-    #: Records per journal segment: 1 (the default) makes every single
-    #: experiment durable; larger values trade recovery granularity
-    #: for fewer files.
-    journal_batch: int = 1
     #: Dynamic multi-host mode: claim scenarios through lease files in
     #: the shared ``cache_dir`` instead of a static shard partition.
     lease_mode: bool = False
@@ -599,8 +595,8 @@ class CampaignJournal:
 
     * ``meta.json`` — the campaign key; a mismatch on load means the
       journal belongs to different work and is ignored.
-    * ``seg-<n>-<pid>.jsonl`` — one flushed batch of completed
-      records, written atomically with ``fsync`` (the crash-durability
+    * ``seg-<n>-<pid>.jsonl`` — one completed record (plus any a
+      failed earlier flush left pending), written atomically with ``fsync`` (the crash-durability
       contract resume depends on).
 
     Entries are keyed by *experiment identity* (scenario, tick,
@@ -618,11 +614,9 @@ class CampaignJournal:
     what succeeded.
     """
 
-    def __init__(self, directory: str | Path, campaign_key: str,
-                 batch: int = 1):
+    def __init__(self, directory: str | Path, campaign_key: str):
         self.directory = Path(directory)
         self.campaign_key = campaign_key
-        self.batch = max(1, batch)
         self._pending: list[dict] = []
         self._segment = 0
         self._loaded: dict[tuple, deque] = {}
@@ -685,14 +679,14 @@ class CampaignJournal:
         return bucket.popleft()
 
     def append(self, record) -> None:
-        """Journal one completed experiment (durable at flush)."""
+        """Journal one completed experiment, durable on return unless
+        the flush fails."""
         if record.error is not None:
             return                      # failures are retried on resume
         from .persistence import record_to_dict
         self._pending.append(record_to_dict(record))
         self.appended += 1
-        if len(self._pending) >= self.batch:
-            self.flush()
+        self.flush()
 
     def flush(self) -> None:
         """Write pending entries as one atomic, fsync'd segment.

@@ -192,11 +192,6 @@ class StoredTrace:
         self._names: list[str] | None = None
         self._rows: int | None = None
         self._data: np.ndarray | None = None
-        #: Opaque object pinned for this handle's lifetime — a
-        #: temporary-directory spool stays on disk while any handle
-        #: into it is alive, even after its owning store/campaign is
-        #: garbage-collected.  Not pickled (the path is the payload).
-        self._keepalive = None
 
     # -- lazy open ---------------------------------------------------------
 
@@ -291,12 +286,8 @@ class TraceStore:
     _DATA_SUFFIX = ".npy"
     _MANIFEST_SUFFIX = ".json"
 
-    def __init__(self, root: str | Path, keepalive=None):
+    def __init__(self, root: str | Path):
         self.root = Path(root)
-        #: Propagated onto every handle this store creates (see
-        #: :attr:`StoredTrace._keepalive`); owners spooling into a
-        #: temporary directory pass its guard object here.
-        self._keepalive = keepalive
 
     def _data_path(self, name: str) -> Path:
         if os.sep in name or name in (".", ".."):
@@ -331,18 +322,13 @@ class TraceStore:
         os.replace(tmp, data_path)
         write_text_atomic(data_path.with_suffix(self._MANIFEST_SUFFIX),
                           json.dumps({"columns": names, "rows": rows}))
-        return self._handle(data_path)
+        return StoredTrace(data_path)
 
     def get(self, name: str) -> StoredTrace | None:
         """A handle onto a previously spooled trace, or ``None``."""
         if not self.has(name):
             return None
-        return self._handle(self._data_path(name))
-
-    def _handle(self, data_path: Path) -> StoredTrace:
-        handle = StoredTrace(data_path)
-        handle._keepalive = self._keepalive
-        return handle
+        return StoredTrace(self._data_path(name))
 
     def has(self, name: str) -> bool:
         """Was a complete file set committed for ``name``?"""

@@ -395,3 +395,38 @@ class TestEngineCounters:
                 "75.0% (600 of 800 slot-ticks) in 50 fused ticks "
                 "(12.0 lanes per tick), 4 fused batches "
                 "(2.5 scenarios per batch)") in capsys.readouterr().out
+
+
+class TestFusedFallback:
+    """A fused batch that raises is rerun on the scalar engine: the
+    records stay the reference loop's and no job counts as fused."""
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_failing_batch_reruns_scalar(self, lanes, monkeypatch,
+                                         tmp_path, workers):
+        from repro.core import pipeline
+        attempts = tmp_path / "attempts"      # a file: pool workers too
+
+        def failing_batch(jobs, *args, **kwargs):
+            with open(attempts, "a") as log:
+                log.write(f"{len(jobs)}\n")
+            raise RuntimeError("fused engine failure")
+
+        # Patched before the pool forks, so workers inherit it.
+        monkeypatch.setattr(pipeline, "execute_experiment_batch",
+                            failing_batch)
+        campaign = Campaign(small_scenarios()[:2],
+                            CampaignConfig(profile_stages=True))
+        jobs = [(scenario.name, FaultSpec(variable, 0.0, tick, 4))
+                for scenario in campaign.scenarios
+                for variable in ("brake", "throttle")
+                for tick in (30, 60)]
+        summary = campaign.run_jobs(jobs, workers=workers)
+        assert strip_wall(summary.records) == \
+            strip_wall(reference_records(campaign, jobs))
+        # Every job was offered to the fused engine first...
+        assert sum(map(int, attempts.read_text().split())) == len(jobs)
+        # ...and none of them is counted as fused.
+        engine = summary.extra_info["stage_timings"]["engine"]
+        assert engine.get("fused_jobs", 0) == 0
+        assert engine["scalar_jobs"] == len(jobs)

@@ -317,16 +317,18 @@ class TestGoldenCut:
     """Job-known plans stop golden runs at their last forkable tick.
 
     Records must stay the reference loop's (which runs full goldens
-    through ``golden_runs()``), whatever the cut skipped.
+    through ``golden_runs()``), whatever the cut skipped — with in-RAM
+    golden traces and with a ``cache_dir`` spooling them to disk.
     """
 
-    @pytest.mark.parametrize("trace_store", [False, True])
+    @pytest.mark.parametrize("cached", [False, True])
     @pytest.mark.parametrize("workers", [None, 2])
     @pytest.mark.parametrize("style", sorted(STYLES))
-    def test_records_match_reference(self, style, workers, trace_store):
+    def test_records_match_reference(self, style, workers, cached,
+                                     tmp_path):
         run, jobs_of = STYLES[style]
         campaign = Campaign(small_scenarios(), CampaignConfig(),
-                            trace_store=trace_store)
+                            cache_dir=tmp_path if cached else None)
         summary = run(campaign, workers)
         cut = {name: golden.cut_tick
                for name, golden in campaign._golden.items()}

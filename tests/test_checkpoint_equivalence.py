@@ -22,7 +22,7 @@ from repro.core import (Campaign, CampaignConfig, CheckpointStore,
 from repro.core.parallel import execute_experiment, execute_experiment_batch
 from repro.core.persistence import (config_fingerprint, load_golden_traces,
                                     save_golden_traces)
-from repro.sim import highway_cruise, lead_vehicle_cutin
+from repro.sim import TraceStore, highway_cruise, lead_vehicle_cutin
 
 
 def small_scenarios():
@@ -214,8 +214,9 @@ class TestGoldenTraceCache:
             forked.config.ads, forked.config.safety, forked.config.seed,
             ((s.name, s.duration) for s in forked.scenarios))
         path = tmp_path / "golden.json"
-        save_golden_traces(forked.golden_runs(), path, fingerprint)
-        loaded = load_golden_traces(path, fingerprint)
+        store = TraceStore(tmp_path / "traces")
+        save_golden_traces(forked.golden_runs(), path, fingerprint, store)
+        loaded = load_golden_traces(path, fingerprint, store)
         assert loaded is not None
         for name, run in forked.golden_runs().items():
             restored = loaded[name]
@@ -228,9 +229,11 @@ class TestGoldenTraceCache:
 
     def test_stale_fingerprint_is_rejected(self, tmp_path, forked):
         path = tmp_path / "golden.json"
-        save_golden_traces(forked.golden_runs(), path, "fp-old")
-        assert load_golden_traces(path, "fp-new") is None
-        assert load_golden_traces(tmp_path / "missing.json", "x") is None
+        store = TraceStore(tmp_path / "traces")
+        save_golden_traces(forked.golden_runs(), path, "fp-old", store)
+        assert load_golden_traces(path, "fp-new", store) is None
+        assert load_golden_traces(tmp_path / "missing.json", "x",
+                                  store) is None
 
     def test_campaign_warm_start_matches_fresh(self, tmp_path):
         cold = make_campaign(cache_dir=tmp_path)

@@ -66,10 +66,9 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main([])
 
-    def test_random_with_trace_store(self, tmp_path, capsys):
-        """--trace-store spools goldens out-of-core under --cache-dir."""
-        assert main(["random", "-n", "2", "--trace-store",
-                     "--cache-dir", str(tmp_path)]) == 0
+    def test_cache_dir_spools_golden_traces(self, tmp_path, capsys):
+        """--cache-dir alone spools golden traces out-of-core."""
+        assert main(["random", "-n", "2", "--cache-dir", str(tmp_path)]) == 0
         assert list(tmp_path.glob("traces-*/*.npy"))
 
     def test_bayesian(self, capsys):
@@ -89,7 +88,9 @@ class TestCLI:
         ["random", "-n", "2", "--no-pipeline"],
         ["bayesian", "--top-k", "2", "--scalar-miner"],
         ["random", "-n", "4", "--batch-sim", "4"],
-        ["random", "-n", "4", "--no-checkpoints"]])
+        ["random", "-n", "4", "--no-checkpoints"],
+        # --cache-dir decides where golden traces live.
+        ["random", "-n", "2", "--trace-store"]])
     def test_retired_oracle_flags_are_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)

@@ -10,9 +10,10 @@ Two layers of equivalence ride the streaming training stack:
 * **Campaign equivalence** — Bayesian campaigns, which train through
   the streaming trainer, emit candidate lists and validation records
   identical to the batch-trained oracle (whole-population mining plus
-  the reference loop), and every campaign style run with out-of-core
-  ``trace_store`` golden traces is record-for-record the reference
-  loop — serial and pooled, cold and warm caches.
+  the reference loop), and every campaign style run with a
+  ``cache_dir`` (which spools golden traces out-of-core) is
+  record-for-record the in-RAM reference loop — serial and pooled,
+  cold and warm caches.
 """
 
 from dataclasses import replace
@@ -326,9 +327,9 @@ class TestTraceStoreCampaignEquivalence:
     """All four styles with out-of-core traces == the in-RAM oracle."""
 
     @pytest.fixture()
-    def store_campaign(self):
+    def store_campaign(self, tmp_path):
         return Campaign(small_scenarios(), CampaignConfig(),
-                        trace_store=True)
+                        cache_dir=tmp_path / "cache")
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_random(self, batch_oracle, store_campaign, workers):
@@ -375,10 +376,10 @@ class TestTraceStoreCampaignEquivalence:
         store = store_campaign.golden_trace_store()
         assert all(store.has(name) for name in golden)
 
-    def test_golden_runs_spool_too(self, batch_oracle):
+    def test_golden_runs_spool_too(self, batch_oracle, tmp_path):
         """Standalone ``golden_runs()`` spools like a campaign does."""
         campaign = Campaign(small_scenarios(), CampaignConfig(),
-                            trace_store=True)
+                            cache_dir=tmp_path / "cache")
         assert all(isinstance(run.trace, StoredTrace)
                    for run in campaign.golden_runs().values())
         reference = reference_records(
@@ -393,13 +394,13 @@ class TestWarmColdCacheEquivalence:
     def test_warm_start_matches_cold(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache"
         cold = Campaign(small_scenarios(), CampaignConfig(),
-                        cache_dir=cache, trace_store=True)
+                        cache_dir=cache)
         cold_result = cold.bayesian_campaign(top_k=6)
         assert list(cache.glob("golden-*.json.gz"))
         assert list(cache.glob("traces-*/*.npy"))
 
         warm = Campaign(small_scenarios(), CampaignConfig(),
-                        cache_dir=cache, trace_store=True)
+                        cache_dir=cache)
 
         def no_resimulation(*args, **kwargs):
             raise AssertionError("warm start must not re-simulate")
@@ -420,102 +421,47 @@ class TestWarmColdCacheEquivalence:
         assert all(isinstance(run.trace, StoredTrace)
                    for run in golden.values())
 
-    def test_store_adopts_inline_cache(self, tmp_path, monkeypatch):
-        """A store-enabled campaign warm-starting from a cache written
-        *without* a store spools the inline traces and rewrites the
-        cache with references — the memory bound survives migration."""
+    def test_inline_cache_is_resimulated(self, tmp_path, monkeypatch):
+        """A golden cache holding inline trace columns (the format of
+        in-RAM runs before ``cache_dir`` spooled every trace) is a
+        miss: the campaign re-simulates, matches the cold records, and
+        rewrites the cache with spool references only."""
         import gzip as gzip_module
         import json
         cache = tmp_path / "cache"
         cold = Campaign(small_scenarios(), CampaignConfig(),
                         cache_dir=cache)
         cold_result = cold.random_campaign(6, seed=5)
-
-        warm = Campaign(small_scenarios(), CampaignConfig(),
-                        cache_dir=cache, trace_store=True)
-
-        def no_resimulation(*args, **kwargs):
-            raise AssertionError("warm start must not re-simulate")
-
-        import repro.core.campaign as campaign_module
-        import repro.core.parallel as parallel_module
-        monkeypatch.setattr(campaign_module, "run_scenario",
-                            no_resimulation)
-        monkeypatch.setattr(parallel_module, "run_scenario",
-                            no_resimulation)
-        warm_result = warm.random_campaign(6, seed=5)
-        assert strip_wall(warm_result.records) == \
-            strip_wall(cold_result.records)
-        golden = warm._golden or warm._golden_shard
-        assert all(isinstance(run.trace, StoredTrace)
-                   for run in golden.values())
-        # The cache file now references the spool instead of holding
-        # inline columns, so the next warm start re-maps files.
         cache_file = next(cache.glob("golden-*.json.gz"))
         payload = json.loads(gzip_module.decompress(
             cache_file.read_bytes()))
-        assert all("trace_ref" in run
-                   for run in payload["runs"].values())
+        store = cold.golden_trace_store()
+        for run in payload["runs"].values():
+            trace = store.get(run.pop("trace_ref"))
+            run["trace"] = {name: column.tolist()
+                            for name, column in trace.as_arrays().items()}
+        cache_file.write_bytes(gzip_module.compress(
+            json.dumps(payload).encode("utf-8")))
 
-    def test_flag_off_reads_reference_cache(self, tmp_path, monkeypatch):
-        """Dropping --trace-store after a store-enabled run must not
-        discard the cache: references resolve against the spool the
-        previous run left under cache_dir, and the oracle path gets
-        in-RAM traces back."""
-        from repro.sim import Trace
-        cache = tmp_path / "cache"
-        cold = Campaign(small_scenarios(), CampaignConfig(),
-                        cache_dir=cache, trace_store=True)
-        cold_result = cold.random_campaign(6, seed=5)
+        import repro.core.parallel as parallel_module
+        simulated = []
+        real_run_scenario = parallel_module.run_scenario
 
+        def counting_run_scenario(scenario, *args, **kwargs):
+            if kwargs.get("record_trace"):        # a golden run
+                simulated.append(scenario.name)
+            return real_run_scenario(scenario, *args, **kwargs)
+
+        monkeypatch.setattr(parallel_module, "run_scenario",
+                            counting_run_scenario)
         warm = Campaign(small_scenarios(), CampaignConfig(),
                         cache_dir=cache)
-
-        def no_resimulation(*args, **kwargs):
-            raise AssertionError("warm start must not re-simulate")
-
-        import repro.core.campaign as campaign_module
-        import repro.core.parallel as parallel_module
-        monkeypatch.setattr(campaign_module, "run_scenario",
-                            no_resimulation)
-        monkeypatch.setattr(parallel_module, "run_scenario",
-                            no_resimulation)
         warm_result = warm.random_campaign(6, seed=5)
+        assert sorted(simulated) == sorted(payload["runs"])
         assert strip_wall(warm_result.records) == \
             strip_wall(cold_result.records)
-        golden = warm._golden or warm._golden_shard
-        assert all(isinstance(run.trace, Trace)
-                   for run in golden.values())
-
-    def test_legacy_plain_json_cache_still_warm_starts(self, tmp_path,
-                                                       monkeypatch):
-        """Caches written before the gzip switch (golden-<fp>.json) are
-        read once, then migrated to the current format."""
-        from repro.core.persistence import save_golden_traces
-        cache = tmp_path / "cache"
-        cold = Campaign(small_scenarios(), CampaignConfig(),
-                        cache_dir=cache)
-        cold_result = cold.random_campaign(6, seed=5)
-        gz_path = next(cache.glob("golden-*.json.gz"))
-        legacy_path = gz_path.with_name(gz_path.name.removesuffix(".gz"))
-        save_golden_traces(cold.golden_runs(), legacy_path,
-                           cold._fingerprint())
-        gz_path.unlink()
-
-        warm = Campaign(small_scenarios(), CampaignConfig(),
-                        cache_dir=cache)
-
-        def no_resimulation(*args, **kwargs):
-            raise AssertionError("legacy cache must warm-start")
-
-        import repro.core.campaign as campaign_module
-        import repro.core.parallel as parallel_module
-        monkeypatch.setattr(campaign_module, "run_scenario",
-                            no_resimulation)
-        monkeypatch.setattr(parallel_module, "run_scenario",
-                            no_resimulation)
-        warm_result = warm.random_campaign(6, seed=5)
-        assert strip_wall(warm_result.records) == \
-            strip_wall(cold_result.records)
-        assert gz_path.exists()        # migrated to the current format
-        assert not legacy_path.exists()   # ...and the legacy file is gone
+        rewritten = json.loads(gzip_module.decompress(
+            cache_file.read_bytes()))
+        assert rewritten["runs"].keys() == payload["runs"].keys()
+        assert all("trace" not in run and "trace_ref" in run
+                   for run in rewritten["runs"].values())

@@ -4,10 +4,10 @@ A :class:`repro.sim.TraceStore` spools completed traces to
 memory-mapped columnar files; a :class:`repro.sim.StoredTrace` handle
 must serve every read of the in-RAM :class:`repro.sim.Trace` API with
 bit-for-bit identical values (non-finite floats included), pickle as
-just its path, and stay read-only.  The golden-trace JSON caches gain
-transparent gzip compression and, with a store attached, per-scenario
-trace references instead of inline columns — both round-trip exactly
-and degrade to cache misses, never errors.
+just its path, and stay read-only.  The golden-trace JSON caches are
+transparently gzip-compressed and hold per-scenario trace references
+into a store — they round-trip exactly and degrade to cache misses,
+never errors.
 """
 
 import gzip
@@ -113,27 +113,22 @@ class TestTraceStoreRoundTrip:
         with pytest.raises(ValueError):
             store.put("../escape", sample_trace())
 
-    def test_temp_spool_survives_campaign_collection(self):
-        """Handles returned by a tempdir-spooled campaign keep the
-        spool alive after the campaign itself is collected."""
-        import gc
-        from dataclasses import replace
-        campaign = Campaign([replace(lead_vehicle_cutin(),
-                                     duration=12.0)],
-                            CampaignConfig(), trace_store=True)
-        runs = campaign.golden_runs()
-        del campaign
-        gc.collect()
-        run = next(iter(runs.values()))
-        assert isinstance(run.trace, StoredTrace)
-        assert len(run.trace.column("tick")) == len(run.trace)
-
     def test_put_accepts_stored_trace(self, tmp_path):
         trace = sample_trace()
         first = TraceStore(tmp_path / "a").put("cutin", trace)
         second = TraceStore(tmp_path / "b").put("cutin", first)
         assert np.array_equal(second.column("delta_long"),
                               trace.column("delta_long"))
+
+
+def test_cache_dir_decides_where_traces_live(tmp_path):
+    """No separate knob: a ``cache_dir`` spools, its absence keeps RAM."""
+    with pytest.raises(TypeError):
+        Campaign(trace_store=True)
+    assert Campaign().golden_trace_store() is None
+    store = Campaign(cache_dir=tmp_path).golden_trace_store()
+    assert store.root.parent == tmp_path
+    assert store.root.name.startswith("traces-")
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +140,7 @@ def golden_runs():
 
 
 class TestGoldenCacheGzip:
-    """save/load_golden_traces: transparent ``.gz`` + store references."""
+    """save/load_golden_traces: transparent ``.gz``, store references."""
 
     def fingerprint(self, campaign) -> str:
         return config_fingerprint(
@@ -168,51 +163,60 @@ class TestGoldenCacheGzip:
     def test_gzip_round_trip_equals_plain(self, tmp_path, golden_runs):
         campaign, runs = golden_runs
         fingerprint = self.fingerprint(campaign)
+        store = TraceStore(tmp_path / "traces")
         plain = tmp_path / "golden.json"
         packed = tmp_path / "golden.json.gz"
-        save_golden_traces(runs, plain, fingerprint)
-        save_golden_traces(runs, packed, fingerprint)
-        # It really is gzip on disk, and it really is smaller.
+        save_golden_traces(runs, plain, fingerprint, store)
+        save_golden_traces(runs, packed, fingerprint, store)
+        # It really is gzip on disk, holding the same payload.
         with gzip.open(packed, "rt", encoding="utf-8") as stream:
-            assert json.load(stream)["fingerprint"] == fingerprint
-        assert packed.stat().st_size < plain.stat().st_size / 2
-        self.assert_runs_equal(load_golden_traces(packed, fingerprint),
-                               runs)
+            assert json.load(stream) == json.loads(plain.read_text())
+        self.assert_runs_equal(load_golden_traces(packed, fingerprint,
+                                                  store), runs)
+        self.assert_runs_equal(load_golden_traces(plain, fingerprint,
+                                                  store), runs)
         # Deterministic bytes: concurrent shard writers stay identical.
         payload = packed.read_bytes()
-        save_golden_traces(runs, packed, fingerprint)
+        save_golden_traces(runs, packed, fingerprint, store)
         assert packed.read_bytes() == payload
 
     def test_gzip_stale_or_corrupt_is_a_miss(self, tmp_path, golden_runs):
         campaign, runs = golden_runs
+        store = TraceStore(tmp_path / "traces")
         path = tmp_path / "golden.json.gz"
-        save_golden_traces(runs, path, "fp-old")
-        assert load_golden_traces(path, "fp-new") is None
+        save_golden_traces(runs, path, "fp-old", store)
+        assert load_golden_traces(path, "fp-new", store) is None
         path.write_bytes(b"definitely not gzip")
-        assert load_golden_traces(path, "fp-old") is None
+        assert load_golden_traces(path, "fp-old", store) is None
 
     def test_store_references_round_trip(self, tmp_path, golden_runs):
         campaign, runs = golden_runs
         fingerprint = self.fingerprint(campaign)
         store = TraceStore(tmp_path / "traces")
         path = tmp_path / "golden.json.gz"
-        save_golden_traces(runs, path, fingerprint, trace_store=store)
+        save_golden_traces(runs, path, fingerprint, store)
         # The JSON holds references; the samples live in the spool.
         for scenario in runs:
             assert store.has(scenario)
-        loaded = load_golden_traces(path, fingerprint, trace_store=store)
+        payload = json.loads(gzip.decompress(path.read_bytes()))
+        assert all("trace" not in run and "trace_ref" in run
+                   for run in payload["runs"].values())
+        loaded = load_golden_traces(path, fingerprint, store)
         self.assert_runs_equal(loaded, runs)
         assert all(isinstance(run.trace, StoredTrace)
                    for run in loaded.values())
 
     def test_reference_without_store_is_a_miss(self, tmp_path,
                                                golden_runs):
+        """A reference into a spool that does not hold the trace (files
+        gone, or another configuration's directory) is a miss."""
         campaign, runs = golden_runs
         fingerprint = self.fingerprint(campaign)
         store = TraceStore(tmp_path / "traces")
         path = tmp_path / "golden.json.gz"
-        save_golden_traces(runs, path, fingerprint, trace_store=store)
-        assert load_golden_traces(path, fingerprint) is None
+        save_golden_traces(runs, path, fingerprint, store)
+        assert load_golden_traces(path, fingerprint,
+                                  TraceStore(tmp_path / "other")) is None
 
 
 class TestTraceCSVEdgeCases:
