@@ -225,7 +225,7 @@ def test_bench_batch_width(benchmark, width_group):
             [scenario] * len(faults), [[fault] for fault in faults],
             ads_config=config.ads,
             safety_config=config.safety, seed=config.seed,
-            checkpoints=forks,
+            checkpoints=list(forks),    # the batch consumes its list
             horizon_after_fault=config.horizon_after_fault,
             batch_size=width)
 

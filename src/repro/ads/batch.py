@@ -12,23 +12,37 @@ The split of labor per stage:
 * **Vectorized across lanes** — sensing geometry (range gates and the
   occlusion shadow test, over each lane's NPC columns; a padded column
   of a lane with a smaller roster has NaN positions, so it fails every
-  range gate and never occludes), the IDM planner, the PID/slew
-  controller, the final command clip, and the actuation-to-controls
-  mapping.
-* **Per lane, reusing the lane's own scalar objects** — RNG draws and
-  message construction (each lane owns an independent ``Generator``;
-  the lane runs the scalar engine's own merged-draw helper,
+  range gate and never occludes), the world model's filter arithmetic,
+  the IDM planner, the PID/slew controller, the final command clip, and
+  the actuation-to-controls mapping.  The world model is columnar: the
+  ego EKF's belief is 4 mean and 16 covariance columns per slot (plus a
+  first-fix mask), and every lane's object tracks form one flat track
+  table (slot, id, age, misses, mean, covariance; grouped by slot, each
+  lane's rows in its tracker's list order).  One planning tick predicts
+  every EKF and every track once, takes every association distance from
+  one ``np.hypot`` call, and corrects every EKF with a fix and every
+  matched track in one measurement update.
+* **Per lane, as short loops over floats** — RNG draws and message
+  construction (each lane owns an independent ``Generator``; the lane
+  runs the scalar engine's own merged-draw helper,
   :func:`~repro.ads.sensors.noisy_bundle`), camera/radar fusion (the
-  lane's ``Perception``), and the world model: the ragged per-object
-  Kalman tracker (the lane's ``MultiObjectTracker``) and the ego EKF
-  (the lane's ``EgoLocalizer``), both straight-line float kernels.
+  lane's ``Perception``), and the world model's bookkeeping: the greedy
+  association (tracks by age, descending and stable, each taking the
+  nearest unmatched detection strictly inside the gate), births, drops
+  past ``max_misses``, ``confirm_age`` and the lead pick, step for step
+  in :class:`~repro.ads.tracking.MultiObjectTracker`'s order.  A lane
+  inside a world-model fault window builds a real
+  :class:`~repro.ads.messages.WorldModel` for the fault setters; every
+  other lane feeds the planner straight from the columns.
   This per-lane residue is what a fused tick still pays per lane;
   everything vectorized is paid once per fused tick, so a batch runs
   as wide as the driver allows (:data:`repro.core.parallel.MAX_LANES`)
   and a retired slot that nothing refills costs only its idle rows.
 
 Equivalence holds by construction: the vectorized stages evaluate the
-*same* kernel expressions the scalar modules call with floats, both
+*same* kernel expressions the scalar modules call with floats (the
+scalar tracker and localizer are the oracles the world-model columns
+are checked against), both
 engines draw sensor noise through the same helper, which merges each
 run of normals between two camera-dropout ``random()`` calls into one
 ``standard_normal(k)`` (its numpy bit-identities — ``standard_normal(k)``
@@ -55,15 +69,22 @@ be within the TTL), so the safe-stop branch needs no batched twin.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
+
 import numpy as np
 
 from ..sim.batch import BatchWorldState
 from ..sim.collision import SENSOR_RANGE
-from .kernels import control_step, plan_step
-from .messages import SensorBundle, WorldModel
+from .kernels import (clamp_speed, control_step, ekf_predict, kf_predict4,
+                      kf_update4, plan_step)
+from .localization import FIRST_FIX_COV
+from .messages import (LEAD_CORRIDOR, EgoEstimate, SensorBundle,
+                       TrackedObject, WorldModel)
 from .profiling import STAGE_TIMER
 from .runtime import ADSConfig, ADSPipeline
 from .sensors import noisy_bundle
+from .tracking import NEW_TRACK_COV
 
 #: Planner-stage fault variables as plan-array column names.
 _PLAN_COLUMNS = {"planned_speed": "plan_target", "raw_throttle":
@@ -107,8 +128,6 @@ class BatchADSState:
         # Adopted per-lane scalar objects (ragged / object-shaped state).
         self.rngs = [None] * n
         self.perceptions = [None] * n
-        self.trackers = [None] * n
-        self.localizers = [None] * n
         self.accel_last_t: list[float | None] = [None] * n
         self.accel_last_v: list[float | None] = [None] * n
         self.bundles: list[SensorBundle | None] = [None] * n
@@ -121,6 +140,23 @@ class BatchADSState:
         self.fault_from = np.zeros(n, dtype=np.int64)
         self.fault_until = np.zeros(n, dtype=np.int64)
         self._hot: set[int] = set()
+
+        # World model.  The ego EKF, one column per slot: the mean
+        # (4, n), the row-major covariance (16, n), and whether the lane
+        # has had its first fix.
+        self.ego_mean = np.zeros((4, n))
+        self.ego_cov = np.zeros((16, n))
+        self.ego_fixed = np.zeros(n, dtype=bool)
+        # The object tracks of every lane as one table, a row per live
+        # track: grouped by slot in ascending order, each lane's rows in
+        # its tracker's list order.  Plus each lane's next track id.
+        self.track_slot = np.zeros(0, dtype=np.int64)
+        self.track_id = np.zeros(0, dtype=np.int64)
+        self.track_age = np.zeros(0, dtype=np.int64)
+        self.track_misses = np.zeros(0, dtype=np.int64)
+        self.track_mean = np.zeros((4, 0))
+        self.track_cov = np.zeros((16, 0))
+        self.next_track_id = [1] * n
 
         # Latched planner output (the scalar pipeline's ``_plan``).
         self.plan_valid = np.zeros(n, dtype=bool)
@@ -148,9 +184,10 @@ class BatchADSState:
     def attach(self, slot: int, pipeline: ADSPipeline) -> None:
         """Adopt a fused lane's pipeline state into the batch arrays.
 
-        Its RNG, perception, tracker and localizer objects are shared
-        (not copied): the fused path advances them exactly as the scalar
-        path would.  Raises ``ValueError`` for a pipeline the fused path
+        Its RNG and perception objects are shared (not copied): the
+        fused path advances them exactly as the scalar path would.  Its
+        tracker and localizer seed the world-model columns from their
+        snapshots.  Raises ``ValueError`` for a pipeline the fused path
         cannot represent: one failing :func:`can_fuse`, or one whose
         channel bus holds interface faults or residue (delay queues,
         jitter windows).
@@ -165,8 +202,6 @@ class BatchADSState:
                              "exponent")
         self.rngs[slot] = pipeline.sensors.rng
         self.perceptions[slot] = pipeline.perception
-        self.trackers[slot] = pipeline.tracker
-        self.localizers[slot] = pipeline.localizer
         self.accel_last_t[slot] = pipeline.sensors._last_time
         self.accel_last_v[slot] = pipeline.sensors._last_speed
         self.tick[slot] = pipeline.tick_index
@@ -192,6 +227,19 @@ class BatchADSState:
         self.last_brake[slot] = last.brake
         self.last_steering[slot] = last.steering
 
+        belief = pipeline.localizer.snapshot()
+        self.ego_fixed[slot] = belief.mean is not None
+        if belief.mean is not None:
+            self.ego_mean[:, slot] = belief.mean
+            self.ego_cov[:, slot] = belief.covariance
+        tracker = pipeline.tracker.snapshot()
+        self.next_track_id[slot] = tracker.next_id
+        if tracker.tracks:
+            ids, means, covs, ages, misses = zip(*tracker.tracks)
+            self._edit_tracks(slice(None), (
+                np.full(len(ids), slot), ids, ages, misses,
+                np.array(means).T, np.array(covs).T))
+
         stages: dict[str, list] = {}
         for fault in pipeline.faults:
             stages.setdefault(fault.variable.stage, []).append(fault)
@@ -209,13 +257,34 @@ class BatchADSState:
         self.active[slot] = False
         self.rngs[slot] = None
         self.perceptions[slot] = None
-        self.trackers[slot] = None
-        self.localizers[slot] = None
+        self.ego_fixed[slot] = False
+        self._edit_tracks(self.track_slot != slot)
         self.bundles[slot] = None
         self.detections[slot] = None
         self.stage_faults[slot] = None
         self.fault_from[slot] = self.fault_until[slot] = 0
         self.plan_valid[slot] = False
+
+    def _edit_tracks(self, keep, added: tuple | None = None) -> None:
+        """Keep the track rows ``keep`` selects and append ``added``
+        (``(slot, id, age, misses, mean, cov)`` columns, the last two as
+        ``(4, b)``/``(16, b)`` blocks, in slot order), regrouped by
+        slot: each lane keeps its list order, added rows last, as the
+        scalar tracker appends them."""
+        columns = [column[..., keep] for column in (
+            self.track_slot, self.track_id, self.track_age,
+            self.track_misses, self.track_mean, self.track_cov)]
+        if added is not None:
+            columns = [np.concatenate((column, np.asarray(extra,
+                                                          column.dtype)),
+                                      axis=-1)
+                       for column, extra in zip(columns, added)]
+            slots = columns[0].tolist()
+            # Python's sort is stable.
+            order = sorted(range(len(slots)), key=slots.__getitem__)
+            columns = [column[..., order] for column in columns]
+        (self.track_slot, self.track_id, self.track_age, self.track_misses,
+         self.track_mean, self.track_cov) = columns
 
     # -- fault application ---------------------------------------------------
 
@@ -353,7 +422,6 @@ class BatchADSState:
         """Perception, tracking, localization, world model, planning for
         the lanes re-planning this tick."""
         config = self.config
-        planning_dt = self._planning_dt
         hot = self._hot
         slots = rows.tolist()
         k = len(slots)
@@ -369,52 +437,19 @@ class BatchADSState:
         if timer:
             timer.stop("perception", started, k)
 
-        # World-model stage: per-lane tracking and localization on the
-        # adopted filters, then real model payloads and world-model
-        # fault setters (the scalar tick's world_model bracket).
+        # World-model stage (the scalar tick's world_model bracket).
         started = timer.start() if timer else 0
-        has_lead = np.zeros(k, dtype=bool)
-        px = np.empty(k)
-        pv = np.empty(k)
-        lx = np.empty(k)
-        lv = np.empty(k)
-        lane_offsets = np.empty(k)
-        lane_headings = np.empty(k)
-        for i, slot in enumerate(slots):
-            bundle = self.bundles[slot]
-            imu = bundle.imu
-            tracks = self.trackers[slot].update(self.detections[slot],
-                                                planning_dt)
-            ego = self.localizers[slot].update(bundle.gps, imu,
-                                               imu.yaw_rate, planning_dt)
-            model = WorldModel(time=bundle.time, ego=ego, tracks=tracks,
-                               lane_offset=bundle.lane_offset,
-                               lane_heading=bundle.lane_heading)
-            if slot in hot:
-                self._apply_object_faults(slot, "world_model", model)
-            lead = model.lead_track()
-            px[i] = model.ego.x
-            pv[i] = model.ego.v
-            if lead is None:
-                lx[i] = model.ego.x
-                lv[i] = 0.0
-            else:
-                has_lead[i] = True
-                lx[i] = lead.x
-                lv[i] = lead.vx
-            lane_offsets[i] = model.lane_offset
-            lane_headings[i] = model.lane_heading
+        live, inputs = self._world_model(rows)
         if timer:
             timer.stop("world_model", started, k)
-            timer.count("world_model", "tracks", sum(
-                self.trackers[slot].track_count for slot in slots))
+            timer.count("world_model", "tracks", live)
             timer.count("world_model", "detections", sum(
                 len(self.detections[slot]) for slot in slots))
 
         started = timer.start() if timer else 0
         target, throttle, brake, steering, _, _ = plan_step(
-            px, pv, lx, lv, has_lead, lane_offsets, lane_headings,
-            SENSOR_RANGE, config.planner, np.where, np.clip)
+            *(np.array(column) for column in inputs), SENSOR_RANGE,
+            config.planner, np.where, np.clip)
         self.plan_target[rows] = target
         self.plan_throttle[rows] = throttle
         self.plan_brake[rows] = brake
@@ -424,6 +459,303 @@ class BatchADSState:
             self._apply_column_faults(slot, "planning", _PLAN_COLUMNS)
         if timer:
             timer.stop("planning", started, k)
+
+    def _world_model(self, rows: np.ndarray) -> tuple[int, tuple]:
+        """:meth:`EgoLocalizer.update` and :meth:`MultiObjectTracker.update`
+        for the lanes ``rows``, over the world-model columns, then each
+        lane's lead.
+
+        Both filters predict in place, the tracks are associated lane by
+        lane, and one measurement update corrects every EKF with a fix
+        and every matched track together.  Lanes in a world-model fault
+        window get a real :class:`WorldModel` for the fault setters; the
+        rest read the columns directly.  Returns the live tracks of these
+        lanes and the planner's inputs, ``(ego x, ego v, lead x, lead
+        vx, has lead, lane offset, lane heading)``, one list each,
+        aligned with ``rows``.
+        """
+        slots = rows.tolist()
+        bundles = [self.bundles[slot] for slot in slots]
+        # What the filters read, after any sensing fault.
+        gps = [bundle.gps for bundle in bundles]
+        imu = [bundle.imu for bundle in bundles]
+        sensed = np.array(([fix.x for fix in gps], [fix.y for fix in gps],
+                           [sample.v for sample in imu],
+                           [sample.heading for sample in imu],
+                           [sample.yaw_rate for sample in imu]), dtype=float)
+        ego = self._predict_ego(rows, sensed)
+        det, counts, tracks = self._predict_and_associate(
+            rows, [self.detections[slot] for slot in slots])
+        self._correct(ego, det, tracks)
+        live, lanes, reported = self._turn_over_tracks(rows, det, counts,
+                                                       tracks)
+        if self.config.localizer.enabled:
+            ego_x, ego_y, ego_v, ego_theta = self.ego_mean[:, rows].tolist()
+        else:   # ablation mode: the raw sensors are the estimate
+            ego_x, ego_y, ego_v, ego_theta = sensed[:4].tolist()
+
+        # ``WorldModel.lead_track`` over each lane's reported tracks, in
+        # list order (lanes[t] is reported track t's lane).
+        ids, xs, ys, vxs, vys, ages, misses = reported
+        lead: dict[int, int] = {}
+        for t, i in enumerate(lanes):
+            x = xs[t]
+            if x <= ego_x[i] or abs(ys[t] - ego_y[i]) > LEAD_CORRIDOR:
+                continue
+            best = lead.get(i)
+            if best is None or x < xs[best]:
+                lead[i] = t
+        px = ego_x
+        pv = ego_v
+        lx = list(ego_x)
+        lv = [0.0] * len(slots)
+        has_lead = [False] * len(slots)
+        for i, t in lead.items():
+            has_lead[i] = True
+            lx[i] = xs[t]
+            lv[i] = vxs[t]
+        offsets = [bundle.lane_offset for bundle in bundles]
+        headings = [bundle.lane_heading for bundle in bundles]
+
+        for slot in self._hot.intersection(slots):
+            if "world_model" not in self.stage_faults[slot]:
+                continue
+            i = slots.index(slot)
+            bundle = bundles[i]
+            model = WorldModel(
+                time=bundle.time,
+                ego=EgoEstimate(x=ego_x[i], y=ego_y[i], v=ego_v[i],
+                                theta=ego_theta[i]),
+                tracks=[TrackedObject(track_id=ids[t], x=xs[t], y=ys[t],
+                                      vx=vxs[t], vy=vys[t], age=ages[t],
+                                      misses=misses[t])
+                        for t in range(bisect_left(lanes, i),
+                                       bisect_right(lanes, i))],
+                lane_offset=bundle.lane_offset,
+                lane_heading=bundle.lane_heading)
+            self._apply_object_faults(slot, "world_model", model)
+            best = model.lead_track()
+            px[i] = lx[i] = model.ego.x
+            pv[i] = model.ego.v
+            has_lead[i] = best is not None
+            if best is None:
+                lv[i] = 0.0
+            else:
+                lx[i] = best.x
+                lv[i] = best.vx
+            offsets[i] = model.lane_offset
+            headings[i] = model.lane_heading
+        return live, (px, pv, lx, lv, has_lead, offsets, headings)
+
+    def _predict_ego(self, rows: np.ndarray, sensed: np.ndarray) -> tuple:
+        """The EKF predict of every lane in ``rows`` with a fix, in
+        place, and the first fix of the others.  ``sensed`` holds the
+        lanes' GPS x/y, IMU speed, heading and yaw rate.  Returns the
+        pending correction: the predicted slots and their GPS+IMU
+        measurement (none in ablation mode)."""
+        cfg = self.config.localizer
+        if not cfg.enabled:
+            return rows[:0], sensed[:3, :0]
+        fixed = self.ego_fixed[rows]
+        cols = rows[fixed]
+        (self.ego_mean[:, cols],
+         self.ego_cov[:, cols]) = ekf_predict(
+            self.ego_mean[:, cols], self.ego_cov[:, cols], sensed[4, fixed],
+            self._planning_dt, cfg.position_process_noise,
+            cfg.speed_process_noise, cfg.heading_process_noise)
+        if cols.size < rows.size:
+            first = ~fixed
+            fresh = rows[first]
+            self.ego_mean[:, fresh] = sensed[:4, first]
+            self.ego_cov[:, fresh] = np.array(FIRST_FIX_COV)[:, None]
+            self.ego_fixed[fresh] = True
+        return cols, sensed[:3, fixed]
+
+    def _predict_and_associate(self, rows: np.ndarray,
+                               detections: list) -> tuple:
+        """The track predict of the lanes ``rows``, in place, and the
+        greedy association of their tracks with ``detections`` (aligned
+        with ``rows``).
+
+        Returns the detections as ``(3, d)`` columns (x, y, v), each
+        lane's detection count, and ``(sel, matched, matched_det)``:
+        the table rows of these lanes' tracks, the ``sel`` positions
+        that matched and the detection each matched (``None`` in
+        ablation mode, where raw detections are the tracks).
+        """
+        cfg = self.config.tracker
+        counts = [len(lane) for lane in detections]
+        det = np.array([value for lane in detections for d in lane
+                        for value in (d.x, d.y, d.v)],
+                       dtype=float).reshape(-1, 3).T
+        if not cfg.enabled:
+            return det, counts, None
+        sel = self._table_rows(rows)
+        mean, cov = kf_predict4(self.track_mean[:, sel],
+                                self.track_cov[:, sel], self._planning_dt,
+                                cfg.process_noise)
+        self.track_mean[:, sel] = mean
+        self.track_cov[:, sel] = cov
+
+        # Every (track, detection) pair within a lane, track-major, and
+        # all their distances from one np.hypot call.  Lane i's tracks
+        # are sel positions from track_start[i], its detections start at
+        # det_start[i] and its pairs at pair_start[i].
+        per_lane = np.bincount(self.track_slot[sel],
+                               minlength=self.batch.n_lanes)[rows]
+        tracks = per_lane.tolist()
+        lane_pairs = [a * b for a, b in zip(tracks, counts)]
+        track_start = [0, *accumulate(tracks)]
+        det_start = [0, *accumulate(counts)]
+        pair_start = [0, *accumulate(lane_pairs)]
+        lane = np.repeat(np.arange(rows.size), per_lane)
+        dets = np.array(counts)[lane]
+        first_pair = (np.array(pair_start[:-1])[lane]
+                      + (np.arange(sel.size)
+                         - np.array(track_start[:-1])[lane]) * dets)
+        pair_track = np.repeat(np.arange(sel.size), dets)
+        pair_det = np.arange(pair_start[-1]) + np.repeat(
+            np.array(det_start[:-1])[lane] - first_pair, dets)
+        distances = np.hypot(det[0][pair_det] - mean[0][pair_track],
+                             det[1][pair_det] - mean[1][pair_track]).tolist()
+
+        # Greedy nearest-neighbour association in every lane holding
+        # tracks and detections: the oldest track first (stable among
+        # equal ages) takes the nearest unmatched detection strictly
+        # inside the gate.
+        ages = self.track_age[sel].tolist()
+        gate = cfg.association_gate
+        matched, matched_det = [], []
+        for i, n_pairs in enumerate(lane_pairs):
+            if n_pairs == 1:    # one track, one detection
+                if distances[pair_start[i]] < gate:
+                    matched.append(track_start[i])
+                    matched_det.append(det_start[i])
+                continue
+            if not n_pairs:
+                continue
+            track0 = track_start[i]
+            det0 = det_start[i]
+            n_dets = counts[i]
+            order = range(track0, track_start[i + 1])
+            if n_pairs > n_dets:
+                order = sorted(order, key=lambda j: -ages[j])
+            unmatched = list(range(det0, det0 + n_dets))
+            for j in order:
+                best, best_distance = None, gate
+                base = pair_start[i] + (j - track0) * n_dets - det0
+                for index in unmatched:
+                    distance = distances[base + index]
+                    if distance < best_distance:
+                        best, best_distance = index, distance
+                if best is not None:
+                    unmatched.remove(best)
+                    matched.append(j)
+                    matched_det.append(best)
+        return det, counts, (sel, matched, matched_det)
+
+    def _correct(self, ego: tuple, det: np.ndarray,
+                 tracks: tuple | None) -> None:
+        """One :func:`kf_update4` over the pending EKF correction
+        (GPS + IMU speed, then :func:`clamp_speed`) and the matched
+        tracks (their detections ``det``), each column with its own
+        noises: :func:`ekf_correct` and the track update, fused."""
+        ego_cols, ego_z = ego
+        loc = self.config.localizer
+        trk = self.config.tracker
+        if tracks is None:
+            track_cols = ego_cols[:0]
+            track_z = ego_z[:, :0]
+        else:
+            sel, matched, matched_det = tracks
+            track_cols = sel[matched]
+            track_z = det[:, matched_det]
+        m = ego_cols.size
+        size = m + track_cols.size
+        if not size:
+            return
+        mean, cov = kf_update4(
+            np.concatenate((self.ego_mean[:, ego_cols],
+                            self.track_mean[:, track_cols]), axis=1),
+            np.concatenate((self.ego_cov[:, ego_cols],
+                            self.track_cov[:, track_cols]), axis=1),
+            *np.concatenate((ego_z, track_z), axis=1),
+            np.where(np.arange(size) < m, loc.gps_noise,
+                     trk.measurement_noise),
+            np.where(np.arange(size) < m, loc.imu_speed_noise,
+                     trk.speed_measurement_noise))
+        mean = np.array(mean)
+        cov = np.array(cov)
+        mean[2, :m] = clamp_speed(mean[2, :m], np.where)
+        self.ego_mean[:, ego_cols] = mean[:, :m]
+        self.ego_cov[:, ego_cols] = cov[:, :m]
+        self.track_mean[:, track_cols] = mean[:, m:]
+        self.track_cov[:, track_cols] = cov[:, m:]
+
+    def _turn_over_tracks(self, rows: np.ndarray, det: np.ndarray,
+                          counts: list, tracks: tuple | None) -> tuple:
+        """The track bookkeeping of the lanes ``rows`` after the
+        correction: ages and misses, births (each lane's unmatched
+        detections, in order), and the drop of tracks missed more than
+        ``max_misses`` times.
+
+        Returns ``(live, lanes, reported)``: the live tracks of these
+        lanes, and of the tracks they report (confirmed ones, lane by
+        lane in list order) each one's lane position in ``rows`` and
+        their ``(id, x, y, vx, vy, age, misses)`` as lists of Python
+        numbers, the fields of the scalar tracker's ``TrackedObject``s.
+        """
+        cfg = self.config.tracker
+        if tracks is None:
+            # Ablation mode: raw detections are the tracks.
+            size = det.shape[1]
+            return (self._table_rows(rows).size,
+                    [i for i, count in enumerate(counts)
+                     for _ in range(count)],
+                    ([j + 1 for count in counts for j in range(count)],
+                     *det.tolist(), [0.0] * size, [cfg.confirm_age] * size,
+                     [0] * size))
+        sel, matched, matched_det = tracks
+        self.track_misses[sel] += 1
+        self.track_misses[sel[matched]] = 0
+        self.track_age[sel] += 1
+        free = np.ones(det.shape[1], dtype=bool)
+        free[matched_det] = False
+        born = np.flatnonzero(free)
+        drop = sel[self.track_misses[sel] > cfg.max_misses]
+        if born.size or drop.size:
+            added = None
+            if born.size:
+                born_slot = np.repeat(rows, counts)[born]
+                ids = []
+                for slot in born_slot.tolist():
+                    ids.append(self.next_track_id[slot])
+                    self.next_track_id[slot] += 1
+                if cfg.max_misses >= 0:     # else they drop at once
+                    size = born.size
+                    x, y, v = det[:, born]
+                    added = (born_slot, ids, np.ones(size), np.zeros(size),
+                             (x, y, v, np.zeros(size)),
+                             np.repeat(np.array(NEW_TRACK_COV)[:, None],
+                                       size, axis=1))
+            keep = np.ones(self.track_slot.size, dtype=bool)
+            keep[drop] = False
+            self._edit_tracks(keep, added)
+            sel = self._table_rows(rows)
+        reported = sel[self.track_age[sel] >= cfg.confirm_age]
+        position = np.zeros(self.batch.n_lanes, dtype=np.int64)
+        position[rows] = np.arange(rows.size)
+        x, y, vx, vy = self.track_mean[:, reported].tolist()
+        return (sel.size, position[self.track_slot[reported]].tolist(),
+                (self.track_id[reported].tolist(), x, y, vx, vy,
+                 self.track_age[reported].tolist(),
+                 self.track_misses[reported].tolist()))
+
+    def _table_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The track-table rows of the lanes ``rows``, in table order."""
+        wanted = np.zeros(self.batch.n_lanes, dtype=bool)
+        wanted[rows] = True
+        return np.flatnonzero(wanted[self.track_slot])
 
     def _actuate(self, rows: np.ndarray) -> None:
         """Controller + actuation faults + physical clip for all fused

@@ -1,15 +1,16 @@
 """Shared closed-form numeric kernels for the ADS stack.
 
-One implementation, two callers.  The world-model filters
-(:mod:`repro.ads.tracking`, :mod:`repro.ads.localization`) run these
-on Python floats in both engines: the batched pipeline
-(:mod:`repro.ads.batch`) drives each lane's own tracker and localizer.
-The planner and controller kernels are polymorphic: the scalar
-:mod:`repro.ads.planning` and :mod:`repro.ads.control` pass floats, the
-batched pipeline passes ``(k,)`` float64 arrays.  Because both paths
-execute the *same* expressions in the *same* order, the batched lanes
-are bit-for-bit the scalar oracle by construction — the repo-wide
-equivalence contract.
+One implementation, two callers.  Every kernel here is polymorphic: the
+scalar modules (:mod:`repro.ads.tracking`, :mod:`repro.ads.localization`,
+:mod:`repro.ads.planning`, :mod:`repro.ads.control`) pass Python floats,
+and the batched pipeline (:mod:`repro.ads.batch`) passes float64 arrays
+with one element per fused lane (or, for the track filter, per live
+track of every fused lane).  Because both paths execute the *same*
+expressions in the *same* order, the batched lanes are bit-for-bit the
+scalar oracle by construction — the repo-wide equivalence contract.
+The batched pipeline keeps what is not arithmetic — track association,
+births, drops and the lead pick — as short per-lane loops over floats
+that follow the scalar tracker's order.
 
 Three rules keep that true:
 
@@ -29,8 +30,10 @@ Three rules keep that true:
   ties, hence ``where(0.0 > a, 0.0, a)``; ``max(0.0, b)`` keeps
   ``0.0`` on ties, hence ``where(b > 0.0, b, 0.0)``).
 
-Transcendentals go through numpy (``np.cos`` on a Python float and on
-an array agree bitwise element for element; ``math.cos`` does not).
+Transcendentals and the association distance go through numpy
+(``np.cos``/``np.sin``/``np.hypot`` on Python floats and on arrays
+agree bitwise element for element; ``math.cos`` and ``math.hypot`` do
+not), pinned by ``tests/test_world_model_kernels.py``.
 """
 
 from __future__ import annotations
@@ -47,18 +50,21 @@ def py_where(condition, if_true, if_false):
 
 # -- constant-velocity Kalman filter (object tracks, state [x,y,vx,vy]) ----
 #
-# The filter kernels run on Python floats only: ``mean`` is a length-4
-# list, ``cov`` a row-major length-16 list, both mutated in place.  Each
-# is straight-line code on locals (``cov`` unpacked once, written back
-# once); ``tests/reference.py`` keeps the index-loop forms they match
-# bit for bit.
+# The filter kernels take a state as components and return new tuples:
+# ``mean`` is any 4-sequence and ``cov`` any row-major 16-sequence of
+# Python floats (the scalar filters' tuples) or of equal-length float64
+# arrays (a ``(4, k)`` / ``(16, k)`` column block of the batched world
+# model unpacks row by row).  Each is straight-line code on locals;
+# ``tests/reference.py`` keeps the index-loop forms they match bit for
+# bit.
 
-def kf_predict4(mean: list, cov: list, dt: float, q: float) -> None:
+def kf_predict4(mean, cov, dt: float, q: float) -> tuple:
     """Constant-velocity predict: F = I + dt*(x<-vx, y<-vy), plus
     white-acceleration process noise q * g g^T with g = [a,a,dt,dt]
-    structure (a = dt^2/2), exactly the scalar tracker's model."""
-    mean[0] = mean[0] + dt * mean[2]
-    mean[1] = mean[1] + dt * mean[3]
+    structure (a = dt^2/2), exactly the scalar tracker's model.
+
+    Returns ``(mean, cov)`` as a 4-tuple and a 16-tuple."""
+    m0, m1, m2, m3 = mean
     (p00, p01, p02, p03, p10, p11, p12, p13,
      p20, p21, p22, p23, p30, p31, p32, p33) = cov
     # fP: row0 += dt*row2, row1 += dt*row3.
@@ -76,10 +82,11 @@ def kf_predict4(mean: list, cov: list, dt: float, q: float) -> None:
     qdd = q * (dt * dt)
     # (fP)F^T: col0 += dt*col2, col1 += dt*col3 (rows 2-3 of fP are
     # P's), then the process noise.
-    cov[:] = (t00 + dt * t02 + qaa, t01 + dt * t03, t02 + qad, t03,
-              t10 + dt * t12, t11 + dt * t13 + qaa, t12, t13 + qad,
-              p20 + dt * p22 + qad, p21 + dt * p23, p22 + qdd, p23,
-              p30 + dt * p32, p31 + dt * p33 + qad, p32, p33 + qdd)
+    return ((m0 + dt * m2, m1 + dt * m3, m2, m3),
+            (t00 + dt * t02 + qaa, t01 + dt * t03, t02 + qad, t03,
+             t10 + dt * t12, t11 + dt * t13 + qaa, t12, t13 + qad,
+             p20 + dt * p22 + qad, p21 + dt * p23, p22 + qdd, p23,
+             p30 + dt * p32, p31 + dt * p33 + qad, p32, p33 + qdd))
 
 
 def _inv3(s00, s01, s02, s10, s11, s12, s20, s21, s22):
@@ -104,10 +111,11 @@ def _inv3(s00, s01, s02, s10, s11, s12, s20, s21, s22):
             (s00 * s11 - s01 * s10) * idet)
 
 
-def _update_h012(mean: list, cov: list, z0, z1, z2, r0, r1, r2) -> None:
+def _update_h012(mean, cov, z0, z1, z2, r0, r1, r2) -> tuple:
     """Measurement update with H = rows 0,1,2 of I (shared by the track
     filter and the EKF correct): S = P[:3,:3] + diag(r), K = P[:,:3]
-    S^-1, mean += K (z - H mean), P = (I - K H) P."""
+    S^-1, mean += K (z - H mean), P = (I - K H) P.  Returns ``(mean,
+    cov)``."""
     (p00, p01, p02, p03, p10, p11, p12, p13,
      p20, p21, p22, p23, p30, p31, p32, p33) = cov
     i00, i01, i02, i10, i11, i12, i20, i21, i22 = _inv3(
@@ -131,53 +139,56 @@ def _update_h012(mean: list, cov: list, z0, z1, z2, r0, r1, r2) -> None:
     k30 = p30 * i00 + p31 * i10 + p32 * i20
     k31 = p30 * i01 + p31 * i11 + p32 * i21
     k32 = p30 * i02 + p31 * i12 + p32 * i22
-    mean[:] = (m0 + (k00 * v0 + k01 * v1 + k02 * v2),
-               m1 + (k10 * v0 + k11 * v1 + k12 * v2),
-               m2 + (k20 * v0 + k21 * v1 + k22 * v2),
-               m3 + (k30 * v0 + k31 * v1 + k32 * v2))
     # P - K (H P), where H P is rows 0-2 of P.
-    cov[:] = (p00 - (k00 * p00 + k01 * p10 + k02 * p20),
-              p01 - (k00 * p01 + k01 * p11 + k02 * p21),
-              p02 - (k00 * p02 + k01 * p12 + k02 * p22),
-              p03 - (k00 * p03 + k01 * p13 + k02 * p23),
-              p10 - (k10 * p00 + k11 * p10 + k12 * p20),
-              p11 - (k10 * p01 + k11 * p11 + k12 * p21),
-              p12 - (k10 * p02 + k11 * p12 + k12 * p22),
-              p13 - (k10 * p03 + k11 * p13 + k12 * p23),
-              p20 - (k20 * p00 + k21 * p10 + k22 * p20),
-              p21 - (k20 * p01 + k21 * p11 + k22 * p21),
-              p22 - (k20 * p02 + k21 * p12 + k22 * p22),
-              p23 - (k20 * p03 + k21 * p13 + k22 * p23),
-              p30 - (k30 * p00 + k31 * p10 + k32 * p20),
-              p31 - (k30 * p01 + k31 * p11 + k32 * p21),
-              p32 - (k30 * p02 + k31 * p12 + k32 * p22),
-              p33 - (k30 * p03 + k31 * p13 + k32 * p23))
+    return ((m0 + (k00 * v0 + k01 * v1 + k02 * v2),
+             m1 + (k10 * v0 + k11 * v1 + k12 * v2),
+             m2 + (k20 * v0 + k21 * v1 + k22 * v2),
+             m3 + (k30 * v0 + k31 * v1 + k32 * v2)),
+            (p00 - (k00 * p00 + k01 * p10 + k02 * p20),
+             p01 - (k00 * p01 + k01 * p11 + k02 * p21),
+             p02 - (k00 * p02 + k01 * p12 + k02 * p22),
+             p03 - (k00 * p03 + k01 * p13 + k02 * p23),
+             p10 - (k10 * p00 + k11 * p10 + k12 * p20),
+             p11 - (k10 * p01 + k11 * p11 + k12 * p21),
+             p12 - (k10 * p02 + k11 * p12 + k12 * p22),
+             p13 - (k10 * p03 + k11 * p13 + k12 * p23),
+             p20 - (k20 * p00 + k21 * p10 + k22 * p20),
+             p21 - (k20 * p01 + k21 * p11 + k22 * p21),
+             p22 - (k20 * p02 + k21 * p12 + k22 * p22),
+             p23 - (k20 * p03 + k21 * p13 + k22 * p23),
+             p30 - (k30 * p00 + k31 * p10 + k32 * p20),
+             p31 - (k30 * p01 + k31 * p11 + k32 * p21),
+             p32 - (k30 * p02 + k31 * p12 + k32 * p22),
+             p33 - (k30 * p03 + k31 * p13 + k32 * p23)))
 
 
-def kf_update4(mean: list, cov: list, zx, zy, zv,
-               r_pos: float, r_speed: float) -> None:
+def kf_update4(mean, cov, zx, zy, zv, r_pos, r_speed) -> tuple:
     """Track measurement update: z = [x, y, vx], R = diag of squared
-    noises (squares as multiplication chains, not ``**``)."""
-    _update_h012(mean, cov, zx, zy, zv,
-                 r_pos * r_pos, r_pos * r_pos, r_speed * r_speed)
+    noises (squares as multiplication chains, not ``**``).  On columns
+    the noises may be columns too, so one call can update filters with
+    different noises (the batched EKF correct and track update)."""
+    return _update_h012(mean, cov, zx, zy, zv,
+                        r_pos * r_pos, r_pos * r_pos, r_speed * r_speed)
 
 
 # -- ego EKF (localization, state [x, y, v, theta]) ------------------------
 #
-# Same layout and style as the track filter.  Both engines run it per
-# lane on the lane's own :class:`~repro.ads.localization.EgoLocalizer`.
+# Same layout, calling convention and style as the track filter.
 
-def ekf_predict(mean: list, cov: list, yaw_rate, dt: float,
-                q_pos: float, q_speed: float, q_heading: float) -> None:
+def ekf_predict(mean, cov, yaw_rate, dt: float, q_pos: float,
+                q_speed: float, q_heading: float) -> tuple:
     """Bicycle-model predict with the heading-linearized Jacobian
     F = [[1,0,c*dt,-v*s*dt],[0,1,s*dt,v*c*dt],[0,0,1,0],[0,0,0,1]].
 
-    The trig goes through numpy and back to ``float``, so a float
-    state stays float (numpy scalars would slow every later step)."""
+    The trig goes through numpy; on a float state it comes back as
+    ``float``, so a float state stays float (numpy scalars would slow
+    every later step)."""
     m0, m1, v, theta = mean
-    c = float(np.cos(theta))
-    s = float(np.sin(theta))
-    mean[:] = (m0 + v * c * dt, m1 + v * s * dt, v, theta + yaw_rate * dt)
+    c = np.cos(theta)
+    s = np.sin(theta)
+    if c.ndim == 0:
+        c = float(c)
+        s = float(s)
     a02 = c * dt
     a03 = -v * s * dt
     a12 = s * dt
@@ -196,25 +207,31 @@ def ekf_predict(mean: list, cov: list, yaw_rate, dt: float,
     # (FP)F^T: col0 += a02*col2 + a03*col3; col1 += a12*col2 + a13*col3
     # (rows 2-3 of FP are P's), then the process noise.
     q_xy = q_pos * dt
-    cov[:] = (t00 + (a02 * t02 + a03 * t03) + q_xy,
-              t01 + (a12 * t02 + a13 * t03), t02, t03,
-              t10 + (a02 * t12 + a03 * t13),
-              t11 + (a12 * t12 + a13 * t13) + q_xy, t12, t13,
-              p20 + (a02 * p22 + a03 * p23),
-              p21 + (a12 * p22 + a13 * p23), p22 + q_speed * dt, p23,
-              p30 + (a02 * p32 + a03 * p33),
-              p31 + (a12 * p32 + a13 * p33), p32, p33 + q_heading * dt)
+    return ((m0 + v * c * dt, m1 + v * s * dt, v, theta + yaw_rate * dt),
+            (t00 + (a02 * t02 + a03 * t03) + q_xy,
+             t01 + (a12 * t02 + a13 * t03), t02, t03,
+             t10 + (a02 * t12 + a03 * t13),
+             t11 + (a12 * t12 + a13 * t13) + q_xy, t12, t13,
+             p20 + (a02 * p22 + a03 * p23),
+             p21 + (a12 * p22 + a13 * p23), p22 + q_speed * dt, p23,
+             p30 + (a02 * p32 + a03 * p33),
+             p31 + (a12 * p32 + a13 * p33), p32, p33 + q_heading * dt))
 
 
-def ekf_correct(mean: list, cov: list, zx, zy, zv,
-                gps_noise: float, imu_speed_noise: float) -> None:
-    """GPS + IMU-speed correct (H = rows 0,1,2), then the non-negative
-    speed clamp."""
-    _update_h012(mean, cov, zx, zy, zv,
-                 gps_noise * gps_noise, gps_noise * gps_noise,
-                 imu_speed_noise * imu_speed_noise)
-    if mean[2] < 0.0:
-        mean[2] = 0.0
+def ekf_correct(mean, cov, zx, zy, zv, gps_noise: float,
+                imu_speed_noise: float, where) -> tuple:
+    """GPS + IMU-speed correct: the track filter's update (H = rows
+    0,1,2) with the GPS and IMU-speed noises, then
+    :func:`clamp_speed`."""
+    (m0, m1, v, theta), cov = kf_update4(mean, cov, zx, zy, zv, gps_noise,
+                                         imu_speed_noise)
+    return (m0, m1, clamp_speed(v, where), theta), cov
+
+
+def clamp_speed(v, where):
+    """The EKF's non-negative speed clamp (``if v < 0.0: v = 0.0``) as a
+    ``where`` select."""
+    return where(v < 0.0, 0.0, v)
 
 
 # -- IDM planner -----------------------------------------------------------

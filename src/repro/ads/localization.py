@@ -7,22 +7,25 @@ mechanism: a single corrupted GPS fix is weighed against the motion
 model instead of teleporting the pose estimate.
 
 The predict/correct math lives in :mod:`repro.ads.kernels` as explicit
-closed-form arithmetic (no BLAS) on Python floats.  The batched pipeline
-runs each fused lane's own localizer, so both engines share this filter.
+closed-form arithmetic (no BLAS), here on Python floats.  This class is
+the scalar engine's localizer and the oracle of the batched one: the
+fused lanes hold every lane's belief as columns
+(:class:`~repro.ads.batch.BatchADSState`) and run the *same* kernels on
+them, first fix and disabled mode included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernels import ekf_correct, ekf_predict
+from .kernels import ekf_correct, ekf_predict, py_where
 from .messages import EgoEstimate, GpsFix, ImuSample
 
 #: First-fix covariance diag([2, 2, 1, 0.05]) in the flat row-major layout.
-_FIRST_FIX_COV = (2.0, 0.0, 0.0, 0.0,
-                  0.0, 2.0, 0.0, 0.0,
-                  0.0, 0.0, 1.0, 0.0,
-                  0.0, 0.0, 0.0, 0.05)
+FIRST_FIX_COV = (2.0, 0.0, 0.0, 0.0,
+                 0.0, 2.0, 0.0, 0.0,
+                 0.0, 0.0, 1.0, 0.0,
+                 0.0, 0.0, 0.0, 0.05)
 
 
 @dataclass(frozen=True)
@@ -49,14 +52,14 @@ class LocalizerConfig:
 class EgoLocalizer:
     """EKF over ``[x, y, v, theta]``.
 
-    The belief is held as a length-4 mean list and a row-major length-16
-    covariance list of Python floats (the kernels' layout).
+    The belief is held as a 4-tuple mean and a row-major 16-tuple
+    covariance of Python floats (the kernels' layout).
     """
 
     def __init__(self, config: LocalizerConfig | None = None):
         self.config = config or LocalizerConfig()
-        self._mean: list[float] | None = None
-        self._cov: list[float] | None = None
+        self._mean: tuple | None = None
+        self._cov: tuple | None = None
 
     def reset(self) -> None:
         """Forget the state (new scenario)."""
@@ -65,16 +68,12 @@ class EgoLocalizer:
 
     def snapshot(self) -> LocalizerSnapshot:
         """Capture the belief."""
-        return LocalizerSnapshot(
-            mean=None if self._mean is None else tuple(self._mean),
-            covariance=None if self._cov is None else tuple(self._cov))
+        return LocalizerSnapshot(mean=self._mean, covariance=self._cov)
 
     def restore(self, snapshot: LocalizerSnapshot) -> None:
-        """Rewind the belief to a snapshot."""
-        self._mean = (None if snapshot.mean is None
-                      else list(snapshot.mean))
-        self._cov = (None if snapshot.covariance is None
-                     else list(snapshot.covariance))
+        """Rewind the belief to a snapshot (immutable tuples, shared)."""
+        self._mean = snapshot.mean
+        self._cov = snapshot.covariance
 
     def update(self, gps: GpsFix, imu: ImuSample, yaw_rate: float,
                dt: float) -> EgoEstimate:
@@ -82,15 +81,17 @@ class EgoLocalizer:
         if not self.config.enabled:
             return EgoEstimate(x=gps.x, y=gps.y, v=imu.v, theta=imu.heading)
         if self._mean is None:
-            self._mean = [gps.x, gps.y, imu.v, imu.heading]
-            self._cov = list(_FIRST_FIX_COV)
+            self._mean = (gps.x, gps.y, imu.v, imu.heading)
+            self._cov = FIRST_FIX_COV
             return self._estimate()
         cfg = self.config
-        ekf_predict(self._mean, self._cov, yaw_rate, dt,
-                    cfg.position_process_noise, cfg.speed_process_noise,
-                    cfg.heading_process_noise)
-        ekf_correct(self._mean, self._cov, gps.x, gps.y, imu.v,
-                    cfg.gps_noise, cfg.imu_speed_noise)
+        mean, cov = ekf_predict(self._mean, self._cov, yaw_rate, dt,
+                                cfg.position_process_noise,
+                                cfg.speed_process_noise,
+                                cfg.heading_process_noise)
+        self._mean, self._cov = ekf_correct(
+            mean, cov, gps.x, gps.y, imu.v, cfg.gps_noise,
+            cfg.imu_speed_noise, py_where)
         return self._estimate()
 
     def _estimate(self) -> EgoEstimate:

@@ -83,6 +83,10 @@ class EgoEstimate:
     theta: float
 
 
+#: Half-width (m) of the travel corridor the planner's lead pick scans.
+LEAD_CORRIDOR = 1.9
+
+
 @dataclass
 class WorldModel:
     """The ML-module state ``S_t``: ego estimate + tracked objects + lane."""
@@ -99,7 +103,7 @@ class WorldModel:
     _lead_cache: dict = field(default_factory=dict, init=False,
                               repr=False, compare=False)
 
-    def lead_track(self, corridor_half_width: float = 1.9
+    def lead_track(self, corridor_half_width: float = LEAD_CORRIDOR
                    ) -> TrackedObject | None:
         """Nearest tracked object ahead within the travel corridor."""
         try:

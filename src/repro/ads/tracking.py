@@ -6,10 +6,14 @@ corrupted detection is averaged against the track's state and prior
 covariance instead of being believed outright.
 
 The filter math lives in :mod:`repro.ads.kernels` as straight-line
-closed-form arithmetic on plain floats (no BLAS): an order of magnitude
-cheaper per track than 4x4 ``ndarray`` products, deterministic across
-backends, and the exact same code path the batched pipeline runs per
-lane — which is what makes batched lanes bit-for-bit the scalar oracle.
+closed-form arithmetic (no BLAS): on plain floats here, an order of
+magnitude cheaper per track than 4x4 ``ndarray`` products and
+deterministic across backends.  This class is the scalar engine's
+tracker and the oracle of the batched one: the fused lanes keep every
+lane's tracks in one columnar table
+(:class:`~repro.ads.batch.BatchADSState`) and run the *same* kernels on
+its columns, with association, births, drops and confirmation following
+:meth:`MultiObjectTracker.update` step for step.
 """
 
 from __future__ import annotations
@@ -48,31 +52,33 @@ class TrackerSnapshot:
 class _KalmanTrack:
     """Internal filter state for one object: [x, y, vx, vy].
 
-    ``mean`` is a length-4 float list, ``covariance`` a row-major
-    length-16 float list (the kernels' closed-form layout).
+    ``mean`` is a 4-tuple, ``covariance`` a row-major 16-tuple of
+    floats (the kernels' closed-form layout).
     """
 
     track_id: int
-    mean: list[float]
-    covariance: list[float]
+    mean: tuple
+    covariance: tuple
     age: int = 0
     misses: int = 0
 
     def predict(self, dt: float, q: float) -> None:
-        kf_predict4(self.mean, self.covariance, dt, q)
+        self.mean, self.covariance = kf_predict4(
+            self.mean, self.covariance, dt, q)
 
     def update(self, detection: Detection, r_pos: float,
                r_speed: float) -> None:
         # Measure position and longitudinal speed: z = [x, y, vx].
-        kf_update4(self.mean, self.covariance,
-                   detection.x, detection.y, detection.v, r_pos, r_speed)
+        self.mean, self.covariance = kf_update4(
+            self.mean, self.covariance,
+            detection.x, detection.y, detection.v, r_pos, r_speed)
 
 
 #: Fresh-track covariance diag([2, 2, 4, 1]) in the flat layout.
-_NEW_TRACK_COV = (2.0, 0.0, 0.0, 0.0,
-                  0.0, 2.0, 0.0, 0.0,
-                  0.0, 0.0, 4.0, 0.0,
-                  0.0, 0.0, 0.0, 1.0)
+NEW_TRACK_COV = (2.0, 0.0, 0.0, 0.0,
+                 0.0, 2.0, 0.0, 0.0,
+                 0.0, 0.0, 4.0, 0.0,
+                 0.0, 0.0, 0.0, 1.0)
 
 
 @dataclass
@@ -115,8 +121,8 @@ class MultiObjectTracker:
             detection = detections[index]
             self._tracks.append(_KalmanTrack(
                 track_id=self._next_id,
-                mean=[detection.x, detection.y, detection.v, 0.0],
-                covariance=list(_NEW_TRACK_COV),
+                mean=(detection.x, detection.y, detection.v, 0.0),
+                covariance=NEW_TRACK_COV,
                 age=1))
             self._next_id += 1
         self._tracks = [t for t in self._tracks
@@ -135,16 +141,16 @@ class MultiObjectTracker:
     def snapshot(self) -> TrackerSnapshot:
         """Capture all filter states."""
         return TrackerSnapshot(
-            tracks=tuple((t.track_id, tuple(t.mean), tuple(t.covariance),
-                          t.age, t.misses) for t in self._tracks),
+            tracks=tuple((t.track_id, t.mean, t.covariance, t.age,
+                          t.misses) for t in self._tracks),
             next_id=self._next_id)
 
     def restore(self, snapshot: TrackerSnapshot) -> None:
-        """Rewind to a snapshot (tracks rebuilt from copies)."""
+        """Rewind to a snapshot (the filter states are immutable tuples,
+        so the tracks share them)."""
         self._tracks = [
-            _KalmanTrack(track_id=track_id, mean=list(mean),
-                         covariance=list(covariance), age=age,
-                         misses=misses)
+            _KalmanTrack(track_id=track_id, mean=mean,
+                         covariance=covariance, age=age, misses=misses)
             for track_id, mean, covariance, age, misses in snapshot.tracks]
         self._next_id = snapshot.next_id
 

@@ -124,7 +124,7 @@ def execute_experiment(scenario: Scenario, config: "CampaignConfig",
 
 def execute_experiment_batch(jobs: list[tuple[Scenario, FaultSpec]],
                              config: "CampaignConfig",
-                             checkpoints: CheckpointStore | None = None
+                             checkpoints: CheckpointStore | list | None = None
                              ) -> list[ExperimentRecord]:
     """Run several experiments, one ``(scenario, fault)`` job each,
     through the batched engine.
@@ -134,19 +134,24 @@ def execute_experiment_batch(jobs: list[tuple[Scenario, FaultSpec]],
     :class:`~repro.sim.batch.BatchWorldState` and advance under the
     fused numpy kernels, with each lane forking from the same nearest
     golden checkpoint its scalar twin would pick, chosen up front
-    (full replay when the store has none, or the snapshot's seed does
-    not match).  At most :data:`MAX_LANES` lanes are live; a retired
-    lane's slot takes the next pending job.  Every fault must be
-    fusable (:func:`repro.ads.batch.can_fuse`).  Records are bit-for-bit
-    the scalar records, in ``jobs`` order (wall clock aside).
+    (full replay when there is none, or the snapshot's seed does not
+    match).  ``checkpoints`` is the store to pick from, or a list of
+    the picked checkpoints (``None`` for none) aligned with ``jobs``,
+    which the batch consumes: each entry is cleared as its lane forks,
+    so a checkpoint is freed once its last lane has forked.  At most
+    :data:`MAX_LANES` lanes are live; a retired lane's slot takes the
+    next pending job.  Every fault must be fusable
+    (:func:`repro.ads.batch.can_fuse`).  Records are bit-for-bit the
+    scalar records, in ``jobs`` order (wall clock aside).
     """
-    forks = []
-    for scenario, fault in jobs:
-        checkpoint = (checkpoints.nearest(scenario.name, fault.start_tick)
-                      if checkpoints is not None else None)
-        if checkpoint is not None and checkpoint.seed != config.seed:
-            checkpoint = None
-        forks.append(checkpoint)
+    if isinstance(checkpoints, list):
+        forks = checkpoints
+    else:
+        forks = [None if checkpoints is None
+                 else checkpoints.nearest(scenario.name, fault.start_tick)
+                 for scenario, fault in jobs]
+    forks[:] = [fork if fork is not None and fork.seed == config.seed
+                else None for fork in forks]
     results = run_experiments_batched(
         [scenario for scenario, _ in jobs],
         [[fault] for _, fault in jobs],

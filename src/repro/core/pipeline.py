@@ -213,7 +213,7 @@ def _validation_parts(config: "CampaignConfig", items: list,
 
 
 def _fused_records(by_name: dict[str, Scenario], config: "CampaignConfig",
-                   items: list, checkpoints: CheckpointStore | None
+                   items: list, checkpoints: CheckpointStore | list | None
                    ) -> "list[ExperimentRecord] | None":
     """``items``' records from the fused engine
     (:func:`~repro.core.parallel.execute_experiment_batch`), or ``None``
@@ -765,14 +765,21 @@ class CampaignPipeline:
     def _dispatch_serial(self, items: list) -> None:
         """Run ``(key, scenario name, fault)`` items in-process: the
         fusable ones as one batch, the rest on the supervised scalar
-        path."""
+        path.  The batch takes its checkpoints as a list it consumes,
+        so each is freed once its lane has forked; the scalar items
+        pick theirs from a store of their own forks."""
         by_name = self.campaign._by_name
-        checkpoints = self._fork_checkpoints(items)
         policy = _policy(self.config)
         fused, scalar = _split_engines(self.config, items)
-        records = (_fused_records(by_name, self.config, fused, checkpoints)
+        forks, scalar_forks = self._fork_checkpoints(fused, scalar)
+        checkpoints = CheckpointStore()
+        checkpoints.add_all(fork for fork in scalar_forks if fork)
+        records = (_fused_records(by_name, self.config, fused, forks)
                    if fused else [])
         if records is None:
+            # The batch consumed its forks; pick them again.
+            checkpoints.add_all(fork for fork in
+                                self._fork_checkpoints(fused)[0] if fork)
             scalar.extend(fused)
             records = []
         for (key, _, _), record in zip(fused, records):
@@ -787,29 +794,31 @@ class CampaignPipeline:
                 record = failure_record(name, fault, self.config, failure)
             self._record_done(key, record)
 
-    def _fork_checkpoints(self, items: list) -> CheckpointStore:
-        """The checkpoints ``items`` fork from, and no others.
+    def _fork_checkpoints(self, *parts: list) -> list[list]:
+        """The checkpoint each item of every part forks from (``None``
+        where its ladder has none), one list per part of ``(key,
+        scenario name, fault)`` items.
 
         Serial twin of the worker-side spool protocol: each scenario's
         ladder is reloaded from the spool (unless the campaign holds it
         resident), the checkpoint nearest each item's fault tick is
         kept, and the ladder is evicted again, so at most one ladder is
-        resident at a time.  The nearest checkpoint of a tick in this
-        store is the one in the full ladder: every kept snapshot at or
-        before the tick is at or before that tick's own choice.
+        resident at a time.  A store of some items' forks picks each of
+        them again as its nearest: every kept snapshot at or before an
+        item's tick is at or before that tick's own choice.
         """
         store = self.campaign.checkpoints
-        forks = CheckpointStore()
-        ticks: dict[str, list[int]] = {}
-        for _, name, fault in items:
-            ticks.setdefault(name, []).append(fault.start_tick)
-        for name, starts in ticks.items():
+        forks = [[None] * len(part) for part in parts]
+        wanted: dict[str, list] = {}
+        for number, part in enumerate(parts):
+            for index, (_, name, fault) in enumerate(part):
+                wanted.setdefault(name, []).append(
+                    (number, index, fault.start_tick))
+        for name, places in wanted.items():
             loaded_here = (not store.has_scenario(name)
                            and store.load_scenario(self._spool, name))
-            for tick in starts:
-                checkpoint = store.nearest(name, tick)
-                if checkpoint is not None:
-                    forks.add(checkpoint)
+            for number, index, tick in places:
+                forks[number][index] = store.nearest(name, tick)
             if loaded_here:
                 store.drop_scenario(name)
         return forks

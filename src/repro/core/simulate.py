@@ -640,6 +640,9 @@ def run_experiments_batched(scenarios, fault_lists,
     ``fault_lists`` is one fault list per experiment; ``checkpoints``
     optionally aligns a golden :class:`Checkpoint` (or ``None``) with
     each, forking that lane from the prefix instead of replaying it.
+    The list is consumed: each entry is set to ``None`` as its lane
+    forks, so the batch holds a checkpoint only until the last lane
+    that needs it has forked (pass a copy to keep the list).
     Checkpoint capture is not supported here — golden collection stays
     on the scalar path.
     """
@@ -670,21 +673,21 @@ def run_experiments_batched(scenarios, fault_lists,
     results: list[RunResult | None] = [None] * len(fault_lists)
     for indices in groups.values():
         names = dict.fromkeys(scenarios[i].name for i in indices)
-        _run_batch([(i, scenarios[i], fault_lists[i], checkpoints[i])
-                    for i in indices],
-                   [references[name] for name in names], results,
-                   ads_config, safety_config, seed, horizon_after_fault,
-                   int(batch_size))
+        _run_batch([(i, scenarios[i], fault_lists[i]) for i in indices],
+                   checkpoints, [references[name] for name in names],
+                   results, ads_config, safety_config, seed,
+                   horizon_after_fault, int(batch_size))
     return results
 
 
-def _run_batch(jobs: list, references: list[World], results: list,
-               ads_config: ADSConfig, safety_config: SafetyConfig,
-               seed: int, horizon_after_fault: float | None,
-               batch_size: int) -> None:
-    """Run ``jobs`` (``(index, scenario, faults, checkpoint)``) as one
-    batch of up to ``batch_size`` live lanes, storing each result at
-    its index; ``references`` holds one fresh build per scenario."""
+def _run_batch(jobs: list, checkpoints: list, references: list[World],
+               results: list, ads_config: ADSConfig,
+               safety_config: SafetyConfig, seed: int,
+               horizon_after_fault: float | None, batch_size: int) -> None:
+    """Run ``jobs`` (``(index, scenario, faults)``) as one batch of up
+    to ``batch_size`` live lanes, storing each result at its index;
+    ``checkpoints[index]`` is the job's fork, cleared as the lane is
+    prepared, and ``references`` holds one fresh build per scenario."""
     pending = iter(jobs)
     dt = ads_config.control_period
     n_lanes = max(1, min(batch_size, len(jobs)))
@@ -693,10 +696,12 @@ def _run_batch(jobs: list, references: list[World], results: list,
         """Prepare the next pending experiment, finalizing any run whose
         window is already over (zero loop iterations in the scalar path
         — same early-exit RunResult)."""
-        for index, scenario, faults, checkpoint in pending:
+        for index, scenario, faults in pending:
             prepare_start = time.perf_counter()
+            checkpoint, checkpoints[index] = checkpoints[index], None
             lane = _prepare_lane(scenario, index, faults, checkpoint,
                                  ads_config, seed, horizon_after_fault)
+            del checkpoint
             lane.wall_seconds = time.perf_counter() - prepare_start
             if lane.tick < lane.n_ticks:
                 return lane

@@ -54,7 +54,7 @@ from dataclasses import asdict
 import numpy as np
 
 from repro.ads import localization, tracking
-from repro.ads.kernels import _inv3, py_where
+from repro.ads.kernels import _inv3
 from repro.ads.messages import Detection, GpsFix, ImuSample, SensorBundle
 from repro.ads.runtime import ADSPipeline
 from repro.ads.variables import variable_by_name
@@ -281,7 +281,8 @@ def hooks_always():
 
 
 def reference_kf_predict4(mean, cov, dt, q):
-    """``kernels.kf_predict4`` as index loops over a ``cov[:]`` copy."""
+    """``kernels.kf_predict4`` as index loops over list copies."""
+    mean, cov = list(mean), list(cov)
     mean[0] = mean[0] + dt * mean[2]
     mean[1] = mean[1] + dt * mean[3]
     # fP: row0 += dt*row2, row1 += dt*row3.
@@ -307,10 +308,12 @@ def reference_kf_predict4(mean, cov, dt, q):
     cov[10] = cov[10] + qdd
     cov[13] = cov[13] + qad
     cov[15] = cov[15] + qdd
+    return tuple(mean), tuple(cov)
 
 
 def reference_update_h012(mean, cov, z0, z1, z2, r0, r1, r2):
     """``kernels._update_h012`` as index loops into a ``new_cov`` copy."""
+    mean = list(mean)
     i00, i01, i02, i10, i11, i12, i20, i21, i22 = _inv3(
         cov[0] + r0, cov[1], cov[2],
         cov[4], cov[5] + r1, cov[6],
@@ -318,7 +321,7 @@ def reference_update_h012(mean, cov, z0, z1, z2, r0, r1, r2):
     v0 = z0 - mean[0]
     v1 = z1 - mean[1]
     v2 = z2 - mean[2]
-    new_cov = cov[:]
+    new_cov = list(cov)
     for i in range(4):
         p0, p1, p2 = cov[i * 4], cov[i * 4 + 1], cov[i * 4 + 2]
         k0 = p0 * i00 + p1 * i10 + p2 * i20
@@ -328,19 +331,20 @@ def reference_update_h012(mean, cov, z0, z1, z2, r0, r1, r2):
         for j in range(4):
             new_cov[i * 4 + j] = cov[i * 4 + j] - (
                 k0 * cov[j] + k1 * cov[4 + j] + k2 * cov[8 + j])
-    cov[:] = new_cov
+    return tuple(mean), tuple(new_cov)
 
 
 def reference_kf_update4(mean, cov, zx, zy, zv, r_pos, r_speed):
     """``kernels.kf_update4`` over :func:`reference_update_h012`."""
-    reference_update_h012(mean, cov, zx, zy, zv,
-                          r_pos * r_pos, r_pos * r_pos, r_speed * r_speed)
+    return reference_update_h012(mean, cov, zx, zy, zv, r_pos * r_pos,
+                                 r_pos * r_pos, r_speed * r_speed)
 
 
 def reference_ekf_predict(mean, cov, yaw_rate, dt, q_pos, q_speed,
                           q_heading):
     """``kernels.ekf_predict`` as index loops, with the trig left as
     numpy scalars (so a float state turns into ``numpy.float64``)."""
+    mean, cov = list(mean), list(cov)
     v, theta = mean[2], mean[3]
     c = np.cos(theta)
     s = np.sin(theta)
@@ -366,16 +370,21 @@ def reference_ekf_predict(mean, cov, yaw_rate, dt, q_pos, q_speed,
     cov[5] = cov[5] + q_pos * dt
     cov[10] = cov[10] + q_speed * dt
     cov[15] = cov[15] + q_heading * dt
+    return tuple(mean), tuple(cov)
 
 
 def reference_ekf_correct(mean, cov, zx, zy, zv, gps_noise,
-                          imu_speed_noise):
+                          imu_speed_noise, where=None):
     """``kernels.ekf_correct`` over :func:`reference_update_h012`, with
-    the speed clamp as the ``where`` select it used to take."""
-    reference_update_h012(mean, cov, zx, zy, zv,
-                          gps_noise * gps_noise, gps_noise * gps_noise,
-                          imu_speed_noise * imu_speed_noise)
-    mean[2] = py_where(mean[2] < 0.0, 0.0, mean[2])
+    the speed clamp as the scalar ``if`` the kernel's ``where`` select
+    replaced (``where`` is taken for the kernel's signature, unused)."""
+    mean, cov = reference_update_h012(
+        mean, cov, zx, zy, zv, gps_noise * gps_noise,
+        gps_noise * gps_noise, imu_speed_noise * imu_speed_noise)
+    mean = list(mean)
+    if mean[2] < 0.0:
+        mean[2] = 0.0
+    return tuple(mean), cov
 
 
 @contextmanager

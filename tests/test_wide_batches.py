@@ -10,6 +10,9 @@ windows, and let go of their samples, world and pipeline once their
 result is built.  Every record still equals the scalar engine's.
 """
 
+import gc
+import pickle
+import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -20,6 +23,7 @@ from repro.ads.batch import BatchADSState
 from repro.core import Campaign, CampaignConfig, parallel
 from repro.core import pipeline as pipeline_module
 from repro.core import simulate
+from repro.core.checkpoint import Checkpoint
 from repro.core.interface_faults import interface_fault
 from repro.core.resilience import ResilienceConfig
 from repro.core.simulate import (FaultSpec, _SafetyColumns,
@@ -187,6 +191,79 @@ class TestRelease:
             assert lane.world is None and lane.pipeline is None
         (batch,) = batches
         assert batch.worlds == [None] * 5
+
+    def test_forks_are_freed_as_lanes_fork(self, monkeypatch):
+        """A checkpoint is collectable once the last lane forking from
+        it has forked: one slot, three jobs, the first two sharing a
+        fork.  At each attach, only the forks of lanes still pending
+        are alive."""
+        campaign = Campaign([replace(lead_vehicle_cutin(), duration=16.0)],
+                            CampaignConfig())
+        campaign.golden_runs()
+        scenario = campaign.scenarios[0]
+        ticks = campaign.checkpoints.ticks(scenario.name)
+        assert len(ticks) >= 2
+        # Private copies: the campaign's store holds its own.
+        shared, last = (pickle.loads(pickle.dumps(
+            campaign.checkpoints.nearest(scenario.name, tick)))
+            for tick in (ticks[0], ticks[-1]))
+        faults = [[FaultSpec("brake", 0.0, tick, 4)]
+                  for tick in (ticks[0], ticks[0] + 1, ticks[-1])]
+        refs = [weakref.ref(shared), weakref.ref(last)]
+        forks = [shared, shared, last]
+        del shared, last
+        alive = []
+        original = BatchADSState.attach
+
+        def attach(self, slot, pipeline):
+            gc.collect()
+            alive.append([ref() is not None for ref in refs])
+            return original(self, slot, pipeline)
+
+        monkeypatch.setattr(BatchADSState, "attach", attach)
+        fused = run_experiments_batched([scenario] * 3, faults,
+                                        checkpoints=forks, batch_size=1)
+        assert alive == [[True, True], [False, True], [False, False]]
+        assert forks == [None, None, None]
+        assert [strip(result) for result in fused] == [
+            strip(run_scenario(scenario, faults=lane, record_trace=False))
+            for lane in faults]
+
+    def test_serial_dispatch_holds_no_fused_fork(self, monkeypatch):
+        """Once every lane of the serial driver's batch has forked, no
+        checkpoint is left alive: the driver hands the batch its forks
+        as a list the batch consumes, and keeps no store of them."""
+        forked = set()
+        original_fork = simulate._fork
+
+        def fork(scenario, checkpoint, *args):
+            forked.add(checkpoint.tick)
+            return original_fork(scenario, checkpoint, *args)
+
+        alive = []
+        original = BatchADSState.tick_all
+
+        def tick_all(self):
+            if not alive:
+                gc.collect()
+                alive.append(sum(isinstance(thing, Checkpoint)
+                                 and thing.scenario == "fork-release"
+                                 for thing in gc.get_objects()))
+            return original(self)
+
+        monkeypatch.setattr(simulate, "_fork", fork)
+        monkeypatch.setattr(BatchADSState, "tick_all", tick_all)
+        scenarios = [replace(lead_vehicle_cutin(), name="fork-release",
+                             duration=14.0)]
+        # A random campaign keeps no ladder resident (it spools them),
+        # so only the driver and the batch could hold a fork.
+        summary = Campaign(scenarios, CampaignConfig()).random_campaign(
+            24, seed=3)
+        assert len(forked) > 10
+        assert alive == [0]
+        oracle = Campaign(scenarios, CampaignConfig())
+        assert strip_wall(summary.records) == strip_wall(reference_records(
+            oracle, random_jobs(oracle, 24, seed=3)))
 
     def test_columns_drop_unneeded_chunks(self):
         columns = _SafetyColumns(2)

@@ -1,14 +1,19 @@
 """The straight-line filter kernels against their loop-form oracles.
 
 ``repro.ads.kernels`` writes the track Kalman filter and the ego EKF as
-straight-line float code; ``tests/reference.py`` keeps the index-loop
-forms they replaced.  Every output must match bit for bit (compared as
-``float.hex``, so signed zeros count), over random SPD covariances,
-diagonal ones, and states that trip the EKF's negative-speed clamp.
-The filters built on the kernels must also keep their state in Python
-floats, and run end to end identical to the same filters on the
-oracles.  Both engines count the world model's live tracks and folded
-detections alike.
+straight-line code that takes a state as components and returns new
+tuples; ``tests/reference.py`` keeps the index-loop forms they replaced.
+Every output must match bit for bit (compared as ``float.hex``, so
+signed zeros count), over random SPD covariances, diagonal ones, and
+states that trip the EKF's negative-speed clamp.  The kernels are
+polymorphic: run on float64 columns (the batched world model's layout)
+they must equal the same kernels run on each column's floats, and so
+must the numpy functions the columns lean on (``np.hypot`` for the
+association distance, ``np.cos``/``np.sin`` for the EKF).  The filters
+built on the kernels must also keep their state in Python floats, and
+run end to end identical to the same filters on the oracles.  Both
+engines count the world model's live tracks and folded detections
+alike.
 """
 
 from dataclasses import replace
@@ -20,7 +25,7 @@ from hypothesis import strategies as st
 from repro.ads import (Detection, EgoLocalizer, GpsFix, ImuSample,
                        MultiObjectTracker)
 from repro.ads.kernels import (_update_h012, ekf_correct, ekf_predict,
-                               kf_predict4, kf_update4)
+                               kf_predict4, kf_update4, py_where)
 from repro.ads.profiling import STAGE_TIMER
 from repro.cli import _print_summary
 from repro.core import CampaignSummary
@@ -65,12 +70,10 @@ def bits(values):
 
 
 def both(kernel, oracle, mean, cov, *args):
-    """Run ``kernel`` and ``oracle`` on copies; return both states."""
-    fast = (list(mean), list(cov))
-    slow = (list(mean), list(cov))
-    kernel(*fast, *args)
-    oracle(*slow, *args)
-    return fast, slow
+    """Run ``kernel`` and ``oracle`` on the same state; return both
+    ``(mean, cov)`` results."""
+    return (kernel(tuple(mean), tuple(cov), *args),
+            oracle(tuple(mean), tuple(cov), *args))
 
 
 def assert_same(fast, slow):
@@ -111,7 +114,7 @@ class TestKernelsMatchOracles:
     def test_ekf_correct(self, mean, cov, zx, zy, zv, gps_noise,
                          imu_noise):
         assert_same(*both(ekf_correct, reference_ekf_correct, mean, cov,
-                          zx, zy, zv, gps_noise, imu_noise))
+                          zx, zy, zv, gps_noise, imu_noise, py_where))
 
     @settings(max_examples=100, deadline=None)
     @given(means, diagonal(), st.floats(-40.0, -1.0), positive)
@@ -121,9 +124,95 @@ class TestKernelsMatchOracles:
         # corrected speed negative, which the clamp must pin to 0.0.
         mean[2] = zv
         fast, slow = both(ekf_correct, reference_ekf_correct, mean, cov,
-                          mean[0], mean[1], zv, gps_noise, 1e-3)
+                          mean[0], mean[1], zv, gps_noise, 1e-3, py_where)
         assert fast[0][2] == 0.0
         assert_same(fast, slow)
+
+
+def _columns(states):
+    """Per-component float64 columns of a list of component lists."""
+    return [np.array(column) for column in zip(*states)]
+
+
+class TestKernelsOnColumns:
+    """One implementation, two callers: every kernel run on float64
+    columns equals the same kernel run on each column's floats."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(means, covariances, finite, finite, finite),
+                    min_size=1, max_size=8), dts, positive, positive,
+           positive, small)
+    def test_every_kernel(self, states, dt, q, r_pos, r_speed, yaw_rate):
+        mean = _columns([state[0] for state in states])
+        cov = _columns([state[1] for state in states])
+        z = _columns([state[2:] for state in states])
+        runs = [
+            (kf_predict4, (dt, q), lambda i: (dt, q)),
+            (kf_update4, (*z, r_pos, r_speed),
+             lambda i: (*states[i][2:], r_pos, r_speed)),
+            (ekf_predict, (np.full(len(states), yaw_rate), dt, q, r_pos,
+                           r_speed),
+             lambda i: (yaw_rate, dt, q, r_pos, r_speed)),
+            (ekf_correct, (*z, r_pos, r_speed, np.where),
+             lambda i: (*states[i][2:], r_pos, r_speed, py_where))]
+        for kernel, column_args, float_args in runs:
+            column_mean, column_cov = kernel(mean, cov, *column_args)
+            for i, (state_mean, state_cov, *_) in enumerate(states):
+                float_mean, float_cov = kernel(tuple(state_mean),
+                                               tuple(state_cov),
+                                               *float_args(i))
+                assert bits(column[i] for column in column_mean) == \
+                    bits(float_mean), kernel.__name__
+                assert bits(column[i] for column in column_cov) == \
+                    bits(float_cov), kernel.__name__
+
+    def test_noise_columns_equal_scalar_noises(self):
+        """The fused correct passes each column its own noises."""
+        rng = np.random.default_rng(5)
+        mean = list(rng.normal(size=(4, 6)))
+        cov = list(rng.normal(size=(16, 6)) + 3.0)
+        z = list(rng.normal(size=(3, 6)))
+        scalar = kf_update4(mean, cov, *z, 0.9, 0.1)
+        columns = kf_update4(mean, cov, *z, np.full(6, 0.9),
+                             np.full(6, 0.1))
+        for fast, slow in zip(columns[0] + columns[1],
+                              scalar[0] + scalar[1]):
+            assert bits(fast) == bits(slow)
+
+
+class TestNumpyIdentities:
+    """The numpy identities the world-model columns rely on."""
+
+    def test_array_hypot_equals_scalar_hypot(self):
+        # The batched association takes every distance from one array
+        # np.hypot call; the scalar tracker calls np.hypot per pair.
+        # (math.hypot is a different algorithm and disagrees with
+        # np.hypot in the last ulp on a few pairs in a thousand, so
+        # neither engine may use it.)
+        rng = np.random.default_rng(11)
+        dx = np.concatenate((rng.normal(0.0, 5.0, 40_000),
+                             rng.uniform(-300.0, 300.0, 40_000),
+                             [0.0, -0.0, 4.5, -4.5, 1e-300, 1e300,
+                              np.inf, -np.inf, np.nan]))
+        dy = np.concatenate((rng.normal(0.0, 2.0, 40_000),
+                             rng.uniform(-60.0, 60.0, 40_000),
+                             [0.0, 0.0, 0.0, 4.5, 1e-300, 1e300,
+                              1.0, np.nan, 1.0]))
+        array = np.hypot(dx, dy)
+        scalar = [np.hypot(x, y) for x, y in zip(dx.tolist(), dy.tolist())]
+        assert bits(array.tolist()) == bits(scalar)
+
+    def test_array_trig_equals_scalar_trig(self):
+        # The batched EKF predict takes np.cos/np.sin of a heading
+        # column; the scalar EKF of one heading float.
+        rng = np.random.default_rng(13)
+        theta = np.concatenate((np.linspace(-np.pi, np.pi, 20_001),
+                                rng.uniform(-7.0, 7.0, 20_000),
+                                rng.normal(0.0, 0.05, 20_000),
+                                [0.0, -0.0, 1e-300]))
+        for function in (np.cos, np.sin):
+            assert bits(function(theta).tolist()) == bits(
+                [float(function(value)) for value in theta.tolist()])
 
 
 def _drive(steps=60, seed=3):
