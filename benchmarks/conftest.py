@@ -90,9 +90,10 @@ def scalar_engine_records(campaign, jobs):
     checkpoint ladders (warm them with ``golden_runs()``): one
     :func:`execute_experiment` per job, in job order.  The side fused
     validation is timed and checked against."""
-    return [execute_experiment(campaign._by_name[name], campaign.config,
-                               fault, campaign.checkpoints)
-            for name, fault in jobs]
+    return [execute_experiment(
+        campaign._by_name[name], campaign.config, fault,
+        campaign.checkpoints.nearest(name, fault.start_tick))
+        for name, fault in jobs]
 
 
 def bench_scenarios():

@@ -1,6 +1,6 @@
 """Supervision overhead: supervised pool vs a bare process pool.
 
-The resilience layer (PR 6) runs every pooled experiment under
+The resilience layer runs every pooled experiment under
 :class:`repro.core.resilience.SupervisedExecutor` — per-job wall-clock
 timeouts, crash respawn, bounded retries — instead of a bare
 ``ProcessPoolExecutor``.  Supervision must be effectively free on the
@@ -10,17 +10,18 @@ same job set with ``workers=4`` through :meth:`Campaign.run_jobs` and
 through a bare pool driving the same worker entry points
 (``_init_pipeline_worker``/``_pipeline_validate_chunk``), both forking
 from the campaign's checkpoint ladders with golden runs warmed
-beforehand, and pins record-for-record
-agreement plus the overhead bound (supervised within 5% of
-unsupervised wall-clock).
+beforehand.  Timings interleave bare and supervised rounds
+(``conftest.interleaved_ratio``); the overhead is the ratio of the
+median round times, and both sides' medians and quartiles go to
+``extra_info`` with the host's metadata.  Record-for-record agreement
+is asserted on every round, and the overhead bound (supervised within
+5% of unsupervised wall-clock) is an opt-in gate.
 
 The overhead gate needs real cores (with oversubscribed CPUs the noise
 floor swamps a 5% bound), so it only applies when the runner exposes at
 least ``WORKERS`` usable CPUs — equivalence is asserted unconditionally.
 """
 
-import os
-import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import replace
 
@@ -32,16 +33,13 @@ from repro.core.pipeline import (_init_pipeline_worker,
 from repro.sim import (braking_lead, highway_cruise, lead_vehicle_cutin,
                        queued_traffic, stalled_vehicle, two_lead_reveal)
 
-from conftest import timing_gates
+from conftest import host_info, interleaved_ratio, timing_gates
 
 WORKERS = 4
-
-
-def usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # platforms without affinity
-        return os.cpu_count() or 1
+#: Interleaved bare/supervised rounds of the timed comparison.
+ROUNDS = 5
+#: Gate on the ratio of median round times (supervised / bare).
+MAX_OVERHEAD = 1.05
 
 
 def bench_population():
@@ -92,59 +90,64 @@ def test_bench_resilience_overhead(benchmark):
     jobs = bench_jobs(scenarios)
     campaign = Campaign(scenarios, config)
     campaign.golden_runs()      # outside both timings; spills the ladders
+    spool = campaign._ladder_spool_dir()
 
-    # Warm the process-wide caches both engines share so timing order
-    # doesn't favour the second run.
-    warm = Campaign(scenarios[:2], CampaignConfig())
-    warm.exhaustive_campaign(tick_stride=64, variable_names=["brake"],
-                             workers=WORKERS)
+    def bare():
+        return run_unsupervised(scenarios, config, spool, jobs)
 
-    base_start = time.perf_counter()
-    baseline = run_unsupervised(scenarios, config,
-                                campaign._ladder_spool_dir(), jobs)
-    baseline_seconds = time.perf_counter() - base_start
+    def supervised():
+        return campaign.run_jobs(jobs, workers=WORKERS).records
 
-    def timed_supervised():
-        start = time.perf_counter()
-        records = campaign.run_jobs(jobs, workers=WORKERS).records
-        return records, time.perf_counter() - start
-
-    supervised, supervised_seconds = benchmark.pedantic(
-        timed_supervised, rounds=1, iterations=1)
-
-    overhead = supervised_seconds / baseline_seconds
-
-    print("\nSupervised pool vs bare ProcessPoolExecutor (no faults)")
-    print(ascii_table(["metric", "bare pool", "supervised"], [
-        ["experiments", len(baseline), len(supervised)],
-        ["wall seconds", f"{baseline_seconds:.2f}",
-         f"{supervised_seconds:.2f}"],
-        ["overhead", "1x", f"{overhead:,.3f}x"],
-    ]))
-    benchmark.extra_info["baseline_seconds"] = baseline_seconds
-    benchmark.extra_info["supervised_seconds"] = supervised_seconds
-    benchmark.extra_info["overhead"] = overhead
-    benchmark.extra_info["experiments"] = len(jobs)
-    benchmark.extra_info["workers"] = WORKERS
-    benchmark.extra_info["usable_cpus"] = usable_cpus()
-
-    # Supervision must not change one record on the healthy path...
+    # Supervision must not change one record on the healthy path —
+    # asserted on every round.
     def strip(records):
         return [(r.scenario, r.injection_tick, r.variable, r.value,
                  r.duration_ticks, r.seed, r.hazard, r.landed,
                  r.pre_delta_long, r.pre_delta_lat, r.min_delta_long,
                  r.min_delta_lat, r.sim_seconds) for r in records]
 
-    assert strip(supervised) == strip(baseline)
-    assert all(r.error is None for r in supervised)
-    # ...and must cost at most 5% wall-clock when there are real cores
-    # to time it on.  The wall-clock gate is opt-in (timing_gates).
+    expected = strip(bare())
+
+    def check(side, records):
+        assert strip(records) == expected, side
+        assert all(r.error is None for r in records), side
+
+    check("supervised", benchmark.pedantic(supervised, rounds=1,
+                                           iterations=1))
+    ratio, stats = interleaved_ratio(bare, supervised, check, ROUNDS)
+    overhead = 1.0 / ratio
+    baseline_seconds = stats["oracle"]["median"]
+    supervised_seconds = stats["shortcut"]["median"]
+
+    print(f"\nSupervised pool vs bare ProcessPoolExecutor (no faults; "
+          f"median of {ROUNDS} interleaved rounds)")
+    print(ascii_table(["metric", "bare pool", "supervised"], [
+        ["experiments", len(expected), len(expected)],
+        ["wall seconds", f"{baseline_seconds:.2f}",
+         f"{supervised_seconds:.2f}"],
+        ["overhead", "1x", f"{overhead:,.3f}x"],
+    ]))
+    for side, name in (("oracle", "baseline"), ("shortcut", "supervised")):
+        for key, value in stats[side].items():
+            benchmark.extra_info[f"{name}_{key}"] = value
+    benchmark.extra_info["baseline_seconds"] = baseline_seconds
+    benchmark.extra_info["supervised_seconds"] = supervised_seconds
+    benchmark.extra_info["overhead"] = overhead
+    benchmark.extra_info["experiments"] = len(jobs)
+    benchmark.extra_info["workers"] = WORKERS
+    host = host_info()
+    benchmark.extra_info.update(host)
+
+    # Supervision must cost at most 5% wall-clock when there are real
+    # cores to time it on.  The wall-clock gate is opt-in
+    # (timing_gates).
     if not timing_gates(benchmark):
         return
-    if usable_cpus() < WORKERS:
-        print(f"only {usable_cpus()} usable CPU(s) for {WORKERS} "
+    if host["usable_cpus"] < WORKERS:
+        print(f"only {host['usable_cpus']} usable CPU(s) for {WORKERS} "
               f"workers: overhead gate skipped")
         return
-    assert overhead <= 1.05, (
+    assert overhead <= MAX_OVERHEAD, (
         f"supervised execution cost {overhead:.3f}x the bare pool on a "
-        f"fault-free run (budget: 1.05x)")
+        f"fault-free run (median of {ROUNDS} interleaved rounds; budget: "
+        f"{MAX_OVERHEAD}x)")

@@ -37,8 +37,7 @@ from .analysis.metrics import delta_distribution, hazard_table
 from .analysis.report import ascii_table
 from .core.campaign import Campaign, CampaignConfig
 from .core.interface_faults import DegradationConfig, interface_fault
-from .core.persistence import (JsonlRecordSink, save_candidates,
-                               save_summary)
+from .core.persistence import JsonlRecordSink, save_candidates
 from .core.resilience import ResilienceConfig
 from .core.safety import bulk_safety_potential, world_safety_inputs
 from .core.simulate import FaultSpec
@@ -132,7 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
     random_cmd.add_argument("--seed", type=int, default=0)
     random_cmd.add_argument("--workers", type=int, default=None,
                             help=workers_help)
-    random_cmd.add_argument("--save", help="write records to a JSON file")
     random_cmd.add_argument("--record-out", default=None,
                             help=record_out_help)
     random_cmd.add_argument("--interface-share", type=float, default=0.0,
@@ -192,7 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="cap on experiments")
     grid_cmd.add_argument("--workers", type=int, default=None,
                           help=workers_help)
-    grid_cmd.add_argument("--save", help="write records to a JSON file")
     grid_cmd.add_argument("--record-out", default=None,
                           help=record_out_help)
     grid_cmd.add_argument("--interface-grid", action="store_true",
@@ -338,16 +335,18 @@ def _print_summary(summary, label: str) -> None:
                   f"{spilled} bytes spilled")
         engine = timings.get("engine")
         if engine:
-            fused, scalar, live, slots, ticks, batches, mixed = (
-                engine.get(event, 0) for event in (
-                    "fused_jobs", "scalar_jobs", "lane_ticks", "slot_ticks",
-                    "fused_ticks", "fused_batches", "batch_scenarios"))
+            (fused, scalar, live, slots, ticks, batches, mixed,
+             fallbacks) = (engine.get(event, 0) for event in (
+                 "fused_jobs", "scalar_jobs", "lane_ticks", "slot_ticks",
+                 "fused_ticks", "fused_batches", "batch_scenarios",
+                 "fused_fallbacks"))
             print(f"  engine: {fused} fused jobs, {scalar} scalar jobs, "
                   f"lane occupancy {live / max(slots, 1):.1%} ({live} of "
                   f"{slots} slot-ticks) in {ticks} fused ticks "
                   f"({live / max(ticks, 1):.1f} lanes per tick), "
                   f"{batches} fused batches "
-                  f"({mixed / max(batches, 1):.1f} scenarios per batch)")
+                  f"({mixed / max(batches, 1):.1f} scenarios per batch), "
+                  f"{fallbacks} fused fallbacks")
         golden = timings.get("golden")
         if golden:
             print(f"  golden: {golden.get('runs', 0)} runs, "
@@ -373,9 +372,6 @@ def _open_sink(args) -> "JsonlRecordSink | None":
     record_out = getattr(args, "record_out", None)
     if record_out is None:
         return None
-    if getattr(args, "save", None):
-        raise SystemExit("--save holds records in memory and --record-out "
-                         "streams them; pick one")
     return JsonlRecordSink(record_out, style=args.command)
 
 
@@ -523,9 +519,6 @@ def main(argv: list[str] | None = None) -> int:
             raise SystemExit(f"error: {error}")
         _print_summary(summary, "random campaign")
         _close_sink(sink)
-        if args.save:
-            save_summary(summary, args.save)
-            print(f"records written to {args.save}")
     elif args.command == "arch":
         sink = _open_sink(args)
         summary, outcomes = campaign.architectural_campaign(
@@ -572,9 +565,6 @@ def main(argv: list[str] | None = None) -> int:
             # own, so the global count is reported by unsharded runs.
             print(f"full grid would be {campaign.grid_size()} experiments")
         _close_sink(sink)
-        if args.save:
-            save_summary(summary, args.save)
-            print(f"records written to {args.save}")
     elif args.command == "merge":
         from .core.persistence import merge_record_shards
         shards = _expand_shards(args.shards)

@@ -489,8 +489,9 @@ class Campaign:
                   fault: FaultSpec) -> ExperimentRecord:
         """Execute one injection experiment and record the outcome."""
         self._ensure_checkpoints([scenario_name])
-        return execute_experiment(self._by_name[scenario_name],
-                                  self.config, fault, self.checkpoints)
+        return execute_experiment(
+            self._by_name[scenario_name], self.config, fault,
+            self.checkpoints.nearest(scenario_name, fault.start_tick))
 
     def run_jobs(self, jobs: list[ExperimentJob],
                  workers: int | None = None,

@@ -7,13 +7,14 @@ injected at the five typed boundaries of the ADS pipeline (see
 :mod:`repro.ads.channels` for delivery semantics).
 
 Interface faults reuse :class:`~repro.core.simulate.FaultSpec` so they
-flow through every campaign style, both drivers, sharding, leases, the
-completion journal, and the record streams without new plumbing: the
-``kind``/``channel`` fields mark the fault family, and ``variable`` is
-the synthetic label ``"<kind>@<channel>"`` (which keeps journal keys,
-supervised-executor keys, and per-variable hazard tables distinguishing
-them for free).  ``value`` carries the integer fault parameter — queue
-depth for ``delay``, reorder window for ``jitter``, unused otherwise.
+flow through every campaign style, serial and pooled runs, sharding,
+leases, the completion journal, and the record streams without new
+plumbing: the ``kind``/``channel`` fields mark the fault family, and
+``variable`` is the synthetic label ``"<kind>@<channel>"`` (which keeps
+journal keys, supervised-executor keys, and per-variable hazard tables
+distinguishing them for free).  ``value`` carries the integer fault
+parameter — queue depth for ``delay``, reorder window for ``jitter``,
+unused otherwise.
 """
 
 from __future__ import annotations

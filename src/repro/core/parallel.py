@@ -8,13 +8,22 @@ ladder) is independent of every other's.  The streaming driver in
 this module holds what every execution path shares:
 
 * :func:`execute_experiment` — the single source of experiment truth:
-  one fault, one scalar simulation, one record.  Serial execution, pool
-  workers, :meth:`repro.core.campaign.Campaign.run_fault`, and the
-  reference loop the equivalence tests compare against all call it.
+  one fault, one scalar simulation, one record, forked from the
+  checkpoint its caller picked (or replayed from tick 0 without one).
+  The driver's validation routine, :meth:`repro.core.campaign.Campaign
+  .run_fault`, and the reference loop the equivalence tests compare
+  against all call it.
 * :func:`execute_experiment_batch` — its vectorized sibling for sets of
   at least :data:`LANES` fusable jobs (:func:`repro.ads.batch.can_fuse`)
   of any mix of scenarios, up to :data:`MAX_LANES` of them live at once,
-  bit-for-bit the scalar records.
+  bit-for-bit the scalar records; it consumes the list of forks it is
+  handed.
+
+Both are called from one place, the validation routine
+:func:`repro.core.pipeline._validate`, which the serial driver and
+every pool worker run alike: a job that keeps raising quarantines only
+its own record, wherever it runs.  Only a worker crash or a timeout
+fails a whole pool part, since neither can be traced to one job.
 * :func:`_golden_run` — one scenario's fault-free trace plus the
   checkpoint ladder validation forks from.
 * :func:`_pool_context`/:func:`_picklable` — the start-method choice
@@ -40,7 +49,7 @@ from typing import TYPE_CHECKING
 
 from ..ads.profiling import STAGE_TIMER
 from ..sim.scenario import Scenario
-from .checkpoint import CheckpointStore
+from .checkpoint import Checkpoint
 from .resilience import ResilienceConfig
 from .results import ExperimentRecord
 from .simulate import (FaultSpec, RunResult, run_experiments_batched,
@@ -88,25 +97,23 @@ def _to_record(result: RunResult, scenario_name: str, fault: FaultSpec,
 
 def execute_experiment(scenario: Scenario, config: "CampaignConfig",
                        fault: FaultSpec,
-                       checkpoints: CheckpointStore | None = None
+                       checkpoint: Checkpoint | None = None
                        ) -> ExperimentRecord:
     """Run one injection experiment and record the outcome.
 
     The single source of truth for experiment execution: the driver's
-    serial loop, its pool workers, and
-    :meth:`repro.core.campaign.Campaign.run_fault` all call this, which
-    is what makes parallel and serial campaigns produce identical
-    records.
+    validation routine (serial or in a pool worker),
+    :meth:`repro.core.campaign.Campaign.run_fault`, and the reference
+    loop all call this, which is what makes parallel and serial
+    campaigns produce identical records.
 
-    With a ``checkpoints`` store the run forks from the nearest golden
-    snapshot at or before the fault tick, simulating only the fault
-    window plus the post-fault horizon; without one (or when the store
-    has no usable snapshot) it falls back to full replay from tick 0 —
-    the reference oracle.
+    The caller picks the fork: with a ``checkpoint`` (the golden
+    snapshot nearest at or before the fault tick) the run simulates
+    only the fault window plus the post-fault horizon; without one, or
+    when its seed does not match, it replays from tick 0 — the
+    reference oracle.
     """
     STAGE_TIMER.count("engine", "scalar_jobs", 1)
-    checkpoint = (checkpoints.nearest(scenario.name, fault.start_tick)
-                  if checkpoints is not None else None)
     if checkpoint is not None and checkpoint.seed == config.seed:
         result = run_scenario_from_checkpoint(
             scenario, checkpoint, ads_config=config.ads, faults=[fault],
@@ -124,7 +131,7 @@ def execute_experiment(scenario: Scenario, config: "CampaignConfig",
 
 def execute_experiment_batch(jobs: list[tuple[Scenario, FaultSpec]],
                              config: "CampaignConfig",
-                             checkpoints: CheckpointStore | list | None = None
+                             forks: list[Checkpoint | None] | None = None
                              ) -> list[ExperimentRecord]:
     """Run several experiments, one ``(scenario, fault)`` job each,
     through the batched engine.
@@ -132,24 +139,18 @@ def execute_experiment_batch(jobs: list[tuple[Scenario, FaultSpec]],
     The vectorized sibling of ``len(jobs)`` calls to
     :func:`execute_experiment`: lanes of any scenarios share one
     :class:`~repro.sim.batch.BatchWorldState` and advance under the
-    fused numpy kernels, with each lane forking from the same nearest
-    golden checkpoint its scalar twin would pick, chosen up front
-    (full replay when there is none, or the snapshot's seed does not
-    match).  ``checkpoints`` is the store to pick from, or a list of
-    the picked checkpoints (``None`` for none) aligned with ``jobs``,
-    which the batch consumes: each entry is cleared as its lane forks,
-    so a checkpoint is freed once its last lane has forked.  At most
+    fused numpy kernels.  ``forks`` is the checkpoint each job forks
+    from (``None`` for full replay), aligned with ``jobs``; the batch
+    consumes it, clearing each entry as its lane forks, so a
+    checkpoint is freed once its last lane has forked.  Without
+    ``forks`` every lane replays from tick 0.  At most
     :data:`MAX_LANES` lanes are live; a retired lane's slot takes the
     next pending job.  Every fault must be fusable
     (:func:`repro.ads.batch.can_fuse`).  Records are bit-for-bit the
     scalar records, in ``jobs`` order (wall clock aside).
     """
-    if isinstance(checkpoints, list):
-        forks = checkpoints
-    else:
-        forks = [None if checkpoints is None
-                 else checkpoints.nearest(scenario.name, fault.start_tick)
-                 for scenario, fault in jobs]
+    if forks is None:
+        forks = [None] * len(jobs)
     forks[:] = [fork if fork is not None and fork.seed == config.seed
                 else None for fork in forks]
     results = run_experiments_batched(

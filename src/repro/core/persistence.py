@@ -8,9 +8,8 @@ Golden traces persist too (:func:`save_golden_traces`), keyed by a
 fingerprint of everything that determines them — ADS and safety
 configuration, seed, and the scenario set — so incremental campaigns can
 warm-start training and mining from disk instead of re-simulating.
-Cache paths ending in ``.gz`` are gzip-compressed transparently
-(deterministic output, so concurrent shard writers stay byte-identical
-and atomic).  The JSON carries per-scenario *references* into a
+The cache file is gzip-compressed JSON with deterministic bytes, so
+concurrent shard writers stay byte-identical and atomic.  The JSON carries per-scenario *references* into a
 :class:`repro.sim.TraceStore`'s memory-mapped ``.npy`` spool, never
 inline sample columns, so a warm start never materializes a full
 trace set.
@@ -311,30 +310,6 @@ def merge_record_shards(paths, out_path: str | Path | None = None,
     return CampaignSummary.merge(shard_summaries)
 
 
-def save_summary(summary: CampaignSummary, path: str | Path) -> None:
-    """Write a campaign summary to a JSON file.
-
-    Only meaningful for summaries that retained their records: a
-    streamed summary (``keep_records=False``) already wrote them
-    through its sink, and silently saving its empty list would look
-    like data loss — that is an error here.
-    """
-    if not summary.keep_records and summary.total:
-        raise ValueError(
-            f"summary streamed its {summary.total} records to a sink "
-            f"and retained none; save_summary would write an empty "
-            f"record list — use the sink's output instead")
-    payload = {"records": [record_to_dict(r) for r in summary.records]}
-    Path(path).write_text(json.dumps(payload, indent=1))
-
-
-def load_summary(path: str | Path) -> CampaignSummary:
-    """Read a campaign summary back."""
-    payload = json.loads(Path(path).read_text())
-    return CampaignSummary(
-        records=[record_from_dict(d) for d in payload["records"]])
-
-
 def candidate_to_dict(candidate: CandidateFault) -> dict:
     """Flatten one mined candidate."""
     return {
@@ -418,42 +393,23 @@ def run_result_from_dict(data: dict, trace_store: TraceStore) -> RunResult:
     return RunResult(**fields)
 
 
-def _write_json_maybe_gz(path: Path, text: str) -> None:
-    """Atomic JSON write, gzip-compressed for ``*.gz`` paths.
-
-    ``mtime=0`` keeps the compressed bytes deterministic, preserving
-    the concurrent-writer guarantee (identical content + atomic rename
-    means racing shards are safe) that the plain-text path already has.
-    """
-    if path.name.endswith(".gz"):
-        write_bytes_atomic(path, gzip.compress(text.encode("utf-8"),
-                                               mtime=0))
-    else:
-        write_text_atomic(path, text)
-
-
-def _read_json_maybe_gz(path: Path) -> str:
-    if path.name.endswith(".gz"):
-        return gzip.decompress(path.read_bytes()).decode("utf-8")
-    return path.read_text()
-
-
 def save_golden_traces(golden: dict[str, RunResult], path: str | Path,
                        fingerprint: str, trace_store: TraceStore) -> None:
-    """Write a campaign's golden runs to a JSON file.
+    """Write a campaign's golden runs to a gzip-compressed JSON file
+    (conventionally ``*.json.gz``).
 
-    Atomic (write + rename): Bayesian shards sharing a ``cache_dir``
-    each write the full-set file concurrently.  A path ending in
-    ``.gz`` is gzip-compressed transparently; the traces live in
-    ``trace_store``'s spool and the JSON holds references (see
-    :func:`run_result_to_dict`).
+    Atomic (write + rename) with deterministic bytes (``mtime=0``):
+    Bayesian shards sharing a ``cache_dir`` each write the full-set
+    file concurrently.  The traces live in ``trace_store``'s spool and
+    the JSON holds references (see :func:`run_result_to_dict`).
     """
     payload = {
         "fingerprint": fingerprint,
         "runs": {name: run_result_to_dict(run, trace_store)
                  for name, run in golden.items()},
     }
-    _write_json_maybe_gz(Path(path), json.dumps(payload))
+    write_bytes_atomic(Path(path), gzip.compress(
+        json.dumps(payload).encode("utf-8"), mtime=0))
 
 
 def load_golden_traces(path: str | Path, fingerprint: str,
@@ -471,7 +427,7 @@ def load_golden_traces(path: str | Path, fingerprint: str,
     if not path.exists():
         return None
     try:
-        payload = json.loads(_read_json_maybe_gz(path))
+        payload = json.loads(gzip.decompress(path.read_bytes()))
         if payload.get("fingerprint") != fingerprint:
             return None
         return {name: run_result_from_dict(data, trace_store)

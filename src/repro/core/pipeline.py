@@ -27,7 +27,10 @@ for random/architectural, sorted-candidate order for Bayesian) — order
 included, wall clock aside.  Checkpoint forks and fused batches are
 test-enforced bit-identical to full replay, and an ordered emitter
 releases records in job order no matter when they complete.
-Execution order is opportunistic; emission order is not.
+Execution order is opportunistic; emission order is not.  The serial
+driver and every pool worker validate through one routine,
+:func:`_validate`, and differ only in how they pick each job's fork, so
+a job that keeps raising quarantines its own slot alone either way.
 
 Two documented barriers remain inside otherwise-streaming plans, both
 inherent to the semantics: seeded random/architectural draws interleave
@@ -118,14 +121,16 @@ class _WorkerState:
         self.store = CheckpointStore()
         self.loaded: set[str] = set()
 
-    def checkpoints_for(self, items: list) -> CheckpointStore:
-        """The worker's store, holding the ladder of every scenario
-        ``items`` name (each loaded once per worker)."""
+    def forks_for(self, items: list) -> list:
+        """The checkpoint each ``(key, scenario name, fault)`` item
+        forks from, picked from the worker's long-lived store (each
+        scenario's ladder loaded from the spool once per worker)."""
         for _, name, _ in items:
             if name not in self.loaded:
                 self.loaded.add(name)
                 self.store.load_scenario(self.spool, name)
-        return self.store
+        return [self.store.nearest(name, fault.start_tick)
+                for _, name, fault in items]
 
 
 def _init_pipeline_worker(scenarios: list[Scenario],
@@ -212,42 +217,55 @@ def _validation_parts(config: "CampaignConfig", items: list,
              + (_parts(scalar, chunk) if scalar else []))]
 
 
-def _fused_records(by_name: dict[str, Scenario], config: "CampaignConfig",
-                   items: list, checkpoints: CheckpointStore | list | None
-                   ) -> "list[ExperimentRecord] | None":
-    """``items``' records from the fused engine
-    (:func:`~repro.core.parallel.execute_experiment_batch`), or ``None``
-    if it fails, so the caller reruns them on its scalar path and the
-    supervised retry/quarantine machinery never sees the difference.
+def _validate(by_name: dict[str, Scenario], config: "CampaignConfig",
+              items: list, forks: Callable[[list], list]):
+    """Validate ``(key, scenario name, fault)`` items; yields ``(key,
+    record)`` pairs.  The one validation routine: the serial driver and
+    every pool worker run it.
+
+    ``forks(items)`` picks the checkpoint each item forks from.  The
+    fusable items run as one batch
+    (:func:`~repro.core.parallel.execute_experiment_batch`), which
+    consumes its forks; if it raises, they rerun on the scalar engine
+    from tick 0 (full replay, the same records) and
+    ``engine.fused_fallbacks`` counts it.  Each scalar item runs under
+    :func:`~repro.core.resilience.run_supervised_serial`, so a job that
+    keeps raising leaves a failure record in its own slot only.
     """
-    try:
-        return execute_experiment_batch(
-            [(by_name[name], fault) for _, name, fault in items], config,
-            checkpoints)
-    except Exception:
-        return None
+    fused, scalar = _split_engines(config, items)
+    picked = forks(fused + scalar)
+    batch_forks, scalar_forks = picked[:len(fused)], picked[len(fused):]
+    del picked                   # the batch's list holds its forks alone
+    if fused:
+        try:
+            records = execute_experiment_batch(
+                [(by_name[name], fault) for _, name, fault in fused],
+                config, batch_forks)
+        except Exception:
+            STAGE_TIMER.count("engine", "fused_fallbacks", 1)
+            scalar = scalar + fused
+            scalar_forks += [None] * len(fused)
+        else:
+            yield from ((key, record)
+                        for (key, _, _), record in zip(fused, records))
+    policy = _policy(config)
+    for (key, name, fault), fork in zip(scalar, scalar_forks):
+        record, failure = run_supervised_serial(
+            lambda: execute_experiment(by_name[name], config, fault, fork),
+            policy, config.seed,
+            (name, fault.start_tick, fault.variable, fault.value))
+        if failure is not None:
+            record = failure_record(name, fault, config, failure)
+        yield key, record
 
 
 def _pipeline_validate_chunk(items) -> list:
-    """Run one part of ``(key, scenario name, fault)`` experiments;
-    returns ``(key, record)`` pairs."""
+    """Validate one part of ``(key, scenario name, fault)`` items in a
+    pool worker; returns ``(key, record)`` pairs."""
     assert _PIPELINE_STATE is not None, "pipeline pool not initialized"
     state = _PIPELINE_STATE
-    checkpoints = state.checkpoints_for(items)
-    fused, scalar = _split_engines(state.config, items)
-    done = []
-    if fused:
-        records = _fused_records(state.by_name, state.config, fused,
-                                 checkpoints)
-        if records is None:
-            scalar = items
-        else:
-            done = [(key, record)
-                    for (key, _, _), record in zip(fused, records)]
-    return done + [(key, execute_experiment(state.by_name[name],
-                                            state.config, fault,
-                                            checkpoints))
-                   for key, name, fault in scalar]
+    return list(_validate(state.by_name, state.config, items,
+                          state.forks_for))
 
 
 # -- driver side ---------------------------------------------------------------
@@ -763,62 +781,32 @@ class CampaignPipeline:
         return fresh
 
     def _dispatch_serial(self, items: list) -> None:
-        """Run ``(key, scenario name, fault)`` items in-process: the
-        fusable ones as one batch, the rest on the supervised scalar
-        path.  The batch takes its checkpoints as a list it consumes,
-        so each is freed once its lane has forked; the scalar items
-        pick theirs from a store of their own forks."""
-        by_name = self.campaign._by_name
-        policy = _policy(self.config)
-        fused, scalar = _split_engines(self.config, items)
-        forks, scalar_forks = self._fork_checkpoints(fused, scalar)
-        checkpoints = CheckpointStore()
-        checkpoints.add_all(fork for fork in scalar_forks if fork)
-        records = (_fused_records(by_name, self.config, fused, forks)
-                   if fused else [])
-        if records is None:
-            # The batch consumed its forks; pick them again.
-            checkpoints.add_all(fork for fork in
-                                self._fork_checkpoints(fused)[0] if fork)
-            scalar.extend(fused)
-            records = []
-        for (key, _, _), record in zip(fused, records):
-            self._record_done(key, record)
-        for key, name, fault in scalar:
-            record, failure = run_supervised_serial(
-                lambda: execute_experiment(by_name[name], self.config,
-                                           fault, checkpoints),
-                policy, self.config.seed,
-                (name, fault.start_tick, fault.variable, fault.value))
-            if failure is not None:
-                record = failure_record(name, fault, self.config, failure)
+        """Validate ``(key, scenario name, fault)`` items in-process,
+        journaling each record as it arrives."""
+        for key, record in _validate(self.campaign._by_name, self.config,
+                                     items, self._fork_checkpoints):
             self._record_done(key, record)
 
-    def _fork_checkpoints(self, *parts: list) -> list[list]:
-        """The checkpoint each item of every part forks from (``None``
-        where its ladder has none), one list per part of ``(key,
-        scenario name, fault)`` items.
+    def _fork_checkpoints(self, items: list) -> list:
+        """The checkpoint each ``(key, scenario name, fault)`` item forks
+        from (``None`` where its ladder has none).
 
         Serial twin of the worker-side spool protocol: each scenario's
         ladder is reloaded from the spool (unless the campaign holds it
         resident), the checkpoint nearest each item's fault tick is
         kept, and the ladder is evicted again, so at most one ladder is
-        resident at a time.  A store of some items' forks picks each of
-        them again as its nearest: every kept snapshot at or before an
-        item's tick is at or before that tick's own choice.
+        resident at a time.
         """
         store = self.campaign.checkpoints
-        forks = [[None] * len(part) for part in parts]
+        forks = [None] * len(items)
         wanted: dict[str, list] = {}
-        for number, part in enumerate(parts):
-            for index, (_, name, fault) in enumerate(part):
-                wanted.setdefault(name, []).append(
-                    (number, index, fault.start_tick))
+        for index, (_, name, fault) in enumerate(items):
+            wanted.setdefault(name, []).append((index, fault.start_tick))
         for name, places in wanted.items():
             loaded_here = (not store.has_scenario(name)
                            and store.load_scenario(self._spool, name))
-            for number, index, tick in places:
-                forks[number][index] = store.nearest(name, tick)
+            for index, tick in places:
+                forks[index] = store.nearest(name, tick)
             if loaded_here:
                 store.drop_scenario(name)
         return forks

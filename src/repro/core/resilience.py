@@ -12,7 +12,11 @@ driver (:mod:`repro.core.pipeline`):
   respawn with in-flight resubmission on a crash (SIGKILL, segfault,
   OOM-kill), and quarantine: a job that keeps failing becomes a
   structured :class:`JobFailure` occupying its deterministic slot in
-  the record stream instead of killing the campaign.
+  the record stream instead of killing the campaign.  Quarantine is
+  per experiment when the experiment raises (the driver's one
+  validation routine retries it in-process, serially or inside a pool
+  worker) and per pool part on a worker crash or timeout, which no
+  single experiment can be blamed for.
   ``ResilienceConfig.strict`` keeps today's fail-fast oracle.
 * :class:`CampaignJournal` — an append-only completion journal of
   durably-written segments under ``cache_dir``; a campaign SIGKILLed
@@ -169,11 +173,14 @@ def run_supervised_serial(execute: Callable[[], Any], policy,
                           seed: int, key) -> tuple[Any, JobFailure | None]:
     """The in-process counterpart of supervised pool execution.
 
-    Serial campaigns get the same retry/quarantine semantics as pooled
-    ones (timeouts excepted — a hang cannot be interrupted in-process),
-    so ``workers=None`` and ``workers=4`` stay record-for-record
-    equivalent even when a job fails deterministically.  In strict mode
-    the original exception propagates unchanged — the fail-fast oracle.
+    The driver's validation routine runs every scalar experiment under
+    it, serially and inside each pool worker alike, so a job that keeps
+    raising quarantines only its own record and ``workers=None`` and
+    ``workers=4`` stay record-for-record equivalent even when a job
+    fails deterministically (timeouts excepted — a hang cannot be
+    interrupted in-process; the pool times out a whole part).  In
+    strict mode the original exception propagates unchanged — the
+    fail-fast oracle.
     """
     policy = policy or ResilienceConfig()
     attempt = 0
@@ -325,9 +332,8 @@ class _SupervisedTask:
 class SupervisedExecutor:
     """A process pool that survives the faults its workers suffer.
 
-    The drop-in execution engine of both campaign drivers.  Contract
-    differences from ``ProcessPoolExecutor`` are exactly the resilience
-    semantics:
+    The process pool of the campaign driver.  Contract differences
+    from ``ProcessPoolExecutor`` are exactly the resilience semantics:
 
     * a worker crash (SIGKILL, segfault, OOM) respawns the worker and
       resubmits its in-flight job instead of breaking the pool;
@@ -336,7 +342,11 @@ class SupervisedExecutor:
     * every failure mode — crash, timeout, raised exception — retries
       up to ``policy.max_attempts`` with seeded exponential backoff,
       then surfaces as a :class:`JobFailure` event (``policy.strict``
-      raises :class:`CampaignExecutionError` at the first one);
+      raises :class:`CampaignExecutionError` at the first one).  A
+      submitted job is a whole validation part; the validation routine
+      inside it catches each experiment's own exception (job-level
+      quarantine, :func:`run_supervised_serial`), so only a crash or a
+      timeout, which cannot be traced to one experiment, fails a part;
     * results arrive as ``(tag, value, failure)`` events from
       :meth:`next_events`, in completion order — callers own ordering,
       exactly as they did with futures.

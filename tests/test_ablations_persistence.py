@@ -7,10 +7,8 @@ from reference import reference_potential
 
 from repro.core import (BayesianFaultInjector, Campaign, CampaignConfig,
                         CandidateFault, ConditioningFaultInjector,
-                        DiscreteBayesianFaultInjector, Hazard)
-from repro.core.persistence import (load_candidates, load_summary,
-                                    save_candidates, save_summary)
-from repro.core.results import CampaignSummary, ExperimentRecord
+                        DiscreteBayesianFaultInjector)
+from repro.core.persistence import load_candidates, save_candidates
 from repro.sim import highway_cruise, lead_vehicle_cutin, stalled_vehicle
 
 
@@ -97,22 +95,6 @@ class TestDiscreteAblation:
 
 
 class TestPersistence:
-    def record(self):
-        return ExperimentRecord(
-            scenario="s", injection_tick=10, variable="throttle", value=1.0,
-            duration_ticks=4, seed=0, hazard=Hazard.COLLISION, landed=True,
-            pre_delta_long=5.0, pre_delta_lat=2.0, min_delta_long=-1.0,
-            min_delta_lat=1.0, sim_seconds=9.0, wall_seconds=0.2)
-
-    def test_summary_round_trip(self, tmp_path):
-        summary = CampaignSummary(records=[self.record(), self.record()])
-        path = tmp_path / "summary.json"
-        save_summary(summary, path)
-        loaded = load_summary(path)
-        assert loaded.total == 2
-        assert loaded.records[0] == self.record()
-        assert loaded.hazard_rate == 1.0
-
     def test_candidates_round_trip(self, tmp_path):
         candidate = CandidateFault(
             scenario="s", injection_tick=12, variable="brake", value=0.0,
@@ -122,8 +104,3 @@ class TestPersistence:
         save_candidates([candidate], path)
         loaded = load_candidates(path)
         assert loaded == [candidate]
-
-    def test_empty_summary_round_trip(self, tmp_path):
-        path = tmp_path / "empty.json"
-        save_summary(CampaignSummary(), path)
-        assert load_summary(path).total == 0

@@ -384,22 +384,26 @@ class TestEngineCounters:
             "engine": {"seconds": 0.0, "calls": 0, "fused_jobs": 16,
                        "scalar_jobs": 4, "fused_ticks": 25,
                        "lane_ticks": 300, "slot_ticks": 400,
-                       "fused_batches": 2, "batch_scenarios": 5}}
+                       "fused_batches": 2, "batch_scenarios": 5,
+                       "fused_fallbacks": 1}}
         merged = CampaignSummary.merge([summary, summary])
         assert merged.extra_info["stage_timings"]["engine"] == {
             "seconds": 0.0, "calls": 0, "fused_jobs": 32,
             "scalar_jobs": 8, "fused_ticks": 50, "lane_ticks": 600,
-            "slot_ticks": 800, "fused_batches": 4, "batch_scenarios": 10}
+            "slot_ticks": 800, "fused_batches": 4, "batch_scenarios": 10,
+            "fused_fallbacks": 2}
         _print_summary(merged, "random")
         assert ("engine: 32 fused jobs, 8 scalar jobs, lane occupancy "
                 "75.0% (600 of 800 slot-ticks) in 50 fused ticks "
                 "(12.0 lanes per tick), 4 fused batches "
-                "(2.5 scenarios per batch)") in capsys.readouterr().out
+                "(2.5 scenarios per batch), 2 fused fallbacks"
+                ) in capsys.readouterr().out
 
 
 class TestFusedFallback:
     """A fused batch that raises is rerun on the scalar engine: the
-    records stay the reference loop's and no job counts as fused."""
+    records stay the reference loop's, no job counts as fused, and
+    every fallback is counted."""
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_failing_batch_reruns_scalar(self, lanes, monkeypatch,
@@ -425,8 +429,11 @@ class TestFusedFallback:
         assert strip_wall(summary.records) == \
             strip_wall(reference_records(campaign, jobs))
         # Every job was offered to the fused engine first...
-        assert sum(map(int, attempts.read_text().split())) == len(jobs)
-        # ...and none of them is counted as fused.
+        batches = attempts.read_text().split()
+        assert sum(map(int, batches)) == len(jobs)
+        # ...none of them is counted as fused, and each failed batch is
+        # one fallback.
         engine = summary.extra_info["stage_timings"]["engine"]
         assert engine.get("fused_jobs", 0) == 0
         assert engine["scalar_jobs"] == len(jobs)
+        assert engine["fused_fallbacks"] == len(batches) >= 1

@@ -176,11 +176,15 @@ class TestStrideFallback:
             nearest = store.nearest(scenario.name, fault.start_tick)
             assert nearest is not None and nearest.tick < fault.start_tick
         expected = replayed(forked, [(scenario.name, f) for f in faults])
-        scalar = [execute_experiment(scenario, forked.config, fault, store)
-                  for fault in faults]
+        scalar = [execute_experiment(
+            scenario, forked.config, fault,
+            store.nearest(scenario.name, fault.start_tick))
+            for fault in faults]
         assert strip_wall(scalar) == expected
         fused = execute_experiment_batch(
-            [(scenario, fault) for fault in faults], forked.config, store)
+            [(scenario, fault) for fault in faults], forked.config,
+            [store.nearest(scenario.name, fault.start_tick)
+             for fault in faults])
         assert strip_wall(fused) == expected
 
     @pytest.mark.parametrize("offset", [1, 3, 5])
@@ -193,8 +197,10 @@ class TestStrideFallback:
         assert store.ticks(scenario.name) == ticks
         faults = [FaultSpec("throttle", 1.0, tick + gap, 4)
                   for tick in ticks[:3] for gap in (0, 1, 2)]
-        scalar = [execute_experiment(scenario, forked.config, fault, store)
-                  for fault in faults]
+        scalar = [execute_experiment(
+            scenario, forked.config, fault,
+            store.nearest(scenario.name, fault.start_tick))
+            for fault in faults]
         assert strip_wall(scalar) == replayed(
             forked, [(scenario.name, fault) for fault in faults])
 
@@ -203,8 +209,9 @@ class TestStrideFallback:
         tick = forked.injection_ticks(scenario)[5]
         fault = FaultSpec("brake", 0.0, tick, 4)
         reference = execute_experiment(scenario, forked.config, fault)
-        via_empty = execute_experiment(scenario, forked.config, fault,
-                                       CheckpointStore())
+        via_empty = execute_experiment(
+            scenario, forked.config, fault,
+            CheckpointStore().nearest(scenario.name, tick))
         assert strip_wall([via_empty]) == strip_wall([reference])
 
 
@@ -213,7 +220,7 @@ class TestGoldenTraceCache:
         fingerprint = config_fingerprint(
             forked.config.ads, forked.config.safety, forked.config.seed,
             ((s.name, s.duration) for s in forked.scenarios))
-        path = tmp_path / "golden.json"
+        path = tmp_path / "golden.json.gz"
         store = TraceStore(tmp_path / "traces")
         save_golden_traces(forked.golden_runs(), path, fingerprint, store)
         loaded = load_golden_traces(path, fingerprint, store)
@@ -228,11 +235,11 @@ class TestGoldenTraceCache:
                     run.trace.column(column).tolist()
 
     def test_stale_fingerprint_is_rejected(self, tmp_path, forked):
-        path = tmp_path / "golden.json"
+        path = tmp_path / "golden.json.gz"
         store = TraceStore(tmp_path / "traces")
         save_golden_traces(forked.golden_runs(), path, "fp-old", store)
         assert load_golden_traces(path, "fp-new", store) is None
-        assert load_golden_traces(tmp_path / "missing.json", "x",
+        assert load_golden_traces(tmp_path / "missing.json.gz", "x",
                                   store) is None
 
     def test_campaign_warm_start_matches_fresh(self, tmp_path):

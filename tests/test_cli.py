@@ -1,7 +1,5 @@
 """Tests for the command-line interface."""
 
-import json
-
 import pytest
 
 from repro.cli import main
@@ -27,10 +25,14 @@ class TestCLI:
         assert code == 2
 
     def test_random_with_save(self, tmp_path, capsys):
-        path = tmp_path / "random.json"
-        assert main(["random", "-n", "3", "--save", str(path)]) == 0
-        payload = json.loads(path.read_text())
-        assert len(payload["records"]) == 3
+        """Records have one file format, the JSONL ``--record-out``
+        stream: ``random`` and ``exhaustive`` take no ``--save``."""
+        for command in (["random", "-n", "3"],
+                        ["exhaustive", "--stride", "200", "--max", "4"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(command + ["--save", str(tmp_path / "r.json")])
+            assert exit_info.value.code == 2
+        assert not (tmp_path / "r.json").exists()
 
     def test_arch(self, capsys):
         assert main(["arch", "-n", "25"]) == 0
@@ -46,11 +48,17 @@ class TestCLI:
         summary = load_summary_jsonl(path)
         assert summary.total == 3
 
-    def test_record_out_excludes_save(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["random", "-n", "2",
-                  "--record-out", str(tmp_path / "r.jsonl"),
-                  "--save", str(tmp_path / "r.json")])
+    def test_bayesian_save_with_record_out(self, tmp_path, capsys):
+        """Bayesian ``--save`` writes candidates, so it goes with a
+        ``--record-out`` record stream."""
+        from repro.core.persistence import (load_candidates,
+                                            load_summary_jsonl)
+        candidates = tmp_path / "c.json"
+        records = tmp_path / "r.jsonl"
+        assert main(["bayesian", "--top-k", "2", "--save", str(candidates),
+                     "--record-out", str(records)]) == 0
+        assert len(load_candidates(candidates)) >= 2
+        assert load_summary_jsonl(records).total >= 2
 
     def test_scenes(self, capsys):
         assert main(["scenes", "-n", "150"]) == 0

@@ -241,14 +241,6 @@ class TestPipelineStreaming:
         assert len(list(iter_records_jsonl(tmp_path / "r.jsonl.gz"))) \
             == 2000
 
-    def test_save_summary_rejects_streamed_summary(self, tmp_path,
-                                                   piped):
-        from repro.core.persistence import save_summary
-        sink = ListSink()
-        streamed = piped.random_campaign(3, seed=4, record_sink=sink)
-        with pytest.raises(ValueError, match="sink"):
-            save_summary(streamed, tmp_path / "empty.json")
-
     @pytest.mark.parametrize("run, digest", [
         (lambda c, on: c.random_campaign(4, seed=1, on_progress=on),
          "b0e5d06b3167"),

@@ -656,14 +656,14 @@ class TestSerialQuarantine:
     """A deterministically-failing job quarantines in its slot (or
     raises in strict mode) — identically in serial and pooled runs."""
 
-    def _flaky_execute(self, monkeypatch, bad_tick):
+    def _flaky_execute(self, monkeypatch, bad_fault):
         import repro.core.pipeline as pipeline_mod
         real = pipeline_mod.execute_experiment
 
-        def flaky(scenario, config, fault, checkpoints=None):
-            if fault.start_tick == bad_tick:
+        def flaky(scenario, config, fault, checkpoint=None):
+            if fault == bad_fault:
                 raise RuntimeError("sim exploded")
-            return real(scenario, config, fault, checkpoints)
+            return real(scenario, config, fault, checkpoint)
 
         monkeypatch.setattr(pipeline_mod, "execute_experiment", flaky)
 
@@ -678,7 +678,7 @@ class TestSerialQuarantine:
                 (scenarios[0].name, FaultSpec("brake", 0.0, ticks[3], 4))]
         reference = reference_records(campaign, jobs)
 
-        self._flaky_execute(monkeypatch, ticks[2])
+        self._flaky_execute(monkeypatch, jobs[1][1])
         records = campaign.run_jobs(jobs).records
         assert [r.failed for r in records] == [False, True, False]
         failed = records[1]
@@ -687,12 +687,32 @@ class TestSerialQuarantine:
         assert strip_wall([records[0], records[2]]) == \
             strip_wall([reference[0], reference[2]])
 
+    def test_pooled_failure_occupies_only_its_slot(self, monkeypatch):
+        """A pool part holds several jobs; the one that keeps raising
+        quarantines alone, exactly as in the serial run."""
+        scenarios = small_scenarios()
+        config = CampaignConfig(resilience=ResilienceConfig(
+            max_attempts=2, backoff_base=0.001))
+        campaign = Campaign(scenarios, config)
+        campaign.golden_runs()
+        # Interface faults never fuse, so every job runs scalar and
+        # the pool cuts them into parts of several jobs each.
+        jobs = random_jobs(campaign, 40, seed=5, interface_share=1.0)
+        assert all(fault.kind != "value" for _, fault in jobs)
+        self._flaky_execute(monkeypatch, jobs[5][1])
+        serial = campaign.run_jobs(jobs).records
+        pooled = campaign.run_jobs(jobs, workers=2).records
+        assert [r.failed for r in serial] == \
+            [fault == jobs[5][1] for _, fault in jobs]
+        assert sum(r.failed for r in serial) == 1
+        assert strip_wall(pooled) == strip_wall(serial)
+
     def test_strict_mode_raises_the_original_error(self, monkeypatch):
         scenarios = small_scenarios()
         config = CampaignConfig(resilience=ResilienceConfig(strict=True))
         campaign = Campaign(scenarios, config)
         tick = campaign.injection_ticks(scenarios[0])[1]
-        self._flaky_execute(monkeypatch, tick)
+        fault = FaultSpec("brake", 0.0, tick, 4)
+        self._flaky_execute(monkeypatch, fault)
         with pytest.raises(RuntimeError, match="sim exploded"):
-            campaign.run_jobs([(scenarios[0].name,
-                                FaultSpec("brake", 0.0, tick, 4))])
+            campaign.run_jobs([(scenarios[0].name, fault)])

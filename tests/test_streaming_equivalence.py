@@ -307,9 +307,10 @@ class TestCheckpointStoreDisk:
         reference = reference_records(serial_campaign, jobs)
         loaded = reload(directory)
         assert loaded.nearest(scenario.name, tick) is not None
-        via_path = [execute_experiment(scenario, serial_campaign.config,
-                                       fault, loaded)
-                    for _, fault in jobs]
+        via_path = [execute_experiment(
+            scenario, serial_campaign.config, fault,
+            loaded.nearest(scenario.name, fault.start_tick))
+            for _, fault in jobs]
         assert strip_wall(via_path) == strip_wall(reference)
 
 

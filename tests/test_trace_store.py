@@ -20,7 +20,7 @@ import pytest
 
 from repro.core import Campaign, CampaignConfig
 from repro.core.persistence import (config_fingerprint, load_golden_traces,
-                                    save_golden_traces)
+                                    run_result_to_dict, save_golden_traces)
 from repro.sim import StoredTrace, Trace, TraceStore
 from repro.sim.scenario import lead_vehicle_cutin
 
@@ -140,7 +140,7 @@ def golden_runs():
 
 
 class TestGoldenCacheGzip:
-    """save/load_golden_traces: transparent ``.gz``, store references."""
+    """save/load_golden_traces: gzip on disk, store references."""
 
     def fingerprint(self, campaign) -> str:
         return config_fingerprint(
@@ -164,16 +164,16 @@ class TestGoldenCacheGzip:
         campaign, runs = golden_runs
         fingerprint = self.fingerprint(campaign)
         store = TraceStore(tmp_path / "traces")
-        plain = tmp_path / "golden.json"
         packed = tmp_path / "golden.json.gz"
-        save_golden_traces(runs, plain, fingerprint, store)
         save_golden_traces(runs, packed, fingerprint, store)
-        # It really is gzip on disk, holding the same payload.
+        # It really is gzip on disk, holding the plain JSON payload.
         with gzip.open(packed, "rt", encoding="utf-8") as stream:
-            assert json.load(stream) == json.loads(plain.read_text())
+            assert json.load(stream) == {
+                "fingerprint": fingerprint,
+                "runs": {name: json.loads(json.dumps(
+                    run_result_to_dict(run, store)))
+                    for name, run in runs.items()}}
         self.assert_runs_equal(load_golden_traces(packed, fingerprint,
-                                                  store), runs)
-        self.assert_runs_equal(load_golden_traces(plain, fingerprint,
                                                   store), runs)
         # Deterministic bytes: concurrent shard writers stay identical.
         payload = packed.read_bytes()

@@ -68,9 +68,9 @@ def count_batch_calls(monkeypatch):
     sizes = []
     original = pipeline_module.execute_experiment_batch
 
-    def counting(jobs, config, checkpoints=None):
+    def counting(jobs, config, forks=None):
         sizes.append(len(jobs))
-        return original(jobs, config, checkpoints)
+        return original(jobs, config, forks)
 
     monkeypatch.setattr(pipeline_module, "execute_experiment_batch",
                         counting)
