@@ -1,13 +1,16 @@
 """Serial fusion speedup: the batched ADS pipeline vs the scalar oracle.
 
-PR 9 vectorized the *physics* of a batch (RK4, collision sweep, safety
-envelope) but still ran each lane's ADS pipeline as scalar pure Python,
-so serial fusion bought only ~1.4x.  This PR batches the
-pipeline itself (:class:`repro.ads.batch.BatchADSState`): sensing
-geometry, the IDM planner, and the PID/slew controller advance every
-fused lane per numpy kernel call, with per-lane work reduced to packed
-RNG draws, camera/radar fusion, and the world model (each lane's own
-tracker and localizer).
+Batching only the *physics* of a batch (RK4, collision sweep, safety
+envelope) and running each lane's ADS pipeline as scalar pure Python
+bought only ~1.4x.  :class:`repro.ads.batch.BatchADSState` batches the
+pipeline itself: sensing (geometry, the noise terms and the detections,
+as columns), camera/radar fusion, the world model's filters, the IDM
+planner and the PID/slew controller advance every fused lane per numpy
+kernel call.  What a lane still pays on its own is its RNG draws, its
+share of the world model's association and track bookkeeping, and, only
+while a sensing or perception fault is active, the real messages the
+fault setters act on.  One extra profiled fused round reports the
+fused ``sensing`` stage's seconds per lane-tick in ``extra_info``.
 
 This bench isolates that single-core win: serial
 :meth:`Campaign.run_jobs` on a job set with at least ``LANES`` fusable
@@ -23,6 +26,8 @@ speedup gate (≥1.8x) needs no spare core because neither path pools,
 and like every wall-clock gate it fires only with
 ``REPRO_BENCH_GATES=1`` (see ``conftest.timing_gates``).
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -67,6 +72,18 @@ def validation_jobs(campaign):
     return jobs
 
 
+def profiled_round(campaign, jobs):
+    """One fused round under the stage timer: its records and stage
+    timings."""
+    plain = campaign.config
+    campaign.config = replace(plain, profile_stages=True)
+    try:
+        summary = campaign.run_jobs(jobs)
+    finally:
+        campaign.config = plain
+    return summary.records, summary.extra_info["stage_timings"]
+
+
 def test_bench_batch_ads(benchmark, ads_campaign):
     campaign = ads_campaign
     jobs = validation_jobs(campaign)
@@ -103,6 +120,10 @@ def test_bench_batch_ads(benchmark, ads_campaign):
                                        check, ROUNDS)
     scalar_seconds = stats["oracle"]["median"]
     batched_seconds = stats["shortcut"]["median"]
+    records, timings = profiled_round(campaign, jobs)
+    check("profiled fused", records)
+    lane_ticks = timings["engine"]["lane_ticks"]
+    sensing_us = 1e6 * timings["sensing"]["seconds"] / lane_ticks
 
     print(f"\nSerial fusion: batched ADS pipeline vs scalar oracle "
           f"(median of {ROUNDS} interleaved rounds)")
@@ -115,6 +136,8 @@ def test_bench_batch_ads(benchmark, ads_campaign):
             ["experiments / s", f"{len(jobs) / scalar_seconds:,.1f}",
              f"{len(jobs) / batched_seconds:,.1f}"],
             ["speedup", "1x", f"{speedup:,.2f}x"],
+            ["sensing us / lane-tick (profiled)", "",
+             f"{sensing_us:.2f}"],
         ]))
     for side, name in (("oracle", "scalar_serial"),
                        ("shortcut", "batched_serial")):
@@ -123,6 +146,9 @@ def test_bench_batch_ads(benchmark, ads_campaign):
     benchmark.extra_info["scalar_serial_seconds"] = scalar_seconds
     benchmark.extra_info["batched_serial_seconds"] = batched_seconds
     benchmark.extra_info["serial_fusion_speedup"] = speedup
+    benchmark.extra_info["fused_sensing_s_per_lane_tick"] = (
+        sensing_us / 1e6)
+    benchmark.extra_info["fused_lane_ticks"] = lane_ticks
     benchmark.extra_info["experiments"] = len(jobs)
     benchmark.extra_info["lanes"] = LANES
     benchmark.extra_info["max_lanes"] = MAX_LANES

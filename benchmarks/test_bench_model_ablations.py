@@ -27,7 +27,7 @@ def test_bench_model_ablations(benchmark, campaign):
     do_engine = BayesianFaultInjector.train(golden)
     cond_engine = ConditioningFaultInjector.train(golden)
     discrete_engine = DiscreteBayesianFaultInjector.train(golden, n_bins=7)
-    two_slice = BayesianFaultInjector.train(golden, n_slices=3)
+    three_slice = BayesianFaultInjector.train(golden, n_slices=3)
 
     benchmark(lambda: BayesianFaultInjector.train(golden))
 
@@ -64,7 +64,7 @@ def test_bench_model_ablations(benchmark, campaign):
     # 2-slice model simply lacks the second corrupted frame).
     shallow = BayesianFaultInjector.train(golden, n_slices=2)
     del shallow  # trained successfully: structural check
-    deep_ok = len(two_slice.model.dag) == 21
+    deep_ok = len(three_slice.model.dag) == 21
 
     print("\nE9: fault-selection model ablations")
     print(ascii_table(

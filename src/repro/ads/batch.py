@@ -9,31 +9,43 @@ oracle.  The lanes of a batch may come from different scenarios; they
 share only the ADS configuration, the road and the ego vehicle build.
 The split of labor per stage:
 
-* **Vectorized across lanes** — sensing geometry (range gates and the
-  occlusion shadow test, over each lane's NPC columns; a padded column
+* **Vectorized across lanes** — sensing (range gates and the
+  occlusion shadow test over each lane's NPC columns; a padded column
   of a lane with a smaller roster has NaN positions, so it fails every
-  range gate and never occludes), the world model's filter arithmetic,
-  the IDM planner, the PID/slew controller, the final command clip, and
-  the actuation-to-controls mapping.  The world model is columnar: the
-  ego EKF's belief is 4 mean and 16 covariance columns per slot (plus a
-  first-fix mask), and every lane's object tracks form one flat track
-  table (slot, id, age, misses, mean, covariance; grouped by slot, each
-  lane's rows in its tracker's list order).  One planning tick predicts
-  every EKF and every track once, takes every association distance from
-  one ``np.hypot`` call, and corrects every EKF with a fix and every
-  matched track in one measurement update.
-* **Per lane, as short loops over floats** — RNG draws and message
-  construction (each lane owns an independent ``Generator``; the lane
-  runs the scalar engine's own merged-draw helper,
-  :func:`~repro.ads.sensors.noisy_bundle`), camera/radar fusion (the
-  lane's ``Perception``), and the world model's bookkeeping: the greedy
-  association (tracks by age, descending and stable, each taking the
-  nearest unmatched detection strictly inside the gate), births, drops
-  past ``max_misses``, ``confirm_age`` and the lead pick, step for step
-  in :class:`~repro.ads.tracking.MultiObjectTracker`'s order.  A lane
-  inside a world-model fault window builds a real
-  :class:`~repro.ads.messages.WorldModel` for the fault setters; every
-  other lane feeds the planner straight from the columns.
+  range gate and never occludes; then every noise term and every
+  camera and radar detection as one expression per field over the
+  lanes' draws), camera/radar fusion (every in-lane distance from one
+  ``np.hypot`` call and the greedy match as one masked ``argmin`` per
+  camera column), the world model's filter arithmetic, the IDM
+  planner, the PID/slew controller, the final command clip, and the
+  actuation-to-controls mapping.  Sensing and perception are columnar:
+  each lane's sensed GPS, IMU and lane fields are a column of
+  ``sensed``, and its detections are rows of per-tick grids over the
+  NPC columns.  The world model is columnar too: the ego EKF's belief
+  is 4 mean and 16 covariance columns per slot (plus a first-fix
+  mask), and every lane's object tracks form one flat track table
+  (slot, id, age, misses, mean, covariance; grouped by slot, each
+  lane's rows in its tracker's list order).  One planning tick
+  predicts every EKF and every track once, takes every association
+  distance from one ``np.hypot`` call, and corrects every EKF with a
+  fix and every matched track in one measurement update.
+* **Per lane, as short loops over floats** — the RNG draws (each lane
+  owns an independent ``Generator`` and draws through the scalar
+  engine's own helper, :func:`~repro.ads.sensors.draw_noise`, into one
+  flat stream the columns are read from) and the world model's
+  bookkeeping: the greedy association (tracks by age, descending and
+  stable, each taking the nearest unmatched detection strictly inside
+  the gate), births, drops past ``max_misses``, ``confirm_age`` and the
+  lead pick, step for step in
+  :class:`~repro.ads.tracking.MultiObjectTracker`'s order.  A lane
+  builds a message only on a tick with a fault of its stage active: a
+  sensing (perception) fault gets the lane's real
+  :class:`~repro.ads.messages.SensorBundle` (detection list) for the
+  fault setters, a world-model fault a real
+  :class:`~repro.ads.messages.WorldModel`, and the lane's columns are
+  read back from those objects; every other lane feeds the next stage
+  straight from the columns (the ``engine`` row's ``bundles_built``
+  counts the messages built).
   This per-lane residue is what a fused tick still pays per lane;
   everything vectorized is paid once per fused tick, so a batch runs
   as wide as the driver allows (:data:`repro.core.parallel.MAX_LANES`)
@@ -41,8 +53,8 @@ The split of labor per stage:
 
 Equivalence holds by construction: the vectorized stages evaluate the
 *same* kernel expressions the scalar modules call with floats (the
-scalar tracker and localizer are the oracles the world-model columns
-are checked against), both
+scalar sensor suite, perception, tracker and localizer are the oracles
+the columns are checked against), both
 engines draw sensor noise through the same helper, which merges each
 run of normals between two camera-dropout ``random()`` calls into one
 ``standard_normal(k)`` (its numpy bit-identities — ``standard_normal(k)``
@@ -79,11 +91,12 @@ from ..sim.collision import SENSOR_RANGE
 from .kernels import (clamp_speed, control_step, ekf_predict, kf_predict4,
                       kf_update4, plan_step)
 from .localization import FIRST_FIX_COV
-from .messages import (LEAD_CORRIDOR, EgoEstimate, SensorBundle,
+from .messages import (LEAD_CORRIDOR, Detection, EgoEstimate,
                        TrackedObject, WorldModel)
+from .perception import PerceptionConfig
 from .profiling import STAGE_TIMER
 from .runtime import ADSConfig, ADSPipeline
-from .sensors import noisy_bundle
+from .sensors import build_bundle, draw_noise
 from .tracking import NEW_TRACK_COV
 
 #: Planner-stage fault variables as plan-array column names.
@@ -113,6 +126,55 @@ def can_fuse(config: ADSConfig, faults) -> bool:
     return all(fault.kind == "value" for fault in faults)
 
 
+def fuse_detections(camera: tuple, radar: tuple,
+                    config: PerceptionConfig) -> tuple:
+    """:meth:`Perception.process` for ``k`` lanes at once.
+
+    ``camera`` and ``radar`` are ``(on, x, y, v)`` grids of shape
+    ``(k, C)`` and ``(k, R)``: lane ``i``'s camera (radar) detections
+    are its entries with ``on`` set, in column order.  Every in-lane
+    (camera, radar) distance comes from one ``np.hypot`` call.  The
+    greedy match keeps the scalar order: cameras in order, each taking
+    the nearest unused radar strictly inside the gate, the first radar
+    winning a tie (``argmin``'s first minimum).
+
+    Returns ``(x, y, v, valid, fused)``: ``(k, C + R)`` grids whose
+    ``valid`` entries, in column order, are lane ``i``'s fused list
+    (every camera, blended with its radar when ``fused`` marks it
+    matched, then the unmatched radars).
+    """
+    cam_on, cx, cy, cv = camera
+    rad_on, rx, ry, rv = radar
+    gate = config.association_gate
+    used = np.zeros_like(rad_on)
+    fused = np.zeros_like(cam_on)
+    fx, fy, fv = cx, cy, cv
+    if rad_on.shape[1]:
+        distance = np.hypot(cx[:, :, None] - rx[:, None, :],
+                            cy[:, :, None] - ry[:, None, :])
+        distance[~(cam_on[:, :, None] & rad_on[:, None, :]
+                   & (distance < gate))] = np.inf
+        lanes = np.arange(cam_on.shape[0])
+        match = np.zeros(cam_on.shape, dtype=np.int64)
+        for a in range(cam_on.shape[1]):
+            row = np.where(used, np.inf, distance[:, a])
+            best = row.argmin(axis=1)
+            hit = row[lanes, best] < gate
+            match[hit, a] = best[hit]
+            fused[hit, a] = True
+            used[lanes[hit], best[hit]] = True
+        w = config.camera_weight
+        fx = np.where(fused, w * cx + (1 - w)
+                      * np.take_along_axis(rx, match, axis=1), cx)
+        fy = np.where(fused, w * cy + (1 - w)
+                      * np.take_along_axis(ry, match, axis=1), cy)
+        fv = np.where(fused, np.take_along_axis(rv, match, axis=1), cv)
+    return (np.concatenate((fx, rx), axis=1),
+            np.concatenate((fy, ry), axis=1),
+            np.concatenate((fv, rv), axis=1),
+            np.concatenate((cam_on, rad_on & ~used), axis=1), fused)
+
+
 class BatchADSState:
     """Structure-of-arrays ADS state for the fused lanes of one batch."""
 
@@ -125,13 +187,17 @@ class BatchADSState:
         self.active = np.zeros(n, dtype=bool)
         self.tick = np.zeros(n, dtype=np.int64)
 
-        # Adopted per-lane scalar objects (ragged / object-shaped state).
+        # Sensing.  Each lane's adopted noise stream; the acceleration
+        # estimator's memory (the last sensed time and speed, if any);
+        # and what the lane sensed this tick, one row per field: GPS x,
+        # GPS y, IMU speed, IMU heading, IMU yaw rate, lane offset and
+        # lane heading (all seven on a planning tick, only the IMU
+        # speed otherwise).
         self.rngs = [None] * n
-        self.perceptions = [None] * n
-        self.accel_last_t: list[float | None] = [None] * n
-        self.accel_last_v: list[float | None] = [None] * n
-        self.bundles: list[SensorBundle | None] = [None] * n
-        self.detections: list[list | None] = [None] * n
+        self.accel_time = np.zeros(n)
+        self.accel_speed = np.zeros(n)
+        self.accel_has_last = np.zeros(n, dtype=bool)
+        self.sensed = np.zeros((7, n))
         self.stage_faults: list[dict | None] = [None] * n
         # Each lane's fault windows, bounded: the first armed tick and
         # one past the last (both 0 for a fault-free lane).  Only lanes
@@ -184,13 +250,12 @@ class BatchADSState:
     def attach(self, slot: int, pipeline: ADSPipeline) -> None:
         """Adopt a fused lane's pipeline state into the batch arrays.
 
-        Its RNG and perception objects are shared (not copied): the
-        fused path advances them exactly as the scalar path would.  Its
-        tracker and localizer seed the world-model columns from their
-        snapshots.  Raises ``ValueError`` for a pipeline the fused path
-        cannot represent: one failing :func:`can_fuse`, or one whose
-        channel bus holds interface faults or residue (delay queues,
-        jitter windows).
+        Its RNG is shared (not copied): the fused path advances it
+        exactly as the scalar path would.  Its acceleration memory,
+        tracker and localizer seed the columns.  Raises ``ValueError``
+        for a pipeline the fused path cannot represent: one failing
+        :func:`can_fuse`, or one whose channel bus holds interface
+        faults or residue (delay queues, jitter windows).
         """
         bus = pipeline.bus
         if (not can_fuse(pipeline.config, ()) or bus.faults
@@ -200,10 +265,12 @@ class BatchADSState:
                              "faults, channel residue, a trippable "
                              "degradation TTL or a non-default IDM "
                              "exponent")
-        self.rngs[slot] = pipeline.sensors.rng
-        self.perceptions[slot] = pipeline.perception
-        self.accel_last_t[slot] = pipeline.sensors._last_time
-        self.accel_last_v[slot] = pipeline.sensors._last_speed
+        sensors = pipeline.sensors
+        self.rngs[slot] = sensors.rng
+        self.accel_has_last[slot] = sensors._last_time is not None
+        if sensors._last_time is not None:
+            self.accel_time[slot] = sensors._last_time
+            self.accel_speed[slot] = sensors._last_speed
         self.tick[slot] = pipeline.tick_index
 
         plan = pipeline.last_plan
@@ -256,11 +323,8 @@ class BatchADSState:
         """Release a fused lane."""
         self.active[slot] = False
         self.rngs[slot] = None
-        self.perceptions[slot] = None
         self.ego_fixed[slot] = False
         self._edit_tracks(self.track_slot != slot)
-        self.bundles[slot] = None
-        self.detections[slot] = None
         self.stage_faults[slot] = None
         self.fault_from[slot] = self.fault_until[slot] = 0
         self.plan_valid[slot] = False
@@ -322,17 +386,17 @@ class BatchADSState:
         hot = ((ticks >= self.fault_from[rows])
                & (ticks < self.fault_until[rows]))
         self._hot = set(rows[hot].tolist()) if hot.any() else set()
+        planning = ((ticks % self.config.planner_divisor == 0)
+                    | ~self.plan_valid[rows])
         started = timer.start() if timer else 0
-        self._sense(rows)
+        detections = self._sense(rows, planning)
         if timer:
             timer.stop("sensing", started, rows.size)
             timer.count("engine", "fused_ticks", 1)
             timer.count("engine", "lane_ticks", rows.size)
             timer.count("engine", "slot_ticks", self.batch.n_lanes)
-        planning = ((ticks % self.config.planner_divisor == 0)
-                    | ~self.plan_valid[rows])
-        if planning.any():
-            self._plan_stage(rows[planning], timer)
+        if detections is not None:
+            self._plan_stage(rows[planning], detections, timer)
         started = timer.start() if timer else 0
         self._actuate(rows)
         if timer:
@@ -342,29 +406,47 @@ class BatchADSState:
                                   self.cmd_brake[rows],
                                   self.cmd_steering[rows], self._dt)
 
-    def _sense(self, rows: np.ndarray) -> None:
-        """Batched sensor measurement: vectorized geometry, per-lane
-        packed RNG draws, real ``SensorBundle`` payloads."""
+    def _hot_in(self, stage: str, slots) -> list[int]:
+        """The lanes of ``slots`` with a fault of ``stage`` active this
+        tick: the lanes whose ``stage`` payload is built as a real
+        message for the fault setters."""
+        return [slot for slot in self._hot.intersection(slots)
+                if any(fault.active(int(self.tick[slot]))
+                       for fault in self.stage_faults[slot].get(stage, ()))]
+
+    def _sense(self, rows: np.ndarray,
+               planning: np.ndarray) -> tuple | None:
+        """Batched sensor measurement into the ``sensed`` columns.
+
+        The geometry (range gates and the occlusion shadow test) is
+        vectorized; each lane then draws its noise through the scalar
+        engine's :func:`draw_noise`, and the draws of every lane form
+        one flat stream.  Every lane gets its IMU speed; the lanes
+        re-planning (``planning``) also get the other six fields and
+        their camera and radar detections, as ``(on, x, y, v)`` grids
+        over the NPC columns, which this returns (``None`` when no lane
+        plans).  A lane with a sensing fault active builds the real
+        :class:`~repro.ads.messages.SensorBundle` (:func:`build_bundle`)
+        for the fault setters, and its columns are read back from it.
+        """
         cfg = self.config.sensors
         batch = self.batch
-        hot = self._hot
-        road = batch.road
-        wheelbase = batch.ego_params.wheelbase
         ego = batch.ego[rows]
-        ego_v = ego[:, 2]
+        x, y, v, theta, phi = ego.T
         npc_x = batch.npc_x[rows]
         npc_y = batch.npc_y[rows]
-        m = npc_x.shape[1]
+        k, m = npc_x.shape
 
+        cam = rad = np.zeros((k, m), dtype=bool)
         if m:
-            ahead = npc_x - ego[:, 0][:, None]
-            cam = (0.0 < ahead) & (ahead <= cfg.camera_range)
-            rad = (0.0 < ahead) & (ahead <= cfg.radar_range)
+            ahead = npc_x - x[:, None]
             # Occlusion shadow: obstacle j is hidden when any other
             # obstacle sits strictly between ego+1 and j, laterally
-            # within the half-width (scalar ``_occluded``).
-            occluded = np.zeros_like(cam)
-            ego_near = ego[:, 0][:, None] + 1.0
+            # within the half-width (scalar ``_occluded``).  Padded
+            # columns have NaN positions: they pass no range gate and
+            # never occlude.
+            occluded = np.zeros((k, m), dtype=bool)
+            ego_near = x[:, None] + 1.0
             for j2 in range(m):
                 x2 = npc_x[:, j2][:, None]
                 y2 = npc_y[:, j2][:, None]
@@ -373,78 +455,141 @@ class BatchADSState:
                               < cfg.occlusion_half_width))
                 blocker[:, j2] = False
                 occluded |= blocker
-            skip = (ahead > 0.0) & occluded
-            visible_cam = (cam & ~skip).tolist()
-            visible_rad = (rad & ~skip).tolist()
-            npc_x_list = npc_x.tolist()
-            npc_y_list = npc_y.tolist()
-            npc_v_list = batch.npc_v[rows].tolist()
-        yaw_rates = ego_v * np.tan(ego[:, 4]) / wheelbase
+            clear = (0.0 < ahead) & ~occluded
+            cam = clear & (ahead <= cfg.camera_range)
+            rad = clear & (ahead <= cfg.radar_range)
+        # Per lane, a (camera, radar) flag pair per NPC column.
+        flags = np.stack((cam, rad), axis=-1).tolist()
 
-        ego_list = ego.tolist()
-        yaw_list = yaw_rates.tolist()
-        times = batch.time[rows].tolist()
-        for i, slot in enumerate(rows.tolist()):
-            # Real columns lead, in ``world.npcs`` order; padded ones
-            # pass no range gate, so they never reach ``visible``.
-            visible = ()
-            if m:
-                lane_cam = visible_cam[i]
-                lane_rad = visible_rad[i]
-                lane_x = npc_x_list[i]
-                lane_y = npc_y_list[i]
-                lane_v = npc_v_list[i]
-                visible = [(lane_x[j], lane_y[j], lane_v[j], lane_cam[j],
-                            lane_rad[j])
-                           for j in range(m) if lane_cam[j] or lane_rad[j]]
+        # The draws, lane by lane, into one flat stream: lane i's
+        # normals end at ends[i], its last six being the ego terms.
+        slots = rows.tolist()
+        rngs = self.rngs
+        dropout = cfg.camera_dropout
+        camera_seen = []
+        stream: list[float] = []
+        ends = []
+        for slot, lane_flags in zip(slots, flags):
+            seen, z = draw_noise(rngs[slot], dropout, lane_flags)
+            camera_seen.append(seen)
+            stream += z
+            ends.append(len(stream))
+        z = np.array(stream)
+        ends = np.array(ends)
+        ego_z = z[ends - 6 + np.arange(6)[:, None]]
 
-            time = times[i]
-            x, ego_y, speed, theta = ego_list[i][:4]
-            last_time = self.accel_last_t[slot]
-            if last_time is None or time <= last_time:
-                acceleration = 0.0
-            else:
-                acceleration = ((speed - self.accel_last_v[slot])
-                                / (time - last_time))
-            self.accel_last_t[slot] = time
-            self.accel_last_v[slot] = speed
+        sensed = self.sensed
+        speed = v + (0.0 + cfg.imu_speed_noise * ego_z[2])
+        sensed[2, rows] = np.where(speed > 0.0, speed, 0.0)
+        detections = None
+        if planning.any():
+            road = batch.road
+            p = planning
+            py = y[p]
+            ptheta = theta[p]
+            yaw_rate = v[p] * np.tan(phi[p]) / batch.ego_params.wheelbase
+            lane = np.clip(py // road.lane_width, 0, road.n_lanes - 1)
+            sensed[:, rows[p]] = (
+                x[p] + (0.0 + cfg.gps_noise * ego_z[0, p]),
+                py + (0.0 + cfg.gps_noise * ego_z[1, p]),
+                sensed[2, rows[p]], ptheta,
+                yaw_rate + (0.0 + cfg.imu_yaw_noise * ego_z[3, p]),
+                py - (lane + 0.5) * road.lane_width
+                + (0.0 + cfg.lane_offset_noise * ego_z[4, p]),
+                ptheta + (0.0 + cfg.lane_heading_noise * ego_z[5, p]))
+            # Each planning lane's detections at their stream offsets:
+            # per NPC column, 2 camera normals if seen, then 3 radar.
+            cam_on = np.array(camera_seen, dtype=bool).reshape(k, m)[p]
+            rad_on = rad[p]
+            owed = 2 * cam_on + 3 * rad_on
+            first = ((ends[p] - 6 - owed.sum(axis=1))[:, None]
+                     + owed.cumsum(axis=1) - owed)
+            after = first + 2 * cam_on
+            ox, oy, ov = npc_x[p], npc_y[p], batch.npc_v[rows[p]]
+            cam_noise = cfg.camera_position_noise
+            rad_noise = cfg.radar_position_noise
+            detections = (
+                (cam_on, ox + (0.0 + cam_noise * z[first]),
+                 oy + (0.0 + cam_noise * z[first + 1]), ov),
+                (rad_on, ox + (0.0 + rad_noise * z[after]),
+                 oy + (0.0 + rad_noise * z[after + 1]),
+                 ov + (0.0 + cfg.radar_speed_noise * z[after + 2])))
 
-            lane_center = road.lane_center(road.lane_of(ego_y))
-            bundle = noisy_bundle(self.rngs[slot], cfg, time, visible, x,
-                                  ego_y, speed, theta, acceleration,
-                                  yaw_list[i], lane_center)
-            if slot in hot:
-                self._apply_object_faults(slot, "sensing", bundle)
-            self.bundles[slot] = bundle
+        times = batch.time[rows]
+        for slot in self._hot_in("sensing", slots):
+            i = slots.index(slot)
+            self._sense_hot(slot, i, flags[i], camera_seen[i],
+                            stream[ends[i - 1] if i else 0:ends[i]],
+                            float(times[i]), planning, detections)
+        self.accel_time[rows] = times
+        self.accel_speed[rows] = v
+        self.accel_has_last[rows] = True
+        return detections
 
-    def _plan_stage(self, rows: np.ndarray,
+    def _sense_hot(self, slot: int, i: int, flags: list, seen: list,
+                   z: list, time: float,
+                   planning: np.ndarray, detections: tuple | None) -> None:
+        """Row ``i`` of the tick (``slot``), with a sensing fault
+        active: build its bundle from its draws, run the fault setters
+        on it, and read its columns back."""
+        cfg = self.config.sensors
+        batch = self.batch
+        x, y, v, theta, phi = batch.ego[slot].tolist()
+        columns = [j for j, (cam, rad) in enumerate(flags) if cam or rad]
+        npc_x = batch.npc_x[slot].tolist()
+        npc_y = batch.npc_y[slot].tolist()
+        npc_v = batch.npc_v[slot].tolist()
+        visible = [(npc_x[j], npc_y[j], npc_v[j], *flags[j])
+                   for j in columns]
+        if self.accel_has_last[slot] and time > self.accel_time[slot]:
+            acceleration = ((v - float(self.accel_speed[slot]))
+                            / (time - float(self.accel_time[slot])))
+        else:
+            acceleration = 0.0
+        road = batch.road
+        bundle = build_bundle(
+            cfg, time, visible, [seen[j] for j in columns], z, x, y, v,
+            theta, acceleration,
+            v * float(np.tan(phi)) / batch.ego_params.wheelbase,
+            road.lane_center(road.lane_of(y)))
+        STAGE_TIMER.count("engine", "bundles_built", 1)
+        self._apply_object_faults(slot, "sensing", bundle)
+        gps, imu = bundle.gps, bundle.imu
+        self.sensed[:, slot] = (gps.x, gps.y, imu.v, imu.heading,
+                                imu.yaw_rate, bundle.lane_offset,
+                                bundle.lane_heading)
+        if detections is None or not planning[i]:
+            return
+        q = int(np.count_nonzero(planning[:i]))
+        (cam_on, cx, cy, cv), (rad_on, rx, ry, rv) = detections
+        for on, dx, dy, dv, read in ((cam_on, cx, cy, cv, bundle.camera),
+                                     (rad_on, rx, ry, rv, bundle.radar)):
+            where = np.flatnonzero(on[q])
+            dx[q, where] = [d.x for d in read]
+            dy[q, where] = [d.y for d in read]
+            dv[q, where] = [d.v for d in read]
+
+    def _plan_stage(self, rows: np.ndarray, detections: tuple,
                     timer: "StageTimer | None" = None) -> None:
         """Perception, tracking, localization, world model, planning for
-        the lanes re-planning this tick."""
+        the lanes re-planning this tick, whose camera and radar grids
+        :meth:`_sense` returned."""
         config = self.config
-        hot = self._hot
         slots = rows.tolist()
         k = len(slots)
 
-        # Per-lane camera/radar fusion on the adopted scalar objects.
         started = timer.start() if timer else 0
-        for slot in slots:
-            bundle = self.bundles[slot]
-            detections = self.perceptions[slot].process(bundle)
-            if slot in hot:
-                self._apply_object_faults(slot, "perception", detections)
-            self.detections[slot] = detections
+        det, counts = self._perceive(rows, detections)
         if timer:
             timer.stop("perception", started, k)
 
         # World-model stage (the scalar tick's world_model bracket).
         started = timer.start() if timer else 0
-        live, inputs = self._world_model(rows)
+        live, inputs = self._world_model(rows, det, counts)
         if timer:
             timer.stop("world_model", started, k)
             timer.count("world_model", "tracks", live)
-            timer.count("world_model", "detections", sum(
-                len(self.detections[slot]) for slot in slots))
+            timer.count("world_model", "detections", det.shape[1])
 
         started = timer.start() if timer else 0
         target, throttle, brake, steering, _, _ = plan_step(
@@ -455,37 +600,62 @@ class BatchADSState:
         self.plan_brake[rows] = brake
         self.plan_steering[rows] = steering
         self.plan_valid[rows] = True
-        for slot in hot.intersection(slots):
+        for slot in self._hot.intersection(slots):
             self._apply_column_faults(slot, "planning", _PLAN_COLUMNS)
         if timer:
             timer.stop("planning", started, k)
 
-    def _world_model(self, rows: np.ndarray) -> tuple[int, tuple]:
+    def _perceive(self, rows: np.ndarray, detections: tuple) -> tuple:
+        """Camera/radar fusion of the lanes ``rows`` (their
+        ``detections`` grids, :func:`fuse_detections`): the fused
+        detections as ``(3, d)``
+        columns (x, y, v), lane by lane, and each lane's count.  A lane
+        with a perception fault active builds its real detection list
+        for the fault setters, and its columns are read back."""
+        x, y, v, valid, fused = fuse_detections(*detections,
+                                                self.config.perception)
+        det = np.array((x[valid], y[valid], v[valid]))
+        counts = valid.sum(axis=1).tolist()
+        slots = rows.tolist()
+        n_cameras = fused.shape[1]
+        for slot in self._hot_in("perception", slots):
+            i = slots.index(slot)
+            start = sum(counts[:i])
+            fused_list = [
+                Detection(*det[:, start + t].tolist(),
+                          sensor=("radar" if c >= n_cameras else
+                                  "fused" if fused[i, c] else "camera"))
+                for t, c in enumerate(np.flatnonzero(valid[i]).tolist())]
+            STAGE_TIMER.count("engine", "bundles_built", 1)
+            self._apply_object_faults(slot, "perception", fused_list)
+            det[:, start:start + counts[i]] = np.array(
+                [(d.x, d.y, d.v) for d in fused_list],
+                dtype=float).reshape(-1, 3).T
+        return det, counts
+
+    def _world_model(self, rows: np.ndarray, det: np.ndarray,
+                     counts: list) -> tuple[int, tuple]:
         """:meth:`EgoLocalizer.update` and :meth:`MultiObjectTracker.update`
         for the lanes ``rows``, over the world-model columns, then each
-        lane's lead.
+        lane's lead.  The inputs are the ``sensed`` columns and the
+        perceived detections ``det`` (``(3, d)`` columns, lane by lane,
+        ``counts[i]`` of them for row ``i``).
 
         Both filters predict in place, the tracks are associated lane by
         lane, and one measurement update corrects every EKF with a fix
-        and every matched track together.  Lanes in a world-model fault
-        window get a real :class:`WorldModel` for the fault setters; the
+        and every matched track together.  Lanes with a world-model fault
+        active get a real :class:`WorldModel` for the fault setters; the
         rest read the columns directly.  Returns the live tracks of these
         lanes and the planner's inputs, ``(ego x, ego v, lead x, lead
         vx, has lead, lane offset, lane heading)``, one list each,
         aligned with ``rows``.
         """
         slots = rows.tolist()
-        bundles = [self.bundles[slot] for slot in slots]
-        # What the filters read, after any sensing fault.
-        gps = [bundle.gps for bundle in bundles]
-        imu = [bundle.imu for bundle in bundles]
-        sensed = np.array(([fix.x for fix in gps], [fix.y for fix in gps],
-                           [sample.v for sample in imu],
-                           [sample.heading for sample in imu],
-                           [sample.yaw_rate for sample in imu]), dtype=float)
+        # What the filters read (GPS x/y, IMU speed, heading, yaw rate),
+        # after any sensing fault.
+        sensed = self.sensed[:5, rows]
         ego = self._predict_ego(rows, sensed)
-        det, counts, tracks = self._predict_and_associate(
-            rows, [self.detections[slot] for slot in slots])
+        tracks = self._predict_and_associate(rows, det, counts)
         self._correct(ego, det, tracks)
         live, lanes, reported = self._turn_over_tracks(rows, det, counts,
                                                        tracks)
@@ -514,16 +684,12 @@ class BatchADSState:
             has_lead[i] = True
             lx[i] = xs[t]
             lv[i] = vxs[t]
-        offsets = [bundle.lane_offset for bundle in bundles]
-        headings = [bundle.lane_heading for bundle in bundles]
+        offsets, headings = self.sensed[5:, rows].tolist()
 
-        for slot in self._hot.intersection(slots):
-            if "world_model" not in self.stage_faults[slot]:
-                continue
+        for slot in self._hot_in("world_model", slots):
             i = slots.index(slot)
-            bundle = bundles[i]
             model = WorldModel(
-                time=bundle.time,
+                time=float(self.batch.time[slot]),
                 ego=EgoEstimate(x=ego_x[i], y=ego_y[i], v=ego_v[i],
                                 theta=ego_theta[i]),
                 tracks=[TrackedObject(track_id=ids[t], x=xs[t], y=ys[t],
@@ -531,8 +697,7 @@ class BatchADSState:
                                       misses=misses[t])
                         for t in range(bisect_left(lanes, i),
                                        bisect_right(lanes, i))],
-                lane_offset=bundle.lane_offset,
-                lane_heading=bundle.lane_heading)
+                lane_offset=offsets[i], lane_heading=headings[i])
             self._apply_object_faults(slot, "world_model", model)
             best = model.lead_track()
             px[i] = lx[i] = model.ego.x
@@ -571,25 +736,20 @@ class BatchADSState:
             self.ego_fixed[fresh] = True
         return cols, sensed[:3, fixed]
 
-    def _predict_and_associate(self, rows: np.ndarray,
-                               detections: list) -> tuple:
+    def _predict_and_associate(self, rows: np.ndarray, det: np.ndarray,
+                               counts: list) -> tuple | None:
         """The track predict of the lanes ``rows``, in place, and the
-        greedy association of their tracks with ``detections`` (aligned
-        with ``rows``).
+        greedy association of their tracks with the detections ``det``
+        (``(3, d)`` columns, ``counts[i]`` of them for row ``i``).
 
-        Returns the detections as ``(3, d)`` columns (x, y, v), each
-        lane's detection count, and ``(sel, matched, matched_det)``:
-        the table rows of these lanes' tracks, the ``sel`` positions
-        that matched and the detection each matched (``None`` in
-        ablation mode, where raw detections are the tracks).
+        Returns ``(sel, matched, matched_det)``: the table rows of these
+        lanes' tracks, the ``sel`` positions that matched and the
+        detection each matched (``None`` in ablation mode, where raw
+        detections are the tracks).
         """
         cfg = self.config.tracker
-        counts = [len(lane) for lane in detections]
-        det = np.array([value for lane in detections for d in lane
-                        for value in (d.x, d.y, d.v)],
-                       dtype=float).reshape(-1, 3).T
         if not cfg.enabled:
-            return det, counts, None
+            return None
         sel = self._table_rows(rows)
         mean, cov = kf_predict4(self.track_mean[:, sel],
                                 self.track_cov[:, sel], self._planning_dt,
@@ -652,7 +812,7 @@ class BatchADSState:
                     unmatched.remove(best)
                     matched.append(j)
                     matched_det.append(best)
-        return det, counts, (sel, matched, matched_det)
+        return sel, matched, matched_det
 
     def _correct(self, ego: tuple, det: np.ndarray,
                  tracks: tuple | None) -> None:
@@ -761,9 +921,7 @@ class BatchADSState:
         """Controller + actuation faults + physical clip for all fused
         lanes (runs every tick; fused lanes never degrade)."""
         cfg = self.config.controller
-        measured = np.empty(rows.size)
-        for i, slot in enumerate(rows.tolist()):
-            measured[i] = self.bundles[slot].imu.v
+        measured = self.sensed[2, rows]
         if cfg.enabled:
             throttle, brake, steering, integral, error = control_step(
                 self.plan_target[rows], self.plan_throttle[rows],

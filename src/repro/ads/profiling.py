@@ -25,8 +25,11 @@ outside the golden runs, and the ``spill_bytes`` it spooled.  The
 untimed ``engine`` row counts the validation jobs each engine ran
 (``fused_jobs``, ``scalar_jobs``), the ``fused_ticks`` and, per fused
 tick, the live lanes (``lane_ticks``) against the batch's slots
-(``slot_ticks``).  A fused tick's vectorized work is paid once however
-many lanes it carries, so its cost follows ``fused_ticks`` and the
+(``slot_ticks``), and the messages its lanes built
+(``bundles_built``: a sensor bundle or detection list, built only by a
+lane with a sensing or perception fault active on the tick).  A fused
+tick's vectorized work is paid once however many lanes it carries, so
+its cost follows ``fused_ticks`` and the
 lanes per tick (``lane_ticks`` over ``fused_ticks``); lane occupancy
 (``lane_ticks`` over ``slot_ticks``) no longer drives it, since a wide
 batch leaves its retired slots idle rather than start another batch.

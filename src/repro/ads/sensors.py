@@ -127,27 +127,45 @@ def noisy_bundle(rng: np.random.Generator, cfg: SensorSuiteConfig,
 
     ``visible`` holds ``(x, y, v, camera, radar)`` per obstacle, in
     world order, for obstacles ahead that are unoccluded and inside at
-    least one range gate (``camera``/``radar`` say which).  The stream
-    is, per obstacle, one ``random()`` for camera dropout if the camera
-    sees it, then 2 normals (camera, unless dropped) and 3 (radar); then
-    6 normals for GPS, IMU and lane.  Consecutive normals are merged
-    into one ``standard_normal(k)`` call: a run ends only at the next
+    least one range gate (``camera``/``radar`` say which).  The draw is
+    :func:`draw_noise`, the build :func:`build_bundle`.
+    """
+    seen, z = draw_noise(rng, cfg.camera_dropout, visible)
+    return build_bundle(cfg, time, visible, seen, z, x, y, v, theta,
+                        acceleration, yaw_rate, lane_center)
+
+
+def draw_noise(rng: np.random.Generator, dropout: float,
+               flags) -> tuple[list[bool], list[float]]:
+    """One tick's sensor noise: the camera-dropout draws and every
+    normal, for obstacles whose range-gate flags ``(camera, radar)``
+    are the last two items of ``flags[j]`` (a ``visible`` row of
+    :func:`noisy_bundle` or a bare pair; an obstacle with neither flag
+    draws nothing).
+
+    Returns ``(seen, z)``: ``seen[j]`` says whether obstacle ``j``'s
+    camera read survived dropout, and ``z`` holds, per obstacle with a
+    read, 2 normals for the camera (if seen) and 3 for the radar, then
+    6 for GPS, IMU and lane.  The stream is, per obstacle, one
+    ``random()`` for camera dropout if the camera sees it, then its
+    normals.  Consecutive normals are merged into one
+    ``standard_normal(k)`` call: a run ends only at the next
     camera-dropout ``random()``, and the 6 ego terms join the last run,
     so a tick with no camera-visible obstacle draws once.  That stream
     is bit-for-bit the sequential ``normal(0, sigma)`` calls it
     replaces, read as ``0.0 + sigma * z``, and leaves the generator in
     the same state (pinned by ``tests/test_sensor_equivalence.py``
     against the per-term and the per-obstacle draws of
-    ``tests/reference.py``).  Both engines sense through here:
+    ``tests/reference.py``).  Both engines draw through here:
     :meth:`SensorSuite.measure` and the batched
     ``BatchADSState._sense``, per lane.
     """
     normal = rng.standard_normal
-    dropout = cfg.camera_dropout
-    seen = []       # (x, y, v, camera, radar) after camera dropout
+    seen = []
     z: list[float] = []
     run = 0         # normals owed since the last random()
-    for ox, oy, ov, sees_cam, sees_rad in visible:
+    for row in flags:
+        sees_cam = row[-2]
         if sees_cam:
             if run:
                 z += normal(run).tolist()
@@ -155,18 +173,27 @@ def noisy_bundle(rng: np.random.Generator, cfg: SensorSuiteConfig,
             sees_cam = rng.random() >= dropout
             if sees_cam:
                 run += 2
-        if sees_rad:
+        if row[-1]:
             run += 3
-        if sees_cam or sees_rad:
-            seen.append((ox, oy, ov, sees_cam, sees_rad))
+        seen.append(sees_cam)
     z += normal(run + 6).tolist()
+    return seen, z
 
+
+def build_bundle(cfg: SensorSuiteConfig, time: float, visible, seen,
+                 z, x: float, y: float, v: float, theta: float,
+                 acceleration: float, yaw_rate: float,
+                 lane_center: float) -> SensorBundle:
+    """The :class:`SensorBundle` of one tick from its noise
+    (:func:`draw_noise`'s ``seen`` and ``z``, aligned with
+    ``visible``): each term is its true value plus ``0.0 + sigma *
+    z``."""
     camera: list[Detection] = []
     radar: list[Detection] = []
     cam_noise = cfg.camera_position_noise
     rad_noise = cfg.radar_position_noise
     k = 0
-    for ox, oy, ov, sees_cam, sees_rad in seen:
+    for (ox, oy, ov, _, sees_rad), sees_cam in zip(visible, seen):
         if sees_cam:
             camera.append(Detection(x=ox + (0.0 + cam_noise * z[k]),
                                     y=oy + (0.0 + cam_noise * z[k + 1]),

@@ -97,13 +97,6 @@ class DegradationReport:
         """Experiments where degradation engaged but a hazard landed."""
         return self.engaged - self.masked
 
-    @property
-    def mask_rate(self) -> float:
-        """Masked fraction of degradation-engaged experiments."""
-        if self.engaged == 0:
-            return 0.0
-        return self.masked / self.engaged
-
 
 def degradation_report(summary: CampaignSummary) -> DegradationReport:
     """Fold a campaign summary into the masked-vs-violation split."""

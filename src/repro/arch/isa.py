@@ -213,9 +213,6 @@ class Assembler:
     def li(self, dst: int, imm: float) -> None:
         self._emit(op="LI", dst=dst, imm=float(imm))
 
-    def mov(self, dst: int, a: int) -> None:
-        self._emit(op="MOV", dst=dst, a=a)
-
     def add(self, dst: int, a: int, b: int) -> None:
         self._emit(op="ADD", dst=dst, a=a, b=b)
 

@@ -336,17 +336,17 @@ def _print_summary(summary, label: str) -> None:
         engine = timings.get("engine")
         if engine:
             (fused, scalar, live, slots, ticks, batches, mixed,
-             fallbacks) = (engine.get(event, 0) for event in (
+             fallbacks, built) = (engine.get(event, 0) for event in (
                  "fused_jobs", "scalar_jobs", "lane_ticks", "slot_ticks",
                  "fused_ticks", "fused_batches", "batch_scenarios",
-                 "fused_fallbacks"))
+                 "fused_fallbacks", "bundles_built"))
             print(f"  engine: {fused} fused jobs, {scalar} scalar jobs, "
                   f"lane occupancy {live / max(slots, 1):.1%} ({live} of "
                   f"{slots} slot-ticks) in {ticks} fused ticks "
                   f"({live / max(ticks, 1):.1f} lanes per tick), "
                   f"{batches} fused batches "
                   f"({mixed / max(batches, 1):.1f} scenarios per batch), "
-                  f"{fallbacks} fused fallbacks")
+                  f"{fallbacks} fused fallbacks, {built} messages built")
         golden = timings.get("golden")
         if golden:
             print(f"  golden: {golden.get('runs', 0)} runs, "

@@ -378,6 +378,35 @@ class TestEngineCounters:
         assert strip_wall(summary.records) == \
             strip_wall(reference_records(campaign, jobs))
 
+    def test_only_hot_lanes_build_messages(self, capsys):
+        """Fused lanes build a sensor bundle or detection list only on a
+        tick with a sensing or perception fault active: none for brake
+        faults, one per fault tick for IMU faults, one per planning
+        fault tick for detection faults."""
+        campaign = Campaign(small_scenarios()[:1],
+                            CampaignConfig(profile_stages=True))
+        scenario = campaign.scenarios[0]
+        ticks = campaign.injection_ticks(scenario)[::4][:parallel.LANES]
+        built = {}
+        for variable, value in (("brake", 0.0), ("imu_speed", 45.0),
+                                ("detection_x", 250.0)):
+            jobs = [(scenario.name, FaultSpec(variable, value, tick, 4))
+                    for tick in ticks]
+            summary = campaign.run_jobs(jobs)
+            engine = summary.extra_info["stage_timings"]["engine"]
+            assert engine["fused_jobs"] == len(jobs) == parallel.LANES
+            assert engine["lane_ticks"] > 0
+            built[variable] = engine.get("bundles_built", 0)
+            if variable == "brake":
+                _print_summary(summary, "random")
+                assert ", 0 fused fallbacks, 0 messages built" in \
+                    capsys.readouterr().out
+        divisor = campaign.config.ads.planner_divisor
+        assert built == {"brake": 0, "imu_speed": 4 * len(ticks),
+                         "detection_x": sum(
+                             len(range(-tick % divisor, 4, divisor))
+                             for tick in ticks)}
+
     def test_rows_merge_and_print(self, capsys):
         summary = CampaignSummary()
         summary.extra_info["stage_timings"] = {
@@ -385,19 +414,19 @@ class TestEngineCounters:
                        "scalar_jobs": 4, "fused_ticks": 25,
                        "lane_ticks": 300, "slot_ticks": 400,
                        "fused_batches": 2, "batch_scenarios": 5,
-                       "fused_fallbacks": 1}}
+                       "fused_fallbacks": 1, "bundles_built": 6}}
         merged = CampaignSummary.merge([summary, summary])
         assert merged.extra_info["stage_timings"]["engine"] == {
             "seconds": 0.0, "calls": 0, "fused_jobs": 32,
             "scalar_jobs": 8, "fused_ticks": 50, "lane_ticks": 600,
             "slot_ticks": 800, "fused_batches": 4, "batch_scenarios": 10,
-            "fused_fallbacks": 2}
+            "fused_fallbacks": 2, "bundles_built": 12}
         _print_summary(merged, "random")
         assert ("engine: 32 fused jobs, 8 scalar jobs, lane occupancy "
                 "75.0% (600 of 800 slot-ticks) in 50 fused ticks "
                 "(12.0 lanes per tick), 4 fused batches "
-                "(2.5 scenarios per batch), 2 fused fallbacks"
-                ) in capsys.readouterr().out
+                "(2.5 scenarios per batch), 2 fused fallbacks, "
+                "12 messages built") in capsys.readouterr().out
 
 
 class TestFusedFallback:

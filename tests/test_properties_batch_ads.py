@@ -22,8 +22,9 @@ from hypothesis import strategies as st
 
 from repro.ads import (Detection, EgoLocalizer, GpsFix, ImuSample,
                        MultiObjectTracker)
-from repro.ads.batch import BatchADSState, can_fuse
+from repro.ads.batch import BatchADSState, can_fuse, fuse_detections
 from repro.ads.messages import SensorBundle, WorldModel
+from repro.ads.perception import Perception, PerceptionConfig
 from repro.ads.runtime import ADSConfig, ADSPipeline
 from repro.ads.tracking import TrackerConfig
 from repro.ads.variables import variable_by_name
@@ -75,6 +76,11 @@ def _strip(result):
     row.pop("trace")            # empty: no run records one here
     row.pop("checkpoints")
     return row
+
+
+def _hex(values):
+    """Bit patterns of a sequence of floats."""
+    return [float(value).hex() for value in values]
 
 
 def _run_batched(lists, seed, batch_size):
@@ -159,9 +165,10 @@ class TestMixedScenarios:
                     min_size=1, max_size=6), seeds)
     def test_sensing_sees_only_real_columns(self, lanes, seed):
         """Egos anywhere near the origin, where a padded column would
-        sit if padding were a position: the fused sensing's bundles
-        equal the scalar sensor suite's, range gates, occluders and
-        the visible list included."""
+        sit if padding were a position: the fused sensing's columns
+        equal the scalar sensor suite's bundle field by field, range
+        gates, occluders and camera dropout included, and every lane's
+        noise stream ends where the scalar one does."""
         worlds = []
         for index, x, y in lanes:
             world = MIXED[index].make_world()
@@ -169,13 +176,205 @@ class TestMixedScenarios:
             worlds.append(world)
         batch = BatchWorldState(worlds)
         ads = BatchADSState(batch, CONFIG)
-        expected = []
+        scalar = []
         for slot, world in enumerate(worlds):
             ads.attach(slot, ADSPipeline(CONFIG, seed=seed + slot))
-            expected.append(ADSPipeline(CONFIG, seed=seed + slot)
-                            .sensors.measure(world))
-        ads._sense(np.arange(len(worlds)))
-        assert ads.bundles == expected
+            scalar.append(ADSPipeline(CONFIG, seed=seed + slot).sensors)
+        expected = [sensors.measure(world)
+                    for sensors, world in zip(scalar, worlds)]
+        rows = np.arange(len(worlds))
+        camera, radar = ads._sense(rows, np.ones(rows.size, dtype=bool))
+        for slot, bundle in enumerate(expected):
+            assert _hex(ads.sensed[:, slot].tolist()) == _hex(
+                [bundle.gps.x, bundle.gps.y, bundle.imu.v,
+                 bundle.imu.heading, bundle.imu.yaw_rate,
+                 bundle.lane_offset, bundle.lane_heading])
+            for (on, x, y, v), sensed in ((camera, bundle.camera),
+                                          (radar, bundle.radar)):
+                where = on[slot]
+                assert _hex(x[slot, where].tolist()) == _hex(
+                    [d.x for d in sensed])
+                assert _hex(y[slot, where].tolist()) == _hex(
+                    [d.y for d in sensed])
+                assert _hex(v[slot, where].tolist()) == _hex(
+                    [d.v for d in sensed])
+            assert ads.rngs[slot].bit_generator.state == \
+                scalar[slot].rng.bit_generator.state
+            # The acceleration estimator's memory (the bundle's IMU
+            # acceleration term on later ticks).
+            assert (ads.accel_has_last[slot], ads.accel_time[slot],
+                    ads.accel_speed[slot]) == (
+                True, scalar[slot]._last_time, scalar[slot]._last_speed)
+
+
+# -- columnar sensing and perception against the scalar oracles -----------
+
+#: The sensing- and perception-stage variables: the stages whose fused
+#: lanes build real messages only while such a fault is active.
+SENSING_VARIABLES = ["gps_x", "gps_y", "imu_speed", "sensed_lane_offset",
+                     "detection_x", "detection_y"]
+
+sensing_faults = st.tuples(st.sampled_from(SENSING_VARIABLES),
+                           st.sampled_from([0.0, 2.0, 45.0, 250.0]),
+                           st.integers(0, 24), st.integers(1, 6))
+
+#: One lockstep lane: its scenario, seed, the scalar ticks it runs
+#: before it attaches (so lanes plan on ticks of different parity), and
+#: its faults (start ticks counted from the attach).
+lockstep_lanes = st.lists(st.tuples(
+    st.integers(0, len(MIXED) - 1), st.integers(0, 3), st.integers(0, 3),
+    st.lists(sensing_faults, max_size=2)), min_size=1, max_size=5)
+
+
+def _lockstep(lanes, n_ticks=30):
+    """Run ``lanes`` fused and on one scalar pipeline each, tick by tick.
+
+    Yields, after every tick, the scalar and the fused side's noise
+    stream states, executed commands and fault ``landed`` flags."""
+    scalar, fused, faults = [], [], []
+    for index, seed, warmup, specs in lanes:
+        pair = []
+        for _ in range(2):
+            world = MIXED[index].make_world()
+            pipeline = ADSPipeline(CONFIG, seed=seed)
+            for _ in range(warmup):
+                command = pipeline.tick(world)
+                world.step(command.throttle, command.brake,
+                           command.steering, DT)
+            for variable, value, start, duration in specs:
+                pipeline.arm_fault(variable, value, warmup + start,
+                                   duration)
+            pair.append((world, pipeline))
+        scalar.append(pair[0])
+        fused.append(pair[1])
+    batch = BatchWorldState([world for world, _ in fused])
+    ads = BatchADSState(batch, CONFIG)
+    for slot, (_, pipeline) in enumerate(fused):
+        ads.attach(slot, pipeline)
+    for _ in range(n_ticks):
+        commands = []
+        for world, pipeline in scalar:
+            command = pipeline.tick(world)
+            world.step(command.throttle, command.brake, command.steering,
+                       DT)
+            commands.append(_hex((command.throttle, command.brake,
+                                  command.steering)))
+        ads.tick_all()
+        batch.step(DT)
+        yield ((
+            [pipeline.sensors.rng.bit_generator.state
+             for _, pipeline in scalar],
+            commands,
+            [[fault.landed for fault in pipeline.faults]
+             for _, pipeline in scalar]), (
+            [rng.bit_generator.state for rng in ads.rngs],
+            [_hex(column) for column in zip(
+                ads.cmd_throttle.tolist(), ads.cmd_brake.tolist(),
+                ads.cmd_steering.tolist())],
+            [[fault.landed for fault in pipeline.faults]
+             for _, pipeline in fused]))
+
+
+class TestColumnarSensing:
+    """Fused lanes draw their noise every tick and build messages only
+    while a sensing or perception fault is active; tick by tick, every
+    lane's noise stream, executed command and fault outcomes equal one
+    scalar pipeline's, on planning and non-planning ticks alike."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(lockstep_lanes)
+    def test_noise_streams_match_every_tick(self, lanes):
+        for scalar, fused in _lockstep(lanes):
+            assert fused[0] == scalar[0]
+            assert fused[1] == scalar[1]
+
+    @settings(max_examples=25, deadline=None)
+    @example([(0, 0, 1, [("detection_x", 250.0, 0, 6),
+                         ("imu_speed", 0.0, 2, 6)]),
+              (2, 1, 0, [("detection_y", 2.0, 0, 6),
+                         ("gps_x", 0.0, 1, 3)]),
+              (4, 2, 1, [("sensed_lane_offset", 2.0, 0, 6),
+                         ("gps_y", 45.0, 4, 1)])])
+    @given(lockstep_lanes)
+    def test_hot_lanes_land_like_scalar(self, lanes):
+        """Every sensing and perception fault lands (or is masked, as a
+        detection fault on a lane that sees nothing) on the tick the
+        scalar pipeline's does."""
+        for scalar, fused in _lockstep(lanes):
+            assert fused[2] == scalar[2]
+
+
+#: Detection coordinates around the association gate (3.5 m): a camera
+#: at 40.0 and radars at 36.5/43.5 sit exactly on it, (2.1, 2.8) offsets
+#: within a rounding of it, and radars at 39.0 and 41.0 tie.
+FUSION_X = st.sampled_from([36.5, 39.0, 40.0, 41.0, 42.1, 43.5,
+                            43.49999999999999, 43.50000000000001])
+FUSION_Y = st.sampled_from([0.0, 1.0, -1.0, 2.8, -2.8])
+
+fusion_detections = st.lists(st.builds(
+    lambda x, y, v, gap: (Detection(x, y, v), gap), FUSION_X, FUSION_Y,
+    st.sampled_from([0.0, 12.5]), st.booleans()), max_size=4)
+
+
+def _grid(lanes):
+    """Per-lane detection lists as ``(on, x, y, v)`` grids; a detection
+    flagged with a gap follows an off entry at NaN, as a padded or
+    unseen NPC column would sit between two seen ones."""
+    rows = []
+    for lane in lanes:
+        row = []
+        for detection, gap in lane:
+            if gap:
+                row.append((False, np.nan, np.nan, 0.0))
+            row.append((True, detection.x, detection.y, detection.v))
+        rows.append(row)
+    width = max(len(row) for row in rows)
+    rows = [row + [(False, np.nan, np.nan, 0.0)] * (width - len(row))
+            for row in rows]
+    on = np.array([[entry[0] for entry in row] for row in rows],
+                  dtype=bool).reshape(len(rows), width)
+    x, y, v = (np.array([[entry[i] for entry in row] for row in rows],
+                        dtype=float).reshape(len(rows), width)
+               for i in (1, 2, 3))
+    return on, x, y, v
+
+
+class TestColumnarFusion:
+    """:func:`fuse_detections` against :meth:`Perception.process`, lane
+    by lane: camera order, the strict gate, first radar on ties, used
+    radars skipped, unmatched radars last."""
+
+    @settings(max_examples=300, deadline=None)
+    @example([([(Detection(40.0, 0.0, 0.0), False)],
+               [(Detection(43.5, 0.0, 1.0), False),
+                (Detection(36.5, 0.0, 2.0), False)]),
+              ([(Detection(40.0, 0.0, 0.0), False),
+                (Detection(40.0, 0.0, 12.5), True)],
+               [(Detection(41.0, 0.0, 1.0), True),
+                (Detection(39.0, 0.0, 2.0), False)])],
+             PerceptionConfig())
+    @given(st.lists(st.tuples(fusion_detections, fusion_detections),
+                    min_size=1, max_size=5),
+           st.builds(PerceptionConfig,
+                     association_gate=st.sampled_from([3.5, 1.0]),
+                     camera_weight=st.sampled_from([0.55, 0.3])))
+    def test_fusion_matches_perception(self, lanes, config):
+        x, y, v, valid, fused = fuse_detections(
+            _grid([camera for camera, _ in lanes]),
+            _grid([radar for _, radar in lanes]), config)
+        n_cameras = fused.shape[1]
+        perception = Perception(config)
+        for i, (camera, radar) in enumerate(lanes):
+            expected = perception.process(SensorBundle(
+                time=0.0, camera=[d for d, _ in camera],
+                radar=[replace(d, sensor="radar") for d, _ in radar]))
+            got = [(x[i, c], y[i, c], v[i, c],
+                    "radar" if c >= n_cameras else
+                    "fused" if fused[i, c] else "camera")
+                   for c in np.flatnonzero(valid[i]).tolist()]
+            assert [(_hex((gx, gy, gv)), sensor)
+                    for gx, gy, gv, sensor in got] == \
+                [(_hex((d.x, d.y, d.v)), d.sensor) for d in expected]
 
 
 class TestFusability:
@@ -239,6 +438,19 @@ def _bundle(gps_x, gps_y, speed, heading, yaw_rate):
     return SensorBundle(time=0.0, gps=GpsFix(gps_x, gps_y),
                         imu=ImuSample(speed, 0.0, yaw_rate, heading),
                         lane_offset=0.25, lane_heading=-0.01)
+
+
+def _sensed_columns(bundle):
+    """A bundle as one column of ``BatchADSState.sensed``."""
+    return (bundle.gps.x, bundle.gps.y, bundle.imu.v, bundle.imu.heading,
+            bundle.imu.yaw_rate, bundle.lane_offset, bundle.lane_heading)
+
+
+def _detection_columns(lanes):
+    """Per-lane ``(x, y, v)`` lists as ``(3, d)`` columns and counts."""
+    return (np.array([row for lane in lanes for row in lane],
+                     dtype=float).reshape(-1, 3).T,
+            [len(lane) for lane in lanes])
 
 
 def _filter_state(tracker, localizer):
@@ -331,12 +543,13 @@ class TestColumnarWorldModel:
             if not planning:
                 continue
             expected = []
+            columns = []
             for slot in planning:
                 ticks, warmup = lanes[slot]
                 dets, *sensed = ticks[warmup + step]
                 bundle = _bundle(*sensed)
-                ads.bundles[slot] = bundle
-                ads.detections[slot] = [replace(d) for d in dets]
+                ads.sensed[:, slot] = _sensed_columns(bundle)
+                columns.append([(d.x, d.y, d.v) for d in dets])
                 tracker, localizer = oracles[slot]
                 model = WorldModel(
                     time=0.0, tracks=tracker.update(dets, dt),
@@ -352,7 +565,8 @@ class TestColumnarWorldModel:
                     model.ego.x if lead is None else lead.x,
                     0.0 if lead is None else lead.vx, lead is not None,
                     model.lane_offset, model.lane_heading))
-            live, inputs = ads._world_model(np.array(planning))
+            live, inputs = ads._world_model(np.array(planning),
+                                            *_detection_columns(columns))
             got = list(zip(*inputs))
             assert [[float(v).hex() for v in row] for row in got] == \
                 [[float(v).hex() for v in row] for row in expected]

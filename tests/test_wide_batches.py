@@ -395,6 +395,10 @@ class TestFusedTicks:
         pooled_engine = pooled.extra_info["stage_timings"]["engine"]
         assert pooled_engine["fused_jobs"] == 40
         assert pooled_engine["lane_ticks"] == engine["lane_ticks"]
+        # The gps_y lanes build a bundle per fault tick they run, in
+        # any worker: 30, as many as the scalar pipelines corrupt.
+        assert pooled_engine["bundles_built"] == \
+            engine["bundles_built"] == 30
         assert pooled_engine["fused_ticks"] >= engine["fused_ticks"]
         # Two wide parts of 20, one per worker, merged.
         assert (pooled_engine["fused_batches"],
