@@ -39,9 +39,8 @@ The split of labor per stage:
   lead pick, step for step in
   :class:`~repro.ads.tracking.MultiObjectTracker`'s order.  A lane
   builds a message only on a tick with a fault of its stage active: a
-  sensing (perception) fault gets the lane's real
-  :class:`~repro.ads.messages.SensorBundle` (detection list) for the
-  fault setters, a world-model fault a real
+  perception fault gets the lane's real detection list for the fault
+  setters, a world-model fault a real
   :class:`~repro.ads.messages.WorldModel`, and the lane's columns are
   read back from those objects; every other lane feeds the next stage
   straight from the columns (the ``engine`` row's ``bundles_built``
@@ -62,9 +61,11 @@ equals ``k`` sequential draws, ``normal(0, s)`` equals ``0.0 + s *
 standard_normal()`` — are pinned by
 ``tests/test_sensor_equivalence.py``), and fault injection flows
 through the *real* registry setters on real payload objects for the
-sensing/perception/world-model stages — only the planner/actuation
-stages, whose payloads live in structure-of-arrays form, apply value
-faults as masked column writes (their setters are plain field stores).
+perception and world-model stages, whose setters depend on the payload
+(the nearest detection, the lead track) — the sensing, planner and
+actuation stages, whose payloads live in structure-of-arrays form,
+apply value faults as column writes (their setters are plain field
+stores).
 As in the scalar tick, quiet lanes skip the fault hooks: each lane's
 fault windows are bounded in arrays, and only lanes inside their
 bounds on a tick call the hooks, whose per-fault ``active`` checks
@@ -96,8 +97,12 @@ from .messages import (LEAD_CORRIDOR, Detection, EgoEstimate,
 from .perception import PerceptionConfig
 from .profiling import STAGE_TIMER
 from .runtime import ADSConfig, ADSPipeline
-from .sensors import build_bundle, draw_noise
+from .sensors import draw_noise
 from .tracking import NEW_TRACK_COV
+
+#: Sensing-stage fault variables as rows of ``BatchADSState.sensed``.
+_SENSED_ROWS = {"gps_x": 0, "gps_y": 1, "imu_speed": 2,
+                "sensed_lane_offset": 5}
 
 #: Planner-stage fault variables as plan-array column names.
 _PLAN_COLUMNS = {"planned_speed": "plan_target", "raw_throttle":
@@ -187,16 +192,13 @@ class BatchADSState:
         self.active = np.zeros(n, dtype=bool)
         self.tick = np.zeros(n, dtype=np.int64)
 
-        # Sensing.  Each lane's adopted noise stream; the acceleration
-        # estimator's memory (the last sensed time and speed, if any);
-        # and what the lane sensed this tick, one row per field: GPS x,
-        # GPS y, IMU speed, IMU heading, IMU yaw rate, lane offset and
-        # lane heading (all seven on a planning tick, only the IMU
-        # speed otherwise).
+        # Sensing.  Each lane's adopted noise stream, and what the lane
+        # sensed this tick, one row per field: GPS x, GPS y, IMU speed,
+        # IMU heading, IMU yaw rate, lane offset and lane heading (all
+        # seven on a planning tick, only the IMU speed otherwise).  The
+        # scalar bundle's IMU acceleration has no column: nothing
+        # downstream of sensing reads it.
         self.rngs = [None] * n
-        self.accel_time = np.zeros(n)
-        self.accel_speed = np.zeros(n)
-        self.accel_has_last = np.zeros(n, dtype=bool)
         self.sensed = np.zeros((7, n))
         self.stage_faults: list[dict | None] = [None] * n
         # Each lane's fault windows, bounded: the first armed tick and
@@ -245,17 +247,27 @@ class BatchADSState:
         self.cmd_brake = np.zeros(n)
         self.cmd_steering = np.zeros(n)
 
+        # Where a sensing, planner or actuation value fault lands: the
+        # slot-indexed column of each variable of the stage.
+        self._landing = {
+            "sensing": {name: self.sensed[row]
+                        for name, row in _SENSED_ROWS.items()},
+            "planning": {name: getattr(self, column)
+                         for name, column in _PLAN_COLUMNS.items()},
+            "actuation": {name: getattr(self, column)
+                          for name, column in _ACT_COLUMNS.items()}}
+
     # -- lane membership ----------------------------------------------------
 
     def attach(self, slot: int, pipeline: ADSPipeline) -> None:
         """Adopt a fused lane's pipeline state into the batch arrays.
 
         Its RNG is shared (not copied): the fused path advances it
-        exactly as the scalar path would.  Its acceleration memory,
-        tracker and localizer seed the columns.  Raises ``ValueError``
-        for a pipeline the fused path cannot represent: one failing
-        :func:`can_fuse`, or one whose channel bus holds interface
-        faults or residue (delay queues, jitter windows).
+        exactly as the scalar path would.  Its tracker and localizer
+        seed the columns.  Raises ``ValueError`` for a pipeline the
+        fused path cannot represent: one failing :func:`can_fuse`, or
+        one whose channel bus holds interface faults or residue (delay
+        queues, jitter windows).
         """
         bus = pipeline.bus
         if (not can_fuse(pipeline.config, ()) or bus.faults
@@ -265,12 +277,7 @@ class BatchADSState:
                              "faults, channel residue, a trippable "
                              "degradation TTL or a non-default IDM "
                              "exponent")
-        sensors = pipeline.sensors
-        self.rngs[slot] = sensors.rng
-        self.accel_has_last[slot] = sensors._last_time is not None
-        if sensors._last_time is not None:
-            self.accel_time[slot] = sensors._last_time
-            self.accel_speed[slot] = sensors._last_speed
+        self.rngs[slot] = pipeline.sensors.rng
         self.tick[slot] = pipeline.tick_index
 
         plan = pipeline.last_plan
@@ -364,13 +371,14 @@ class BatchADSState:
 
     def _apply_column_faults(self, slot: int, stage: str,
                              columns: dict) -> None:
-        """Apply a planner/actuation-stage fault as a column write (the
-        scalar setters are plain field stores, so landing is certain)."""
+        """Apply a sensing/planner/actuation-stage fault as a write into
+        its variable's column (``columns`` maps each variable to one;
+        the scalar setters are plain field stores, so landing is
+        certain)."""
         tick = int(self.tick[slot])
         for fault in self.stage_faults[slot].get(stage, ()):
             if fault.active(tick):
-                getattr(self, columns[fault.variable.name])[slot] = \
-                    fault.value
+                columns[fault.variable.name][slot] = fault.value
                 fault.landed = True
 
     # -- the fused tick ------------------------------------------------------
@@ -425,9 +433,8 @@ class BatchADSState:
         re-planning (``planning``) also get the other six fields and
         their camera and radar detections, as ``(on, x, y, v)`` grids
         over the NPC columns, which this returns (``None`` when no lane
-        plans).  A lane with a sensing fault active builds the real
-        :class:`~repro.ads.messages.SensorBundle` (:func:`build_bundle`)
-        for the fault setters, and its columns are read back from it.
+        plans).  A lane with a sensing fault active then gets it as a
+        write into its ``sensed`` column.
         """
         cfg = self.config.sensors
         batch = self.batch
@@ -488,13 +495,12 @@ class BatchADSState:
             py = y[p]
             ptheta = theta[p]
             yaw_rate = v[p] * np.tan(phi[p]) / batch.ego_params.wheelbase
-            lane = np.clip(py // road.lane_width, 0, road.n_lanes - 1)
             sensed[:, rows[p]] = (
                 x[p] + (0.0 + cfg.gps_noise * ego_z[0, p]),
                 py + (0.0 + cfg.gps_noise * ego_z[1, p]),
                 sensed[2, rows[p]], ptheta,
                 yaw_rate + (0.0 + cfg.imu_yaw_noise * ego_z[3, p]),
-                py - (lane + 0.5) * road.lane_width
+                py - road.lane_centers(py)
                 + (0.0 + cfg.lane_offset_noise * ego_z[4, p]),
                 ptheta + (0.0 + cfg.lane_heading_noise * ego_z[5, p]))
             # Each planning lane's detections at their stream offsets:
@@ -515,59 +521,10 @@ class BatchADSState:
                  oy + (0.0 + rad_noise * z[after + 1]),
                  ov + (0.0 + cfg.radar_speed_noise * z[after + 2])))
 
-        times = batch.time[rows]
-        for slot in self._hot_in("sensing", slots):
-            i = slots.index(slot)
-            self._sense_hot(slot, i, flags[i], camera_seen[i],
-                            stream[ends[i - 1] if i else 0:ends[i]],
-                            float(times[i]), planning, detections)
-        self.accel_time[rows] = times
-        self.accel_speed[rows] = v
-        self.accel_has_last[rows] = True
+        for slot in self._hot:
+            self._apply_column_faults(slot, "sensing",
+                                      self._landing["sensing"])
         return detections
-
-    def _sense_hot(self, slot: int, i: int, flags: list, seen: list,
-                   z: list, time: float,
-                   planning: np.ndarray, detections: tuple | None) -> None:
-        """Row ``i`` of the tick (``slot``), with a sensing fault
-        active: build its bundle from its draws, run the fault setters
-        on it, and read its columns back."""
-        cfg = self.config.sensors
-        batch = self.batch
-        x, y, v, theta, phi = batch.ego[slot].tolist()
-        columns = [j for j, (cam, rad) in enumerate(flags) if cam or rad]
-        npc_x = batch.npc_x[slot].tolist()
-        npc_y = batch.npc_y[slot].tolist()
-        npc_v = batch.npc_v[slot].tolist()
-        visible = [(npc_x[j], npc_y[j], npc_v[j], *flags[j])
-                   for j in columns]
-        if self.accel_has_last[slot] and time > self.accel_time[slot]:
-            acceleration = ((v - float(self.accel_speed[slot]))
-                            / (time - float(self.accel_time[slot])))
-        else:
-            acceleration = 0.0
-        road = batch.road
-        bundle = build_bundle(
-            cfg, time, visible, [seen[j] for j in columns], z, x, y, v,
-            theta, acceleration,
-            v * float(np.tan(phi)) / batch.ego_params.wheelbase,
-            road.lane_center(road.lane_of(y)))
-        STAGE_TIMER.count("engine", "bundles_built", 1)
-        self._apply_object_faults(slot, "sensing", bundle)
-        gps, imu = bundle.gps, bundle.imu
-        self.sensed[:, slot] = (gps.x, gps.y, imu.v, imu.heading,
-                                imu.yaw_rate, bundle.lane_offset,
-                                bundle.lane_heading)
-        if detections is None or not planning[i]:
-            return
-        q = int(np.count_nonzero(planning[:i]))
-        (cam_on, cx, cy, cv), (rad_on, rx, ry, rv) = detections
-        for on, dx, dy, dv, read in ((cam_on, cx, cy, cv, bundle.camera),
-                                     (rad_on, rx, ry, rv, bundle.radar)):
-            where = np.flatnonzero(on[q])
-            dx[q, where] = [d.x for d in read]
-            dy[q, where] = [d.y for d in read]
-            dv[q, where] = [d.v for d in read]
 
     def _plan_stage(self, rows: np.ndarray, detections: tuple,
                     timer: "StageTimer | None" = None) -> None:
@@ -601,7 +558,8 @@ class BatchADSState:
         self.plan_steering[rows] = steering
         self.plan_valid[rows] = True
         for slot in self._hot.intersection(slots):
-            self._apply_column_faults(slot, "planning", _PLAN_COLUMNS)
+            self._apply_column_faults(slot, "planning",
+                                      self._landing["planning"])
         if timer:
             timer.stop("planning", started, k)
 
@@ -698,6 +656,7 @@ class BatchADSState:
                         for t in range(bisect_left(lanes, i),
                                        bisect_right(lanes, i))],
                 lane_offset=offsets[i], lane_heading=headings[i])
+            STAGE_TIMER.count("engine", "bundles_built", 1)
             self._apply_object_faults(slot, "world_model", model)
             best = model.lead_track()
             px[i] = lx[i] = model.ego.x
@@ -944,7 +903,8 @@ class BatchADSState:
         self.cmd_brake[rows] = brake
         self.cmd_steering[rows] = steering
         for slot in self._hot:
-            self._apply_column_faults(slot, "actuation", _ACT_COLUMNS)
+            self._apply_column_faults(slot, "actuation",
+                                      self._landing["actuation"])
         self.cmd_throttle[rows] = np.clip(self.cmd_throttle[rows], 0.0, 1.0)
         self.cmd_brake[rows] = np.clip(self.cmd_brake[rows], 0.0, 1.0)
         self.cmd_steering[rows] = np.clip(self.cmd_steering[rows],

@@ -26,8 +26,8 @@ untimed ``engine`` row counts the validation jobs each engine ran
 (``fused_jobs``, ``scalar_jobs``), the ``fused_ticks`` and, per fused
 tick, the live lanes (``lane_ticks``) against the batch's slots
 (``slot_ticks``), and the messages its lanes built
-(``bundles_built``: a sensor bundle or detection list, built only by a
-lane with a sensing or perception fault active on the tick).  A fused
+(``bundles_built``: a detection list or world model, built only by a
+lane with a perception or world-model fault active on the tick).  A fused
 tick's vectorized work is paid once however many lanes it carries, so
 its cost follows ``fused_ticks`` and the
 lanes per tick (``lane_ticks`` over ``fused_ticks``); lane occupancy

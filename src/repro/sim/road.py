@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Road:
@@ -39,6 +41,13 @@ class Road:
         """Index of the lane containing lateral position ``y`` (clipped)."""
         lane = int(y // self.lane_width)
         return min(max(lane, 0), self.n_lanes - 1)
+
+    def lane_centers(self, y: np.ndarray) -> np.ndarray:
+        """Array form of ``lane_center(lane_of(y))``: the center of the
+        lane containing each lateral position of ``y`` (clipped)."""
+        lane = np.clip(np.floor_divide(y, self.lane_width), 0,
+                       self.n_lanes - 1)
+        return (lane + 0.5) * self.lane_width
 
     def lane_bounds(self, lane: int) -> tuple[float, float]:
         """(low, high) y-boundaries of ``lane``."""

@@ -379,17 +379,18 @@ class TestEngineCounters:
             strip_wall(reference_records(campaign, jobs))
 
     def test_only_hot_lanes_build_messages(self, capsys):
-        """Fused lanes build a sensor bundle or detection list only on a
-        tick with a sensing or perception fault active: none for brake
-        faults, one per fault tick for IMU faults, one per planning
-        fault tick for detection faults."""
+        """Fused lanes build a message only on a planning tick with a
+        perception or world-model fault active: none for brake or IMU
+        faults (column writes), one per planning fault tick for
+        detection and tracked-gap faults."""
         campaign = Campaign(small_scenarios()[:1],
                             CampaignConfig(profile_stages=True))
         scenario = campaign.scenarios[0]
         ticks = campaign.injection_ticks(scenario)[::4][:parallel.LANES]
         built = {}
         for variable, value in (("brake", 0.0), ("imu_speed", 45.0),
-                                ("detection_x", 250.0)):
+                                ("detection_x", 250.0),
+                                ("tracked_gap", 80.0)):
             jobs = [(scenario.name, FaultSpec(variable, value, tick, 4))
                     for tick in ticks]
             summary = campaign.run_jobs(jobs)
@@ -402,10 +403,11 @@ class TestEngineCounters:
                 assert ", 0 fused fallbacks, 0 messages built" in \
                     capsys.readouterr().out
         divisor = campaign.config.ads.planner_divisor
-        assert built == {"brake": 0, "imu_speed": 4 * len(ticks),
-                         "detection_x": sum(
-                             len(range(-tick % divisor, 4, divisor))
-                             for tick in ticks)}
+        planning_fault_ticks = sum(len(range(-tick % divisor, 4, divisor))
+                                   for tick in ticks)
+        assert built == {"brake": 0, "imu_speed": 0,
+                         "detection_x": planning_fault_ticks,
+                         "tracked_gap": planning_fault_ticks}
 
     def test_rows_merge_and_print(self, capsys):
         summary = CampaignSummary()

@@ -200,11 +200,6 @@ class TestMixedScenarios:
                     [d.v for d in sensed])
             assert ads.rngs[slot].bit_generator.state == \
                 scalar[slot].rng.bit_generator.state
-            # The acceleration estimator's memory (the bundle's IMU
-            # acceleration term on later ticks).
-            assert (ads.accel_has_last[slot], ads.accel_time[slot],
-                    ads.accel_speed[slot]) == (
-                True, scalar[slot]._last_time, scalar[slot]._last_speed)
 
 
 # -- columnar sensing and perception against the scalar oracles -----------

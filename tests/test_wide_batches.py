@@ -395,10 +395,11 @@ class TestFusedTicks:
         pooled_engine = pooled.extra_info["stage_timings"]["engine"]
         assert pooled_engine["fused_jobs"] == 40
         assert pooled_engine["lane_ticks"] == engine["lane_ticks"]
-        # The gps_y lanes build a bundle per fault tick they run, in
-        # any worker: 30, as many as the scalar pipelines corrupt.
+        # The tracked_gap lanes build a world model per planning fault
+        # tick they run, in any worker: 16, as many as the scalar
+        # pipelines corrupt (the gps_y lanes build none).
         assert pooled_engine["bundles_built"] == \
-            engine["bundles_built"] == 30
+            engine["bundles_built"] == 16
         assert pooled_engine["fused_ticks"] >= engine["fused_ticks"]
         # Two wide parts of 20, one per worker, merged.
         assert (pooled_engine["fused_batches"],
