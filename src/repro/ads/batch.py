@@ -71,13 +71,21 @@ fault windows are bounded in arrays, and only lanes inside their
 bounds on a tick call the hooks, whose per-fault ``active`` checks
 decide what lands.
 
-The engine is chosen per job before a lane is built: the driver fuses
-only jobs that satisfy :func:`can_fuse` (value faults, the closed-form
-IDM exponent, and a degradation TTL the planner's natural staleness
-cannot trip) and runs every other job on the scalar pipeline.  Fused
-lanes provably never degrade (sensing age is 0 every tick and plan age
+The engine is chosen per configuration before a lane is built: the
+driver fuses a dispatch's jobs when the ADS configuration satisfies
+:func:`can_fuse` (the closed-form IDM exponent, and a degradation TTL
+the planner's natural staleness cannot trip) and runs them all on the
+scalar pipeline otherwise.  The channel bus has no batched twin, so an
+interface-fault job fuses late: it runs the scalar pipeline through its
+fault windows up to its hand-off tick, the first planner tick at or
+after the last window's end, where every channel is passed through
+fresh, and joins the batch there (:func:`repro.core.simulate
+._prepare_lane`); :meth:`BatchADSState.attach` refuses a pipeline with
+an interface fault still active or pending.  Fused lanes provably never
+degrade (from the hand-off on, sensing age is 0 every tick and plan age
 is at most ``planner_divisor - 1``, which :func:`can_fuse` requires to
-be within the TTL), so the safe-stop branch needs no batched twin.
+be within the TTL), so the safe-stop branch needs no batched twin; a
+lane that degraded in its scalar segment keeps that flag.
 """
 
 from __future__ import annotations
@@ -115,20 +123,16 @@ _ACT_COLUMNS = {"throttle": "cmd_throttle", "brake": "cmd_brake",
                 "steering": "cmd_steering"}
 
 
-def can_fuse(config: ADSConfig, faults) -> bool:
-    """True when a job with ``faults`` under ``config`` can run fused.
-
-    Every fault must be a value fault (interface faults act on the
-    channel bus, which the fused path does not model), the IDM exponent
-    must be the closed-form kernel's, and a degradation policy must not
-    be trippable by the planner's natural ``divisor - 1`` staleness.
+def can_fuse(config: ADSConfig) -> bool:
+    """True when jobs under ``config`` can run fused, whatever their
+    faults: the IDM exponent must be the closed-form kernel's, and a
+    degradation policy must not be trippable by the planner's natural
+    ``divisor - 1`` staleness.
     """
     if config.planner.idm_exponent != 4.0:
         return False
-    if (config.degradation.enabled
-            and config.planner_divisor - 1 > config.degradation.ttl_ticks):
-        return False
-    return all(fault.kind == "value" for fault in faults)
+    return not (config.degradation.enabled
+                and config.planner_divisor - 1 > config.degradation.ttl_ticks)
 
 
 def fuse_detections(camera: tuple, radar: tuple,
@@ -266,19 +270,22 @@ class BatchADSState:
         exactly as the scalar path would.  Its tracker and localizer
         seed the columns.  Raises ``ValueError`` for a pipeline the
         fused path cannot represent: one failing :func:`can_fuse`, or
-        one whose channel bus holds interface faults or residue (delay
-        queues, jitter windows).
+        one with an interface fault active or pending at its tick.  An
+        expired fault's delay-queue or jitter-window residue is
+        accepted: the driver attaches such a pipeline on a planner tick
+        (:func:`repro.core.simulate._hand_off_tick`), whose fresh
+        hand-offs clear it unread.
         """
-        bus = pipeline.bus
-        if (not can_fuse(pipeline.config, ()) or bus.faults
-                or any(state.queue or state.buffer
-                       for state in bus._states.values())):
-            raise ValueError("pipeline cannot run fused: interface "
-                             "faults, channel residue, a trippable "
+        tick = pipeline.tick_index
+        if not can_fuse(pipeline.config) or any(
+                fault.start_tick + fault.duration_ticks > tick
+                for fault in pipeline.bus.faults):
+            raise ValueError("pipeline cannot run fused: an interface "
+                             "fault active or pending, a trippable "
                              "degradation TTL or a non-default IDM "
                              "exponent")
         self.rngs[slot] = pipeline.sensors.rng
-        self.tick[slot] = pipeline.tick_index
+        self.tick[slot] = tick
 
         plan = pipeline.last_plan
         if plan is None:

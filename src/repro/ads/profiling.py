@@ -10,9 +10,11 @@ brackets each stage of its tick, and the batched
 ``calls`` stays comparable across engines: one count is one lane-stage
 execution).  Beside the stages it times the deferred safety monitor
 (``safety``: one call per tick whose potential was evaluated) and
-counts named events per layer: the stop table's hits, misses and bulk
-batches, and the world model's ``tracks`` (live tracks after each
-tracker update, summed) and ``detections`` (detections folded in).
+counts named events per layer: the stop and excursion tables' hits,
+misses and bulk batches, the excursion keys whose rollout ran to its
+``max_time`` cap (``excursion_capped``), and the world model's
+``tracks`` (live tracks after each tracker update, summed) and
+``detections`` (detections folded in).
 The ``collision`` row has no timer, only counts from both engines'
 collision tests: ``checks`` (per-lane tests),
 ``prescreen_passes`` (tests whose bounds prescreen let them reach the
@@ -23,7 +25,10 @@ engines), ``gap_ticks`` forks replayed before their fault,
 ``replay_ticks`` fault-free prefix runs simulated to capture ladders
 outside the golden runs, and the ``spill_bytes`` it spooled.  The
 untimed ``engine`` row counts the validation jobs each engine ran
-(``fused_jobs``, ``scalar_jobs``), the ``fused_ticks`` and, per fused
+(``fused_jobs``, ``scalar_jobs``), the lanes that joined a fused batch
+after a scalar segment through their interface-fault windows
+(``handoffs``) and the scalar ticks those segments ran
+(``handoff_ticks``), the ``fused_ticks`` and, per fused
 tick, the live lanes (``lane_ticks``) against the batch's slots
 (``slot_ticks``), and the messages its lanes built
 (``bundles_built``: a detection list or world model, built only by a

@@ -313,9 +313,12 @@ def _print_summary(summary, label: str) -> None:
             if f"{table}_hits" in safety:
                 hits, misses, batches = (safety[f"{table}_{event}"] for event
                                          in ("hits", "misses", "batches"))
+                capped = (f", {safety[f'{table}_capped']} capped at "
+                          f"max_time" if f"{table}_capped" in safety
+                          else "")
                 print(f"  {table} table: {hits} hits, {misses} misses "
                       f"({hits / max(hits + misses, 1):.1%} hit rate), "
-                      f"{batches} bulk batches")
+                      f"{batches} bulk batches{capped}")
         collision = timings.get("collision")
         if collision:
             checks = collision["checks"]
@@ -336,17 +339,21 @@ def _print_summary(summary, label: str) -> None:
         engine = timings.get("engine")
         if engine:
             (fused, scalar, live, slots, ticks, batches, mixed,
-             fallbacks, built) = (engine.get(event, 0) for event in (
-                 "fused_jobs", "scalar_jobs", "lane_ticks", "slot_ticks",
-                 "fused_ticks", "fused_batches", "batch_scenarios",
-                 "fused_fallbacks", "bundles_built"))
+             fallbacks, handoffs, handoff_ticks, built) = (
+                 engine.get(event, 0) for event in (
+                     "fused_jobs", "scalar_jobs", "lane_ticks",
+                     "slot_ticks", "fused_ticks", "fused_batches",
+                     "batch_scenarios", "fused_fallbacks", "handoffs",
+                     "handoff_ticks", "bundles_built"))
             print(f"  engine: {fused} fused jobs, {scalar} scalar jobs, "
                   f"lane occupancy {live / max(slots, 1):.1%} ({live} of "
                   f"{slots} slot-ticks) in {ticks} fused ticks "
                   f"({live / max(ticks, 1):.1f} lanes per tick), "
                   f"{batches} fused batches "
                   f"({mixed / max(batches, 1):.1f} scenarios per batch), "
-                  f"{fallbacks} fused fallbacks, {built} messages built")
+                  f"{fallbacks} fused fallbacks, {built} messages built, "
+                  f"{handoffs} hand-offs after {handoff_ticks} scalar "
+                  f"ticks")
         golden = timings.get("golden")
         if golden:
             print(f"  golden: {golden.get('runs', 0)} runs, "

@@ -14,10 +14,12 @@ this module holds what every execution path shares:
   .run_fault`, and the reference loop the equivalence tests compare
   against all call it.
 * :func:`execute_experiment_batch` — its vectorized sibling for sets of
-  at least :data:`LANES` fusable jobs (:func:`repro.ads.batch.can_fuse`)
-  of any mix of scenarios, up to :data:`MAX_LANES` of them live at once,
-  bit-for-bit the scalar records; it consumes the list of forks it is
-  handed.
+  at least :data:`LANES` jobs of any mix of scenarios and fault kinds
+  under a fusable ADS configuration (:func:`repro.ads.batch.can_fuse`),
+  up to :data:`MAX_LANES` of them live at once, bit-for-bit the scalar
+  records; an interface-fault job runs scalar through its fault
+  windows and joins the batch at its hand-off tick.  It consumes the
+  list of forks it is handed.
 
 Both are called from one place, the validation routine
 :func:`repro.core.pipeline._validate`, which the serial driver and
@@ -61,11 +63,12 @@ if TYPE_CHECKING:  # avoid a circular import with .campaign
 #: Job description: (scenario name, fault to inject).
 ExperimentJob = tuple[str, FaultSpec]
 
-#: The job count at which fusion starts.  The driver validates the
-#: fusable jobs of one dispatch, whatever their scenarios, with
-#: :func:`execute_experiment_batch` when there are at least ``LANES`` of
-#: them, as one wide batch; every other job runs the scalar loop.  Read
-#: through the module at call time, so tests can patch it.
+#: The job count at which fusion starts.  Under a fusable ADS
+#: configuration the driver validates the jobs of one dispatch, whatever
+#: their scenarios and fault kinds, with :func:`execute_experiment_batch`
+#: when there are at least ``LANES`` of them, as one wide batch; a
+#: smaller dispatch runs the scalar loop.  Read through the module at
+#: call time, so tests can patch it.
 LANES = 16
 
 #: Most live lanes of one fused batch; a larger job set refills retired
@@ -145,9 +148,11 @@ def execute_experiment_batch(jobs: list[tuple[Scenario, FaultSpec]],
     checkpoint is freed once its last lane has forked.  Without
     ``forks`` every lane replays from tick 0.  At most
     :data:`MAX_LANES` lanes are live; a retired lane's slot takes the
-    next pending job.  Every fault must be fusable
-    (:func:`repro.ads.batch.can_fuse`).  Records are bit-for-bit the
-    scalar records, in ``jobs`` order (wall clock aside).
+    next pending job.  The ADS configuration must be fusable
+    (:func:`repro.ads.batch.can_fuse`); an interface-fault job runs the
+    scalar loop up to its hand-off tick and joins the batch there.
+    Records are bit-for-bit the scalar records, in ``jobs`` order (wall
+    clock aside).
     """
     if forks is None:
         forks = [None] * len(jobs)
@@ -161,6 +166,8 @@ def execute_experiment_batch(jobs: list[tuple[Scenario, FaultSpec]],
         horizon_after_fault=config.horizon_after_fault,
         batch_size=MAX_LANES)
     STAGE_TIMER.count("engine", "fused_jobs", len(jobs))
+    # A fused dispatch runs no job scalar; the row keeps the key.
+    STAGE_TIMER.count("engine", "scalar_jobs", 0)
     return [_to_record(result, scenario.name, fault, config)
             for result, (scenario, fault) in zip(results, jobs)]
 

@@ -185,17 +185,18 @@ def _split_engines(config: "CampaignConfig", items: list
                    ) -> tuple[list, list]:
     """``(key, scenario name, fault)`` items as ``(fused, scalar)``.
 
-    The engine is picked per job, before any lane is built: the jobs
-    :func:`~repro.ads.batch.can_fuse` accepts run fused when there are
-    at least :data:`~repro.core.parallel.LANES` of them, whatever their
-    scenarios; every other job runs the scalar engine.  Records are
-    bit-for-bit the same either way.
+    The engine is picked before any lane is built, and the same for
+    every item: all of them run fused when the ADS configuration is
+    fusable (:func:`~repro.ads.batch.can_fuse`) and there are at least
+    :data:`~repro.core.parallel.LANES` of them, whatever their
+    scenarios and fault kinds (an interface-fault job joins its batch
+    late, after a scalar segment through its fault windows); otherwise
+    all of them run the scalar engine.  Records are bit-for-bit the
+    same either way.
     """
-    fusable = [can_fuse(config.ads, (fault,)) for _, _, fault in items]
-    if sum(fusable) < parallel.LANES:
-        return [], list(items)
-    return ([item for item, ok in zip(items, fusable) if ok],
-            [item for item, ok in zip(items, fusable) if not ok])
+    if can_fuse(config.ads) and len(items) >= parallel.LANES:
+        return list(items), []
+    return [], list(items)
 
 
 def _validation_parts(config: "CampaignConfig", items: list,

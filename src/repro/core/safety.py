@@ -359,7 +359,9 @@ def _excursion_rollout(v: float, phi_fault: float, window: float,
     keeper counters with its ``recovery_phi`` authority until the heading
     re-crosses zero.  Speed is held constant — the episode is short.
     This is the scalar reference of the excursion table's bulk kernel
-    (:func:`_excursion_kernel`), and its path for small miss sets.
+    (:func:`_excursion_kernel`), and its path for small miss sets.  An
+    episode that never meets the early exit runs to ``max_time`` and
+    counts as ``excursion_capped`` on the stage timer's ``safety`` row.
     """
     y = theta = phi = 0.0
     t = 0.0
@@ -377,6 +379,8 @@ def _excursion_rollout(v: float, phi_fault: float, window: float,
         y += v * math.sin(theta) * dt
         peak = max(peak, abs(y))
         t += dt
+    else:
+        STAGE_TIMER.count("safety", "excursion_capped", 1)
     return peak
 
 
@@ -391,7 +395,8 @@ def _excursion_kernel(v0: list[float], phi_faults: list[float],
     with its peak.  Each element sees the scalar loop's float
     operations in the same order: ``min``/``max`` become ``where`` on
     the same comparisons, and ``tan`` stays :func:`math.tan`, which
-    ``np.tan`` does not match bit for bit.
+    ``np.tan`` does not match bit for bit.  The keys still stepping at
+    ``max_time`` count as ``excursion_capped``, once per call.
     """
     peaks = [0.0] * len(v0)
     rows = np.arange(len(v0))
@@ -418,7 +423,7 @@ def _excursion_kernel(v0: list[float], phi_faults: list[float],
                     rows[live], v[live], y[live], theta[live], phi[live],
                     peak[live])
                 if not len(rows):
-                    return peaks
+                    break
             target = np.where(theta > 0, -recovery_phi, recovery_phi)
         step = target - phi
         step = np.where(high < step, high, step)
@@ -429,6 +434,7 @@ def _excursion_kernel(v0: list[float], phi_faults: list[float],
         drift = np.abs(y)
         peak = np.where(drift > peak, drift, peak)
         t += dt
+    STAGE_TIMER.count("safety", "excursion_capped", len(rows))
     for row, value in zip(rows.tolist(), peak.tolist()):
         peaks[row] = value
     return peaks

@@ -229,14 +229,18 @@ class _SafetyMonitor:
         adds its ``delta_long``/``delta_lat`` and records it."""
         self.rows.append((len(self.inputs) - 1, row))
 
+    def first_monitored(self) -> int:
+        """The index of the first sample at or past ``monitor_from``.
+        Ticks sampled before it (for the trace recorder only) are a
+        prefix: the tick loop samples in tick order."""
+        return bisect_left(self.ticks, self.monitor_from)
+
     def finish(self, config: SafetyConfig, trace: Trace) -> dict:
         """Evaluate and fold every sampled potential, and record the
         held trace rows in ``trace``.  Returns the hazard, outcome, and
         delta fields of :class:`RunResult`."""
         longitudinal, lateral = _potentials(self.inputs, config)
-        # Ticks sampled before ``monitor_from`` (for the trace recorder
-        # only) are a prefix: the tick loop samples in tick order.
-        first = bisect_left(self.ticks, self.monitor_from)
+        first = self.first_monitored()
         pre = (first < len(self.ticks)
                and self.ticks[first] == self.monitor_from)
         for index, row in self.rows:
@@ -251,9 +255,10 @@ def _simulate(scenario: Scenario, world: World, pipeline: ADSPipeline,
               seed: int, faults: list[FaultSpec],
               safety_config: SafetyConfig, n_ticks: int, start_tick: int,
               monitor_from: int, stop_after: int | None, record_trace: bool,
-              checkpoint_ticks=None, end_tick: int | None = None
-              ) -> RunResult:
-    """The tick loop shared by cold-start and checkpoint-resumed runs.
+              checkpoint_ticks=None, end_tick: int | None = None,
+              hand_off: bool = False) -> RunResult | _SafetyMonitor:
+    """The tick loop shared by cold-start and checkpoint-resumed runs,
+    and by the scalar segment of a late-fusing lane.
 
     ``start_tick`` is 0 for a cold start, or the checkpoint's tick for a
     resumed run (state must already be restored by the caller).  Safety
@@ -262,7 +267,10 @@ def _simulate(scenario: Scenario, world: World, pipeline: ADSPipeline,
     it, which is what makes the fault-free prefix cheap.  The potentials
     themselves are evaluated after the loop (:class:`_SafetyMonitor`),
     inside the run's wall clock.  An ``end_tick`` below ``n_ticks``
-    stops the loop there; a run that gets that far is marked cut.
+    stops the loop there; a run that gets that far is marked cut, or,
+    with ``hand_off``, returns its unfolded :class:`_SafetyMonitor`
+    instead of a result: the run goes on in a fused batch from
+    ``end_tick`` (:func:`_prepare_lane`).
     """
     trace = Trace()
     monitor = _SafetyMonitor(monitor_from)
@@ -312,6 +320,8 @@ def _simulate(scenario: Scenario, world: World, pipeline: ADSPipeline,
             break
     else:
         if stop < n_ticks:
+            if hand_off:
+                return monitor
             cut_tick = stop
 
     outcome = monitor.finish(safety_config, trace)
@@ -505,47 +515,65 @@ class _BatchLane:
     (:meth:`drop_pipeline`).  When it retires the driver copies back
     its slot's flags, its first monitored block and that block's tick,
     and :meth:`result` folds the samples and then drops the world and
-    the block reference.
+    the block reference.  A lane that joins after a scalar segment
+    (:func:`_prepare_lane`) brings that segment's monitored samples,
+    its first monitored tick and its off-road flag, and its fold takes
+    them first.
     """
 
     __slots__ = ("index", "scenario", "world", "pipeline", "armed",
-                 "degraded", "seed", "faults", "tick", "n_ticks",
-                 "monitor_from", "stop_after", "first_block", "first_tick",
-                 "collided", "went_off_road", "wall_seconds")
+                 "degraded", "bus_landed", "seed", "faults", "tick",
+                 "n_ticks", "monitor_from", "stop_after", "samples",
+                 "first_block", "first_tick", "collided", "went_off_road",
+                 "wall_seconds")
 
     def __init__(self, index: int, scenario: str, world: World,
                  pipeline: ADSPipeline, seed: int, faults: list[FaultSpec],
                  tick: int, n_ticks: int, monitor_from: int,
-                 stop_after: int | None):
+                 stop_after: int | None,
+                 segment: _SafetyMonitor | None = None):
         self.index = index
         self.scenario = scenario
         self.world = world
         self.pipeline: ADSPipeline | None = pipeline
         self.armed: list | None = None
         self.degraded = False
+        self.bus_landed = False
         self.seed = seed
         self.faults = faults
         self.tick = tick
         self.n_ticks = n_ticks
         self.monitor_from = monitor_from
         self.stop_after = stop_after
-        #: The absolute block of the first monitored tick (``None``
-        #: until the lane is monitored), and that tick.
+        #: The scalar segment's monitored samples, in tick order.
+        self.samples: list = []
+        #: The absolute block of the first fused monitored tick
+        #: (``None`` until the lane is monitored fused), and the lane's
+        #: first monitored tick, scalar or fused.
         self.first_block: int | None = None
         self.first_tick: int | None = None
         self.collided = False
         self.went_off_road = False
+        if segment is not None:
+            first = segment.first_monitored()
+            self.samples = segment.inputs[first:]
+            if self.samples:
+                self.first_tick = segment.ticks[first]
+            self.went_off_road = segment.went_off_road
         #: Wall clock charged to this lane: its preparation, its share
         #: of every fused tick it is live in, and its monitor fold.
         self.wall_seconds = 0.0
 
     def drop_pipeline(self) -> None:
         """Keep only what the result reads of the pipeline: its armed
-        value faults, whose ``landed`` flags the fused hooks set, and
-        whether it had degraded (a fused lane never degrades, and holds
-        no interface fault whose landing would count).  The rest of it
-        is either adopted by the batch or never read again."""
+        value faults, whose ``landed`` flags the fused hooks set,
+        whether its bus landed an interface fault and whether it had
+        degraded (both settled by then: the batch adopts a pipeline
+        only once its interface faults are over, and a fused lane never
+        degrades).  The rest of it is either adopted by the batch or
+        never read again."""
         self.armed = self.pipeline.faults
+        self.bus_landed = self.pipeline.bus.landed
         self.degraded = self.pipeline.degraded_ticks > 0
         self.pipeline = None
 
@@ -554,8 +582,9 @@ class _BatchLane:
         """The lane's :class:`RunResult`; the lane lets go of its world
         and samples.  Call :meth:`drop_pipeline` first."""
         fold_start = time.perf_counter()
-        samples = ([] if self.first_block is None
-                   else columns.samples(slot, self.first_block))
+        samples = self.samples
+        if self.first_block is not None:
+            samples = samples + columns.samples(slot, self.first_block)
         longitudinal, lateral = _potentials(samples, safety_config)
         outcome = _outcome(longitudinal, lateral,
                            self.first_tick == self.monitor_from,
@@ -563,19 +592,44 @@ class _BatchLane:
         self.wall_seconds += time.perf_counter() - fold_start
         result = RunResult(
             scenario=self.scenario, seed=self.seed, trace=Trace(),
-            **outcome, landed=any(fault.landed for fault in self.armed),
+            **outcome, landed=(self.bus_landed
+                               or any(fault.landed for fault in self.armed)),
             degraded=self.degraded, sim_seconds=self.world.time,
             wall_seconds=self.wall_seconds, faults=self.faults,
             checkpoints=None)
-        self.world = self.armed = self.first_block = None
+        self.world = self.armed = self.samples = self.first_block = None
         return result
+
+
+def _hand_off_tick(pipeline: ADSPipeline) -> int:
+    """The first planner tick at or after the end of the pipeline's last
+    interface-fault window (0 without one).
+
+    From there the channel bus is an exact no-op: that tick passes
+    every channel through fresh (clearing any delay queue or jitter
+    window an expired fault left), so no channel is staler than the
+    planner's natural ``divisor - 1`` ticks again, and the run can go
+    on fused.
+    """
+    end = max((fault.start_tick + fault.duration_ticks
+               for fault in pipeline.bus.faults), default=0)
+    divisor = pipeline.config.planner_divisor
+    return -(-end // divisor) * divisor
 
 
 def _prepare_lane(scenario: Scenario, index: int, faults: list[FaultSpec],
                   checkpoint: Checkpoint | None, ads_config: ADSConfig,
-                  seed: int,
-                  horizon_after_fault: float | None) -> _BatchLane:
-    """Build one lane exactly the way the scalar entry points do."""
+                  seed: int, horizon_after_fault: float | None,
+                  safety_config: SafetyConfig) -> _BatchLane | RunResult:
+    """Build one lane exactly the way the scalar entry points do.
+
+    A lane with interface faults first runs the scalar tick loop
+    (:func:`_simulate`) from its start to its hand-off tick
+    (:func:`_hand_off_tick`), and joins the batch there with that
+    segment's samples.  A run that ends inside the segment (collision,
+    post-fault horizon or scenario end) returns its scalar
+    :class:`RunResult` instead.
+    """
     faults = list(faults)
     if checkpoint is not None:
         world, pipeline = _fork(scenario, checkpoint, faults, ads_config)
@@ -591,8 +645,21 @@ def _prepare_lane(scenario: Scenario, index: int, faults: list[FaultSpec],
     n_ticks = int(round(scenario.duration / dt))
     monitor_from, stop_after = _fault_schedule(faults, horizon_after_fault,
                                                dt)
+    segment = None
+    hand_off = _hand_off_tick(pipeline)
+    if hand_off > start_tick:
+        segment = _simulate(scenario, world, pipeline, lane_seed, faults,
+                            safety_config, n_ticks, start_tick,
+                            monitor_from, stop_after, False,
+                            end_tick=hand_off, hand_off=True)
+        if isinstance(segment, RunResult):
+            return segment
+        STAGE_TIMER.count("engine", "handoffs", 1)
+        STAGE_TIMER.count("engine", "handoff_ticks", hand_off - start_tick)
+        start_tick = hand_off
     return _BatchLane(index, scenario.name, world, pipeline, lane_seed,
-                      faults, start_tick, n_ticks, monitor_from, stop_after)
+                      faults, start_tick, n_ticks, monitor_from, stop_after,
+                      segment)
 
 
 def run_experiments_batched(scenarios, fault_lists,
@@ -627,10 +694,12 @@ def run_experiments_batched(scenarios, fault_lists,
     built, so a live lane costs little memory and a wide batch little
     more than a narrow one.
 
-    Every experiment must be fusable
-    (:func:`repro.ads.batch.can_fuse`); attaching one that is not
-    raises ``ValueError``.  The campaign driver sends only fusable jobs
-    here and runs the rest on the scalar path.
+    The ADS configuration must be fusable
+    (:func:`repro.ads.batch.can_fuse`); the campaign driver runs every
+    job of a configuration it refuses on the scalar path.  A job with
+    interface faults fuses late: its lane runs the scalar tick loop
+    through its fault windows up to its hand-off tick, then joins the
+    batch (:func:`_prepare_lane`).
 
     Lanes share every fused tick, so each result's ``wall_seconds`` is
     its own preparation and monitor fold plus, per tick it was live in,
@@ -693,15 +762,20 @@ def _run_batch(jobs: list, checkpoints: list, references: list[World],
     n_lanes = max(1, min(batch_size, len(jobs)))
 
     def next_lane() -> _BatchLane | None:
-        """Prepare the next pending experiment, finalizing any run whose
-        window is already over (zero loop iterations in the scalar path
-        — same early-exit RunResult)."""
+        """Prepare the next pending experiment, finalizing any run that
+        ended in its scalar segment or whose window is already over
+        (zero loop iterations in the scalar path — same early-exit
+        RunResult)."""
         for index, scenario, faults in pending:
             prepare_start = time.perf_counter()
             checkpoint, checkpoints[index] = checkpoints[index], None
             lane = _prepare_lane(scenario, index, faults, checkpoint,
-                                 ads_config, seed, horizon_after_fault)
+                                 ads_config, seed, horizon_after_fault,
+                                 safety_config)
             del checkpoint
+            if isinstance(lane, RunResult):
+                results[index] = lane
+                continue
             lane.wall_seconds = time.perf_counter() - prepare_start
             if lane.tick < lane.n_ticks:
                 return lane
@@ -743,7 +817,8 @@ def _run_batch(jobs: list, checkpoints: list, references: list[World],
         last_tick[slot] = (lane.n_ticks - 1 if lane.stop_after is None
                            else min(lane.stop_after, lane.n_ticks - 1))
         first_block[slot] = -1
-        collided_any[slot] = off_road_any[slot] = False
+        collided_any[slot] = lane.collided
+        off_road_any[slot] = lane.went_off_road
         wall[slot] = 0.0
 
     for slot, lane in enumerate(slots):
@@ -785,7 +860,8 @@ def _run_batch(jobs: list, checkpoints: list, references: list[World],
             batch.release(slot)
             if first_block[slot] >= 0:
                 lane.first_block = int(first_block[slot])
-                lane.first_tick = int(first_tick[slot])
+                if lane.first_tick is None:     # no scalar segment sample
+                    lane.first_tick = int(first_tick[slot])
             lane.collided = bool(collided_any[slot])
             lane.went_off_road = bool(off_road_any[slot])
             lane.wall_seconds += float(wall[slot])

@@ -1,10 +1,11 @@
 """Batched validation equals the scalar oracle, record for record.
 
-The acceptance contract of the vectorized batch engine: a campaign
-fuses the value-fault jobs of one dispatch, across scenarios, when
-there are at least :data:`repro.core.parallel.LANES` of them, runs
-every other job scalar,
-and every campaign style emits a
+The acceptance contract of the vectorized batch engine: under a
+fusable ADS configuration a campaign fuses the jobs of one dispatch,
+across scenarios and fault kinds, when there are at least
+:data:`repro.core.parallel.LANES` of them (an interface-fault job runs
+scalar through its fault windows and joins the batch at its hand-off
+tick), runs a smaller dispatch scalar, and every campaign style emits a
 record stream *bit-for-bit* identical (wall-clock timing aside) to the
 reference loop — serial scalar :class:`~repro.sim.world.World` runs with
 full replay, in job order — both serial and over the process pool.  The
@@ -26,10 +27,14 @@ from reference import (architectural_jobs, candidate_jobs, exhaustive_jobs,
 
 from repro.arch.injector import Outcome
 from repro.cli import _print_summary
-from repro.core import (Campaign, CampaignConfig, CampaignSummary, ListSink,
-                        parallel)
+from repro.ads.runtime import ADSConfig
+from repro.core import (Campaign, CampaignConfig, CampaignSummary,
+                        DegradationConfig, Hazard, ListSink,
+                        ResilienceConfig, parallel)
 from repro.core.fault_models import ArchFaultOutcome
-from repro.core.interface_faults import CHANNELS, interface_fault
+from repro.core.interface_faults import (CHANNELS, INTERFACE_KINDS,
+                                         interface_fault)
+from repro.core.parallel import execute_experiment_batch
 from repro.core.simulate import FaultSpec, run_experiments_batched
 from repro.sim import highway_cruise, lead_vehicle_cutin, two_lead_reveal
 
@@ -75,6 +80,12 @@ def log_fused_attaches(monkeypatch, path) -> None:
         return original(self, slot, pipeline)
 
     monkeypatch.setattr(BatchADSState, "attach", logging)
+
+
+def hand_off(fault, divisor=2):
+    """The hand-off tick of an interface fault: the first planner tick
+    at or after the end of its window."""
+    return -(-(fault.start_tick + fault.duration_ticks) // divisor) * divisor
 
 
 def mixed_group(campaign):
@@ -234,11 +245,11 @@ class TestFusedADSPath:
                 strip_wall(reference_records(campaign, group))
 
     @pytest.mark.parametrize("workers", [None, 2])
-    def test_mixed_group_fuses_only_value_faults(self, monkeypatch,
-                                                 tmp_path, workers):
+    def test_mixed_group_fuses_interface_faults_late(self, monkeypatch,
+                                                     tmp_path, workers):
         """A scenario with ``LANES`` value faults and some interface
-        faults fuses exactly the value faults, runs the interface faults
-        scalar, and equals the reference loop, serial and pooled."""
+        faults fuses every job, the interface faults after their
+        windows, and equals the reference loop, serial and pooled."""
         campaign = Campaign(small_scenarios()[:1], CampaignConfig())
         jobs = mixed_group(campaign)
         log = tmp_path / "attaches.txt"
@@ -247,7 +258,8 @@ class TestFusedADSPath:
         assert strip_wall(summary.records) == \
             strip_wall(reference_records(campaign, jobs))
         attaches = log.read_text().split("\n")[:-1]
-        assert attaches == ["1 0"] * parallel.LANES
+        assert sorted(attaches) == \
+            ["0 1"] * 3 + ["1 0"] * parallel.LANES
 
     def test_ttl_config_runs_every_job_scalar(self, monkeypatch, lanes):
         """``planner_divisor=6`` leaves plans staler than the default
@@ -255,9 +267,8 @@ class TestFusedADSPath:
         fuses, the safe-stop fallback engages routinely, and the records
         still equal the scalar oracle, degradation included."""
         from repro.ads.batch import can_fuse
-        from repro.ads.runtime import ADSConfig
         ads = replace(ADSConfig(), planner_divisor=6)
-        assert not can_fuse(ads, ())
+        assert not can_fuse(ads)
 
         attached = count_fused_attaches(monkeypatch)
         campaign = Campaign(small_scenarios(), CampaignConfig(ads=ads))
@@ -354,11 +365,18 @@ class TestEngineCounters:
     def test_job_counts_sum_to_jobs_run(self):
         campaign = Campaign(small_scenarios()[:1],
                             CampaignConfig(profile_stages=True))
-        summary = campaign.run_jobs(mixed_group(campaign))
+        jobs = mixed_group(campaign)
+        summary = campaign.run_jobs(jobs)
         engine = summary.extra_info["stage_timings"]["engine"]
         assert engine["fused_jobs"] + engine["scalar_jobs"] == summary.total
         assert (engine["fused_jobs"], engine["scalar_jobs"]) == \
-            (parallel.LANES, 3)
+            (parallel.LANES + 3, 0)
+        # The three interface faults join after their windows; their
+        # forks sit at their first fault tick.
+        interface = [fault for _, fault in jobs if fault.kind != "value"]
+        assert (engine["handoffs"], engine["handoff_ticks"]) == \
+            (3, sum(hand_off(fault) - fault.start_tick
+                    for fault in interface))
         assert 0.0 < engine["lane_ticks"] / engine["slot_ticks"] <= 1.0
         assert (engine["fused_batches"], engine["batch_scenarios"]) == \
             (1, 1)
@@ -416,19 +434,22 @@ class TestEngineCounters:
                        "scalar_jobs": 4, "fused_ticks": 25,
                        "lane_ticks": 300, "slot_ticks": 400,
                        "fused_batches": 2, "batch_scenarios": 5,
-                       "fused_fallbacks": 1, "bundles_built": 6}}
+                       "fused_fallbacks": 1, "bundles_built": 6,
+                       "handoffs": 3, "handoff_ticks": 11}}
         merged = CampaignSummary.merge([summary, summary])
         assert merged.extra_info["stage_timings"]["engine"] == {
             "seconds": 0.0, "calls": 0, "fused_jobs": 32,
             "scalar_jobs": 8, "fused_ticks": 50, "lane_ticks": 600,
             "slot_ticks": 800, "fused_batches": 4, "batch_scenarios": 10,
-            "fused_fallbacks": 2, "bundles_built": 12}
+            "fused_fallbacks": 2, "bundles_built": 12, "handoffs": 6,
+            "handoff_ticks": 22}
         _print_summary(merged, "random")
         assert ("engine: 32 fused jobs, 8 scalar jobs, lane occupancy "
                 "75.0% (600 of 800 slot-ticks) in 50 fused ticks "
                 "(12.0 lanes per tick), 4 fused batches "
                 "(2.5 scenarios per batch), 2 fused fallbacks, "
-                "12 messages built") in capsys.readouterr().out
+                "12 messages built, 6 hand-offs after 22 scalar "
+                "ticks") in capsys.readouterr().out
 
 
 class TestFusedFallback:
@@ -468,3 +489,184 @@ class TestFusedFallback:
         assert engine.get("fused_jobs", 0) == 0
         assert engine["scalar_jobs"] == len(jobs)
         assert engine["fused_fallbacks"] == len(batches) >= 1
+
+
+# -- late fusion: interface-fault jobs join the batch after their windows ---
+
+#: Interface-fault durations of the sweep: 1-3 ticks, and past the
+#: default degradation TTL (4), so the fallback engages inside the
+#: scalar segment.
+DURATIONS = (1, 2, 3, DegradationConfig().ttl_ticks + 3)
+
+
+def late_fusion_scenario():
+    return replace(lead_vehicle_cutin(), duration=9.0)
+
+
+def sweep_jobs(name, starts=(60, 71), durations=DURATIONS):
+    """Every interface kind x channel x duration, from an even and an
+    odd start tick."""
+    return [(name, interface_fault(kind, channel, start,
+                                   duration_ticks=duration))
+            for start in starts for duration in durations
+            for kind in INTERFACE_KINDS for channel in CHANNELS]
+
+
+def bits(records):
+    """Records as dicts without wall clocks, every float as its bit
+    pattern (``float.hex``), so NaNs and signed zeros compare too."""
+    return [{name: value.hex() if isinstance(value, float) else value
+             for name, value in row.items()}
+            for row in strip_wall(records)]
+
+
+def late_config(degradation=True, **kwargs):
+    ads = ADSConfig(degradation=DegradationConfig(enabled=degradation))
+    return CampaignConfig(ads=ads, profile_stages=True, **kwargs)
+
+
+class TestLateFusion:
+    """An interface-fault job runs the scalar pipeline through its fault
+    windows up to its hand-off tick (the first planner tick at or after
+    the last window's end), then joins the fused batch.  Its records
+    equal :func:`execute_experiment`'s field by field, bit for bit."""
+
+    @pytest.mark.parametrize("degradation", [True, False])
+    def test_every_kind_channel_and_duration(self, degradation):
+        """Forked from the golden ladder, every lane hands off (no run
+        ends inside its segment here) and no batch falls back."""
+        campaign = Campaign([late_fusion_scenario()],
+                            late_config(degradation, horizon_after_fault=1.0))
+        jobs = sweep_jobs(campaign.scenarios[0].name)
+        summary = campaign.run_jobs(jobs)
+        reference = reference_records(campaign, jobs)
+        assert bits(summary.records) == bits(reference)
+        engine = summary.extra_info["stage_timings"]["engine"]
+        assert (engine["fused_jobs"], engine["scalar_jobs"],
+                engine.get("fused_fallbacks", 0)) == (len(jobs), 0, 0)
+        assert (engine["handoffs"], engine["handoff_ticks"]) == \
+            (len(jobs), sum(hand_off(fault) - fault.start_tick
+                            for _, fault in jobs))
+        assert any(record.degraded for record in reference) == degradation
+        assert any(record.landed for record in reference)
+        assert not all(record.landed for record in reference)
+
+    def test_tick_zero_starts(self):
+        """Without forks every lane replays from tick 0 through its
+        segment, as full replay does."""
+        campaign = Campaign([late_fusion_scenario()],
+                            late_config(horizon_after_fault=0.5))
+        scenario = campaign.scenarios[0]
+        jobs = sweep_jobs(scenario.name, starts=(33,), durations=(3, 7))
+        fused = execute_experiment_batch(
+            [(scenario, fault) for _, fault in jobs], campaign.config)
+        assert bits(fused) == bits(reference_records(campaign, jobs))
+
+    def test_runs_ending_inside_the_segment(self):
+        """A run can end before its hand-off tick: at the post-fault
+        horizon (0 here, so an odd window end stops a tick short of the
+        hand-off and an even one runs one fused tick), at the scenario's
+        end, or at a collision; it finishes as its scalar result."""
+        overlap = replace(highway_cruise(ego_speed=30.0, lead_gap=0.0,
+                                         lead_speed=30.0, name="overlap"),
+                          duration=6.0)
+        scenarios = [late_fusion_scenario(), overlap]
+        campaign = Campaign(scenarios, late_config(horizon_after_fault=0.0))
+        last = round(scenarios[0].duration / 0.05) - 2
+        jobs = (sweep_jobs(scenarios[0].name, starts=(60, 61),
+                           durations=(2, 3))
+                + sweep_jobs(scenarios[0].name, starts=(last,),
+                             durations=(7,))
+                + sweep_jobs(overlap.name, starts=(1,), durations=(3,)))
+        summary = campaign.run_jobs(jobs)
+        reference = reference_records(campaign, jobs)
+        assert bits(summary.records) == bits(reference)
+        engine = summary.extra_info["stage_timings"]["engine"]
+        assert engine["fused_jobs"] == len(jobs)
+        # Only the even window ends (start 60 + 2, start 61 + 3) reach
+        # their hand-off.
+        assert engine["handoffs"] == 2 * len(INTERFACE_KINDS) * len(CHANNELS)
+        assert any(record.hazard == Hazard.COLLISION for record in reference)
+
+    def test_pooled_equals_serial(self):
+        """Two workers fuse one wide part each; records and the merged
+        hand-off counts equal the serial run's."""
+        campaign = Campaign([late_fusion_scenario()],
+                            late_config(horizon_after_fault=1.0))
+        name = campaign.scenarios[0].name
+        interface = sweep_jobs(name, starts=(60, 61), durations=(3,))
+        jobs = interface + [(name, FaultSpec("brake", 0.0, tick, 4))
+                            for tick in (50, 70)]
+        serial = campaign.run_jobs(jobs)
+        pooled = campaign.run_jobs(jobs, workers=2)
+        assert bits(pooled.records) == bits(serial.records) == \
+            bits(reference_records(campaign, jobs))
+        engines = [summary.extra_info["stage_timings"]["engine"]
+                   for summary in (serial, pooled)]
+        expected = (len(interface), sum(hand_off(fault) - fault.start_tick
+                                        for _, fault in interface))
+        assert [(engine["handoffs"], engine["handoff_ticks"])
+                for engine in engines] == [expected] * 2
+        assert [engine["fused_batches"] for engine in engines] == [1, 2]
+
+    def test_resume_after_a_kill_inside_the_batch(self, tmp_path,
+                                                  monkeypatch):
+        """A campaign killed inside its batch, after the lanes handed
+        off, resumes to the reference records; every job fuses again."""
+        from repro.ads.batch import BatchADSState
+        campaign = Campaign([late_fusion_scenario()],
+                            late_config(horizon_after_fault=1.0))
+        jobs = sweep_jobs(campaign.scenarios[0].name, starts=(61,),
+                          durations=(2, 7))
+        reference = bits(reference_records(campaign, jobs))
+        original = BatchADSState.tick_all
+        calls = []
+
+        def dying(self):
+            calls.append(1)
+            if len(calls) == 5:
+                raise KeyboardInterrupt
+            return original(self)
+
+        monkeypatch.setattr(BatchADSState, "tick_all", dying)
+        killed = Campaign(campaign.scenarios, late_config(
+            horizon_after_fault=1.0), cache_dir=tmp_path)
+        with pytest.raises(KeyboardInterrupt):
+            killed.run_jobs(jobs)
+        monkeypatch.undo()
+        attached = count_fused_attaches(monkeypatch)
+        resumed = Campaign(campaign.scenarios, late_config(
+            horizon_after_fault=1.0,
+            resilience=ResilienceConfig(resume=True)), cache_dir=tmp_path)
+        summary = resumed.run_jobs(jobs)
+        assert (resumed._last_journal.hits,
+                resumed._last_journal.appended) == (0, len(jobs))
+        assert len(attached) == len(jobs)
+        assert bits(summary.records) == reference
+
+    def test_attach_takes_expired_residue_not_pending_faults(self):
+        """On its hand-off tick a lane's bus may still hold an expired
+        delay queue (the planning channel delivers on planner ticks
+        only); ``attach`` takes it, and refuses the same pipeline while
+        its fault is still pending or active."""
+        from repro.ads.batch import BatchADSState
+        from repro.ads.runtime import ADSPipeline
+        from repro.core.simulate import _arm_faults
+        from repro.sim.batch import BatchWorldState
+        scenario = late_fusion_scenario()
+        fault = interface_fault("delay", "planning", 40, duration_ticks=3)
+        world = scenario.make_world()
+        pipeline = ADSPipeline(ADSConfig(), seed=0)
+        _arm_faults(pipeline, [fault])
+        ads = BatchADSState(BatchWorldState([scenario.make_world()]),
+                            ADSConfig())
+        for tick in range(hand_off(fault)):
+            if tick in (0, 40, 42):
+                with pytest.raises(ValueError):
+                    ads.attach(0, pipeline)
+            command = pipeline.tick(world)
+            world.step(command.throttle, command.brake, command.steering,
+                       0.05)
+        assert pipeline.bus._states["planning"].queue
+        ads.attach(0, pipeline)
+        assert ads.active[0]

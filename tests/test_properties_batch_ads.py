@@ -5,10 +5,12 @@ The fused ADS engine's contract is *bitwise* equality with the scalar
 any lane count, seed, value-fault mix, lane order, or retirement
 pattern.  These properties fuzz that contract at the
 :func:`~repro.core.simulate.run_experiments_batched` driver level (the
-campaign-level equivalence suite covers the full orchestration stack,
-where interface-fault jobs run scalar).  The fused engine refuses what
-it cannot represent: :meth:`~repro.ads.batch.BatchADSState.attach`
-raises on an interface-fault pipeline.  The fused engine's columnar
+campaign-level equivalence suite covers the full orchestration stack).
+The fused engine refuses what it cannot represent:
+:meth:`~repro.ads.batch.BatchADSState.attach` raises on a pipeline with
+an interface fault still pending, and a lane with interface faults
+joins its batch only after a scalar segment through their windows,
+which :class:`TestFusability` also fuzzes.  The fused engine's columnar
 world model is also held, tick by tick, to one scalar tracker and
 localizer per lane.
 """
@@ -378,12 +380,15 @@ class TestFusability:
            st.lists(interface_faults, min_size=1, max_size=2))
     def test_attach_rejects_interface_fault_pipelines(self, values,
                                                       interfaces):
-        """Only value-fault jobs fuse: :func:`can_fuse` refuses a job
-        with an interface fault, and :meth:`BatchADSState.attach`
-        raises ``ValueError`` on its pipeline."""
+        """:func:`can_fuse` reads only the configuration, so a job with
+        interface faults fuses late: :meth:`BatchADSState.attach` raises
+        ``ValueError`` on its pipeline while an interface fault is
+        pending, and the batched run, scalar up to its hand-off tick and
+        fused from there, equals the scalar run."""
         faults = values + interfaces
-        assert can_fuse(CONFIG, values)
-        assert not can_fuse(CONFIG, faults)
+        assert can_fuse(CONFIG)
+        assert not can_fuse(replace(
+            CONFIG, planner=replace(CONFIG.planner, idm_exponent=3.0)))
         batch = BatchWorldState([SCENARIO.make_world()])
         ads = BatchADSState(batch, CONFIG)
         pipeline = ADSPipeline(CONFIG, seed=0)
@@ -391,9 +396,7 @@ class TestFusability:
         with pytest.raises(ValueError):
             ads.attach(0, pipeline)
         assert not ads.active.any()
-        with pytest.raises(ValueError):
-            run_experiments_batched([SCENARIO], [faults],
-                                    horizon_after_fault=HORIZON)
+        assert _run_batched([faults], 0, 1) == _run_scalar([faults], 0)
 
 
 # -- the columnar world model against per-lane scalar filters --------------

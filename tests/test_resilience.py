@@ -690,15 +690,20 @@ class TestSerialQuarantine:
     def test_pooled_failure_occupies_only_its_slot(self, monkeypatch):
         """A pool part holds several jobs; the one that keeps raising
         quarantines alone, exactly as in the serial run."""
+        from repro.ads.batch import can_fuse
+        from repro.ads.runtime import ADSConfig
         scenarios = small_scenarios()
-        config = CampaignConfig(resilience=ResilienceConfig(
-            max_attempts=2, backoff_base=0.001))
+        ads = ADSConfig()
+        config = CampaignConfig(
+            ads=replace(ads, planner=replace(ads.planner, idm_exponent=3.0)),
+            resilience=ResilienceConfig(max_attempts=2, backoff_base=0.001))
         campaign = Campaign(scenarios, config)
         campaign.golden_runs()
-        # Interface faults never fuse, so every job runs scalar and
-        # the pool cuts them into parts of several jobs each.
+        # The fused engine refuses a non-default IDM exponent, so every
+        # job runs scalar and the pool cuts them into parts of several
+        # jobs each.
+        assert not can_fuse(config.ads)
         jobs = random_jobs(campaign, 40, seed=5, interface_share=1.0)
-        assert all(fault.kind != "value" for _, fault in jobs)
         self._flaky_execute(monkeypatch, jobs[5][1])
         serial = campaign.run_jobs(jobs).records
         pooled = campaign.run_jobs(jobs, workers=2).records

@@ -415,8 +415,8 @@ def small_library():
 
 
 def library_jobs(library):
-    """Three value faults per scenario (18 fusable jobs in all), then
-    two interface faults, which run scalar."""
+    """Three value faults per scenario (18 in all), then two interface
+    faults, which join the batch after their windows."""
     variables = (("brake", 0.0), ("throttle", 1.0), ("tracked_gap", 80.0),
                  ("gps_y", 2.0), ("steering", 0.3))
     jobs = []
@@ -443,10 +443,11 @@ class TestMixedBatches:
                    < parallel.LANES for scenario in library)
         campaign = Campaign(library, CampaignConfig(profile_stages=True))
         summary = campaign.run_jobs(jobs)
-        assert count_batch_calls == [18]
+        assert count_batch_calls == [20]
         engine = summary.extra_info["stage_timings"]["engine"]
         assert (engine["fused_batches"], engine["batch_scenarios"],
-                engine["fused_jobs"], engine["scalar_jobs"]) == (1, 6, 18, 2)
+                engine["fused_jobs"], engine["scalar_jobs"],
+                engine["handoffs"]) == (1, 6, 20, 0, 2)
         reference = reference_records(campaign, jobs)
         assert strip_wall(summary.records) == strip_wall(reference)
         for fused, scalar in zip(summary.records, reference):
@@ -456,16 +457,16 @@ class TestMixedBatches:
                 assert getattr(fused, field) == getattr(scalar, field)
 
     def test_pooled_library_runs_as_one_batch(self):
-        """With two workers, 18 fusable jobs are one wide part (a part
-        is never narrower than ``LANES``), so one worker runs them as
-        one mixed batch."""
+        """With two workers, the 20 jobs are one wide part (a part is
+        never narrower than ``LANES``), so one worker runs them as one
+        mixed batch."""
         library = small_library()
         jobs = library_jobs(library)
         campaign = Campaign(library, CampaignConfig(profile_stages=True))
         summary = campaign.run_jobs(jobs, workers=2)
         engine = summary.extra_info["stage_timings"]["engine"]
         assert (engine["fused_batches"], engine["batch_scenarios"],
-                engine["fused_jobs"]) == (1, 6, 18)
+                engine["fused_jobs"], engine["handoffs"]) == (1, 6, 20, 2)
         assert strip_wall(summary.records) == \
             strip_wall(reference_records(campaign, jobs))
 
@@ -518,7 +519,7 @@ class TestMixedBatches:
         journaled = 0 if kill == "mid_batch" else 5
         assert (journal.hits, journal.appended) == \
             (journaled, len(jobs) - journaled)
-        assert len(attached) == 18 - journaled
+        assert len(attached) == len(jobs) - journaled
         assert strip_wall(summary.records) == reference
 
 
