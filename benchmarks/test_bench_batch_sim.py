@@ -20,17 +20,17 @@ it), and the ≥3x gate applies to the batched+pooled path, which needs
 real cores; with fewer usable CPUs than workers the gate is skipped and
 only equivalence is asserted.
 
-``test_bench_batch_width`` is the width round: one group of
-``2 * MAX_LANES`` jobs of one scenario, run at 16 live lanes (the
-width before batches spanned whole groups) and at ``MAX_LANES``, in
-interleaved rounds, with the records checked equal.  Its extra_info
-holds both widths' seconds and the tracemalloc peak per extra live
-lane: the peak's growth from 16 to ``MAX_LANES`` lanes over the
-``MAX_LANES - 16`` lanes added.  A lane cost about 55 KB by that
-measure (61 KB by peak RSS) when each held its safety samples as
-per-tick tuples; with columnar samples and retired lanes released it
-measures about 16 KB on a 2-vCPU Xeon VM.  Its gates fire only under
-``REPRO_BENCH_GATES=1``.
+``test_bench_batch_width`` is the width sweep that derives
+``MAX_LANES``: one wave per width, with as many jobs of one scenario
+as lanes, so every width runs one fused batch and no refill.  Rounds
+interleave the widths (ascending, then descending), and each width's
+records must equal the widest run's on the same jobs.  Its extra_info
+holds per-width seconds per job, the width the cap rule picks
+(``derived_max_lanes``: the smallest width within 5% of the fastest
+width's per-job time; the widest width has measured slower per job
+than 512 lanes, so the rule reads the fastest, not the widest), and per width the tracemalloc peak per extra
+live lane: the peak's growth over the 16-lane wave, over the lanes
+added.  Its gates fire only under ``REPRO_BENCH_GATES=1``.
 
 ``test_bench_mixed_batch`` is the sparse-campaign round: about three
 random value faults per scenario over a seeded library of public-factory
@@ -65,15 +65,20 @@ from conftest import (bench_scenarios, host_info, interleaved_ratio,
 
 WORKERS = 4
 
-#: The narrow side of the width round: the lanes a batch held when the
+#: The narrow end of the width sweep: the lanes a batch held when the
 #: driver cut groups into ``LANES``-job parts.
 NARROW = 16
-#: Interleaved narrow/wide rounds of the width round.
-WIDTH_ROUNDS = 3
-#: Width-round gates (``REPRO_BENCH_GATES=1`` only): the wide batch's
-#: speedup over the narrow one, as a ratio of median seconds (measured
-#: 1.55-1.7x), and the tracemalloc peak per extra live lane, half of
-#: the 61 KB a live lane cost by peak RSS before samples went columnar.
+#: Widths of the sweep; each runs one wave of as many jobs.
+SWEEP_WIDTHS = (NARROW, 64, 128, 256, 512, 1024)
+#: Interleaved rounds of the sweep.
+SWEEP_ROUNDS = 3
+#: The cap rule: the smallest width whose per-job seconds are within
+#: this share of the fastest width's.
+CAP_TOLERANCE = 0.05
+#: Width-sweep gates (``REPRO_BENCH_GATES=1`` only): the per-job
+#: speedup of a ``MAX_LANES`` wave over a ``NARROW`` one, and the
+#: tracemalloc peak per extra live lane at ``MAX_LANES``, half of the
+#: 61 KB a live lane cost by peak RSS before samples went columnar.
 MIN_WIDTH_SPEEDUP = 1.25
 MAX_LANE_KB = 30.0
 
@@ -202,30 +207,39 @@ def test_bench_batch_sim(benchmark, batch_campaign):
 
 @pytest.fixture(scope="module")
 def width_group():
-    """``2 * MAX_LANES`` random value faults of one scenario, with the
-    golden checkpoint each forks from."""
+    """``max(SWEEP_WIDTHS)`` random value faults of one scenario, with
+    the golden checkpoint each forks from."""
     campaign = Campaign([lead_vehicle_cutin()], CampaignConfig(seed=1))
     campaign.golden_runs()   # golden trace + its schedule ladder
     scenario = campaign.scenarios[0]
     faults = [fault for _, fault in
-              random_jobs(campaign, 2 * MAX_LANES, seed=1)]
+              random_jobs(campaign, max(SWEEP_WIDTHS), seed=1)]
     forks = [campaign.checkpoints.nearest(scenario.name, fault.start_tick)
              for fault in faults]
     assert all(forks), "the golden ladder misses a job tick"
     return campaign, scenario, faults, forks
 
 
+def cap_rule(per_job: dict[int, float]) -> int:
+    """The smallest width within :data:`CAP_TOLERANCE` of the fastest
+    width's per-job seconds."""
+    fastest = min(per_job.values())
+    return min(width for width, seconds in per_job.items()
+               if seconds <= fastest * (1.0 + CAP_TOLERANCE))
+
+
 def test_bench_batch_width(benchmark, width_group):
     campaign, scenario, faults, forks = width_group
     config = campaign.config
-    assert MAX_LANES > NARROW
+    assert NARROW < MAX_LANES and MAX_LANES in SWEEP_WIDTHS
 
     def run(width):
+        """One wave: the first ``width`` jobs on ``width`` lanes."""
         return run_experiments_batched(
-            [scenario] * len(faults), [[fault] for fault in faults],
+            [scenario] * width, [[fault] for fault in faults[:width]],
             ads_config=config.ads,
             safety_config=config.safety, seed=config.seed,
-            checkpoints=list(forks),    # the batch consumes its list
+            checkpoints=list(forks[:width]),   # the batch consumes it
             horizon_after_fault=config.horizon_after_fault,
             batch_size=width)
 
@@ -238,55 +252,63 @@ def test_bench_batch_width(benchmark, width_group):
             rows.append(row)
         return rows
 
-    expected = strip(run(NARROW))   # also warms the stop table
-    seconds = {NARROW: [], MAX_LANES: []}
-    for index in range(WIDTH_ROUNDS):
-        order = (NARROW, MAX_LANES) if index % 2 == 0 else (MAX_LANES,
-                                                            NARROW)
-        for width in order:
+    expected = strip(run(max(SWEEP_WIDTHS)))   # also warms the stop table
+    seconds = {width: [] for width in SWEEP_WIDTHS}
+    for index in range(SWEEP_ROUNDS):
+        for width in (SWEEP_WIDTHS if index % 2 == 0
+                      else SWEEP_WIDTHS[::-1]):
             start = time.perf_counter()
             results = run(width)
             seconds[width].append(time.perf_counter() - start)
-            assert strip(results) == expected, width
+            assert strip(results) == expected[:width], width
 
     peaks = {}
-    for width in (NARROW, MAX_LANES):
+    for width in SWEEP_WIDTHS:
         tracemalloc.start()
         run(width)
         peaks[width] = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-    lane_kb = (peaks[MAX_LANES] - peaks[NARROW]) / (MAX_LANES - NARROW) / 1e3
+    lane_kb = {width: (peaks[width] - peaks[NARROW]) / (width - NARROW) / 1e3
+               for width in SWEEP_WIDTHS if width > NARROW}
 
     benchmark.pedantic(run, args=(MAX_LANES,), rounds=1, iterations=1)
 
-    medians = {width: statistics.median(times)
+    per_job = {width: statistics.median(times) / width
                for width, times in seconds.items()}
-    speedup = medians[NARROW] / medians[MAX_LANES]
-    print(f"\nFused batch width: {len(faults)} jobs of {scenario.name}, "
-          f"median of {WIDTH_ROUNDS} interleaved rounds")
+    derived = cap_rule(per_job)
+    speedup = per_job[NARROW] / per_job[MAX_LANES]
+    print(f"\nFused batch width: one wave of {scenario.name} jobs per "
+          f"width, median of {SWEEP_ROUNDS} interleaved rounds")
     print(ascii_table(
-        ["width", "seconds", "tracemalloc peak MB"],
-        [[width, f"{medians[width]:.3f}", f"{peaks[width] / 1e6:.2f}"]
-         for width in (NARROW, MAX_LANES)]))
-    print(f"speedup {speedup:.2f}x, {lane_kb:.1f} KB per extra live lane")
-    benchmark.extra_info["jobs"] = len(faults)
-    benchmark.extra_info["narrow_lanes"] = NARROW
+        ["width", "ms per job", "tracemalloc peak MB",
+         "KB per extra live lane"],
+        [[width, f"{1e3 * per_job[width]:.3f}", f"{peaks[width] / 1e6:.2f}",
+          f"{lane_kb[width]:.1f}" if width in lane_kb else "-"]
+         for width in SWEEP_WIDTHS]))
+    print(f"cap rule picks {derived} (MAX_LANES = {MAX_LANES}); "
+          f"{MAX_LANES} lanes {speedup:.2f}x faster per job than {NARROW}")
+    benchmark.extra_info["widths"] = list(SWEEP_WIDTHS)
     benchmark.extra_info["max_lanes"] = MAX_LANES
-    for width, name in ((NARROW, "narrow"), (MAX_LANES, "wide")):
-        benchmark.extra_info[f"{name}_seconds"] = seconds[width]
-        benchmark.extra_info[f"{name}_median_seconds"] = medians[width]
-        benchmark.extra_info[f"{name}_peak_bytes"] = peaks[width]
+    benchmark.extra_info["derived_max_lanes"] = derived
+    benchmark.extra_info["cap_tolerance"] = CAP_TOLERANCE
+    for width in SWEEP_WIDTHS:
+        benchmark.extra_info[f"seconds_{width}"] = seconds[width]
+        benchmark.extra_info[f"s_per_job_{width}"] = per_job[width]
+        benchmark.extra_info[f"peak_bytes_{width}"] = peaks[width]
+        if width in lane_kb:
+            benchmark.extra_info[f"kb_per_live_lane_{width}"] = lane_kb[width]
     benchmark.extra_info["width_speedup"] = speedup
-    benchmark.extra_info["kb_per_live_lane"] = lane_kb
+    benchmark.extra_info["kb_per_live_lane"] = lane_kb[MAX_LANES]
     benchmark.extra_info.update(host_info())
 
     if not timing_gates(benchmark):
         return
     assert speedup >= MIN_WIDTH_SPEEDUP, (
-        f"{MAX_LANES}-lane batches only {speedup:.2f}x faster than "
+        f"{MAX_LANES}-lane waves only {speedup:.2f}x faster per job than "
         f"{NARROW}-lane ones")
-    assert lane_kb <= MAX_LANE_KB, (
-        f"a live fused lane costs {lane_kb:.1f} KB of peak memory")
+    assert lane_kb[MAX_LANES] <= MAX_LANE_KB, (
+        f"a live fused lane costs {lane_kb[MAX_LANES]:.1f} KB of peak "
+        f"memory")
 
 
 #: Scenario variants and jobs of the mixed round: three jobs per

@@ -47,8 +47,11 @@ The split of labor per stage:
   counts the messages built).
   This per-lane residue is what a fused tick still pays per lane;
   everything vectorized is paid once per fused tick, so a batch runs
-  as wide as the driver allows (:data:`repro.core.parallel.MAX_LANES`)
-  and a retired slot that nothing refills costs only its idle rows.
+  as wide as the driver allows (one slot per job, up to
+  :data:`repro.core.parallel.MAX_LANES`, the width past which a
+  measured sweep stops gaining per job), a dispatch within that cap
+  runs in one wave, and a retired slot that nothing refills costs
+  only its idle rows.
 
 Equivalence holds by construction: the vectorized stages evaluate the
 *same* kernel expressions the scalar modules call with floats (the

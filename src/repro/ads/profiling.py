@@ -36,8 +36,11 @@ lane with a perception or world-model fault active on the tick).  A fused
 tick's vectorized work is paid once however many lanes it carries, so
 its cost follows ``fused_ticks`` and the
 lanes per tick (``lane_ticks`` over ``fused_ticks``); lane occupancy
-(``lane_ticks`` over ``slot_ticks``) no longer drives it, since a wide
-batch leaves its retired slots idle rather than start another batch.
+(``lane_ticks`` over ``slot_ticks``) does not drive it.  A batch leaves
+a retired slot idle when no pending job is left to refill it; a
+dispatch of more jobs than :data:`repro.core.parallel.MAX_LANES`
+refills retired slots, so its lanes run in waves and its fused ticks
+add up across them.
 The untimed ``golden`` row counts golden ``runs``, the ``ticks`` they
 simulated, and the ``cut_ticks`` a run stopped at its last forkable
 tick left unsimulated.

@@ -72,13 +72,18 @@ ExperimentJob = tuple[str, FaultSpec]
 LANES = 16
 
 #: Most live lanes of one fused batch; a larger job set refills retired
-#: slots from its pending jobs.  The smallest width within 5% of the
-#: fastest in a sweep of one 256-job ``lead_vehicle_cutin`` group over
-#: widths 16-256 (two sweeps of 6 and 8 interleaved rounds on a 2-vCPU
-#: Xeon VM: 128 fastest in both, 96 at +3% and +7%, 64 at +9% and +11%,
-#: 16 at +82%); ``benchmarks/test_bench_batch_sim.py`` re-times 16
-#: against this width.  Read through the module at call time.
-MAX_LANES = 128
+#: slots from its pending jobs.  The rule: the smallest width whose
+#: seconds per job are within 5% of the fastest measured width's.
+#: ``benchmarks/test_bench_batch_width`` sweeps it, one wave of as many
+#: ``lead_vehicle_cutin`` jobs as lanes per width, and reports the width
+#: the rule picks.  On a 2-vCPU Xeon VM (``BENCH_batchsim.json``, median
+#: of 3 interleaved rounds) it measured 7.81, 2.98, 2.16, 1.97, 1.86 and
+#: 1.91 ms per job at 16, 64, 128, 256, 512 and 1024 lanes: 256 is 6%
+#: slower than 512, and 1024 no faster.  Two more sweeps there put 256
+#: 6% and 10% behind the fastest width.  A fused tick's fixed cost is
+#: paid once per wave, so a dispatch of up to this many jobs runs in
+#: one.  Read through the module at call time.
+MAX_LANES = 512
 
 
 def _to_record(result: RunResult, scenario_name: str, fault: FaultSpec,

@@ -191,21 +191,17 @@ def _bulk_chunk(v0: list[float], phis: list[float], a_max: float,
         c1 * np.sin(th1) + 2 * (c2 * np.sin(th2))
         + 2 * (c2 * np.sin(th3)) + c4 * np.sin(th4)))
 
+    rows = np.arange(k)
     if lateral_window <= 0.0:
-        window = None
+        x_window = y_window = np.zeros(k)
     else:
         reached = np.flatnonzero(t >= lateral_window)
-        window = int(reached[0]) if len(reached) else width + 1
-    stops = []
-    for row, n in enumerate(n_steps.tolist()):
-        if window is None:
-            x_window = y_window = 0.0
-        else:
-            w = min(window, n)
-            x_window, y_window = float(x[row, w]), float(y[row, w])
-        stops.append((float(x[row, n]), float(y[row, n]), x_window,
-                      y_window, float(t[n])))
-    return stops
+        window = np.minimum(int(reached[0]) if len(reached) else width + 1,
+                            n_steps)
+        x_window, y_window = x[rows, window], y[rows, window]
+    stops = np.column_stack([x[rows, n_steps], y[rows, n_steps], x_window,
+                             y_window, t[n_steps]])
+    return list(map(tuple, stops.tolist()))
 
 
 def _bulk_stops(keys: list[tuple[float, float]], params: tuple
@@ -543,28 +539,48 @@ def safety_potential(v: float, theta: float, phi: float, gap: float,
 
 
 def bulk_safety_potential(samples, config: SafetyConfig | None = None
-                          ) -> tuple[list[float], list[float]]:
-    """:func:`safety_potential` of many samples at once.
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`safety_potential` of many samples at once, in columns.
 
-    ``samples`` holds ``(v, theta, phi, gap, lead_speed, lateral_free)``
-    tuples (see :func:`world_safety_inputs`).  Returns the longitudinal
-    and the lateral potentials, each bit for bit the per-sample value;
-    every stop the table lacks is integrated in one bulk call.
+    ``samples`` is an ``(n, 6)`` float array (or rows that convert to
+    one) of ``(v, theta, phi, gap, lead_speed, lateral_free)`` (see
+    :func:`world_safety_inputs`); a NaN or ``None`` lead speed is a
+    clear corridor.  Returns the longitudinal and the lateral potentials
+    as arrays, each element bit for bit the per-sample value.
+
+    Speeds and steering angles are quantized in columns and looked up
+    in one :meth:`StopTable.lookup`, which integrates every stop the
+    table lacks in one bulk call and counts hits and misses per key
+    looked up.  The heading rotation takes ``np.cos``/``np.sin`` where
+    :func:`numpy_trig_exact` vouches for them, :mod:`math` trig per
+    sample otherwise.  The lead's stopping term keeps Python's ``** 2``
+    (C ``pow``), which differs from ``x * x`` in the last ulp on some
+    speeds.
     """
     config = config or SafetyConfig()
-    stops = _canonical_stop.lookup(
-        [_quantize(sample[0], sample[2]) for sample in samples],
-        _stop_params(config))
-    longitudinal = []
-    lateral = []
-    for (_, theta, _, gap, lead_speed, lateral_free), stop in zip(samples,
-                                                                  stops):
-        x_stop, y_stop, x_window, y_window, _ = stop
-        cos_t, sin_t = math.cos(theta), math.sin(theta)
-        longitudinal.append(longitudinal_envelope(gap, lead_speed, config)
-                            - (x_stop * cos_t - y_stop * sin_t))
-        lateral.append(lateral_free
-                       - abs(x_window * sin_t + y_window * cos_t))
+    samples = np.asarray(samples, dtype=float).reshape(-1, 6)
+    v, theta, phi, gap, lead_speed, lateral_free = samples.T
+    # ``_quantize`` in columns: ``np.round`` rounds half to even like
+    # ``round``, and ``+ 0.0`` turns its -0.0 keys into round's 0.0.
+    keys = zip((np.round(np.maximum(v, 0.0) / 0.05) * 0.05 + 0.0).tolist(),
+               (np.round(phi / 5e-4) * 5e-4 + 0.0).tolist())
+    stops = np.array(_canonical_stop.lookup(list(keys), _stop_params(config)),
+                     dtype=float).reshape(-1, 5)
+    if numpy_trig_exact():
+        cos_t, sin_t = np.cos(theta), np.sin(theta)
+    else:
+        angles = theta.tolist()
+        cos_t = np.array([math.cos(angle) for angle in angles])
+        sin_t = np.array([math.sin(angle) for angle in angles])
+    # ``longitudinal_envelope`` in columns.
+    envelope = np.full(len(samples), SENSOR_RANGE)
+    led = ~(np.isnan(lead_speed) | (gap >= SENSOR_RANGE))
+    envelope[led] = gap[led] + np.array(
+        [max(speed, 0.0) ** 2 for speed in lead_speed[led].tolist()]
+    ) / (2.0 * config.a_max)
+    longitudinal = envelope - (stops[:, 0] * cos_t - stops[:, 1] * sin_t)
+    lateral = lateral_free - np.abs(stops[:, 2] * sin_t
+                                    + stops[:, 3] * cos_t)
     return longitudinal, lateral
 
 

@@ -141,10 +141,10 @@ def _fault_schedule(faults: list[FaultSpec],
     return monitor_from, stop_after
 
 
-def _potentials(samples: list, config: SafetyConfig
-                ) -> tuple[list[float], list[float]]:
-    """:func:`~repro.core.safety.bulk_safety_potential` of a run's
-    held samples, charged to the ``safety`` row of the stage table."""
+def _potentials(samples, config: SafetyConfig
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`~repro.core.safety.bulk_safety_potential` of held
+    samples, charged to the ``safety`` row of the stage table."""
     if not STAGE_TIMER.enabled:
         return bulk_safety_potential(samples, config)
     started = STAGE_TIMER.start()
@@ -239,7 +239,8 @@ class _SafetyMonitor:
         """Evaluate and fold every sampled potential, and record the
         held trace rows in ``trace``.  Returns the hazard, outcome, and
         delta fields of :class:`RunResult`."""
-        longitudinal, lateral = _potentials(self.inputs, config)
+        longitudinal, lateral = (
+            column.tolist() for column in _potentials(self.inputs, config))
         first = self.first_monitored()
         pre = (first < len(self.ticks)
                and self.ticks[first] == self.monitor_from)
@@ -489,19 +490,17 @@ class _SafetyColumns:
             self._base += dropped * self.CHUNK
             self._count -= dropped * self.CHUNK
 
-    def samples(self, slot: int, first: int) -> list:
+    def rows(self, slot: int, first: int) -> list[np.ndarray]:
         """``slot``'s samples from block ``first`` to the latest, as
+        views of the held chunks in block order: ``(k, 6)`` rows of
         :func:`~repro.core.safety.bulk_safety_potential` inputs (a NaN
-        lead speed, a clear corridor, becomes ``None``)."""
+        lead speed is a clear corridor)."""
         size = self.CHUNK
         start = first - self._base
         stop = self._count
-        parts = [self._chunks[index][max(start - index * size, 0):
-                                     min(stop - index * size, size), slot]
-                 for index in range(start // size, (stop - 1) // size + 1)]
-        rows = np.concatenate(parts).tolist()
-        return [(v, theta, phi, gap, None if lead != lead else lead, free)
-                for v, theta, phi, gap, lead, free in rows]
+        return [self._chunks[index][max(start - index * size, 0):
+                                    min(stop - index * size, size), slot]
+                for index in range(start // size, (stop - 1) // size + 1)]
 
 
 class _BatchLane:
@@ -513,12 +512,13 @@ class _BatchLane:
     the batch's :class:`_SafetyColumns`, and its ADS state in the
     :class:`BatchADSState` that adopted its pipeline
     (:meth:`drop_pipeline`).  When it retires the driver copies back
-    its slot's flags, its first monitored block and that block's tick,
-    and :meth:`result` folds the samples and then drops the world and
-    the block reference.  A lane that joins after a scalar segment
-    (:func:`_prepare_lane`) brings that segment's monitored samples,
-    its first monitored tick and its off-road flag, and its fold takes
-    them first.
+    its slot's flags, its first monitored block and that block's tick;
+    :func:`_fold_lanes` folds its samples with those of every lane
+    retiring on the same tick, and :meth:`result` builds its result and
+    drops the world and the block reference.  A lane that joins after a
+    scalar segment (:func:`_prepare_lane`) brings that segment's
+    monitored samples, its first monitored tick and its off-road flag,
+    and its fold takes them first.
     """
 
     __slots__ = ("index", "scenario", "world", "pipeline", "armed",
@@ -560,8 +560,9 @@ class _BatchLane:
             if self.samples:
                 self.first_tick = segment.ticks[first]
             self.went_off_road = segment.went_off_road
-        #: Wall clock charged to this lane: its preparation, its share
-        #: of every fused tick it is live in, and its monitor fold.
+        #: Wall clock charged to this lane: its preparation and its
+        #: share of every fused tick it is live in (:meth:`result` adds
+        #: its share of its group's monitor fold).
         self.wall_seconds = 0.0
 
     def drop_pipeline(self) -> None:
@@ -577,28 +578,76 @@ class _BatchLane:
         self.degraded = self.pipeline.degraded_ticks > 0
         self.pipeline = None
 
-    def result(self, safety_config: SafetyConfig,
-               columns: _SafetyColumns | None, slot: int) -> RunResult:
-        """The lane's :class:`RunResult`; the lane lets go of its world
-        and samples.  Call :meth:`drop_pipeline` first."""
-        fold_start = time.perf_counter()
-        samples = self.samples
-        if self.first_block is not None:
-            samples = samples + columns.samples(slot, self.first_block)
-        longitudinal, lateral = _potentials(samples, safety_config)
-        outcome = _outcome(longitudinal, lateral,
-                           self.first_tick == self.monitor_from,
-                           self.collided, self.went_off_road)
-        self.wall_seconds += time.perf_counter() - fold_start
+    def result(self, outcome: dict, fold_seconds: float) -> RunResult:
+        """The lane's :class:`RunResult` from its folded ``outcome``
+        (:func:`_fold_lanes`), charged ``fold_seconds`` more; the lane
+        lets go of its world and samples.  Call :meth:`drop_pipeline`
+        first."""
         result = RunResult(
             scenario=self.scenario, seed=self.seed, trace=Trace(),
             **outcome, landed=(self.bus_landed
                                or any(fault.landed for fault in self.armed)),
             degraded=self.degraded, sim_seconds=self.world.time,
-            wall_seconds=self.wall_seconds, faults=self.faults,
-            checkpoints=None)
+            wall_seconds=self.wall_seconds + fold_seconds,
+            faults=self.faults, checkpoints=None)
         self.world = self.armed = self.samples = self.first_block = None
         return result
+
+
+#: Most samples one :func:`_fold_lanes` potential call evaluates: a
+#: group with more folds in runs of whole lanes up to this size, so the
+#: fold's transient arrays stay small however many lanes retire.
+_FOLD_ROWS = 1024
+
+
+def _fold_lanes(lanes: list[_BatchLane], slots: list[int],
+                columns: _SafetyColumns | None,
+                safety_config: SafetyConfig) -> list[RunResult]:
+    """The results of lanes retiring together from ``slots``.
+
+    The lanes' samples (each lane's scalar segment first, then its fused
+    rows, read straight from ``columns``) go through columnar
+    :func:`~repro.core.safety.bulk_safety_potential` calls of whole
+    lanes, up to :data:`_FOLD_ROWS` samples each, and every lane folds
+    its own slice through :func:`_outcome`.  The fold's elapsed time is
+    split evenly across the lanes, so their clocks still sum to at most
+    the batch call's elapsed time.
+    """
+    fold_start = time.perf_counter()
+    outcomes = []
+    parts: list[np.ndarray] = []
+    bounds = [0]
+    run: list[_BatchLane] = []
+
+    def fold() -> None:
+        longitudinal, lateral = _potentials(
+            np.concatenate(parts) if parts else np.empty((0, 6)),
+            safety_config)
+        for lane, start, stop in zip(run, bounds, bounds[1:]):
+            outcomes.append(_outcome(
+                longitudinal[start:stop].tolist(),
+                lateral[start:stop].tolist(),
+                lane.first_tick == lane.monitor_from, lane.collided,
+                lane.went_off_road))
+        parts.clear()
+        del bounds[1:], run[:]
+
+    for lane, slot in zip(lanes, slots):
+        count = len(lane.samples)
+        if count:
+            parts.append(np.array(lane.samples, dtype=float))
+        if lane.first_block is not None:
+            parts.extend(columns.rows(slot, lane.first_block))
+            count += columns.next_block - lane.first_block
+        run.append(lane)
+        bounds.append(bounds[-1] + count)
+        if bounds[-1] >= _FOLD_ROWS:
+            fold()
+    if run:
+        fold()
+    share = (time.perf_counter() - fold_start) / len(lanes)
+    return [lane.result(outcome, share)
+            for lane, outcome in zip(lanes, outcomes)]
 
 
 def _hand_off_tick(pipeline: ADSPipeline) -> int:
@@ -689,10 +738,12 @@ def run_experiments_batched(scenarios, fault_lists,
     Monitoring is columnar: each fused tick appends one block of every
     slot's safety inputs (:class:`_SafetyColumns`), and collision,
     off-road and retirement are array masks, so a tick does no
-    per-lane Python work here.  A lane lets go of its pipeline once the
-    batch adopts it, and of its samples and world once its result is
-    built, so a live lane costs little memory and a wide batch little
-    more than a narrow one.
+    per-lane Python work here.  The lanes that retire on one tick fold
+    together, in columns (:func:`_fold_lanes`).  A lane attaches as
+    soon as it is prepared and lets go of its pipeline once the batch
+    adopts it, and of its samples and world once its result is built,
+    so a live lane costs little memory and a wide batch little more
+    than a narrow one.
 
     The ADS configuration must be fusable
     (:func:`repro.ads.batch.can_fuse`); the campaign driver runs every
@@ -701,9 +752,10 @@ def run_experiments_batched(scenarios, fault_lists,
     through its fault windows up to its hand-off tick, then joins the
     batch (:func:`_prepare_lane`).
 
-    Lanes share every fused tick, so each result's ``wall_seconds`` is
-    its own preparation and monitor fold plus, per tick it was live in,
-    the tick's elapsed time divided by the live lanes: the results'
+    Lanes share every fused tick and every retirement fold, so each
+    result's ``wall_seconds`` is its own preparation, plus its group's
+    fold time divided by the group's lanes, plus, per tick it was live
+    in, the tick's elapsed time divided by the live lanes: the results'
     clocks sum to at most the call's elapsed time.
 
     ``fault_lists`` is one fault list per experiment; ``checkpoints``
@@ -756,10 +808,11 @@ def _run_batch(jobs: list, checkpoints: list, references: list[World],
     """Run ``jobs`` (``(index, scenario, faults)``) as one batch of up
     to ``batch_size`` live lanes, storing each result at its index;
     ``checkpoints[index]`` is the job's fork, cleared as the lane is
-    prepared, and ``references`` holds one fresh build per scenario."""
+    prepared, and ``references`` holds one fresh build per scenario.
+    Each lane attaches as soon as it is prepared, so at most one
+    prepared lane at a time holds a whole pipeline."""
     pending = iter(jobs)
     dt = ads_config.control_period
-    n_lanes = max(1, min(batch_size, len(jobs)))
 
     def next_lane() -> _BatchLane | None:
         """Prepare the next pending experiment, finalizing any run that
@@ -780,17 +833,17 @@ def _run_batch(jobs: list, checkpoints: list, references: list[World],
             if lane.tick < lane.n_ticks:
                 return lane
             lane.drop_pipeline()
-            results[index] = lane.result(safety_config, None, -1)
+            (results[index],) = _fold_lanes([lane], [-1], None,
+                                            safety_config)
         return None
 
-    slots = [lane for lane in (next_lane() for _ in range(n_lanes))
-             if lane is not None]
-    if not slots:
+    first = next_lane()
+    if first is None:
         return
-    batch = BatchWorldState([lane.world for lane in slots],
-                            references=references)
+    n = max(1, min(batch_size, len(jobs)))
+    batch = BatchWorldState([None] * n, references=references)
     ads = BatchADSState(batch, ads_config)
-    columns = _SafetyColumns(batch.n_lanes)
+    columns = _SafetyColumns(n)
     STAGE_TIMER.count("engine", "fused_batches", 1)
     STAGE_TIMER.count("engine", "batch_scenarios", len(references))
 
@@ -798,7 +851,7 @@ def _run_batch(jobs: list, checkpoints: list, references: list[World],
     # or past its first fault tick, and retires after a monitored
     # collision or its last tick (the post-fault horizon's end or the
     # scenario's last tick, whichever comes first).
-    n = batch.n_lanes
+    slots: list[_BatchLane | None] = [None] * n
     active = batch.active
     tick = np.zeros(n, dtype=np.int64)
     monitor_from = np.zeros(n, dtype=np.int64)
@@ -810,8 +863,10 @@ def _run_batch(jobs: list, checkpoints: list, references: list[World],
     wall = np.zeros(n)
 
     def place(slot: int, lane: _BatchLane) -> None:
+        batch.attach(slot, lane.world)
         ads.attach(slot, lane.pipeline)
         lane.drop_pipeline()
+        slots[slot] = lane
         tick[slot] = lane.tick
         monitor_from[slot] = lane.monitor_from
         last_tick[slot] = (lane.n_ticks - 1 if lane.stop_after is None
@@ -821,7 +876,11 @@ def _run_batch(jobs: list, checkpoints: list, references: list[World],
         off_road_any[slot] = lane.went_off_road
         wall[slot] = 0.0
 
-    for slot, lane in enumerate(slots):
+    place(0, first)
+    for slot in range(1, n):
+        lane = next_lane()
+        if lane is None:
+            break
         place(slot, lane)
 
     timer = STAGE_TIMER if STAGE_TIMER.enabled else None
@@ -852,10 +911,13 @@ def _run_batch(jobs: list, checkpoints: list, references: list[World],
                           / np.count_nonzero(active))
         if not retiring.size:
             continue
-        # 4. Retire finished lanes; pending experiments take their slots.
-        for slot in retiring.tolist():
+        # 4. Retire finished lanes, fold them together, and let pending
+        #    experiments take their slots.
+        retired = retiring.tolist()
+        batch.scatter(retired)
+        lanes = []
+        for slot in retired:
             lane = slots[slot]
-            batch.scatter([slot])
             ads.deactivate(slot)
             batch.release(slot)
             if first_block[slot] >= 0:
@@ -865,11 +927,14 @@ def _run_batch(jobs: list, checkpoints: list, references: list[World],
             lane.collided = bool(collided_any[slot])
             lane.went_off_road = bool(off_road_any[slot])
             lane.wall_seconds += float(wall[slot])
-            results[lane.index] = lane.result(safety_config, columns,
-                                              slot)
-            slots[slot] = fresh = next_lane()
+            lanes.append(lane)
+        for lane, result in zip(lanes, _fold_lanes(lanes, retired, columns,
+                                                   safety_config)):
+            results[lane.index] = result
+        for slot in retired:
+            slots[slot] = None
+            fresh = next_lane()
             if fresh is not None:
-                batch.attach(slot, fresh.world)
                 place(slot, fresh)
         needed = first_block[active & (first_block >= 0)]
         columns.keep_from(int(needed.min()) if needed.size

@@ -42,9 +42,12 @@ retired lanes are cleared so the fused kernels never see stale state, a
 retired lane never perturbs survivors (lanes only interact through
 their own rows), and a released slot (``release``) holds no ``World``
 until the next lane attaches, which may be of another scenario.  A batch
-is as wide as the driver makes it (:data:`repro.core.parallel.MAX_LANES`):
-a retired slot that no pending lane refills idles to the end of the
-batch, cleared, for the price of its rows in the fused kernels.
+may start with empty slots and attach its lanes one at a time.  It is
+as wide as the driver makes it: one slot per job, up to
+:data:`repro.core.parallel.MAX_LANES`, so a dispatch within the cap
+runs in one wave.  A retired slot that no pending lane refills idles
+to the end of the batch, cleared, for the price of its rows in the
+fused kernels.
 """
 
 from __future__ import annotations
@@ -62,24 +65,26 @@ from .world import World
 class BatchWorldState:
     """N worlds on one road with one ego build, advanced in lockstep.
 
-    ``references`` are fresh builds of every scenario whose lanes may
-    attach during the batch's life (default: ``worlds``): the NPC
-    columns are as wide as the largest roster among them, and the
-    script arrays as deep as their longest speed and lane-change
-    scripts.  Every lane world must share the first world's road and
-    ego vehicle parameters.
+    ``worlds`` holds one entry per slot: a lane's world, or ``None``
+    for a slot that stays empty until a lane attaches.  ``references``
+    are fresh builds of every scenario whose lanes may attach during
+    the batch's life (default: ``worlds``): the NPC columns are as wide
+    as the largest roster among them, and the script arrays as deep as
+    their longest speed and lane-change scripts.  Every lane world must
+    share the first build's road and ego vehicle parameters.
     """
 
-    def __init__(self, worlds: list[World],
+    def __init__(self, worlds: list[World | None],
                  references: list[World] | None = None):
-        if not worlds:
+        builds = [world for world in worlds if world is not None]
+        builds += list(references or ())
+        if not worlds or not builds:
             raise ValueError("batch needs at least one lane")
         #: Each lane's scalar world; ``None`` for a released slot.
         self.worlds: list[World | None] = list(worlds)
         n = len(self.worlds)
-        self.road = worlds[0].road
-        self.ego_params = worlds[0].ego.params
-        builds = self.worlds + list(references or ())
+        self.road = builds[0].road
+        self.ego_params = builds[0].ego.params
         m = max(len(world.npcs) for world in builds)
         k = max((len(npc.speed_commands) for world in builds
                  for npc in world.npcs), default=0)
@@ -115,7 +120,8 @@ class BatchWorldState:
         self._ego_out = np.empty((n, 5))
         self._mask = np.empty(n, dtype=bool)
         for lane, world in enumerate(self.worlds):
-            self.attach(lane, world)
+            if world is not None:
+                self.attach(lane, world)
 
     # -- lane membership ----------------------------------------------------
 

@@ -30,7 +30,7 @@ from repro.cli import _print_summary
 from repro.ads.runtime import ADSConfig
 from repro.core import (Campaign, CampaignConfig, CampaignSummary,
                         DegradationConfig, Hazard, ListSink,
-                        ResilienceConfig, parallel)
+                        ResilienceConfig, parallel, simulate)
 from repro.core.fault_models import ArchFaultOutcome
 from repro.core.interface_faults import (CHANNELS, INTERFACE_KINDS,
                                          interface_fault)
@@ -550,6 +550,33 @@ class TestLateFusion:
         assert any(record.degraded for record in reference) == degradation
         assert any(record.landed for record in reference)
         assert not all(record.landed for record in reference)
+
+    def test_group_folds_mix_segment_and_fused_lanes(self, monkeypatch):
+        """Lanes that retire on the same fused tick fold together:
+        interface-fault lanes, whose scalar segments' samples come
+        first, beside value-fault lanes that ran fused from their fork.
+        Here every lane joins the batch at tick 62 (the interface
+        lanes' hand-off, the value lanes' fault tick) and runs to the
+        scenario's end.  Each record equals
+        :func:`execute_experiment`'s."""
+        groups = []
+        original = simulate._fold_lanes
+
+        def recording(lanes, *args):
+            groups.append([bool(lane.samples) for lane in lanes])
+            return original(lanes, *args)
+
+        monkeypatch.setattr(simulate, "_fold_lanes", recording)
+        campaign = Campaign([late_fusion_scenario()], late_config())
+        name = campaign.scenarios[0].name
+        jobs = sweep_jobs(name, starts=(60,), durations=(2,)) + [
+            (name, FaultSpec(variable, value, 62, 2))
+            for variable, value in (("brake", 0.0), ("throttle", 1.0),
+                                    ("gps_y", 2.0), ("tracked_gap", 80.0))]
+        summary = campaign.run_jobs(jobs)
+        assert bits(summary.records) == bits(reference_records(campaign,
+                                                               jobs))
+        assert any(any(group) and not all(group) for group in groups)
 
     def test_tick_zero_starts(self):
         """Without forks every lane replays from tick 0 through its

@@ -3,6 +3,7 @@ bulk stop and excursion tables, and the deferred safety monitor of the
 tick loop."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -300,6 +301,23 @@ class TestStopTable:
             [p.lateral.hex() for p in expected]
 
 
+#: A lead speed whose C ``pow`` square differs from ``x * x`` in the
+#: last ulp.
+POW_SQUARE = 32.951254335710864
+assert POW_SQUARE ** 2 != POW_SQUARE * POW_SQUARE
+
+_SIGNED = st.sampled_from([0.0, -0.0, -1e-5, 1e-5, -2.5e-4, 2.5e-4])
+#: ``(v, theta, phi, gap, lead_speed, lateral_free)`` samples.
+_FOLD_SAMPLES = st.tuples(
+    st.floats(-5.0, 60.0) | _SIGNED,
+    st.floats(-0.6, 0.6) | _SIGNED,
+    st.floats(-0.6, 0.6) | _SIGNED,
+    st.floats(-5.0, 300.0) | st.sampled_from([SENSOR_RANGE, 249.99]),
+    st.none() | st.just(float("nan")) | st.floats(-5.0, 60.0)
+    | st.sampled_from([POW_SQUARE, -0.0, 0.0]),
+    st.floats(-5.0, 10.0))
+
+
 class TestBulkSafetyPotential:
     def test_matches_per_sample_potential(self):
         samples = [(30.0, 0.0, 0.0, 20.0, 30.0, 4.0),
@@ -311,6 +329,27 @@ class TestBulkSafetyPotential:
             potential = safety_potential(*sample)
             assert d_long.hex() == potential.longitudinal.hex()
             assert d_lat.hex() == potential.lateral.hex()
+
+    @settings(max_examples=60, deadline=None)
+    @given(samples=st.lists(_FOLD_SAMPLES, max_size=40),
+           trig_exact=st.booleans())
+    def test_columnar_fold_equals_per_sample_bitwise(self, samples,
+                                                     trig_exact):
+        """The columnar fold is :func:`safety_potential` per sample, bit
+        for bit, through either rotation path: NaN and ``None`` leads
+        (a clear corridor), gaps at and past the sensing range, negative
+        and signed-zero speeds and angles (whose keys quantize to 0.0),
+        and a lead speed whose ``** 2`` differs from ``x * x``."""
+        expected = [safety_potential(
+            v, theta, phi, gap, None if lead is None or lead != lead
+            else lead, free) for v, theta, phi, gap, lead, free in samples]
+        with mock.patch.object(safety, "numpy_trig_exact",
+                               lambda: trig_exact):
+            longitudinal, lateral = bulk_safety_potential(samples)
+        assert [d.hex() for d in longitudinal.tolist()] == \
+            [p.longitudinal.hex() for p in expected]
+        assert [d.hex() for d in lateral.tolist()] == \
+            [p.lateral.hex() for p in expected]
 
     def test_world_inputs_feed_the_same_potential(self):
         world = World.on_highway(ego_speed=30.0)

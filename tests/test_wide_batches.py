@@ -291,17 +291,17 @@ class TestColumns:
             lead = np.where(rng.random(n) < 0.3, np.nan,
                             rng.normal(size=n))
             assert columns.append(ego, gap, lead, free) == tick
-            history.append([(*ego[i, 2:5].tolist(), gap[i],
-                             None if np.isnan(lead[i]) else lead[i],
-                             free[i]) for i in range(n)])
+            history.append(np.column_stack([ego[:, 2:5], gap, lead, free]))
             slot = tick % n
             if slot not in firsts:
                 firsts[slot] = tick
             elif tick % 11 == 0:
                 first = firsts.pop(slot)
-                want = [row[slot] for row in history[first:]]
-                assert [tuple(row) for row in
-                        columns.samples(slot, first)] == want
+                want = np.array([rows[slot] for rows in history[first:]])
+                got = np.concatenate(columns.rows(slot, first))
+                # Bit patterns: NaN leads included.
+                assert got.view(np.int64).tolist() == \
+                    want.view(np.int64).tolist()
             columns.keep_from(min(firsts.values(), default=tick + 1))
 
 
@@ -404,6 +404,43 @@ class TestFusedTicks:
         # Two wide parts of 20, one per worker, merged.
         assert (pooled_engine["fused_batches"],
                 pooled_engine["batch_scenarios"]) == (2, 2)
+
+
+class TestOneWave:
+    """A dispatch of more than ``LANES`` and at most ``MAX_LANES`` jobs
+    runs in one wave: as many fused ticks as its longest lane."""
+
+    def test_equal_horizons_run_in_one_wave(self, monkeypatch):
+        n = 160
+        assert parallel.LANES < n <= parallel.MAX_LANES
+        scenario = replace(empty_road(), name="one-wave", duration=8.0)
+        variables = (("brake", 0.0), ("throttle", 1.0), ("gps_y", 2.0))
+        jobs = [("one-wave", FaultSpec(*variables[i % 3], 20 + i % 50, 2))
+                for i in range(n)]
+
+        def run():
+            summary = Campaign([scenario], CampaignConfig(
+                profile_stages=True, horizon_after_fault=1.0)).run_jobs(jobs)
+            engine = summary.extra_info["stage_timings"]["engine"]
+            return summary.records, engine
+
+        records, engine = run()
+        # Each lane runs from its fork, the fault tick, through the
+        # post-fault horizon: 2 + 20 + 1 ticks, none of them cut short.
+        lengths = [round(record.sim_seconds / DT) - record.injection_tick
+                   for record in records]
+        assert set(lengths) == {23}
+        assert engine["fused_batches"] == 1
+        assert engine["fused_ticks"] == max(lengths)
+        assert engine["lane_ticks"] == sum(lengths)
+        assert engine["slot_ticks"] == n * engine["fused_ticks"]
+
+        monkeypatch.setattr(parallel, "MAX_LANES", 16)
+        narrow, waves = run()
+        assert strip_wall(narrow) == strip_wall(records)
+        assert waves["lane_ticks"] == engine["lane_ticks"]
+        assert waves["fused_ticks"] == n // 16 * max(lengths)
+        assert waves["slot_ticks"] == 16 * waves["fused_ticks"]
 
 
 def small_library():
